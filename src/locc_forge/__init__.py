@@ -14,7 +14,6 @@ from .engine import (
     SearchStats,
     Verdict,
     check_root,
-    ordering_bound,
     synthesize,
 )
 from .feasibility import (
@@ -37,7 +36,6 @@ from .measurement import (
 )
 from .operators import (
     OperatorBasis,
-    dual_basis,
     frobenius,
     independent_subset,
     is_psd,
@@ -65,7 +63,6 @@ __all__ = [
     "check_root",
     "complement_span",
     "decompose",
-    "dual_basis",
     "extreme_rays",
     "factorize",
     "feasible_cone",
@@ -76,7 +73,6 @@ __all__ = [
     "load_measurement",
     "load_tree",
     "local_span",
-    "ordering_bound",
     "phase_five",
     "qubit_pair",
     "random_density_matrix",

@@ -15,9 +15,7 @@ could in principle exist; exhaustion therefore reports INCONCLUSIVE.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,23 +102,8 @@ class Certificate:
     tree: ProtocolNode | None = None
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("LOCC_FORGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _root_cones(m: SeparableMeasurement, tol: Tolerances) -> list[FeasibleCone]:
-    def analyze(party: int) -> FeasibleCone:
-        return feasible_cone(root_context(m, party), tol)
-
-    cap = min(_worker_cap(), len(m.parties))
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            return list(pool.map(analyze, range(len(m.parties))))
-    return [analyze(p) for p in range(len(m.parties))]
+    return [feasible_cone(root_context(m, p), tol) for p in range(len(m.parties))]
 
 
 def check_root(m: SeparableMeasurement,
@@ -134,13 +117,6 @@ def check_root(m: SeparableMeasurement,
         RootFeasibility(m.parties[p].name, cone.nullspace_dim, cone.extreme_rays)
         for p, cone in enumerate(_root_cones(m, tol))
     ]
-
-
-def ordering_bound(n_parties: int, rounds: int) -> int:
-    """Number of party orderings a full search over `rounds` rounds may visit."""
-    if n_parties < 2 or rounds < 1:
-        raise ValueError("need at least 2 parties and 1 round")
-    return n_parties * (n_parties - 1) ** (rounds - 1)
 
 
 def _coeff_key(coeffs: np.ndarray) -> tuple:

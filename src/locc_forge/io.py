@@ -28,6 +28,7 @@ audited by eye against their defining operators.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any
 
@@ -51,6 +52,8 @@ def complex_matrix_from_json(data: Any, where: str) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise MeasurementFormatError(
             "expected a square matrix of [re, im] pairs", where)
+    if not np.isfinite(arr).all():
+        raise MeasurementFormatError("entries must be finite", where)
     return np.ascontiguousarray(arr[..., 0] + 1j * arr[..., 1])
 
 
@@ -112,8 +115,9 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
         label = str(o.get("label", str(j + 1)))
         outcomes.append((label, tuple(mats)))
         w = o.get("weight")
-        if w is not None and (not isinstance(w, (int, float)) or w < 0):
-            raise MeasurementFormatError("weight must be a nonnegative number",
+        if w is not None and (not isinstance(w, (int, float))
+                              or not math.isfinite(w) or w < 0):
+            raise MeasurementFormatError("weight must be a finite nonnegative number",
                                          f"{where}.weight")
         weights.append(None if w is None else float(w))
 

@@ -95,10 +95,14 @@ class SeparableMeasurement:
         if w.shape != (len(self.outcomes),):
             raise DimensionMismatchError(
                 f"{len(self.outcomes)} outcomes but weight vector of shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be nonnegative with at least one positive")
         self.weights: np.ndarray = w
         self._complement_cache: dict[int, np.ndarray] = {}
+        self._local_span_cache: dict[int, OperatorBasis] = {}
+        self._complement_span_cache: dict[int, OperatorBasis] = {}
 
     # -- basic geometry -------------------------------------------------
 
@@ -186,7 +190,7 @@ def validate(m: SeparableMeasurement, residual_tol: float = RESIDUAL_TOL) -> Val
                     min_eigenvalue(factor)))
     total = np.einsum("j,jab->ab", m.weights, m.outcome_operators)
     residual = float(np.abs(total - np.eye(m.total_dim)).max())
-    if residual > residual_tol:
+    if not residual <= residual_tol:     # a NaN residual is a violation too
         violations.append(Violation("incomplete", "weighted outcome sum", residual))
     return ValidationReport(tuple(violations), residual)
 
@@ -216,18 +220,30 @@ def infer_weights(outcome_operators: np.ndarray,
 
 
 def local_span(m: SeparableMeasurement, party: int) -> OperatorBasis:
-    """Basis of the span of one party's outcome factors, greedy in outcome order."""
-    factors = list(m.local_factors(party))
-    idx = independent_subset(factors)
-    return OperatorBasis([factors[i] for i in idx], check=False)
+    """Basis of the span of one party's outcome factors, greedy in outcome order.
+
+    Built once per party and cached on the measurement.
+    """
+    cached = m._local_span_cache.get(party)
+    if cached is None:
+        factors = list(m.local_factors(party))
+        idx = independent_subset(factors)
+        cached = OperatorBasis([factors[i] for i in idx], check=False)
+        m._local_span_cache[party] = cached
+    return cached
 
 
 def complement_span(m: SeparableMeasurement, party: int) -> OperatorBasis:
     """Basis of the span of the joint factors of all parties except one.
 
     The excluded party's bystanders are treated as a single joint system, so
-    multi-party measurements reduce to the two-sided analysis.
+    multi-party measurements reduce to the two-sided analysis.  Built once
+    per party and cached on the measurement.
     """
-    joint = list(m.complement_factors(party))
-    idx = independent_subset(joint)
-    return OperatorBasis([joint[i] for i in idx], check=False)
+    cached = m._complement_span_cache.get(party)
+    if cached is None:
+        joint = list(m.complement_factors(party))
+        idx = independent_subset(joint)
+        cached = OperatorBasis([joint[i] for i in idx], check=False)
+        m._complement_span_cache[party] = cached
+    return cached

@@ -9,6 +9,7 @@ with coefficient vectors.
 from __future__ import annotations
 
 from functools import cached_property
+from math import sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,9 +23,13 @@ from .tolerances import (
     rank_threshold,
 )
 
+_DECISION_MARGIN = 1e-3
+"""Relative margin by which a bound on a singular value must clear the rank
+cutoff in :func:`independent_subset` before it decides without an SVD."""
+
 
 def as_hermitian(entries, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate a square matrix as Hermitian and return it as complex128.
+    """Validate a finite square matrix as Hermitian and return it as complex128.
 
     Asymmetry is measured in max norm after scaling by the largest entry
     magnitude, so the check is insensitive to overall operator scale.
@@ -34,6 +39,8 @@ def as_hermitian(entries, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("operator dimension must be at least 1")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     scale = float(np.abs(a).max())
     if scale > 0.0 and float(np.abs(a - a.conj().T).max()) > herm_tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -73,9 +80,21 @@ def independent_subset(ops: Sequence[np.ndarray],
                        rank_factor: float = RANK_FACTOR) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
-    Rank is decided from the singular values of the vectorized stack with
-    cutoff ``max(rows, cols) * sigma_max * rank_factor``.  A list of zero
-    operators yields an empty index list.
+    Candidate i is kept iff every singular value of the vectorized stack of
+    the kept operators and operator i exceeds the cutoff
+    ``max(rows, cols) * sigma_max * rank_factor``.  A list of zero operators
+    yields an empty index list.
+
+    The stack is never decomposed whole.  The kept vectors are held as
+    ``R @ Q``, with orthonormal rows ``Q`` (Gram-Schmidt run twice) and
+    lower-triangular ``R``.  A candidate with coefficients ``a`` in ``Q`` and
+    residual norm ``b`` extends the stack to one with the singular values of
+    ``M = [[R, 0], [a, b]]``.  ``b`` bounds sigma_min(M) from above and
+    ``1 / |M^-1|_F`` from below, while the largest row norm and the
+    Frobenius norm bound sigma_max; the SVD of ``M`` is taken only when
+    these bounds do not clear the cutoff by ``_DECISION_MARGIN``.  An
+    operator whose norm is below about 1e-150 of the largest entry has a
+    squared norm that underflows, and counts as zero.
     """
     if len(ops) == 0:
         raise ValueError("empty operator list")
@@ -83,14 +102,61 @@ def independent_subset(ops: Sequence[np.ndarray],
     vecs = np.stack([np.asarray(op, dtype=np.complex128).ravel() for op in ops])
     if any(op.shape != (dim, dim) for op in ops):
         raise DimensionMismatchError("operators have mixed dimensions")
+    peak = float(np.abs(vecs).max())
+    if not np.isfinite(peak):
+        raise ValueError("operators have non-finite entries")
+    if peak == 0.0:
+        return []
+    vecs = vecs / peak      # the rule is scale-free; this keeps norms in range
+    n_cols = vecs.shape[1]
+    norms = np.sqrt(np.einsum("ij,ij->i", vecs.conj(), vecs).real)
+    max_rank = min(len(ops), n_cols)
+    q = np.zeros((max_rank, n_cols), dtype=np.complex128)
+    q_conj = np.zeros_like(q)
+    r = np.zeros((max_rank, max_rank), dtype=np.complex128)
+    r_inv = np.zeros_like(r)
+    r_inv_frob2 = 0.0       # |R^-1|_F^2
+    row_max = 0.0           # largest norm of a kept vector
+    row_frob2 = 0.0         # squared Frobenius norm of the kept stack
     chosen: list[int] = []
-    for i in range(len(ops)):
-        stack = vecs[chosen + [i]]
-        sigma = np.linalg.svd(stack, compute_uv=False)
-        cutoff = rank_threshold(stack.shape, float(sigma[0]), rank_factor)
-        rank = int(np.sum(sigma > cutoff))
-        if rank == len(chosen) + 1:
-            chosen.append(i)
+    for i, v in enumerate(vecs):
+        k = len(chosen)
+        if k == n_cols:     # more rows than columns: rank below row count
+            break
+        a = q_conj[:k] @ v
+        res = v - a @ q[:k]
+        a2 = q_conj[:k] @ res
+        res -= a2 @ q[:k]
+        a += a2
+        b = sqrt(np.vdot(res, res).real)
+        v_norm = float(norms[i])
+        shape = (k + 1, n_cols)
+
+        low = rank_threshold(shape, max(row_max, v_norm), rank_factor)
+        if b <= low * (1.0 - _DECISION_MARGIN):
+            continue
+        a_r_inv = a @ r_inv[:k, :k]
+        m_inv_frob2 = r_inv_frob2 + (float(np.vdot(a_r_inv, a_r_inv).real) + 1.0) / b / b
+        high = rank_threshold(shape, sqrt(row_frob2 + v_norm * v_norm), rank_factor)
+        if not 1.0 / sqrt(m_inv_frob2) > high * (1.0 + _DECISION_MARGIN):
+            small = np.zeros((k + 1, k + 1), dtype=np.complex128)
+            small[:k, :k] = r[:k, :k]
+            small[k, :k] = a
+            small[k, k] = b
+            sigma = np.linalg.svd(small, compute_uv=False)
+            if not sigma[-1] > rank_threshold(shape, float(sigma[0]), rank_factor):
+                continue
+
+        q[k] = res / b
+        q_conj[k] = q[k].conj()
+        r[k, :k] = a
+        r[k, k] = b
+        r_inv[k, :k] = -a_r_inv / b
+        r_inv[k, k] = 1.0 / b
+        r_inv_frob2 = m_inv_frob2
+        row_max = max(row_max, v_norm)
+        row_frob2 += v_norm * v_norm
+        chosen.append(i)
     return chosen
 
 
@@ -176,10 +242,6 @@ class OperatorBasis:
         """Max-norm distance from ``op`` to the span."""
         proj = self.compose(self.coordinates(op))
         return float(np.abs(op - proj).max())
-
-
-def dual_basis(basis: OperatorBasis) -> OperatorBasis:
-    return basis.dual()
 
 
 def is_psd(x: np.ndarray, psd_tol: float = PSD_TOL) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 from .engine import ProtocolNode
 from .errors import TreeStructureError
 from .measurement import SeparableMeasurement
-from .operators import as_hermitian, is_psd, project_factor
+from .operators import as_hermitian, is_psd, project_factor, tensor
 from .tolerances import DEFAULT_TOL, PSD_TOL, Tolerances
 
 
@@ -157,7 +157,7 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
             cpath = f"{path}.{i}"
             slot = child.acting_party
             rest = [f for q, f in enumerate(factors) if q != slot]
-            abar = _kron_all(rest) if rest else np.eye(1, dtype=complex)
+            abar = tensor(rest) if rest else np.eye(1, dtype=complex)
             x, residual = project_factor(node_op[cpath], abar, slot, dims)
             scale = max(1.0, float(np.abs(node_op[cpath]).max()))
             edges.append((residual / scale, cpath))
@@ -184,13 +184,6 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
                                        worst_neg[1] if worst_neg[0] > PSD_TOL else "")
 
     return VerificationReport(checks)
-
-
-def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for item in mats[1:]:
-        out = np.kron(out, item)
-    return out
 
 
 # -- simulation ------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 These deliberately avoid the library's own code paths: the Kronecker
 product is written with explicit loops, extreme rays are enumerated by
-facet sign patterns instead of double description, and completeness
-weights come from an unconstrained least-squares solve.
+facet sign patterns instead of double description, completeness
+weights come from an unconstrained least-squares solve, and independent
+subsets are chosen with one SVD of the whole candidate stack per candidate.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import null_space
+
+from locc_forge.errors import DimensionMismatchError
+from locc_forge.tolerances import RANK_FACTOR, rank_threshold
 
 
 def hand_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,3 +108,29 @@ def lstsq_completeness_weights(ops: np.ndarray) -> np.ndarray:
     b = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
     w, *_ = np.linalg.lstsq(a, b, rcond=None)
     return w
+
+
+def greedy_svd_independent_subset(ops: Sequence[np.ndarray],
+                                  rank_factor: float = RANK_FACTOR) -> list[int]:
+    """Indices of a maximal linearly independent subset, greedy in input order.
+
+    The library's original rule, one SVD of the whole candidate stack per
+    candidate: rank is decided from the singular values of the vectorized
+    stack with cutoff ``max(rows, cols) * sigma_max * rank_factor``.  A list
+    of zero operators yields an empty index list.
+    """
+    if len(ops) == 0:
+        raise ValueError("empty operator list")
+    dim = ops[0].shape[0]
+    vecs = np.stack([np.asarray(op, dtype=np.complex128).ravel() for op in ops])
+    if any(op.shape != (dim, dim) for op in ops):
+        raise DimensionMismatchError("operators have mixed dimensions")
+    chosen: list[int] = []
+    for i in range(len(ops)):
+        stack = vecs[chosen + [i]]
+        sigma = np.linalg.svd(stack, compute_uv=False)
+        cutoff = rank_threshold(stack.shape, float(sigma[0]), rank_factor)
+        rank = int(np.sum(sigma > cutoff))
+        if rank == len(chosen) + 1:
+            chosen.append(i)
+    return chosen

@@ -5,7 +5,6 @@ from conftest import P0, P1, PMINUS, PPLUS
 from locc_forge import (
     Verdict,
     check_root,
-    ordering_bound,
     rotated_dominoes,
     seven_outcome_family,
     synthesize,
@@ -28,16 +27,6 @@ class TestCheckRoot:
         roots = check_root(m_pair)
         assert [r.nullspace_dim for r in roots] == [2, 1]
         assert roots[0].party == "A" and roots[1].party == "B"
-
-    def test_threaded_matches_serial(self, m_pair, monkeypatch):
-        serial = check_root(m_pair)
-        monkeypatch.setenv("LOCC_FORGE_THREADS", "4")
-        threaded = check_root(m_pair)
-        assert [r.nullspace_dim for r in serial] == \
-            [r.nullspace_dim for r in threaded]
-        for a, b in zip(serial, threaded):
-            for ra, rb in zip(a.extreme_rays, b.extreme_rays):
-                assert np.array_equal(ra, rb)
 
 
 class TestSynthesizeQubitPair:
@@ -132,22 +121,6 @@ class TestInconclusive:
     def test_round_budget_validation(self, m_pair):
         with pytest.raises(ValueError):
             synthesize(m_pair, max_rounds=0)
-
-
-class TestOrderingBound:
-    def test_two_parties_any_rounds(self):
-        assert ordering_bound(2, 1) == 2
-        assert ordering_bound(2, 7) == 2
-
-    def test_three_parties_three_rounds(self):
-        assert ordering_bound(3, 3) == 12
-
-    def test_three_parties_one_round(self):
-        assert ordering_bound(3, 1) == 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            ordering_bound(1, 3)
 
 
 class TestLeafDetection:

@@ -59,6 +59,23 @@ class TestMeasurementDiagnostics:
             measurement_from_dict(doc)
         assert "factors[1]" in str(err.value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_location(self, m_pair, value):
+        doc = measurement_to_dict(m_pair)
+        doc["outcomes"][2]["factors"][1][0][1][0] = value
+        text = json.dumps(doc)    # JSON as Python writes and reads it: NaN, Infinity
+        with pytest.raises(MeasurementFormatError) as err:
+            measurement_from_dict(json.loads(text))
+        assert err.value.location == "outcomes[2].factors[1]"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_location(self, m_pair, value):
+        doc = measurement_to_dict(m_pair)
+        doc["outcomes"][3]["weight"] = value
+        with pytest.raises(MeasurementFormatError) as err:
+            measurement_from_dict(json.loads(json.dumps(doc)))
+        assert err.value.location == "outcomes[3].weight"
+
     def test_missing_fields(self):
         with pytest.raises(MeasurementFormatError):
             measurement_from_dict({"parties": []})

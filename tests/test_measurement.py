@@ -10,7 +10,7 @@ from locc_forge.measurement import (
     local_span,
     validate,
 )
-from oracles import lstsq_completeness_weights
+from oracles import greedy_svd_independent_subset, lstsq_completeness_weights
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -35,6 +35,19 @@ class TestValidate:
         report = validate(m)
         assert not report.ok
         assert any(v.kind == "incomplete" for v in report.violations)
+
+    def test_nan_residual_is_a_violation(self):
+        # finite entries whose product overflows: 0 * inf puts NaN in the sum
+        huge = 1e200 * EYE2
+        m = SeparableMeasurement(
+            [Party("A", 2), Party("B", 2)],
+            [("x", (P0, EYE2)), ("y", (P1, EYE2)), ("z", (huge, huge))],
+            np.array([1.0, 1.0, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = validate(m)
+        assert np.isnan(report.completeness_residual)
+        assert not report.ok
+        assert [v.kind for v in report.violations] == ["incomplete"]
 
     def test_negative_factor_reported_with_magnitude(self):
         bad = np.array([[1.0, 0.0], [0.0, -0.5]], dtype=complex)
@@ -98,6 +111,24 @@ class TestSpans:
                                     if i != p])
                 assert len(complement_span(m, p)) <= comp_cap
 
+    def test_spans_built_once_per_party(self, catalog_all):
+        for m in catalog_all.values():
+            for p in range(len(m.parties)):
+                for span in (local_span, complement_span):
+                    assert span(m, p) is span(m, p)
+
+    def test_cached_spans_equal_fresh_builds(self, catalog_all):
+        for m in catalog_all.values():
+            for p in range(len(m.parties)):
+                for span, stack in ((local_span, m.local_factors(p)),
+                                    (complement_span, m.complement_factors(p))):
+                    ops = list(stack)
+                    fresh = [ops[i] for i in greedy_svd_independent_subset(ops)]
+                    cached = span(m, p).elements
+                    assert len(cached) == len(fresh)
+                    for a, b in zip(cached, fresh):
+                        assert np.array_equal(a, b)
+
     def test_identity_in_outcome_span(self, catalog_all):
         # completeness puts the joint identity inside span{O_j}
         for m in catalog_all.values():
@@ -126,6 +157,21 @@ class TestStructure:
         with pytest.raises(Exception):
             SeparableMeasurement([Party("A", 2), Party("B", 2)],
                                  [("x", (P0,))], np.array([1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_factor_rejected(self, value):
+        bad = P0.copy()
+        bad[0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("x", (EYE2, bad))], np.array([1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("x", (P0, EYE2)), ("y", (P1, EYE2))],
+                                 np.array([1.0, value]))
 
     def test_weight_length_mismatch(self):
         with pytest.raises(Exception):
