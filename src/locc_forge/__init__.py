@@ -2,6 +2,7 @@
 multipartite quantum measurements."""
 
 from .catalog import (
+    conditional_basis,
     phase_five,
     qubit_pair,
     rotated_dominoes,
@@ -62,6 +63,7 @@ __all__ = [
     "build_q",
     "check_root",
     "complement_span",
+    "conditional_basis",
     "decompose",
     "extreme_rays",
     "factorize",

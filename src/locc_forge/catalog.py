@@ -3,16 +3,19 @@
 Each generator returns a validated :class:`SeparableMeasurement`.  The
 families cover the interesting behaviors of the analyzer: a two-qubit
 measurement with a two-round protocol, two families with no LOCC protocol
-at all, and a seeded class of seven-outcome measurements that needs four
-rounds.
+at all, a seeded class of seven-outcome measurements that needs four
+rounds, and a seeded family of any number of parties and local dimension
+whose protocol takes one round per party.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .errors import LoccForgeError
-from .measurement import Party, SeparableMeasurement
+from .measurement import Party, SeparableMeasurement, validate
 from .operators import is_psd
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -168,6 +171,46 @@ def seven_outcome_family(seed: int = 0,
         return SeparableMeasurement(parties, outcomes, _SEVEN_WEIGHTS.copy())
     raise LoccForgeError(
         f"could not sample a valid member in {max_attempts} attempts")
+
+
+def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases
+
+
+def conditional_basis(n_parties: int, dim: int, seed=0) -> SeparableMeasurement:
+    """Rank-1 product measurement in which each party's basis depends on the
+    outcomes of the parties before it.
+
+    Party 0 measures in a random orthonormal basis; party k measures in a
+    random basis drawn afresh for each string of outcomes of parties
+    0..k-1.  Outcome (i_0, ..., i_{n-1}) is the product of the matching
+    projectors and all weights are one, so the measurement is LOCC, by the
+    n-round protocol that follows the party order, with root dims
+    (dim, 1, ..., 1).  Total dimension and outcome count are dim**n_parties.
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts.
+    """
+    if n_parties < 2 or dim < 2:
+        raise ValueError("need at least two parties of dimension at least two")
+    rng = np.random.default_rng(seed)
+    bases: dict[tuple[int, ...], np.ndarray] = {}
+    outcomes = []
+    for idx in product(range(dim), repeat=n_parties):
+        factors = []
+        for k, i in enumerate(idx):
+            if idx[:k] not in bases:
+                bases[idx[:k]] = _haar_unitary(dim, rng)
+            factors.append(_proj(bases[idx[:k]][:, i]))
+        outcomes.append(("-".join(map(str, idx)), tuple(factors)))
+    parties = [Party(f"P{k}", dim) for k in range(n_parties)]
+    m = SeparableMeasurement(parties, outcomes, np.ones(len(outcomes)))
+    report = validate(m)
+    if not report.ok:
+        raise LoccForgeError(f"conditional basis {n_parties}x{dim}: "
+                             + "; ".join(map(str, report.violations)))
+    return m
 
 
 CATALOG = {

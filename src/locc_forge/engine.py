@@ -146,14 +146,15 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
         return int(order[-1]), top
     op = reconstruct(m, c)
     scale = max(1.0, float(np.abs(op).max()))
-    for j in range(m.n_outcomes):
-        oj = m.outcome_operators[j]
-        norm2 = float(np.vdot(oj, oj).real)
-        if norm2 == 0.0:
-            continue
-        s = float(np.vdot(oj, op).real / norm2)
-        if s > 0 and float(np.abs(op - s * oj).max()) <= tol.residual * scale:
-            return j, s
+    ops = m.outcome_operators
+    # on real views of the complex entries, Re Tr[O_j^dag X] is a dot product
+    flat = ops.reshape(m.n_outcomes, -1).view(np.float64)
+    dots = flat @ op.reshape(-1).view(np.float64)
+    norms2 = np.einsum("ij,ij->i", flat, flat)
+    for j in np.flatnonzero(norms2 != 0.0):
+        s = float(dots[j] / norms2[j])
+        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= tol.residual * scale:
+            return int(j), s
     return None
 
 

@@ -25,7 +25,12 @@ import numpy as np
 
 from .errors import InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement, complement_span, local_span
-from .operators import OperatorBasis, frobenius, independent_subset, project_factor
+from .operators import (
+    OperatorBasis,
+    checked_gram_solve,
+    independent_subset,
+    project_factor,
+)
 from .tolerances import DEFAULT_TOL, MARGINAL_RANK_BAND, Tolerances
 
 
@@ -70,39 +75,84 @@ class FeasibleCone:
         return self.nullspace_basis.shape[1]
 
 
-def _bystander_basis(span: OperatorBasis, abar: np.ndarray,
-                     tol: Tolerances) -> OperatorBasis:
-    """Basis of the bystander span whose first element is Abar.
+@dataclass(frozen=True)
+class PartyTables:
+    """What :func:`build_q` needs about one measuring party, in span coefficients.
 
-    The completion is drawn from the span's own elements, orthogonalized
-    against Abar so the default construction is canonical.
+    With e_i the party's local span, L_n its outcome factors, c_i the
+    complement span and C_n the outcomes' complement factors:
+
+    * ``acting`` is G_A^-1 [Tr(e_i^dag L_n)]: row a pairs the a-th dual
+      element of the local span with every local factor;
+    * ``complement`` is the complement span, with its Gram matrix G_C;
+    * ``pairings`` is [Tr(c_i^dag C_n)];
+    * ``factor`` is R of the QR factorization c^T = Q R of the vectorized
+      span, so column i of R holds c_i's coordinates in the orthonormal Q.
     """
-    coords = span.coordinates(abar)
-    proj = span.compose(coords)
-    residual = float(np.abs(abar - proj).max())
-    scale = max(1.0, float(np.abs(abar).max()))
+
+    acting: np.ndarray
+    complement: OperatorBasis
+    pairings: np.ndarray
+    factor: np.ndarray
+
+
+def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
+    """The party's pairing tables, built once and cached on the measurement."""
+    cached = m._pairing_cache.get(party)
+    if cached is None:
+        acting = local_span(m, party)
+        span = complement_span(m, party)
+        cached = PartyTables(
+            acting=acting.solve_gram(acting.pairings(m.local_factors(party))),
+            complement=span,
+            pairings=span.pairings(m.complement_factors(party)),
+            factor=np.linalg.qr(span.vectors.T, mode="r"))
+        m._pairing_cache[party] = cached
+    return cached
+
+
+def _bystander_completion(tables: PartyTables, abar: np.ndarray,
+                          tol: Tolerances) -> np.ndarray:
+    """Coefficients over the complement span of a basis of it led by Abar.
+
+    Row 0 holds Abar's coordinates x.  Each further row completes the basis
+    with a span element c_i, taken greedily in span order when independent
+    of Abar and the rows before, minus its component along Abar: the unit
+    row u_i - (Tr[Abar c_i] / |Abar|^2) x.  Independence is decided on the
+    coordinates of [Abar, c_1..c_k] in Q plus one axis for Abar's
+    out-of-span part, an isometric image of the operators, with the
+    operators' own width in the rank cutoff.
+    """
+    span = tables.complement
+    v = np.ravel(abar)
+    p = (span.vectors @ v.conj()).real              # Tr[c_i^dag Abar]
+    x = span.solve_gram(p)
+    off_span = v - x @ span.vectors
+    residual = float(np.abs(off_span).max())
+    scale = max(1.0, float(np.abs(v).max()))
     if residual > 10 * tol.residual * scale:
         raise InconsistentNodeError(
             f"bystander operator lies outside its span (residual {residual:.3e})")
 
-    norm2 = frobenius(abar, abar)
-    candidates = [abar] + list(span.elements)
-    elements = [abar]
-    for i in independent_subset(candidates, tol.rank_factor):
-        if i == 0:
-            continue
-        op = candidates[i]
-        elements.append(op - (frobenius(abar, op) / norm2) * abar)
-    if len(elements) != len(span):
+    k = len(span)
+    image = np.zeros((k + 1, k + 1), dtype=np.complex128)
+    image[0, :k] = tables.factor @ x
+    image[0, k] = np.linalg.norm(off_span)
+    image[1:, :k] = tables.factor.T
+    width = span.vectors.shape[1]                   # (D / d_p)^2
+    others = [i - 1 for i in independent_subset(image, tol.rank_factor, width) if i > 0]
+    if len(others) + 1 != k:
         raise InconsistentNodeError(
             "bystander span completion has wrong dimension; span is degenerate")
-    return OperatorBasis(elements, check=False)
+    completion = np.zeros((k, k))
+    completion[0] = x
+    completion[1:] = np.outer(p[others] / float(np.vdot(v, v).real), -x)
+    completion[np.arange(1, k), others] += 1.0
+    return completion
 
 
-def _random_mix(basis: OperatorBasis, rng: np.random.Generator,
-                fix_first: bool) -> OperatorBasis:
-    """Random invertible recombination of a basis, optionally pinning element 0."""
-    n = len(basis)
+def _mixing_matrix(n: int, rng: np.random.Generator, fix_first: bool) -> np.ndarray:
+    """Random invertible n x n matrix, optionally with first row e_0."""
     free = n - 1 if fix_first else n
     mix = np.eye(n)
     if free > 0:
@@ -110,8 +160,7 @@ def _random_mix(basis: OperatorBasis, rng: np.random.Generator,
         mix[n - free:, n - free:] = q * rng.uniform(0.5, 2.0, size=free)
         if fix_first:
             mix[1:, 0] = rng.standard_normal(free)
-    mixed = np.einsum("ij,jab->iab", mix, basis.stack)
-    return OperatorBasis(list(mixed), check=False)
+    return mix
 
 
 def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
@@ -120,37 +169,30 @@ def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
 
     Rows pair each dual element of the measuring party's span with each dual
     element of the bystander span that is trace-orthogonal to ``ctx.abar``;
-    columns run over measurement outcomes.  Entries are real because all
-    bases are Hermitian.  Identically zero rows are dropped.  When
-    ``basis_rng`` is given, both bases are randomly recombined (keeping Abar
-    as the leading bystander element); the resulting matrix differs row by
-    row but its nullspace does not.
+    columns run over measurement outcomes.  Identically zero rows are
+    dropped.  No operator is formed: the pairings come from the party's
+    cached :class:`PartyTables`, and the bystander basis and its duals are
+    held as coefficients over the complement span.  When ``basis_rng`` is
+    given, both bases are randomly recombined (keeping Abar as the leading
+    bystander element); the resulting matrix differs row by row but its
+    nullspace does not.
     """
     m = ctx.measurement
-    p = ctx.acting_party
-    acting_basis = local_span(m, p)
-    bystander_basis = _bystander_basis(complement_span(m, p), ctx.abar, tol)
+    tables = party_tables(m, ctx.acting_party)
+    completion = _bystander_completion(tables, ctx.abar, tol)
+    t_act = tables.acting
     if basis_rng is not None:
-        acting_basis = _random_mix(acting_basis, basis_rng, fix_first=False)
-        bystander_basis = _random_mix(bystander_basis, basis_rng, fix_first=True)
+        # the duals of the recombined basis M e are M^-T times the old duals
+        mix = _mixing_matrix(len(t_act), basis_rng, fix_first=False)
+        t_act = np.linalg.solve(mix.T, t_act)
+        completion = _mixing_matrix(len(completion), basis_rng, fix_first=True) @ completion
 
-    acting_duals = acting_basis.dual().stack              # (na, dp, dp)
-    bystander_duals = bystander_basis.dual().stack[1:]    # drop the Abar pairing
-
-    if bystander_duals.shape[0] == 0:
+    if len(completion) == 1:
         return np.zeros((0, m.n_outcomes))
-
-    locals_ = m.local_factors(p)                           # (n, dp, dp)
-    comps = m.complement_factors(p)                        # (n, dc, dc)
-    # the trace factorizes over the product structure, so no joint embedding
-    t_act = np.einsum("aij,nij->an", acting_duals.conj(), locals_)
-    t_bys = np.einsum("bij,nij->bn", bystander_duals.conj(), comps)
-    rows = np.einsum("an,bn->abn", t_act, t_bys).reshape(-1, m.n_outcomes)
-
-    scale = max(1.0, float(np.abs(rows).max()))
-    if float(np.abs(rows.imag).max()) > 1e-10 * scale:
-        raise InconsistentNodeError("constraint matrix has complex entries")
-    q = np.ascontiguousarray(rows.real)
+    gram = completion @ tables.complement.gram @ completion.T
+    t_bys = checked_gram_solve(gram, completion @ tables.pairings)[1:]  # drop Abar's dual
+    q = (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, m.n_outcomes)
+    scale = max(1.0, float(np.abs(q).max()))
     keep = np.abs(q).max(axis=1) > 1e-13 * scale
     return q[keep]
 
@@ -202,7 +244,8 @@ def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (m.n_outcomes,):
         raise ValueError(f"expected {m.n_outcomes} coefficients, got shape {c.shape}")
-    return np.einsum("j,jab->ab", c, m.outcome_operators)
+    ops = m.outcome_operators
+    return (c @ ops.reshape(m.n_outcomes, -1)).reshape(ops.shape[1:])
 
 
 def factorize(op: np.ndarray, abar: np.ndarray, slot: int, dims: tuple[int, ...],

@@ -103,6 +103,7 @@ class SeparableMeasurement:
         self._complement_cache: dict[int, np.ndarray] = {}
         self._local_span_cache: dict[int, OperatorBasis] = {}
         self._complement_span_cache: dict[int, OperatorBasis] = {}
+        self._pairing_cache: dict[int, object] = {}     # feasibility.PartyTables
 
     # -- basic geometry -------------------------------------------------
 

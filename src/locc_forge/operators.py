@@ -77,13 +77,20 @@ def frobenius(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def independent_subset(ops: Sequence[np.ndarray],
-                       rank_factor: float = RANK_FACTOR) -> list[int]:
+                       rank_factor: float = RANK_FACTOR,
+                       width: int | None = None) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     Candidate i is kept iff every singular value of the vectorized stack of
     the kept operators and operator i exceeds the cutoff
     ``max(rows, cols) * sigma_max * rank_factor``.  A list of zero operators
     yields an empty index list.
+
+    ``cols`` is the length of a vectorized operator unless ``width`` names
+    the ambient width: a caller that passes coordinates of the operators in
+    an orthonormal basis (an isometric image, so the singular values are
+    unchanged) passes the width of the operators themselves, and gets the
+    decisions the operators would get.
 
     The stack is never decomposed whole.  The kept vectors are held as
     ``R @ Q``, with orthonormal rows ``Q`` (Gram-Schmidt run twice) and
@@ -98,20 +105,20 @@ def independent_subset(ops: Sequence[np.ndarray],
     """
     if len(ops) == 0:
         raise ValueError("empty operator list")
-    dim = ops[0].shape[0]
-    vecs = np.stack([np.asarray(op, dtype=np.complex128).ravel() for op in ops])
-    if any(op.shape != (dim, dim) for op in ops):
+    op_shape = np.shape(ops[0])
+    if any(np.shape(op) != op_shape for op in ops):
         raise DimensionMismatchError("operators have mixed dimensions")
+    vecs = np.stack([np.asarray(op, dtype=np.complex128).ravel() for op in ops])
     peak = float(np.abs(vecs).max())
     if not np.isfinite(peak):
         raise ValueError("operators have non-finite entries")
     if peak == 0.0:
         return []
     vecs = vecs / peak      # the rule is scale-free; this keeps norms in range
-    n_cols = vecs.shape[1]
+    n_cols = vecs.shape[1] if width is None else width
     norms = np.sqrt(np.einsum("ij,ij->i", vecs.conj(), vecs).real)
-    max_rank = min(len(ops), n_cols)
-    q = np.zeros((max_rank, n_cols), dtype=np.complex128)
+    max_rank = min(len(ops), n_cols, vecs.shape[1])
+    q = np.zeros((max_rank, vecs.shape[1]), dtype=np.complex128)
     q_conj = np.zeros_like(q)
     r = np.zeros((max_rank, max_rank), dtype=np.complex128)
     r_inv = np.zeros_like(r)
@@ -121,7 +128,7 @@ def independent_subset(ops: Sequence[np.ndarray],
     chosen: list[int] = []
     for i, v in enumerate(vecs):
         k = len(chosen)
-        if k == n_cols:     # more rows than columns: rank below row count
+        if k == max_rank:   # more rows than columns: rank below row count
             break
         a = q_conj[:k] @ v
         res = v - a @ q[:k]
@@ -160,18 +167,12 @@ def independent_subset(ops: Sequence[np.ndarray],
     return chosen
 
 
-def gram_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Real symmetric matrix of pairwise trace pairings."""
-    stack = np.stack([np.asarray(op, dtype=np.complex128) for op in ops])
-    g = np.einsum("aij,bij->ab", stack.conj(), stack)
-    return np.ascontiguousarray(g.real)
-
-
 class OperatorBasis:
     """An ordered, linearly independent set of Hermitian operators on one space.
 
-    Caches the Gram matrix of trace pairings and provides the dual basis and
-    coordinate maps within the span.
+    Caches the vectorized elements, the Gram matrix of trace pairings and its
+    condition check, and solves Gram systems, which is all the dual basis
+    and coordinate maps within the span need.
 
     Parameters
     ----------
@@ -194,7 +195,6 @@ class OperatorBasis:
             raise DimensionMismatchError("basis elements have mixed dimensions")
         self.elements: tuple[np.ndarray, ...] = tuple(elems)
         self.space_dim: int = dim
-        self._rank_factor = rank_factor
         if check:
             sigma = np.linalg.svd(self.gram, compute_uv=False)
             cutoff = rank_threshold(self.gram.shape, float(sigma[0]), rank_factor)
@@ -206,42 +206,59 @@ class OperatorBasis:
         return len(self.elements)
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        return gram_matrix(self.elements)
+    def vectors(self) -> np.ndarray:
+        """Elements as the rows of one (n, d*d) array."""
+        return np.stack(self.elements).reshape(len(self), -1)
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """Elements as one (n, d, d) array."""
-        return np.stack(self.elements)
+    def gram(self) -> np.ndarray:
+        """Real symmetric matrix of pairwise trace pairings."""
+        v = self.vectors
+        return np.ascontiguousarray((v.conj() @ v.T).real)
 
-    def _solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        sigma = np.linalg.svd(self.gram, compute_uv=False)
-        if sigma[-1] <= 0 or sigma[0] / sigma[-1] > GRAM_CONDITION_LIMIT:
-            raise DegenerateBasisError(
-                f"Gram matrix condition number exceeds {GRAM_CONDITION_LIMIT:.0e}")
-        return np.linalg.solve(self.gram, rhs)
+    @cached_property
+    def _gram_condition(self) -> float:
+        return _condition(self.gram)
 
-    def dual(self) -> "OperatorBasis":
-        """The unique set in the same span pairing to the identity with this one.
+    def pairings(self, ops: np.ndarray) -> np.ndarray:
+        """Real matrix of trace pairings Tr[e_i^dag o_n] with a (m, d, d) stack.
 
-        Element k of the result satisfies Tr[dual_k^dag element_j] = delta_jk.
+        Raises if a pairing of the (nominally Hermitian) operators has a
+        non-negligible imaginary part.
         """
-        coeffs = self._solve_gram(np.eye(len(self)))
-        duals = np.einsum("kj,jab->kab", coeffs, self.stack)
-        return OperatorBasis(list(duals), check=False, rank_factor=self._rank_factor)
+        flat = np.asarray(ops, dtype=np.complex128).reshape(len(ops), -1)
+        t = self.vectors.conj() @ flat.T
+        scale = max(1.0, float(np.abs(t).max()))
+        if float(np.abs(t.imag).max()) > 1e-10 * scale:
+            raise ValueError("trace pairings have non-negligible imaginary parts")
+        return np.ascontiguousarray(t.real)
 
-    def coordinates(self, op: np.ndarray) -> np.ndarray:
-        """Real coefficients of the projection of ``op`` onto the span."""
-        rhs = np.array([frobenius(e, op) for e in self.elements])
-        return self._solve_gram(rhs)
+    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
+        """``G^-1 rhs`` for the Gram matrix G, whose condition is checked once.
 
-    def compose(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("j,jab->ab", np.asarray(coords, dtype=float), self.stack)
+        Row k of ``solve_gram(eye)`` holds the coefficients of the dual
+        element k, the unique operator in the span with
+        Tr[dual_k^dag element_j] = delta_jk.
+        """
+        return checked_gram_solve(self.gram, rhs, self._gram_condition)
 
-    def projection_residual(self, op: np.ndarray) -> float:
-        """Max-norm distance from ``op`` to the span."""
-        proj = self.compose(self.coordinates(op))
-        return float(np.abs(op - proj).max())
+
+def _condition(gram: np.ndarray) -> float:
+    """Condition number of a Gram matrix, infinite when it is singular."""
+    sigma = np.linalg.svd(gram, compute_uv=False)
+    return float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
+
+
+def checked_gram_solve(gram: np.ndarray, rhs: np.ndarray,
+                       condition: float | None = None) -> np.ndarray:
+    """``gram^-1 rhs``, refused when the Gram matrix is worse conditioned than
+    ``GRAM_CONDITION_LIMIT``; ``condition`` is computed when not given."""
+    if condition is None:
+        condition = _condition(gram)
+    if not condition <= GRAM_CONDITION_LIMIT:
+        raise DegenerateBasisError(
+            f"Gram matrix condition number exceeds {GRAM_CONDITION_LIMIT:.0e}")
+    return np.linalg.solve(gram, rhs)
 
 
 def is_psd(x: np.ndarray, psd_tol: float = PSD_TOL) -> bool:

@@ -109,8 +109,10 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     """
     _structural_pass(tree, m)
     ops = m.outcome_operators
-    node_op = {path: np.einsum("j,jab->ab", np.asarray(n.coeffs, float), ops)
-               for n, path in tree.walk()}
+    nodes = list(tree.walk())
+    coeffs = np.stack([np.asarray(n.coeffs, float) for n, _ in nodes])
+    stacked = (coeffs @ ops.reshape(m.n_outcomes, -1)).reshape(len(nodes), *ops.shape[1:])
+    node_op = {path: op for (_, path), op in zip(nodes, stacked)}
     eye = np.eye(m.total_dim)
     dims = m.dims
 

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: the Kronecker
 product is written with explicit loops, extreme rays are enumerated by
 facet sign patterns instead of double description, completeness
-weights come from an unconstrained least-squares solve, and independent
-subsets are chosen with one SVD of the whole candidate stack per candidate.
+weights come from an unconstrained least-squares solve, independent
+subsets are chosen with one SVD of the whole candidate stack per candidate,
+and the constraint matrix is built from dense dual operators.
 """
 
 from __future__ import annotations
@@ -15,8 +16,19 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from locc_forge.errors import DimensionMismatchError
-from locc_forge.tolerances import RANK_FACTOR, rank_threshold
+from locc_forge.errors import (
+    DegenerateBasisError,
+    DimensionMismatchError,
+    InconsistentNodeError,
+)
+from locc_forge.measurement import complement_span, local_span
+from locc_forge.tolerances import (
+    DEFAULT_TOL,
+    GRAM_CONDITION_LIMIT,
+    RANK_FACTOR,
+    Tolerances,
+    rank_threshold,
+)
 
 
 def hand_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,26 +123,83 @@ def lstsq_completeness_weights(ops: np.ndarray) -> np.ndarray:
 
 
 def greedy_svd_independent_subset(ops: Sequence[np.ndarray],
-                                  rank_factor: float = RANK_FACTOR) -> list[int]:
+                                  rank_factor: float = RANK_FACTOR,
+                                  width: int | None = None) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     The library's original rule, one SVD of the whole candidate stack per
     candidate: rank is decided from the singular values of the vectorized
-    stack with cutoff ``max(rows, cols) * sigma_max * rank_factor``.  A list
-    of zero operators yields an empty index list.
+    stack with cutoff ``max(rows, cols) * sigma_max * rank_factor``, where
+    ``cols`` is ``width`` when given (the ambient width of operators passed
+    as coordinates) and the vector length otherwise.  A list of zero
+    operators yields an empty index list.
     """
     if len(ops) == 0:
         raise ValueError("empty operator list")
-    dim = ops[0].shape[0]
+    shape = np.shape(ops[0])
     vecs = np.stack([np.asarray(op, dtype=np.complex128).ravel() for op in ops])
-    if any(op.shape != (dim, dim) for op in ops):
+    if any(np.shape(op) != shape for op in ops):
         raise DimensionMismatchError("operators have mixed dimensions")
+    n_cols = vecs.shape[1] if width is None else width
     chosen: list[int] = []
     for i in range(len(ops)):
         stack = vecs[chosen + [i]]
         sigma = np.linalg.svd(stack, compute_uv=False)
-        cutoff = rank_threshold(stack.shape, float(sigma[0]), rank_factor)
+        cutoff = rank_threshold((stack.shape[0], n_cols), float(sigma[0]), rank_factor)
         rank = int(np.sum(sigma > cutoff))
         if rank == len(chosen) + 1:
             chosen.append(i)
     return chosen
+
+
+def _dense_duals(ops: np.ndarray) -> np.ndarray:
+    """Dual operators of a (k, d, d) stack, formed densely from its Gram matrix."""
+    flat = ops.reshape(len(ops), -1)
+    gram = (flat.conj() @ flat.T).real
+    sigma = np.linalg.svd(gram, compute_uv=False)
+    if sigma[-1] <= 0 or sigma[0] / sigma[-1] > GRAM_CONDITION_LIMIT:
+        raise DegenerateBasisError("Gram matrix is ill-conditioned")
+    coeffs = np.linalg.solve(gram, np.eye(len(ops)))
+    return np.einsum("kj,jab->kab", coeffs, ops)
+
+
+def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The constraint matrix built from dense operators, as the library first did.
+
+    The bystander basis is formed as operators: Abar, then the complement
+    span's elements chosen by the greedy-SVD rule and orthogonalized against
+    Abar.  Both bases' duals are formed as operators and paired with every
+    outcome's factors.  Only the spans come from the library.
+    """
+    m = ctx.measurement
+    p = ctx.acting_party
+    abar = ctx.abar
+    span = np.stack(complement_span(m, p).elements)
+    acting = np.stack(local_span(m, p).elements)
+
+    flat = span.reshape(len(span), -1)
+    gram = (flat.conj() @ flat.T).real
+    coords = np.linalg.solve(gram, (flat.conj() @ abar.ravel()).real)
+    residual = float(np.abs(abar - np.einsum("j,jab->ab", coords, span)).max())
+    if residual > 10 * tol.residual * max(1.0, float(np.abs(abar).max())):
+        raise InconsistentNodeError(
+            f"bystander operator lies outside its span (residual {residual:.3e})")
+    norm2 = float(np.vdot(abar, abar).real)
+    candidates = [abar] + list(span)
+    elements = [abar] + [
+        candidates[i] - (np.vdot(abar, candidates[i]).real / norm2) * abar
+        for i in greedy_svd_independent_subset(candidates, tol.rank_factor) if i > 0]
+    if len(elements) != len(span):
+        raise InconsistentNodeError("bystander span completion has wrong dimension")
+
+    acting_duals = _dense_duals(acting)
+    bystander_duals = _dense_duals(np.stack(elements))[1:]
+    if len(bystander_duals) == 0:
+        return np.zeros((0, m.n_outcomes))
+    t_act = np.einsum("aij,nij->an", acting_duals.conj(), m.local_factors(p))
+    t_bys = np.einsum("bij,nij->bn", bystander_duals.conj(), m.complement_factors(p))
+    rows = np.einsum("an,bn->abn", t_act, t_bys).reshape(-1, m.n_outcomes)
+    scale = max(1.0, float(np.abs(rows).max()))
+    assert float(np.abs(rows.imag).max()) <= 1e-10 * scale
+    q = rows.real
+    return q[np.abs(q).max(axis=1) > 1e-13 * scale]

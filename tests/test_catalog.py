@@ -3,6 +3,7 @@ import pytest
 
 from locc_forge import (
     check_root,
+    conditional_basis,
     rotated_dominoes,
     seven_outcome_family,
     validate,
@@ -10,6 +11,30 @@ from locc_forge import (
 from locc_forge.measurement import local_span
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
+
+
+class TestConditionalBasis:
+    @pytest.mark.parametrize("n_parties, dim", [(2, 3), (3, 2), (2, 5)])
+    def test_shape_and_root_dims(self, n_parties, dim):
+        m = conditional_basis(n_parties, dim, seed=5)
+        assert m.dims == (dim,) * n_parties
+        assert m.n_outcomes == dim ** n_parties
+        assert np.abs(m.outcome_operators.sum(axis=0)
+                      - np.eye(dim ** n_parties)).max() < 1e-12
+        dims = [r.nullspace_dim for r in check_root(m)]
+        assert dims == [dim] + [1] * (n_parties - 1)
+
+    def test_reproducible_per_seed(self):
+        a, b = conditional_basis(2, 3, 11), conditional_basis(2, 3, 11)
+        c = conditional_basis(2, 3, 12)
+        assert np.array_equal(a.outcome_operators, b.outcome_operators)
+        assert not np.allclose(a.outcome_operators, c.outcome_operators)
+
+    def test_too_small_rejected(self):
+        with pytest.raises(ValueError):
+            conditional_basis(1, 3)
+        with pytest.raises(ValueError):
+            conditional_basis(2, 1)
 
 
 class TestQubitPair:

@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import EYE2, P0, P1
+from locc_forge import (
+    conditional_basis,
+    phase_five,
+    qubit_pair,
+    rotated_dominoes,
+    seven_outcome_family,
+    synthesize,
+)
 from locc_forge.errors import InconsistentNodeError, NotProductError
 from locc_forge.feasibility import (
     NodeContext,
@@ -9,10 +17,13 @@ from locc_forge.feasibility import (
     factorize,
     feasible_cone,
     nullspace,
+    party_tables,
     reconstruct,
     root_context,
 )
-from oracles import nullspace_projector, projector_of
+from locc_forge.measurement import complement_span, local_span
+from locc_forge.tolerances import DEFAULT_TOL
+from oracles import dense_build_q, nullspace_projector, projector_of
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -74,6 +85,101 @@ class TestBuildQ:
         for _ in range(10):
             proj = my_nullspace_projector(build_q(ctx, basis_rng=rng), 7)
             assert np.abs(proj - reference).max() < 1e-8
+
+
+class TestPartyTables:
+    def test_built_once_per_party(self, catalog_all):
+        for m in catalog_all.values():
+            for p in range(len(m.parties)):
+                assert party_tables(m, p) is party_tables(m, p)
+
+    def test_tables_match_their_definitions(self, catalog_all):
+        for m in catalog_all.values():
+            for p in range(len(m.parties)):
+                t = party_tables(m, p)
+                acting = np.stack(local_span(m, p).elements)
+                span = np.stack(complement_span(m, p).elements)
+                flat = acting.reshape(len(acting), -1)
+                duals = np.einsum("kj,jab->kab",
+                                  np.linalg.inv((flat.conj() @ flat.T).real), acting)
+                want = np.einsum("aij,nij->an", duals.conj(), m.local_factors(p))
+                assert np.abs(t.acting - want).max() < 1e-10
+                want = np.einsum("aij,nij->an", span.conj(), m.complement_factors(p))
+                assert np.abs(t.pairings - want).max() < 1e-12
+                gram = np.einsum("aij,bij->ab", span.conj(), span)
+                assert np.abs(t.factor.conj().T @ t.factor - gram).max() < 1e-12
+
+
+def _oracle_measurements():
+    return [qubit_pair(), phase_five(), rotated_dominoes(),
+            seven_outcome_family(0), conditional_basis(3, 3, 17),
+            conditional_basis(2, 5, 17)]
+
+
+class TestAgainstDenseOracle:
+    """The coefficient-space build_q against the dense-operator reference."""
+
+    def test_nullspaces_match_at_every_node(self, monkeypatch):
+        import locc_forge.feasibility as feasibility
+
+        original = feasibility.build_q
+        contexts = []
+
+        def compared(ctx, tol=DEFAULT_TOL, basis_rng=None):
+            q = original(ctx, tol, basis_rng)
+            n = ctx.measurement.n_outcomes
+            want = my_nullspace_projector(dense_build_q(ctx, tol), n)
+            assert np.abs(my_nullspace_projector(q, n) - want).max() < 1e-8
+            contexts.append(ctx)
+            return q
+
+        monkeypatch.setattr(feasibility, "build_q", compared)
+        measurements = _oracle_measurements()
+        for m in measurements:
+            synthesize(m)
+        below_root = [c for c in contexts if c.abar.shape[0] > 1
+                      and not np.allclose(c.abar, np.eye(c.abar.shape[0]))]
+        assert len(contexts) > 4 * len(measurements) and below_root
+
+    def test_same_off_span_bystander_rejected(self, m_pair):
+        bad = np.array([[0, 1], [1, 0]], dtype=complex)
+        ctx = NodeContext(m_pair, 1, m_pair.weights, bad)
+        for build in (build_q, dense_build_q):
+            with pytest.raises(InconsistentNodeError):
+                build(ctx)
+
+        # the 2x3 complement span has 7 of the 9 Hermitian dimensions
+        m = conditional_basis(2, 3, 4)
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        off_span = NodeContext(m, 0, m.weights, g + g.conj().T)
+        in_span = NodeContext(m, 0, m.weights, m.outcomes[4].factors[1])
+        for build in (build_q, dense_build_q):
+            with pytest.raises(InconsistentNodeError):
+                build(off_span)
+            build(in_span)
+
+    def test_trees_match_search_on_oracle(self, monkeypatch):
+        import locc_forge.feasibility as feasibility
+
+        def flatten(node):
+            return [(n.acting_party, len(n.children),
+                     None if n.leaf_outcome is None else n.leaf_outcome[0],
+                     np.asarray(n.coeffs, float)) for n, _ in node.walk()]
+
+        found = [synthesize(m) for m in _oracle_measurements()]
+        monkeypatch.setattr(feasibility, "build_q", dense_build_q)
+        for cert, m in zip(found, _oracle_measurements()):
+            ref = synthesize(m)
+            assert cert.verdict == ref.verdict
+            assert cert.root_dims == ref.root_dims
+            assert (cert.tree is None) == (ref.tree is None)
+            if ref.tree is None:
+                continue
+            got, want = flatten(cert.tree), flatten(ref.tree)
+            assert [g[:3] for g in got] == [w[:3] for w in want]
+            for g, w in zip(got, want):
+                assert np.abs(g[3] - w[3]).max() <= 1e-9 * max(1.0, np.abs(w[3]).max())
 
 
 class TestFeasibleCone:

@@ -221,6 +221,23 @@ def test_every_catalog_span_matches_reference(catalog_all):
                 assert independent_subset(ops) == greedy_svd_independent_subset(ops)
 
 
+def test_isometric_image_with_ambient_width_keeps_decisions():
+    """Coordinates in an orthonormal basis, passed with the operators' own
+    width, get the indices the operators get."""
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        d = int(rng.integers(2, 5))
+        gens = _random_hermitians(rng, int(rng.integers(1, d * d)), d)
+        mix = rng.standard_normal((int(rng.integers(2, 2 * d * d)), len(gens)))
+        ops = list(np.einsum("kj,jab->kab", mix, np.stack(gens)))
+        flat = np.stack(ops).reshape(len(ops), -1)
+        q, _ = np.linalg.qr(flat.T)
+        coords = flat @ q.conj()               # row i: op i's coordinates in q
+        want = independent_subset(ops)
+        assert independent_subset(coords, width=d * d) == want
+        assert greedy_svd_independent_subset(coords, width=d * d) == want
+
+
 def test_every_call_during_synthesis_matches_reference(monkeypatch):
     """Spans and bystander completions at every node of a catalog search."""
     import locc_forge.feasibility as feasibility
@@ -228,9 +245,9 @@ def test_every_call_during_synthesis_matches_reference(monkeypatch):
 
     calls = []
 
-    def checked(ops, rank_factor=RANK_FACTOR):
-        got = independent_subset(ops, rank_factor)
-        assert got == greedy_svd_independent_subset(ops, rank_factor)
+    def checked(ops, rank_factor=RANK_FACTOR, width=None):
+        got = independent_subset(ops, rank_factor, width)
+        assert got == greedy_svd_independent_subset(ops, rank_factor, width)
         calls.append(len(ops))
         return got
 
@@ -243,23 +260,30 @@ def test_every_call_during_synthesis_matches_reference(monkeypatch):
     assert len(calls) > 4 * len(fresh)
 
 
+def _duals(basis: OperatorBasis) -> OperatorBasis:
+    """The dual basis, composed from the dual coefficients ``solve_gram`` gives."""
+    coeffs = basis.solve_gram(np.eye(len(basis)))
+    ops = (coeffs @ basis.vectors).reshape(-1, basis.space_dim, basis.space_dim)
+    return OperatorBasis(list(ops), check=False)
+
+
 class TestDualBasis:
     def test_orthogonal_basis_scales(self):
         basis = OperatorBasis([EYE2, SIGMA_Z, SIGMA_X])
-        duals = basis.dual()
+        duals = _duals(basis)
         for d, e in zip(duals.elements, basis.elements):
             assert np.allclose(d, e / 2, atol=1e-12)
 
     def test_orthonormal_self_dual(self):
         basis = OperatorBasis([EYE2 / np.sqrt(2), SIGMA_Z / np.sqrt(2)])
-        duals = basis.dual()
+        duals = _duals(basis)
         for d, e in zip(duals.elements, basis.elements):
             assert np.allclose(d, e, atol=1e-12)
 
     def test_non_orthogonal_pair(self):
         # 2x2 Gram system solved by hand: G = [[2, 1], [1, 1]]
         basis = OperatorBasis([EYE2, P0])
-        duals = basis.dual()
+        duals = _duals(basis)
         assert np.allclose(duals.elements[0], P1, atol=1e-12)
         assert np.allclose(duals.elements[1], P0 - P1, atol=1e-12)
         delta = np.array([[frobenius(d, e) for e in basis.elements]
@@ -273,7 +297,7 @@ class TestDualBasis:
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             ops.append((g + g.conj().T) / 2)
         basis = OperatorBasis(ops)
-        back = basis.dual().dual()
+        back = _duals(_duals(basis))
         for a, b in zip(back.elements, basis.elements):
             assert np.abs(a - b).max() < 1e-8
 
@@ -284,7 +308,7 @@ class TestDualBasis:
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             ops.append((g + g.conj().T) / 2)
         basis = OperatorBasis(ops)
-        duals = basis.dual()
+        duals = _duals(basis)
         delta = np.array([[frobenius(d, e) for e in basis.elements]
                           for d in duals.elements])
         assert np.abs(delta - np.eye(9)).max() < 1e-9
