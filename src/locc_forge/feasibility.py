@@ -7,10 +7,12 @@ operator of the bystanders.  The party's admissible next outcomes are the
 coefficient vectors c >= 0 for which sum_j c_j O_j again has the form
 A' (x) Abar.  Writing the outcome operators in a product basis of the two
 operator spans, that condition says every component along directions
-"anything (x) (not Abar)" vanishes.  Those directions are extracted with
-dual bases: pair every dual element of the measuring party's span with the
-dual elements of the bystander span that are trace-orthogonal to Abar, and
-collect the pairings with the O_j as the rows of a real matrix Q.  The
+"anything (x) (not Abar)" vanishes.  Those directions are extracted in
+coordinates: the bystander factors and Abar are written in an orthonormal
+basis of the complement span (isometric coordinates), an orthonormal basis
+of Abar's orthogonal complement there comes from one Householder
+reflection, and pairing every dual element of the measuring party's span
+with every element of that basis gives the rows of a real matrix Q.  The
 admissible c are then exactly the nonnegative nullspace vectors of Q, a
 basis-independent set.
 """
@@ -25,12 +27,8 @@ import numpy as np
 
 from .errors import InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement, complement_span, local_span
-from .operators import (
-    OperatorBasis,
-    checked_gram_solve,
-    independent_subset,
-    project_factor,
-)
+from .operators import OperatorBasis, project_factor
+from .operators import independent_subset  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .tolerances import DEFAULT_TOL, MARGINAL_RANK_BAND, Tolerances
 
 
@@ -85,112 +83,79 @@ class PartyTables:
     * ``acting`` is G_A^-1 [Tr(e_i^dag L_n)]: row a pairs the a-th dual
       element of the local span with every local factor;
     * ``complement`` is the complement span, with its Gram matrix G_C;
-    * ``pairings`` is [Tr(c_i^dag C_n)];
-    * ``factor`` is R of the QR factorization c^T = Q R of the vectorized
-      span, so column i of R holds c_i's coordinates in the orthonormal Q.
+    * ``cholesky`` is the real L with G_C = L L^T, so the span element with
+      coefficients x has coordinates L^T x in the orthonormal basis L^-1 c;
+    * ``coords`` is L^T G_C^-1 [Tr(c_i^dag C_n)]: column n holds C_n's
+      coordinates in that basis, so coords^T coords = [Tr(C_m^dag C_n)].
     """
 
     acting: np.ndarray
     complement: OperatorBasis
-    pairings: np.ndarray
-    factor: np.ndarray
+    cholesky: np.ndarray
+    coords: np.ndarray
 
 
 def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
-    """The party's pairing tables, built once and cached on the measurement."""
+    """The party's tables, built once and cached on the measurement."""
     cached = m._pairing_cache.get(party)
     if cached is None:
         acting = local_span(m, party)
         span = complement_span(m, party)
+        coeffs = span.solve_gram(span.pairings(m.complement_factors(party)))
+        cholesky = np.linalg.cholesky(span.gram)    # after solve_gram's condition check
         cached = PartyTables(
             acting=acting.solve_gram(acting.pairings(m.local_factors(party))),
             complement=span,
-            pairings=span.pairings(m.complement_factors(party)),
-            factor=np.linalg.qr(span.vectors.T, mode="r"))
+            cholesky=cholesky,
+            coords=cholesky.T @ coeffs)
         m._pairing_cache[party] = cached
     return cached
 
 
-def _bystander_completion(tables: PartyTables, abar: np.ndarray,
-                          tol: Tolerances) -> np.ndarray:
-    """Coefficients over the complement span of a basis of it led by Abar.
-
-    Row 0 holds Abar's coordinates x.  Each further row completes the basis
-    with a span element c_i, taken greedily in span order when independent
-    of Abar and the rows before, minus its component along Abar: the unit
-    row u_i - (Tr[Abar c_i] / |Abar|^2) x.  Independence is decided on the
-    coordinates of [Abar, c_1..c_k] in Q plus one axis for Abar's
-    out-of-span part, an isometric image of the operators, with the
-    operators' own width in the rank cutoff.
-    """
-    span = tables.complement
-    v = np.ravel(abar)
-    p = (span.vectors @ v.conj()).real              # Tr[c_i^dag Abar]
-    x = span.solve_gram(p)
-    off_span = v - x @ span.vectors
-    residual = float(np.abs(off_span).max())
-    scale = max(1.0, float(np.abs(v).max()))
-    if residual > 10 * tol.residual * scale:
-        raise InconsistentNodeError(
-            f"bystander operator lies outside its span (residual {residual:.3e})")
-
-    k = len(span)
-    image = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    image[0, :k] = tables.factor @ x
-    image[0, k] = np.linalg.norm(off_span)
-    image[1:, :k] = tables.factor.T
-    width = span.vectors.shape[1]                   # (D / d_p)^2
-    others = [i - 1 for i in independent_subset(image, tol.rank_factor, width) if i > 0]
-    if len(others) + 1 != k:
-        raise InconsistentNodeError(
-            "bystander span completion has wrong dimension; span is degenerate")
-    completion = np.zeros((k, k))
-    completion[0] = x
-    completion[1:] = np.outer(p[others] / float(np.vdot(v, v).real), -x)
-    completion[np.arange(1, k), others] += 1.0
-    return completion
-
-
-def _mixing_matrix(n: int, rng: np.random.Generator, fix_first: bool) -> np.ndarray:
-    """Random invertible n x n matrix, optionally with first row e_0."""
-    free = n - 1 if fix_first else n
-    mix = np.eye(n)
-    if free > 0:
-        q, _ = np.linalg.qr(rng.standard_normal((free, free)))
-        mix[n - free:, n - free:] = q * rng.uniform(0.5, 2.0, size=free)
-        if fix_first:
-            mix[1:, 0] = rng.standard_normal(free)
-    return mix
+def _mixing_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random invertible n x n matrix: an orthogonal one with rescaled columns."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * rng.uniform(0.5, 2.0, size=n)
 
 
 def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
             basis_rng: np.random.Generator | None = None) -> np.ndarray:
     """Constraint matrix whose nullspace parametrizes the party's next outcomes.
 
-    Rows pair each dual element of the measuring party's span with each dual
-    element of the bystander span that is trace-orthogonal to ``ctx.abar``;
-    columns run over measurement outcomes.  Identically zero rows are
-    dropped.  No operator is formed: the pairings come from the party's
-    cached :class:`PartyTables`, and the bystander basis and its duals are
-    held as coefficients over the complement span.  When ``basis_rng`` is
-    given, both bases are randomly recombined (keeping Abar as the leading
-    bystander element); the resulting matrix differs row by row but its
-    nullspace does not.
+    Rows pair each dual element of the measuring party's span with each
+    element of an orthonormal basis of the bystander span's directions
+    trace-orthogonal to ``ctx.abar``; columns run over measurement outcomes.
+    Identically zero rows are dropped.  No operator is formed: in the
+    orthonormal coordinates of the party's cached :class:`PartyTables`,
+    Abar is a vector y, and rows 1.. of the Householder reflector that maps
+    y onto the first axis are such a basis.  When ``basis_rng`` is given,
+    the acting duals and the bystander rows are randomly recombined; the
+    resulting matrix differs row by row but its nullspace does not.
     """
     m = ctx.measurement
     tables = party_tables(m, ctx.acting_party)
-    completion = _bystander_completion(tables, ctx.abar, tol)
+    span = tables.complement
+    v = np.ravel(ctx.abar)
+    x = span.solve_gram((span.vectors @ v.conj()).real)     # Abar's span coefficients
+    residual = float(np.abs(v - x @ span.vectors).max())
+    if residual > 10 * tol.residual * max(1.0, float(np.abs(v).max())):
+        raise InconsistentNodeError(
+            f"bystander operator lies outside its span (residual {residual:.3e})")
+    y = tables.cholesky.T @ x
+    norm = float(np.linalg.norm(y))
+    if norm == 0.0:
+        raise InconsistentNodeError("bystander operator is zero")
+    if len(y) == 1:
+        return np.zeros((0, m.n_outcomes))
+    u = y.copy()
+    u[0] += norm if y[0] >= 0 else -norm                    # same sign: no cancellation
+    u /= np.linalg.norm(u)
+    t_bys = (tables.coords - 2.0 * np.outer(u, u @ tables.coords))[1:]
     t_act = tables.acting
     if basis_rng is not None:
         # the duals of the recombined basis M e are M^-T times the old duals
-        mix = _mixing_matrix(len(t_act), basis_rng, fix_first=False)
-        t_act = np.linalg.solve(mix.T, t_act)
-        completion = _mixing_matrix(len(completion), basis_rng, fix_first=True) @ completion
-
-    if len(completion) == 1:
-        return np.zeros((0, m.n_outcomes))
-    gram = completion @ tables.complement.gram @ completion.T
-    t_bys = checked_gram_solve(gram, completion @ tables.pairings)[1:]  # drop Abar's dual
+        t_act = np.linalg.solve(_mixing_matrix(len(t_act), basis_rng).T, t_act)
+        t_bys = _mixing_matrix(len(t_bys), basis_rng) @ t_bys
     q = (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, m.n_outcomes)
     scale = max(1.0, float(np.abs(q).max()))
     keep = np.abs(q).max(axis=1) > 1e-13 * scale
@@ -202,7 +167,8 @@ def nullspace(q: np.ndarray, n_cols: int,
     """Orthonormal nullspace basis of ``q`` and a marginal-rank flag."""
     if q.shape[0] == 0:
         return np.eye(n_cols), False
-    _, sigma, vh = np.linalg.svd(q)
+    # V is needed whole; U is only computed, small, when rows < cols
+    _, sigma, vh = np.linalg.svd(q, full_matrices=q.shape[0] < q.shape[1])
     cutoff = tol.rank_threshold(q.shape, float(sigma[0]))
     marginal = bool(np.any((sigma > cutoff / MARGINAL_RANK_BAND)
                            & (sigma < cutoff * MARGINAL_RANK_BAND)))

@@ -77,20 +77,13 @@ def frobenius(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def independent_subset(ops: Sequence[np.ndarray],
-                       rank_factor: float = RANK_FACTOR,
-                       width: int | None = None) -> list[int]:
+                       rank_factor: float = RANK_FACTOR) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     Candidate i is kept iff every singular value of the vectorized stack of
     the kept operators and operator i exceeds the cutoff
     ``max(rows, cols) * sigma_max * rank_factor``.  A list of zero operators
     yields an empty index list.
-
-    ``cols`` is the length of a vectorized operator unless ``width`` names
-    the ambient width: a caller that passes coordinates of the operators in
-    an orthonormal basis (an isometric image, so the singular values are
-    unchanged) passes the width of the operators themselves, and gets the
-    decisions the operators would get.
 
     The stack is never decomposed whole.  The kept vectors are held as
     ``R @ Q``, with orthonormal rows ``Q`` (Gram-Schmidt run twice) and
@@ -115,10 +108,10 @@ def independent_subset(ops: Sequence[np.ndarray],
     if peak == 0.0:
         return []
     vecs = vecs / peak      # the rule is scale-free; this keeps norms in range
-    n_cols = vecs.shape[1] if width is None else width
+    n_cols = vecs.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->i", vecs.conj(), vecs).real)
-    max_rank = min(len(ops), n_cols, vecs.shape[1])
-    q = np.zeros((max_rank, vecs.shape[1]), dtype=np.complex128)
+    max_rank = min(len(ops), n_cols)
+    q = np.zeros((max_rank, n_cols), dtype=np.complex128)
     q_conj = np.zeros_like(q)
     r = np.zeros((max_rank, max_rank), dtype=np.complex128)
     r_inv = np.zeros_like(r)
@@ -218,7 +211,8 @@ class OperatorBasis:
 
     @cached_property
     def _gram_condition(self) -> float:
-        return _condition(self.gram)
+        sigma = np.linalg.svd(self.gram, compute_uv=False)
+        return float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
 
     def pairings(self, ops: np.ndarray) -> np.ndarray:
         """Real matrix of trace pairings Tr[e_i^dag o_n] with a (m, d, d) stack.
@@ -234,31 +228,17 @@ class OperatorBasis:
         return np.ascontiguousarray(t.real)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """``G^-1 rhs`` for the Gram matrix G, whose condition is checked once.
+        """``G^-1 rhs`` for the Gram matrix G, refused when G is worse
+        conditioned than ``GRAM_CONDITION_LIMIT`` (checked once).
 
         Row k of ``solve_gram(eye)`` holds the coefficients of the dual
         element k, the unique operator in the span with
         Tr[dual_k^dag element_j] = delta_jk.
         """
-        return checked_gram_solve(self.gram, rhs, self._gram_condition)
-
-
-def _condition(gram: np.ndarray) -> float:
-    """Condition number of a Gram matrix, infinite when it is singular."""
-    sigma = np.linalg.svd(gram, compute_uv=False)
-    return float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
-
-
-def checked_gram_solve(gram: np.ndarray, rhs: np.ndarray,
-                       condition: float | None = None) -> np.ndarray:
-    """``gram^-1 rhs``, refused when the Gram matrix is worse conditioned than
-    ``GRAM_CONDITION_LIMIT``; ``condition`` is computed when not given."""
-    if condition is None:
-        condition = _condition(gram)
-    if not condition <= GRAM_CONDITION_LIMIT:
-        raise DegenerateBasisError(
-            f"Gram matrix condition number exceeds {GRAM_CONDITION_LIMIT:.0e}")
-    return np.linalg.solve(gram, rhs)
+        if not self._gram_condition <= GRAM_CONDITION_LIMIT:
+            raise DegenerateBasisError(
+                f"Gram matrix condition number exceeds {GRAM_CONDITION_LIMIT:.0e}")
+        return np.linalg.solve(self.gram, rhs)
 
 
 def is_psd(x: np.ndarray, psd_tol: float = PSD_TOL) -> bool:

@@ -83,18 +83,28 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> None:
                     f"{path}: children disagree about who measured")
 
 
-def _schmidt_second(op: np.ndarray, slot: int, dims: tuple[int, ...]) -> float:
-    """Relative second operator-Schmidt coefficient across (slot | rest)."""
+_SVD_BLOCK = 16
+"""Node operators per batched SVD.  Each block is realigned into a copy, so
+the block size bounds the memory the product check adds."""
+
+
+def _schmidt_second(ops: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Relative second operator-Schmidt coefficient across (slot | rest), for
+    each operator of a (nodes, D, D) stack."""
     n = len(dims)
     dp = dims[slot]
-    dc = op.shape[0] // dp
-    t = op.reshape(dims * 2)
+    dc = ops.shape[1] // dp
+    t = ops.reshape((len(ops),) + dims * 2)
     others = [p for p in range(n) if p != slot]
-    t = t.transpose([slot, n + slot] + others + [n + p for p in others])
-    sigma = np.linalg.svd(t.reshape(dp * dp, dc * dc), compute_uv=False)
-    if sigma[0] == 0:
-        return 0.0
-    return float(sigma[1] / sigma[0]) if sigma.size > 1 else 0.0
+    legs = [slot, n + slot] + others + [n + p for p in others]
+    t = t.transpose([0] + [1 + leg for leg in legs])
+    sigma = np.concatenate([
+        np.linalg.svd(t[i:i + _SVD_BLOCK].reshape(-1, dp * dp, dc * dc), compute_uv=False)
+        for i in range(0, len(ops), _SVD_BLOCK)])
+    if sigma.shape[1] == 1:
+        return np.zeros(len(ops))
+    top = sigma[:, 0]
+    return np.divide(sigma[:, 1], top, out=np.zeros(len(ops)), where=top != 0)
 
 
 def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
@@ -145,12 +155,10 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     checks["descendant-leaf-sum"] = (worst(leaf_sums) if leaf_sums
                                      else CheckResult(True, 0.0))
 
-    products = []
-    for node, path in tree.walk():
-        worst_slot = max(_schmidt_second(node_op[path], slot, dims)
-                         for slot in range(len(dims)))
-        products.append((worst_slot, path))
-    checks["product-structure"] = worst(products)
+    paths = [path for _, path in nodes]
+    worst_slot = np.max([_schmidt_second(stacked, slot, dims)
+                         for slot in range(len(dims))], axis=0)
+    checks["product-structure"] = worst(zip(worst_slot.tolist(), paths))
 
     edges = []
 
@@ -176,14 +184,13 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
         leaf_match.append((residual, path))
     checks["leaf-match"] = worst(leaf_match)
 
-    neg = []
-    for node, path in tree.walk():
-        eigs = np.linalg.eigvalsh(node_op[path])
-        floor = max(1.0, float(np.abs(eigs).max()))
-        neg.append((max(0.0, -float(eigs[0])) / floor, path))
-    worst_neg = max(neg, key=lambda t: t[0])
-    checks["positivity"] = CheckResult(worst_neg[0] <= PSD_TOL, worst_neg[0],
-                                       worst_neg[1] if worst_neg[0] > PSD_TOL else "")
+    eigs = np.linalg.eigvalsh(stacked)
+    floor = np.maximum(1.0, np.abs(eigs).max(axis=1))
+    neg = np.maximum(0.0, -eigs[:, 0]) / floor
+    at = int(np.argmax(neg))
+    worst_neg = max(0.0, float(neg[at]))       # not -0.0
+    checks["positivity"] = CheckResult(worst_neg <= PSD_TOL, worst_neg,
+                                       paths[at] if worst_neg > PSD_TOL else "")
 
     return VerificationReport(checks)
 

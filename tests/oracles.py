@@ -123,16 +123,13 @@ def lstsq_completeness_weights(ops: np.ndarray) -> np.ndarray:
 
 
 def greedy_svd_independent_subset(ops: Sequence[np.ndarray],
-                                  rank_factor: float = RANK_FACTOR,
-                                  width: int | None = None) -> list[int]:
+                                  rank_factor: float = RANK_FACTOR) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     The library's original rule, one SVD of the whole candidate stack per
     candidate: rank is decided from the singular values of the vectorized
-    stack with cutoff ``max(rows, cols) * sigma_max * rank_factor``, where
-    ``cols`` is ``width`` when given (the ambient width of operators passed
-    as coordinates) and the vector length otherwise.  A list of zero
-    operators yields an empty index list.
+    stack with cutoff ``max(rows, cols) * sigma_max * rank_factor``.  A list
+    of zero operators yields an empty index list.
     """
     if len(ops) == 0:
         raise ValueError("empty operator list")
@@ -140,12 +137,11 @@ def greedy_svd_independent_subset(ops: Sequence[np.ndarray],
     vecs = np.stack([np.asarray(op, dtype=np.complex128).ravel() for op in ops])
     if any(np.shape(op) != shape for op in ops):
         raise DimensionMismatchError("operators have mixed dimensions")
-    n_cols = vecs.shape[1] if width is None else width
     chosen: list[int] = []
     for i in range(len(ops)):
         stack = vecs[chosen + [i]]
         sigma = np.linalg.svd(stack, compute_uv=False)
-        cutoff = rank_threshold((stack.shape[0], n_cols), float(sigma[0]), rank_factor)
+        cutoff = rank_threshold(stack.shape, float(sigma[0]), rank_factor)
         rank = int(np.sum(sigma > cutoff))
         if rank == len(chosen) + 1:
             chosen.append(i)
@@ -203,3 +199,33 @@ def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     assert float(np.abs(rows.imag).max()) <= 1e-10 * scale
     q = rows.real
     return q[np.abs(q).max(axis=1) > 1e-13 * scale]
+
+
+def per_node_product_and_positivity(tree, m) -> tuple[tuple[float, str], tuple[float, str]]:
+    """The verifier's product-structure and positivity worsts, one node and
+    one SVD or eigendecomposition at a time: for each node the largest
+    second/first operator-Schmidt coefficient ratio over the party cuts, and
+    the negativity of its smallest eigenvalue relative to max(1, |eig|max).
+    Returns (value, path) of the first node attaining each maximum.  The
+    node operators are formed as the verifier forms them, so only the
+    decompositions are done differently."""
+    dims = m.dims
+    n = len(dims)
+    nodes = list(tree.walk())
+    ops = m.outcome_operators
+    coeffs = np.stack([np.asarray(node.coeffs, float) for node, _ in nodes])
+    stacked = (coeffs @ ops.reshape(len(ops), -1)).reshape(len(nodes), *ops.shape[1:])
+    products, negs = [], []
+    for (node, path), op in zip(nodes, stacked):
+        ratios = []
+        for slot in range(n):
+            others = [p for p in range(n) if p != slot]
+            t = op.reshape(dims * 2).transpose(
+                [slot, n + slot] + others + [n + p for p in others])
+            sigma = np.linalg.svd(t.reshape(dims[slot] ** 2, -1), compute_uv=False)
+            ratios.append(0.0 if sigma[0] == 0 or sigma.size == 1
+                          else float(sigma[1] / sigma[0]))
+        products.append((max(ratios), path))
+        eigs = np.linalg.eigvalsh(op)
+        negs.append((max(0.0, -float(eigs[0])) / max(1.0, float(np.abs(eigs).max())), path))
+    return max(products, key=lambda t: t[0]), max(negs, key=lambda t: t[0])

@@ -64,6 +64,13 @@ class TestBuildQ:
         with pytest.raises(InconsistentNodeError):
             build_q(ctx)
 
+    def test_zero_bystander_rejected(self, catalog_all):
+        for m in catalog_all.values():
+            for party in range(len(m.parties)):
+                abar = np.zeros_like(root_context(m, party).abar)
+                with pytest.raises(InconsistentNodeError, match="zero"):
+                    build_q(NodeContext(m, party, m.weights, abar))
+
     def test_basis_independence_across_catalog(self, catalog_all):
         rng = np.random.default_rng(2024)
         for m in catalog_all.values():
@@ -104,10 +111,11 @@ class TestPartyTables:
                                   np.linalg.inv((flat.conj() @ flat.T).real), acting)
                 want = np.einsum("aij,nij->an", duals.conj(), m.local_factors(p))
                 assert np.abs(t.acting - want).max() < 1e-10
-                want = np.einsum("aij,nij->an", span.conj(), m.complement_factors(p))
-                assert np.abs(t.pairings - want).max() < 1e-12
-                gram = np.einsum("aij,bij->ab", span.conj(), span)
-                assert np.abs(t.factor.conj().T @ t.factor - gram).max() < 1e-12
+                gram = np.einsum("aij,bij->ab", span.conj(), span).real
+                assert np.abs(t.cholesky @ t.cholesky.T - gram).max() < 1e-10
+                comp = m.complement_factors(p)
+                want = np.einsum("mij,nij->mn", comp.conj(), comp).real
+                assert np.abs(t.coords.T @ t.coords - want).max() < 1e-10
 
 
 def _oracle_measurements():

@@ -221,33 +221,17 @@ def test_every_catalog_span_matches_reference(catalog_all):
                 assert independent_subset(ops) == greedy_svd_independent_subset(ops)
 
 
-def test_isometric_image_with_ambient_width_keeps_decisions():
-    """Coordinates in an orthonormal basis, passed with the operators' own
-    width, get the indices the operators get."""
-    rng = np.random.default_rng(31)
-    for trial in range(20):
-        d = int(rng.integers(2, 5))
-        gens = _random_hermitians(rng, int(rng.integers(1, d * d)), d)
-        mix = rng.standard_normal((int(rng.integers(2, 2 * d * d)), len(gens)))
-        ops = list(np.einsum("kj,jab->kab", mix, np.stack(gens)))
-        flat = np.stack(ops).reshape(len(ops), -1)
-        q, _ = np.linalg.qr(flat.T)
-        coords = flat @ q.conj()               # row i: op i's coordinates in q
-        want = independent_subset(ops)
-        assert independent_subset(coords, width=d * d) == want
-        assert greedy_svd_independent_subset(coords, width=d * d) == want
-
-
 def test_every_call_during_synthesis_matches_reference(monkeypatch):
-    """Spans and bystander completions at every node of a catalog search."""
+    """Every span built while synthesizing catalog measurements: two calls,
+    the local and the complement span, per party of each measurement."""
     import locc_forge.feasibility as feasibility
     import locc_forge.measurement as measurement
 
     calls = []
 
-    def checked(ops, rank_factor=RANK_FACTOR, width=None):
-        got = independent_subset(ops, rank_factor, width)
-        assert got == greedy_svd_independent_subset(ops, rank_factor, width)
+    def checked(ops, rank_factor=RANK_FACTOR):
+        got = independent_subset(ops, rank_factor)
+        assert got == greedy_svd_independent_subset(ops, rank_factor)
         calls.append(len(ops))
         return got
 
@@ -257,7 +241,7 @@ def test_every_call_during_synthesis_matches_reference(monkeypatch):
         [seven_outcome_family(s) for s in range(3)]
     for m in fresh:
         synthesize(m)
-    assert len(calls) > 4 * len(fresh)
+    assert len(calls) == sum(2 * len(m.parties) for m in fresh)
 
 
 def _duals(basis: OperatorBasis) -> OperatorBasis:

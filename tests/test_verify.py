@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from locc_forge import synthesize
+from locc_forge import conditional_basis, synthesize
 from locc_forge.engine import ProtocolNode
 from locc_forge.errors import TreeStructureError
 from locc_forge.verify import random_density_matrix, simulate, verify_tree
+from oracles import per_node_product_and_positivity
 
 
 def node(c, party, children=(), leaf=None):
@@ -47,6 +48,28 @@ class TestVerifyTree:
             report = verify_tree(cert.tree, m)
             assert report.passed
             assert report.checks["node-sum"].worst_residual < 1e-8
+
+    def test_batched_checks_match_per_node_reference(self, hand_tree, m_seven):
+        """Product structure and positivity, decided on stacks of nodes, give
+        the values and locations of a node-by-node computation, also on a
+        tree with more nodes than one SVD block and on a tampered one."""
+        m3 = conditional_basis(3, 3, 7)
+        tree3 = synthesize(m3).tree
+        assert len(list(tree3.walk())) > 16
+        bad = ProtocolNode(hand_tree.coeffs, None, (
+            hand_tree.children[0],
+            ProtocolNode(np.array([1.0, 0, 0, 2, 0, 1, 0]), 1,
+                         hand_tree.children[1].children, None)), None)
+        for tree, m in ((tree3, m3), (hand_tree, m_seven), (bad, m_seven)):
+            report = verify_tree(tree, m)
+            product, negative = per_node_product_and_positivity(tree, m)
+            got = report.checks["product-structure"]
+            assert (got.worst_residual, got.detail) == (
+                product[0], product[1] if product[0] > 0 else "")
+            got = report.checks["positivity"]
+            assert got.worst_residual == negative[0]
+            assert got.detail == (negative[1] if not got.passed else "")
+        assert not verify_tree(bad, m_seven).checks["product-structure"].passed
 
     def test_hand_encoded_tree_passes(self, hand_tree, m_seven):
         report = verify_tree(hand_tree, m_seven)
