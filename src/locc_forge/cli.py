@@ -16,13 +16,12 @@ from . import io
 from .catalog import CATALOG
 from .engine import (
     DEFAULT_MAX_ROUNDS,
-    DEFAULT_MAX_SUPPORT,
     Certificate,
     Verdict,
     check_root,
     synthesize,
 )
-from .errors import LoccForgeError, MeasurementFormatError, TreeStructureError
+from .errors import LoccForgeError, TreeStructureError
 from .measurement import validate
 from .tolerances import Tolerances
 from .verify import simulate, verify_tree
@@ -54,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tol(p):
         p.add_argument("--tol-rank", type=float, default=None, metavar="F",
-                       help="rank cutoff factor (default 1e-11)")
+                       help="rank cutoff factor of the constraint-matrix nullspace, "
+                            "which sets the cone dimensions (default 1e-11)")
         p.add_argument("--tol-residual", type=float, default=None, metavar="F",
                        help="residual tolerance (default 1e-8)")
 
@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="search for an LOCC protocol tree")
     p_synth.add_argument("measurement")
     p_synth.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
-    p_synth.add_argument("--max-support", type=int, default=DEFAULT_MAX_SUPPORT)
     p_synth.add_argument("--out", default=None, help="write the tree as JSON")
     p_synth.add_argument("--json", action="store_true", dest="as_json")
     add_tol(p_synth)
@@ -111,13 +110,6 @@ def _fail(message: str) -> int:
     return EXIT_INVALID
 
 
-def _load_measurement(path: str):
-    try:
-        return io.load_measurement(path)
-    except (MeasurementFormatError, OSError) as exc:
-        raise _CliError(str(exc))
-
-
 class _CliError(Exception):
     pass
 
@@ -131,7 +123,7 @@ def _require_valid(m, tol: Tolerances) -> None:
 
 def _cmd_check(args) -> int:
     tol = _tolerances(args)
-    m = _load_measurement(args.measurement)
+    m = io.load_measurement(args.measurement)
     _require_valid(m, tol)
     roots = check_root(m, tol)
     impossible = all(r.nullspace_dim == 1 for r in roots)
@@ -190,10 +182,9 @@ def _tree_summary(cert: Certificate, m) -> list[str]:
 
 def _cmd_synth(args) -> int:
     tol = _tolerances(args)
-    m = _load_measurement(args.measurement)
+    m = io.load_measurement(args.measurement)
     _require_valid(m, tol)
-    cert = synthesize(m, max_rounds=args.max_rounds,
-                      max_support=args.max_support, tol=tol)
+    cert = synthesize(m, max_rounds=args.max_rounds, tol=tol)
     if args.as_json:
         doc = {
             "verdict": cert.verdict.value,
@@ -338,13 +329,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        return _fail(str(exc))
-    except (MeasurementFormatError, OSError) as exc:
-        return _fail(str(exc))
-    except LoccForgeError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except (_CliError, LoccForgeError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

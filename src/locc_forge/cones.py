@@ -12,7 +12,6 @@ themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import qr
@@ -153,21 +152,23 @@ class RayDecomposition:
     scales: np.ndarray
     residual: float
 
-    def terms(self, rays: list[np.ndarray]) -> list[np.ndarray]:
-        return [s * rays[i] for i, s in zip(self.rays_used, self.scales)]
 
-
-def decompose(parent: np.ndarray, rays: list[np.ndarray], max_support: int = 6,
+def decompose(parent: np.ndarray, rays: list[np.ndarray],
               tol: Tolerances = DEFAULT_TOL) -> list[RayDecomposition]:
-    """All exact splittings of ``parent`` into 2..max_support extreme rays.
+    """Every exact splitting of ``parent`` into two or more extreme rays.
 
-    Rays proportional to the parent are never used (a child identical to its
-    parent is not a measurement outcome).  For each admissible support set a
-    nonnegative least-squares problem is solved; solutions are kept when the
-    residual is below tolerance and every scale is strictly positive, so
-    each support set contributes at most one decomposition and subsets of
-    other solutions are not repeated.  An empty result means the party
-    cannot split this node.
+    The splittings are the vertices of the polytope {s >= 0 : R s = parent},
+    R the matrix of usable rays; rays proportional to the parent are never
+    used (a child identical to its parent is not a measurement outcome).
+    Starting from all usable rays, each ray set A gets a nonnegative
+    least-squares solve, whose entries above :data:`SCALE_TOL` form a vertex
+    support S.  An exact solve records its split (once per support) and
+    queues A minus each ray of S; an inexact one means the parent lies
+    outside the cone of A, so no vertex hides below it.  Distinct vertices
+    never have nested supports, so every vertex is reached, and each
+    support is linearly independent, so no split uses more rays than the
+    cone has dimensions.  Results are ordered by (size, rays used).  An
+    empty result means the party cannot split this node.
     """
     parent = np.asarray(parent, dtype=float)
     p_norm = float(np.linalg.norm(parent))
@@ -180,16 +181,25 @@ def decompose(parent: np.ndarray, rays: list[np.ndarray], max_support: int = 6,
             usable.append(i)
 
     scale_floor = max(1.0, float(parent.max()))
-    results: list[RayDecomposition] = []
-    for size in range(2, min(max_support, len(usable)) + 1):
-        for support in combinations(usable, size):
-            mat = np.column_stack([rays[i] for i in support])
-            scales, _ = nnls(mat, parent)
-            if np.any(scales <= SCALE_TOL):
-                continue
-            residual = float(np.abs(mat @ scales - parent).max())
-            if residual > tol.residual * scale_floor:
-                continue
-            results.append(RayDecomposition(tuple(support), scales, residual))
-    results.sort(key=lambda d: (len(d.rays_used), d.rays_used))
-    return results
+    found: dict[tuple[int, ...], RayDecomposition] = {}
+    queue = [tuple(usable)] if len(usable) >= 2 else []
+    seen = set(queue)
+    while queue:
+        subset = queue.pop()
+        mat = np.column_stack([rays[i] for i in subset])
+        scales, _ = nnls(mat, parent)
+        keep = scales > SCALE_TOL
+        support = tuple(i for i, k in zip(subset, keep) if k)
+        scales = scales[keep]
+        residual = float(np.abs(mat[:, keep] @ scales - parent).max())
+        if residual > tol.residual * scale_floor:
+            continue
+        if len(support) >= 2 and support not in found:
+            found[support] = RayDecomposition(support, scales, residual)
+        if len(subset) > 2:
+            for i in support:
+                smaller = tuple(j for j in subset if j != i)
+                if smaller not in seen:
+                    seen.add(smaller)
+                    queue.append(smaller)
+    return sorted(found.values(), key=lambda d: (len(d.rays_used), d.rays_used))

@@ -36,7 +36,6 @@ from .operators import tensor
 from .tolerances import DEFAULT_TOL, LEAF_SUPPORT_TOL, Tolerances
 
 DEFAULT_MAX_ROUNDS = 8
-DEFAULT_MAX_SUPPORT = 6
 
 
 class Verdict(str, Enum):
@@ -161,9 +160,8 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
 class _Search:
     """Shared state for one synthesis run."""
 
-    def __init__(self, m: SeparableMeasurement, max_support: int, tol: Tolerances):
+    def __init__(self, m: SeparableMeasurement, tol: Tolerances):
         self.m = m
-        self.max_support = max_support
         self.tol = tol
         self.stats = SearchStats()
         self.cones: dict[tuple, FeasibleCone] = {}
@@ -204,7 +202,7 @@ class _Search:
             rays = list(cone.extreme_rays)
             rest = [f for q, f in enumerate(factors) if q != party]
             abar = tensor(rest) if rest else np.eye(1, dtype=complex)
-            for dec in decompose(coeffs, rays, self.max_support, self.tol):
+            for dec in decompose(coeffs, rays, self.tol):
                 children = []
                 for i, s in zip(dec.rays_used, dec.scales):
                     child_coeffs = s * rays[i]
@@ -226,7 +224,6 @@ class _Search:
 
 
 def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
-               max_support: int = DEFAULT_MAX_SUPPORT,
                tol: Tolerances = DEFAULT_TOL) -> Certificate:
     """Search for an LOCC tree implementing the measurement.
 
@@ -248,7 +245,7 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
 
     weights = np.asarray(m.weights, dtype=float)
     identities = tuple(np.eye(d, dtype=complex) for d in m.dims)
-    search = _Search(m, max_support, tol)
+    search = _Search(m, tol)
     for party, cone in enumerate(root_cones):
         search.cones[(party, _coeff_key(weights))] = cone
 

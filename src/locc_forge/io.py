@@ -47,7 +47,7 @@ def complex_matrix_to_json(mat: np.ndarray) -> list:
 def complex_matrix_from_json(data: Any, where: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise MeasurementFormatError(f"not a numeric matrix ({exc})", where)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise MeasurementFormatError(
@@ -55,6 +55,16 @@ def complex_matrix_from_json(data: Any, where: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise MeasurementFormatError("entries must be finite", where)
     return np.ascontiguousarray(arr[..., 0] + 1j * arr[..., 1])
+
+
+def _is_finite_number(x: Any) -> bool:
+    """True for a JSON number that converts to a finite float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 def measurement_to_dict(m: SeparableMeasurement) -> dict:
@@ -115,8 +125,7 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
         label = str(o.get("label", str(j + 1)))
         outcomes.append((label, tuple(mats)))
         w = o.get("weight")
-        if w is not None and (not isinstance(w, (int, float))
-                              or not math.isfinite(w) or w < 0):
+        if w is not None and (not _is_finite_number(w) or w < 0):
             raise MeasurementFormatError("weight must be a finite nonnegative number",
                                          f"{where}.weight")
         weights.append(None if w is None else float(w))
@@ -168,7 +177,11 @@ def tree_from_dict(data: Any, m: SeparableMeasurement) -> ProtocolNode:
     def decode(record: Any, where: str) -> ProtocolNode:
         if not isinstance(record, dict) or "coeffs" not in record:
             raise MeasurementFormatError("node needs a 'coeffs' list", where)
-        coeffs = np.asarray(record["coeffs"], dtype=float)
+        raw = record["coeffs"]
+        if not isinstance(raw, list) or not all(map(_is_finite_number, raw)):
+            raise MeasurementFormatError("must be a list of finite numbers",
+                                         f"{where}.coeffs")
+        coeffs = np.asarray(raw, dtype=float)
         if coeffs.shape != (m.n_outcomes,):
             raise MeasurementFormatError(
                 f"expected {m.n_outcomes} coefficients", f"{where}.coeffs")
@@ -190,10 +203,16 @@ def tree_from_dict(data: Any, m: SeparableMeasurement) -> ProtocolNode:
                 raise MeasurementFormatError(
                     f"unknown outcome label {leaf['outcome']!r}",
                     f"{where}.leaf.outcome")
-            leaf_outcome = (label_index[leaf["outcome"]], float(leaf["scale"]))
-        children = tuple(
-            decode(c, f"{where}.children[{i}]")
-            for i, c in enumerate(record.get("children", []) or []))
+            scale = leaf["scale"]
+            if not _is_finite_number(scale) or scale <= 0:
+                raise MeasurementFormatError("scale must be a finite positive number",
+                                             f"{where}.leaf.scale")
+            leaf_outcome = (label_index[leaf["outcome"]], float(scale))
+        raw_children = record.get("children", [])
+        if not isinstance(raw_children, list):
+            raise MeasurementFormatError("must be a list", f"{where}.children")
+        children = tuple(decode(c, f"{where}.children[{i}]")
+                         for i, c in enumerate(raw_children))
         return ProtocolNode(coeffs, party, children, leaf_outcome)
 
     return decode(data["root"], "root")

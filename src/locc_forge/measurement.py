@@ -73,8 +73,14 @@ class SeparableMeasurement:
             raise ValueError("at least one party must have dimension >= 2")
 
         packed = []
+        first_with: dict[str, int] = {}
         for j, outcome in enumerate(outcomes):
             label, factors = outcome
+            label = str(label)
+            if label in first_with:
+                raise ValueError(f"outcomes {first_with[label]} and {j} share the "
+                                 f"label {label!r}; labels must be unique")
+            first_with[label] = j
             if len(factors) != len(self.parties):
                 raise DimensionMismatchError(
                     f"outcome {j} has {len(factors)} factors for {len(self.parties)} parties")
@@ -86,7 +92,7 @@ class SeparableMeasurement:
                         f"outcome {j}: factor for party {party.name!r} has dimension "
                         f"{f.shape[0]}, expected {party.dim}")
                 checked.append(f)
-            packed.append(Outcome(str(label), tuple(checked)))
+            packed.append(Outcome(label, tuple(checked)))
         if not packed:
             raise ValueError("at least one outcome required")
         self.outcomes: tuple[Outcome, ...] = tuple(packed)

@@ -1,10 +1,12 @@
 """Centralized numerical tolerance policy.
 
 Every rank decision in the library (operator independence, nullspace
-dimension, cone dimension) funnels through :func:`rank_threshold`, because
-impossibility verdicts hinge on whether a nullspace is exactly
-one-dimensional.  Keeping a single knob makes those verdicts auditable: a
-certificate records the :class:`Tolerances` it was produced with.
+dimension, cone dimension) uses the cutoff formula of
+:func:`rank_threshold`, because impossibility verdicts hinge on whether a
+nullspace is exactly one-dimensional.  The factor of the nullspace decision
+is a user knob, ``Tolerances.rank_factor``, recorded in every certificate;
+span selection and the Gram condition check keep the module constants
+:data:`RANK_FACTOR` and :data:`GRAM_CONDITION_LIMIT`.
 
 The remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction
@@ -57,9 +59,11 @@ def rank_threshold(shape: tuple[int, int], sigma_max: float,
 class Tolerances:
     """User-overridable knobs, threaded through feasibility analysis and search.
 
-    ``rank_factor`` scales every rank cutoff; ``residual`` bounds every
-    max-norm residual check.  The fixed module-level constants cover the
-    rest.
+    ``rank_factor`` scales the rank cutoff of each constraint matrix's
+    nullspace (:func:`locc_forge.feasibility.nullspace`), which sets every
+    cone dimension; span selection and the Gram condition check do not read
+    it.  ``residual`` bounds the max-norm residual checks.  The fixed
+    module-level constants cover the rest.
     """
 
     rank_factor: float = RANK_FACTOR

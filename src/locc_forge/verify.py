@@ -10,6 +10,7 @@ property of each edge is recomputed from scratch down the tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,6 +56,8 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> None:
             raise TreeStructureError(
                 f"{path}: coefficient vector has shape {coeffs.shape}, "
                 f"expected ({m.n_outcomes},)")
+        if not np.isfinite(coeffs).all():
+            raise TreeStructureError(f"{path}: non-finite coefficient")
         if np.any(coeffs < -1e-12):
             raise TreeStructureError(f"{path}: negative coefficient")
         if path == "root":
@@ -69,8 +72,8 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> None:
             j, scale = node.leaf_outcome
             if not (0 <= j < m.n_outcomes):
                 raise TreeStructureError(f"{path}: leaf outcome index {j} out of range")
-            if scale <= 0:
-                raise TreeStructureError(f"{path}: leaf scale must be positive")
+            if not (math.isfinite(scale) and scale > 0):
+                raise TreeStructureError(f"{path}: leaf scale must be finite and positive")
         else:
             if node.leaf_outcome is not None:
                 raise TreeStructureError(f"{path}: internal node marked as leaf")
@@ -129,8 +132,10 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     def worst(pairs: Iterable[tuple[float, str]]) -> CheckResult:
         worst_r, worst_at = 0.0, ""
         for r, at in pairs:
-            if r > worst_r:
+            if not r <= worst_r:            # a NaN residual is the worst
                 worst_r, worst_at = r, at
+                if np.isnan(r):
+                    break
         return CheckResult(worst_r <= tol.residual, worst_r, worst_at)
 
     checks: dict[str, CheckResult] = {}

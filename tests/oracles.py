@@ -5,7 +5,8 @@ product is written with explicit loops, extreme rays are enumerated by
 facet sign patterns instead of double description, completeness
 weights come from an unconstrained least-squares solve, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
-and the constraint matrix is built from dense dual operators.
+the constraint matrix is built from dense dual operators, and ray splits
+are found by trying every combination of rays.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.optimize import nnls
 
 from locc_forge.errors import (
     DegenerateBasisError,
@@ -26,6 +28,7 @@ from locc_forge.tolerances import (
     DEFAULT_TOL,
     GRAM_CONDITION_LIMIT,
     RANK_FACTOR,
+    SCALE_TOL,
     Tolerances,
     rank_threshold,
 )
@@ -109,6 +112,34 @@ def brute_force_rays(q: np.ndarray, feas_tol: float = 1e-9) -> list[np.ndarray]:
             unique.append(c)
     unique.sort(key=lambda c: tuple(np.round(c, 12)))
     return unique
+
+
+def combination_decompose(parent: np.ndarray, rays: Sequence[np.ndarray],
+                          tol: Tolerances = DEFAULT_TOL
+                          ) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Exact splits of ``parent`` by trying every combination of two or more
+    rays not proportional to it, one NNLS solve each, with no size cap.
+
+    A combination counts when every scale exceeds ``SCALE_TOL`` and the
+    max-norm residual is within ``tol.residual * max(1, max(parent))``.
+    Returns (support, scales) pairs ordered by (size, support).
+    """
+    parent = np.asarray(parent, dtype=float)
+    p_norm = float(np.linalg.norm(parent))
+    if p_norm == 0:
+        return []
+    usable = [i for i, r in enumerate(rays)
+              if float(np.dot(parent, r) / (p_norm * np.linalg.norm(r))) < 1.0 - 1e-9]
+    floor = max(1.0, float(parent.max()))
+    out = []
+    for size in range(2, len(usable) + 1):
+        for support in combinations(usable, size):
+            mat = np.column_stack([rays[i] for i in support])
+            scales, _ = nnls(mat, parent)
+            if np.all(scales > SCALE_TOL) and \
+                    float(np.abs(mat @ scales - parent).max()) <= tol.residual * floor:
+                out.append((support, scales))
+    return out
 
 
 def lstsq_completeness_weights(ops: np.ndarray) -> np.ndarray:

@@ -201,6 +201,41 @@ class TestErrorPaths:
         assert code == 4
         assert "validation" in err
 
+    def test_max_support_option_is_gone(self, pair_file, capsys):
+        assert run(capsys, "synth", pair_file, "--max-support", "7")[0] == 64
+
+    @pytest.mark.parametrize("where", ["root.children[0].coeffs",
+                                       "root.children[0].children",
+                                       "root.children[0].children[0].leaf.scale"])
+    def test_verify_rejects_malformed_tree_at_load(self, pair_file, tmp_path,
+                                                  capsys, where):
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        doc = json.loads(tree_path.read_text())
+        node = doc["root"]["children"][0]
+        if where.endswith("coeffs"):
+            node["coeffs"][0] = float("nan")
+        elif where.endswith("children"):
+            node["children"] = 5
+        else:
+            node["children"][0]["leaf"]["scale"] = float("nan")
+        tree_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(tree_path),
+                             "--measurement", pair_file)
+        assert code == 4
+        assert where in err and "PASS" not in out
+
+    def test_duplicate_outcome_label_rejected(self, pair_file, tmp_path, capsys):
+        doc = json.loads(open(pair_file).read())
+        doc["outcomes"][2]["label"] = doc["outcomes"][0]["label"]
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "synth", str(path), "--out",
+                           str(tmp_path / "tree.json"))
+        assert code == 4
+        assert "outcomes 0 and 2" in err
+        assert not (tmp_path / "tree.json").exists()
+
     def test_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64
 

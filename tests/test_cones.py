@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
+from locc_forge import cones
+from locc_forge.catalog import conditional_basis
 from locc_forge.cones import decompose, extreme_rays
 from locc_forge.feasibility import feasible_cone, root_context
-from oracles import brute_force_rays
+from oracles import brute_force_rays, combination_decompose
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -155,6 +158,94 @@ class TestDecompose:
     def test_max_support_limits_subsets(self):
         rays = [np.eye(4)[i] for i in range(4)]
         parent = np.ones(4)
-        assert decompose(parent, rays, max_support=3) == []
-        decs = decompose(parent, rays, max_support=4)
+        decs = decompose(parent, rays)
         assert len(decs) == 1 and len(decs[0].rays_used) == 4
+
+
+def _random_split_case(rng):
+    """(parent, rays) with at most ten rays, often more rays than dimensions.
+
+    Half the cases are sparse random nonnegative rays with a parent drawn
+    from the cone of a random subset; the other half are the extreme rays
+    of {c >= 0 : Q c = 0} for a random Q whose kernel holds a positive
+    vector, which is the parent.
+    """
+    while True:
+        if rng.random() < 0.5:
+            n = int(rng.integers(3, 7))
+            r = int(rng.integers(3, 11))
+            rays = rng.uniform(0.0, 1.0, (r, n)) * (rng.random((r, n)) < 0.7)
+            rays = rays[rays.sum(axis=1) > 0]
+            rays /= rays.sum(axis=1, keepdims=True)
+            weights = rng.uniform(0.2, 2.0, len(rays)) * (rng.random(len(rays)) < 0.7)
+            parent = weights @ rays
+        else:
+            n = int(rng.integers(5, 9))
+            k = int(rng.integers(3, 5))
+            parent = rng.uniform(0.2, 1.0, size=n)
+            kern, _ = np.linalg.qr(np.column_stack(
+                [parent, rng.standard_normal((n, k - 1))]))
+            full = rng.standard_normal((n, n))
+            comp = full - kern @ (kern.T @ full)
+            rays = np.array(extreme_rays(comp.T))
+        if 2 <= len(rays) <= 10 and parent.any():
+            return parent, list(rays)
+
+
+class TestDecomposeAgainstCombinations:
+    """`decompose` walks the vertices of {s >= 0 : R s = parent}; the oracle
+    tries every combination of rays."""
+
+    def test_random_cones(self):
+        rng = np.random.default_rng(20260)
+        non_simplicial = 0
+        for _ in range(80):
+            parent, rays = _random_split_case(rng)
+            mat = np.column_stack(rays)
+            non_simplicial += np.linalg.matrix_rank(mat) < len(rays)
+            got = decompose(parent, rays)
+            expected = dict(combination_decompose(parent, rays))
+            for dec in got:
+                assert dec.rays_used in expected
+                assert np.abs(dec.scales - expected[dec.rays_used]).max() <= 1e-12
+            returned = {dec.rays_used for dec in got}
+            for support in expected:
+                if np.linalg.matrix_rank(mat[:, list(support)]) == len(support):
+                    assert support in returned
+            keys = [(len(d.rays_used), d.rays_used) for d in got]
+            assert keys == sorted(keys)
+        assert non_simplicial >= 40
+
+    @pytest.fixture()
+    def nnls_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nnls(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "nnls", counted)
+        return calls
+
+    def test_simplicial_cone_costs_at_most_one_solve_per_ray_plus_one(
+            self, nnls_calls):
+        rng = np.random.default_rng(7)
+        for d in range(2, 11):
+            rays = rng.uniform(0.0, 1.0, (d, d + int(rng.integers(0, 3))))
+            assert np.linalg.matrix_rank(rays) == d
+            inner = rng.uniform(0.5, 1.5, d) @ rays
+            face = np.r_[rng.uniform(0.5, 1.5, 2), np.zeros(d - 2)] @ rays
+            for parent, size in ((inner, d), (face, 2)):
+                nnls_calls.clear()
+                decs = decompose(parent, list(rays))
+                assert len(nnls_calls) <= d + 1
+                assert [len(dec.rays_used) for dec in decs] == [size]
+
+    def test_wide_root_cone_costs_at_most_one_solve_per_ray_plus_one(
+            self, nnls_calls):
+        m = conditional_basis(2, 10, 0)
+        cone = feasible_cone(root_context(m, 0))
+        assert len(cone.extreme_rays) == cone.nullspace_dim == 10
+        decs = decompose(m.weights, list(cone.extreme_rays))
+        assert len(nnls_calls) <= 11
+        assert [len(dec.rays_used) for dec in decs] == [10]

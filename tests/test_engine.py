@@ -5,9 +5,11 @@ from conftest import P0, P1, PMINUS, PPLUS
 from locc_forge import (
     Verdict,
     check_root,
+    conditional_basis,
     rotated_dominoes,
     seven_outcome_family,
     synthesize,
+    verify_tree,
 )
 from locc_forge.engine import leaf_outcome
 from locc_forge.io import tree_to_dict
@@ -109,6 +111,19 @@ class TestSynthesizeImpossible:
             thetas = rng.uniform(0.05, np.pi / 4, size=4)
             cert = synthesize(rotated_dominoes(*thetas))
             assert cert.verdict == Verdict.IMPOSSIBLE_AT_ROOT
+
+
+class TestWideOneWay:
+    """Root cones with more rays than any fixed support cap."""
+
+    @pytest.mark.parametrize("dim", [7, 8, 10, 12])
+    def test_found_at_defaults(self, dim):
+        m = conditional_basis(2, dim, 0)
+        cert = synthesize(m)
+        assert cert.verdict is Verdict.PROTOCOL_FOUND
+        assert cert.root_dims == (dim, 1)
+        assert cert.tree.depth() == 2
+        assert verify_tree(cert.tree, m).passed
 
 
 class TestInconclusive:

@@ -59,7 +59,7 @@ class TestMeasurementDiagnostics:
             measurement_from_dict(doc)
         assert "factors[1]" in str(err.value)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
     def test_non_finite_entry_location(self, m_pair, value):
         doc = measurement_to_dict(m_pair)
         doc["outcomes"][2]["factors"][1][0][1][0] = value
@@ -68,7 +68,7 @@ class TestMeasurementDiagnostics:
             measurement_from_dict(json.loads(text))
         assert err.value.location == "outcomes[2].factors[1]"
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
     def test_non_finite_weight_location(self, m_pair, value):
         doc = measurement_to_dict(m_pair)
         doc["outcomes"][3]["weight"] = value
@@ -133,3 +133,41 @@ class TestTreeRoundTrip:
         doc = {"root": {"party": None, "coeffs": [1.0, 2.0], "children": []}}
         with pytest.raises(MeasurementFormatError, match="coeffs"):
             tree_from_dict(doc, m_pair)
+
+
+class TestTreeDiagnostics:
+    """Malformed tree files are rejected at load time, at the bad field."""
+
+    @pytest.fixture()
+    def doc(self, m_pair):
+        return tree_to_dict(synthesize(m_pair).tree, m_pair)
+
+    @pytest.mark.parametrize("value", ["1.0", None, [1.0], True, 10 ** 400,
+                                       float("nan"), float("inf")])
+    def test_bad_coefficient_location(self, doc, m_pair, value):
+        doc["root"]["children"][0]["coeffs"][1] = value
+        with pytest.raises(MeasurementFormatError) as info:
+            tree_from_dict(doc, m_pair)
+        assert info.value.location == "root.children[0].coeffs"
+
+    @pytest.mark.parametrize("value", ["1.0", None, True, 10 ** 400, float("nan"),
+                                       float("inf"), 0.0, -1.0])
+    def test_bad_scale_location(self, doc, m_pair, value):
+        doc["root"]["children"][0]["children"][0]["leaf"]["scale"] = value
+        with pytest.raises(MeasurementFormatError) as info:
+            tree_from_dict(doc, m_pair)
+        assert info.value.location == "root.children[0].children[0].leaf.scale"
+
+    @pytest.mark.parametrize("value", [5, None, {"coeffs": [1, 0, 0, 0]}, "x"])
+    def test_children_must_be_a_list(self, doc, m_pair, value):
+        doc["root"]["children"][0]["children"] = value
+        with pytest.raises(MeasurementFormatError) as info:
+            tree_from_dict(doc, m_pair)
+        assert info.value.location == "root.children[0].children"
+
+    def test_json_nan_token_rejected_from_file(self, doc, m_pair, tmp_path):
+        doc["root"]["children"][1]["coeffs"][0] = float("nan")
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))        # writes the bare NaN token
+        with pytest.raises(MeasurementFormatError, match=r"root\.children\[1\]\.coeffs"):
+            load_tree(str(path), m_pair)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import EYE2, P0, P1
-from locc_forge import Party, SeparableMeasurement
-from locc_forge.errors import IncompleteMeasurementError
+from locc_forge import Party, SeparableMeasurement, conditional_basis
+from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
+from locc_forge.io import measurement_from_dict, measurement_to_dict
 from locc_forge.measurement import (
     complement_span,
     infer_weights,
@@ -172,6 +173,22 @@ class TestStructure:
             SeparableMeasurement([Party("A", 2), Party("B", 2)],
                                  [("x", (P0, EYE2)), ("y", (P1, EYE2))],
                                  np.array([1.0, value]))
+
+    def test_duplicate_outcome_labels_name_both_outcomes(self):
+        with pytest.raises(ValueError, match="outcomes 0 and 2 share the label 'x'"):
+            SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("x", (P0, EYE2)), ("y", (P1, P0)),
+                                  ("x", (P1, P1))], np.ones(3))
+
+    def test_relabelled_outcome_rejected_at_load(self, m_pair):
+        doc = measurement_to_dict(m_pair)
+        doc["outcomes"][2]["label"] = doc["outcomes"][0]["label"]
+        with pytest.raises(MeasurementFormatError, match="outcomes 0 and 2"):
+            measurement_from_dict(doc)
+
+    def test_wide_conditional_basis_labels_are_unique(self):
+        labels = conditional_basis(2, 12, 0).labels()
+        assert len(set(labels)) == len(labels) == 144
 
     def test_weight_length_mismatch(self):
         with pytest.raises(Exception):

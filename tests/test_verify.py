@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from locc_forge import conditional_basis, synthesize
+from locc_forge import verify
 from locc_forge.engine import ProtocolNode
 from locc_forge.errors import TreeStructureError
 from locc_forge.verify import random_density_matrix, simulate, verify_tree
@@ -113,6 +114,41 @@ class TestVerifyTree:
                               None)
         with pytest.raises(TreeStructureError, match="root.1"):
             verify_tree(broken, m_seven)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, hand_tree, m_seven, value):
+        bad_child = hand_tree.children[1]
+        coeffs = bad_child.coeffs.copy()
+        coeffs[1] = value
+        broken = ProtocolNode(hand_tree.coeffs, None,
+                              (hand_tree.children[0],
+                               ProtocolNode(coeffs, bad_child.acting_party,
+                                            bad_child.children)))
+        with pytest.raises(TreeStructureError, match="root.1: non-finite"):
+            verify_tree(broken, m_seven)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_leaf_scale_rejected(self, m_pair, value):
+        tree = synthesize(m_pair).tree
+        leaf, path = tree.leaves()[0]
+        leaf.leaf_outcome = (leaf.leaf_outcome[0], value)
+        with pytest.raises(TreeStructureError, match=f"{path}: leaf scale"):
+            verify_tree(tree, m_pair)
+
+    def test_nan_residual_fails_its_check(self, m_pair, monkeypatch):
+        tree = synthesize(m_pair).tree
+        project = verify.project_factor
+
+        def nan_residual(*args):
+            x, _ = project(*args)
+            return x, float("nan")
+
+        monkeypatch.setattr(verify, "project_factor", nan_residual)
+        report = verify_tree(tree, m_pair)
+        check = report.checks["single-party-change"]
+        assert not check.passed and np.isnan(check.worst_residual)
+        assert check.detail == "root.0"
+        assert not report.passed
 
     def test_mixed_acting_parties_rejected(self, m_pair):
         kids = (node((1, 1, 0, 0), 0, leaf=None),
