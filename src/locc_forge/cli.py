@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--json", action="store_true", dest="as_json")
-    add_tol(p_sim)
 
     p_cat = sub.add_parser("catalog", help="emit a built-in measurement")
     p_cat.add_argument("name", nargs="?", default=None)
@@ -251,13 +250,12 @@ def _load_state(choice: str, dim: int) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    tol = _tolerances(args)
     m = io.load_measurement(args.measurement) if args.measurement else None
     tree, m = io.load_tree(args.tree, m)
     state = _load_state(args.state, m.total_dim)
     rng = np.random.default_rng(args.seed)
     try:
-        result = simulate(tree, m, state, trials=args.trials, rng=rng, tol=tol)
+        result = simulate(tree, m, state, trials=args.trials, rng=rng)
     except ValueError as exc:
         return _fail(str(exc))
     if args.as_json:

@@ -3,23 +3,27 @@
 The checks here deliberately avoid the search's own machinery (feasible
 cones, leaf detection, ray decomposition) so that a bug in the search
 cannot certify its own output.  Only the generic operator algebra is
-shared.  Node operators are rebuilt from raw coefficient vectors, product
-structure is decided by operator Schmidt rank, and the fixed-bystander
-property of each edge is recomputed from scratch down the tree.
+shared.  Node operators are rebuilt from raw coefficient vectors and the
+measurement's factors.  Product structure is decided by operator Schmidt
+rank, from small per-cut cores that thin QRs of the factor stacks give;
+positivity from a Weyl bound over the factors' spectra, with an exact
+eigenvalue check wherever the bound does not settle it; and the
+fixed-bystander property of each edge is recomputed from scratch down the
+tree, one parent's children at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .engine import ProtocolNode
 from .errors import TreeStructureError
 from .measurement import SeparableMeasurement
-from .operators import as_hermitian, is_psd, project_factor, tensor
+from .operators import as_hermitian, is_psd
 from .tolerances import DEFAULT_TOL, PSD_TOL, Tolerances
 
 
@@ -86,28 +90,103 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> None:
                     f"{path}: children disagree about who measured")
 
 
-_SVD_BLOCK = 16
-"""Node operators per batched SVD.  Each block is realigned into a copy, so
-the block size bounds the memory the product check adds."""
+def _real_times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for a real x and a complex y, as one real product."""
+    y = np.ascontiguousarray(y, dtype=complex)
+    return (x @ y.view(float)).view(complex)
 
 
-def _schmidt_second(ops: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Relative second operator-Schmidt coefficient across (slot | rest), for
-    each operator of a (nodes, D, D) stack."""
-    n = len(dims)
-    dp = dims[slot]
-    dc = ops.shape[1] // dp
-    t = ops.reshape((len(ops),) + dims * 2)
-    others = [p for p in range(n) if p != slot]
-    legs = [slot, n + slot] + others + [n + p for p in others]
-    t = t.transpose([0] + [1 + leg for leg in legs])
-    sigma = np.concatenate([
-        np.linalg.svd(t[i:i + _SVD_BLOCK].reshape(-1, dp * dp, dc * dc), compute_uv=False)
-        for i in range(0, len(ops), _SVD_BLOCK)])
-    if sigma.shape[1] == 1:
-        return np.zeros(len(ops))
-    top = sigma[:, 0]
-    return np.divide(sigma[:, 1], top, out=np.zeros(len(ops)), where=top != 0)
+def _kron_rows(stacks: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Row-wise Kronecker products of (n, k_i) stacks, in order; a column of
+    ones when there are none."""
+    out = np.ones((n, 1), dtype=complex)
+    for s in stacks:
+        out = (out[:, :, None] * s[:, None, :]).reshape(n, -1)
+    return out
+
+
+def _schmidt_ratios(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
+    """Largest relative second operator-Schmidt coefficient over the cuts
+    (p | rest), for the node operator of each row of ``coeffs``.
+
+    Across a cut the realignment of sum_j c_j O_j is A diag(c) B^T, where
+    column j of A is vec(F_j^p) and column j of B the Kronecker product of
+    the other parties' vec(F_j^q), a fixed row permutation of the
+    realignment's own.  With thin QRs A = Q_A R_A and B = Q_B R_B its
+    singular values are those of the small core R_A diag(c) R_B^T.  Two
+    parties have a single cut.
+    """
+    n_parties = len(m.dims)
+    n = m.n_outcomes
+    vecs = [m.local_factors(q).reshape(n, -1) for q in range(n_parties)]
+    ratios = np.zeros(len(coeffs))
+    for p in range(n_parties if n_parties > 2 else 1):
+        b = _kron_rows((vecs[q] for q in range(n_parties) if q != p), n)
+        r_a = np.linalg.qr(vecs[p].T, mode="r")
+        r_b = np.linalg.qr(b.T, mode="r")
+        if min(len(r_a), len(r_b)) == 1:
+            continue                # one singular value: ratio 0
+        tall, wide = (r_a, r_b) if len(r_a) >= len(r_b) else (r_b, r_a)
+        # cores[i] = tall diag(coeffs[i]) wide^T, all from one real product
+        w = (tall.T[:, :, None] * wide.T[:, None, :]).reshape(n, -1)
+        cores = _real_times(coeffs, w).reshape(len(coeffs), len(tall), len(wide))
+        sigma = np.linalg.svd(cores, compute_uv=False)
+        top = sigma[:, 0]
+        ratios = np.maximum(ratios, np.divide(sigma[:, 1], top, out=np.zeros(len(coeffs)),
+                                              where=top != 0))
+    return ratios
+
+
+def _eigenvalue_bound(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
+    """Weyl lower bound on the smallest eigenvalue of each node operator:
+    sum_j c_j * (lambda_min(O_j) if c_j >= 0 else lambda_max(O_j)).
+
+    The extreme eigenvalues of O_j = (x)_q F_j^q are extreme products of its
+    factors' extreme eigenvalues, so one eigvalsh per party's factor stack
+    gives them all.
+    """
+    low = high = np.ones(m.n_outcomes)
+    for q in range(len(m.dims)):
+        eigs = np.linalg.eigvalsh(m.local_factors(q))
+        ends = np.stack([low * eigs[:, 0], low * eigs[:, -1],
+                         high * eigs[:, 0], high * eigs[:, -1]])
+        low, high = ends.min(axis=0), ends.max(axis=0)
+    return np.where(coeffs >= 0, coeffs * low, coeffs * high).sum(axis=1)
+
+
+def _negativity(ops: np.ndarray) -> np.ndarray:
+    """max(0, -lambda_min) / max(1, |lambda|_max) for each operator of a stack."""
+    eigs = np.linalg.eigvalsh(ops)
+    floor = np.maximum(1.0, np.abs(eigs).max(axis=1))
+    return np.maximum(0.0, -eigs[:, 0]) / floor
+
+
+def _edge_factors(children: np.ndarray, factors: Sequence[np.ndarray], slot: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Best factors X_i with child_i ~ X_i (x) Abar, and the max-norm
+    residuals, for a (k, D, D) stack of one parent's children measured by
+    party ``slot``; Abar is the tensor product of ``factors`` (one per
+    party) on the other parties.
+
+    The children are realigned once, with rows indexing the slot's matrix
+    entries and columns each other party's in turn, so that Abar becomes
+    the Kronecker product a of its factors' vec's.  X_i is row block i
+    times conj(a) / |a|^2, the least-squares optimum.
+    """
+    n = len(factors)
+    dims = tuple(len(f) for f in factors)
+    k = len(children)
+    others = [q for q in range(n) if q != slot]
+    legs = [slot, n + slot] + [leg for q in others for leg in (q, n + q)]
+    t = children.reshape((k,) + dims * 2).transpose([0] + [1 + leg for leg in legs])
+    t = t.reshape(k, dims[slot] ** 2, -1)
+    a = _kron_rows((factors[q].reshape(1, -1) for q in others), 1)[0]
+    norm2 = float(np.vdot(a, a).real)
+    if norm2 == 0.0:
+        raise ValueError("cannot factor against a zero operator")
+    x = (t @ a.conj()) / norm2
+    residual = np.abs(t - x[:, :, None] * a).max(axis=(1, 2))
+    return x.reshape(k, dims[slot], dims[slot]), residual
 
 
 def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
@@ -123,9 +202,16 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     _structural_pass(tree, m)
     ops = m.outcome_operators
     nodes = list(tree.walk())
+    paths = [path for _, path in nodes]
+    index = {path: i for i, path in enumerate(paths)}
     coeffs = np.stack([np.asarray(n.coeffs, float) for n, _ in nodes])
-    stacked = (coeffs @ ops.reshape(m.n_outcomes, -1)).reshape(len(nodes), *ops.shape[1:])
-    node_op = {path: op for (_, path), op in zip(nodes, stacked)}
+    # The factor-space quantities need no node operator; taking them before
+    # the node stack exists keeps their work arrays from adding to its peak.
+    ratios = _schmidt_ratios(m, coeffs)
+    neg = np.maximum(0.0, -_eigenvalue_bound(m, coeffs))
+    stacked = _real_times(coeffs, ops.reshape(m.n_outcomes, -1)).reshape(
+        len(nodes), *ops.shape[1:])
+    node_op = dict(zip(paths, stacked))
     eye = np.eye(m.total_dim)
     dims = m.dims
 
@@ -160,27 +246,27 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     checks["descendant-leaf-sum"] = (worst(leaf_sums) if leaf_sums
                                      else CheckResult(True, 0.0))
 
-    paths = [path for _, path in nodes]
-    worst_slot = np.max([_schmidt_second(stacked, slot, dims)
-                         for slot in range(len(dims))], axis=0)
-    checks["product-structure"] = worst(zip(worst_slot.tolist(), paths))
+    checks["product-structure"] = worst(zip(ratios.tolist(), paths))
 
-    edges = []
-
-    def descend(node: ProtocolNode, path: str, factors: tuple[np.ndarray, ...]):
-        for i, child in enumerate(node.children):
-            cpath = f"{path}.{i}"
-            slot = child.acting_party
-            rest = [f for q, f in enumerate(factors) if q != slot]
-            abar = tensor(rest) if rest else np.eye(1, dtype=complex)
-            x, residual = project_factor(node_op[cpath], abar, slot, dims)
-            scale = max(1.0, float(np.abs(node_op[cpath]).max()))
-            edges.append((residual / scale, cpath))
-            new_factors = tuple(x if q == slot else f for q, f in enumerate(factors))
-            descend(child, cpath, new_factors)
-
-    descend(tree, "root", tuple(np.eye(d, dtype=complex) for d in dims))
-    checks["single-party-change"] = worst(edges) if edges else CheckResult(True, 0.0)
+    # Each parent's children share the acting party, so one Abar (the
+    # parent's factors on the other parties, followed down from the
+    # identity) serves all of them.
+    edges = np.zeros(len(nodes))            # by child, in walk order
+    factors_at = {"root": tuple(np.eye(d, dtype=complex) for d in dims)}
+    for node, path in nodes:
+        if node.is_leaf:
+            continue
+        slot = node.children[0].acting_party
+        factors = factors_at[path]
+        kids = [index[f"{path}.{i}"] for i in range(len(node.children))]
+        children = stacked[kids]
+        xs, residuals = _edge_factors(children, factors, slot)
+        edges[kids] = residuals / np.maximum(1.0, np.abs(children).max(axis=(1, 2)))
+        for i, x in zip(kids, xs):
+            factors_at[paths[i]] = tuple(x if q == slot else f
+                                         for q, f in enumerate(factors))
+    checks["single-party-change"] = (worst(zip(edges[1:].tolist(), paths[1:]))
+                                     if len(nodes) > 1 else CheckResult(True, 0.0))
 
     leaf_match = []
     for node, path in tree.leaves():
@@ -189,9 +275,12 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
         leaf_match.append((residual, path))
     checks["leaf-match"] = worst(leaf_match)
 
-    eigs = np.linalg.eigvalsh(stacked)
-    floor = np.maximum(1.0, np.abs(eigs).max(axis=1))
-    neg = np.maximum(0.0, -eigs[:, 0]) / floor
+    # A node whose Weyl bound clears PSD_TOL reports that bound, which is at
+    # least the exact quantity (its floor is >= 1); only the others are
+    # diagonalised.
+    open_ = ~(neg <= PSD_TOL)
+    if open_.any():
+        neg[open_] = _negativity(stacked[open_])
     at = int(np.argmax(neg))
     worst_neg = max(0.0, float(neg[at]))       # not -0.0
     checks["positivity"] = CheckResult(worst_neg <= PSD_TOL, worst_neg,
@@ -229,8 +318,8 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def simulate(tree: ProtocolNode, m: SeparableMeasurement, state: np.ndarray,
-             trials: int = 0, rng: np.random.Generator | None = None,
-             tol: Tolerances = DEFAULT_TOL) -> SimulationResult:
+             trials: int = 0, rng: np.random.Generator | None = None
+             ) -> SimulationResult:
     """Exact leaf probabilities on a state, with optional multinomial sampling.
 
     Aggregated per measurement outcome, the leaf probabilities must match

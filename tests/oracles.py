@@ -5,14 +5,15 @@ product is written with explicit loops, extreme rays are enumerated by
 facet sign patterns instead of double description, completeness
 weights come from an unconstrained least-squares solve, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
-the constraint matrix is built from dense dual operators, and ray splits
-are found by trying every combination of rays.
+the constraint matrix is built from dense dual operators, ray splits
+are found by trying every combination of rays, and protocol trees are
+verified on dense D x D node operators.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import null_space
@@ -24,14 +25,17 @@ from locc_forge.errors import (
     InconsistentNodeError,
 )
 from locc_forge.measurement import complement_span, local_span
+from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
     DEFAULT_TOL,
     GRAM_CONDITION_LIMIT,
+    PSD_TOL,
     RANK_FACTOR,
     SCALE_TOL,
     Tolerances,
     rank_threshold,
 )
+from locc_forge.verify import CheckResult, VerificationReport, _structural_pass
 
 
 def hand_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,3 +264,107 @@ def per_node_product_and_positivity(tree, m) -> tuple[tuple[float, str], tuple[f
         eigs = np.linalg.eigvalsh(op)
         negs.append((max(0.0, -float(eigs[0])) / max(1.0, float(np.abs(eigs).max())), path))
     return max(products, key=lambda t: t[0]), max(negs, key=lambda t: t[0])
+
+
+def _dense_schmidt_second(ops: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Relative second operator-Schmidt coefficient across (slot | rest), for
+    each operator of a (nodes, D, D) stack, from the full realignments."""
+    n = len(dims)
+    dp = dims[slot]
+    dc = ops.shape[1] // dp
+    t = ops.reshape((len(ops),) + dims * 2)
+    others = [p for p in range(n) if p != slot]
+    legs = [slot, n + slot] + others + [n + p for p in others]
+    t = t.transpose([0] + [1 + leg for leg in legs])
+    sigma = np.linalg.svd(t.reshape(-1, dp * dp, dc * dc), compute_uv=False)
+    if sigma.shape[1] == 1:
+        return np.zeros(len(ops))
+    top = sigma[:, 0]
+    return np.divide(sigma[:, 1], top, out=np.zeros(len(ops)), where=top != 0)
+
+
+def dense_verify_tree(tree, m, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
+    """The library's first verifier, on dense D x D node operators: the same
+    checks, quantities and tolerances as ``verify.verify_tree``, with
+    product structure from SVDs of each node's full realignment across every
+    party cut, the edge check from ``project_factor`` one edge at a time
+    down the tree, and positivity from the eigenvalues of every node
+    operator.  Only the structural pass and the report types are shared."""
+    _structural_pass(tree, m)
+    ops = m.outcome_operators
+    nodes = list(tree.walk())
+    coeffs = np.stack([np.asarray(n.coeffs, float) for n, _ in nodes])
+    stacked = (coeffs @ ops.reshape(m.n_outcomes, -1)).reshape(len(nodes), *ops.shape[1:])
+    node_op = {path: op for (_, path), op in zip(nodes, stacked)}
+    eye = np.eye(m.total_dim)
+    dims = m.dims
+
+    def worst(pairs: Iterable[tuple[float, str]]) -> CheckResult:
+        worst_r, worst_at = 0.0, ""
+        for r, at in pairs:
+            if not r <= worst_r:            # a NaN residual is the worst
+                worst_r, worst_at = r, at
+                if np.isnan(r):
+                    break
+        return CheckResult(worst_r <= tol.residual, worst_r, worst_at)
+
+    checks: dict[str, CheckResult] = {}
+
+    checks["root-completeness"] = worst(
+        [(float(np.abs(node_op["root"] - eye).max()), "root")])
+
+    sums = []
+    for node, path in tree.walk():
+        if node.is_leaf:
+            continue
+        total = sum(node_op[f"{path}.{i}"] for i in range(len(node.children)))
+        sums.append((float(np.abs(node_op[path] - total).max()), path))
+    checks["node-sum"] = worst(sums) if sums else CheckResult(True, 0.0)
+
+    leaf_sums = []
+    for node, path in tree.walk():
+        if node.is_leaf:
+            continue
+        total = sum(node_op[lp] for _, lp in node.leaves(path))
+        leaf_sums.append((float(np.abs(node_op[path] - total).max()), path))
+    checks["descendant-leaf-sum"] = (worst(leaf_sums) if leaf_sums
+                                     else CheckResult(True, 0.0))
+
+    paths = [path for _, path in nodes]
+    worst_slot = np.max([_dense_schmidt_second(stacked, slot, dims)
+                         for slot in range(len(dims))], axis=0)
+    checks["product-structure"] = worst(zip(worst_slot.tolist(), paths))
+
+    edges = []
+
+    def descend(node: ProtocolNode, path: str, factors: tuple[np.ndarray, ...]):
+        for i, child in enumerate(node.children):
+            cpath = f"{path}.{i}"
+            slot = child.acting_party
+            rest = [f for q, f in enumerate(factors) if q != slot]
+            abar = tensor(rest) if rest else np.eye(1, dtype=complex)
+            x, residual = project_factor(node_op[cpath], abar, slot, dims)
+            scale = max(1.0, float(np.abs(node_op[cpath]).max()))
+            edges.append((residual / scale, cpath))
+            new_factors = tuple(x if q == slot else f for q, f in enumerate(factors))
+            descend(child, cpath, new_factors)
+
+    descend(tree, "root", tuple(np.eye(d, dtype=complex) for d in dims))
+    checks["single-party-change"] = worst(edges) if edges else CheckResult(True, 0.0)
+
+    leaf_match = []
+    for node, path in tree.leaves():
+        j, scale = node.leaf_outcome
+        residual = float(np.abs(node_op[path] - scale * ops[j]).max())
+        leaf_match.append((residual, path))
+    checks["leaf-match"] = worst(leaf_match)
+
+    eigs = np.linalg.eigvalsh(stacked)
+    floor = np.maximum(1.0, np.abs(eigs).max(axis=1))
+    neg = np.maximum(0.0, -eigs[:, 0]) / floor
+    at = int(np.argmax(neg))
+    worst_neg = max(0.0, float(neg[at]))       # not -0.0
+    checks["positivity"] = CheckResult(worst_neg <= PSD_TOL, worst_neg,
+                                       paths[at] if worst_neg > PSD_TOL else "")
+
+    return VerificationReport(checks)

@@ -131,6 +131,14 @@ class TestVerifySimulate:
                          "--trials", "200", "--seed", "3")
         assert out1 == out2
 
+    def test_simulate_takes_no_tolerance_options(self, pair_file, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        code, _, err = run(capsys, "simulate", str(tree_path),
+                           "--measurement", pair_file, "--tol-residual", "1e-6")
+        assert code == 64
+        assert "--tol-residual" in err
+
     def test_simulate_uses_measurement_ref(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from locc_forge import conditional_basis, synthesize
+from locc_forge import conditional_basis, qubit_pair, seven_outcome_family, synthesize
 from locc_forge import verify
 from locc_forge.engine import ProtocolNode
 from locc_forge.errors import TreeStructureError
+from locc_forge.measurement import Party, SeparableMeasurement, validate
+from locc_forge.tolerances import PSD_TOL
 from locc_forge.verify import random_density_matrix, simulate, verify_tree
-from oracles import per_node_product_and_positivity
+from oracles import dense_verify_tree, per_node_product_and_positivity
 
 
 def node(c, party, children=(), leaf=None):
@@ -51,12 +53,12 @@ class TestVerifyTree:
             assert report.checks["node-sum"].worst_residual < 1e-8
 
     def test_batched_checks_match_per_node_reference(self, hand_tree, m_seven):
-        """Product structure and positivity, decided on stacks of nodes, give
-        the values and locations of a node-by-node computation, also on a
-        tree with more nodes than one SVD block and on a tampered one."""
+        """Product structure and positivity, decided from per-cut cores and
+        a Weyl bound on stacks of nodes, give the values of a node-by-node
+        computation within 1e-12, and its locations where a check fails,
+        also on a three-party tree and on a tampered one."""
         m3 = conditional_basis(3, 3, 7)
         tree3 = synthesize(m3).tree
-        assert len(list(tree3.walk())) > 16
         bad = ProtocolNode(hand_tree.coeffs, None, (
             hand_tree.children[0],
             ProtocolNode(np.array([1.0, 0, 0, 2, 0, 1, 0]), 1,
@@ -64,13 +66,13 @@ class TestVerifyTree:
         for tree, m in ((tree3, m3), (hand_tree, m_seven), (bad, m_seven)):
             report = verify_tree(tree, m)
             product, negative = per_node_product_and_positivity(tree, m)
-            got = report.checks["product-structure"]
-            assert (got.worst_residual, got.detail) == (
-                product[0], product[1] if product[0] > 0 else "")
-            got = report.checks["positivity"]
-            assert got.worst_residual == negative[0]
-            assert got.detail == (negative[1] if not got.passed else "")
-        assert not verify_tree(bad, m_seven).checks["product-structure"].passed
+            for got, (value, at) in ((report.checks["product-structure"], product),
+                                     (report.checks["positivity"], negative)):
+                assert abs(got.worst_residual - value) <= 1e-12
+                if not got.passed:
+                    assert got.detail == at
+        got = verify_tree(bad, m_seven).checks["product-structure"]
+        assert not got.passed and got.detail == "root.1"
 
     def test_hand_encoded_tree_passes(self, hand_tree, m_seven):
         report = verify_tree(hand_tree, m_seven)
@@ -137,13 +139,13 @@ class TestVerifyTree:
 
     def test_nan_residual_fails_its_check(self, m_pair, monkeypatch):
         tree = synthesize(m_pair).tree
-        project = verify.project_factor
+        edge_factors = verify._edge_factors
 
         def nan_residual(*args):
-            x, _ = project(*args)
-            return x, float("nan")
+            x, residual = edge_factors(*args)
+            return x, np.full_like(residual, np.nan)
 
-        monkeypatch.setattr(verify, "project_factor", nan_residual)
+        monkeypatch.setattr(verify, "_edge_factors", nan_residual)
         report = verify_tree(tree, m_pair)
         check = report.checks["single-party-change"]
         assert not check.passed and np.isnan(check.worst_residual)
@@ -156,6 +158,157 @@ class TestVerifyTree:
         bad = node(m_pair.weights, None, kids)
         with pytest.raises(TreeStructureError):
             verify_tree(bad, m_pair)
+
+
+def copy_tree(n):
+    return ProtocolNode(n.coeffs.copy(), n.acting_party,
+                        tuple(copy_tree(c) for c in n.children), n.leaf_outcome)
+
+
+def assert_reports_agree(got, want):
+    """Same verdict on every check; on a failing check the same location and
+    a worst residual within 1e-9 relative, on a passing one within 1e-12."""
+    assert got.checks.keys() == want.checks.keys()
+    for name, g in got.checks.items():
+        w = want.checks[name]
+        assert g.passed == w.passed, name
+        if w.passed:
+            assert abs(g.worst_residual - w.worst_residual) <= 1e-12, name
+        else:
+            assert g.detail == w.detail, name
+            assert g.worst_residual == pytest.approx(w.worst_residual, rel=1e-9), name
+
+
+@pytest.fixture(scope="module")
+def indefinite():
+    """Two qubits, with an indefinite factor on A in two outcomes, and the
+    tree B-then-A that follows them.  Every check but positivity holds."""
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    m = SeparableMeasurement(
+        [Party("A", 2), Party("B", 2)],
+        [("f", (np.diag([1.5, -0.5]), p0)),
+         ("g", (np.diag([-0.5, 1.5]), p0)),
+         ("h", (np.eye(2), p1))],
+        [1.0, 1.0, 1.0])
+    tree = node((1, 1, 1), None, [
+        node((1, 1, 0), 1, [node((1, 0, 0), 0, leaf=(0, 1.0)),
+                            node((0, 1, 0), 0, leaf=(1, 1.0))]),
+        node((0, 0, 1), 1, leaf=(2, 1.0)),
+    ])
+    return m, tree
+
+
+def tampered_trees(hand_tree, m_seven, indefinite):
+    """A non-product node, one that is a product across party 0's cut but
+    not across the others, an edge that changes both factors, a wrong leaf
+    scale and nodes with a negative eigenvalue."""
+    non_product = ProtocolNode(hand_tree.coeffs, None, (
+        hand_tree.children[0],
+        ProtocolNode(np.array([1.0, 0, 0, 2, 0, 1, 0]), 1,
+                     hand_tree.children[1].children, None)), None)
+    m3 = conditional_basis(3, 2, 0)
+    labels = m3.labels()
+    eye = np.eye(m3.n_outcomes)
+    groups = [[labels.index(a), labels.index(b)]
+              for a, b in (("0-0-0", "0-1-1"), ("0-0-1", "0-1-0"))]
+    groups.append([j for j in range(m3.n_outcomes) if labels[j][0] == "1"])
+    across_rest = node(m3.weights, None, [
+        node(eye[g].sum(axis=0), 0, [node(eye[j], 1, leaf=(j, 1.0)) for j in g])
+        for g in groups])
+    w = m_seven.weights
+    one_round = node(w, None, [node(w[j] * np.eye(len(w))[j], 0, leaf=(j, w[j]))
+                               for j in range(len(w))])
+    wrong_scale = copy_tree(hand_tree)
+    leaf = wrong_scale.children[0].children[0].children[1]
+    leaf.leaf_outcome = (leaf.leaf_outcome[0], 6.5)
+    return [(non_product, m_seven), (across_rest, m3), (one_round, m_seven),
+            (wrong_scale, m_seven), indefinite[::-1]]
+
+
+class TestAgainstDenseVerifier:
+    """The factor-space verifier against the dense one it replaced."""
+
+    @pytest.fixture(scope="class")
+    def found(self):
+        ms = [qubit_pair()] + [seven_outcome_family(s) for s in range(10)]
+        for seed in (0, 1):
+            ms += [conditional_basis(n, d, seed)
+                   for n, d in ((3, 4), (5, 2), (2, 4), (2, 5), (2, 6))]
+        ms += [conditional_basis(n, d, 0) for n, d in ((3, 3), (4, 2), (4, 3))]
+        return [(synthesize(m).tree, m) for m in ms]
+
+    def test_found_trees(self, found):
+        assert len(found) == 24
+        for tree, m in found:
+            report = verify_tree(tree, m)
+            assert report.passed, report.lines()
+            assert_reports_agree(report, dense_verify_tree(tree, m))
+
+    def test_tampered_trees(self, hand_tree, m_seven, indefinite):
+        expected_failures = ["product-structure", "product-structure",
+                             "single-party-change", "leaf-match", "positivity"]
+        for (tree, m), check in zip(tampered_trees(hand_tree, m_seven, indefinite),
+                                    expected_failures):
+            report = verify_tree(tree, m)
+            assert not report.checks[check].passed, check
+            assert_reports_agree(report, dense_verify_tree(tree, m))
+
+
+class TestPositivityBound:
+    @staticmethod
+    def run(tree, m, monkeypatch):
+        """The report, and the number of operators whose eigenvalues it took."""
+        sent = []
+        negativity = verify._negativity
+
+        def recording(ops):
+            sent.append(len(ops))
+            return negativity(ops)
+
+        monkeypatch.setattr(verify, "_negativity", recording)
+        return verify_tree(tree, m), sum(sent)
+
+    @staticmethod
+    def open_nodes(tree, m):
+        """Nodes whose Weyl bound, from each dense outcome operator's
+        extreme eigenvalues, does not prove positivity."""
+        eigs = np.linalg.eigvalsh(m.outcome_operators)
+        low, high = eigs[:, 0], eigs[:, -1]
+        out = []
+        for n, path in tree.walk():
+            c = np.asarray(n.coeffs, float)
+            if not -np.where(c >= 0, c * low, c * high).sum() <= PSD_TOL:
+                out.append(path)
+        return out
+
+    def test_indefinite_factor_falls_back(self, indefinite, monkeypatch):
+        m, tree = indefinite
+        assert not validate(m).ok
+        report, sent = self.run(tree, m, monkeypatch)
+        assert self.open_nodes(tree, m) == ["root", "root.0", "root.0.0", "root.0.1"]
+        assert sent == 4
+        got = report.checks["positivity"]
+        want = dense_verify_tree(tree, m).checks["positivity"]
+        assert not got.passed
+        assert (got.worst_residual, got.detail) == (want.worst_residual, want.detail)
+        assert got.detail == "root.0.0"
+        assert got.worst_residual == pytest.approx(0.5 / 1.5, rel=1e-12)
+
+    def test_slightly_negative_coefficient_closed_by_bound(self, m_pair, monkeypatch):
+        tree = synthesize(m_pair).tree
+        leaf, _ = tree.leaves()[0]
+        j = leaf.leaf_outcome[0]
+        leaf.coeffs[(j + 1) % len(leaf.coeffs)] = -1e-13
+        report, sent = self.run(tree, m_pair, monkeypatch)
+        assert self.open_nodes(tree, m_pair) == []
+        assert sent == 0
+        got = report.checks["positivity"]
+        want = dense_verify_tree(tree, m_pair).checks["positivity"]
+        assert got.passed and want.passed
+        assert 0 < got.worst_residual <= 1e-12
+        assert abs(got.worst_residual - want.worst_residual) <= 1e-12
+        assert got.detail == want.detail == ""
 
 
 class TestSimulate:
