@@ -36,8 +36,6 @@ from .measurement import (
     validate,
 )
 from .operators import (
-    OperatorBasis,
-    frobenius,
     independent_subset,
     is_psd,
     tensor,
@@ -52,7 +50,6 @@ __all__ = [
     "DEFAULT_TOL",
     "FeasibleCone",
     "NodeContext",
-    "OperatorBasis",
     "Party",
     "ProtocolNode",
     "RayDecomposition",
@@ -68,7 +65,6 @@ __all__ = [
     "extreme_rays",
     "factorize",
     "feasible_cone",
-    "frobenius",
     "independent_subset",
     "infer_weights",
     "is_psd",

@@ -51,12 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "separable multipartite measurements.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    def add_residual_tol(p):
+        p.add_argument("--tol-residual", type=float, default=None, metavar="F",
+                       help="residual tolerance (default 1e-8)")
+
     def add_tol(p):
         p.add_argument("--tol-rank", type=float, default=None, metavar="F",
                        help="rank cutoff factor of the constraint-matrix nullspace, "
                             "which sets the cone dimensions (default 1e-11)")
-        p.add_argument("--tol-residual", type=float, default=None, metavar="F",
-                       help="residual tolerance (default 1e-8)")
+        add_residual_tol(p)
 
     p_check = sub.add_parser("check", help="per-party first-measurement analysis")
     p_check.add_argument("measurement")
@@ -74,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("tree")
     p_verify.add_argument("--measurement", default=None)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
-    add_tol(p_verify)
+    add_residual_tol(p_verify)          # verify_tree reads only the residual tolerance
 
     p_sim = sub.add_parser("simulate", help="leaf statistics on a state")
     p_sim.add_argument("tree")

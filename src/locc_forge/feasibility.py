@@ -8,13 +8,13 @@ coefficient vectors c >= 0 for which sum_j c_j O_j again has the form
 A' (x) Abar.  Writing the outcome operators in a product basis of the two
 operator spans, that condition says every component along directions
 "anything (x) (not Abar)" vanishes.  Those directions are extracted in
-coordinates: the bystander factors and Abar are written in an orthonormal
-basis of the complement span (isometric coordinates), an orthonormal basis
-of Abar's orthogonal complement there comes from one Householder
-reflection, and pairing every dual element of the measuring party's span
-with every element of that basis gives the rows of a real matrix Q.  The
-admissible c are then exactly the nonnegative nullspace vectors of Q, a
-basis-independent set.
+coordinates: the party's factors, the bystander factors and Abar are written
+in orthonormal bases of their spans (isometric coordinates), an orthonormal
+basis of Abar's orthogonal complement in the complement span comes from one
+Householder reflection, and the products of the two sides' coordinates give
+the rows of a real matrix Q.  The admissible c are then exactly the
+nonnegative nullspace vectors of Q, a basis-independent set, and |Q c| is the
+Frobenius norm of the part of sum_j c_j O_j off span_A (x) Abar.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from math import prod
 
 import numpy as np
 
-from .errors import InconsistentNodeError, NotProductError
+from .errors import DegenerateBasisError, InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement, complement_span, local_span
-from .operators import OperatorBasis, project_factor
+from .operators import project_factor
 from .operators import independent_subset  # noqa: F401  (wrapped by name by the benchmark tracer)
-from .tolerances import DEFAULT_TOL, MARGINAL_RANK_BAND, Tolerances
+from .tolerances import DEFAULT_TOL, GRAM_CONDITION_LIMIT, MARGINAL_RANK_BAND, Tolerances
 
 
 class MarginalRankWarning(UserWarning):
@@ -75,40 +75,55 @@ class FeasibleCone:
 
 @dataclass(frozen=True)
 class PartyTables:
-    """What :func:`build_q` needs about one measuring party, in span coefficients.
+    """What :func:`build_q` needs about one measuring party, in orthonormal
+    coordinates of its two spans.
 
-    With e_i the party's local span, L_n its outcome factors, c_i the
-    complement span and C_n the outcomes' complement factors:
+    With L_n the party's outcome factors and C_n the outcomes' complement
+    factors:
 
-    * ``acting`` is G_A^-1 [Tr(e_i^dag L_n)]: row a pairs the a-th dual
-      element of the local span with every local factor;
-    * ``complement`` is the complement span, with its Gram matrix G_C;
-    * ``cholesky`` is the real L with G_C = L L^T, so the span element with
-      coefficients x has coordinates L^T x in the orthonormal basis L^-1 c;
-    * ``coords`` is L^T G_C^-1 [Tr(c_i^dag C_n)]: column n holds C_n's
-      coordinates in that basis, so coords^T coords = [Tr(C_m^dag C_n)].
+    * ``acting`` holds, in column n, the coordinates of L_n in an
+      orthonormal basis of the local span, so acting^T acting = [Tr(L_m L_n)];
+    * ``basis`` is an orthonormal basis of the complement span, one
+      vectorized operator per row;
+    * ``coords`` holds, in column n, the coordinates of C_n in ``basis``, so
+      coords^T coords = [Tr(C_m C_n)].
     """
 
     acting: np.ndarray
-    complement: OperatorBasis
-    cholesky: np.ndarray
+    basis: np.ndarray
     coords: np.ndarray
+
+
+def _orthonormal_frame(span: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal basis L^-1 e of a (k, d, d) span e, with L the Cholesky
+    factor of its Gram matrix, as (k, d*d) rows, and the real coordinates of
+    a stack of operators in it, one column per operator.
+
+    Refuses a span whose Gram matrix is worse conditioned than
+    ``GRAM_CONDITION_LIMIT``, and pairings with a non-negligible imaginary
+    part (the operators are nominally Hermitian).
+    """
+    flat = span.reshape(-1, span.shape[-1] ** 2)
+    gram = (flat.conj() @ flat.T).real
+    sigma = np.linalg.svd(gram, compute_uv=False)
+    if len(sigma) == 0 or not sigma[0] <= GRAM_CONDITION_LIMIT * sigma[-1]:
+        raise DegenerateBasisError(
+            f"Gram matrix condition number exceeds {GRAM_CONDITION_LIMIT:.0e}")
+    basis = np.linalg.solve(np.linalg.cholesky(gram), flat)
+    t = basis.conj() @ ops.reshape(len(ops), -1).T
+    if float(np.abs(t.imag).max()) > 1e-10 * max(1.0, float(np.abs(t).max())):
+        raise ValueError("trace pairings have non-negligible imaginary parts")
+    return basis, np.ascontiguousarray(t.real)
 
 
 def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
     """The party's tables, built once and cached on the measurement."""
     cached = m._pairing_cache.get(party)
     if cached is None:
-        acting = local_span(m, party)
-        span = complement_span(m, party)
-        coeffs = span.solve_gram(span.pairings(m.complement_factors(party)))
-        cholesky = np.linalg.cholesky(span.gram)    # after solve_gram's condition check
-        cached = PartyTables(
-            acting=acting.solve_gram(acting.pairings(m.local_factors(party))),
-            complement=span,
-            cholesky=cholesky,
-            coords=cholesky.T @ coeffs)
-        m._pairing_cache[party] = cached
+        _, acting = _orthonormal_frame(local_span(m, party), m.local_factors(party))
+        basis, coords = _orthonormal_frame(complement_span(m, party),
+                                           m.complement_factors(party))
+        cached = m._pairing_cache[party] = PartyTables(acting, basis, coords)
     return cached
 
 
@@ -122,26 +137,26 @@ def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
             basis_rng: np.random.Generator | None = None) -> np.ndarray:
     """Constraint matrix whose nullspace parametrizes the party's next outcomes.
 
-    Rows pair each dual element of the measuring party's span with each
-    element of an orthonormal basis of the bystander span's directions
-    trace-orthogonal to ``ctx.abar``; columns run over measurement outcomes.
-    Identically zero rows are dropped.  No operator is formed: in the
-    orthonormal coordinates of the party's cached :class:`PartyTables`,
-    Abar is a vector y, and rows 1.. of the Householder reflector that maps
-    y onto the first axis are such a basis.  When ``basis_rng`` is given,
-    the acting duals and the bystander rows are randomly recombined; the
-    resulting matrix differs row by row but its nullspace does not.
+    Column n of the matrix holds the coordinates of L_n (x) (C_n - P C_n),
+    where P projects onto ``ctx.abar``, in the orthonormal product basis of
+    the party's local span and of the bystander span's directions
+    trace-orthogonal to ``ctx.abar``.  So Q c holds the coordinates of the
+    part of sum_n c_n O_n off span_A (x) Abar, and Q^T Q is the Gram matrix
+    of those parts.  Identically zero rows are dropped.  No operator is
+    formed: in the party's cached :class:`PartyTables`, Abar has coordinates
+    y, and rows 1.. of the Householder reflector that maps y onto the first
+    axis are such a basis.  When ``basis_rng`` is given, both sides' rows are
+    randomly recombined; the resulting matrix differs row by row but its
+    nullspace does not.
     """
     m = ctx.measurement
     tables = party_tables(m, ctx.acting_party)
-    span = tables.complement
     v = np.ravel(ctx.abar)
-    x = span.solve_gram((span.vectors @ v.conj()).real)     # Abar's span coefficients
-    residual = float(np.abs(v - x @ span.vectors).max())
+    y = (tables.basis.conj() @ v).real
+    residual = float(np.abs(v - y @ tables.basis).max())
     if residual > 10 * tol.residual * max(1.0, float(np.abs(v).max())):
         raise InconsistentNodeError(
             f"bystander operator lies outside its span (residual {residual:.3e})")
-    y = tables.cholesky.T @ x
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise InconsistentNodeError("bystander operator is zero")
@@ -153,8 +168,7 @@ def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
     t_bys = (tables.coords - 2.0 * np.outer(u, u @ tables.coords))[1:]
     t_act = tables.acting
     if basis_rng is not None:
-        # the duals of the recombined basis M e are M^-T times the old duals
-        t_act = np.linalg.solve(_mixing_matrix(len(t_act), basis_rng).T, t_act)
+        t_act = _mixing_matrix(len(t_act), basis_rng) @ t_act
         t_bys = _mixing_matrix(len(t_bys), basis_rng) @ t_bys
     q = (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, m.n_outcomes)
     scale = max(1.0, float(np.abs(q).max()))

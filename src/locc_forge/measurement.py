@@ -23,7 +23,6 @@ from scipy.optimize import nnls
 
 from .errors import DimensionMismatchError, IncompleteMeasurementError
 from .operators import (
-    OperatorBasis,
     as_hermitian,
     independent_subset,
     is_psd,
@@ -106,9 +105,6 @@ class SeparableMeasurement:
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be nonnegative with at least one positive")
         self.weights: np.ndarray = w
-        self._complement_cache: dict[int, np.ndarray] = {}
-        self._local_span_cache: dict[int, OperatorBasis] = {}
-        self._complement_span_cache: dict[int, OperatorBasis] = {}
         self._pairing_cache: dict[int, object] = {}     # feasibility.PartyTables
 
     # -- basic geometry -------------------------------------------------
@@ -147,16 +143,12 @@ class SeparableMeasurement:
 
     def complement_factors(self, party: int) -> np.ndarray:
         """(n, D/d_p, D/d_p) stack of joint factors of all parties but one."""
-        cached = self._complement_cache.get(party)
-        if cached is None:
-            rest = [
-                [f for q, f in enumerate(o.factors) if q != party] or
-                [np.eye(1, dtype=complex)]
-                for o in self.outcomes
-            ]
-            cached = np.stack([tensor(fs) for fs in rest])
-            self._complement_cache[party] = cached
-        return cached
+        rest = [
+            [f for q, f in enumerate(o.factors) if q != party] or
+            [np.eye(1, dtype=complex)]
+            for o in self.outcomes
+        ]
+        return np.stack([tensor(fs) for fs in rest])
 
 
 # -- validation ----------------------------------------------------------
@@ -226,31 +218,19 @@ def infer_weights(outcome_operators: np.ndarray,
 # -- operator spans ------------------------------------------------------
 
 
-def local_span(m: SeparableMeasurement, party: int) -> OperatorBasis:
-    """Basis of the span of one party's outcome factors, greedy in outcome order.
-
-    Built once per party and cached on the measurement.
-    """
-    cached = m._local_span_cache.get(party)
-    if cached is None:
-        factors = list(m.local_factors(party))
-        idx = independent_subset(factors)
-        cached = OperatorBasis([factors[i] for i in idx], check=False)
-        m._local_span_cache[party] = cached
-    return cached
+def local_span(m: SeparableMeasurement, party: int) -> np.ndarray:
+    """(k, d_p, d_p) basis of the span of one party's outcome factors, greedy
+    in outcome order."""
+    factors = m.local_factors(party)
+    return factors[independent_subset(list(factors))]
 
 
-def complement_span(m: SeparableMeasurement, party: int) -> OperatorBasis:
-    """Basis of the span of the joint factors of all parties except one.
+def complement_span(m: SeparableMeasurement, party: int) -> np.ndarray:
+    """(k, D/d_p, D/d_p) basis of the span of the joint factors of all parties
+    except one, greedy in outcome order.
 
     The excluded party's bystanders are treated as a single joint system, so
-    multi-party measurements reduce to the two-sided analysis.  Built once
-    per party and cached on the measurement.
+    multi-party measurements reduce to the two-sided analysis.
     """
-    cached = m._complement_span_cache.get(party)
-    if cached is None:
-        joint = list(m.complement_factors(party))
-        idx = independent_subset(joint)
-        cached = OperatorBasis([joint[i] for i in idx], check=False)
-        m._complement_span_cache[party] = cached
-    return cached
+    joint = m.complement_factors(party)
+    return joint[independent_subset(list(joint))]

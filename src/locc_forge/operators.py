@@ -1,25 +1,20 @@
-"""Hermitian operator algebra: tensor products, trace pairings, spans, dual bases.
+"""Hermitian operator algebra: tensor products, span selection, positivity,
+embedding and factoring across a party cut.
 
-Operators are plain ``numpy.ndarray`` matrices (complex128).  The functions
-here are the only place the library touches raw linear algebra on operator
-space; everything above works with the :class:`OperatorBasis` abstraction or
-with coefficient vectors.
+Operators are plain ``numpy.ndarray`` matrices (complex128).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .tolerances import (
-    GRAM_CONDITION_LIMIT,
     HERMITICITY_TOL,
     PSD_TOL,
-    RANK_FACTOR,
     rank_threshold,
 )
 
@@ -61,28 +56,12 @@ def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def frobenius(x: np.ndarray, y: np.ndarray) -> float:
-    """Trace pairing Tr[x^dag y], returned as a real number.
-
-    Raises if the pairing of the (nominally Hermitian) inputs has a
-    non-negligible imaginary part.
-    """
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"operand shapes differ: {x.shape} vs {y.shape}")
-    value = np.vdot(x, y)
-    scale = max(1.0, float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
-    if abs(value.imag) > 1e-10 * scale:
-        raise ValueError(f"trace pairing has imaginary part {value.imag:.3e}")
-    return float(value.real)
-
-
-def independent_subset(ops: Sequence[np.ndarray],
-                       rank_factor: float = RANK_FACTOR) -> list[int]:
+def independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     Candidate i is kept iff every singular value of the vectorized stack of
     the kept operators and operator i exceeds the cutoff
-    ``max(rows, cols) * sigma_max * rank_factor``.  A list of zero operators
+    ``max(rows, cols) * sigma_max * RANK_FACTOR``.  A list of zero operators
     yields an empty index list.
 
     The stack is never decomposed whole.  The kept vectors are held as
@@ -132,19 +111,19 @@ def independent_subset(ops: Sequence[np.ndarray],
         v_norm = float(norms[i])
         shape = (k + 1, n_cols)
 
-        low = rank_threshold(shape, max(row_max, v_norm), rank_factor)
+        low = rank_threshold(shape, max(row_max, v_norm))
         if b <= low * (1.0 - _DECISION_MARGIN):
             continue
         a_r_inv = a @ r_inv[:k, :k]
         m_inv_frob2 = r_inv_frob2 + (float(np.vdot(a_r_inv, a_r_inv).real) + 1.0) / b / b
-        high = rank_threshold(shape, sqrt(row_frob2 + v_norm * v_norm), rank_factor)
+        high = rank_threshold(shape, sqrt(row_frob2 + v_norm * v_norm))
         if not 1.0 / sqrt(m_inv_frob2) > high * (1.0 + _DECISION_MARGIN):
             small = np.zeros((k + 1, k + 1), dtype=np.complex128)
             small[:k, :k] = r[:k, :k]
             small[k, :k] = a
             small[k, k] = b
             sigma = np.linalg.svd(small, compute_uv=False)
-            if not sigma[-1] > rank_threshold(shape, float(sigma[0]), rank_factor):
+            if not sigma[-1] > rank_threshold(shape, float(sigma[0])):
                 continue
 
         q[k] = res / b
@@ -158,87 +137,6 @@ def independent_subset(ops: Sequence[np.ndarray],
         row_frob2 += v_norm * v_norm
         chosen.append(i)
     return chosen
-
-
-class OperatorBasis:
-    """An ordered, linearly independent set of Hermitian operators on one space.
-
-    Caches the vectorized elements, the Gram matrix of trace pairings and its
-    condition check, and solves Gram systems, which is all the dual basis
-    and coordinate maps within the span need.
-
-    Parameters
-    ----------
-    elements : iterable of ndarray
-        Hermitian operators, all of the same dimension.
-    check : bool
-        Validate hermiticity and independence (on by default; internal
-        constructions that are independent by design may skip it).
-    """
-
-    def __init__(self, elements: Iterable[np.ndarray], check: bool = True,
-                 rank_factor: float = RANK_FACTOR):
-        elems = [np.ascontiguousarray(e, dtype=np.complex128) for e in elements]
-        if not elems:
-            raise ValueError("a basis needs at least one element")
-        if check:
-            elems = [as_hermitian(e) for e in elems]
-        dim = elems[0].shape[0]
-        if any(e.shape != (dim, dim) for e in elems):
-            raise DimensionMismatchError("basis elements have mixed dimensions")
-        self.elements: tuple[np.ndarray, ...] = tuple(elems)
-        self.space_dim: int = dim
-        if check:
-            sigma = np.linalg.svd(self.gram, compute_uv=False)
-            cutoff = rank_threshold(self.gram.shape, float(sigma[0]), rank_factor)
-            if sigma[-1] <= cutoff:
-                raise DegenerateBasisError(
-                    "elements are linearly dependent within rank tolerance")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """Elements as the rows of one (n, d*d) array."""
-        return np.stack(self.elements).reshape(len(self), -1)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Real symmetric matrix of pairwise trace pairings."""
-        v = self.vectors
-        return np.ascontiguousarray((v.conj() @ v.T).real)
-
-    @cached_property
-    def _gram_condition(self) -> float:
-        sigma = np.linalg.svd(self.gram, compute_uv=False)
-        return float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
-
-    def pairings(self, ops: np.ndarray) -> np.ndarray:
-        """Real matrix of trace pairings Tr[e_i^dag o_n] with a (m, d, d) stack.
-
-        Raises if a pairing of the (nominally Hermitian) operators has a
-        non-negligible imaginary part.
-        """
-        flat = np.asarray(ops, dtype=np.complex128).reshape(len(ops), -1)
-        t = self.vectors.conj() @ flat.T
-        scale = max(1.0, float(np.abs(t).max()))
-        if float(np.abs(t.imag).max()) > 1e-10 * scale:
-            raise ValueError("trace pairings have non-negligible imaginary parts")
-        return np.ascontiguousarray(t.real)
-
-    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """``G^-1 rhs`` for the Gram matrix G, refused when G is worse
-        conditioned than ``GRAM_CONDITION_LIMIT`` (checked once).
-
-        Row k of ``solve_gram(eye)`` holds the coefficients of the dual
-        element k, the unique operator in the span with
-        Tr[dual_k^dag element_j] = delta_jk.
-        """
-        if not self._gram_condition <= GRAM_CONDITION_LIMIT:
-            raise DegenerateBasisError(
-                f"Gram matrix condition number exceeds {GRAM_CONDITION_LIMIT:.0e}")
-        return np.linalg.solve(self.gram, rhs)
 
 
 def is_psd(x: np.ndarray, psd_tol: float = PSD_TOL) -> bool:

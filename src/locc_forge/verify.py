@@ -230,19 +230,26 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
         [(float(np.abs(node_op["root"] - eye).max()), "root")])
 
     sums = []
-    for node, path in tree.walk():
+    for node, path in nodes:
         if node.is_leaf:
             continue
         total = sum(node_op[f"{path}.{i}"] for i in range(len(node.children)))
         sums.append((float(np.abs(node_op[path] - total).max()), path))
     checks["node-sum"] = worst(sums) if sums else CheckResult(True, 0.0)
 
+    # Children come after their parent in walk order, so one reverse pass
+    # sums every node's descendant leaves from its children's sums; a sum
+    # is dropped once its parent has taken it.
+    below: dict[str, np.ndarray] = {}
     leaf_sums = []
-    for node, path in tree.walk():
+    for node, path in reversed(nodes):
         if node.is_leaf:
+            below[path] = node_op[path]
             continue
-        total = sum(node_op[lp] for _, lp in node.leaves(path))
+        total = sum(below.pop(f"{path}.{i}") for i in range(len(node.children)))
+        below[path] = total
         leaf_sums.append((float(np.abs(node_op[path] - total).max()), path))
+    leaf_sums.reverse()
     checks["descendant-leaf-sum"] = (worst(leaf_sums) if leaf_sums
                                      else CheckResult(True, 0.0))
 

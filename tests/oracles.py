@@ -205,8 +205,8 @@ def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     m = ctx.measurement
     p = ctx.acting_party
     abar = ctx.abar
-    span = np.stack(complement_span(m, p).elements)
-    acting = np.stack(local_span(m, p).elements)
+    span = complement_span(m, p)
+    acting = local_span(m, p)
 
     flat = span.reshape(len(span), -1)
     gram = (flat.conj() @ flat.T).real

@@ -139,6 +139,17 @@ class TestVerifySimulate:
         assert code == 64
         assert "--tol-residual" in err
 
+    def test_verify_takes_no_rank_tolerance(self, pair_file, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        code, _, err = run(capsys, "verify", str(tree_path),
+                           "--measurement", pair_file, "--tol-rank", "0.5")
+        assert code == 64
+        assert "--tol-rank" in err
+        code, _, _ = run(capsys, "verify", str(tree_path),
+                         "--measurement", pair_file, "--tol-residual", "1e-6")
+        assert code == 0
+
     def test_simulate_uses_measurement_ref(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import EYE2, P0, P1
 from locc_forge import (
+    Party,
+    SeparableMeasurement,
     conditional_basis,
     phase_five,
     qubit_pair,
@@ -10,7 +12,7 @@ from locc_forge import (
     seven_outcome_family,
     synthesize,
 )
-from locc_forge.errors import InconsistentNodeError, NotProductError
+from locc_forge.errors import DegenerateBasisError, InconsistentNodeError, NotProductError
 from locc_forge.feasibility import (
     NodeContext,
     build_q,
@@ -104,18 +106,73 @@ class TestPartyTables:
         for m in catalog_all.values():
             for p in range(len(m.parties)):
                 t = party_tables(m, p)
-                acting = np.stack(local_span(m, p).elements)
-                span = np.stack(complement_span(m, p).elements)
-                flat = acting.reshape(len(acting), -1)
-                duals = np.einsum("kj,jab->kab",
-                                  np.linalg.inv((flat.conj() @ flat.T).real), acting)
-                want = np.einsum("aij,nij->an", duals.conj(), m.local_factors(p))
-                assert np.abs(t.acting - want).max() < 1e-10
-                gram = np.einsum("aij,bij->ab", span.conj(), span).real
-                assert np.abs(t.cholesky @ t.cholesky.T - gram).max() < 1e-10
+                local = m.local_factors(p)
+                want = np.einsum("mij,nij->mn", local.conj(), local).real
+                assert np.abs(t.acting.T @ t.acting - want).max() < 1e-10
                 comp = m.complement_factors(p)
                 want = np.einsum("mij,nij->mn", comp.conj(), comp).real
                 assert np.abs(t.coords.T @ t.coords - want).max() < 1e-10
+                assert np.abs(t.basis.conj() @ t.basis.T
+                              - np.eye(len(t.basis))).max() < 1e-10
+                assert len(t.basis) == len(complement_span(m, p))
+                assert len(t.acting) == len(local_span(m, p))
+
+    def test_ill_conditioned_span_refused(self):
+        # both pairs of factors pass the rank cutoff of independent_subset,
+        # but their Gram matrices have condition number about 1e15
+        near = EYE2 + 1e-7 * np.diag([1.0, -1.0])
+        m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("0", (EYE2, P0)), ("1", (near, P1))], [1.0, 1.0])
+        for p in range(2):
+            assert len(local_span(m, p)) == 2
+            with pytest.raises(DegenerateBasisError, match="condition number"):
+                party_tables(m, p)
+            with pytest.raises(DegenerateBasisError):
+                build_q(root_context(m, 1 - p))
+        # a party whose factors are all zero has an empty span
+        zero = SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                    [("0", (0 * EYE2, P0)), ("1", (0 * EYE2, P1))],
+                                    [1.0, 1.0])
+        assert len(local_span(zero, 0)) == 0
+        with pytest.raises(DegenerateBasisError):
+            party_tables(zero, 0)
+
+
+def _dense_off_span_gram(ctx) -> np.ndarray:
+    """[Tr(N_m N_n)] for N_n = L_n (x) (C_n - <Abar, C_n> Abar / |Abar|^2),
+    formed from dense operators."""
+    m, p, abar = ctx.measurement, ctx.acting_party, ctx.abar
+    comp = m.complement_factors(p)
+    along = np.einsum("ij,nij->n", abar.conj(), comp) / np.vdot(abar, abar)
+    perp = comp - along[:, None, None] * abar
+    ops = np.stack([np.kron(a, c) for a, c in zip(m.local_factors(p), perp)])
+    flat = ops.reshape(len(ops), -1)
+    return (flat.conj() @ flat.T).real
+
+
+class TestIsometricQ:
+    """Q c holds coordinates of the part of sum_n c_n O_n off span_A (x) Abar."""
+
+    def test_gram_of_q_is_the_off_span_gram_at_every_node(self, monkeypatch):
+        import locc_forge.feasibility as feasibility
+
+        original = feasibility.build_q
+        contexts = []
+
+        def recorded(ctx, tol=DEFAULT_TOL, basis_rng=None):
+            contexts.append(ctx)
+            return original(ctx, tol, basis_rng)
+
+        monkeypatch.setattr(feasibility, "build_q", recorded)
+        for m in (qubit_pair(), seven_outcome_family(0), conditional_basis(3, 3, 17)):
+            contexts += [root_context(m, p) for p in range(len(m.parties))]
+            synthesize(m)
+        assert any(c.abar.shape[0] > 1 and not np.allclose(c.abar, np.eye(c.abar.shape[0]))
+                   for c in contexts)
+        for ctx in contexts:
+            q = original(ctx)
+            want = _dense_off_span_gram(ctx)
+            assert np.abs(q.T @ q - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def _oracle_measurements():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EYE2, P0, P1, PPLUS, SIGMA_X, SIGMA_Z
+from conftest import EYE2, P0, PPLUS, SIGMA_X, SIGMA_Z
 from locc_forge import (
     phase_five,
     qubit_pair,
@@ -13,19 +13,16 @@ from locc_forge import (
     seven_outcome_family,
     synthesize,
 )
-from locc_forge.errors import DegenerateBasisError, DimensionMismatchError
 from locc_forge.operators import (
-    OperatorBasis,
     as_hermitian,
     embed_at,
-    frobenius,
     independent_subset,
     is_psd,
     min_eigenvalue,
     project_factor,
     tensor,
 )
-from locc_forge.tolerances import RANK_FACTOR, rank_threshold
+from locc_forge.tolerances import rank_threshold
 from oracles import greedy_svd_independent_subset, hand_kron
 
 
@@ -71,30 +68,6 @@ def test_tensor_associative_on_exact_entries(ta, tb, tc):
     left = tensor([tensor([a, b]), c])
     right = tensor([a, tensor([b, c])])
     assert np.array_equal(left, right)
-
-
-class TestFrobenius:
-    def test_pauli_norm(self):
-        assert frobenius(SIGMA_Z, SIGMA_Z) == pytest.approx(2.0, abs=1e-14)
-
-    def test_pauli_orthogonality(self):
-        assert frobenius(SIGMA_Z, SIGMA_X) == pytest.approx(0.0, abs=1e-14)
-
-    def test_projector_against_identity(self):
-        assert frobenius(P0, EYE2) == pytest.approx(1.0, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            frobenius(EYE2, np.eye(3))
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_frobenius_self_pairing_nonnegative(seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = (g + g.conj().T) / 2
-    assert frobenius(h, h) >= 0.0
 
 
 class TestIndependentSubset:
@@ -229,9 +202,9 @@ def test_every_call_during_synthesis_matches_reference(monkeypatch):
 
     calls = []
 
-    def checked(ops, rank_factor=RANK_FACTOR):
-        got = independent_subset(ops, rank_factor)
-        assert got == greedy_svd_independent_subset(ops, rank_factor)
+    def checked(ops):
+        got = independent_subset(ops)
+        assert got == greedy_svd_independent_subset(ops)
         calls.append(len(ops))
         return got
 
@@ -242,64 +215,6 @@ def test_every_call_during_synthesis_matches_reference(monkeypatch):
     for m in fresh:
         synthesize(m)
     assert len(calls) == sum(2 * len(m.parties) for m in fresh)
-
-
-def _duals(basis: OperatorBasis) -> OperatorBasis:
-    """The dual basis, composed from the dual coefficients ``solve_gram`` gives."""
-    coeffs = basis.solve_gram(np.eye(len(basis)))
-    ops = (coeffs @ basis.vectors).reshape(-1, basis.space_dim, basis.space_dim)
-    return OperatorBasis(list(ops), check=False)
-
-
-class TestDualBasis:
-    def test_orthogonal_basis_scales(self):
-        basis = OperatorBasis([EYE2, SIGMA_Z, SIGMA_X])
-        duals = _duals(basis)
-        for d, e in zip(duals.elements, basis.elements):
-            assert np.allclose(d, e / 2, atol=1e-12)
-
-    def test_orthonormal_self_dual(self):
-        basis = OperatorBasis([EYE2 / np.sqrt(2), SIGMA_Z / np.sqrt(2)])
-        duals = _duals(basis)
-        for d, e in zip(duals.elements, basis.elements):
-            assert np.allclose(d, e, atol=1e-12)
-
-    def test_non_orthogonal_pair(self):
-        # 2x2 Gram system solved by hand: G = [[2, 1], [1, 1]]
-        basis = OperatorBasis([EYE2, P0])
-        duals = _duals(basis)
-        assert np.allclose(duals.elements[0], P1, atol=1e-12)
-        assert np.allclose(duals.elements[1], P0 - P1, atol=1e-12)
-        delta = np.array([[frobenius(d, e) for e in basis.elements]
-                          for d in duals.elements])
-        assert np.abs(delta - np.eye(2)).max() < 1e-10
-
-    def test_dual_of_dual_recovers_basis(self):
-        rng = np.random.default_rng(7)
-        ops = []
-        for _ in range(4):
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            ops.append((g + g.conj().T) / 2)
-        basis = OperatorBasis(ops)
-        back = _duals(_duals(basis))
-        for a, b in zip(back.elements, basis.elements):
-            assert np.abs(a - b).max() < 1e-8
-
-    def test_delta_matrix_identity(self):
-        rng = np.random.default_rng(13)
-        ops = []
-        for _ in range(9):
-            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            ops.append((g + g.conj().T) / 2)
-        basis = OperatorBasis(ops)
-        duals = _duals(basis)
-        delta = np.array([[frobenius(d, e) for e in basis.elements]
-                          for d in duals.elements])
-        assert np.abs(delta - np.eye(9)).max() < 1e-9
-
-    def test_dependent_set_rejected(self):
-        with pytest.raises(DegenerateBasisError):
-            OperatorBasis([EYE2, SIGMA_Z, EYE2 + SIGMA_Z])
 
 
 class TestIsPsd:
