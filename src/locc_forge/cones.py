@@ -12,18 +12,21 @@ themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.optimize import nnls
 
 from .errors import LoccForgeError
 from .tolerances import (
     DEFAULT_TOL,
     DUPLICATE_TOL,
+    NNLS_GRADIENT_FACTOR,
+    NNLS_ITERATIONS_PER_COLUMN,
     NULLSPACE_RESIDUAL_TOL,
     SCALE_TOL,
+    SPLIT_BOUND_MARGIN,
     Tolerances,
+    rank_threshold,
 )
 
 _ACTIVITY_TOL = 1e-10  # |a.y| below this (per unit row norm) counts as active
@@ -33,10 +36,92 @@ class ConeError(LoccForgeError):
     """The cone degenerated to {0}; impossible for a complete measurement."""
 
 
+class NNLSConvergenceError(LoccForgeError):
+    """Nonnegative least squares ran out of iterations (a cycling active set)."""
+
+
 def _independent_rows(a: np.ndarray, k: int) -> list[int]:
-    """Indices of k linearly independent rows, via pivoted QR of a^T."""
-    _, _, piv = qr(a.T, mode="economic", pivoting=True)
-    return sorted(int(i) for i in piv[:k])
+    """Indices of k linearly independent rows: the first k pivots of a QR
+    with column pivoting of a^T, which takes the row with the largest
+    remaining norm first and projects it out of the others."""
+    rest = np.array(a, dtype=float)
+    picked: list[int] = []
+    for _ in range(k):
+        norms = np.einsum("ij,ij->i", rest, rest)
+        norms[picked] = -1.0
+        i = int(np.argmax(norms))
+        picked.append(i)
+        q = rest[i] / sqrt(norms[i])
+        rest -= np.outer(rest @ q, q)
+    return sorted(picked)
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """x >= 0 minimizing |a x - b|_2, and that minimum.
+
+    Lawson and Hanson's active-set method (*Solving Least Squares Problems*,
+    ch. 23).  The solution is basic: the passive columns are kept in the
+    order they entered, and a column enters only when the last diagonal
+    entry of the QR factor of [passive columns, column] (its component
+    orthogonal to the passive columns) exceeds the rank cutoff
+    :func:`rank_threshold` at the column's own norm, so the passive columns
+    stay linearly independent and the entries above zero index independent
+    columns.  A column is a candidate when its gradient a_j . r, per unit
+    column norm, exceeds ``NNLS_GRADIENT_FACTOR * max(rows, cols) * eps *
+    |b|``.  Raises :class:`NNLSConvergenceError` after
+    ``NNLS_ITERATIONS_PER_COLUMN`` passive-set solves per column.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    col_norms = np.linalg.norm(a, axis=0)
+    floor = NNLS_GRADIENT_FACTOR * max(m, n) * np.finfo(float).eps * float(np.linalg.norm(b))
+    x = np.zeros(n)
+    passive: list[int] = []
+
+    def solve(cols: list[int], q: np.ndarray, r: np.ndarray) -> np.ndarray:
+        z = np.zeros(n)
+        z[cols] = np.linalg.solve(r, q.T @ b)
+        return z
+
+    iterations = 0
+    while True:
+        gain = a.T @ (b - a @ x)
+        per_norm = np.divide(gain, col_norms, out=np.zeros(n), where=col_norms > 0)
+        per_norm[passive] = 0.0
+        z = None
+        for j in np.argsort(-per_norm, kind="stable"):
+            if not per_norm[j] > floor:
+                break
+            cols = passive + [int(j)]
+            if len(cols) > m:       # passive columns already span every row
+                break
+            q, r = np.linalg.qr(a[:, cols])
+            if abs(r[-1, -1]) > rank_threshold((m, len(cols)), col_norms[j]):
+                z = solve(cols, q, r)
+                if z[j] > 0:
+                    passive = cols
+                    break
+                z = None
+        if z is None:
+            return x, float(np.linalg.norm(b - a @ x))
+        while True:
+            iterations += 1
+            if iterations > NNLS_ITERATIONS_PER_COLUMN * n:
+                raise NNLSConvergenceError(
+                    f"nonnegative least squares did not converge in {iterations - 1} "
+                    f"iterations on a {m} x {n} problem")
+            blocking = [i for i in passive if z[i] <= 0]
+            if not blocking:
+                x = z
+                break
+            ratios = x[blocking] / (x[blocking] - z[blocking])
+            hit = blocking[int(np.argmin(ratios))]
+            x = x + float(ratios.min()) * (z - x)
+            dropped = [i for i in passive if i == hit or x[i] <= 0]
+            x[dropped] = 0.0
+            passive = [i for i in passive if i not in dropped]
+            z = solve(passive, *np.linalg.qr(a[:, passive]))
 
 
 def _double_description(a: np.ndarray) -> list[np.ndarray]:
@@ -144,6 +229,30 @@ def extreme_rays(qmatrix: np.ndarray, nullspace_basis: np.ndarray | None = None,
     return unique
 
 
+def _split_scales(mat: np.ndarray, parent: np.ndarray,
+                  bound: float) -> np.ndarray | None:
+    """Nonnegative least-squares scales of ``parent`` on the columns of
+    ``mat``, or None when every nonnegative combination misses it by more
+    than ``bound`` in 2-norm.
+
+    One SVD-based least-squares solve settles the common case.  When the
+    columns are independent, with the smallest singular value above
+    ``SPLIT_BOUND_MARGIN`` times the rank cutoff, the least-squares residual
+    is a lower bound on every combination's residual, and least-squares
+    scales that are all nonnegative are the unique nonnegative least-squares
+    solution.  Anything else goes to :func:`nnls`, looked up at call time.
+    """
+    scales, sq_residual, _, sigma = np.linalg.lstsq(mat, parent, rcond=None)
+    if len(sigma) == mat.shape[1] and \
+            sigma[-1] > SPLIT_BOUND_MARGIN * rank_threshold(mat.shape, float(sigma[0])):
+        # lstsq leaves the residual out for a square matrix, where it is 0
+        if sq_residual.size and sqrt(float(sq_residual[0])) > bound:
+            return None
+        if np.all(scales >= 0):
+            return scales
+    return nnls(mat, parent)[0]
+
+
 @dataclass(frozen=True)
 class RayDecomposition:
     """A parent vector written as a positive combination of extreme rays."""
@@ -160,15 +269,15 @@ def decompose(parent: np.ndarray, rays: list[np.ndarray],
     The splittings are the vertices of the polytope {s >= 0 : R s = parent},
     R the matrix of usable rays; rays proportional to the parent are never
     used (a child identical to its parent is not a measurement outcome).
-    Starting from all usable rays, each ray set A gets a nonnegative
-    least-squares solve, whose entries above :data:`SCALE_TOL` form a vertex
-    support S.  An exact solve records its split (once per support) and
-    queues A minus each ray of S; an inexact one means the parent lies
-    outside the cone of A, so no vertex hides below it.  Distinct vertices
-    never have nested supports, so every vertex is reached, and each
-    support is linearly independent, so no split uses more rays than the
-    cone has dimensions.  Results are ordered by (size, rays used).  An
-    empty result means the party cannot split this node.
+    Starting from all usable rays, each ray set A gets nonnegative
+    least-squares scales (see :func:`_split_scales`), whose entries above
+    :data:`SCALE_TOL` form a vertex support S.  An exact solve records its
+    split (once per support) and queues A minus each ray of S; an inexact
+    one means the parent lies outside the cone of A, so no vertex hides
+    below it.  Distinct vertices never have nested supports, so every vertex
+    is reached, and each support is linearly independent, so no split uses
+    more rays than the cone has dimensions.  Results are ordered by (size,
+    rays used).  An empty result means the party cannot split this node.
     """
     parent = np.asarray(parent, dtype=float)
     p_norm = float(np.linalg.norm(parent))
@@ -181,13 +290,18 @@ def decompose(parent: np.ndarray, rays: list[np.ndarray],
             usable.append(i)
 
     scale_floor = max(1.0, float(parent.max()))
+    # max-norm >= 2-norm / sqrt(n): a 2-norm residual above this fails the
+    # exactness test below
+    bound = sqrt(len(parent)) * tol.residual * scale_floor
     found: dict[tuple[int, ...], RayDecomposition] = {}
     queue = [tuple(usable)] if len(usable) >= 2 else []
     seen = set(queue)
     while queue:
         subset = queue.pop()
         mat = np.column_stack([rays[i] for i in subset])
-        scales, _ = nnls(mat, parent)
+        scales = _split_scales(mat, parent, bound)
+        if scales is None:
+            continue
         keep = scales > SCALE_TOL
         support = tuple(i for i, k in zip(subset, keep) if k)
         scales = scales[keep]

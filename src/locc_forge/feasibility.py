@@ -26,9 +26,9 @@ from math import prod
 import numpy as np
 
 from .errors import DegenerateBasisError, InconsistentNodeError, NotProductError
-from .measurement import SeparableMeasurement, complement_span, local_span
-from .operators import project_factor
-from .operators import independent_subset  # noqa: F401  (wrapped by name by the benchmark tracer)
+from .measurement import SeparableMeasurement
+from .measurement import complement_span, local_span  # noqa: F401  (wrapped by name by the benchmark tracer)
+from .operators import independent_subset, project_factor
 from .tolerances import DEFAULT_TOL, GRAM_CONDITION_LIMIT, MARGINAL_RANK_BAND, Tolerances
 
 
@@ -94,15 +94,19 @@ class PartyTables:
     coords: np.ndarray
 
 
-def _orthonormal_frame(span: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal basis L^-1 e of a (k, d, d) span e, with L the Cholesky
-    factor of its Gram matrix, as (k, d*d) rows, and the real coordinates of
-    a stack of operators in it, one column per operator.
+def _orthonormal_frame(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal basis L^-1 e of the span e of a (n, d, d) operator
+    stack, with e chosen by :func:`independent_subset` (greedy in stack
+    order, as :func:`local_span` and :func:`complement_span` choose it) and L
+    the Cholesky factor of its Gram matrix, as (k, d*d) rows, and the real
+    coordinates of every operator of the stack in it, one column per
+    operator.
 
     Refuses a span whose Gram matrix is worse conditioned than
     ``GRAM_CONDITION_LIMIT``, and pairings with a non-negligible imaginary
     part (the operators are nominally Hermitian).
     """
+    span = ops[independent_subset(list(ops))]
     flat = span.reshape(-1, span.shape[-1] ** 2)
     gram = (flat.conj() @ flat.T).real
     sigma = np.linalg.svd(gram, compute_uv=False)
@@ -117,12 +121,12 @@ def _orthonormal_frame(span: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, n
 
 
 def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
-    """The party's tables, built once and cached on the measurement."""
+    """The party's tables, built once and cached on the measurement; each
+    side's operator stack is built once."""
     cached = m._pairing_cache.get(party)
     if cached is None:
-        _, acting = _orthonormal_frame(local_span(m, party), m.local_factors(party))
-        basis, coords = _orthonormal_frame(complement_span(m, party),
-                                           m.complement_factors(party))
+        _, acting = _orthonormal_frame(m.local_factors(party))
+        basis, coords = _orthonormal_frame(m.complement_factors(party))
         cached = m._pairing_cache[party] = PartyTables(acting, basis, coords)
     return cached
 
@@ -197,7 +201,7 @@ def feasible_cone(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL) -> FeasibleCo
     The parent coefficient vector must itself lie in the cone; a node that
     fails this is inconsistent with the measurement.
     """
-    from .cones import extreme_rays  # deferred: cones must stay import-light
+    from .cones import extreme_rays  # looked up per call: the benchmark tracer wraps it
 
     q = build_q(ctx, tol)
     basis, marginal = nullspace(q, ctx.measurement.n_outcomes, tol)

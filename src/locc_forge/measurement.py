@@ -19,8 +19,8 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
+from . import cones
 from .errors import DimensionMismatchError, IncompleteMeasurementError
 from .operators import (
     as_hermitian,
@@ -198,14 +198,18 @@ def infer_weights(outcome_operators: np.ndarray,
                   residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Nonnegative weights solving sum_j w_j O_j = I, or raise.
 
-    Solved as nonnegative least squares on the realified vectorization.
+    Solved as nonnegative least squares on the realified vectorization,
+    after one QR reduces its 2 D^2 rows to the n x n triangular factor R:
+    |a w - b| and |R w - Q^T b| differ by a constant, so both have the same
+    minimizers.
     """
     ops = np.asarray(outcome_operators, dtype=complex)
     n, dim = ops.shape[0], ops.shape[1]
     cols = ops.reshape(n, -1).T
     a = np.vstack([cols.real, cols.imag])
     b = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
-    w, _ = nnls(a, b)
+    q, r = np.linalg.qr(a)
+    w, _ = cones.nnls(r, q.T @ b)
     total = np.einsum("j,jab->ab", w, ops)
     residual = float(np.abs(total - np.eye(dim)).max())
     if residual > residual_tol:

@@ -1,17 +1,19 @@
 """Centralized numerical tolerance policy.
 
 Every rank decision in the library (operator independence, nullspace
-dimension, cone dimension) uses the cutoff formula of
-:func:`rank_threshold`, because impossibility verdicts hinge on whether a
-nullspace is exactly one-dimensional.  The factor of the nullspace decision
-is a user knob, ``Tolerances.rank_factor``, recorded in every certificate;
-span selection and the Gram condition check keep the module constants
+dimension, cone dimension, independence of ray sets and of nonnegative
+least-squares columns) uses the cutoff formula of :func:`rank_threshold`,
+because impossibility verdicts hinge on whether a nullspace is exactly
+one-dimensional.  The factor of the nullspace decision is a user knob,
+``Tolerances.rank_factor``, recorded in every certificate; span selection,
+the Gram condition check and the ray-split solvers keep the module constants
 :data:`RANK_FACTOR` and :data:`GRAM_CONDITION_LIMIT`.
 
-The remaining constants are residual-style tolerances.  They are absolute
+Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction
 (coefficient vectors are compared after L1 normalization, operators after
-scaling by their largest entry).
+scaling by their largest entry).  The two ``NNLS_`` constants set the
+nonnegative least-squares solver's roundoff floor and iteration limit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,21 @@ DUPLICATE_TOL = 1e-8
 LEAF_SUPPORT_TOL = 1e-9
 """Relative size of the second-largest coefficient at a single-outcome leaf."""
 
+SPLIT_BOUND_MARGIN = 1e3
+"""Factor by which the smallest singular value of a ray set must clear the
+rank cutoff before ``cones.decompose`` trusts its least-squares solution
+(prune on its residual, or take its scales) without a nonnegative
+least-squares solve."""
+
+NNLS_GRADIENT_FACTOR = 10.0
+"""A column is a candidate to enter the passive set of ``cones.nnls`` when
+its gradient a_j . r, per unit column norm, exceeds this many times
+``max(rows, cols) * eps * |b|``; smaller gradients are roundoff."""
+
+NNLS_ITERATIONS_PER_COLUMN = 3
+"""``cones.nnls`` gives up after this many passive-set solves per column
+(Lawson and Hanson's iteration limit of 3n)."""
+
 GRAM_CONDITION_LIMIT = 1e12
 """Gram matrices worse conditioned than this are rejected as degenerate."""
 
@@ -61,9 +78,9 @@ class Tolerances:
 
     ``rank_factor`` scales the rank cutoff of each constraint matrix's
     nullspace (:func:`locc_forge.feasibility.nullspace`), which sets every
-    cone dimension; span selection and the Gram condition check do not read
-    it.  ``residual`` bounds the max-norm residual checks.  The fixed
-    module-level constants cover the rest.
+    cone dimension; span selection, the Gram condition check and the
+    ray-split solvers do not read it.  ``residual`` bounds the max-norm
+    residual checks.  The fixed module-level constants cover the rest.
     """
 
     rank_factor: float = RANK_FACTOR

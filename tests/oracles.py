@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the Kronecker
 product is written with explicit loops, extreme rays are enumerated by
 facet sign patterns instead of double description, completeness
-weights come from an unconstrained least-squares solve, independent
+weights come from an unconstrained least-squares solve or scipy's
+nonnegative one on the whole realified system, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
 the constraint matrix is built from dense dual operators, ray splits
 are found by trying every combination of rays, and protocol trees are
@@ -146,15 +147,26 @@ def combination_decompose(parent: np.ndarray, rays: Sequence[np.ndarray],
     return out
 
 
-def lstsq_completeness_weights(ops: np.ndarray) -> np.ndarray:
-    """Weights solving sum_j w_j O_j = I by plain (sign-unconstrained) lstsq."""
+def _completeness_system(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The realified 2 D^2 x n system a w = b of sum_j w_j O_j = I."""
     ops = np.asarray(ops, dtype=complex)
     n, dim = ops.shape[0], ops.shape[1]
     cols = ops.reshape(n, -1).T
     a = np.vstack([cols.real, cols.imag])
     b = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
-    w, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return a, b
+
+
+def lstsq_completeness_weights(ops: np.ndarray) -> np.ndarray:
+    """Weights solving sum_j w_j O_j = I by plain (sign-unconstrained) lstsq."""
+    w, *_ = np.linalg.lstsq(*_completeness_system(ops), rcond=None)
     return w
+
+
+def nnls_completeness_weights(ops: np.ndarray) -> np.ndarray:
+    """Weights solving sum_j w_j O_j = I by scipy's nonnegative least squares
+    on the whole realified system."""
+    return nnls(*_completeness_system(ops))[0]
 
 
 def greedy_svd_independent_subset(ops: Sequence[np.ndarray],

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import locc_forge
 from locc_forge.cli import main
 
 
@@ -260,3 +264,31 @@ class TestErrorPaths:
 
     def test_missing_required_argument(self, capsys):
         assert run(capsys, "check")[0] == 64
+
+
+class TestWithoutScipy:
+    """scipy is a test-only dependency: the library and the CLI run without it."""
+
+    @staticmethod
+    def python(code, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(locc_forge.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+
+    def test_import_loads_no_scipy_module(self):
+        done = self.python("import sys, locc_forge, locc_forge.cli; "
+                           "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_round_trip_with_scipy_blocked(self, tmp_path):
+        m, tree = str(tmp_path / "m.json"), str(tmp_path / "tree.json")
+        blocked = ('import sys; sys.modules["scipy"] = None; '
+                   'from locc_forge.cli import main; sys.exit(main(sys.argv[1:]))')
+        for argv in (["catalog", "qubit-pair", "--out", m],
+                     ["synth", m, "--out", tree],
+                     ["verify", tree, "--measurement", m]):
+            done = self.python(blocked, *argv)
+            assert done.returncode == 0, (argv, done.stdout, done.stderr)
+        assert "overall: PASS" in done.stdout

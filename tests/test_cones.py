@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import nnls
+from scipy.linalg import qr
+from scipy.optimize import nnls as scipy_nnls
 
 from locc_forge import cones
 from locc_forge.catalog import conditional_basis
@@ -192,6 +193,20 @@ def _random_split_case(rng):
             return parent, list(rays)
 
 
+@pytest.fixture()
+def nnls_calls(monkeypatch):
+    """Record the arguments of every call to `cones.nnls`."""
+    calls = []
+    solve = cones.nnls
+
+    def counted(a, b):
+        calls.append((np.array(a), np.array(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(cones, "nnls", counted)
+    return calls
+
+
 class TestDecomposeAgainstCombinations:
     """`decompose` walks the vertices of {s >= 0 : R s = parent}; the oracle
     tries every combination of rays."""
@@ -216,17 +231,6 @@ class TestDecomposeAgainstCombinations:
             assert keys == sorted(keys)
         assert non_simplicial >= 40
 
-    @pytest.fixture()
-    def nnls_calls(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return nnls(*args, **kwargs)
-
-        monkeypatch.setattr(cones, "nnls", counted)
-        return calls
-
     def test_simplicial_cone_costs_at_most_one_solve_per_ray_plus_one(
             self, nnls_calls):
         rng = np.random.default_rng(7)
@@ -249,3 +253,220 @@ class TestDecomposeAgainstCombinations:
         decs = decompose(m.weights, list(cone.extreme_rays))
         assert len(nnls_calls) <= 11
         assert [len(dec.rays_used) for dec in decs] == [10]
+
+
+class TestLeastSquaresBound:
+    """`decompose` settles a ray set from one SVD when its rays are
+    independent: it prunes on the least-squares residual, takes nonnegative
+    least-squares scales as they are, and calls `cones.nnls` otherwise."""
+
+    @staticmethod
+    def assert_matches_oracle(parent, rays):
+        got = decompose(parent, rays)
+        expected = combination_decompose(parent, rays)
+        assert [dec.rays_used for dec in got] == [support for support, _ in expected]
+        for dec, (_, scales) in zip(got, expected):
+            assert np.abs(dec.scales - scales).max() <= 1e-12 * max(1.0, scales.max())
+
+    @staticmethod
+    def assert_simplicial(rays):
+        assert np.linalg.matrix_rank(np.column_stack(rays)) == len(rays)
+
+    def test_catalog_roots_need_no_nnls(self, catalog_all, nnls_calls):
+        for m in catalog_all.values():
+            for party in range(len(m.parties)):
+                rays = list(feasible_cone(root_context(m, party)).extreme_rays)
+                self.assert_simplicial(rays)
+                self.assert_matches_oracle(m.weights, rays)
+        assert nnls_calls == []
+
+    @pytest.mark.parametrize("dim", range(4, 13))
+    def test_wide_conditional_basis_roots_need_no_nnls(self, dim, nnls_calls):
+        m = conditional_basis(2, dim, 0)
+        rays = list(feasible_cone(root_context(m, 0)).extreme_rays)
+        self.assert_simplicial(rays)
+        self.assert_matches_oracle(m.weights, rays)
+        assert nnls_calls == []
+
+    def test_random_simplicial_cones_need_no_nnls(self, nnls_calls):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            rays = rng.uniform(0.0, 1.0, (d, d + int(rng.integers(0, 4))))
+            rays /= rays.sum(axis=1, keepdims=True)
+            parent = rng.uniform(0.2, 2.0, d) @ rays
+            self.assert_simplicial(list(rays))
+            self.assert_matches_oracle(parent, list(rays))
+        assert nnls_calls == []
+
+    def test_residual_between_the_bound_and_sqrt_n_times_it_falls_back(
+            self, nnls_calls):
+        # parent = 2 a1 + 3 a2 + e with e orthogonal to a1 and a2 and spread
+        # over n = 16 entries: its max-norm is below the residual tolerance,
+        # so (a1, a2) is an exact split, while its 2-norm is above it.  The
+        # third ray a3 = a1 + a2 - beta f, with f orthogonal to a1 and a2 and
+        # e.f > 0, absorbs part of e at a negative least-squares scale.
+        rng = np.random.default_rng(3)
+        n, tol = 16, 1e-8
+        a1, a2 = rng.uniform(0.5, 1.5, (2, n))
+        frame, _ = np.linalg.qr(np.column_stack([a1, a2]))
+
+        def off_span(v):
+            return v - frame @ (frame.T @ v)
+
+        e = off_span(rng.choice([-1.0, 1.0], n))
+        e *= 0.9 * tol / np.abs(e).max()
+        g = off_span(rng.standard_normal(n))
+        g -= e * (e @ g) / (e @ e)
+        f = e / np.linalg.norm(e) + g / np.linalg.norm(g)
+        f /= np.linalg.norm(f)
+        a3 = a1 + a2 - 0.2 * f
+        rays = [a / a.sum() for a in (a1, a2, a3)]
+        parent = 2 * rays[0] + 3 * rays[1] + e
+        assert np.all(parent > 0) and np.all(a3 > 0) and parent.max() < 1.0
+
+        mat = np.column_stack(rays)
+        ls, *_ = np.linalg.lstsq(mat, parent, rcond=None)
+        ls_residual = np.linalg.norm(mat @ ls - parent)
+        assert tol < ls_residual <= np.sqrt(n) * tol
+        assert ls[2] < 0
+        self.assert_matches_oracle(parent, rays)
+        assert [dec.rays_used for dec in decompose(parent, rays)] == [(0, 1)]
+        assert len(nnls_calls) >= 1
+
+
+def _with_dependent_columns(base, copies, rng):
+    """``base`` plus ``copies`` duplicated or scaled copies of its columns,
+    shuffled."""
+    picks = rng.integers(0, base.shape[1], copies)
+    factors = rng.choice([1.0, 2.0, 0.5, -1.0, 1e-3], copies)
+    a = np.column_stack([base, base[:, picks] * factors])
+    return a[:, rng.permutation(a.shape[1])]
+
+
+def _cancelling_base(m, rng):
+    """(m, k) columns holding a nearly opposite pair u + d v, -u + d v: a
+    nonnegative combination with coefficients near 1/d reaches v, so the
+    residual b - a x carries roundoff far above eps |b|."""
+    u, v = np.linalg.qr(rng.standard_normal((m, 2)))[0].T
+    d = 10.0 ** -rng.uniform(3, 7)
+    rest = rng.standard_normal((m, int(rng.integers(0, m - 1))))
+    return np.column_stack([u + d * v, -u + d * v, rest])
+
+
+def _right_hand_side(a, rng, random):
+    if random:
+        return rng.standard_normal(a.shape[0])
+    x = rng.uniform(0.0, 2.0, a.shape[1]) * (rng.random(a.shape[1]) < 0.6)
+    return a @ x + 1e-3 * rng.standard_normal(a.shape[0])
+
+
+@st.composite
+def nnls_problems(draw):
+    """(a, b) with full column rank, more columns than rows, or duplicated
+    and scaled columns (of a random or a cancelling base), and b either
+    random or a nonnegative combination of the columns plus a little
+    noise."""
+    kind = draw(st.sampled_from(["full", "wide", "deficient", "cancelling"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "full":
+        n = draw(st.integers(1, 8))
+        a = rng.standard_normal((draw(st.integers(n, 12)), n))
+    elif kind == "wide":
+        m = draw(st.integers(1, 6))
+        a = rng.standard_normal((m, draw(st.integers(m + 1, 12))))
+    elif kind == "deficient":
+        m = draw(st.integers(2, 10))
+        base = rng.standard_normal((m, draw(st.integers(1, m))))
+        a = _with_dependent_columns(base, draw(st.integers(1, 4)), rng)
+    else:
+        a = _with_dependent_columns(_cancelling_base(draw(st.integers(2, 6)), rng),
+                                    draw(st.integers(1, 4)), rng)
+    return a, _right_hand_side(a, rng, draw(st.booleans()))
+
+
+class TestNNLS:
+    @given(nnls_problems())
+    # two passive columns span both rows; a duplicate of one still gains
+    # by roundoff and must not be tried as a third
+    @example((np.array([[-2.55566503, 2.04091912, 2.04091912],
+                        [-0.56776961, 0.41809885, 0.41809885]]),
+              np.array([-0.23193238, -0.86521308])))
+    @settings(max_examples=200, deadline=None)
+    def test_kkt_basic_and_as_good_as_scipy(self, problem):
+        a, b = problem
+        x, rnorm = cones.nnls(a, b)
+        assert x.shape == (a.shape[1],) and np.all(x >= 0)
+        r = b - a @ x
+        assert rnorm == pytest.approx(np.linalg.norm(r), rel=1e-12, abs=1e-14)
+        # KKT: no column can lower the residual, and the gradient vanishes
+        # on the columns in use
+        grad = a.T @ r
+        floor = 1e-9 * np.linalg.norm(a, axis=0).max() * (
+            np.linalg.norm(b) + np.linalg.norm(a) * np.linalg.norm(x))
+        assert np.all(grad <= floor)
+        assert np.all(np.abs(grad[x > 0]) <= floor)
+        # relative to scipy's residual, plus roundoff of |b - a x| where the
+        # optimum is 0 (scipy then reports an exact 0.0 from its factors)
+        ref_x, _ = scipy_nnls(a, b)
+        ref = np.linalg.norm(b - a @ ref_x)
+        roundoff = 1e-13 * (np.linalg.norm(b) + np.linalg.norm(a) * max(
+            np.linalg.norm(x), np.linalg.norm(ref_x)))
+        assert abs(rnorm - ref) <= 1e-10 * ref + roundoff
+        used = a[:, x > 0]
+        assert np.linalg.matrix_rank(used) == used.shape[1]
+
+    def test_dependent_columns_never_enter(self):
+        # a column that depends on the passive set has a gradient of pure
+        # roundoff, which the gradient floor alone does not stop when the
+        # passive columns nearly cancel
+        rng = np.random.default_rng(0)
+        for i in range(600):
+            m = int(rng.integers(2, 11))
+            if i % 4 < 2:
+                base = _cancelling_base(m, rng)
+            else:
+                base = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+            a = _with_dependent_columns(base, int(rng.integers(1, 5)), rng)
+            x, _ = cones.nnls(a, _right_hand_side(a, rng, i % 2 == 0))
+            used = a[:, x > 0]
+            assert np.linalg.matrix_rank(used) == used.shape[1]
+
+    def test_zero_right_hand_side_and_zero_columns(self):
+        x, rnorm = cones.nnls(np.zeros((3, 2)), np.ones(3))
+        assert np.array_equal(x, np.zeros(2)) and rnorm == pytest.approx(np.sqrt(3))
+        x, rnorm = cones.nnls(np.eye(3), np.zeros(3))
+        assert np.array_equal(x, np.zeros(3)) and rnorm == 0.0
+
+    def test_non_convergence_raises_a_named_error(self, monkeypatch):
+        monkeypatch.setattr(cones, "NNLS_ITERATIONS_PER_COLUMN", 0)
+        with pytest.raises(cones.NNLSConvergenceError):
+            cones.nnls(np.eye(2), np.ones(2))
+
+
+class TestIndependentRows:
+    def test_pivots_match_scipy_on_gaussian_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            k = int(rng.integers(1, min(n, 8) + 1))
+            a = rng.standard_normal((n, k))
+            _, _, piv = qr(a.T, mode="economic", pivoting=True)
+            assert cones._independent_rows(a, k) == sorted(int(i) for i in piv[:k])
+
+    def test_tied_or_dependent_rows_still_give_rank_k(self):
+        rng = np.random.default_rng(12)
+        cases = [
+            np.vstack([np.eye(3), np.eye(3)]),                   # all norms tie
+            np.vstack([np.eye(3), -np.eye(3), np.full((1, 3), 3 ** -0.5)]),
+            # the three largest rows are parallel
+            np.array([[10.0, 0, 0], [9, 0, 0], [-8, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ]
+        for _ in range(30):
+            base = rng.standard_normal((3, 3))
+            copies = base[rng.integers(0, 3, 12)] * rng.choice([1.0, -1.0, 2.0, 0.5], (12, 1))
+            cases.append(np.vstack([copies, base])[rng.permutation(15)])
+        for a in cases:
+            picked = cones._independent_rows(a, 3)
+            assert len(set(picked)) == 3
+            assert np.linalg.matrix_rank(a[picked]) == 3

@@ -102,6 +102,23 @@ class TestPartyTables:
             for p in range(len(m.parties)):
                 assert party_tables(m, p) is party_tables(m, p)
 
+    def test_each_factor_stack_built_once_per_table_build(self, monkeypatch):
+        built = []
+        for side in ("local_factors", "complement_factors"):
+            original = getattr(SeparableMeasurement, side)
+
+            def counted(self, party, side=side, original=original):
+                built.append((side, party))
+                return original(self, party)
+
+            monkeypatch.setattr(SeparableMeasurement, side, counted)
+        for m in (conditional_basis(3, 4, 0), conditional_basis(5, 2, 0),
+                  seven_outcome_family(0)):
+            for p in range(len(m.parties)):
+                built.clear()
+                party_tables(m, p)
+                assert sorted(built) == [("complement_factors", p), ("local_factors", p)]
+
     def test_tables_match_their_definitions(self, catalog_all):
         for m in catalog_all.values():
             for p in range(len(m.parties)):

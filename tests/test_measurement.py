@@ -11,7 +11,11 @@ from locc_forge.measurement import (
     local_span,
     validate,
 )
-from oracles import greedy_svd_independent_subset, lstsq_completeness_weights
+from oracles import (
+    greedy_svd_independent_subset,
+    lstsq_completeness_weights,
+    nnls_completeness_weights,
+)
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -92,6 +96,15 @@ class TestInferWeights:
             w = infer_weights(m.outcome_operators)
             total = np.einsum("j,jab->ab", w, m.outcome_operators)
             assert np.abs(total - np.eye(m.total_dim)).max() < 1e-8
+
+
+    @pytest.mark.parametrize("shape", [None, (3, 4), (4, 3)])
+    def test_equals_scipy_nnls_on_the_whole_system(self, shape, catalog_all):
+        # infer_weights reduces the system to its triangular factor first
+        ms = catalog_all.values() if shape is None else [conditional_basis(*shape, 0)]
+        for m in ms:
+            ops = m.outcome_operators
+            assert np.abs(infer_weights(ops) - nnls_completeness_weights(ops)).max() <= 1e-10
 
 
 class TestSpans:
