@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"          # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="locc-forge",
                      description="Synthesize and certify LOCC protocols for "
@@ -68,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="search for an LOCC protocol tree")
     p_synth.add_argument("measurement")
-    p_synth.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
+    p_synth.add_argument("--max-rounds", type=_int_at_least(1), default=DEFAULT_MAX_ROUNDS)
     p_synth.add_argument("--out", default=None, help="write the tree as JSON")
     p_synth.add_argument("--json", action="store_true", dest="as_json")
     add_tol(p_synth)
@@ -84,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--measurement", default=None)
     p_sim.add_argument("--state", default="maximally-mixed",
                        help="'maximally-mixed' or a JSON matrix file")
-    p_sim.add_argument("--trials", type=int, default=0)
+    p_sim.add_argument("--trials", type=_int_at_least(0), default=0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--json", action="store_true", dest="as_json")
 

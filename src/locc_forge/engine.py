@@ -26,13 +26,12 @@ from .errors import LoccForgeError
 from .feasibility import (
     FeasibleCone,
     NodeContext,
-    factorize,
     feasible_cone,
     reconstruct,
     root_context,
 )
+from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .measurement import SeparableMeasurement
-from .operators import tensor
 from .tolerances import DEFAULT_TOL, LEAF_SUPPORT_TOL, Tolerances
 
 DEFAULT_MAX_ROUNDS = 8
@@ -167,19 +166,16 @@ class _Search:
         self.cones: dict[tuple, FeasibleCone] = {}
         self.failed: set[tuple] = set()
 
-    def cone_at(self, party: int, coeffs: np.ndarray,
-                factors: tuple[np.ndarray, ...]) -> FeasibleCone:
+    def cone_at(self, party: int, coeffs: np.ndarray) -> FeasibleCone:
         key = (party, _coeff_key(coeffs))
         cone = self.cones.get(key)
         if cone is None:
-            rest = [f for q, f in enumerate(factors) if q != party]
-            abar = tensor(rest) if rest else np.eye(1, dtype=complex)
-            cone = feasible_cone(NodeContext(self.m, party, coeffs, abar), self.tol)
+            cone = feasible_cone(NodeContext(self.m, party, coeffs), self.tol)
             self.cones[key] = cone
         return cone
 
     def run(self, coeffs: np.ndarray, produced_by: int | None,
-            factors: tuple[np.ndarray, ...], remaining: int) -> ProtocolNode | None:
+            remaining: int) -> ProtocolNode | None:
         m = self.m
         leaf = leaf_outcome(m, coeffs, self.tol)
         if leaf is not None:
@@ -192,27 +188,17 @@ class _Search:
             return None
         self.stats.nodes_expanded += 1
 
-        dims = m.dims
         for party in range(len(m.parties)):
             if party == produced_by:
                 continue
-            cone = self.cone_at(party, coeffs, factors)
+            cone = self.cone_at(party, coeffs)
             if cone.nullspace_dim == 1:
                 continue
             rays = list(cone.extreme_rays)
-            rest = [f for q, f in enumerate(factors) if q != party]
-            abar = tensor(rest) if rest else np.eye(1, dtype=complex)
             for dec in decompose(coeffs, rays, self.tol):
                 children = []
                 for i, s in zip(dec.rays_used, dec.scales):
-                    child_coeffs = s * rays[i]
-                    new_factor = factorize(reconstruct(m, child_coeffs), abar,
-                                           party, dims, self.tol)
-                    child_factors = tuple(
-                        new_factor if q == party else f
-                        for q, f in enumerate(factors))
-                    child = self.run(child_coeffs, party, child_factors,
-                                     remaining - 1)
+                    child = self.run(s * rays[i], party, remaining - 1)
                     if child is None:
                         break
                     children.append(child)
@@ -244,7 +230,6 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
         return Certificate(Verdict.IMPOSSIBLE_AT_ROOT, dims, stats, tol)
 
     weights = np.asarray(m.weights, dtype=float)
-    identities = tuple(np.eye(d, dtype=complex) for d in m.dims)
     search = _Search(m, tol)
     for party, cone in enumerate(root_cones):
         search.cones[(party, _coeff_key(weights))] = cone
@@ -252,7 +237,7 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
     tree = None
     for depth in range(1, max_rounds + 1):
         search.failed.clear()
-        tree = search.run(weights, None, identities, depth)
+        tree = search.run(weights, None, depth)
         if tree is not None:
             break
     stats.nodes_expanded = search.stats.nodes_expanded

@@ -8,20 +8,20 @@ coefficient vectors c >= 0 for which sum_j c_j O_j again has the form
 A' (x) Abar.  Writing the outcome operators in a product basis of the two
 operator spans, that condition says every component along directions
 "anything (x) (not Abar)" vanishes.  Those directions are extracted in
-coordinates: the party's factors, the bystander factors and Abar are written
-in orthonormal bases of their spans (isometric coordinates), an orthonormal
-basis of Abar's orthogonal complement in the complement span comes from one
-Householder reflection, and the products of the two sides' coordinates give
-the rows of a real matrix Q.  The admissible c are then exactly the
-nonnegative nullspace vectors of Q, a basis-independent set, and |Q c| is the
-Frobenius norm of the part of sum_j c_j O_j off span_A (x) Abar.
+coordinates: the party's factors and the bystander factors are written in
+orthonormal bases of their spans (isometric coordinates), Abar's coordinates
+are read off the node's own coefficients, an orthonormal basis of Abar's
+orthogonal complement in the complement span comes from one Householder
+reflection, and the products of the two sides' coordinates give the rows of
+a real matrix Q.  The admissible c are then exactly the nonnegative
+nullspace vectors of Q, a basis-independent set, and |Q c| is the Frobenius
+norm of the part of sum_j c_j O_j off span_A (x) Abar.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -42,21 +42,17 @@ class NodeContext:
     """A (node, measuring party) pair ready for feasibility analysis.
 
     ``coeffs`` are the node's coefficients against the unweighted outcome
-    operators; ``abar`` is the joint operator of every party except
-    ``acting_party`` (the identity at the root), expressed on the complement
-    space with parties kept in declaration order.
+    operators.  They fix the node operator, and with it the joint operator
+    Abar of every party except ``acting_party`` (the identity at the root).
     """
 
     measurement: SeparableMeasurement
     acting_party: int
     coeffs: np.ndarray
-    abar: np.ndarray
 
 
 def root_context(m: SeparableMeasurement, party: int) -> NodeContext:
-    comp_dim = prod(d for i, d in enumerate(m.dims) if i != party) or 1
-    return NodeContext(m, party, np.asarray(m.weights, dtype=float),
-                       np.eye(comp_dim, dtype=complex))
+    return NodeContext(m, party, np.asarray(m.weights, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -83,24 +79,21 @@ class PartyTables:
 
     * ``acting`` holds, in column n, the coordinates of L_n in an
       orthonormal basis of the local span, so acting^T acting = [Tr(L_m L_n)];
-    * ``basis`` is an orthonormal basis of the complement span, one
-      vectorized operator per row;
-    * ``coords`` holds, in column n, the coordinates of C_n in ``basis``, so
+    * ``coords`` holds, in column n, the coordinates of C_n in an
+      orthonormal basis of the complement span, so
       coords^T coords = [Tr(C_m C_n)].
     """
 
     acting: np.ndarray
-    basis: np.ndarray
     coords: np.ndarray
 
 
-def _orthonormal_frame(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal basis L^-1 e of the span e of a (n, d, d) operator
-    stack, with e chosen by :func:`independent_subset` (greedy in stack
-    order, as :func:`local_span` and :func:`complement_span` choose it) and L
-    the Cholesky factor of its Gram matrix, as (k, d*d) rows, and the real
-    coordinates of every operator of the stack in it, one column per
-    operator.
+def _orthonormal_frame(ops: np.ndarray) -> np.ndarray:
+    """The real coordinates of every operator of a (n, d, d) stack, one column
+    per operator, in the orthonormal basis L^-1 e of the stack's span e, with
+    e chosen by :func:`independent_subset` (greedy in stack order, as
+    :func:`local_span` and :func:`complement_span` choose it) and L the
+    Cholesky factor of its Gram matrix.
 
     Refuses a span whose Gram matrix is worse conditioned than
     ``GRAM_CONDITION_LIMIT``, and pairings with a non-negligible imaginary
@@ -117,7 +110,7 @@ def _orthonormal_frame(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = basis.conj() @ ops.reshape(len(ops), -1).T
     if float(np.abs(t.imag).max()) > 1e-10 * max(1.0, float(np.abs(t).max())):
         raise ValueError("trace pairings have non-negligible imaginary parts")
-    return basis, np.ascontiguousarray(t.real)
+    return np.ascontiguousarray(t.real)
 
 
 def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
@@ -125,9 +118,9 @@ def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
     side's operator stack is built once."""
     cached = m._pairing_cache.get(party)
     if cached is None:
-        _, acting = _orthonormal_frame(m.local_factors(party))
-        basis, coords = _orthonormal_frame(m.complement_factors(party))
-        cached = m._pairing_cache[party] = PartyTables(acting, basis, coords)
+        cached = m._pairing_cache[party] = PartyTables(
+            _orthonormal_frame(m.local_factors(party)),
+            _orthonormal_frame(m.complement_factors(party)))
     return cached
 
 
@@ -137,33 +130,36 @@ def _mixing_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * rng.uniform(0.5, 2.0, size=n)
 
 
+def _bystander_coords(tables: PartyTables, coeffs) -> np.ndarray:
+    """Abar's coordinates y, up to scale: a product node X (x) Abar has the
+    realignment core acting diag(c) coords^T = x y^T, whose largest-norm row
+    is taken."""
+    core = (tables.acting * np.asarray(coeffs, dtype=float)) @ tables.coords.T
+    return core[np.argmax(np.einsum("ij,ij->i", core, core))]
+
+
 def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
             basis_rng: np.random.Generator | None = None) -> np.ndarray:
     """Constraint matrix whose nullspace parametrizes the party's next outcomes.
 
     Column n of the matrix holds the coordinates of L_n (x) (C_n - P C_n),
-    where P projects onto ``ctx.abar``, in the orthonormal product basis of
-    the party's local span and of the bystander span's directions
-    trace-orthogonal to ``ctx.abar``.  So Q c holds the coordinates of the
-    part of sum_n c_n O_n off span_A (x) Abar, and Q^T Q is the Gram matrix
-    of those parts.  Identically zero rows are dropped.  No operator is
-    formed: in the party's cached :class:`PartyTables`, Abar has coordinates
-    y, and rows 1.. of the Householder reflector that maps y onto the first
-    axis are such a basis.  When ``basis_rng`` is given, both sides' rows are
-    randomly recombined; the resulting matrix differs row by row but its
-    nullspace does not.
+    where P projects onto the node's bystander operator Abar, in the
+    orthonormal product basis of the party's local span and of the bystander
+    span's directions trace-orthogonal to Abar.  So Q c holds the
+    coordinates of the part of sum_n c_n O_n off span_A (x) Abar, and Q^T Q
+    is the Gram matrix of those parts.  Identically zero rows are dropped.
+    No operator is formed: in the party's cached :class:`PartyTables`, Abar
+    has coordinates y (see :func:`_bystander_coords`), and rows 1.. of the
+    Householder reflector that maps y onto the first axis are such a basis.
+    When ``basis_rng`` is given, both sides' rows are randomly recombined;
+    the resulting matrix differs row by row but its nullspace does not.
     """
     m = ctx.measurement
     tables = party_tables(m, ctx.acting_party)
-    v = np.ravel(ctx.abar)
-    y = (tables.basis.conj() @ v).real
-    residual = float(np.abs(v - y @ tables.basis).max())
-    if residual > 10 * tol.residual * max(1.0, float(np.abs(v).max())):
-        raise InconsistentNodeError(
-            f"bystander operator lies outside its span (residual {residual:.3e})")
+    y = _bystander_coords(tables, ctx.coeffs)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
-        raise InconsistentNodeError("bystander operator is zero")
+        raise InconsistentNodeError("node operator is zero")
     if len(y) == 1:
         return np.zeros((0, m.n_outcomes))
     u = y.copy()
@@ -199,7 +195,8 @@ def feasible_cone(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL) -> FeasibleCo
     """Nullspace plus extreme rays of {c >= 0 : Q c = 0} for a context.
 
     The parent coefficient vector must itself lie in the cone; a node that
-    fails this is inconsistent with the measurement.
+    fails this, such as one that is not a product across the party's cut, is
+    inconsistent with the measurement.
     """
     from .cones import extreme_rays  # looked up per call: the benchmark tracer wraps it
 

@@ -99,7 +99,7 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
         where = f"parties[{i}]"
         if not isinstance(p, dict) or "name" not in p or "dim" not in p:
             raise MeasurementFormatError("needs 'name' and 'dim'", where)
-        if not isinstance(p["dim"], int) or p["dim"] < 1:
+        if isinstance(p["dim"], bool) or not isinstance(p["dim"], int) or p["dim"] < 1:
             raise MeasurementFormatError("dim must be a positive integer", where)
         parties.append(Party(str(p["name"]), p["dim"]))
 

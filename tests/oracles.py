@@ -6,7 +6,8 @@ facet sign patterns instead of double description, completeness
 weights come from an unconstrained least-squares solve or scipy's
 nonnegative one on the whole realified system, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
-the constraint matrix is built from dense dual operators, ray splits
+the constraint matrix is built from dense dual operators and a bystander
+operator taken as a partial trace of the node operator, ray splits
 are found by trying every combination of rays, and protocol trees are
 verified on dense D x D node operators.
 """
@@ -25,6 +26,7 @@ from locc_forge.errors import (
     DimensionMismatchError,
     InconsistentNodeError,
 )
+from locc_forge.feasibility import reconstruct
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
@@ -206,27 +208,40 @@ def _dense_duals(ops: np.ndarray) -> np.ndarray:
     return np.einsum("kj,jab->kab", coeffs, ops)
 
 
+def bystander_operator(ctx) -> np.ndarray:
+    """Abar of a node, up to scale: the partial trace of the dense node
+    operator over the acting party, with the other parties in declaration
+    order.  For a product node X (x) Abar it is Tr(X) Abar."""
+    m, p = ctx.measurement, ctx.acting_party
+    dims = m.dims
+    op = reconstruct(m, ctx.coeffs).reshape(dims * 2)
+    rest = m.total_dim // dims[p]
+    return np.trace(op, axis1=p, axis2=len(dims) + p).reshape(rest, rest)
+
+
 def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The constraint matrix built from dense operators, as the library first did.
 
-    The bystander basis is formed as operators: Abar, then the complement
-    span's elements chosen by the greedy-SVD rule and orthogonalized against
-    Abar.  Both bases' duals are formed as operators and paired with every
-    outcome's factors.  Only the spans come from the library.
+    Abar is the partial trace of the node operator, and a node operator that
+    is not X (x) Abar is refused.  The bystander basis is formed as
+    operators: Abar, then the complement span's elements chosen by the
+    greedy-SVD rule and orthogonalized against Abar.  Both bases' duals are
+    formed as operators and paired with every outcome's factors.  Only the
+    spans and the node operator come from the library.
     """
     m = ctx.measurement
     p = ctx.acting_party
-    abar = ctx.abar
+    abar = bystander_operator(ctx)
+    if not np.any(abar):
+        raise InconsistentNodeError("node operator is zero")
+    op = reconstruct(m, ctx.coeffs)
+    _, residual = project_factor(op, abar, p, m.dims)
+    if residual > tol.residual * max(1.0, float(np.abs(op).max())):
+        raise InconsistentNodeError(
+            f"node operator is not a product across the cut (residual {residual:.3e})")
     span = complement_span(m, p)
     acting = local_span(m, p)
 
-    flat = span.reshape(len(span), -1)
-    gram = (flat.conj() @ flat.T).real
-    coords = np.linalg.solve(gram, (flat.conj() @ abar.ravel()).real)
-    residual = float(np.abs(abar - np.einsum("j,jab->ab", coords, span)).max())
-    if residual > 10 * tol.residual * max(1.0, float(np.abs(abar).max())):
-        raise InconsistentNodeError(
-            f"bystander operator lies outside its span (residual {residual:.3e})")
     norm2 = float(np.vdot(abar, abar).real)
     candidates = [abar] + list(span)
     elements = [abar] + [

@@ -259,6 +259,24 @@ class TestErrorPaths:
         assert "outcomes 0 and 2" in err
         assert not (tmp_path / "tree.json").exists()
 
+    def test_max_rounds_below_one_is_a_usage_error(self, pair_file, capsys):
+        for value in ("0", "-2"):
+            code, _, err = run(capsys, "synth", pair_file, "--max-rounds", value)
+            assert code == 64
+            assert "--max-rounds" in err and "at least 1" in err
+
+    def test_negative_trials_is_a_usage_error(self, pair_file, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        code, _, err = run(capsys, "simulate", str(tree_path),
+                           "--measurement", pair_file, "--trials", "-3")
+        assert code == 64
+        assert "--trials" in err and "at least 0" in err
+        code, _, err = run(capsys, "simulate", str(tree_path),
+                           "--measurement", pair_file, "--trials", "many")
+        assert code == 64
+        assert "invalid int value" in err
+
     def test_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64
 

@@ -158,6 +158,36 @@ class TestLeafDetection:
         assert got[1] == pytest.approx(1.0, abs=1e-10)
 
 
+class TestCoefficientSearch:
+    def test_warm_search_forms_no_product_operator(self, monkeypatch):
+        # a node's bystander operator comes from its coefficients, so once the
+        # party tables and outcome operators are cached the search and its
+        # verification build no Kronecker product and factorize no node
+        import locc_forge.engine as engine
+        import locc_forge.feasibility as feasibility
+        import locc_forge.measurement as measurement
+        import locc_forge.operators as operators
+
+        m = conditional_basis(3, 4, 0)
+        cold = synthesize(m)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (operators, measurement, feasibility, engine):
+            for name in ("tensor", "factorize"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        warm = synthesize(m)
+        assert warm.verdict == cold.verdict == Verdict.PROTOCOL_FOUND
+        assert calls == []
+
+
 class TestStats:
     def test_stats_populated(self, m_seven):
         cert = synthesize(m_seven)

@@ -24,8 +24,9 @@ from locc_forge.feasibility import (
     root_context,
 )
 from locc_forge.measurement import complement_span, local_span
+from locc_forge.operators import project_factor
 from locc_forge.tolerances import DEFAULT_TOL
-from oracles import dense_build_q, nullspace_projector, projector_of
+from oracles import bystander_operator, dense_build_q, nullspace_projector, projector_of
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -59,19 +60,19 @@ class TestBuildQ:
         q = build_q(root_context(m_phase, 1))
         assert q.dtype == np.float64
 
-    def test_inconsistent_bystander_rejected(self, m_pair):
-        # sigma_x never appears among party A's factors
-        bad = np.array([[0, 1], [1, 0]], dtype=complex)
-        ctx = NodeContext(m_pair, 1, m_pair.weights, bad)
-        with pytest.raises(InconsistentNodeError):
-            build_q(ctx)
+    def test_inconsistent_bystander_rejected(self, catalog_all):
+        # a node that is not a product across the party's cut has no
+        # consistent bystander operator
+        for ctx in _non_product_contexts(catalog_all):
+            with pytest.raises(InconsistentNodeError):
+                feasible_cone(ctx)
 
     def test_zero_bystander_rejected(self, catalog_all):
         for m in catalog_all.values():
             for party in range(len(m.parties)):
-                abar = np.zeros_like(root_context(m, party).abar)
+                ctx = NodeContext(m, party, np.zeros(m.n_outcomes))
                 with pytest.raises(InconsistentNodeError, match="zero"):
-                    build_q(NodeContext(m, party, m.weights, abar))
+                    build_q(ctx)
 
     def test_basis_independence_across_catalog(self, catalog_all):
         rng = np.random.default_rng(2024)
@@ -86,8 +87,7 @@ class TestBuildQ:
 
     def test_basis_independence_below_root(self, m_seven):
         rng = np.random.default_rng(99)
-        b7 = m_seven.outcomes[6].factors[1]
-        ctx = NodeContext(m_seven, 0, np.array([1., 0, 3, 0, 6, 0, 1]), b7)
+        ctx = NodeContext(m_seven, 0, np.array([1., 0, 3, 0, 6, 0, 1]))  # I (x) B7
         reference = my_nullspace_projector(build_q(ctx), 7)
         target = projector_of([[1, 0, 3, 0, 6, 0, 0], [0, 0, 0, 0, 0, 0, 1]])
         assert np.abs(reference - target).max() < 1e-8
@@ -129,9 +129,7 @@ class TestPartyTables:
                 comp = m.complement_factors(p)
                 want = np.einsum("mij,nij->mn", comp.conj(), comp).real
                 assert np.abs(t.coords.T @ t.coords - want).max() < 1e-10
-                assert np.abs(t.basis.conj() @ t.basis.T
-                              - np.eye(len(t.basis))).max() < 1e-10
-                assert len(t.basis) == len(complement_span(m, p))
+                assert len(t.coords) == len(complement_span(m, p))
                 assert len(t.acting) == len(local_span(m, p))
 
     def test_ill_conditioned_span_refused(self):
@@ -155,10 +153,74 @@ class TestPartyTables:
             party_tables(zero, 0)
 
 
+def _below_root(ctx) -> bool:
+    """Whether the node's bystander operator is not a multiple of the identity."""
+    abar = bystander_operator(ctx)
+    eye = np.eye(len(abar))
+    return len(abar) > 1 and not np.allclose(abar * len(abar) / np.trace(abar), eye)
+
+
+def _non_product_contexts(catalog_all) -> list:
+    """Contexts at random coefficient vectors whose dense node operator is
+    clearly not X (x) Abar across the acting party's cut."""
+    rng = np.random.default_rng(7)
+    out = []
+    for m in [*catalog_all.values(), conditional_basis(2, 3, 4), conditional_basis(3, 3, 17)]:
+        for party in range(len(m.parties)):
+            for _ in range(3):
+                ctx = NodeContext(m, party, rng.uniform(0.0, 1.0, m.n_outcomes))
+                op = reconstruct(m, ctx.coeffs)
+                _, residual = project_factor(op, bystander_operator(ctx), party, m.dims)
+                if residual > 1e-3 * np.abs(op).max():
+                    out.append(ctx)
+    assert len(out) >= 20
+    return out
+
+
+def _search_contexts(monkeypatch, measurements) -> list:
+    """The context of every build_q call made by synthesizing each measurement."""
+    import locc_forge.feasibility as feasibility
+
+    original = feasibility.build_q
+    contexts = []
+
+    def recorded(ctx, tol=DEFAULT_TOL, basis_rng=None):
+        contexts.append(ctx)
+        return original(ctx, tol, basis_rng)
+
+    monkeypatch.setattr(feasibility, "build_q", recorded)
+    for m in measurements:
+        synthesize(m)
+    return contexts
+
+
+class TestBystanderCoords:
+    """y, read from the node's coefficients, against the dense partial trace."""
+
+    def test_parallel_to_dense_abar_at_every_node(self, monkeypatch, catalog_all):
+        from locc_forge.feasibility import _bystander_coords
+
+        measurements = [*catalog_all.values(), conditional_basis(3, 4, 0),
+                        conditional_basis(5, 2, 0), conditional_basis(3, 3, 17)]
+        contexts = _search_contexts(monkeypatch, measurements)
+        assert any(map(_below_root, contexts))
+        for ctx in contexts:
+            m, p = ctx.measurement, ctx.acting_party
+            tables = party_tables(m, p)
+            y = _bystander_coords(tables, ctx.coeffs)
+            # the oracle's Abar in the same coordinates, from its pairings
+            # Tr(Abar C_n) with the complement factors: coords^T y = pairings
+            abar = bystander_operator(ctx)
+            pairings = np.einsum("ij,nij->n", abar.conj(), m.complement_factors(p)).real
+            want, *_ = np.linalg.lstsq(tables.coords.T, pairings, rcond=None)
+            y, want = y / np.linalg.norm(y), want / np.linalg.norm(want)
+            assert np.abs(y - np.sign(y @ want) * want).max() <= 1e-10
+
+
 def _dense_off_span_gram(ctx) -> np.ndarray:
     """[Tr(N_m N_n)] for N_n = L_n (x) (C_n - <Abar, C_n> Abar / |Abar|^2),
     formed from dense operators."""
-    m, p, abar = ctx.measurement, ctx.acting_party, ctx.abar
+    m, p, abar = ctx.measurement, ctx.acting_party, bystander_operator(ctx)
     comp = m.complement_factors(p)
     along = np.einsum("ij,nij->n", abar.conj(), comp) / np.vdot(abar, abar)
     perp = comp - along[:, None, None] * abar
@@ -171,23 +233,11 @@ class TestIsometricQ:
     """Q c holds coordinates of the part of sum_n c_n O_n off span_A (x) Abar."""
 
     def test_gram_of_q_is_the_off_span_gram_at_every_node(self, monkeypatch):
-        import locc_forge.feasibility as feasibility
-
-        original = feasibility.build_q
-        contexts = []
-
-        def recorded(ctx, tol=DEFAULT_TOL, basis_rng=None):
-            contexts.append(ctx)
-            return original(ctx, tol, basis_rng)
-
-        monkeypatch.setattr(feasibility, "build_q", recorded)
-        for m in (qubit_pair(), seven_outcome_family(0), conditional_basis(3, 3, 17)):
-            contexts += [root_context(m, p) for p in range(len(m.parties))]
-            synthesize(m)
-        assert any(c.abar.shape[0] > 1 and not np.allclose(c.abar, np.eye(c.abar.shape[0]))
-                   for c in contexts)
+        contexts = _search_contexts(monkeypatch, (qubit_pair(), seven_outcome_family(0),
+                                                  conditional_basis(3, 3, 17)))
+        assert any(map(_below_root, contexts))
         for ctx in contexts:
-            q = original(ctx)
+            q = build_q(ctx)
             want = _dense_off_span_gram(ctx)
             assert np.abs(q.T @ q - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -219,27 +269,20 @@ class TestAgainstDenseOracle:
         measurements = _oracle_measurements()
         for m in measurements:
             synthesize(m)
-        below_root = [c for c in contexts if c.abar.shape[0] > 1
-                      and not np.allclose(c.abar, np.eye(c.abar.shape[0]))]
+        below_root = [c for c in contexts if _below_root(c)]
         assert len(contexts) > 4 * len(measurements) and below_root
 
-    def test_same_off_span_bystander_rejected(self, m_pair):
-        bad = np.array([[0, 1], [1, 0]], dtype=complex)
-        ctx = NodeContext(m_pair, 1, m_pair.weights, bad)
-        for build in (build_q, dense_build_q):
-            with pytest.raises(InconsistentNodeError):
-                build(ctx)
-
-        # the 2x3 complement span has 7 of the 9 Hermitian dimensions
-        m = conditional_basis(2, 3, 4)
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        off_span = NodeContext(m, 0, m.weights, g + g.conj().T)
-        in_span = NodeContext(m, 0, m.weights, m.outcomes[4].factors[1])
-        for build in (build_q, dense_build_q):
-            with pytest.raises(InconsistentNodeError):
-                build(off_span)
-            build(in_span)
+    def test_same_off_span_bystander_rejected(self, catalog_all):
+        # a non-product node lies off span_A (x) Abar for every Abar
+        for ctx in _non_product_contexts(catalog_all):
+            for analyze in (feasible_cone, dense_build_q):
+                with pytest.raises(InconsistentNodeError):
+                    analyze(ctx)
+        m = seven_outcome_family(0)
+        for ctx in (NodeContext(m, 0, np.array([1.0, 0, 3, 0, 6, 0, 1])),
+                    NodeContext(m, 0, np.array([1.0, 0, 3, 0, 0, 0, 0]))):
+            feasible_cone(ctx)
+            dense_build_q(ctx)
 
     def test_trees_match_search_on_oracle(self, monkeypatch):
         import locc_forge.feasibility as feasibility
@@ -314,11 +357,10 @@ class TestFeasibleCone:
                     mix = rng.uniform(0.1, 1.0, size=len(cone.extreme_rays))
                     vec = sum(t * r for t, r in zip(mix, cone.extreme_rays))
                     op = reconstruct(m, vec)
-                    factorize(op, ctx.abar, party, dims)  # raises on failure
+                    factorize(op, bystander_operator(ctx), party, dims)  # raises on failure
 
     def test_parent_outside_cone_rejected(self, m_pair):
-        ctx = NodeContext(m_pair, 1, np.array([1.0, 0.5, 0.25, 0.1]),
-                          np.eye(2, dtype=complex))
+        ctx = NodeContext(m_pair, 1, np.array([1.0, 0.5, 0.25, 0.1]))
         with pytest.raises(InconsistentNodeError):
             feasible_cone(ctx)
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from locc_forge import synthesize
+from conftest import P0, P1
+from locc_forge import Party, SeparableMeasurement, synthesize
 from locc_forge.errors import MeasurementFormatError
 from locc_forge.io import (
     load_measurement,
@@ -75,6 +76,18 @@ class TestMeasurementDiagnostics:
         with pytest.raises(MeasurementFormatError) as err:
             measurement_from_dict(json.loads(json.dumps(doc)))
         assert err.value.location == "outcomes[3].weight"
+
+    def test_boolean_party_dim_location(self):
+        # with 1 x 1 factors, dim true would otherwise load as a party of dim 1
+        one = np.eye(1, dtype=complex)
+        m = SeparableMeasurement([Party("A", 1), Party("B", 2)],
+                                 [("0", (one, P0)), ("1", (one, P1))], [1.0, 1.0])
+        doc = json.loads(json.dumps(measurement_to_dict(m)).replace(
+            '"dim": 1', '"dim": true'))
+        assert doc["parties"][0]["dim"] is True
+        with pytest.raises(MeasurementFormatError) as err:
+            measurement_from_dict(doc)
+        assert err.value.location == "parties[0]"
 
     def test_missing_fields(self):
         with pytest.raises(MeasurementFormatError):
