@@ -124,72 +124,83 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
             z = solve(passive, *np.linalg.qr(a[:, passive]))
 
 
-def _double_description(a: np.ndarray) -> list[np.ndarray]:
-    """Extreme rays of the pointed cone {y : a y >= 0}, a of full column rank.
+def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme rays of the pointed cone {y : a y >= 0}, a of full column rank,
+    as the unit rows of one array, and each row's activity cut.
 
     Standard incremental construction: start from a simplicial subcone cut
     out by k independent rows, then add the remaining halfspaces one at a
-    time, combining adjacent rays across each new hyperplane.
+    time, combining adjacent rays across each new hyperplane.  Row i is
+    active on a unit ray y when |a_i . y| <= cut_i = ``_ACTIVITY_TOL`` |a_i|;
+    the same test decides adjacency.  Rows that vanish on the whole
+    subspace get an infinite cut: they are active on every ray.
     """
     n, k = a.shape
     row_norms = np.linalg.norm(a, axis=1)
     # rows that vanish on the whole subspace are vacuous constraints carrying
     # only numerical noise; with orthonormal columns the largest row norm is
     # O(1), so a relative cutoff separates them cleanly
-    floor = 1e-10 * float(row_norms.max())
-    live = [i for i in range(n) if row_norms[i] > floor]
+    vanishing = row_norms <= 1e-10 * float(row_norms.max())
+    live = np.flatnonzero(~vanishing).tolist()
     if not live:
         raise ConeError("all constraint rows vanish")
+    cuts = _ACTIVITY_TOL * row_norms
+    cuts[vanishing] = np.inf
 
-    base = _independent_rows(a[live], k)
-    base = [live[i] for i in base]
-    rays = [col / np.linalg.norm(col) for col in np.linalg.inv(a[base]).T]
+    base = [live[i] for i in _independent_rows(a[live], k)]
+    rays = np.linalg.inv(a[base]).T
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     processed = list(base)
+    pending = [i for i in live if i not in base]
 
-    def activity(ray: np.ndarray, rows: list[int]) -> np.ndarray:
-        s = a[rows] @ ray
-        return np.abs(s) <= _ACTIVITY_TOL * np.maximum(row_norms[rows], 1e-300)
-
-    for i in live:
-        if i in base:
-            continue
-        slack = np.array([a[i] @ r for r in rays])
-        cut = _ACTIVITY_TOL * max(row_norms[i], 1e-300)
-        keep = [r for r, s in zip(rays, slack) if s >= -cut]
-        plus = [(r, s) for r, s in zip(rays, slack) if s > cut]
-        minus = [(r, s) for r, s in zip(rays, slack) if s < -cut]
-        if plus and minus:
-            act = [activity(r, processed) for r in rays]
-            act_by_id = {id(r): m for r, m in zip(rays, act)}
-            for rp, sp in plus:
-                for rm, sm in minus:
-                    common = act_by_id[id(rp)] & act_by_id[id(rm)]
-                    adjacent = True
-                    for other in rays:
-                        if other is rp or other is rm:
-                            continue
-                        if np.all(act_by_id[id(other)][common]):
-                            adjacent = False
-                            break
-                    if not adjacent:
+    while pending:
+        # rows no ray violates change nothing: add them all, up to the
+        # first row that some ray violates
+        violated = (rays @ a[pending].T < -cuts[pending]).any(axis=0)
+        first = int(np.argmax(violated)) if violated.any() else len(pending)
+        processed += pending[:first]
+        if first == len(pending):
+            break
+        i = pending[first]
+        pending = pending[first + 1:]
+        slack = rays @ a[i]
+        cut = cuts[i]
+        combined = []
+        plus = np.flatnonzero(slack > cut)
+        if plus.size:
+            minus = np.flatnonzero(slack < -cut)
+            act = np.abs(rays @ a[processed].T) <= cuts[processed]
+            for p in plus:
+                for q in minus:
+                    # adjacent: no other ray is active on every row both are
+                    common = act[p] & act[q]
+                    covering = act[:, common].all(axis=1)
+                    covering[[p, q]] = False
+                    if covering.any():
                         continue
-                    w = sp * rm - sm * rp
+                    w = slack[p] * rays[q] - slack[q] * rays[p]
                     norm = np.linalg.norm(w)
                     if norm > 0:
-                        keep.append(w / norm)
-        rays = keep
+                        combined.append(w / norm)
+        rays = np.vstack([rays[slack >= -cut], *combined])
         processed.append(i)
-        if not rays:
+        if not len(rays):
             raise ConeError("cone is trivial")
-    return rays
+    return rays, cuts
 
 
 def extreme_rays(qmatrix: np.ndarray, nullspace_basis: np.ndarray | None = None,
                  tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """Extreme rays of {c >= 0 : Q c = 0}, L1-normalized and sorted.
 
-    Rays are deduplicated at cosine distance :data:`DUPLICATE_TOL` and sorted
-    lexicographically so repeated runs are bit-identical.
+    The rays come from the double description of {y : N y >= 0}, N the
+    nullspace basis, whose rows are the constraints c_j >= 0.  A ray's
+    entry c_j is set to exactly 0 wherever that run's activity test finds
+    the ray active on c_j >= 0 (every j whose row vanishes on the
+    nullspace included), so a ray's support is the set of facets it lies
+    off, never a magnitude threshold.  Rays are deduplicated at cosine
+    distance :data:`DUPLICATE_TOL` and sorted lexicographically so repeated
+    runs are bit-identical.
     """
     from .feasibility import nullspace  # cheap, avoids duplicating the SVD policy
 
@@ -201,32 +212,28 @@ def extreme_rays(qmatrix: np.ndarray, nullspace_basis: np.ndarray | None = None,
     if k == 0:
         raise ConeError("nullspace is trivial")
 
-    ys = _double_description(basis)
-    rays = []
-    for y in ys:
-        c = basis @ y
-        if c.sum() < 0:
-            c = -c
-        c[(c < 0) & (c > -1e-9)] = 0.0
-        if np.any(c < 0) or not np.any(c > 0):
-            continue
-        c = c / c.sum()
-        if q.shape[0] and float(np.abs(q @ c).max()) > NULLSPACE_RESIDUAL_TOL:
-            continue
-        rays.append(c)
-
-    unique: list[np.ndarray] = []
-    for c in rays:
-        is_dup = any(
-            1.0 - float(np.dot(c, u) / (np.linalg.norm(c) * np.linalg.norm(u)))
-            < DUPLICATE_TOL
-            for u in unique)
-        if not is_dup:
-            unique.append(c)
-    if not unique:
+    ys, cuts = _double_description(basis)
+    cs = ys @ basis.T               # row r holds ray r's c = N y, and its slacks
+    cs[np.abs(cs) <= cuts] = 0.0
+    # every ray has N y >= -cut, so none needs its sign flipped; negative
+    # roundoff above -1e-9 is cleared, and a ray with an entry below it dropped
+    cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
+    np.maximum(cs, 0.0, out=cs)
+    cs /= cs.sum(axis=1, keepdims=True)
+    if q.shape[0]:
+        cs = cs[np.abs(cs @ q.T).max(axis=1, initial=0.0) <= NULLSPACE_RESIDUAL_TOL]
+    if not len(cs):
         raise ConeError("no nonnegative ray found; cone is {0}")
-    unique.sort(key=lambda c: tuple(np.round(c, 12)))
-    return unique
+    if len(cs) > 1:
+        norms = np.linalg.norm(cs, axis=1)
+        close = ((1.0 - (cs @ cs.T) / np.outer(norms, norms)) < DUPLICATE_TOL).tolist()
+        unique: list[int] = []
+        for i in range(len(cs)):
+            if not any(close[i][j] for j in unique):
+                unique.append(i)
+        cs = cs[unique]
+        cs = cs[np.lexsort(np.round(cs, 12).T[::-1])]   # lexsort's last key is its first
+    return list(cs)
 
 
 def _split_scales(mat: np.ndarray, parent: np.ndarray,

@@ -129,10 +129,26 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
     """(outcome index, scale) if the node is a final outcome, else None.
 
     Two tests: the coefficient vector is supported on a single outcome, or
-    the reconstructed operator is a positive multiple of some outcome
-    operator.  The second catches coefficient vectors that differ from a
-    unit vector yet reconstruct to the same operator, which happens when
-    the outcome operators are linearly dependent.
+    the reconstructed operator X is a positive multiple s O_j of some
+    outcome operator, with s = <O_j, X> / |O_j|^2 and every entry of
+    X - s O_j within ``tol.residual * scale``.  The second catches
+    coefficient vectors that differ from a unit vector yet reconstruct to
+    the same operator, which happens when the outcome operators are
+    linearly dependent.
+
+    A bound settles most outcomes without the dense comparison.  With N =
+    2 D^2 the length of the real dot products F = |X|^2, d_j = <O_j, X> and
+    n_j = |O_j|^2, the least Frobenius residual over all s is r_j = F -
+    d_j^2 / n_j.  The dense test can pass only if r_j <= L^2, where L =
+    D (tol + 2 eps) scale (1 + 5 eps): its difference, product and modulus
+    each round once, and a D x D matrix has Frobenius norm at most D times
+    its largest entry.  Each dot product is off by at most gamma_N = N eps /
+    (1 - N eps) times the product of its factors' norms, and |d_j| <=
+    sqrt(n_j F), so the computed r_j is within 4 gamma_N F plus a few eps F
+    of the exact one, less than M = 5 N eps F.  An outcome whose computed
+    r_j exceeds L^2 + M therefore fails the dense test and is skipped;
+    every other outcome gets the dense test, so every decision is the one
+    the dense test alone makes.
     """
     c = np.asarray(coeffs, dtype=float)
     order = np.argsort(c)
@@ -147,9 +163,17 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
     ops = m.outcome_operators
     # on real views of the complex entries, Re Tr[O_j^dag X] is a dot product
     flat = ops.reshape(m.n_outcomes, -1).view(np.float64)
-    dots = flat @ op.reshape(-1).view(np.float64)
+    x = op.reshape(-1).view(np.float64)
+    dots = flat @ x
     norms2 = np.einsum("ij,ij->i", flat, flat)
-    for j in np.flatnonzero(norms2 != 0.0):
+    eps = float(np.finfo(float).eps)
+    sq_norm = float(x @ x)
+    limit = len(op) * (tol.residual + 2 * eps) * scale * (1 + 5 * eps)
+    margin = 5 * len(x) * eps * sq_norm
+    candidates = np.flatnonzero(norms2 != 0.0)
+    candidates = candidates[dots[candidates] > 0]
+    residuals = sq_norm - dots[candidates] ** 2 / norms2[candidates]
+    for j in candidates[residuals <= limit * limit + margin]:
         s = float(dots[j] / norms2[j])
         if s > 0 and float(np.abs(op - s * ops[j]).max()) <= tol.residual * scale:
             return int(j), s

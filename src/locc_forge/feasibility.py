@@ -16,6 +16,15 @@ reflection, and the products of the two sides' coordinates give the rows of
 a real matrix Q.  The admissible c are then exactly the nonnegative
 nullspace vectors of Q, a basis-independent set, and |Q c| is the Frobenius
 norm of the part of sum_j c_j O_j off span_A (x) Abar.
+
+Below the root only the node's support S = {j : c_j != 0} is searched.
+Every child is a multiple of a ray from an exact nonnegative split of its
+parent, so a whole subtree lives on the face of the cone where c_j = 0 off
+S, and that face's extreme rays are exactly the cone's rays lying in it.
+So Q is built on the columns of S, the nullspace and the double
+description run on |S| columns, and the rays are embedded back into
+n-outcome space.  The root keeps every outcome, so root dimensions are
+those of the whole cone.
 """
 
 from __future__ import annotations
@@ -44,11 +53,27 @@ class NodeContext:
     ``coeffs`` are the node's coefficients against the unweighted outcome
     operators.  They fix the node operator, and with it the joint operator
     Abar of every party except ``acting_party`` (the identity at the root).
+
+    ``support`` holds the outcomes the node's cone is built on: those with
+    c_j != 0, and those of zero weight.  Every child is a multiple of a ray
+    from an exact nonnegative split of its parent, so every descendant of a
+    node lies in its support, and the search loses nothing by working on
+    that face of the cone.  Keeping the zero-weight outcomes makes the root
+    (c = weights) keep every outcome, so root dimensions are those of the
+    whole cone.
     """
 
     measurement: SeparableMeasurement
     acting_party: int
     coeffs: np.ndarray
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        support = np.flatnonzero(self.coeffs)
+        if len(support) < len(self.coeffs):
+            support = np.flatnonzero((np.asarray(self.coeffs) != 0)
+                                     | (self.measurement.weights == 0))
+        object.__setattr__(self, "support", support)
 
 
 def root_context(m: SeparableMeasurement, party: int) -> NodeContext:
@@ -57,9 +82,16 @@ def root_context(m: SeparableMeasurement, party: int) -> NodeContext:
 
 @dataclass(frozen=True)
 class FeasibleCone:
-    """Nullspace and extreme rays of the constraint matrix at one context."""
+    """The face {c >= 0 : Q c = 0, c_j = 0 off ``support``} of the cone at
+    one context, in n-outcome coordinates.
 
-    qmatrix: np.ndarray
+    Q is built on the support's columns only (``face_q``); ``qmatrix`` is
+    the face's whole constraint matrix, so that ``qmatrix``,
+    ``nullspace_basis`` and ``extreme_rays`` describe the same set.
+    """
+
+    support: np.ndarray                   # outcome indices, increasing
+    face_q: np.ndarray                    # Q on the support's columns
     nullspace_basis: np.ndarray           # (n_outcomes, dim), orthonormal columns
     extreme_rays: tuple[np.ndarray, ...]  # L1-normalized, entrywise >= 0
     marginal_rank: bool = field(default=False, compare=False)
@@ -67,6 +99,19 @@ class FeasibleCone:
     @property
     def nullspace_dim(self) -> int:
         return self.nullspace_basis.shape[1]
+
+    @property
+    def qmatrix(self) -> np.ndarray:
+        """Q on the support, plus a unit row e_j for each outcome j off it."""
+        n = len(self.nullspace_basis)
+        if len(self.support) == n:
+            return self.face_q
+        off = np.setdiff1d(np.arange(n), self.support)
+        rows = len(self.face_q)
+        q = np.zeros((rows + len(off), n))
+        q[:rows, self.support] = self.face_q
+        q[rows + np.arange(len(off)), off] = 1.0
+        return q
 
 
 @dataclass(frozen=True)
@@ -148,20 +193,26 @@ def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
     span's directions trace-orthogonal to Abar.  So Q c holds the
     coordinates of the part of sum_n c_n O_n off span_A (x) Abar, and Q^T Q
     is the Gram matrix of those parts.  Identically zero rows are dropped.
+    Only the columns of the context's support are built (every outcome at
+    the root), with the party tables sliced to them before the product.
     No operator is formed: in the party's cached :class:`PartyTables`, Abar
     has coordinates y (see :func:`_bystander_coords`), and rows 1.. of the
     Householder reflector that maps y onto the first axis are such a basis.
     When ``basis_rng`` is given, both sides' rows are randomly recombined;
     the resulting matrix differs row by row but its nullspace does not.
     """
-    m = ctx.measurement
-    tables = party_tables(m, ctx.acting_party)
-    y = _bystander_coords(tables, ctx.coeffs)
+    tables = party_tables(ctx.measurement, ctx.acting_party)
+    support = ctx.support
+    coeffs = ctx.coeffs
+    if len(support) < len(coeffs):
+        tables = PartyTables(tables.acting[:, support], tables.coords[:, support])
+        coeffs = np.asarray(coeffs, dtype=float)[support]
+    y = _bystander_coords(tables, coeffs)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise InconsistentNodeError("node operator is zero")
     if len(y) == 1:
-        return np.zeros((0, m.n_outcomes))
+        return np.zeros((0, len(support)))
     u = y.copy()
     u[0] += norm if y[0] >= 0 else -norm                    # same sign: no cancellation
     u /= np.linalg.norm(u)
@@ -170,7 +221,7 @@ def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
     if basis_rng is not None:
         t_act = _mixing_matrix(len(t_act), basis_rng) @ t_act
         t_bys = _mixing_matrix(len(t_bys), basis_rng) @ t_bys
-    q = (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, m.n_outcomes)
+    q = (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
     scale = max(1.0, float(np.abs(q).max()))
     keep = np.abs(q).max(axis=1) > 1e-13 * scale
     return q[keep]
@@ -192,23 +243,22 @@ def nullspace(q: np.ndarray, n_cols: int,
 
 
 def feasible_cone(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL) -> FeasibleCone:
-    """Nullspace plus extreme rays of {c >= 0 : Q c = 0} for a context.
+    """Nullspace plus extreme rays of {c >= 0 : Q c = 0} on the context's
+    support (see :attr:`NodeContext.support`), embedded in n-outcome space.
 
     The parent coefficient vector must itself lie in the cone; a node that
     fails this, such as one that is not a product across the party's cut, is
-    inconsistent with the measurement.
+    inconsistent with the measurement.  That is tested first, so an empty
+    nullspace is blamed on the measurement only at a consistent node.
     """
     from .cones import extreme_rays  # looked up per call: the benchmark tracer wraps it
 
+    n = ctx.measurement.n_outcomes
+    support = ctx.support
     q = build_q(ctx, tol)
-    basis, marginal = nullspace(q, ctx.measurement.n_outcomes, tol)
-    if basis.shape[1] == 0:
-        raise InconsistentNodeError("empty nullspace contradicts completeness")
-    if marginal:
-        warnings.warn("nullspace dimension decided near the rank cutoff",
-                      MarginalRankWarning, stacklevel=2)
-
     c = np.asarray(ctx.coeffs, dtype=float)
+    if len(support) < n:
+        c = c[support]
     l1 = float(np.abs(c).sum())
     if l1 > 0 and q.shape[0] > 0:
         parent_residual = float(np.abs(q @ (c / l1)).max())
@@ -216,8 +266,24 @@ def feasible_cone(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL) -> FeasibleCo
             raise InconsistentNodeError(
                 f"parent coefficients violate the node constraints "
                 f"(residual {parent_residual:.3e})")
+    basis, marginal = nullspace(q, len(support), tol)
+    if basis.shape[1] == 0:
+        raise InconsistentNodeError("empty nullspace contradicts completeness")
+    if marginal:
+        warnings.warn("nullspace dimension decided near the rank cutoff",
+                      MarginalRankWarning, stacklevel=2)
     rays = extreme_rays(q, nullspace_basis=basis, tol=tol)
-    return FeasibleCone(q, basis, tuple(rays), marginal)
+    if len(support) < n:
+        basis, rays = _embed(basis.T, support, n).T, _embed(np.array(rays), support, n)
+    return FeasibleCone(support, q, basis, tuple(rays), marginal)
+
+
+def _embed(rows: np.ndarray, support: np.ndarray, n: int) -> np.ndarray:
+    """Each row of ``rows``, whose entries belong to the outcomes in
+    ``support``, as an n-outcome vector that is zero off the support."""
+    out = np.zeros((len(rows), n))
+    out[:, support] = rows
+    return out
 
 
 def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:

@@ -8,8 +8,9 @@ nonnegative one on the whole realified system, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
 the constraint matrix is built from dense dual operators and a bystander
 operator taken as a partial trace of the node operator, ray splits
-are found by trying every combination of rays, and protocol trees are
-verified on dense D x D node operators.
+are found by trying every combination of rays, leaves are found by
+comparing the node operator densely with every outcome, and protocol
+trees are verified on dense D x D node operators.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
     DEFAULT_TOL,
     GRAM_CONDITION_LIMIT,
+    LEAF_SUPPORT_TOL,
     PSD_TOL,
     RANK_FACTOR,
     SCALE_TOL,
@@ -226,11 +228,13 @@ def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     is not X (x) Abar is refused.  The bystander basis is formed as
     operators: Abar, then the complement span's elements chosen by the
     greedy-SVD rule and orthogonalized against Abar.  Both bases' duals are
-    formed as operators and paired with every outcome's factors.  Only the
-    spans and the node operator come from the library.
+    formed as operators and paired with the factors of the outcomes in the
+    context's support, the columns the library builds.  Only the spans, the
+    support and the node operator come from the library.
     """
     m = ctx.measurement
     p = ctx.acting_party
+    support = ctx.support
     abar = bystander_operator(ctx)
     if not np.any(abar):
         raise InconsistentNodeError("node operator is zero")
@@ -253,14 +257,60 @@ def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     acting_duals = _dense_duals(acting)
     bystander_duals = _dense_duals(np.stack(elements))[1:]
     if len(bystander_duals) == 0:
-        return np.zeros((0, m.n_outcomes))
-    t_act = np.einsum("aij,nij->an", acting_duals.conj(), m.local_factors(p))
-    t_bys = np.einsum("bij,nij->bn", bystander_duals.conj(), m.complement_factors(p))
-    rows = np.einsum("an,bn->abn", t_act, t_bys).reshape(-1, m.n_outcomes)
+        return np.zeros((0, len(support)))
+    t_act = np.einsum("aij,nij->an", acting_duals.conj(), m.local_factors(p)[support])
+    t_bys = np.einsum("bij,nij->bn", bystander_duals.conj(),
+                      m.complement_factors(p)[support])
+    rows = np.einsum("an,bn->abn", t_act, t_bys).reshape(-1, len(support))
     scale = max(1.0, float(np.abs(rows).max()))
     assert float(np.abs(rows.imag).max()) <= 1e-10 * scale
     q = rows.real
     return q[np.abs(q).max(axis=1) > 1e-13 * scale]
+
+
+def whole_cone_rays(ctx, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+    """Extreme rays of the context's whole cone, on every outcome column
+    whatever the node's support: Q on all n columns from the library's
+    party tables (with the complement of Abar's coordinates taken from an
+    SVD, not the library's Householder step), its nullspace under the
+    library's rank policy, then the library's double description."""
+    from locc_forge.cones import extreme_rays
+    from locc_forge.feasibility import _bystander_coords, party_tables
+
+    n = ctx.measurement.n_outcomes
+    tables = party_tables(ctx.measurement, ctx.acting_party)
+    y = _bystander_coords(tables, ctx.coeffs)
+    perp = np.linalg.svd(y[None, :])[2][1:]
+    q = (tables.acting[:, None, :] * (perp @ tables.coords)[None, :, :]).reshape(-1, n)
+    q = q[np.abs(q).max(axis=1) > 1e-13 * max(1.0, float(np.abs(q).max()))]
+    return extreme_rays(q, rank_cutoff_nullspace(q, n, tol.rank_factor), tol)
+
+
+def dense_leaf_outcome(m, coeffs, tol: Tolerances = DEFAULT_TOL):
+    """The library's leaf test without its bound: a coefficient vector on a
+    single outcome, or else the first outcome j whose best scale s =
+    <O_j, X> / |O_j|^2 is positive and leaves every entry of X - s O_j
+    within ``tol.residual * max(1, max |X|)``, compared densely for every
+    outcome."""
+    c = np.asarray(coeffs, dtype=float)
+    order = np.argsort(c)
+    top = float(c[order[-1]])
+    if top <= 0:
+        return None
+    second = float(c[order[-2]]) if c.size > 1 else 0.0
+    if second <= LEAF_SUPPORT_TOL * top:
+        return int(order[-1]), top
+    op = reconstruct(m, c)
+    scale = max(1.0, float(np.abs(op).max()))
+    ops = m.outcome_operators
+    flat = ops.reshape(m.n_outcomes, -1).view(np.float64)
+    dots = flat @ op.reshape(-1).view(np.float64)
+    norms2 = np.einsum("ij,ij->i", flat, flat)
+    for j in np.flatnonzero(norms2 != 0.0):
+        s = float(dots[j] / norms2[j])
+        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= tol.residual * scale:
+            return int(j), s
+    return None
 
 
 def per_node_product_and_positivity(tree, m) -> tuple[tuple[float, str], tuple[float, str]]:

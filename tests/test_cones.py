@@ -6,8 +6,15 @@ from scipy.linalg import qr
 from scipy.optimize import nnls as scipy_nnls
 
 from locc_forge import cones
-from locc_forge.catalog import conditional_basis
+from locc_forge.catalog import (
+    conditional_basis,
+    phase_five,
+    qubit_pair,
+    rotated_dominoes,
+    seven_outcome_family,
+)
 from locc_forge.cones import decompose, extreme_rays
+from locc_forge.engine import synthesize
 from locc_forge.feasibility import feasible_cone, root_context
 from oracles import brute_force_rays, combination_decompose
 
@@ -286,6 +293,14 @@ class TestLeastSquaresBound:
     @staticmethod
     def assert_simplicial(rays):
         assert np.linalg.matrix_rank(np.column_stack(rays)) == len(rays)
+
+    def test_catalog_syntheses_need_no_nnls(self, nnls_calls):
+        # rays with exact zeros leave no roundoff-negative least-squares
+        # scale at a parent on a face of the cone
+        for m in (qubit_pair(), phase_five(), rotated_dominoes(),
+                  *(seven_outcome_family(s) for s in range(10))):
+            synthesize(m)
+        assert nnls_calls == []
 
     def test_catalog_roots_need_no_nnls(self, catalog_all, nnls_calls):
         for m in catalog_all.values():

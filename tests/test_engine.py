@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import P0, P1, PMINUS, PPLUS
+from conftest import EYE2, P0, P1, PMINUS, PPLUS
 from locc_forge import (
     Verdict,
     check_root,
@@ -14,6 +14,8 @@ from locc_forge import (
 from locc_forge.engine import leaf_outcome
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement
+from locc_forge.tolerances import DEFAULT_TOL, LEAF_SUPPORT_TOL
+from oracles import dense_leaf_outcome
 
 
 class TestCheckRoot:
@@ -29,6 +31,18 @@ class TestCheckRoot:
         roots = check_root(m_pair)
         assert [r.nullspace_dim for r in roots] == [2, 1]
         assert roots[0].party == "A" and roots[1].party == "B"
+
+    @pytest.mark.parametrize("factors, dims", [((P0, EYE2), (3, 2)), ((EYE2, PPLUS), (2, 2))])
+    def test_zero_weight_outcome_counts_at_the_root(self, m_pair, factors, dims):
+        # the root cone is built on every outcome, weighted or not, so an
+        # unused outcome still widens it; a root built on the weights'
+        # support would report (2, 1)
+        outcomes = [(o.label, o.factors) for o in m_pair.outcomes] + [("z", factors)]
+        m = SeparableMeasurement(m_pair.parties, outcomes, [*m_pair.weights, 0.0])
+        assert tuple(r.nullspace_dim for r in check_root(m)) == dims
+        cert = synthesize(m)
+        assert cert.verdict == Verdict.PROTOCOL_FOUND
+        assert cert.root_dims == dims
 
 
 class TestSynthesizeQubitPair:
@@ -156,6 +170,25 @@ class TestLeafDetection:
         assert got is not None
         assert got[0] == 0
         assert got[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_agrees_with_the_dense_oracle_at_every_search_node(self, monkeypatch, catalog_all):
+        import locc_forge.engine as engine
+
+        original = engine.leaf_outcome
+        operator_route = []
+
+        def compared(m, coeffs, tol=DEFAULT_TOL):
+            got = original(m, coeffs, tol)
+            assert got == dense_leaf_outcome(m, coeffs, tol)
+            top, second = np.sort(coeffs)[[-1, -2]]
+            if second > LEAF_SUPPORT_TOL * top:
+                operator_route.append(got)
+            return got
+
+        monkeypatch.setattr(engine, "leaf_outcome", compared)
+        for m in (*catalog_all.values(), conditional_basis(3, 4, 0), conditional_basis(5, 2, 0)):
+            synthesize(m)
+        assert len(operator_route) > 50
 
 
 class TestCoefficientSearch:

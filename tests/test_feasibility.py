@@ -26,7 +26,13 @@ from locc_forge.feasibility import (
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor
 from locc_forge.tolerances import DEFAULT_TOL
-from oracles import bystander_operator, dense_build_q, nullspace_projector, projector_of
+from oracles import (
+    bystander_operator,
+    dense_build_q,
+    nullspace_projector,
+    projector_of,
+    whole_cone_rays,
+)
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -62,9 +68,11 @@ class TestBuildQ:
 
     def test_inconsistent_bystander_rejected(self, catalog_all):
         # a node that is not a product across the party's cut has no
-        # consistent bystander operator
+        # consistent bystander operator; the node is blamed, not the
+        # measurement's completeness
         for ctx in _non_product_contexts(catalog_all):
-            with pytest.raises(InconsistentNodeError):
+            with pytest.raises(InconsistentNodeError,
+                               match="parent coefficients violate the node constraints"):
                 feasible_cone(ctx)
 
     def test_zero_bystander_rejected(self, catalog_all):
@@ -88,11 +96,13 @@ class TestBuildQ:
     def test_basis_independence_below_root(self, m_seven):
         rng = np.random.default_rng(99)
         ctx = NodeContext(m_seven, 0, np.array([1., 0, 3, 0, 6, 0, 1]))  # I (x) B7
-        reference = my_nullspace_projector(build_q(ctx), 7)
-        target = projector_of([[1, 0, 3, 0, 6, 0, 0], [0, 0, 0, 0, 0, 0, 1]])
+        # Q is built on the node's support, outcomes 1, 3, 5 and 7
+        assert ctx.support.tolist() == [0, 2, 4, 6]
+        reference = my_nullspace_projector(build_q(ctx), 4)
+        target = projector_of([[1, 3, 6, 0], [0, 0, 0, 1]])
         assert np.abs(reference - target).max() < 1e-8
         for _ in range(10):
-            proj = my_nullspace_projector(build_q(ctx, basis_rng=rng), 7)
+            proj = my_nullspace_projector(build_q(ctx, basis_rng=rng), 4)
             assert np.abs(proj - reference).max() < 1e-8
 
 
@@ -238,8 +248,11 @@ class TestIsometricQ:
         assert any(map(_below_root, contexts))
         for ctx in contexts:
             q = build_q(ctx)
-            want = _dense_off_span_gram(ctx)
-            assert np.abs(q.T @ q - want).max() <= 1e-10 * np.abs(want).max()
+            # Q holds the support's columns; the tolerance keeps the scale
+            # of the whole Gram, whose support block can be pure roundoff
+            gram = _dense_off_span_gram(ctx)
+            want = gram[np.ix_(ctx.support, ctx.support)]
+            assert np.abs(q.T @ q - want).max() <= 1e-10 * np.abs(gram).max()
 
 
 def _oracle_measurements():
@@ -259,7 +272,7 @@ class TestAgainstDenseOracle:
 
         def compared(ctx, tol=DEFAULT_TOL, basis_rng=None):
             q = original(ctx, tol, basis_rng)
-            n = ctx.measurement.n_outcomes
+            n = len(ctx.support)
             want = my_nullspace_projector(dense_build_q(ctx, tol), n)
             assert np.abs(my_nullspace_projector(q, n) - want).max() < 1e-8
             contexts.append(ctx)
@@ -305,6 +318,49 @@ class TestAgainstDenseOracle:
             assert [g[:3] for g in got] == [w[:3] for w in want]
             for g, w in zip(got, want):
                 assert np.abs(g[3] - w[3]).max() <= 1e-9 * max(1.0, np.abs(w[3]).max())
+
+
+class TestFaceRestriction:
+    """Below the root a cone is built on its node's support: the face of the
+    whole cone where every other coefficient is 0."""
+
+    def test_rays_are_the_whole_cone_rays_on_the_support(self, monkeypatch, catalog_all):
+        measurements = [*catalog_all.values(), conditional_basis(3, 4, 0),
+                        conditional_basis(5, 2, 0), conditional_basis(3, 3, 17)]
+        contexts = list(_search_contexts(monkeypatch, measurements))
+        restricted = 0
+        for ctx in contexts:
+            n = ctx.measurement.n_outcomes
+            cone = feasible_cone(ctx)
+            off = np.setdiff1d(np.arange(n), ctx.support)
+            restricted += len(off) > 0
+            want = [r for r in whole_cone_rays(ctx) if np.abs(r[off]).max(initial=0.0) <= 1e-10]
+            got = np.array(cone.extreme_rays)
+            assert got.shape == (len(want), n)
+            gap = np.abs(got[:, None, :] - np.array(want)[None, :, :]).max(axis=2)
+            assert np.all(gap.min(axis=1) <= 1e-10)
+            assert len(set(gap.argmin(axis=1).tolist())) == len(want)
+            # exact zeros off the support, and no roundoff residue on it
+            assert not np.any(got[:, off])
+            assert not np.any((got > 0) & (got < 1e-12 * got.max(axis=1, keepdims=True)))
+        assert restricted > len(contexts) / 2
+
+    def test_root_keeps_every_outcome(self, catalog_all):
+        for m in catalog_all.values():
+            for party in range(len(m.parties)):
+                cone = feasible_cone(root_context(m, party))
+                assert cone.support.tolist() == list(range(m.n_outcomes))
+                assert cone.qmatrix is cone.face_q
+
+    def test_face_matrix_describes_the_face(self, m_seven):
+        ctx = NodeContext(m_seven, 0, np.array([1.0, 0, 3, 0, 6, 0, 1]))
+        cone = feasible_cone(ctx)
+        q = cone.qmatrix
+        assert q.shape[1] == 7
+        # the unit rows pin outcomes 2, 4 and 6 to zero
+        assert np.abs(q @ cone.nullspace_basis).max() < 1e-12
+        assert np.abs(my_nullspace_projector(q, 7)
+                      - cone.nullspace_basis @ cone.nullspace_basis.T).max() < 1e-10
 
 
 class TestFeasibleCone:
