@@ -131,24 +131,43 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
     Two tests: the coefficient vector is supported on a single outcome, or
     the reconstructed operator X is a positive multiple s O_j of some
     outcome operator, with s = <O_j, X> / |O_j|^2 and every entry of
-    X - s O_j within ``tol.residual * scale``.  The second catches
-    coefficient vectors that differ from a unit vector yet reconstruct to
-    the same operator, which happens when the outcome operators are
-    linearly dependent.
+    X - s O_j within ``tol.residual * scale``, scale = max(1, max |X|).
+    The second catches coefficient vectors that differ from a unit vector
+    yet reconstruct to the same operator, which happens when the outcome
+    operators are linearly dependent.
 
-    A bound settles most outcomes without the dense comparison.  With N =
-    2 D^2 the length of the real dot products F = |X|^2, d_j = <O_j, X> and
-    n_j = |O_j|^2, the least Frobenius residual over all s is r_j = F -
-    d_j^2 / n_j.  The dense test can pass only if r_j <= L^2, where L =
-    D (tol + 2 eps) scale (1 + 5 eps): its difference, product and modulus
-    each round once, and a D x D matrix has Frobenius norm at most D times
-    its largest entry.  Each dot product is off by at most gamma_N = N eps /
-    (1 - N eps) times the product of its factors' norms, and |d_j| <=
-    sqrt(n_j F), so the computed r_j is within 4 gamma_N F plus a few eps F
-    of the exact one, less than M = 5 N eps F.  An outcome whose computed
-    r_j exceeds L^2 + M therefore fails the dense test and is skipped;
-    every other outcome gets the dense test, so every decision is the one
-    the dense test alone makes.
+    A bound from the outcome Gram G (``m.outcome_gram``) settles the second
+    test without forming X.  In exact arithmetic <O_j, X> = (G c)_j, |X|^2
+    = F = c^T G c and |O_j|^2 = G_jj, so the least Frobenius residual over
+    all s is r_j = F - (G c)_j^2 / G_jj (F when G_jj = 0).  The bounds
+    below use |c|, so they hold for indefinite factors and slightly
+    negative coefficients: |O_k| = sqrt(G_kk), so |X| <= a = sum_k |c_k|
+    sqrt(G_kk), |(G c)_j| <= sqrt(G_jj) a and F <= a^2.  Let eps be the
+    machine epsilon, n the number of outcomes, P of parties, d the largest
+    local dimension, D the total one, and theta = 2 (n + P (d^2 + 3)) eps;
+    away from underflow:
+
+    - The stored O_j (P - 1 complex products per entry) and X (length-n
+      sums) are within theta/2 |O_j| and theta a of the exact ones, and
+      the computed scale is at most max(1, a) (1 + 2 theta).
+    - The dense comparison rounds its product, difference and modulus once
+      each, so if it passes, the stored operators have |X - s O_j| <= D
+      (tol + 2 eps) scale (1 + 5 eps), a D x D matrix's Frobenius norm
+      being at most D times its largest entry.  Back to exact operators,
+      sqrt(r_j) <= (1 + 5 theta) (D (tol + 2 eps) max(1, a) + 2 theta a).
+    - Each entry of the computed G is off by at most theta/2 sqrt(G_ii
+      G_kk) (P complex dot products of length d_q^2, P - 1 products), so
+      the computed (G c)_j by theta sqrt(G_jj) a, F by 1.5 theta a^2, the
+      quotient is low by at most 2.6 theta a^2, the computed r_j exceeds
+      r_j by at most 5 theta a^2, and a is at most (1 + 2 theta) times
+      the computed a.
+
+    So with R = D (tol + 2 eps) max(1, a) + 2 theta a, both from the
+    computed a, an outcome passes the dense test only if its computed r_j
+    <= (1 + 17 theta) (R^2 + 5 theta a^2), and every other outcome is
+    skipped.  If any remains, X is formed and the remaining outcomes get the
+    dense test in index order, so every decision and every returned scale
+    is the dense test's alone.
     """
     c = np.asarray(coeffs, dtype=float)
     order = np.argsort(c)
@@ -158,22 +177,28 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
     second = float(c[order[-2]]) if c.size > 1 else 0.0
     if second <= LEAF_SUPPORT_TOL * top:
         return int(order[-1]), top
+    gram = m.outcome_gram
+    gjj = gram.diagonal()
+    gc = gram @ c
+    sq_norm = float(c @ gc)
+    a = float(np.abs(c) @ np.sqrt(gjj))
+    eps = float(np.finfo(float).eps)
+    dims = m.dims
+    theta = 2 * (len(c) + len(dims) * (max(dims) ** 2 + 3)) * eps
+    r = m.total_dim * (tol.residual + 2 * eps) * max(1.0, a) + 2 * theta * a
+    limit = (1 + 17 * theta) * (r * r + 5 * theta * a * a)
+    fit = np.divide(gc * gc, gjj, out=np.zeros_like(gc), where=gjj != 0.0)
+    survivors = np.flatnonzero(sq_norm - fit <= limit)
+    if survivors.size == 0:
+        return None
     op = reconstruct(m, c)
     scale = max(1.0, float(np.abs(op).max()))
     ops = m.outcome_operators
     # on real views of the complex entries, Re Tr[O_j^dag X] is a dot product
     flat = ops.reshape(m.n_outcomes, -1).view(np.float64)
-    x = op.reshape(-1).view(np.float64)
-    dots = flat @ x
+    dots = flat @ op.reshape(-1).view(np.float64)
     norms2 = np.einsum("ij,ij->i", flat, flat)
-    eps = float(np.finfo(float).eps)
-    sq_norm = float(x @ x)
-    limit = len(op) * (tol.residual + 2 * eps) * scale * (1 + 5 * eps)
-    margin = 5 * len(x) * eps * sq_norm
-    candidates = np.flatnonzero(norms2 != 0.0)
-    candidates = candidates[dots[candidates] > 0]
-    residuals = sq_norm - dots[candidates] ** 2 / norms2[candidates]
-    for j in candidates[residuals <= limit * limit + margin]:
+    for j in survivors[norms2[survivors] != 0.0]:
         s = float(dots[j] / norms2[j])
         if s > 0 and float(np.abs(op - s * ops[j]).max()) <= tol.residual * scale:
             return int(j), s

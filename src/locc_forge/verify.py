@@ -114,12 +114,19 @@ def _schmidt_ratios(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
     the other parties' vec(F_j^q), a fixed row permutation of the
     realignment's own.  With thin QRs A = Q_A R_A and B = Q_B R_B its
     singular values are those of the small core R_A diag(c) R_B^T.  Two
-    parties have a single cut.
+    parties have a single cut.  A node with fewer than two nonzero
+    coefficients is c_j O_j, an exact product, and gets the ratio 0 without
+    a core.
     """
     n_parties = len(m.dims)
     n = m.n_outcomes
-    vecs = [m.local_factors(q).reshape(n, -1) for q in range(n_parties)]
     ratios = np.zeros(len(coeffs))
+    multi = np.count_nonzero(coeffs, axis=1) >= 2
+    if not multi.any():
+        return ratios
+    coeffs = coeffs[multi]
+    worst = np.zeros(len(coeffs))
+    vecs = [m.local_factors(q).reshape(n, -1) for q in range(n_parties)]
     for p in range(n_parties if n_parties > 2 else 1):
         b = _kron_rows((vecs[q] for q in range(n_parties) if q != p), n)
         r_a = np.linalg.qr(vecs[p].T, mode="r")
@@ -132,8 +139,9 @@ def _schmidt_ratios(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
         cores = _real_times(coeffs, w).reshape(len(coeffs), len(tall), len(wide))
         sigma = np.linalg.svd(cores, compute_uv=False)
         top = sigma[:, 0]
-        ratios = np.maximum(ratios, np.divide(sigma[:, 1], top, out=np.zeros(len(coeffs)),
-                                              where=top != 0))
+        worst = np.maximum(worst, np.divide(sigma[:, 1], top, out=np.zeros(len(coeffs)),
+                                            where=top != 0))
+    ratios[multi] = worst
     return ratios
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from locc_forge import (
+    Party,
+    SeparableMeasurement,
     phase_five,
     qubit_pair,
     rotated_dominoes,
@@ -52,3 +54,16 @@ def catalog_all(m_pair, m_phase, m_dominoes, m_seven):
         "rotated-dominoes": m_dominoes,
         "seven-outcome-family": m_seven,
     }
+
+
+@pytest.fixture(scope="session")
+def m_indefinite():
+    """Two qubits, with an indefinite factor on A in two outcomes."""
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    return SeparableMeasurement(
+        [Party("A", 2), Party("B", 2)],
+        [("f", (np.diag([1.5, -0.5]), p0)),
+         ("g", (np.diag([-0.5, 1.5]), p0)),
+         ("h", (np.eye(2), p1))],
+        [1.0, 1.0, 1.0])

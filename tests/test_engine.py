@@ -14,7 +14,7 @@ from locc_forge import (
 from locc_forge.engine import leaf_outcome
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement
-from locc_forge.tolerances import DEFAULT_TOL, LEAF_SUPPORT_TOL
+from locc_forge.tolerances import DEFAULT_TOL, LEAF_SUPPORT_TOL, Tolerances
 from oracles import dense_leaf_outcome
 
 
@@ -159,17 +159,52 @@ class TestLeafDetection:
     def test_not_a_leaf(self, m_pair):
         assert leaf_outcome(m_pair, np.array([1.0, 1, 0, 0])) is None
 
-    def test_operator_route_with_dependent_outcomes(self):
+    @pytest.fixture(scope="class")
+    def dependent(self):
         # duplicate outcome operators: a mixed coefficient vector still
         # reconstructs to a multiple of one outcome
-        m = SeparableMeasurement(
+        return SeparableMeasurement(
             [Party("A", 2), Party("B", 2)],
             [("a", (P0, P0)), ("b", (P0, P0)), ("c", (P1, np.eye(2, dtype=complex)))],
             np.array([0.5, 0.5, 1.0]))
-        got = leaf_outcome(m, np.array([0.5, 0.5, 0.0]))
+
+    def test_operator_route_with_dependent_outcomes(self, dependent):
+        got = leaf_outcome(dependent, np.array([0.5, 0.5, 0.0]))
         assert got is not None
         assert got[0] == 0
         assert got[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_gram_bound_keeps_the_dense_answer(self, dependent, m_indefinite):
+        """Equal to the dense oracle, scale included, where the dense
+        comparison runs (dependent outcomes), over indefinite factors, with
+        a slightly negative coefficient, and just inside and outside the
+        residual tolerance, where the bound has to let the leaf through."""
+        loose = Tolerances(residual=1e-3)
+        cases = [(dependent, c, DEFAULT_TOL) for c in (
+            [0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.5, 0.5, -1e-13],
+            [0.5, 0.5, 0.9e-8], [0.5, 0.5, 1.1e-8], [1.0, 0.0, 1.0])]
+        cases += [(dependent, c, loose) for c in ([0.5, 0.5, 0.9e-3], [0.5, 0.5, 1.1e-3],
+                                                  [5.0, 5.0, 0.9e-2], [5.0, 5.0, 1.1e-2])]
+        cases += [(m_indefinite, c, DEFAULT_TOL) for c in (
+            [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 3.0, -1e-13], [2.0, -1e-13, 1.0])]
+        rng = np.random.default_rng(5)
+        cases += [(m, rng.uniform(0, 1, 3), DEFAULT_TOL)
+                  for m in (dependent, m_indefinite) for _ in range(10)]
+        found = []
+        for m, c, tol in cases:
+            c = np.asarray(c, dtype=float)
+            got = leaf_outcome(m, c, tol)
+            assert got == dense_leaf_outcome(m, c, tol), (m.labels(), c)
+            found.append(got is not None)
+        assert found[:14] == [True] * 4 + [False] * 2 + [True, False] * 2 + [False] * 4
+
+    def test_non_leaf_forms_no_operator(self):
+        cb = conditional_basis(3, 4, 0)
+        m = SeparableMeasurement(cb.parties, cb.outcomes, cb.weights)
+        c = np.zeros(m.n_outcomes)
+        c[[0, 5, 17]] = [1.0, 2.0, 0.5]
+        assert leaf_outcome(m, c) is None
+        assert "outcome_operators" not in m.__dict__
 
     def test_agrees_with_the_dense_oracle_at_every_search_node(self, monkeypatch, catalog_all):
         import locc_forge.engine as engine

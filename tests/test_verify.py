@@ -5,7 +5,7 @@ from locc_forge import conditional_basis, qubit_pair, seven_outcome_family, synt
 from locc_forge import verify
 from locc_forge.engine import ProtocolNode
 from locc_forge.errors import TreeStructureError
-from locc_forge.measurement import Party, SeparableMeasurement, validate
+from locc_forge.measurement import validate
 from locc_forge.tolerances import PSD_TOL
 from locc_forge.verify import random_density_matrix, simulate, verify_tree
 from oracles import dense_verify_tree, per_node_product_and_positivity
@@ -73,6 +73,24 @@ class TestVerifyTree:
                     assert got.detail == at
         got = verify_tree(bad, m_seven).checks["product-structure"]
         assert not got.passed and got.detail == "root.1"
+
+    def test_single_outcome_nodes_are_exact_products(self, m_seven):
+        """A node on one outcome is c_j O_j, whose Schmidt ratio is exactly 0
+        on every cut, also where an SVD of its core leaves roundoff."""
+        for m in (m_seven, conditional_basis(3, 3, 7)):
+            coeffs = np.diag(np.linspace(0.5, 3.0, m.n_outcomes))
+            assert np.array_equal(verify._schmidt_ratios(m, coeffs),
+                                  np.zeros(m.n_outcomes))
+
+    def test_two_outcome_non_product_node_caught(self, hand_tree, m_seven):
+        bad = copy_tree(hand_tree)
+        target = bad.children[1].children[0].children[0]
+        target.coeffs = np.array([0, 2.0, 0, 0, 6.0, 0, 0])
+        report = verify_tree(bad, m_seven)
+        got = report.checks["product-structure"]
+        product, _ = per_node_product_and_positivity(bad, m_seven)
+        assert not got.passed and got.detail == product[1] == "root.1.0.0"
+        assert abs(got.worst_residual - product[0]) <= 1e-12
 
     def test_hand_encoded_tree_passes(self, hand_tree, m_seven):
         report = verify_tree(hand_tree, m_seven)
@@ -180,23 +198,15 @@ def assert_reports_agree(got, want):
 
 
 @pytest.fixture(scope="module")
-def indefinite():
-    """Two qubits, with an indefinite factor on A in two outcomes, and the
-    tree B-then-A that follows them.  Every check but positivity holds."""
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    m = SeparableMeasurement(
-        [Party("A", 2), Party("B", 2)],
-        [("f", (np.diag([1.5, -0.5]), p0)),
-         ("g", (np.diag([-0.5, 1.5]), p0)),
-         ("h", (np.eye(2), p1))],
-        [1.0, 1.0, 1.0])
+def indefinite(m_indefinite):
+    """The measurement with an indefinite factor on A in two outcomes, and
+    the tree B-then-A that follows them.  Every check but positivity holds."""
     tree = node((1, 1, 1), None, [
         node((1, 1, 0), 1, [node((1, 0, 0), 0, leaf=(0, 1.0)),
                             node((0, 1, 0), 0, leaf=(1, 1.0))]),
         node((0, 0, 1), 1, leaf=(2, 1.0)),
     ])
-    return m, tree
+    return m_indefinite, tree
 
 
 def tampered_trees(hand_tree, m_seven, indefinite):
