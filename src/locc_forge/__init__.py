@@ -40,14 +40,12 @@ from .operators import (
     is_psd,
     tensor,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
 from .verify import random_density_matrix, simulate, verify_tree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "DEFAULT_TOL",
     "FeasibleCone",
     "NodeContext",
     "Party",
@@ -55,7 +53,6 @@ __all__ = [
     "RayDecomposition",
     "SearchStats",
     "SeparableMeasurement",
-    "Tolerances",
     "Verdict",
     "build_q",
     "check_root",

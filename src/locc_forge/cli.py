@@ -19,11 +19,12 @@ from .engine import (
     Certificate,
     Verdict,
     check_root,
+    impossible_at_root,
     synthesize,
 )
 from .errors import LoccForgeError, TreeStructureError
 from .measurement import validate
-from .tolerances import Tolerances
+from .tolerances import RANK_FACTOR, RESIDUAL_TOL
 from .verify import simulate, verify_tree
 
 EXIT_OK = 0
@@ -63,32 +64,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_residual_tol(p):
-        p.add_argument("--tol-residual", type=float, default=None, metavar="F",
-                       help="residual tolerance (default 1e-8)")
-
-    def add_tol(p):
-        p.add_argument("--tol-rank", type=float, default=None, metavar="F",
-                       help="rank cutoff factor of the constraint-matrix nullspace, "
-                            "which sets the cone dimensions (default 1e-11)")
-        add_residual_tol(p)
+        p.add_argument("--tol-residual", type=float, default=RESIDUAL_TOL, metavar="F",
+                       help="residual tolerance (default %(default)g)")
 
     p_check = sub.add_parser("check", help="per-party first-measurement analysis")
     p_check.add_argument("measurement")
     p_check.add_argument("--json", action="store_true", dest="as_json")
-    add_tol(p_check)
+    add_residual_tol(p_check)
 
     p_synth = sub.add_parser("synth", help="search for an LOCC protocol tree")
     p_synth.add_argument("measurement")
     p_synth.add_argument("--max-rounds", type=_int_at_least(1), default=DEFAULT_MAX_ROUNDS)
     p_synth.add_argument("--out", default=None, help="write the tree as JSON")
     p_synth.add_argument("--json", action="store_true", dest="as_json")
-    add_tol(p_synth)
+    add_residual_tol(p_synth)
 
     p_verify = sub.add_parser("verify", help="validate a protocol tree")
     p_verify.add_argument("tree")
     p_verify.add_argument("--measurement", default=None)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
-    add_residual_tol(p_verify)          # verify_tree reads only the residual tolerance
+    add_residual_tol(p_verify)
 
     p_sim = sub.add_parser("simulate", help="leaf statistics on a state")
     p_sim.add_argument("tree")
@@ -109,15 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if getattr(args, "tol_rank", None) is not None:
-        kwargs["rank_factor"] = args.tol_rank
-    if getattr(args, "tol_residual", None) is not None:
-        kwargs["residual"] = args.tol_residual
-    return Tolerances(**kwargs)
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INVALID
@@ -127,32 +113,32 @@ class _CliError(Exception):
     pass
 
 
-def _require_valid(m, tol: Tolerances) -> None:
-    report = validate(m, tol.residual)
+def _require_valid(m, residual_tol: float) -> None:
+    report = validate(m, residual_tol)
     if not report.ok:
         lines = "\n  ".join(str(v) for v in report.violations)
         raise _CliError(f"measurement failed validation:\n  {lines}")
 
 
 def _cmd_check(args) -> int:
-    tol = _tolerances(args)
     m = io.load_measurement(args.measurement)
-    _require_valid(m, tol)
-    roots = check_root(m, tol)
-    impossible = all(r.nullspace_dim == 1 for r in roots)
+    _require_valid(m, args.tol_residual)
+    roots = check_root(m, args.tol_residual)
+    impossible = impossible_at_root(m, roots, args.tol_residual)
     if args.as_json:
         doc = {
             "parties": [
                 {
                     "name": r.party,
                     "nullspace_dim": r.nullspace_dim,
+                    "marginal_rank": r.marginal_rank,
                     "extreme_rays": [[float(x) for x in ray]
                                      for ray in r.extreme_rays],
                 }
                 for r in roots
             ],
             "impossible_at_root": impossible,
-            "tolerances": tol.as_dict(),
+            "tolerances": {"rank_factor": RANK_FACTOR, "residual": args.tol_residual},
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -160,8 +146,9 @@ def _cmd_check(args) -> int:
               + " x ".join(f"{p.name}({p.dim})" for p in m.parties))
         for r in roots:
             verdictish = "" if r.nullspace_dim > 1 else "  (cannot measure first)"
+            marginal = "  (rank decided near the cutoff)" if r.marginal_rank else ""
             print(f"party {r.party}: root nullspace dim {r.nullspace_dim}"
-                  f"{verdictish}")
+                  f"{verdictish}{marginal}")
             for ray in r.extreme_rays:
                 print("  ray:", np.array2string(ray, precision=6,
                                                 suppress_small=True))
@@ -194,10 +181,9 @@ def _tree_summary(cert: Certificate, m) -> list[str]:
 
 
 def _cmd_synth(args) -> int:
-    tol = _tolerances(args)
     m = io.load_measurement(args.measurement)
-    _require_valid(m, tol)
-    cert = synthesize(m, max_rounds=args.max_rounds, tol=tol)
+    _require_valid(m, args.tol_residual)
+    cert = synthesize(m, max_rounds=args.max_rounds, residual_tol=args.tol_residual)
     if args.as_json:
         doc = {
             "verdict": cert.verdict.value,
@@ -207,7 +193,7 @@ def _cmd_synth(args) -> int:
                 "dead_ends": cert.search_stats.dead_ends,
                 "wall_time": cert.search_stats.wall_time,
             },
-            "tolerances": cert.tolerances.as_dict(),
+            "tolerances": {"rank_factor": RANK_FACTOR, "residual": cert.residual_tol},
         }
         if cert.tree is not None:
             doc["tree"] = io.tree_to_dict(cert.tree, m,
@@ -232,11 +218,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = _tolerances(args)
     m = io.load_measurement(args.measurement) if args.measurement else None
     try:
         tree, m = io.load_tree(args.tree, m)
-        report = verify_tree(tree, m, tol)
+        report = verify_tree(tree, m, args.tol_residual)
     except TreeStructureError as exc:
         return _fail(f"malformed tree: {exc}")
     if args.as_json:

@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import LoccForgeError
 from .tolerances import (
-    DEFAULT_TOL,
     DUPLICATE_TOL,
     NNLS_GRADIENT_FACTOR,
     NNLS_ITERATIONS_PER_COLUMN,
     NULLSPACE_RESIDUAL_TOL,
+    RESIDUAL_TOL,
     SCALE_TOL,
     SPLIT_BOUND_MARGIN,
-    Tolerances,
     rank_threshold,
 )
 
@@ -189,8 +188,8 @@ def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rays, cuts
 
 
-def extreme_rays(qmatrix: np.ndarray, nullspace_basis: np.ndarray | None = None,
-                 tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+def extreme_rays(qmatrix: np.ndarray,
+                 nullspace_basis: np.ndarray | None = None) -> list[np.ndarray]:
     """Extreme rays of {c >= 0 : Q c = 0}, L1-normalized and sorted.
 
     The rays come from the double description of {y : N y >= 0}, N the
@@ -206,7 +205,7 @@ def extreme_rays(qmatrix: np.ndarray, nullspace_basis: np.ndarray | None = None,
 
     q = np.asarray(qmatrix, dtype=float)
     if nullspace_basis is None:
-        nullspace_basis, _ = nullspace(q, q.shape[1], tol)
+        nullspace_basis, _ = nullspace(q, q.shape[1])
     basis = np.asarray(nullspace_basis, dtype=float)
     n, k = basis.shape
     if k == 0:
@@ -270,7 +269,7 @@ class RayDecomposition:
 
 
 def decompose(parent: np.ndarray, rays: list[np.ndarray],
-              tol: Tolerances = DEFAULT_TOL) -> list[RayDecomposition]:
+              residual_tol: float = RESIDUAL_TOL) -> list[RayDecomposition]:
     """Every exact splitting of ``parent`` into two or more extreme rays.
 
     The splittings are the vertices of the polytope {s >= 0 : R s = parent},
@@ -299,7 +298,7 @@ def decompose(parent: np.ndarray, rays: list[np.ndarray],
     scale_floor = max(1.0, float(parent.max()))
     # max-norm >= 2-norm / sqrt(n): a 2-norm residual above this fails the
     # exactness test below
-    bound = sqrt(len(parent)) * tol.residual * scale_floor
+    bound = sqrt(len(parent)) * residual_tol * scale_floor
     found: dict[tuple[int, ...], RayDecomposition] = {}
     queue = [tuple(usable)] if len(usable) >= 2 else []
     seen = set(queue)
@@ -313,7 +312,7 @@ def decompose(parent: np.ndarray, rays: list[np.ndarray],
         support = tuple(i for i, k in zip(subset, keep) if k)
         scales = scales[keep]
         residual = float(np.abs(mat[:, keep] @ scales - parent).max())
-        if residual > tol.residual * scale_floor:
+        if residual > residual_tol * scale_floor:
             continue
         if len(support) >= 2 and support not in found:
             found[support] = RayDecomposition(support, scales, residual)

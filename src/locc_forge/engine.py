@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .feasibility import (
 )
 from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .measurement import SeparableMeasurement
-from .tolerances import DEFAULT_TOL, LEAF_SUPPORT_TOL, Tolerances
+from .tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
 
 DEFAULT_MAX_ROUNDS = 8
 
@@ -84,9 +85,14 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class RootFeasibility:
+    """One party's root cone.  ``marginal_rank`` flags a singular value of
+    its constraint matrix within a decade of the rank cutoff (see
+    :class:`~locc_forge.feasibility.MarginalRankWarning`)."""
+
     party: str
     nullspace_dim: int
     extreme_rays: tuple[np.ndarray, ...]
+    marginal_rank: bool
 
 
 @dataclass(eq=False)
@@ -96,25 +102,58 @@ class Certificate:
     verdict: Verdict
     root_dims: tuple[int, ...]
     search_stats: SearchStats
-    tolerances: Tolerances
+    residual_tol: float
     tree: ProtocolNode | None = None
 
 
-def _root_cones(m: SeparableMeasurement, tol: Tolerances) -> list[FeasibleCone]:
-    return [feasible_cone(root_context(m, p), tol) for p in range(len(m.parties))]
+def _root_cones(m: SeparableMeasurement, residual_tol: float) -> list[FeasibleCone]:
+    return [feasible_cone(root_context(m, p), residual_tol) for p in range(len(m.parties))]
 
 
 def check_root(m: SeparableMeasurement,
-               tol: Tolerances = DEFAULT_TOL) -> list[RootFeasibility]:
+               residual_tol: float = RESIDUAL_TOL) -> list[RootFeasibility]:
     """Per-party feasibility of the very first measurement.
 
     All parties' root dimensions equal to one certifies that no LOCC
-    protocol for the measurement exists.
+    protocol for the measurement exists, once :func:`impossible_at_root`
+    has checked the cones.
     """
     return [
-        RootFeasibility(m.parties[p].name, cone.nullspace_dim, cone.extreme_rays)
-        for p, cone in enumerate(_root_cones(m, tol))
+        RootFeasibility(m.parties[p].name, cone.nullspace_dim, cone.extreme_rays,
+                        cone.marginal_rank)
+        for p, cone in enumerate(_root_cones(m, residual_tol))
     ]
+
+
+def impossible_at_root(m: SeparableMeasurement,
+                       roots: Sequence[RootFeasibility | FeasibleCone],
+                       residual_tol: float = RESIDUAL_TOL) -> bool:
+    """Whether the root cones certify that no LOCC protocol exists: every
+    party's cone is one-dimensional.
+
+    Before it says so, a soundness check: each party's only root ray must
+    be the completeness vector, whose operator is the identity.  A failure
+    raises :class:`LoccForgeError` rather than certify a false verdict.
+    """
+    if any(root.nullspace_dim != 1 for root in roots):
+        return False
+    w = np.asarray(m.weights, dtype=float)
+    w_dir = w / w.sum()
+    eye = np.eye(m.total_dim)
+    for root in roots:
+        if len(root.extreme_rays) != 1:
+            raise LoccForgeError("impossibility self-check failed: stray ray")
+        ray = root.extreme_rays[0]
+        if float(np.abs(ray - w_dir).max()) > residual_tol:
+            raise LoccForgeError(
+                "impossibility self-check failed: root ray is not the "
+                "completeness vector")
+        op = reconstruct(m, ray / ray.sum() * w.sum())
+        if float(np.abs(op - eye).max()) > 10 * residual_tol:
+            raise LoccForgeError(
+                "impossibility self-check failed: root ray does not "
+                "reconstruct the identity")
+    return True
 
 
 def _coeff_key(coeffs: np.ndarray) -> tuple:
@@ -125,13 +164,13 @@ def _coeff_key(coeffs: np.ndarray) -> tuple:
 
 
 def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOL) -> tuple[int, float] | None:
+                 residual_tol: float = RESIDUAL_TOL) -> tuple[int, float] | None:
     """(outcome index, scale) if the node is a final outcome, else None.
 
     Two tests: the coefficient vector is supported on a single outcome, or
     the reconstructed operator X is a positive multiple s O_j of some
     outcome operator, with s = <O_j, X> / |O_j|^2 and every entry of
-    X - s O_j within ``tol.residual * scale``, scale = max(1, max |X|).
+    X - s O_j within ``residual_tol * scale``, scale = max(1, max |X|).
     The second catches coefficient vectors that differ from a unit vector
     yet reconstruct to the same operator, which happens when the outcome
     operators are linearly dependent.
@@ -185,7 +224,7 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
     eps = float(np.finfo(float).eps)
     dims = m.dims
     theta = 2 * (len(c) + len(dims) * (max(dims) ** 2 + 3)) * eps
-    r = m.total_dim * (tol.residual + 2 * eps) * max(1.0, a) + 2 * theta * a
+    r = m.total_dim * (residual_tol + 2 * eps) * max(1.0, a) + 2 * theta * a
     limit = (1 + 17 * theta) * (r * r + 5 * theta * a * a)
     fit = np.divide(gc * gc, gjj, out=np.zeros_like(gc), where=gjj != 0.0)
     survivors = np.flatnonzero(sq_norm - fit <= limit)
@@ -200,7 +239,7 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
     norms2 = np.einsum("ij,ij->i", flat, flat)
     for j in survivors[norms2[survivors] != 0.0]:
         s = float(dots[j] / norms2[j])
-        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= tol.residual * scale:
+        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= residual_tol * scale:
             return int(j), s
     return None
 
@@ -208,9 +247,9 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
 class _Search:
     """Shared state for one synthesis run."""
 
-    def __init__(self, m: SeparableMeasurement, tol: Tolerances):
+    def __init__(self, m: SeparableMeasurement, residual_tol: float):
         self.m = m
-        self.tol = tol
+        self.residual_tol = residual_tol
         self.stats = SearchStats()
         self.cones: dict[tuple, FeasibleCone] = {}
         self.failed: set[tuple] = set()
@@ -219,14 +258,14 @@ class _Search:
         key = (party, _coeff_key(coeffs))
         cone = self.cones.get(key)
         if cone is None:
-            cone = feasible_cone(NodeContext(self.m, party, coeffs), self.tol)
+            cone = feasible_cone(NodeContext(self.m, party, coeffs), self.residual_tol)
             self.cones[key] = cone
         return cone
 
     def run(self, coeffs: np.ndarray, produced_by: int | None,
             remaining: int) -> ProtocolNode | None:
         m = self.m
-        leaf = leaf_outcome(m, coeffs, self.tol)
+        leaf = leaf_outcome(m, coeffs, self.residual_tol)
         if leaf is not None:
             return ProtocolNode(coeffs, produced_by, (), leaf)
         if remaining == 0:
@@ -244,7 +283,7 @@ class _Search:
             if cone.nullspace_dim == 1:
                 continue
             rays = list(cone.extreme_rays)
-            for dec in decompose(coeffs, rays, self.tol):
+            for dec in decompose(coeffs, rays, self.residual_tol):
                 children = []
                 for i, s in zip(dec.rays_used, dec.scales):
                     child = self.run(s * rays[i], party, remaining - 1)
@@ -259,7 +298,7 @@ class _Search:
 
 
 def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
-               tol: Tolerances = DEFAULT_TOL) -> Certificate:
+               residual_tol: float = RESIDUAL_TOL) -> Certificate:
     """Search for an LOCC tree implementing the measurement.
 
     Returns PROTOCOL_FOUND with a verified tree, IMPOSSIBLE_AT_ROOT when no
@@ -269,17 +308,16 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     started = time.perf_counter()
-    root_cones = _root_cones(m, tol)
+    root_cones = _root_cones(m, residual_tol)
     dims = tuple(c.nullspace_dim for c in root_cones)
     stats = SearchStats()
 
-    if all(d == 1 for d in dims):
-        _assert_trivial_root(m, root_cones, tol)
+    if impossible_at_root(m, root_cones, residual_tol):
         stats.wall_time = time.perf_counter() - started
-        return Certificate(Verdict.IMPOSSIBLE_AT_ROOT, dims, stats, tol)
+        return Certificate(Verdict.IMPOSSIBLE_AT_ROOT, dims, stats, residual_tol)
 
     weights = np.asarray(m.weights, dtype=float)
-    search = _Search(m, tol)
+    search = _Search(m, residual_tol)
     for party, cone in enumerate(root_cones):
         search.cones[(party, _coeff_key(weights))] = cone
 
@@ -294,34 +332,13 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
     stats.wall_time = time.perf_counter() - started
 
     if tree is None:
-        return Certificate(Verdict.INCONCLUSIVE, dims, stats, tol)
+        return Certificate(Verdict.INCONCLUSIVE, dims, stats, residual_tol)
 
     from .verify import verify_tree  # independent checker, import kept one-way
-    report = verify_tree(tree, m, tol)
+    report = verify_tree(tree, m, residual_tol)
     if not report.passed:
         raise LoccForgeError(
             "internal error: synthesized tree failed independent verification: "
             + ", ".join(k for k, c in report.checks.items() if not c.passed))
-    return Certificate(Verdict.PROTOCOL_FOUND, dims, stats, tol, tree)
+    return Certificate(Verdict.PROTOCOL_FOUND, dims, stats, residual_tol, tree)
 
-
-def _assert_trivial_root(m: SeparableMeasurement, root_cones: list[FeasibleCone],
-                         tol: Tolerances) -> None:
-    """Soundness check behind an impossibility verdict: each party's only
-    root ray is the completeness vector, whose operator is the identity."""
-    w = np.asarray(m.weights, dtype=float)
-    w_dir = w / w.sum()
-    eye = np.eye(m.total_dim)
-    for root in root_cones:
-        if len(root.extreme_rays) != 1:
-            raise LoccForgeError("impossibility self-check failed: stray ray")
-        ray = root.extreme_rays[0]
-        if float(np.abs(ray - w_dir).max()) > tol.residual:
-            raise LoccForgeError(
-                "impossibility self-check failed: root ray is not the "
-                "completeness vector")
-        op = reconstruct(m, ray / ray.sum() * w.sum())
-        if float(np.abs(op - eye).max()) > 10 * tol.residual:
-            raise LoccForgeError(
-                "impossibility self-check failed: root ray does not "
-                "reconstruct the identity")

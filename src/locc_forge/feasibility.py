@@ -10,7 +10,8 @@ operator spans, that condition says every component along directions
 "anything (x) (not Abar)" vanishes.  Those directions are extracted in
 coordinates: the party's factors and the bystander factors are written in
 orthonormal bases of their spans (isometric coordinates), Abar's coordinates
-are read off the node's own coefficients, an orthonormal basis of Abar's
+are read off the node's own coefficients (at the root, where Abar is the
+identity, off the outcomes' traces), an orthonormal basis of Abar's
 orthogonal complement in the complement span comes from one Householder
 reflection, and the products of the two sides' coordinates give the rows of
 a real matrix Q.  The admissible c are then exactly the nonnegative
@@ -38,7 +39,7 @@ from .errors import DegenerateBasisError, InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement
 from .measurement import complement_span, local_span  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .operators import independent_subset, project_factor
-from .tolerances import DEFAULT_TOL, GRAM_CONDITION_LIMIT, MARGINAL_RANK_BAND, Tolerances
+from .tolerances import GRAM_CONDITION_LIMIT, MARGINAL_RANK_BAND, RESIDUAL_TOL, rank_threshold
 
 
 class MarginalRankWarning(UserWarning):
@@ -52,32 +53,32 @@ class NodeContext:
 
     ``coeffs`` are the node's coefficients against the unweighted outcome
     operators.  They fix the node operator, and with it the joint operator
-    Abar of every party except ``acting_party`` (the identity at the root).
+    Abar of every party except ``acting_party``.  At the ``root`` Abar is
+    the identity whatever the coefficients, so a weight error that
+    validation accepts moves no rank decision there.
 
-    ``support`` holds the outcomes the node's cone is built on: those with
-    c_j != 0, and those of zero weight.  Every child is a multiple of a ray
+    ``support`` holds the outcomes the node's cone is built on: every
+    outcome at the root, so root dimensions are those of the whole cone,
+    and those with c_j != 0 below it.  Every child is a multiple of a ray
     from an exact nonnegative split of its parent, so every descendant of a
     node lies in its support, and the search loses nothing by working on
-    that face of the cone.  Keeping the zero-weight outcomes makes the root
-    (c = weights) keep every outcome, so root dimensions are those of the
-    whole cone.
+    that face of the cone.
     """
 
     measurement: SeparableMeasurement
     acting_party: int
     coeffs: np.ndarray
+    root: bool = False
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        support = np.flatnonzero(self.coeffs)
-        if len(support) < len(self.coeffs):
-            support = np.flatnonzero((np.asarray(self.coeffs) != 0)
-                                     | (self.measurement.weights == 0))
+        support = (np.arange(len(self.coeffs)) if self.root
+                   else np.flatnonzero(self.coeffs))
         object.__setattr__(self, "support", support)
 
 
 def root_context(m: SeparableMeasurement, party: int) -> NodeContext:
-    return NodeContext(m, party, np.asarray(m.weights, dtype=float))
+    return NodeContext(m, party, np.asarray(m.weights, dtype=float), root=True)
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,15 @@ class PartyTables:
       orthonormal basis of the local span, so acting^T acting = [Tr(L_m L_n)];
     * ``coords`` holds, in column n, the coordinates of C_n in an
       orthonormal basis of the complement span, so
-      coords^T coords = [Tr(C_m C_n)].
+      coords^T coords = [Tr(C_m C_n)];
+    * ``identity`` holds the coordinates y of the identity on the other
+      parties, the root's Abar, in the same basis: the least-squares
+      solution of coords^T y = t, t_n = Tr(C_n).
     """
 
     acting: np.ndarray
     coords: np.ndarray
+    identity: np.ndarray
 
 
 def _orthonormal_frame(ops: np.ndarray) -> np.ndarray:
@@ -163,9 +168,12 @@ def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
     side's operator stack is built once."""
     cached = m._pairing_cache.get(party)
     if cached is None:
+        rest = m.complement_factors(party)
+        coords = _orthonormal_frame(rest)
+        traces = np.trace(rest, axis1=1, axis2=2).real
         cached = m._pairing_cache[party] = PartyTables(
-            _orthonormal_frame(m.local_factors(party)),
-            _orthonormal_frame(m.complement_factors(party)))
+            _orthonormal_frame(m.local_factors(party)), coords,
+            np.linalg.lstsq(coords.T, traces, rcond=None)[0])
     return cached
 
 
@@ -183,8 +191,7 @@ def _bystander_coords(tables: PartyTables, coeffs) -> np.ndarray:
     return core[np.argmax(np.einsum("ij,ij->i", core, core))]
 
 
-def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
-            basis_rng: np.random.Generator | None = None) -> np.ndarray:
+def build_q(ctx: NodeContext, basis_rng: np.random.Generator | None = None) -> np.ndarray:
     """Constraint matrix whose nullspace parametrizes the party's next outcomes.
 
     Column n of the matrix holds the coordinates of L_n (x) (C_n - P C_n),
@@ -196,18 +203,23 @@ def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
     Only the columns of the context's support are built (every outcome at
     the root), with the party tables sliced to them before the product.
     No operator is formed: in the party's cached :class:`PartyTables`, Abar
-    has coordinates y (see :func:`_bystander_coords`), and rows 1.. of the
-    Householder reflector that maps y onto the first axis are such a basis.
+    has coordinates y (the cached identity's at the root, else see
+    :func:`_bystander_coords`), and rows 1.. of the Householder reflector
+    that maps y onto the first axis are such a basis.
     When ``basis_rng`` is given, both sides' rows are randomly recombined;
     the resulting matrix differs row by row but its nullspace does not.
     """
     tables = party_tables(ctx.measurement, ctx.acting_party)
     support = ctx.support
-    coeffs = ctx.coeffs
-    if len(support) < len(coeffs):
-        tables = PartyTables(tables.acting[:, support], tables.coords[:, support])
-        coeffs = np.asarray(coeffs, dtype=float)[support]
-    y = _bystander_coords(tables, coeffs)
+    if ctx.root:
+        y = tables.identity
+    else:
+        coeffs = ctx.coeffs
+        if len(support) < len(coeffs):
+            tables = PartyTables(tables.acting[:, support], tables.coords[:, support],
+                                 tables.identity)
+            coeffs = np.asarray(coeffs, dtype=float)[support]
+        y = _bystander_coords(tables, coeffs)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise InconsistentNodeError("node operator is zero")
@@ -227,14 +239,13 @@ def build_q(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL,
     return q[keep]
 
 
-def nullspace(q: np.ndarray, n_cols: int,
-              tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
     """Orthonormal nullspace basis of ``q`` and a marginal-rank flag."""
     if q.shape[0] == 0:
         return np.eye(n_cols), False
     # V is needed whole; U is only computed, small, when rows < cols
     _, sigma, vh = np.linalg.svd(q, full_matrices=q.shape[0] < q.shape[1])
-    cutoff = tol.rank_threshold(q.shape, float(sigma[0]))
+    cutoff = rank_threshold(q.shape, float(sigma[0]))
     marginal = bool(np.any((sigma > cutoff / MARGINAL_RANK_BAND)
                            & (sigma < cutoff * MARGINAL_RANK_BAND)))
     rank = int(np.sum(sigma > cutoff))
@@ -242,37 +253,38 @@ def nullspace(q: np.ndarray, n_cols: int,
     return np.ascontiguousarray(basis.real), marginal
 
 
-def feasible_cone(ctx: NodeContext, tol: Tolerances = DEFAULT_TOL) -> FeasibleCone:
+def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> FeasibleCone:
     """Nullspace plus extreme rays of {c >= 0 : Q c = 0} on the context's
     support (see :attr:`NodeContext.support`), embedded in n-outcome space.
 
     The parent coefficient vector must itself lie in the cone; a node that
     fails this, such as one that is not a product across the party's cut, is
-    inconsistent with the measurement.  That is tested first, so an empty
+    inconsistent with the measurement.  At the root, whose Abar is the
+    identity, this tests completeness.  It is tested first, so an empty
     nullspace is blamed on the measurement only at a consistent node.
     """
     from .cones import extreme_rays  # looked up per call: the benchmark tracer wraps it
 
     n = ctx.measurement.n_outcomes
     support = ctx.support
-    q = build_q(ctx, tol)
+    q = build_q(ctx)
     c = np.asarray(ctx.coeffs, dtype=float)
     if len(support) < n:
         c = c[support]
     l1 = float(np.abs(c).sum())
     if l1 > 0 and q.shape[0] > 0:
         parent_residual = float(np.abs(q @ (c / l1)).max())
-        if parent_residual > tol.residual:
+        if parent_residual > residual_tol:
             raise InconsistentNodeError(
                 f"parent coefficients violate the node constraints "
                 f"(residual {parent_residual:.3e})")
-    basis, marginal = nullspace(q, len(support), tol)
+    basis, marginal = nullspace(q, len(support))
     if basis.shape[1] == 0:
         raise InconsistentNodeError("empty nullspace contradicts completeness")
     if marginal:
         warnings.warn("nullspace dimension decided near the rank cutoff",
                       MarginalRankWarning, stacklevel=2)
-    rays = extreme_rays(q, nullspace_basis=basis, tol=tol)
+    rays = extreme_rays(q, nullspace_basis=basis)
     if len(support) < n:
         basis, rays = _embed(basis.T, support, n).T, _embed(np.array(rays), support, n)
     return FeasibleCone(support, q, basis, tuple(rays), marginal)
@@ -296,14 +308,14 @@ def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:
 
 
 def factorize(op: np.ndarray, abar: np.ndarray, slot: int, dims: tuple[int, ...],
-              tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+              residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Extract the measuring party's factor from a product node operator.
 
     Cone membership guarantees the product form, so a residual above
     tolerance signals an analyzer bug and raises :class:`NotProductError`.
     """
     x, residual = project_factor(op, abar, slot, dims)
-    if residual > tol.residual * max(1.0, float(np.abs(op).max())):
+    if residual > residual_tol * max(1.0, float(np.abs(op).max())):
         raise NotProductError(
             f"operator is not a product with the given bystander factor "
             f"(residual {residual:.3e})")

@@ -121,12 +121,6 @@ class SeparableMeasurement:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def party_index(self, name: str) -> int:
-        for i, p in enumerate(self.parties):
-            if p.name == name:
-                return i
-        raise KeyError(f"no party named {name!r}")
-
     def labels(self) -> list[str]:
         return [o.label for o in self.outcomes]
 

@@ -23,7 +23,7 @@ _DECISION_MARGIN = 1e-3
 cutoff in :func:`independent_subset` before it decides without an SVD."""
 
 
-def as_hermitian(entries, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
+def as_hermitian(entries) -> np.ndarray:
     """Validate a finite square matrix as Hermitian and return it as complex128.
 
     Asymmetry is measured in max norm after scaling by the largest entry
@@ -37,7 +37,7 @@ def as_hermitian(entries, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     scale = float(np.abs(a).max())
-    if scale > 0.0 and float(np.abs(a - a.conj().T).max()) > herm_tol * scale:
+    if scale > 0.0 and float(np.abs(a - a.conj().T).max()) > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -139,10 +139,10 @@ def independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     return chosen
 
 
-def is_psd(x: np.ndarray, psd_tol: float = PSD_TOL) -> bool:
+def is_psd(x: np.ndarray) -> bool:
     """True iff the smallest eigenvalue is above the scaled negativity floor."""
     eigs = np.linalg.eigvalsh(x)
-    floor = psd_tol * max(1.0, float(np.abs(eigs).max()))
+    floor = PSD_TOL * max(1.0, float(np.abs(eigs).max()))
     return bool(eigs[0] >= -floor)
 
 

@@ -2,12 +2,12 @@
 
 Every rank decision in the library (operator independence, nullspace
 dimension, cone dimension, independence of ray sets and of nonnegative
-least-squares columns) uses the cutoff formula of :func:`rank_threshold`,
-because impossibility verdicts hinge on whether a nullspace is exactly
-one-dimensional.  The factor of the nullspace decision is a user knob,
-``Tolerances.rank_factor``, recorded in every certificate; span selection,
-the Gram condition check and the ray-split solvers keep the module constants
-:data:`RANK_FACTOR` and :data:`GRAM_CONDITION_LIMIT`.
+least-squares columns) uses the one cutoff of :func:`rank_threshold`, with
+the fixed factor :data:`RANK_FACTOR`, because impossibility verdicts hinge
+on whether a nullspace is exactly one-dimensional.  The cutoff is part of
+the method, not a setting: no caller can change it.  The one tolerance a
+caller may set is the residual tolerance, a plain float that defaults to
+:data:`RESIDUAL_TOL` and that certificates record.
 
 Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction
@@ -17,8 +17,6 @@ nonnegative least-squares solver's roundoff floor and iteration limit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 RANK_FACTOR = 1e-11
 """Rank cutoff is ``max(rows, cols) * sigma_max * RANK_FACTOR``."""
@@ -66,31 +64,6 @@ MARGINAL_RANK_BAND = 10.0
 """Singular values within this factor of the rank cutoff trigger a warning."""
 
 
-def rank_threshold(shape: tuple[int, int], sigma_max: float,
-                   factor: float = RANK_FACTOR) -> float:
+def rank_threshold(shape: tuple[int, int], sigma_max: float) -> float:
     """Singular-value cutoff for deciding the rank of a ``shape`` matrix."""
-    return max(shape) * sigma_max * factor
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """User-overridable knobs, threaded through feasibility analysis and search.
-
-    ``rank_factor`` scales the rank cutoff of each constraint matrix's
-    nullspace (:func:`locc_forge.feasibility.nullspace`), which sets every
-    cone dimension; span selection, the Gram condition check and the
-    ray-split solvers do not read it.  ``residual`` bounds the max-norm
-    residual checks.  The fixed module-level constants cover the rest.
-    """
-
-    rank_factor: float = RANK_FACTOR
-    residual: float = RESIDUAL_TOL
-
-    def rank_threshold(self, shape: tuple[int, int], sigma_max: float) -> float:
-        return rank_threshold(shape, sigma_max, self.rank_factor)
-
-    def as_dict(self) -> dict[str, float]:
-        return {"rank_factor": self.rank_factor, "residual": self.residual}
-
-
-DEFAULT_TOL = Tolerances()
+    return max(shape) * sigma_max * RANK_FACTOR

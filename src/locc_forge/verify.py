@@ -24,7 +24,7 @@ from .engine import ProtocolNode
 from .errors import TreeStructureError
 from .measurement import SeparableMeasurement
 from .operators import as_hermitian, is_psd
-from .tolerances import DEFAULT_TOL, PSD_TOL, Tolerances
+from .tolerances import PSD_TOL, RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,9 @@ def _edge_factors(children: np.ndarray, factors: Sequence[np.ndarray], slot: int
 
 
 def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
-                tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
-    """Run all tree checks against a measurement; residual tolerance 1e-8.
+                residual_tol: float = RESIDUAL_TOL) -> VerificationReport:
+    """Run all tree checks against a measurement, with residual tolerance
+    ``residual_tol``.
 
     Checks: the root reconstructs the identity, every internal node is the
     sum of its children and of its descendant leaves, every node operator is
@@ -230,7 +231,7 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
                 worst_r, worst_at = r, at
                 if np.isnan(r):
                     break
-        return CheckResult(worst_r <= tol.residual, worst_r, worst_at)
+        return CheckResult(worst_r <= residual_tol, worst_r, worst_at)
 
     checks: dict[str, CheckResult] = {}
 

@@ -31,13 +31,12 @@ from locc_forge.feasibility import reconstruct
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
-    DEFAULT_TOL,
     GRAM_CONDITION_LIMIT,
     LEAF_SUPPORT_TOL,
     PSD_TOL,
     RANK_FACTOR,
+    RESIDUAL_TOL,
     SCALE_TOL,
-    Tolerances,
     rank_threshold,
 )
 from locc_forge.verify import CheckResult, VerificationReport, _structural_pass
@@ -70,18 +69,17 @@ def projector_of(vectors) -> np.ndarray:
     return qmat @ qmat.T
 
 
-def rank_cutoff_nullspace(q: np.ndarray, n_cols: int,
-                          rank_factor: float = 1e-11) -> np.ndarray:
+def rank_cutoff_nullspace(q: np.ndarray, n_cols: int) -> np.ndarray:
     """Nullspace basis under the library-wide rank cutoff.
 
-    The cutoff formula max(rows, cols) * sigma_max * rank_factor is the
+    The cutoff formula max(rows, cols) * sigma_max * RANK_FACTOR is the
     published policy; the oracle shares it on purpose so that only the ray
     *enumeration* differs between the two routes.
     """
     if q.shape[0] == 0:
         return np.eye(n_cols)
     _, sigma, vh = np.linalg.svd(q)
-    cutoff = max(q.shape) * float(sigma[0]) * rank_factor
+    cutoff = max(q.shape) * float(sigma[0]) * RANK_FACTOR
     rank = int(np.sum(sigma > cutoff))
     return vh[rank:].T
 
@@ -124,13 +122,13 @@ def brute_force_rays(q: np.ndarray, feas_tol: float = 1e-9) -> list[np.ndarray]:
 
 
 def combination_decompose(parent: np.ndarray, rays: Sequence[np.ndarray],
-                          tol: Tolerances = DEFAULT_TOL
+                          residual_tol: float = RESIDUAL_TOL
                           ) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Exact splits of ``parent`` by trying every combination of two or more
     rays not proportional to it, one NNLS solve each, with no size cap.
 
     A combination counts when every scale exceeds ``SCALE_TOL`` and the
-    max-norm residual is within ``tol.residual * max(1, max(parent))``.
+    max-norm residual is within ``residual_tol * max(1, max(parent))``.
     Returns (support, scales) pairs ordered by (size, support).
     """
     parent = np.asarray(parent, dtype=float)
@@ -146,7 +144,7 @@ def combination_decompose(parent: np.ndarray, rays: Sequence[np.ndarray],
             mat = np.column_stack([rays[i] for i in support])
             scales, _ = nnls(mat, parent)
             if np.all(scales > SCALE_TOL) and \
-                    float(np.abs(mat @ scales - parent).max()) <= tol.residual * floor:
+                    float(np.abs(mat @ scales - parent).max()) <= residual_tol * floor:
                 out.append((support, scales))
     return out
 
@@ -173,13 +171,12 @@ def nnls_completeness_weights(ops: np.ndarray) -> np.ndarray:
     return nnls(*_completeness_system(ops))[0]
 
 
-def greedy_svd_independent_subset(ops: Sequence[np.ndarray],
-                                  rank_factor: float = RANK_FACTOR) -> list[int]:
+def greedy_svd_independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     The library's original rule, one SVD of the whole candidate stack per
     candidate: rank is decided from the singular values of the vectorized
-    stack with cutoff ``max(rows, cols) * sigma_max * rank_factor``.  A list
+    stack with cutoff ``max(rows, cols) * sigma_max * RANK_FACTOR``.  A list
     of zero operators yields an empty index list.
     """
     if len(ops) == 0:
@@ -192,7 +189,7 @@ def greedy_svd_independent_subset(ops: Sequence[np.ndarray],
     for i in range(len(ops)):
         stack = vecs[chosen + [i]]
         sigma = np.linalg.svd(stack, compute_uv=False)
-        cutoff = rank_threshold(stack.shape, float(sigma[0]), rank_factor)
+        cutoff = rank_threshold(stack.shape, float(sigma[0]))
         rank = int(np.sum(sigma > cutoff))
         if rank == len(chosen) + 1:
             chosen.append(i)
@@ -221,7 +218,7 @@ def bystander_operator(ctx) -> np.ndarray:
     return np.trace(op, axis1=p, axis2=len(dims) + p).reshape(rest, rest)
 
 
-def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def dense_build_q(ctx, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     """The constraint matrix built from dense operators, as the library first did.
 
     Abar is the partial trace of the node operator, and a node operator that
@@ -240,7 +237,7 @@ def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise InconsistentNodeError("node operator is zero")
     op = reconstruct(m, ctx.coeffs)
     _, residual = project_factor(op, abar, p, m.dims)
-    if residual > tol.residual * max(1.0, float(np.abs(op).max())):
+    if residual > residual_tol * max(1.0, float(np.abs(op).max())):
         raise InconsistentNodeError(
             f"node operator is not a product across the cut (residual {residual:.3e})")
     span = complement_span(m, p)
@@ -250,7 +247,7 @@ def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     candidates = [abar] + list(span)
     elements = [abar] + [
         candidates[i] - (np.vdot(abar, candidates[i]).real / norm2) * abar
-        for i in greedy_svd_independent_subset(candidates, tol.rank_factor) if i > 0]
+        for i in greedy_svd_independent_subset(candidates) if i > 0]
     if len(elements) != len(span):
         raise InconsistentNodeError("bystander span completion has wrong dimension")
 
@@ -268,7 +265,7 @@ def dense_build_q(ctx, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return q[np.abs(q).max(axis=1) > 1e-13 * scale]
 
 
-def whole_cone_rays(ctx, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+def whole_cone_rays(ctx) -> list[np.ndarray]:
     """Extreme rays of the context's whole cone, on every outcome column
     whatever the node's support: Q on all n columns from the library's
     party tables (with the complement of Abar's coordinates taken from an
@@ -283,14 +280,14 @@ def whole_cone_rays(ctx, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     perp = np.linalg.svd(y[None, :])[2][1:]
     q = (tables.acting[:, None, :] * (perp @ tables.coords)[None, :, :]).reshape(-1, n)
     q = q[np.abs(q).max(axis=1) > 1e-13 * max(1.0, float(np.abs(q).max()))]
-    return extreme_rays(q, rank_cutoff_nullspace(q, n, tol.rank_factor), tol)
+    return extreme_rays(q, rank_cutoff_nullspace(q, n))
 
 
-def dense_leaf_outcome(m, coeffs, tol: Tolerances = DEFAULT_TOL):
+def dense_leaf_outcome(m, coeffs, residual_tol: float = RESIDUAL_TOL):
     """The library's leaf test without its bound: a coefficient vector on a
     single outcome, or else the first outcome j whose best scale s =
     <O_j, X> / |O_j|^2 is positive and leaves every entry of X - s O_j
-    within ``tol.residual * max(1, max |X|)``, compared densely for every
+    within ``residual_tol * max(1, max |X|)``, compared densely for every
     outcome."""
     c = np.asarray(coeffs, dtype=float)
     order = np.argsort(c)
@@ -308,7 +305,7 @@ def dense_leaf_outcome(m, coeffs, tol: Tolerances = DEFAULT_TOL):
     norms2 = np.einsum("ij,ij->i", flat, flat)
     for j in np.flatnonzero(norms2 != 0.0):
         s = float(dots[j] / norms2[j])
-        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= tol.residual * scale:
+        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= residual_tol * scale:
             return int(j), s
     return None
 
@@ -360,7 +357,7 @@ def _dense_schmidt_second(ops: np.ndarray, slot: int, dims: tuple[int, ...]) -> 
     return np.divide(sigma[:, 1], top, out=np.zeros(len(ops)), where=top != 0)
 
 
-def dense_verify_tree(tree, m, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
+def dense_verify_tree(tree, m, residual_tol: float = RESIDUAL_TOL) -> VerificationReport:
     """The library's first verifier, on dense D x D node operators: the same
     checks, quantities and tolerances as ``verify.verify_tree``, with
     product structure from SVDs of each node's full realignment across every
@@ -383,7 +380,7 @@ def dense_verify_tree(tree, m, tol: Tolerances = DEFAULT_TOL) -> VerificationRep
                 worst_r, worst_at = r, at
                 if np.isnan(r):
                     break
-        return CheckResult(worst_r <= tol.residual, worst_r, worst_at)
+        return CheckResult(worst_r <= residual_tol, worst_r, worst_at)
 
     checks: dict[str, CheckResult] = {}
 

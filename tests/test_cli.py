@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import locc_forge
@@ -62,7 +63,51 @@ class TestCheckCommand:
         assert code == 0
         doc = json.loads(out)
         assert [p["nullspace_dim"] for p in doc["parties"]] == [2, 1]
+        assert [p["marginal_rank"] for p in doc["parties"]] == [False, False]
         assert doc["impossible_at_root"] is False
+        assert doc["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-8}
+
+    def test_marginal_rank_is_reported(self, pair_file, capsys, monkeypatch):
+        import locc_forge.feasibility as feasibility
+        from locc_forge.feasibility import MarginalRankWarning
+
+        original = feasibility.nullspace
+        monkeypatch.setattr(feasibility, "nullspace",
+                            lambda q, n: (original(q, n)[0], True))
+        with pytest.warns(MarginalRankWarning):
+            code, out, _ = run(capsys, "check", pair_file, "--json")
+        assert code == 0
+        assert [p["marginal_rank"] for p in json.loads(out)["parties"]] == [True, True]
+        with pytest.warns(MarginalRankWarning):
+            code, out, _ = run(capsys, "check", pair_file)
+        assert out.count("(rank decided near the cutoff)") == 2
+
+    def test_weight_error_within_validation_keeps_the_verdict(self, pair_file,
+                                                                tmp_path, capsys):
+        # the root's bystander operator is the identity, not read from the
+        # weights, so an error that validation accepts moves no root rank
+        doc = json.loads(open(pair_file).read())
+        doc["outcomes"][0]["weight"] = 1.0000000001
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert [p["nullspace_dim"] for p in json.loads(out)["parties"]] == [2, 1]
+
+    def test_impossibility_goes_through_the_engine_guard(self, pair_file, capsys,
+                                                         monkeypatch):
+        # one-dimensional root cones whose ray is not the completeness vector
+        # are refused as the library's synthesize refuses them
+        import locc_forge.cli as cli
+        from locc_forge.engine import RootFeasibility
+
+        stray = (np.array([1.0, 0.0, 0.0, 0.0]),)
+        monkeypatch.setattr(cli, "check_root", lambda m, residual_tol: [
+            RootFeasibility(p.name, 1, stray, False) for p in m.parties])
+        code, out, err = run(capsys, "check", pair_file)
+        assert code == 4
+        assert "impossibility self-check failed" in err
+        assert "not LOCC-implementable" not in out
 
     def test_impossible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "ph.json"
@@ -100,7 +145,12 @@ class TestSynthCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "PROTOCOL_FOUND"
-        assert doc["tolerances"]["rank_factor"] == 1e-11
+        assert doc["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-8}
+
+    def test_json_records_the_residual_tolerance(self, pair_file, capsys):
+        code, out, _ = run(capsys, "synth", pair_file, "--tol-residual", "1e-6", "--json")
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-6}
 
 
 class TestVerifySimulate:
@@ -144,12 +194,14 @@ class TestVerifySimulate:
         assert "--tol-residual" in err
 
     def test_verify_takes_no_rank_tolerance(self, pair_file, tmp_path, capsys):
+        # the rank cutoff is part of the method: no command sets it
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
-        code, _, err = run(capsys, "verify", str(tree_path),
-                           "--measurement", pair_file, "--tol-rank", "0.5")
-        assert code == 64
-        assert "--tol-rank" in err
+        for argv in (["verify", str(tree_path), "--measurement", pair_file],
+                     ["check", pair_file], ["synth", pair_file]):
+            code, _, err = run(capsys, *argv, "--tol-rank", "0.5")
+            assert code == 64, argv
+            assert "--tol-rank" in err
         code, _, _ = run(capsys, "verify", str(tree_path),
                          "--measurement", pair_file, "--tol-residual", "1e-6")
         assert code == 0
@@ -162,7 +214,6 @@ class TestVerifySimulate:
         assert "total probability: 1.0" in out
 
     def test_simulate_with_state_file(self, pair_file, tmp_path, capsys):
-        import numpy as np
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
         v = np.array([1.0, 1.0, 0, 0], dtype=complex) / np.sqrt(2)

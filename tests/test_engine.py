@@ -6,6 +6,7 @@ from locc_forge import (
     Verdict,
     check_root,
     conditional_basis,
+    qubit_pair,
     rotated_dominoes,
     seven_outcome_family,
     synthesize,
@@ -13,8 +14,8 @@ from locc_forge import (
 )
 from locc_forge.engine import leaf_outcome
 from locc_forge.io import tree_to_dict
-from locc_forge.measurement import Party, SeparableMeasurement
-from locc_forge.tolerances import DEFAULT_TOL, LEAF_SUPPORT_TOL, Tolerances
+from locc_forge.measurement import Party, SeparableMeasurement, validate
+from locc_forge.tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
 from oracles import dense_leaf_outcome
 
 
@@ -43,6 +44,28 @@ class TestCheckRoot:
         cert = synthesize(m)
         assert cert.verdict == Verdict.PROTOCOL_FOUND
         assert cert.root_dims == dims
+
+
+class TestWeightError:
+    """The root's bystander operator is the identity, whatever the weights,
+    so a weight error that validation accepts moves no root rank decision."""
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9])
+    @pytest.mark.parametrize("build", [
+        qubit_pair, lambda: seven_outcome_family(0),
+        lambda: conditional_basis(3, 2, 0), lambda: conditional_basis(2, 3, 0)],
+        ids=["qubit-pair", "seven-outcome-0", "conditional-3x2", "conditional-2x3"])
+    def test_verdict_and_root_dims_are_the_exact_weights(self, build, eps):
+        exact = build()
+        weights = exact.weights.copy()
+        weights[0] *= 1 + eps
+        m = SeparableMeasurement(exact.parties, exact.outcomes, weights)
+        assert validate(m).ok
+        want = synthesize(exact)
+        cert = synthesize(m)
+        assert cert.verdict == want.verdict == Verdict.PROTOCOL_FOUND
+        assert cert.root_dims == want.root_dims
+        assert [r.nullspace_dim for r in check_root(m)] == list(want.root_dims)
 
 
 class TestSynthesizeQubitPair:
@@ -179,16 +202,16 @@ class TestLeafDetection:
         comparison runs (dependent outcomes), over indefinite factors, with
         a slightly negative coefficient, and just inside and outside the
         residual tolerance, where the bound has to let the leaf through."""
-        loose = Tolerances(residual=1e-3)
-        cases = [(dependent, c, DEFAULT_TOL) for c in (
+        loose = 1e-3
+        cases = [(dependent, c, RESIDUAL_TOL) for c in (
             [0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.5, 0.5, -1e-13],
             [0.5, 0.5, 0.9e-8], [0.5, 0.5, 1.1e-8], [1.0, 0.0, 1.0])]
         cases += [(dependent, c, loose) for c in ([0.5, 0.5, 0.9e-3], [0.5, 0.5, 1.1e-3],
                                                   [5.0, 5.0, 0.9e-2], [5.0, 5.0, 1.1e-2])]
-        cases += [(m_indefinite, c, DEFAULT_TOL) for c in (
+        cases += [(m_indefinite, c, RESIDUAL_TOL) for c in (
             [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 3.0, -1e-13], [2.0, -1e-13, 1.0])]
         rng = np.random.default_rng(5)
-        cases += [(m, rng.uniform(0, 1, 3), DEFAULT_TOL)
+        cases += [(m, rng.uniform(0, 1, 3), RESIDUAL_TOL)
                   for m in (dependent, m_indefinite) for _ in range(10)]
         found = []
         for m, c, tol in cases:
@@ -212,9 +235,9 @@ class TestLeafDetection:
         original = engine.leaf_outcome
         operator_route = []
 
-        def compared(m, coeffs, tol=DEFAULT_TOL):
-            got = original(m, coeffs, tol)
-            assert got == dense_leaf_outcome(m, coeffs, tol)
+        def compared(m, coeffs, residual_tol=RESIDUAL_TOL):
+            got = original(m, coeffs, residual_tol)
+            assert got == dense_leaf_outcome(m, coeffs, residual_tol)
             top, second = np.sort(coeffs)[[-1, -2]]
             if second > LEAF_SUPPORT_TOL * top:
                 operator_route.append(got)
@@ -261,7 +284,8 @@ class TestStats:
         cert = synthesize(m_seven)
         assert cert.search_stats.nodes_expanded > 0
         assert cert.search_stats.wall_time > 0
-        assert cert.tolerances.rank_factor == pytest.approx(1e-11)
+        assert cert.residual_tol == RESIDUAL_TOL
+        assert synthesize(m_seven, residual_tol=1e-6).residual_tol == 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,6 @@ from locc_forge.feasibility import (
 )
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor
-from locc_forge.tolerances import DEFAULT_TOL
 from oracles import (
     bystander_operator,
     dense_build_q,
@@ -194,9 +193,9 @@ def _search_contexts(monkeypatch, measurements) -> list:
     original = feasibility.build_q
     contexts = []
 
-    def recorded(ctx, tol=DEFAULT_TOL, basis_rng=None):
+    def recorded(ctx, basis_rng=None):
         contexts.append(ctx)
-        return original(ctx, tol, basis_rng)
+        return original(ctx, basis_rng)
 
     monkeypatch.setattr(feasibility, "build_q", recorded)
     for m in measurements:
@@ -270,10 +269,10 @@ class TestAgainstDenseOracle:
         original = feasibility.build_q
         contexts = []
 
-        def compared(ctx, tol=DEFAULT_TOL, basis_rng=None):
-            q = original(ctx, tol, basis_rng)
+        def compared(ctx, basis_rng=None):
+            q = original(ctx, basis_rng)
             n = len(ctx.support)
-            want = my_nullspace_projector(dense_build_q(ctx, tol), n)
+            want = my_nullspace_projector(dense_build_q(ctx), n)
             assert np.abs(my_nullspace_projector(q, n) - want).max() < 1e-8
             contexts.append(ctx)
             return q
