@@ -33,6 +33,9 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INVALID = 4
 EXIT_USAGE = 64
 
+# the one option each parametrized catalog entry takes
+_CATALOG_OPTIONS = {"rotated-dominoes": "--theta", "seven-outcome-family": "--seed"}
+
 _VERDICT_CODES = {
     Verdict.PROTOCOL_FOUND: EXIT_OK,
     Verdict.IMPOSSIBLE_AT_ROOT: EXIT_IMPOSSIBLE,
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("name", nargs="?", default=None)
     p_cat.add_argument("--theta", type=float, nargs=4, default=None,
                        metavar=("T2", "T4", "T6", "T8"))
-    p_cat.add_argument("--seed", type=int, default=0)
+    p_cat.add_argument("--seed", type=int, default=None)
     p_cat.add_argument("--out", default=None)
     p_cat.add_argument("--list", action="store_true", dest="list_entries")
     return parser
@@ -129,13 +132,13 @@ def _cmd_check(args) -> int:
         doc = {
             "parties": [
                 {
-                    "name": r.party,
+                    "name": p.name,
                     "nullspace_dim": r.nullspace_dim,
                     "marginal_rank": r.marginal_rank,
                     "extreme_rays": [[float(x) for x in ray]
                                      for ray in r.extreme_rays],
                 }
-                for r in roots
+                for p, r in zip(m.parties, roots)
             ],
             "impossible_at_root": impossible,
             "tolerances": {"rank_factor": RANK_FACTOR, "residual": args.tol_residual},
@@ -144,10 +147,10 @@ def _cmd_check(args) -> int:
     else:
         print(f"measurement: {m.n_outcomes} outcomes, parties "
               + " x ".join(f"{p.name}({p.dim})" for p in m.parties))
-        for r in roots:
+        for p, r in zip(m.parties, roots):
             verdictish = "" if r.nullspace_dim > 1 else "  (cannot measure first)"
             marginal = "  (rank decided near the cutoff)" if r.marginal_rank else ""
-            print(f"party {r.party}: root nullspace dim {r.nullspace_dim}"
+            print(f"party {p.name}: root nullspace dim {r.nullspace_dim}"
                   f"{verdictish}{marginal}")
             for ray in r.extreme_rays:
                 print("  ray:", np.array2string(ray, precision=6,
@@ -294,9 +297,15 @@ def _cmd_catalog(args) -> int:
         raise _CliError(f"unknown catalog entry {args.name!r}; "
                         f"try 'locc-forge catalog --list'")
     factory, _ = CATALOG[args.name]
-    if args.name == "rotated-dominoes" and args.theta is not None:
+    takes = _CATALOG_OPTIONS.get(args.name)
+    for option, value in (("--theta", args.theta), ("--seed", args.seed)):
+        if value is not None and option != takes:
+            print(f"locc-forge catalog: error: {args.name} takes no {option} option",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    if args.theta is not None:
         m = factory(*args.theta)
-    elif args.name == "seven-outcome-family":
+    elif args.seed is not None:
         m = factory(args.seed)
     else:
         m = factory()

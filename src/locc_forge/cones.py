@@ -188,25 +188,20 @@ def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rays, cuts
 
 
-def extreme_rays(qmatrix: np.ndarray,
-                 nullspace_basis: np.ndarray | None = None) -> list[np.ndarray]:
-    """Extreme rays of {c >= 0 : Q c = 0}, L1-normalized and sorted.
+def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Extreme rays of {c >= 0 : Q c = 0}, L1-normalized and sorted, one per
+    row, given ``basis``, an orthonormal nullspace basis N of Q.
 
-    The rays come from the double description of {y : N y >= 0}, N the
-    nullspace basis, whose rows are the constraints c_j >= 0.  A ray's
-    entry c_j is set to exactly 0 wherever that run's activity test finds
-    the ray active on c_j >= 0 (every j whose row vanishes on the
-    nullspace included), so a ray's support is the set of facets it lies
-    off, never a magnitude threshold.  Rays are deduplicated at cosine
-    distance :data:`DUPLICATE_TOL` and sorted lexicographically so repeated
-    runs are bit-identical.
+    The rays come from the double description of {y : N y >= 0}, whose
+    rows are the constraints c_j >= 0.  A ray's entry c_j is set to exactly
+    0 wherever that run's activity test finds the ray active on c_j >= 0
+    (every j whose row vanishes on the nullspace included), so a ray's
+    support is the set of facets it lies off, never a magnitude threshold.
+    Rays are deduplicated at cosine distance :data:`DUPLICATE_TOL` and
+    sorted lexicographically so repeated runs are bit-identical.
     """
-    from .feasibility import nullspace  # cheap, avoids duplicating the SVD policy
-
-    q = np.asarray(qmatrix, dtype=float)
-    if nullspace_basis is None:
-        nullspace_basis, _ = nullspace(q, q.shape[1])
-    basis = np.asarray(nullspace_basis, dtype=float)
+    q = np.asarray(q, dtype=float)
+    basis = np.asarray(basis, dtype=float)
     n, k = basis.shape
     if k == 0:
         raise ConeError("nullspace is trivial")
@@ -232,7 +227,7 @@ def extreme_rays(qmatrix: np.ndarray,
                 unique.append(i)
         cs = cs[unique]
         cs = cs[np.lexsort(np.round(cs, 12).T[::-1])]   # lexsort's last key is its first
-    return list(cs)
+    return cs
 
 
 def _split_scales(mat: np.ndarray, parent: np.ndarray,
@@ -265,12 +260,12 @@ class RayDecomposition:
 
     rays_used: tuple[int, ...]
     scales: np.ndarray
-    residual: float
 
 
-def decompose(parent: np.ndarray, rays: list[np.ndarray],
+def decompose(parent: np.ndarray, rays: np.ndarray,
               residual_tol: float = RESIDUAL_TOL) -> list[RayDecomposition]:
-    """Every exact splitting of ``parent`` into two or more extreme rays.
+    """Every exact splitting of ``parent`` into two or more extreme rays,
+    given one per row of ``rays``.
 
     The splittings are the vertices of the polytope {s >= 0 : R s = parent},
     R the matrix of usable rays; rays proportional to the parent are never
@@ -289,11 +284,9 @@ def decompose(parent: np.ndarray, rays: list[np.ndarray],
     p_norm = float(np.linalg.norm(parent))
     if p_norm == 0:
         return []
-    usable = []
-    for i, r in enumerate(rays):
-        cos = float(np.dot(parent, r) / (p_norm * np.linalg.norm(r)))
-        if cos < 1.0 - 1e-9:
-            usable.append(i)
+    rays = np.asarray(rays, dtype=float).reshape(-1, len(parent))
+    cos = rays @ parent / (p_norm * np.linalg.norm(rays, axis=1))
+    usable = np.flatnonzero(cos < 1.0 - 1e-9).tolist()
 
     scale_floor = max(1.0, float(parent.max()))
     # max-norm >= 2-norm / sqrt(n): a 2-norm residual above this fails the
@@ -304,18 +297,17 @@ def decompose(parent: np.ndarray, rays: list[np.ndarray],
     seen = set(queue)
     while queue:
         subset = queue.pop()
-        mat = np.column_stack([rays[i] for i in subset])
+        mat = rays[list(subset)].T
         scales = _split_scales(mat, parent, bound)
         if scales is None:
             continue
         keep = scales > SCALE_TOL
         support = tuple(i for i, k in zip(subset, keep) if k)
         scales = scales[keep]
-        residual = float(np.abs(mat[:, keep] @ scales - parent).max())
-        if residual > residual_tol * scale_floor:
+        if float(np.abs(mat[:, keep] @ scales - parent).max()) > residual_tol * scale_floor:
             continue
         if len(support) >= 2 and support not in found:
-            found[support] = RayDecomposition(support, scales, residual)
+            found[support] = RayDecomposition(support, scales)
         if len(subset) > 2:
             for i in support:
                 smaller = tuple(j for j in subset if j != i)

@@ -83,18 +83,6 @@ class SearchStats:
     wall_time: float = 0.0
 
 
-@dataclass(frozen=True)
-class RootFeasibility:
-    """One party's root cone.  ``marginal_rank`` flags a singular value of
-    its constraint matrix within a decade of the rank cutoff (see
-    :class:`~locc_forge.feasibility.MarginalRankWarning`)."""
-
-    party: str
-    nullspace_dim: int
-    extreme_rays: tuple[np.ndarray, ...]
-    marginal_rank: bool
-
-
 @dataclass(eq=False)
 class Certificate:
     """Outcome of a synthesis run, with enough evidence to audit it."""
@@ -106,27 +94,20 @@ class Certificate:
     tree: ProtocolNode | None = None
 
 
-def _root_cones(m: SeparableMeasurement, residual_tol: float) -> list[FeasibleCone]:
-    return [feasible_cone(root_context(m, p), residual_tol) for p in range(len(m.parties))]
-
-
 def check_root(m: SeparableMeasurement,
-               residual_tol: float = RESIDUAL_TOL) -> list[RootFeasibility]:
-    """Per-party feasibility of the very first measurement.
+               residual_tol: float = RESIDUAL_TOL) -> list[FeasibleCone]:
+    """Each party's root cone, the feasibility of its first measurement, in
+    the order of ``m.parties``.
 
     All parties' root dimensions equal to one certifies that no LOCC
     protocol for the measurement exists, once :func:`impossible_at_root`
     has checked the cones.
     """
-    return [
-        RootFeasibility(m.parties[p].name, cone.nullspace_dim, cone.extreme_rays,
-                        cone.marginal_rank)
-        for p, cone in enumerate(_root_cones(m, residual_tol))
-    ]
+    return [feasible_cone(root_context(m, p), residual_tol) for p in range(len(m.parties))]
 
 
 def impossible_at_root(m: SeparableMeasurement,
-                       roots: Sequence[RootFeasibility | FeasibleCone],
+                       roots: Sequence[FeasibleCone],
                        residual_tol: float = RESIDUAL_TOL) -> bool:
     """Whether the root cones certify that no LOCC protocol exists: every
     party's cone is one-dimensional.
@@ -282,7 +263,7 @@ class _Search:
             cone = self.cone_at(party, coeffs)
             if cone.nullspace_dim == 1:
                 continue
-            rays = list(cone.extreme_rays)
+            rays = cone.extreme_rays
             for dec in decompose(coeffs, rays, self.residual_tol):
                 children = []
                 for i, s in zip(dec.rays_used, dec.scales):
@@ -308,16 +289,16 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     started = time.perf_counter()
-    root_cones = _root_cones(m, residual_tol)
+    root_cones = check_root(m, residual_tol)
     dims = tuple(c.nullspace_dim for c in root_cones)
-    stats = SearchStats()
+    search = _Search(m, residual_tol)
+    stats = search.stats
 
     if impossible_at_root(m, root_cones, residual_tol):
         stats.wall_time = time.perf_counter() - started
         return Certificate(Verdict.IMPOSSIBLE_AT_ROOT, dims, stats, residual_tol)
 
     weights = np.asarray(m.weights, dtype=float)
-    search = _Search(m, residual_tol)
     for party, cone in enumerate(root_cones):
         search.cones[(party, _coeff_key(weights))] = cone
 
@@ -327,8 +308,6 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
         tree = search.run(weights, None, depth)
         if tree is not None:
             break
-    stats.nodes_expanded = search.stats.nodes_expanded
-    stats.dead_ends = search.stats.dead_ends
     stats.wall_time = time.perf_counter() - started
 
     if tree is None:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cones
 from .errors import DegenerateBasisError, InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement
 from .measurement import complement_span, local_span  # noqa: F401  (wrapped by name by the benchmark tracer)
@@ -83,36 +84,18 @@ def root_context(m: SeparableMeasurement, party: int) -> NodeContext:
 
 @dataclass(frozen=True)
 class FeasibleCone:
-    """The face {c >= 0 : Q c = 0, c_j = 0 off ``support``} of the cone at
-    one context, in n-outcome coordinates.
+    """One party's cone {c >= 0 : Q c = 0} at a node, restricted to the
+    node's support (see :attr:`NodeContext.support`).
 
-    Q is built on the support's columns only (``face_q``); ``qmatrix`` is
-    the face's whole constraint matrix, so that ``qmatrix``,
-    ``nullspace_basis`` and ``extreme_rays`` describe the same set.
+    ``extreme_rays`` holds one ray per row in n-outcome coordinates,
+    L1-normalized, entrywise >= 0 and exactly zero off the support.
+    ``marginal_rank`` flags a singular value of Q within a decade of the
+    rank cutoff (see :class:`MarginalRankWarning`).
     """
 
-    support: np.ndarray                   # outcome indices, increasing
-    face_q: np.ndarray                    # Q on the support's columns
-    nullspace_basis: np.ndarray           # (n_outcomes, dim), orthonormal columns
-    extreme_rays: tuple[np.ndarray, ...]  # L1-normalized, entrywise >= 0
-    marginal_rank: bool = field(default=False, compare=False)
-
-    @property
-    def nullspace_dim(self) -> int:
-        return self.nullspace_basis.shape[1]
-
-    @property
-    def qmatrix(self) -> np.ndarray:
-        """Q on the support, plus a unit row e_j for each outcome j off it."""
-        n = len(self.nullspace_basis)
-        if len(self.support) == n:
-            return self.face_q
-        off = np.setdiff1d(np.arange(n), self.support)
-        rows = len(self.face_q)
-        q = np.zeros((rows + len(off), n))
-        q[:rows, self.support] = self.face_q
-        q[rows + np.arange(len(off)), off] = 1.0
-        return q
+    nullspace_dim: int
+    extreme_rays: np.ndarray
+    marginal_rank: bool
 
 
 @dataclass(frozen=True)
@@ -177,12 +160,6 @@ def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
     return cached
 
 
-def _mixing_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random invertible n x n matrix: an orthogonal one with rescaled columns."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * rng.uniform(0.5, 2.0, size=n)
-
-
 def _bystander_coords(tables: PartyTables, coeffs) -> np.ndarray:
     """Abar's coordinates y, up to scale: a product node X (x) Abar has the
     realignment core acting diag(c) coords^T = x y^T, whose largest-norm row
@@ -191,7 +168,7 @@ def _bystander_coords(tables: PartyTables, coeffs) -> np.ndarray:
     return core[np.argmax(np.einsum("ij,ij->i", core, core))]
 
 
-def build_q(ctx: NodeContext, basis_rng: np.random.Generator | None = None) -> np.ndarray:
+def build_q(ctx: NodeContext) -> np.ndarray:
     """Constraint matrix whose nullspace parametrizes the party's next outcomes.
 
     Column n of the matrix holds the coordinates of L_n (x) (C_n - P C_n),
@@ -206,8 +183,6 @@ def build_q(ctx: NodeContext, basis_rng: np.random.Generator | None = None) -> n
     has coordinates y (the cached identity's at the root, else see
     :func:`_bystander_coords`), and rows 1.. of the Householder reflector
     that maps y onto the first axis are such a basis.
-    When ``basis_rng`` is given, both sides' rows are randomly recombined;
-    the resulting matrix differs row by row but its nullspace does not.
     """
     tables = party_tables(ctx.measurement, ctx.acting_party)
     support = ctx.support
@@ -229,11 +204,7 @@ def build_q(ctx: NodeContext, basis_rng: np.random.Generator | None = None) -> n
     u[0] += norm if y[0] >= 0 else -norm                    # same sign: no cancellation
     u /= np.linalg.norm(u)
     t_bys = (tables.coords - 2.0 * np.outer(u, u @ tables.coords))[1:]
-    t_act = tables.acting
-    if basis_rng is not None:
-        t_act = _mixing_matrix(len(t_act), basis_rng) @ t_act
-        t_bys = _mixing_matrix(len(t_bys), basis_rng) @ t_bys
-    q = (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
+    q = (tables.acting[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
     scale = max(1.0, float(np.abs(q).max()))
     keep = np.abs(q).max(axis=1) > 1e-13 * scale
     return q[keep]
@@ -254,8 +225,9 @@ def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
 
 
 def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> FeasibleCone:
-    """Nullspace plus extreme rays of {c >= 0 : Q c = 0} on the context's
-    support (see :attr:`NodeContext.support`), embedded in n-outcome space.
+    """Nullspace dimension plus extreme rays of {c >= 0 : Q c = 0} on the
+    context's support (see :attr:`NodeContext.support`), the rays embedded
+    in n-outcome space.
 
     The parent coefficient vector must itself lie in the cone; a node that
     fails this, such as one that is not a product across the party's cut, is
@@ -263,8 +235,6 @@ def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> Feasi
     identity, this tests completeness.  It is tested first, so an empty
     nullspace is blamed on the measurement only at a consistent node.
     """
-    from .cones import extreme_rays  # looked up per call: the benchmark tracer wraps it
-
     n = ctx.measurement.n_outcomes
     support = ctx.support
     q = build_q(ctx)
@@ -284,18 +254,12 @@ def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> Feasi
     if marginal:
         warnings.warn("nullspace dimension decided near the rank cutoff",
                       MarginalRankWarning, stacklevel=2)
-    rays = extreme_rays(q, nullspace_basis=basis)
+    rays = cones.extreme_rays(q, basis)   # looked up per call: the benchmark tracer wraps it
     if len(support) < n:
-        basis, rays = _embed(basis.T, support, n).T, _embed(np.array(rays), support, n)
-    return FeasibleCone(support, q, basis, tuple(rays), marginal)
-
-
-def _embed(rows: np.ndarray, support: np.ndarray, n: int) -> np.ndarray:
-    """Each row of ``rows``, whose entries belong to the outcomes in
-    ``support``, as an n-outcome vector that is zero off the support."""
-    out = np.zeros((len(rows), n))
-    out[:, support] = rows
-    return out
+        embedded = np.zeros((len(rays), n))
+        embedded[:, support] = rays
+        rays = embedded
+    return FeasibleCone(basis.shape[1], rays, marginal)
 
 
 def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:

@@ -7,8 +7,10 @@ by the protocol analysis are always expressed against the *unweighted*
 outcome operators O_j; the weights are data of the measurement itself.
 
 Outcome operators and weighted outcome operators are equivalent descriptions
-up to rescaling of each outcome; this module stores whatever the caller
-supplied and never renormalizes silently.
+up to rescaling of each outcome; this module never rescales either.  Each
+factor, once validated as Hermitian within tolerance, is stored as its
+Hermitian part, which is the supplied matrix itself when that is exactly
+Hermitian.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ cutoff in :func:`independent_subset` before it decides without an SVD."""
 
 
 def as_hermitian(entries) -> np.ndarray:
-    """Validate a finite square matrix as Hermitian and return it as complex128.
+    """Validate a finite square matrix as Hermitian and return its Hermitian
+    part (a + a^H) / 2 as complex128, which equals a entry for entry when a
+    is exactly Hermitian.
 
     Asymmetry is measured in max norm after scaling by the largest entry
     magnitude, so the check is insensitive to overall operator scale.
@@ -39,7 +41,7 @@ def as_hermitian(entries) -> np.ndarray:
     scale = float(np.abs(a).max())
     if scale > 0.0 and float(np.abs(a - a.conj().T).max()) > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return a
+    return (a + a.conj().T) / 2
 
 
 def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -283,6 +283,47 @@ def whole_cone_rays(ctx) -> list[np.ndarray]:
     return extreme_rays(q, rank_cutoff_nullspace(q, n))
 
 
+def face_qmatrix(ctx) -> np.ndarray:
+    """The whole constraint matrix of the context's face, on all n outcome
+    columns: the library's Q on the support's columns, plus a unit row e_j
+    for each outcome j off the support."""
+    from locc_forge.feasibility import build_q
+
+    n = ctx.measurement.n_outcomes
+    face_q = build_q(ctx)
+    off = np.setdiff1d(np.arange(n), ctx.support)
+    q = np.zeros((len(face_q) + len(off), n))
+    q[:len(face_q), ctx.support] = face_q
+    q[len(face_q) + np.arange(len(off)), off] = 1.0
+    return q
+
+
+def _mixing_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random invertible n x n matrix: an orthogonal one with rescaled columns."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * rng.uniform(0.5, 2.0, size=n)
+
+
+def mixed_basis_q(ctx, rng: np.random.Generator) -> np.ndarray:
+    """The constraint matrix on the context's support in randomly mixed span
+    bases: the library's party tables and Abar coordinates y (the cached
+    identity's at the root), the complement of y taken from an SVD as in
+    :func:`whole_cone_rays`, and both sides' rows recombined by random
+    invertible matrices.  Its rows differ from ``build_q``'s; its nullspace
+    must not."""
+    from locc_forge.feasibility import _bystander_coords, party_tables
+
+    tables = party_tables(ctx.measurement, ctx.acting_party)
+    support = ctx.support
+    y = tables.identity if ctx.root else _bystander_coords(tables, ctx.coeffs)
+    perp = np.linalg.svd(y[None, :])[2][1:]
+    if len(perp) == 0:
+        return np.zeros((0, len(support)))
+    t_act = _mixing_matrix(len(tables.acting), rng) @ tables.acting[:, support]
+    t_bys = _mixing_matrix(len(perp), rng) @ perp @ tables.coords[:, support]
+    return (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
+
+
 def dense_leaf_outcome(m, coeffs, residual_tol: float = RESIDUAL_TOL):
     """The library's leaf test without its bound: a coefficient vector on a
     single outcome, or else the first outcome j whose best scale s =

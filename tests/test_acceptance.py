@@ -17,7 +17,7 @@ from locc_forge import (
 from locc_forge.engine import ProtocolNode
 from locc_forge.feasibility import build_q, feasible_cone, nullspace, root_context
 from locc_forge.verify import random_density_matrix, simulate, verify_tree
-from oracles import brute_force_rays, projector_of
+from oracles import brute_force_rays, face_qmatrix, mixed_basis_q, projector_of
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -59,9 +59,10 @@ def test_criterion_2_phase_five_impossible():
     started = time.perf_counter()
     m = phase_five()
     for party in range(2):
-        cone = feasible_cone(root_context(m, party))
+        ctx = root_context(m, party)
+        cone = feasible_cone(ctx)
         assert cone.nullspace_dim == 1
-        direction = cone.nullspace_basis[:, 0]
+        direction = nullspace(build_q(ctx), m.n_outcomes)[0][:, 0]
         direction = direction / direction.sum()
         assert np.abs(direction - 0.2).max() < 1e-8
     cert = synthesize(m)
@@ -128,7 +129,7 @@ def test_criterion_5_basis_independence():
             ctx = root_context(m, party)
             reference = _nullspace_projector(build_q(ctx), m.n_outcomes)
             for _ in range(10):
-                q = build_q(ctx, basis_rng=rng)
+                q = mixed_basis_q(ctx, rng)
                 proj = _nullspace_projector(q, m.n_outcomes)
                 assert np.abs(proj - reference).max() < 1e-8
     _announce(5, "nullspace independent of basis choice")
@@ -172,27 +173,25 @@ def test_criterion_6_verifier_and_simulation():
 
 
 def test_criterion_7_cone_oracle_equivalence():
-    instances = []
+    contexts = []
     for m in (qubit_pair(), phase_five(), rotated_dominoes(),
               seven_outcome_family(0), seven_outcome_family(3)):
         for party in range(len(m.parties)):
-            instances.append(feasible_cone(root_context(m, party)))
+            contexts.append(root_context(m, party))
     # interior contexts reached by the search on the seven-outcome family
     m = seven_outcome_family(0)
     from locc_forge.feasibility import NodeContext
     # the nodes are multiples of I (x) B7, A5 (x) B7 and A5 (x) B1
-    instances.append(feasible_cone(
-        NodeContext(m, 0, np.array([1.0, 0, 3, 0, 6, 0, 1]))))
-    instances.append(feasible_cone(
-        NodeContext(m, 1, np.array([1.0, 0, 3, 0, 6, 0, 0]))))
-    instances.append(feasible_cone(
-        NodeContext(m, 0, np.array([1.0, 0, 3, 0, 0, 0, 0]))))
+    contexts.append(NodeContext(m, 0, np.array([1.0, 0, 3, 0, 6, 0, 1])))
+    contexts.append(NodeContext(m, 1, np.array([1.0, 0, 3, 0, 6, 0, 0])))
+    contexts.append(NodeContext(m, 0, np.array([1.0, 0, 3, 0, 0, 0, 0])))
 
     compared = 0
-    for cone in instances:
+    for ctx in contexts:
+        cone = feasible_cone(ctx)
         if cone.nullspace_dim > 3:
             continue
-        expected = brute_force_rays(cone.qmatrix)
+        expected = brute_force_rays(face_qmatrix(ctx))
         got = list(cone.extreme_rays)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):

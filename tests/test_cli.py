@@ -43,6 +43,16 @@ class TestCatalogCommand:
         assert code == 4
         assert "unknown catalog entry" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["qubit-pair", "--theta", "0.1", "0.2", "0.3", "0.4"], "--theta"),
+        (["phase-five", "--seed", "5"], "--seed"),
+    ])
+    def test_option_the_entry_does_not_take(self, capsys, argv, option):
+        code, out, err = run(capsys, "catalog", *argv)
+        assert code == 64
+        assert option in err and argv[0] in err
+        assert out == ""
+
     def test_domino_thetas(self, tmp_path, capsys):
         path = tmp_path / "dom.json"
         code, _, _ = run(capsys, "catalog", "rotated-dominoes",
@@ -99,11 +109,11 @@ class TestCheckCommand:
         # one-dimensional root cones whose ray is not the completeness vector
         # are refused as the library's synthesize refuses them
         import locc_forge.cli as cli
-        from locc_forge.engine import RootFeasibility
+        from locc_forge.feasibility import FeasibleCone
 
-        stray = (np.array([1.0, 0.0, 0.0, 0.0]),)
+        stray = np.array([[1.0, 0.0, 0.0, 0.0]])
         monkeypatch.setattr(cli, "check_root", lambda m, residual_tol: [
-            RootFeasibility(p.name, 1, stray, False) for p in m.parties])
+            FeasibleCone(1, stray, False) for _ in m.parties])
         code, out, err = run(capsys, "check", pair_file)
         assert code == 4
         assert "impossibility self-check failed" in err

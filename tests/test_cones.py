@@ -15,7 +15,7 @@ from locc_forge.catalog import (
 )
 from locc_forge.cones import decompose, extreme_rays
 from locc_forge.engine import synthesize
-from locc_forge.feasibility import feasible_cone, root_context
+from locc_forge.feasibility import build_q, feasible_cone, nullspace, root_context
 from oracles import brute_force_rays, combination_decompose
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
@@ -27,11 +27,16 @@ def rays_equal(got, expected, tol=1e-8):
     return all(np.abs(g - e).max() < tol for g, e in zip(got, expected))
 
 
+def rays_of(q):
+    """Extreme rays of {c >= 0 : q c = 0} on the library's nullspace."""
+    return extreme_rays(q, nullspace(q, q.shape[1])[0])
+
+
 class TestExtremeRays:
     def test_paired_coordinates(self):
         # nullspace {(a, a, b, b)} intersected with the orthant
         q = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-        rays = extreme_rays(q)
+        rays = rays_of(q)
         assert rays_equal(rays, [np.array([0, 0, 0.5, 0.5]),
                                  np.array([0.5, 0.5, 0, 0])])
 
@@ -49,21 +54,22 @@ class TestExtremeRays:
         # build a matrix whose kernel is span{v}
         q = np.array([[2.0, -1.0, 0.0], [0.0, 3.0, -2.0]])
         assert np.abs(q @ v).max() < 1e-12
-        rays = extreme_rays(q)
+        rays = rays_of(q)
         assert rays_equal(rays, [v / v.sum()])
 
     def test_zero_row_constraint_matrix(self):
         # no constraints at all: the cone is the whole orthant
-        rays = extreme_rays(np.zeros((0, 3)))
+        rays = rays_of(np.zeros((0, 3)))
         assert rays_equal(rays, [np.eye(3)[i] for i in (2, 1, 0)])
 
     def test_matches_brute_force_on_catalog_roots(self, catalog_all):
         for m in catalog_all.values():
             for party in range(len(m.parties)):
-                cone = feasible_cone(root_context(m, party))
+                ctx = root_context(m, party)
+                cone = feasible_cone(ctx)
                 if cone.nullspace_dim > 3:
                     continue
-                expected = brute_force_rays(cone.qmatrix)
+                expected = brute_force_rays(build_q(ctx))
                 assert rays_equal(list(cone.extreme_rays), expected), \
                     f"{party} mismatch"
 
@@ -91,7 +97,7 @@ def random_cone_matrix(draw):
 def test_double_description_matches_sign_pattern_oracle(q):
     if q.shape[0] == 0:
         return
-    got = extreme_rays(q)
+    got = rays_of(q)
     expected = brute_force_rays(q)
     assert rays_equal(got, expected)
 
@@ -112,7 +118,7 @@ def test_double_description_matches_oracle_on_wider_nullspaces():
         rows = comp.T[np.linalg.norm(comp.T, axis=1) > 1e-8]
         if rows.shape[0] == 0:
             continue
-        assert rays_equal(extreme_rays(rows), brute_force_rays(rows))
+        assert rays_equal(rays_of(rows), brute_force_rays(rows))
         checked += 1
 
 
@@ -195,7 +201,7 @@ def _random_split_case(rng):
                 [parent, rng.standard_normal((n, k - 1))]))
             full = rng.standard_normal((n, n))
             comp = full - kern @ (kern.T @ full)
-            rays = np.array(extreme_rays(comp.T))
+            rays = rays_of(comp.T)
         if 2 <= len(rays) <= 10 and parent.any():
             return parent, list(rays)
 

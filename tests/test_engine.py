@@ -13,6 +13,7 @@ from locc_forge import (
     verify_tree,
 )
 from locc_forge.engine import leaf_outcome
+from locc_forge.feasibility import feasible_cone, root_context
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement, validate
 from locc_forge.tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
@@ -31,7 +32,11 @@ class TestCheckRoot:
     def test_qubit_pair_first_party_open(self, m_pair):
         roots = check_root(m_pair)
         assert [r.nullspace_dim for r in roots] == [2, 1]
-        assert roots[0].party == "A" and roots[1].party == "B"
+        # one cone per party, in the order of m.parties, which names them
+        assert [p.name for p in m_pair.parties] == ["A", "B"]
+        for p, root in enumerate(roots):
+            assert np.array_equal(root.extreme_rays,
+                                  feasible_cone(root_context(m_pair, p)).extreme_rays)
 
     @pytest.mark.parametrize("factors, dims", [((P0, EYE2), (3, 2)), ((EYE2, PPLUS), (2, 2))])
     def test_zero_weight_outcome_counts_at_the_root(self, m_pair, factors, dims):

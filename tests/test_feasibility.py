@@ -28,6 +28,8 @@ from locc_forge.operators import project_factor
 from oracles import (
     bystander_operator,
     dense_build_q,
+    face_qmatrix,
+    mixed_basis_q,
     nullspace_projector,
     projector_of,
     whole_cone_rays,
@@ -88,7 +90,7 @@ class TestBuildQ:
                 ctx = root_context(m, party)
                 reference = my_nullspace_projector(build_q(ctx), m.n_outcomes)
                 for _ in range(10):
-                    q = build_q(ctx, basis_rng=rng)
+                    q = mixed_basis_q(ctx, rng)
                     proj = my_nullspace_projector(q, m.n_outcomes)
                     assert np.abs(proj - reference).max() < 1e-8
 
@@ -101,7 +103,7 @@ class TestBuildQ:
         target = projector_of([[1, 3, 6, 0], [0, 0, 0, 1]])
         assert np.abs(reference - target).max() < 1e-8
         for _ in range(10):
-            proj = my_nullspace_projector(build_q(ctx, basis_rng=rng), 4)
+            proj = my_nullspace_projector(mixed_basis_q(ctx, rng), 4)
             assert np.abs(proj - reference).max() < 1e-8
 
 
@@ -193,9 +195,9 @@ def _search_contexts(monkeypatch, measurements) -> list:
     original = feasibility.build_q
     contexts = []
 
-    def recorded(ctx, basis_rng=None):
+    def recorded(ctx):
         contexts.append(ctx)
-        return original(ctx, basis_rng)
+        return original(ctx)
 
     monkeypatch.setattr(feasibility, "build_q", recorded)
     for m in measurements:
@@ -269,8 +271,8 @@ class TestAgainstDenseOracle:
         original = feasibility.build_q
         contexts = []
 
-        def compared(ctx, basis_rng=None):
-            q = original(ctx, basis_rng)
+        def compared(ctx):
+            q = original(ctx)
             n = len(ctx.support)
             want = my_nullspace_projector(dense_build_q(ctx), n)
             assert np.abs(my_nullspace_projector(q, n) - want).max() < 1e-8
@@ -347,19 +349,25 @@ class TestFaceRestriction:
     def test_root_keeps_every_outcome(self, catalog_all):
         for m in catalog_all.values():
             for party in range(len(m.parties)):
-                cone = feasible_cone(root_context(m, party))
-                assert cone.support.tolist() == list(range(m.n_outcomes))
-                assert cone.qmatrix is cone.face_q
+                ctx = root_context(m, party)
+                cone = feasible_cone(ctx)
+                assert ctx.support.tolist() == list(range(m.n_outcomes))
+                assert np.array_equal(face_qmatrix(ctx), build_q(ctx))
+                assert cone.extreme_rays.shape[1] == m.n_outcomes
 
     def test_face_matrix_describes_the_face(self, m_seven):
         ctx = NodeContext(m_seven, 0, np.array([1.0, 0, 3, 0, 6, 0, 1]))
         cone = feasible_cone(ctx)
-        q = cone.qmatrix
+        q = face_qmatrix(ctx)
         assert q.shape[1] == 7
+        # the face's nullspace basis: the support's, zero on outcomes 2, 4, 6
+        face_basis, _ = nullspace(build_q(ctx), 4)
+        basis = np.zeros((7, face_basis.shape[1]))
+        basis[ctx.support] = face_basis
+        assert cone.nullspace_dim == basis.shape[1]
         # the unit rows pin outcomes 2, 4 and 6 to zero
-        assert np.abs(q @ cone.nullspace_basis).max() < 1e-12
-        assert np.abs(my_nullspace_projector(q, 7)
-                      - cone.nullspace_basis @ cone.nullspace_basis.T).max() < 1e-10
+        assert np.abs(q @ basis).max() < 1e-12
+        assert np.abs(my_nullspace_projector(q, 7) - basis @ basis.T).max() < 1e-10
 
 
 class TestFeasibleCone:
@@ -375,30 +383,34 @@ class TestFeasibleCone:
         assert len(cone.extreme_rays) == 1
 
     def test_seven_outcome_second_party(self, m_seven):
-        cone = feasible_cone(root_context(m_seven, 1))
+        ctx = root_context(m_seven, 1)
+        cone = feasible_cone(ctx)
         assert cone.nullspace_dim == 2
         # the completeness vector lies in the nullspace
-        coords = cone.nullspace_basis.T @ (SEVEN_WEIGHTS / SEVEN_WEIGHTS.sum())
-        back = cone.nullspace_basis @ coords
+        basis, _ = nullspace(build_q(ctx), 7)
+        coords = basis.T @ (SEVEN_WEIGHTS / SEVEN_WEIGHTS.sum())
+        back = basis @ coords
         assert np.abs(back - SEVEN_WEIGHTS / SEVEN_WEIGHTS.sum()).max() < 1e-10
 
     def test_weights_in_nullspace_for_all_parties(self, catalog_all):
         for m in catalog_all.values():
             w = m.weights / m.weights.sum()
             for party in range(len(m.parties)):
-                cone = feasible_cone(root_context(m, party))
-                if cone.qmatrix.shape[0]:
-                    assert np.abs(cone.qmatrix @ w).max() < 1e-9
+                q = build_q(root_context(m, party))
+                if q.shape[0]:
+                    assert np.abs(q @ w).max() < 1e-9
 
     def test_rays_satisfy_constraints(self, catalog_all):
         for m in catalog_all.values():
             for party in range(len(m.parties)):
-                cone = feasible_cone(root_context(m, party))
+                ctx = root_context(m, party)
+                cone = feasible_cone(ctx)
+                q = build_q(ctx)
                 for ray in cone.extreme_rays:
                     assert ray.min() >= 0
                     assert abs(ray.sum() - 1.0) < 1e-12
-                    if cone.qmatrix.shape[0]:
-                        assert np.abs(cone.qmatrix @ ray).max() < 1e-9
+                    if q.shape[0]:
+                        assert np.abs(q @ ray).max() < 1e-9
 
     def test_product_guarantee(self, catalog_all):
         # all cone vectors reconstruct to (acting factor) x (bystander)

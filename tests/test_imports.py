@@ -48,6 +48,14 @@ class TestVerifierIndependence:
         assert _imports_from(tree, "engine") == ["*"]
 
 
+class TestConeLayer:
+    """Cone geometry sits below the per-node analysis: ``feasibility``
+    passes each nullspace basis in, so ``cones`` never reaches back up."""
+
+    def test_cones_imports_nothing_from_feasibility(self):
+        assert _imports_from(_tree(PACKAGE / "cones.py"), "feasibility") == []
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports and never reads, skipping ``__future__``
     imports and import statements marked ``# noqa: F401``.  A name counts

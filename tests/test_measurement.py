@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import EYE2, P0, P1
-from locc_forge import Party, SeparableMeasurement, conditional_basis
+from locc_forge import (
+    Party,
+    SeparableMeasurement,
+    Verdict,
+    check_root,
+    conditional_basis,
+    synthesize,
+)
+from locc_forge.tolerances import HERMITICITY_TOL
 from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
 from locc_forge.io import measurement_from_dict, measurement_to_dict
 from locc_forge.measurement import (
@@ -201,6 +209,43 @@ class TestStructure:
         with pytest.raises(Exception):
             SeparableMeasurement([Party("A", 2), Party("B", 2)],
                                  [("x", (P0, P0))], np.array([1.0, 2.0]))
+
+
+class TestHermitianPart:
+    def test_nearly_hermitian_factors_search_like_exact_ones(self):
+        # an anti-Hermitian error inside the load tolerance is dropped at
+        # load, so the search sees Hermitian factors: the trace pairings of
+        # the party tables are real and the verdict is the exact input's
+        m = conditional_basis(2, 4, 0)
+        rng = np.random.default_rng(1)
+        outcomes = []
+        for o in m.outcomes:
+            factors = []
+            for f in o.factors:
+                b = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
+                k = b - b.conj().T
+                factors.append(f + k * (0.45e-10 * np.abs(f).max() / np.abs(k).max()))
+            outcomes.append((o.label, tuple(factors)))
+        near = SeparableMeasurement(m.parties, outcomes, m.weights)
+        assert 0.45e-10 * 2 < HERMITICITY_TOL
+        assert validate(near).ok
+        for o in near.outcomes:
+            for f in o.factors:
+                assert np.array_equal(f, f.conj().T)
+        dims = tuple(r.nullspace_dim for r in check_root(m))
+        assert tuple(r.nullspace_dim for r in check_root(near)) == dims
+        cert = synthesize(near)
+        assert cert.verdict == Verdict.PROTOCOL_FOUND
+        assert cert.root_dims == dims
+
+    def test_exactly_hermitian_factors_stored_unchanged(self):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = b + b.conj().T
+        m = SeparableMeasurement([Party("A", 4), Party("B", 2)],
+                                 [("x", (h, P0))], np.array([1.0]))
+        assert [f.tobytes() for f in m.outcomes[0].factors] == \
+            [h.tobytes(), P0.astype(complex).tobytes()]
 
 
 class TestOutcomeGram:
