@@ -5,9 +5,10 @@ has minimal depth.  At each node every party except the one that just
 measured gets a feasibility analysis; each splitting of the node vector
 into extreme rays of the party's cone becomes a candidate measurement, and
 a branch dies when no party can split a node that is not yet a final
-outcome.  Impossibility is only ever certified at the root: if every
-party's root cone is one-dimensional, no first measurement exists and no
-protocol of any length (finite or not) can implement the measurement.
+outcome.  Impossibility is only ever certified at the root: if the root is
+not itself a final outcome and every party's root cone is one-dimensional,
+no first measurement exists and no protocol of any length (finite or not)
+can implement the measurement.
 Dead ends below the root merely terminate the search, because children are
 drawn from extreme rays only and a non-extremal split that was not tried
 could in principle exist; exhaustion therefore reports INCONCLUSIVE.
@@ -110,13 +111,15 @@ def impossible_at_root(m: SeparableMeasurement,
                        roots: Sequence[FeasibleCone],
                        residual_tol: float = RESIDUAL_TOL) -> bool:
     """Whether the root cones certify that no LOCC protocol exists: every
-    party's cone is one-dimensional.
+    party's cone is one-dimensional, and the root is not already a single
+    outcome (which needs no measurement at all).
 
     Before it says so, a soundness check: each party's only root ray must
     be the completeness vector, whose operator is the identity.  A failure
     raises :class:`LoccForgeError` rather than certify a false verdict.
     """
-    if any(root.nullspace_dim != 1 for root in roots):
+    if leaf_outcome(m.weights) is not None or any(
+            root.nullspace_dim != 1 for root in roots):
         return False
     w = np.asarray(m.weights, dtype=float)
     w_dir = w / w.sum()
@@ -144,50 +147,16 @@ def _coeff_key(coeffs: np.ndarray) -> tuple:
     return tuple(np.round(coeffs / l1, 9))
 
 
-def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
-                 residual_tol: float = RESIDUAL_TOL) -> tuple[int, float] | None:
+def leaf_outcome(coeffs: np.ndarray) -> tuple[int, float] | None:
     """(outcome index, scale) if the node is a final outcome, else None.
 
-    Two tests: the coefficient vector is supported on a single outcome, or
-    the reconstructed operator X is a positive multiple s O_j of some
-    outcome operator, with s = <O_j, X> / |O_j|^2 and every entry of
-    X - s O_j within ``residual_tol * scale``, scale = max(1, max |X|).
-    The second catches coefficient vectors that differ from a unit vector
-    yet reconstruct to the same operator, which happens when the outcome
-    operators are linearly dependent.
-
-    A bound from the outcome Gram G (``m.outcome_gram``) settles the second
-    test without forming X.  In exact arithmetic <O_j, X> = (G c)_j, |X|^2
-    = F = c^T G c and |O_j|^2 = G_jj, so the least Frobenius residual over
-    all s is r_j = F - (G c)_j^2 / G_jj (F when G_jj = 0).  The bounds
-    below use |c|, so they hold for indefinite factors and slightly
-    negative coefficients: |O_k| = sqrt(G_kk), so |X| <= a = sum_k |c_k|
-    sqrt(G_kk), |(G c)_j| <= sqrt(G_jj) a and F <= a^2.  Let eps be the
-    machine epsilon, n the number of outcomes, P of parties, d the largest
-    local dimension, D the total one, and theta = 2 (n + P (d^2 + 3)) eps;
-    away from underflow:
-
-    - The stored O_j (P - 1 complex products per entry) and X (length-n
-      sums) are within theta/2 |O_j| and theta a of the exact ones, and
-      the computed scale is at most max(1, a) (1 + 2 theta).
-    - The dense comparison rounds its product, difference and modulus once
-      each, so if it passes, the stored operators have |X - s O_j| <= D
-      (tol + 2 eps) scale (1 + 5 eps), a D x D matrix's Frobenius norm
-      being at most D times its largest entry.  Back to exact operators,
-      sqrt(r_j) <= (1 + 5 theta) (D (tol + 2 eps) max(1, a) + 2 theta a).
-    - Each entry of the computed G is off by at most theta/2 sqrt(G_ii
-      G_kk) (P complex dot products of length d_q^2, P - 1 products), so
-      the computed (G c)_j by theta sqrt(G_jj) a, F by 1.5 theta a^2, the
-      quotient is low by at most 2.6 theta a^2, the computed r_j exceeds
-      r_j by at most 5 theta a^2, and a is at most (1 + 2 theta) times
-      the computed a.
-
-    So with R = D (tol + 2 eps) max(1, a) + 2 theta a, both from the
-    computed a, an outcome passes the dense test only if its computed r_j
-    <= (1 + 17 theta) (R^2 + 5 theta a^2), and every other outcome is
-    skipped.  If any remains, X is formed and the remaining outcomes get the
-    dense test in index order, so every decision and every returned scale
-    is the dense test's alone.
+    A leaf is a node on a single outcome j: its largest coefficient c_j is
+    positive and every other one is at most ``LEAF_SUPPORT_TOL * c_j``.
+    Its scale is c_j, so the leaves labelled j add up to w_j exactly when
+    the tree implements the measurement.  A node whose operator merely
+    equals s O_j while its coefficients sit on several outcomes (possible
+    when outcome operators are linearly dependent) is not a leaf: filed
+    under j, it would report the other outcomes' shares as j's.
     """
     c = np.asarray(coeffs, dtype=float)
     order = np.argsort(c)
@@ -197,31 +166,6 @@ def leaf_outcome(m: SeparableMeasurement, coeffs: np.ndarray,
     second = float(c[order[-2]]) if c.size > 1 else 0.0
     if second <= LEAF_SUPPORT_TOL * top:
         return int(order[-1]), top
-    gram = m.outcome_gram
-    gjj = gram.diagonal()
-    gc = gram @ c
-    sq_norm = float(c @ gc)
-    a = float(np.abs(c) @ np.sqrt(gjj))
-    eps = float(np.finfo(float).eps)
-    dims = m.dims
-    theta = 2 * (len(c) + len(dims) * (max(dims) ** 2 + 3)) * eps
-    r = m.total_dim * (residual_tol + 2 * eps) * max(1.0, a) + 2 * theta * a
-    limit = (1 + 17 * theta) * (r * r + 5 * theta * a * a)
-    fit = np.divide(gc * gc, gjj, out=np.zeros_like(gc), where=gjj != 0.0)
-    survivors = np.flatnonzero(sq_norm - fit <= limit)
-    if survivors.size == 0:
-        return None
-    op = reconstruct(m, c)
-    scale = max(1.0, float(np.abs(op).max()))
-    ops = m.outcome_operators
-    # on real views of the complex entries, Re Tr[O_j^dag X] is a dot product
-    flat = ops.reshape(m.n_outcomes, -1).view(np.float64)
-    dots = flat @ op.reshape(-1).view(np.float64)
-    norms2 = np.einsum("ij,ij->i", flat, flat)
-    for j in survivors[norms2[survivors] != 0.0]:
-        s = float(dots[j] / norms2[j])
-        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= residual_tol * scale:
-            return int(j), s
     return None
 
 
@@ -246,7 +190,7 @@ class _Search:
     def run(self, coeffs: np.ndarray, produced_by: int | None,
             remaining: int) -> ProtocolNode | None:
         m = self.m
-        leaf = leaf_outcome(m, coeffs, self.residual_tol)
+        leaf = leaf_outcome(coeffs)
         if leaf is not None:
             return ProtocolNode(coeffs, produced_by, (), leaf)
         if remaining == 0:

@@ -37,7 +37,7 @@ import numpy as np
 from .engine import ProtocolNode
 from .errors import MeasurementFormatError
 from .measurement import Party, SeparableMeasurement, infer_weights
-from .operators import tensor
+from .operators import as_hermitian, tensor
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> list:
@@ -101,10 +101,14 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
             raise MeasurementFormatError("needs 'name' and 'dim'", where)
         if isinstance(p["dim"], bool) or not isinstance(p["dim"], int) or p["dim"] < 1:
             raise MeasurementFormatError("dim must be a positive integer", where)
-        parties.append(Party(str(p["name"]), p["dim"]))
+        name = str(p["name"])
+        if any(q.name == name for q in parties):
+            raise MeasurementFormatError(f"party name {name!r} is taken", f"{where}.name")
+        parties.append(Party(name, p["dim"]))
 
     outcomes = []
     weights = []
+    first_with: dict[str, int] = {}
     for j, o in enumerate(raw_outcomes):
         where = f"outcomes[{j}]"
         if not isinstance(o, dict) or "factors" not in o:
@@ -122,7 +126,15 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
                 raise MeasurementFormatError(
                     f"dimension {mat.shape[0]} does not match party "
                     f"{party.name!r} (dim {party.dim})", f"{where}.factors[{k}]")
+            try:
+                as_hermitian(mat)
+            except ValueError as exc:
+                raise MeasurementFormatError(str(exc), f"{where}.factors[{k}]")
         label = str(o.get("label", str(j + 1)))
+        if label in first_with:
+            raise MeasurementFormatError(f"outcomes {first_with[label]} and {j} share the "
+                                         f"label {label!r}", f"{where}.label")
+        first_with[label] = j
         outcomes.append((label, tuple(mats)))
         w = o.get("weight")
         if w is not None and (not _is_finite_number(w) or w < 0):

@@ -133,25 +133,6 @@ class SeparableMeasurement:
         """(n, D, D) stack of the joint product operators O_j."""
         return np.stack([tensor(o.factors) for o in self.outcomes])
 
-    @cached_property
-    def outcome_gram(self) -> np.ndarray:
-        """(n, n) real Gram matrix G_ij = Re Tr[O_i^dag O_j] of the outcome
-        operators, formed without them: Tr[O_i^dag O_j] is the product over
-        parties of Tr[F_i^q dag F_j^q], so G is the real part of the
-        Hadamard product of the per-party factor Grams.
-
-        Refuses pairings with a non-negligible imaginary part (the factors
-        are nominally Hermitian).
-        """
-        n = self.n_outcomes
-        gram = np.ones((n, n), dtype=complex)
-        for q in range(len(self.parties)):
-            f = self.local_factors(q).reshape(n, -1)
-            gram *= f.conj() @ f.T
-        if float(np.abs(gram.imag).max()) > 1e-10 * max(1.0, float(np.abs(gram).max())):
-            raise ValueError("trace pairings have non-negligible imaginary parts")
-        return np.ascontiguousarray(gram.real)
-
     def local_factors(self, party: int) -> np.ndarray:
         """(n, d_p, d_p) stack of the named party's factors."""
         return np.stack([o.factors[party] for o in self.outcomes])

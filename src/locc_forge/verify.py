@@ -205,8 +205,9 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     Checks: the root reconstructs the identity, every internal node is the
     sum of its children and of its descendant leaves, every node operator is
     a tensor product across parties, each edge changes only the acting
-    party's factor, leaves match their declared outcome and scale, and every
-    node operator is positive semidefinite.
+    party's factor, leaves match their declared outcome and scale, the
+    leaves labelled j add up to w_j, and every node operator is positive
+    semidefinite.
     """
     _structural_pass(tree, m)
     ops = m.outcome_operators
@@ -285,11 +286,19 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
                                      if len(nodes) > 1 else CheckResult(True, 0.0))
 
     leaf_match = []
+    per_outcome = np.zeros(m.n_outcomes)
     for node, path in tree.leaves():
         j, scale = node.leaf_outcome
         residual = float(np.abs(node_op[path] - scale * ops[j]).max())
         leaf_match.append((residual, path))
+        per_outcome[j] += scale
     checks["leaf-match"] = worst(leaf_match)
+
+    # When outcome operators are linearly dependent, the operator checks
+    # above hold for a tree that files one outcome's share under another's
+    # label; the leaf scales summed per label must be the weights.
+    gaps = np.abs(per_outcome - m.weights) / max(1.0, float(m.weights.max()))
+    checks["outcome-weights"] = worst(zip(gaps.tolist(), m.labels()))
 
     # A node whose Weyl bound clears PSD_TOL reports that bound, which is at
     # least the exact quantity (its floor is >= 1); only the others are

@@ -32,7 +32,6 @@ from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
     GRAM_CONDITION_LIMIT,
-    LEAF_SUPPORT_TOL,
     PSD_TOL,
     RANK_FACTOR,
     RESIDUAL_TOL,
@@ -324,33 +323,6 @@ def mixed_basis_q(ctx, rng: np.random.Generator) -> np.ndarray:
     return (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
 
 
-def dense_leaf_outcome(m, coeffs, residual_tol: float = RESIDUAL_TOL):
-    """The library's leaf test without its bound: a coefficient vector on a
-    single outcome, or else the first outcome j whose best scale s =
-    <O_j, X> / |O_j|^2 is positive and leaves every entry of X - s O_j
-    within ``residual_tol * max(1, max |X|)``, compared densely for every
-    outcome."""
-    c = np.asarray(coeffs, dtype=float)
-    order = np.argsort(c)
-    top = float(c[order[-1]])
-    if top <= 0:
-        return None
-    second = float(c[order[-2]]) if c.size > 1 else 0.0
-    if second <= LEAF_SUPPORT_TOL * top:
-        return int(order[-1]), top
-    op = reconstruct(m, c)
-    scale = max(1.0, float(np.abs(op).max()))
-    ops = m.outcome_operators
-    flat = ops.reshape(m.n_outcomes, -1).view(np.float64)
-    dots = flat @ op.reshape(-1).view(np.float64)
-    norms2 = np.einsum("ij,ij->i", flat, flat)
-    for j in np.flatnonzero(norms2 != 0.0):
-        s = float(dots[j] / norms2[j])
-        if s > 0 and float(np.abs(op - s * ops[j]).max()) <= residual_tol * scale:
-            return int(j), s
-    return None
-
-
 def per_node_product_and_positivity(tree, m) -> tuple[tuple[float, str], tuple[float, str]]:
     """The verifier's product-structure and positivity worsts, one node and
     one SVD or eigendecomposition at a time: for each node the largest
@@ -473,6 +445,13 @@ def dense_verify_tree(tree, m, residual_tol: float = RESIDUAL_TOL) -> Verificati
         residual = float(np.abs(node_op[path] - scale * ops[j]).max())
         leaf_match.append((residual, path))
     checks["leaf-match"] = worst(leaf_match)
+
+    per_outcome = np.zeros(m.n_outcomes)
+    for node, _ in tree.leaves():
+        j, scale = node.leaf_outcome
+        per_outcome[j] += scale
+    gaps = np.abs(per_outcome - m.weights) / max(1.0, float(m.weights.max()))
+    checks["outcome-weights"] = worst(zip(gaps.tolist(), m.labels()))
 
     eigs = np.linalg.eigvalsh(stacked)
     floor = np.maximum(1.0, np.abs(eigs).max(axis=1))

@@ -119,6 +119,30 @@ class TestCheckCommand:
         assert "impossibility self-check failed" in err
         assert "not LOCC-implementable" not in out
 
+    def test_a_measurement_that_needs_no_measurement(self, tmp_path, capsys):
+        # one outcome I (x) I of weight one: both root cones are
+        # one-dimensional, yet doing nothing implements it
+        from locc_forge import Party, SeparableMeasurement
+        from locc_forge.io import save_measurement
+
+        eye = np.eye(2, dtype=complex)
+        path = tmp_path / "one.json"
+        save_measurement(SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                              [("1", (eye, eye))], [1.0]), str(path))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["impossible_at_root"] is False
+        assert [p["nullspace_dim"] for p in doc["parties"]] == [1, 1]
+        tree_path = tmp_path / "tree.json"
+        code, _, _ = run(capsys, "synth", str(path), "--out", str(tree_path))
+        assert code == 0
+        code, out, _ = run(capsys, "verify", str(tree_path), "--measurement", str(path),
+                           "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] and doc["checks"]["outcome-weights"]["passed"]
+
     def test_impossible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "ph.json"
         run(capsys, "catalog", "phase-five", "--out", str(path))

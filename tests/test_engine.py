@@ -12,12 +12,12 @@ from locc_forge import (
     synthesize,
     verify_tree,
 )
-from locc_forge.engine import leaf_outcome
+from locc_forge import engine
+from locc_forge.engine import impossible_at_root, leaf_outcome
 from locc_forge.feasibility import feasible_cone, root_context
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement, validate
 from locc_forge.tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
-from oracles import dense_leaf_outcome
 
 
 class TestCheckRoot:
@@ -181,77 +181,91 @@ class TestInconclusive:
 
 
 class TestLeafDetection:
-    def test_single_support(self, m_pair):
-        assert leaf_outcome(m_pair, np.array([0, 0, 2.5, 0.0])) == (2, 2.5)
+    def test_single_support(self):
+        assert leaf_outcome(np.array([0, 0, 2.5, 0.0])) == (2, 2.5)
 
-    def test_not_a_leaf(self, m_pair):
-        assert leaf_outcome(m_pair, np.array([1.0, 1, 0, 0])) is None
+    def test_not_a_leaf(self):
+        assert leaf_outcome(np.array([1.0, 1, 0, 0])) is None
 
-    @pytest.fixture(scope="class")
-    def dependent(self):
-        # duplicate outcome operators: a mixed coefficient vector still
-        # reconstructs to a multiple of one outcome
-        return SeparableMeasurement(
-            [Party("A", 2), Party("B", 2)],
-            [("a", (P0, P0)), ("b", (P0, P0)), ("c", (P1, np.eye(2, dtype=complex)))],
-            np.array([0.5, 0.5, 1.0]))
+    def test_operator_route_with_dependent_outcomes(self):
+        # with duplicate outcome operators O_a = O_b, the node (1/2, 1/2, 0)
+        # is the operator O_a, yet no leaf: labelled a, it would report b's
+        # share as a's
+        assert leaf_outcome(np.array([0.5, 0.5, 0.0])) is None
 
-    def test_operator_route_with_dependent_outcomes(self, dependent):
-        got = leaf_outcome(dependent, np.array([0.5, 0.5, 0.0]))
-        assert got is not None
-        assert got[0] == 0
-        assert got[1] == pytest.approx(1.0, abs=1e-10)
-
-    def test_gram_bound_keeps_the_dense_answer(self, dependent, m_indefinite):
-        """Equal to the dense oracle, scale included, where the dense
-        comparison runs (dependent outcomes), over indefinite factors, with
-        a slightly negative coefficient, and just inside and outside the
-        residual tolerance, where the bound has to let the leaf through."""
-        loose = 1e-3
-        cases = [(dependent, c, RESIDUAL_TOL) for c in (
-            [0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.5, 0.5, -1e-13],
-            [0.5, 0.5, 0.9e-8], [0.5, 0.5, 1.1e-8], [1.0, 0.0, 1.0])]
-        cases += [(dependent, c, loose) for c in ([0.5, 0.5, 0.9e-3], [0.5, 0.5, 1.1e-3],
-                                                  [5.0, 5.0, 0.9e-2], [5.0, 5.0, 1.1e-2])]
-        cases += [(m_indefinite, c, RESIDUAL_TOL) for c in (
-            [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 3.0, -1e-13], [2.0, -1e-13, 1.0])]
-        rng = np.random.default_rng(5)
-        cases += [(m, rng.uniform(0, 1, 3), RESIDUAL_TOL)
-                  for m in (dependent, m_indefinite) for _ in range(10)]
-        found = []
-        for m, c, tol in cases:
-            c = np.asarray(c, dtype=float)
-            got = leaf_outcome(m, c, tol)
-            assert got == dense_leaf_outcome(m, c, tol), (m.labels(), c)
-            found.append(got is not None)
-        assert found[:14] == [True] * 4 + [False] * 2 + [True, False] * 2 + [False] * 4
+    @pytest.mark.parametrize("coeffs, want", [
+        ([0.0, 3.0, -1e-13], (1, 3.0)),
+        ([2.0, -1e-13, 1.0], None),
+        ([-1e-13, 0.0, 0.0], None),
+        ([0.0, 0.0], None),
+        ([2.0], (0, 2.0)),
+        ([0.5, 0.5, -1e-13], None),
+        ([4.0, 0.0, 0.9 * LEAF_SUPPORT_TOL * 4.0], (0, 4.0)),
+        ([4.0, 0.0, 1.1 * LEAF_SUPPORT_TOL * 4.0], None),
+    ])
+    def test_support_rule(self, coeffs, want):
+        assert leaf_outcome(np.array(coeffs)) == want
 
     def test_non_leaf_forms_no_operator(self):
+        # the leaf test reads the coefficients alone, so a search through
+        # nodes on several outcomes builds no outcome operator stack
         cb = conditional_basis(3, 4, 0)
         m = SeparableMeasurement(cb.parties, cb.outcomes, cb.weights)
         c = np.zeros(m.n_outcomes)
         c[[0, 5, 17]] = [1.0, 2.0, 0.5]
-        assert leaf_outcome(m, c) is None
+        assert leaf_outcome(c) is None
+        tree = engine._Search(m, RESIDUAL_TOL).run(m.weights, None, 3)
+        assert tree is not None and tree.depth() == 3
         assert "outcome_operators" not in m.__dict__
 
-    def test_agrees_with_the_dense_oracle_at_every_search_node(self, monkeypatch, catalog_all):
-        import locc_forge.engine as engine
 
-        original = engine.leaf_outcome
-        operator_route = []
+def leaf_scales_per_outcome(tree, m) -> np.ndarray:
+    sums = np.zeros(m.n_outcomes)
+    for node, _ in tree.leaves():
+        j, scale = node.leaf_outcome
+        sums[j] += scale
+    return sums
 
-        def compared(m, coeffs, residual_tol=RESIDUAL_TOL):
-            got = original(m, coeffs, residual_tol)
-            assert got == dense_leaf_outcome(m, coeffs, residual_tol)
-            top, second = np.sort(coeffs)[[-1, -2]]
-            if second > LEAF_SUPPORT_TOL * top:
-                operator_route.append(got)
-            return got
 
-        monkeypatch.setattr(engine, "leaf_outcome", compared)
-        for m in (*catalog_all.values(), conditional_basis(3, 4, 0), conditional_basis(5, 2, 0)):
-            synthesize(m)
-        assert len(operator_route) > 50
+class TestOutcomeShares:
+    """The leaves labelled j add up to w_j, also when outcome operators are
+    linearly dependent."""
+
+    def test_coin_flip(self):
+        eye = np.eye(2, dtype=complex)
+        m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("h", (eye, eye)), ("t", (eye, eye))], [0.5, 0.5])
+        cert = synthesize(m)
+        assert cert.verdict == Verdict.PROTOCOL_FOUND
+        assert cert.tree.depth() == 1
+        assert np.abs(leaf_scales_per_outcome(cert.tree, m) - m.weights).max() <= 1e-12
+
+    def test_zero_weight_outcome_keeps_its_zero_share(self, m_pair):
+        outcomes = [(o.label, o.factors) for o in m_pair.outcomes] + [("z", (P0, EYE2))]
+        m = SeparableMeasurement(m_pair.parties, outcomes, [*m_pair.weights, 0.0])
+        cert = synthesize(m)
+        assert cert.verdict == Verdict.PROTOCOL_FOUND
+        assert cert.tree.depth() == 2
+        assert np.abs(leaf_scales_per_outcome(cert.tree, m) - m.weights).max() <= 1e-12
+
+
+class TestNoMeasurementNeeded:
+    """A single outcome I (x) I of weight one is implemented by doing
+    nothing, although no party's root cone has room for a first measurement."""
+
+    @pytest.mark.parametrize("idle", [0, 1, 2])
+    def test_root_leaf(self, idle):
+        eye = np.eye(2, dtype=complex)
+        outcomes = [("1", (eye, eye)), ("z0", (P0, P1)), ("z1", (P1, P0))][:1 + idle]
+        m = SeparableMeasurement([Party("A", 2), Party("B", 2)], outcomes,
+                                 [1.0] + [0.0] * idle)
+        roots = check_root(m)
+        assert [r.nullspace_dim for r in roots] == [1, 1]
+        assert not impossible_at_root(m, roots)
+        cert = synthesize(m)
+        assert cert.verdict == Verdict.PROTOCOL_FOUND
+        assert cert.tree.depth() == 0 and cert.tree.leaf_outcome == (0, 1.0)
+        assert verify_tree(cert.tree, m).passed
 
 
 class TestCoefficientSearch:

@@ -77,6 +77,27 @@ class TestMeasurementDiagnostics:
             measurement_from_dict(json.loads(json.dumps(doc)))
         assert err.value.location == "outcomes[3].weight"
 
+    def test_non_hermitian_factor_location(self, m_pair):
+        doc = measurement_to_dict(m_pair)
+        doc["outcomes"][2]["factors"][1][0][1] = [0.3, 0.0]
+        with pytest.raises(MeasurementFormatError, match="Hermitian") as err:
+            measurement_from_dict(doc)
+        assert err.value.location == "outcomes[2].factors[1]"
+
+    def test_duplicate_outcome_label_location(self, m_pair):
+        doc = measurement_to_dict(m_pair)
+        doc["outcomes"][3]["label"] = doc["outcomes"][1]["label"]
+        with pytest.raises(MeasurementFormatError, match="outcomes 1 and 3") as err:
+            measurement_from_dict(doc)
+        assert err.value.location == "outcomes[3].label"
+
+    def test_duplicate_party_name_location(self, m_pair):
+        doc = measurement_to_dict(m_pair)
+        doc["parties"][1]["name"] = doc["parties"][0]["name"]
+        with pytest.raises(MeasurementFormatError) as err:
+            measurement_from_dict(doc)
+        assert err.value.location == "parties[1].name"
+
     def test_boolean_party_dim_location(self):
         # with 1 x 1 factors, dim true would otherwise load as a party of dim 1
         one = np.eye(1, dtype=complex)

@@ -246,15 +246,3 @@ class TestHermitianPart:
                                  [("x", (h, P0))], np.array([1.0]))
         assert [f.tobytes() for f in m.outcomes[0].factors] == \
             [h.tobytes(), P0.astype(complex).tobytes()]
-
-
-class TestOutcomeGram:
-    def test_matches_the_gram_of_the_outcome_operators(self, catalog_all, m_indefinite):
-        ms = [*catalog_all.values(), conditional_basis(3, 4, 0),
-              conditional_basis(5, 2, 0), m_indefinite]
-        for m in ms:
-            flat = m.outcome_operators.reshape(m.n_outcomes, -1)
-            dense = (flat.conj() @ flat.T).real
-            got = m.outcome_gram
-            assert got.shape == (m.n_outcomes, m.n_outcomes) and got.dtype == float
-            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()

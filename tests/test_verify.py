@@ -5,7 +5,7 @@ from locc_forge import conditional_basis, qubit_pair, seven_outcome_family, synt
 from locc_forge import verify
 from locc_forge.engine import ProtocolNode
 from locc_forge.errors import TreeStructureError
-from locc_forge.measurement import validate
+from locc_forge.measurement import SeparableMeasurement, validate
 from locc_forge.tolerances import PSD_TOL
 from locc_forge.verify import random_density_matrix, simulate, verify_tree
 from oracles import dense_verify_tree, per_node_product_and_positivity
@@ -176,6 +176,27 @@ class TestVerifyTree:
         bad = node(m_pair.weights, None, kids)
         with pytest.raises(TreeStructureError):
             verify_tree(bad, m_pair)
+
+
+class TestOutcomeWeights:
+    def test_share_filed_under_another_label(self, m_pair):
+        """Qubit-pair plus z = P0 (x) I of weight 0: the node (1, 1, 0, 0, 0)
+        is the operator O_z, so a leaf labelled z there passes every operator
+        check, yet reports the shares of 0x0 and 0x1 as z's."""
+        outcomes = [(o.label, o.factors) for o in m_pair.outcomes]
+        outcomes.append(("z", (m_pair.outcomes[0].factors[0], np.eye(2))))
+        m = SeparableMeasurement(m_pair.parties, outcomes, [*m_pair.weights, 0.0])
+        A, B = 0, 1
+        tree = node((1, 1, 1, 1, 0), None, [
+            node((1, 1, 0, 0, 0), A, leaf=(4, 1.0)),
+            node((0, 0, 1, 1, 0), A, [node((0, 0, 1, 0, 0), B, leaf=(2, 1.0)),
+                                      node((0, 0, 0, 1, 0), B, leaf=(3, 1.0))]),
+        ])
+        report = verify_tree(tree, m)
+        assert [k for k, c in report.checks.items() if not c.passed] == ["outcome-weights"]
+        check = report.checks["outcome-weights"]
+        assert check.detail == "0x0" and check.worst_residual == 1.0
+        assert_reports_agree(report, dense_verify_tree(tree, m))
 
 
 def copy_tree(n):
