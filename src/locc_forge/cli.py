@@ -20,6 +20,7 @@ from .engine import (
     Verdict,
     check_root,
     impossible_at_root,
+    leaf_outcome,
     synthesize,
 )
 from .errors import LoccForgeError, TreeStructureError
@@ -155,7 +156,9 @@ def _cmd_check(args) -> int:
             for ray in r.extreme_rays:
                 print("  ray:", np.array2string(ray, precision=6,
                                                 suppress_small=True))
-        if impossible:
+        if leaf_outcome(m.weights) is not None:
+            print("verdict: the root is a single outcome; it needs no measurement")
+        elif impossible:
             print("verdict: no party can measure first; "
                   "measurement is not LOCC-implementable")
     return EXIT_IMPOSSIBLE if impossible else EXIT_OK

@@ -9,10 +9,6 @@ class DimensionMismatchError(LoccForgeError, ValueError):
     """Operands act on Hilbert spaces of different dimension."""
 
 
-class DegenerateBasisError(LoccForgeError, ValueError):
-    """An operator set is not usable as a basis (dependent or ill-conditioned)."""
-
-
 class IncompleteMeasurementError(LoccForgeError, ValueError):
     """No nonnegative weights make the outcome operators sum to the identity."""
 

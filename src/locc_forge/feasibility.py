@@ -9,12 +9,12 @@ A' (x) Abar.  Writing the outcome operators in a product basis of the two
 operator spans, that condition says every component along directions
 "anything (x) (not Abar)" vanishes.  Those directions are extracted in
 coordinates: the party's factors and the bystander factors are written in
-orthonormal bases of their spans (isometric coordinates), Abar's coordinates
-are read off the node's own coefficients (at the root, where Abar is the
-identity, off the outcomes' traces), an orthonormal basis of Abar's
-orthogonal complement in the complement span comes from one Householder
-reflection, and the products of the two sides' coordinates give the rows of
-a real matrix Q.  The admissible c are then exactly the nonnegative
+orthonormal bases of their spans (isometric coordinates, from one QR of
+each span), Abar's coordinates are read off the node's own coefficients (at
+the root, where Abar is the identity, they are the basis operators' traces),
+an orthonormal basis of Abar's orthogonal complement in the complement span
+comes from one Householder reflection, and the products of the two sides'
+coordinates give the rows of a real matrix Q.  The admissible c are then exactly the nonnegative
 nullspace vectors of Q, a basis-independent set, and |Q c| is the Frobenius
 norm of the part of sum_j c_j O_j off span_A (x) Abar.
 
@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
-from .errors import DegenerateBasisError, InconsistentNodeError, NotProductError
+from .errors import InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement
 from .measurement import complement_span, local_span  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .operators import independent_subset, project_factor
-from .tolerances import GRAM_CONDITION_LIMIT, MARGINAL_RANK_BAND, RESIDUAL_TOL, rank_threshold
+from .tolerances import MARGINAL_RANK_BAND, RESIDUAL_TOL, rank_threshold
 
 
 class MarginalRankWarning(UserWarning):
@@ -109,11 +109,10 @@ class PartyTables:
     * ``acting`` holds, in column n, the coordinates of L_n in an
       orthonormal basis of the local span, so acting^T acting = [Tr(L_m L_n)];
     * ``coords`` holds, in column n, the coordinates of C_n in an
-      orthonormal basis of the complement span, so
+      orthonormal basis E_i of the complement span, so
       coords^T coords = [Tr(C_m C_n)];
-    * ``identity`` holds the coordinates y of the identity on the other
-      parties, the root's Abar, in the same basis: the least-squares
-      solution of coords^T y = t, t_n = Tr(C_n).
+    * ``identity`` holds y_i = Tr(E_i): the coordinates of the root's Abar,
+      the identity on the other parties, projected onto that span.
     """
 
     acting: np.ndarray
@@ -121,29 +120,25 @@ class PartyTables:
     identity: np.ndarray
 
 
-def _orthonormal_frame(ops: np.ndarray) -> np.ndarray:
-    """The real coordinates of every operator of a (n, d, d) stack, one column
-    per operator, in the orthonormal basis L^-1 e of the stack's span e, with
-    e chosen by :func:`independent_subset` (greedy in stack order, as
-    :func:`local_span` and :func:`complement_span` choose it) and L the
-    Cholesky factor of its Gram matrix.
+def _orthonormal_frame(ops: np.ndarray, owner: str) -> tuple[np.ndarray, np.ndarray]:
+    """Real coordinates of a Hermitian (n, d, d) stack, one column per
+    operator, in an orthonormal basis of its span, and that basis, one row
+    per operator.  ``owner`` names the stack in the error for a zero span.
 
-    Refuses a span whose Gram matrix is worse conditioned than
-    ``GRAM_CONDITION_LIMIT``, and pairings with a non-negligible imaginary
-    part (the operators are nominally Hermitian).
+    H is taken to the real vector of its diagonal and sqrt(2) times the real
+    and imaginary parts of its upper triangle, so Tr(GH) is a dot product.
+    The basis is the Q of a Householder QR of the span that
+    :func:`independent_subset` chooses (greedy in stack order, as
+    :func:`local_span` and :func:`complement_span` choose it).
     """
-    span = ops[independent_subset(list(ops))]
-    flat = span.reshape(-1, span.shape[-1] ** 2)
-    gram = (flat.conj() @ flat.T).real
-    sigma = np.linalg.svd(gram, compute_uv=False)
-    if len(sigma) == 0 or not sigma[0] <= GRAM_CONDITION_LIMIT * sigma[-1]:
-        raise DegenerateBasisError(
-            f"Gram matrix condition number exceeds {GRAM_CONDITION_LIMIT:.0e}")
-    basis = np.linalg.solve(np.linalg.cholesky(gram), flat)
-    t = basis.conj() @ ops.reshape(len(ops), -1).T
-    if float(np.abs(t.imag).max()) > 1e-10 * max(1.0, float(np.abs(t).max())):
-        raise ValueError("trace pairings have non-negligible imaginary parts")
-    return np.ascontiguousarray(t.real)
+    chosen = independent_subset(list(ops))
+    if not chosen:
+        raise InconsistentNodeError(f"every factor of {owner} is zero")
+    rows, cols = np.triu_indices(ops.shape[-1], 1)
+    upper = np.sqrt(2.0) * ops[:, rows, cols]
+    vecs = np.hstack([np.diagonal(ops, axis1=1, axis2=2).real, upper.real, upper.imag])
+    q = np.linalg.qr(vecs[chosen].T)[0]
+    return np.ascontiguousarray((vecs @ q).T), q.T
 
 
 def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
@@ -151,12 +146,13 @@ def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
     side's operator stack is built once."""
     cached = m._pairing_cache.get(party)
     if cached is None:
-        rest = m.complement_factors(party)
-        coords = _orthonormal_frame(rest)
-        traces = np.trace(rest, axis1=1, axis2=2).real
-        cached = m._pairing_cache[party] = PartyTables(
-            _orthonormal_frame(m.local_factors(party)), coords,
-            np.linalg.lstsq(coords.T, traces, rcond=None)[0])
+        name = m.parties[party].name
+        acting, _ = _orthonormal_frame(m.local_factors(party), f"party {name!r}")
+        coords, basis = _orthonormal_frame(m.complement_factors(party),
+                                           f"the parties other than {name!r}")
+        rest = m.total_dim // m.dims[party]     # basis rows start with the diagonal
+        cached = m._pairing_cache[party] = PartyTables(acting, coords,
+                                                       basis[:, :rest].sum(axis=1))
     return cached
 
 

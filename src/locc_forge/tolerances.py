@@ -5,9 +5,10 @@ dimension, cone dimension, independence of ray sets and of nonnegative
 least-squares columns) uses the one cutoff of :func:`rank_threshold`, with
 the fixed factor :data:`RANK_FACTOR`, because impossibility verdicts hinge
 on whether a nullspace is exactly one-dimensional.  The cutoff is part of
-the method, not a setting: no caller can change it.  The one tolerance a
-caller may set is the residual tolerance, a plain float that defaults to
-:data:`RESIDUAL_TOL` and that certificates record.
+the method, not a setting: no caller can change it.  No conditioning limit
+refuses a span that it accepts, as spans get their frames from QR.  The one
+tolerance a caller may set is the residual tolerance, a plain float that
+defaults to :data:`RESIDUAL_TOL` and that certificates record.
 
 Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction
@@ -56,9 +57,6 @@ its gradient a_j . r, per unit column norm, exceeds this many times
 NNLS_ITERATIONS_PER_COLUMN = 3
 """``cones.nnls`` gives up after this many passive-set solves per column
 (Lawson and Hanson's iteration limit of 3n)."""
-
-GRAM_CONDITION_LIMIT = 1e12
-"""Gram matrices worse conditioned than this are rejected as degenerate."""
 
 MARGINAL_RANK_BAND = 10.0
 """Singular values within this factor of the rank cutoff trigger a warning."""

@@ -23,7 +23,6 @@ from scipy.linalg import null_space
 from scipy.optimize import nnls
 
 from locc_forge.errors import (
-    DegenerateBasisError,
     DimensionMismatchError,
     InconsistentNodeError,
 )
@@ -31,7 +30,6 @@ from locc_forge.feasibility import reconstruct
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
-    GRAM_CONDITION_LIMIT,
     PSD_TOL,
     RANK_FACTOR,
     RESIDUAL_TOL,
@@ -199,9 +197,6 @@ def _dense_duals(ops: np.ndarray) -> np.ndarray:
     """Dual operators of a (k, d, d) stack, formed densely from its Gram matrix."""
     flat = ops.reshape(len(ops), -1)
     gram = (flat.conj() @ flat.T).real
-    sigma = np.linalg.svd(gram, compute_uv=False)
-    if sigma[-1] <= 0 or sigma[0] / sigma[-1] > GRAM_CONDITION_LIMIT:
-        raise DegenerateBasisError("Gram matrix is ill-conditioned")
     coeffs = np.linalg.solve(gram, np.eye(len(ops)))
     return np.einsum("kj,jab->kab", coeffs, ops)
 

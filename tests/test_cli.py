@@ -142,6 +142,12 @@ class TestCheckCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] and doc["checks"]["outcome-weights"]["passed"]
+        # the text gives the reason for the exit code
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        verdicts = [line for line in out.splitlines() if line.startswith("verdict:")]
+        assert verdicts == ["verdict: the root is a single outcome; "
+                            "it needs no measurement"]
 
     def test_impossible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "ph.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1, PMINUS, PPLUS
+from conftest import EYE2, P0, P1, PMINUS, PPLUS, SIGMA_Z
 from locc_forge import (
     Verdict,
     check_root,
@@ -13,6 +13,7 @@ from locc_forge import (
     verify_tree,
 )
 from locc_forge import engine
+from locc_forge.catalog import _haar_unitary
 from locc_forge.engine import impossible_at_root, leaf_outcome
 from locc_forge.feasibility import feasible_cone, root_context
 from locc_forge.io import tree_to_dict
@@ -165,6 +166,39 @@ class TestWideOneWay:
         assert cert.verdict is Verdict.PROTOCOL_FOUND
         assert cert.root_dims == (dim, 1)
         assert cert.tree.depth() == 2
+        assert verify_tree(cert.tree, m).passed
+
+
+def _nearly_parallel(delta: float, n_parties: int) -> SeparableMeasurement:
+    """B measures P0/P1; on 0, A measures (I +- delta Z)/2; on 1, with three
+    parties, C measures P0/P1.  The three-party outcomes are conjugated by
+    fixed Haar-random local unitaries."""
+    outcomes = [("+", ((EYE2 + delta * SIGMA_Z) / 2, P0, EYE2)),
+                ("-", ((EYE2 - delta * SIGMA_Z) / 2, P0, EYE2))]
+    if n_parties == 2:
+        outcomes = [(label, fs[:2]) for label, fs in outcomes] + [("1", (EYE2, P1))]
+        return SeparableMeasurement([Party("A", 2), Party("B", 2)], outcomes, [1.0] * 3)
+    outcomes += [("10", (EYE2, P1, P0)), ("11", (EYE2, P1, P1))]
+    rng = np.random.default_rng(0)
+    us = [_haar_unitary(2, rng) for _ in range(3)]
+    outcomes = [(label, tuple(u @ f @ u.conj().T for u, f in zip(us, fs)))
+                for label, fs in outcomes]
+    return SeparableMeasurement([Party("A", 2), Party("B", 2), Party("C", 2)],
+                                outcomes, [1.0] * 4)
+
+
+class TestNearlyParallelFactors:
+    """A's two factors differ by delta Z, so the spans are ill conditioned,
+    yet the two-round protocol is found: no conditioning limit refuses the
+    span, and roundoff in the root's identity coordinates moves no rank."""
+
+    @pytest.mark.parametrize("n_parties", [2, 3])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5, 1e-7])
+    def test_protocol_found(self, delta, n_parties):
+        m = _nearly_parallel(delta, n_parties)
+        cert = synthesize(m)
+        assert cert.verdict is Verdict.PROTOCOL_FOUND
+        assert cert.root_dims == (1, 2, 1)[:n_parties]
         assert verify_tree(cert.tree, m).passed
 
 

@@ -12,7 +12,7 @@ from locc_forge import (
     seven_outcome_family,
     synthesize,
 )
-from locc_forge.errors import DegenerateBasisError, InconsistentNodeError, NotProductError
+from locc_forge.errors import InconsistentNodeError, NotProductError
 from locc_forge.feasibility import (
     NodeContext,
     build_q,
@@ -142,26 +142,32 @@ class TestPartyTables:
                 assert np.abs(t.coords.T @ t.coords - want).max() < 1e-10
                 assert len(t.coords) == len(complement_span(m, p))
                 assert len(t.acting) == len(local_span(m, p))
+                # the identity's projection solves coords^T y = Tr C exactly
+                traces = np.trace(comp, axis1=1, axis2=2).real
+                want, *_ = np.linalg.lstsq(t.coords.T, traces, rcond=None)
+                assert np.abs(t.identity - want).max() < 1e-10
 
-    def test_ill_conditioned_span_refused(self):
+    def test_near_parallel_span_kept_and_zero_span_refused(self):
         # both pairs of factors pass the rank cutoff of independent_subset,
-        # but their Gram matrices have condition number about 1e15
+        # though their Gram matrices have condition number about 1e15
         near = EYE2 + 1e-7 * np.diag([1.0, -1.0])
         m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
                                  [("0", (EYE2, P0)), ("1", (near, P1))], [1.0, 1.0])
         for p in range(2):
-            assert len(local_span(m, p)) == 2
-            with pytest.raises(DegenerateBasisError, match="condition number"):
-                party_tables(m, p)
-            with pytest.raises(DegenerateBasisError):
-                build_q(root_context(m, 1 - p))
-        # a party whose factors are all zero has an empty span
+            t = party_tables(m, p)
+            assert len(t.acting) == len(local_span(m, p)) == 2
+            local = m.local_factors(p)
+            want = np.einsum("mij,nij->mn", local.conj(), local).real
+            assert np.abs(t.acting.T @ t.acting - want).max() < 1e-10
+        # a party whose factors are all zero has an empty span, and no frame
         zero = SeparableMeasurement([Party("A", 2), Party("B", 2)],
                                     [("0", (0 * EYE2, P0)), ("1", (0 * EYE2, P1))],
                                     [1.0, 1.0])
         assert len(local_span(zero, 0)) == 0
-        with pytest.raises(DegenerateBasisError):
+        with pytest.raises(InconsistentNodeError, match="party 'A'"):
             party_tables(zero, 0)
+        with pytest.raises(InconsistentNodeError, match="other than 'B'"):
+            party_tables(zero, 1)
 
 
 def _below_root(ctx) -> bool:
