@@ -129,6 +129,7 @@ def _cmd_check(args) -> int:
     _require_valid(m, args.tol_residual)
     roots = check_root(m, args.tol_residual)
     impossible = impossible_at_root(m, roots, args.tol_residual)
+    single = leaf_outcome(m.weights) is not None     # needs no measurement
     if args.as_json:
         doc = {
             "parties": [
@@ -142,6 +143,7 @@ def _cmd_check(args) -> int:
                 for p, r in zip(m.parties, roots)
             ],
             "impossible_at_root": impossible,
+            "single_outcome_root": single,
             "tolerances": {"rank_factor": RANK_FACTOR, "residual": args.tol_residual},
         }
         print(json.dumps(doc, indent=2))
@@ -149,14 +151,14 @@ def _cmd_check(args) -> int:
         print(f"measurement: {m.n_outcomes} outcomes, parties "
               + " x ".join(f"{p.name}({p.dim})" for p in m.parties))
         for p, r in zip(m.parties, roots):
-            verdictish = "" if r.nullspace_dim > 1 else "  (cannot measure first)"
+            verdictish = "" if r.nullspace_dim > 1 or single else "  (cannot measure first)"
             marginal = "  (rank decided near the cutoff)" if r.marginal_rank else ""
             print(f"party {p.name}: root nullspace dim {r.nullspace_dim}"
                   f"{verdictish}{marginal}")
             for ray in r.extreme_rays:
                 print("  ray:", np.array2string(ray, precision=6,
                                                 suppress_small=True))
-        if leaf_outcome(m.weights) is not None:
+        if single:
             print("verdict: the root is a single outcome; it needs no measurement")
         elif impossible:
             print("verdict: no party can measure first; "

@@ -5,18 +5,18 @@ At a node of a protocol tree the joint operator is a product A (x) Abar,
 where A acts on the party about to measure and Abar is the fixed joint
 operator of the bystanders.  The party's admissible next outcomes are the
 coefficient vectors c >= 0 for which sum_j c_j O_j again has the form
-A' (x) Abar.  Writing the outcome operators in a product basis of the two
-operator spans, that condition says every component along directions
-"anything (x) (not Abar)" vanishes.  Those directions are extracted in
-coordinates: the party's factors and the bystander factors are written in
-orthonormal bases of their spans (isometric coordinates, from one QR of
-each span), Abar's coordinates are read off the node's own coefficients (at
-the root, where Abar is the identity, they are the basis operators' traces),
-an orthonormal basis of Abar's orthogonal complement in the complement span
-comes from one Householder reflection, and the products of the two sides'
-coordinates give the rows of a real matrix Q.  The admissible c are then exactly the nonnegative
-nullspace vectors of Q, a basis-independent set, and |Q c| is the Frobenius
-norm of the part of sum_j c_j O_j off span_A (x) Abar.
+A' (x) Abar: every component along "anything (x) (not Abar)" vanishes.
+Those components are taken in coordinates.  Each party's factors get real
+coordinates in an orthonormal frame of their span (one QR); every outcome
+is a product, so the other parties' side has the Khatri-Rao product of
+their coordinates, which one more frame reduces.  Abar's coordinates are
+read off the node's coefficients (at the root, where Abar is the identity,
+they are the basis operators' traces), one Householder reflection gives an
+orthonormal basis of Abar's orthogonal complement, and the products of the
+two sides' coordinates are the rows of a real matrix Q.  The admissible c
+are exactly the nonnegative nullspace vectors of Q, a basis-independent
+set, and |Q c| is the Frobenius norm of the part of sum_j c_j O_j off
+span_A (x) Abar.
 
 Below the root only the node's support S = {j : c_j != 0} is searched.
 Every child is a multiple of a ray from an exact nonnegative split of its
@@ -39,7 +39,7 @@ from . import cones
 from .errors import InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement
 from .measurement import complement_span, local_span  # noqa: F401  (wrapped by name by the benchmark tracer)
-from .operators import independent_subset, project_factor
+from .operators import hermitian_vectors, independent_subset, khatri_rao, project_factor
 from .tolerances import MARGINAL_RANK_BAND, RESIDUAL_TOL, rank_threshold
 
 
@@ -120,39 +120,38 @@ class PartyTables:
     identity: np.ndarray
 
 
-def _orthonormal_frame(ops: np.ndarray, owner: str) -> tuple[np.ndarray, np.ndarray]:
-    """Real coordinates of a Hermitian (n, d, d) stack, one column per
-    operator, in an orthonormal basis of its span, and that basis, one row
-    per operator.  ``owner`` names the stack in the error for a zero span.
-
-    H is taken to the real vector of its diagonal and sqrt(2) times the real
-    and imaginary parts of its upper triangle, so Tr(GH) is a dot product.
-    The basis is the Q of a Householder QR of the span that
-    :func:`independent_subset` chooses (greedy in stack order, as
-    :func:`local_span` and :func:`complement_span` choose it).
-    """
-    chosen = independent_subset(list(ops))
+def _orthonormal_frame(vecs: np.ndarray, owner: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the rows of ``vecs``, one column per row, in an
+    orthonormal basis of their span (the Q of a Householder QR of the rows
+    :func:`independent_subset` chooses, greedy in order), and that basis,
+    one row per vector; ``owner`` names the rows in a zero span's error."""
+    chosen = independent_subset(list(vecs))
     if not chosen:
         raise InconsistentNodeError(f"every factor of {owner} is zero")
-    rows, cols = np.triu_indices(ops.shape[-1], 1)
-    upper = np.sqrt(2.0) * ops[:, rows, cols]
-    vecs = np.hstack([np.diagonal(ops, axis1=1, axis2=2).real, upper.real, upper.imag])
     q = np.linalg.qr(vecs[chosen].T)[0]
     return np.ascontiguousarray((vecs @ q).T), q.T
 
 
 def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
-    """The party's tables, built once and cached on the measurement; each
-    side's operator stack is built once."""
+    """The party's tables, cached on the measurement with every party's
+    local frame (of its factors' :func:`hermitian_vectors`).  C_n has the
+    coordinates kron_q acting_q[:, n] in the product of the other parties'
+    frames, and a product basis operator's trace is the product of the
+    local ones' (each the sum of a basis row's first d_q entries)."""
     cached = m._pairing_cache.get(party)
     if cached is None:
-        name = m.parties[party].name
-        acting, _ = _orthonormal_frame(m.local_factors(party), f"party {name!r}")
-        coords, basis = _orthonormal_frame(m.complement_factors(party),
-                                           f"the parties other than {name!r}")
-        rest = m.total_dim // m.dims[party]     # basis rows start with the diagonal
-        cached = m._pairing_cache[party] = PartyTables(acting, coords,
-                                                       basis[:, :rest].sum(axis=1))
+        frames = m._pairing_cache.get("frames")
+        if frames is None:
+            frames = m._pairing_cache["frames"] = [
+                _orthonormal_frame(hermitian_vectors(m.local_factors(q)), f"party {p.name!r}")
+                for q, p in enumerate(m.parties)]
+        others = [q for q in range(len(m.parties)) if q != party]
+        coords, basis = _orthonormal_frame(
+            khatri_rao([frames[q][0] for q in others], m.n_outcomes).T,
+            f"the parties other than {m.parties[party].name!r}")
+        traces = khatri_rao([frames[q][1][:, :m.dims[q], None].sum(axis=1) for q in others], 1)
+        cached = m._pairing_cache[party] = PartyTables(frames[party][0], coords,
+                                                       basis @ traces[:, 0])
     return cached
 
 

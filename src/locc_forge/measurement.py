@@ -26,6 +26,7 @@ from . import cones
 from .errors import DimensionMismatchError, IncompleteMeasurementError
 from .operators import (
     as_hermitian,
+    hermitian_vectors,
     independent_subset,
     is_psd,
     min_eigenvalue,
@@ -107,7 +108,7 @@ class SeparableMeasurement:
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be nonnegative with at least one positive")
         self.weights: np.ndarray = w
-        self._pairing_cache: dict[int, object] = {}     # feasibility.PartyTables
+        self._pairing_cache: dict = {}     # feasibility's local frames and PartyTables
 
     # -- basic geometry -------------------------------------------------
 
@@ -136,15 +137,6 @@ class SeparableMeasurement:
     def local_factors(self, party: int) -> np.ndarray:
         """(n, d_p, d_p) stack of the named party's factors."""
         return np.stack([o.factors[party] for o in self.outcomes])
-
-    def complement_factors(self, party: int) -> np.ndarray:
-        """(n, D/d_p, D/d_p) stack of joint factors of all parties but one."""
-        rest = [
-            [f for q, f in enumerate(o.factors) if q != party] or
-            [np.eye(1, dtype=complex)]
-            for o in self.outcomes
-        ]
-        return np.stack([tensor(fs) for fs in rest])
 
 
 # -- validation ----------------------------------------------------------
@@ -194,20 +186,18 @@ def infer_weights(outcome_operators: np.ndarray,
                   residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Nonnegative weights solving sum_j w_j O_j = I, or raise.
 
-    Solved as nonnegative least squares on the realified vectorization,
-    after one QR reduces its 2 D^2 rows to the n x n triangular factor R:
+    Solved as nonnegative least squares a w = b, with a the operators' real
+    :func:`hermitian_vectors` (their dot products are the trace pairings)
+    and b the identity's, after one QR a = Q R reduces the D^2 rows to n:
     |a w - b| and |R w - Q^T b| differ by a constant, so both have the same
     minimizers.
     """
     ops = np.asarray(outcome_operators, dtype=complex)
-    n, dim = ops.shape[0], ops.shape[1]
-    cols = ops.reshape(n, -1).T
-    a = np.vstack([cols.real, cols.imag])
-    b = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
-    q, r = np.linalg.qr(a)
-    w, _ = cones.nnls(r, q.T @ b)
+    eye = np.eye(ops.shape[1])
+    q, r = np.linalg.qr(hermitian_vectors(ops).T)
+    w, _ = cones.nnls(r, q.T @ hermitian_vectors(eye[None])[0])
     total = np.einsum("j,jab->ab", w, ops)
-    residual = float(np.abs(total - np.eye(dim)).max())
+    residual = float(np.abs(total - eye).max())
     if residual > residual_tol:
         raise IncompleteMeasurementError(
             f"no nonnegative weights complete the measurement (residual {residual:.3e})")
@@ -232,5 +222,6 @@ def complement_span(m: SeparableMeasurement, party: int) -> np.ndarray:
     The excluded party's bystanders are treated as a single joint system, so
     multi-party measurements reduce to the two-sided analysis.
     """
-    joint = m.complement_factors(party)
+    joint = np.stack([tensor([f for q, f in enumerate(o.factors) if q != party]
+                             or [np.eye(1)]) for o in m.outcomes])
     return joint[independent_subset(list(joint))]

@@ -58,6 +58,25 @@ def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def hermitian_vectors(ops: np.ndarray) -> np.ndarray:
+    """Real (n, d^2) vectors of a Hermitian (n, d, d) stack: each diagonal,
+    then sqrt(2) times the real and imaginary parts of the upper triangle,
+    so that Tr(GH) is the dot product of the vectors of G and H."""
+    upper = np.sqrt(2.0) * ops[:, ~np.tri(ops.shape[-1], dtype=bool)]
+    return np.concatenate([np.diagonal(ops, axis1=1, axis2=2).real, upper.real, upper.imag],
+                          axis=1)
+
+
+def khatri_rao(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Column-wise Kronecker products of (k_q, n) tables, in order: column j
+    is kron(t_1[:, j], t_2[:, j], ...), and a row of ones when there are no
+    tables."""
+    out = np.ones((1, n))
+    for t in tables:
+        out = (out[:, None, :] * t[None, :, :]).reshape(-1, n)
+    return out
+
+
 def independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
@@ -82,7 +101,7 @@ def independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     op_shape = np.shape(ops[0])
     if any(np.shape(op) != op_shape for op in ops):
         raise DimensionMismatchError("operators have mixed dimensions")
-    vecs = np.stack([np.asarray(op, dtype=np.complex128).ravel() for op in ops])
+    vecs = np.stack([np.ravel(op) for op in ops])
     peak = float(np.abs(vecs).max())
     if not np.isfinite(peak):
         raise ValueError("operators have non-finite entries")
@@ -92,9 +111,9 @@ def independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     n_cols = vecs.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->i", vecs.conj(), vecs).real)
     max_rank = min(len(ops), n_cols)
-    q = np.zeros((max_rank, n_cols), dtype=np.complex128)
+    q = np.zeros((max_rank, n_cols), dtype=vecs.dtype)
     q_conj = np.zeros_like(q)
-    r = np.zeros((max_rank, max_rank), dtype=np.complex128)
+    r = np.zeros((max_rank, max_rank), dtype=vecs.dtype)
     r_inv = np.zeros_like(r)
     r_inv_frob2 = 0.0       # |R^-1|_F^2
     row_max = 0.0           # largest norm of a kept vector
@@ -120,7 +139,7 @@ def independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
         m_inv_frob2 = r_inv_frob2 + (float(np.vdot(a_r_inv, a_r_inv).real) + 1.0) / b / b
         high = rank_threshold(shape, sqrt(row_frob2 + v_norm * v_norm))
         if not 1.0 / sqrt(m_inv_frob2) > high * (1.0 + _DECISION_MARGIN):
-            small = np.zeros((k + 1, k + 1), dtype=np.complex128)
+            small = np.zeros((k + 1, k + 1), dtype=vecs.dtype)
             small[:k, :k] = r[:k, :k]
             small[k, :k] = a
             small[k, k] = b

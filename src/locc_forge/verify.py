@@ -5,7 +5,7 @@ cones, leaf detection, ray decomposition) so that a bug in the search
 cannot certify its own output.  Only the generic operator algebra is
 shared.  Node operators are rebuilt from raw coefficient vectors and the
 measurement's factors.  Product structure is decided by operator Schmidt
-rank, from small per-cut cores that thin QRs of the factor stacks give;
+rank, from small real per-cut cores that each party's factor Gram gives;
 positivity from a Weyl bound over the factors' spectra, with an exact
 eigenvalue check wherever the bound does not settle it; and the
 fixed-bystander property of each edge is recomputed from scratch down the
@@ -23,7 +23,7 @@ import numpy as np
 from .engine import ProtocolNode
 from .errors import TreeStructureError
 from .measurement import SeparableMeasurement
-from .operators import as_hermitian, is_psd
+from .operators import as_hermitian, hermitian_vectors, is_psd, khatri_rao
 from .tolerances import PSD_TOL, RESIDUAL_TOL
 
 
@@ -90,33 +90,20 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> None:
                     f"{path}: children disagree about who measured")
 
 
-def _real_times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for a real x and a complex y, as one real product."""
-    y = np.ascontiguousarray(y, dtype=complex)
-    return (x @ y.view(float)).view(complex)
-
-
-def _kron_rows(stacks: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Row-wise Kronecker products of (n, k_i) stacks, in order; a column of
-    ones when there are none."""
-    out = np.ones((n, 1), dtype=complex)
-    for s in stacks:
-        out = (out[:, :, None] * s[:, None, :]).reshape(n, -1)
-    return out
-
-
 def _schmidt_ratios(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
     """Largest relative second operator-Schmidt coefficient over the cuts
     (p | rest), for the node operator of each row of ``coeffs``.
 
     Across a cut the realignment of sum_j c_j O_j is A diag(c) B^T, where
     column j of A is vec(F_j^p) and column j of B the Kronecker product of
-    the other parties' vec(F_j^q), a fixed row permutation of the
-    realignment's own.  With thin QRs A = Q_A R_A and B = Q_B R_B its
-    singular values are those of the small core R_A diag(c) R_B^T.  Two
-    parties have a single cut.  A node with fewer than two nonzero
-    coefficients is c_j O_j, an exact product, and gets the ratio 0 without
-    a core.
+    the other parties' vec(F_j^q).  Its singular values are those of the
+    core R_A diag(c) R_B^T for any R_A, R_B with the Gram matrices of A and
+    B.  Each party's R is real, from a QR of its factors'
+    :func:`hermitian_vectors`; B's Gram is the entrywise product of the
+    other parties' Grams, so R_B comes from a QR of the Khatri-Rao product
+    of their R's (or is the one R).  Two parties have a single cut.  A node with fewer than
+    two nonzero coefficients is c_j O_j, an exact product, and gets the
+    ratio 0 without a core.
     """
     n_parties = len(m.dims)
     n = m.n_outcomes
@@ -126,17 +113,17 @@ def _schmidt_ratios(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
         return ratios
     coeffs = coeffs[multi]
     worst = np.zeros(len(coeffs))
-    vecs = [m.local_factors(q).reshape(n, -1) for q in range(n_parties)]
+    rs = [np.linalg.qr(hermitian_vectors(m.local_factors(q)).T, mode="r")
+          for q in range(n_parties)]
     for p in range(n_parties if n_parties > 2 else 1):
-        b = _kron_rows((vecs[q] for q in range(n_parties) if q != p), n)
-        r_a = np.linalg.qr(vecs[p].T, mode="r")
-        r_b = np.linalg.qr(b.T, mode="r")
+        r_a, others = rs[p], [rs[q] for q in range(n_parties) if q != p]
+        r_b = others[0] if len(others) == 1 else np.linalg.qr(khatri_rao(others, n), mode="r")
         if min(len(r_a), len(r_b)) == 1:
             continue                # one singular value: ratio 0
         tall, wide = (r_a, r_b) if len(r_a) >= len(r_b) else (r_b, r_a)
-        # cores[i] = tall diag(coeffs[i]) wide^T, all from one real product
+        # cores[i] = tall diag(coeffs[i]) wide^T, all from one product
         w = (tall.T[:, :, None] * wide.T[:, None, :]).reshape(n, -1)
-        cores = _real_times(coeffs, w).reshape(len(coeffs), len(tall), len(wide))
+        cores = (coeffs @ w).reshape(len(coeffs), len(tall), len(wide))
         sigma = np.linalg.svd(cores, compute_uv=False)
         top = sigma[:, 0]
         worst = np.maximum(worst, np.divide(sigma[:, 1], top, out=np.zeros(len(coeffs)),
@@ -188,7 +175,7 @@ def _edge_factors(children: np.ndarray, factors: Sequence[np.ndarray], slot: int
     legs = [slot, n + slot] + [leg for q in others for leg in (q, n + q)]
     t = children.reshape((k,) + dims * 2).transpose([0] + [1 + leg for leg in legs])
     t = t.reshape(k, dims[slot] ** 2, -1)
-    a = _kron_rows((factors[q].reshape(1, -1) for q in others), 1)[0]
+    a = khatri_rao([factors[q].reshape(-1, 1) for q in others], 1)[:, 0]
     norm2 = float(np.vdot(a, a).real)
     if norm2 == 0.0:
         raise ValueError("cannot factor against a zero operator")
@@ -219,7 +206,8 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     # the node stack exists keeps their work arrays from adding to its peak.
     ratios = _schmidt_ratios(m, coeffs)
     neg = np.maximum(0.0, -_eigenvalue_bound(m, coeffs))
-    stacked = _real_times(coeffs, ops.reshape(m.n_outcomes, -1)).reshape(
+    # real coefficients times complex operators, as one real product
+    stacked = (coeffs @ ops.reshape(m.n_outcomes, -1).view(float)).view(complex).reshape(
         len(nodes), *ops.shape[1:])
     node_op = dict(zip(paths, stacked))
     eye = np.eye(m.total_dim)

@@ -52,6 +52,20 @@ def hand_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def complement_factors(m, party: int) -> np.ndarray:
+    """(n, D/d_p, D/d_p) stack of the joint factors of all parties but one,
+    each a ``numpy.kron`` of the other parties' factors in party order (the
+    1 x 1 identity when there are none)."""
+    stack = []
+    for outcome in m.outcomes:
+        joint = np.eye(1, dtype=complex)
+        for q, f in enumerate(outcome.factors):
+            if q != party:
+                joint = np.kron(joint, f)
+        stack.append(joint)
+    return np.stack(stack)
+
+
 def nullspace_projector(q: np.ndarray, n_cols: int) -> np.ndarray:
     if q.shape[0] == 0:
         return np.eye(n_cols)
@@ -251,7 +265,7 @@ def dense_build_q(ctx, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
         return np.zeros((0, len(support)))
     t_act = np.einsum("aij,nij->an", acting_duals.conj(), m.local_factors(p)[support])
     t_bys = np.einsum("bij,nij->bn", bystander_duals.conj(),
-                      m.complement_factors(p)[support])
+                      complement_factors(m, p)[support])
     rows = np.einsum("an,bn->abn", t_act, t_bys).reshape(-1, len(support))
     scale = max(1.0, float(np.abs(rows).max()))
     assert float(np.abs(rows.imag).max()) <= 1e-10 * scale

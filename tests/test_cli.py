@@ -75,6 +75,7 @@ class TestCheckCommand:
         assert [p["nullspace_dim"] for p in doc["parties"]] == [2, 1]
         assert [p["marginal_rank"] for p in doc["parties"]] == [False, False]
         assert doc["impossible_at_root"] is False
+        assert doc["single_outcome_root"] is False
         assert doc["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-8}
 
     def test_marginal_rank_is_reported(self, pair_file, capsys, monkeypatch):
@@ -133,6 +134,7 @@ class TestCheckCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["impossible_at_root"] is False
+        assert doc["single_outcome_root"] is True
         assert [p["nullspace_dim"] for p in doc["parties"]] == [1, 1]
         tree_path = tmp_path / "tree.json"
         code, _, _ = run(capsys, "synth", str(path), "--out", str(tree_path))
@@ -148,6 +150,8 @@ class TestCheckCommand:
         verdicts = [line for line in out.splitlines() if line.startswith("verdict:")]
         assert verdicts == ["verdict: the root is a single outcome; "
                             "it needs no measurement"]
+        # and no party is marked as unable to measure first
+        assert "cannot measure first" not in out
 
     def test_impossible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "ph.json"

@@ -27,6 +27,7 @@ from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor
 from oracles import (
     bystander_operator,
+    complement_factors,
     dense_build_q,
     face_qmatrix,
     mixed_basis_q,
@@ -113,31 +114,33 @@ class TestPartyTables:
             for p in range(len(m.parties)):
                 assert party_tables(m, p) is party_tables(m, p)
 
-    def test_each_factor_stack_built_once_per_table_build(self, monkeypatch):
-        built = []
-        for side in ("local_factors", "complement_factors"):
-            original = getattr(SeparableMeasurement, side)
+    def test_tables_built_without_joint_operators(self, monkeypatch):
+        # the other parties' side comes from the per-party frames, so no
+        # Kronecker product of operators is formed
+        import locc_forge.measurement as measurement
+        import locc_forge.operators as operators
 
-            def counted(self, party, side=side, original=original):
-                built.append((side, party))
-                return original(self, party)
+        m = conditional_basis(4, 3, 0)
 
-            monkeypatch.setattr(SeparableMeasurement, side, counted)
-        for m in (conditional_basis(3, 4, 0), conditional_basis(5, 2, 0),
-                  seven_outcome_family(0)):
-            for p in range(len(m.parties)):
-                built.clear()
-                party_tables(m, p)
-                assert sorted(built) == [("complement_factors", p), ("local_factors", p)]
+        def refused(*args):
+            raise AssertionError("a joint operator was formed")
+
+        for module in (operators, measurement):
+            monkeypatch.setattr(module, "tensor", refused)
+        monkeypatch.setattr(np, "kron", refused)
+        for p in range(len(m.parties)):
+            assert len(party_tables(m, p).coords) >= 1
 
     def test_tables_match_their_definitions(self, catalog_all):
-        for m in catalog_all.values():
+        # the conditional bases give Khatri-Rao complements of 2 to 4 parties
+        for m in [*catalog_all.values(), conditional_basis(3, 3, 0),
+                  conditional_basis(4, 2, 0), conditional_basis(5, 2, 0)]:
             for p in range(len(m.parties)):
                 t = party_tables(m, p)
                 local = m.local_factors(p)
                 want = np.einsum("mij,nij->mn", local.conj(), local).real
                 assert np.abs(t.acting.T @ t.acting - want).max() < 1e-10
-                comp = m.complement_factors(p)
+                comp = complement_factors(m, p)
                 want = np.einsum("mij,nij->mn", comp.conj(), comp).real
                 assert np.abs(t.coords.T @ t.coords - want).max() < 1e-10
                 assert len(t.coords) == len(complement_span(m, p))
@@ -164,10 +167,18 @@ class TestPartyTables:
                                     [("0", (0 * EYE2, P0)), ("1", (0 * EYE2, P1))],
                                     [1.0, 1.0])
         assert len(local_span(zero, 0)) == 0
-        with pytest.raises(InconsistentNodeError, match="party 'A'"):
-            party_tables(zero, 0)
-        with pytest.raises(InconsistentNodeError, match="other than 'B'"):
-            party_tables(zero, 1)
+        for p in range(2):      # B's tables need A's frame too
+            with pytest.raises(InconsistentNodeError, match="party 'A'"):
+                party_tables(zero, p)
+        # every party's span is nonzero, but each outcome has a zero factor
+        # on B or C, so A's complement is zero
+        three = SeparableMeasurement([Party("A", 2), Party("B", 2), Party("C", 2)],
+                                     [("0", (P0, 0 * EYE2, P0)), ("1", (P1, P0, 0 * EYE2))],
+                                     [1.0, 1.0])
+        with pytest.raises(InconsistentNodeError, match="other than 'A'"):
+            party_tables(three, 0)
+        for p in (1, 2):
+            assert len(party_tables(three, p).acting) >= 1
 
 
 def _below_root(ctx) -> bool:
@@ -228,7 +239,7 @@ class TestBystanderCoords:
             # the oracle's Abar in the same coordinates, from its pairings
             # Tr(Abar C_n) with the complement factors: coords^T y = pairings
             abar = bystander_operator(ctx)
-            pairings = np.einsum("ij,nij->n", abar.conj(), m.complement_factors(p)).real
+            pairings = np.einsum("ij,nij->n", abar.conj(), complement_factors(m, p)).real
             want, *_ = np.linalg.lstsq(tables.coords.T, pairings, rcond=None)
             y, want = y / np.linalg.norm(y), want / np.linalg.norm(want)
             assert np.abs(y - np.sign(y @ want) * want).max() <= 1e-10
@@ -238,7 +249,7 @@ def _dense_off_span_gram(ctx) -> np.ndarray:
     """[Tr(N_m N_n)] for N_n = L_n (x) (C_n - <Abar, C_n> Abar / |Abar|^2),
     formed from dense operators."""
     m, p, abar = ctx.measurement, ctx.acting_party, bystander_operator(ctx)
-    comp = m.complement_factors(p)
+    comp = complement_factors(m, p)
     along = np.einsum("ij,nij->n", abar.conj(), comp) / np.vdot(abar, abar)
     perp = comp - along[:, None, None] * abar
     ops = np.stack([np.kron(a, c) for a, c in zip(m.local_factors(p), perp)])

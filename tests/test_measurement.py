@@ -20,6 +20,7 @@ from locc_forge.measurement import (
     validate,
 )
 from oracles import (
+    complement_factors,
     greedy_svd_independent_subset,
     lstsq_completeness_weights,
     nnls_completeness_weights,
@@ -137,7 +138,7 @@ class TestSpans:
         for m in catalog_all.values():
             for p in range(len(m.parties)):
                 for span, stack in ((local_span, m.local_factors(p)),
-                                    (complement_span, m.complement_factors(p))):
+                                    (complement_span, complement_factors(m, p))):
                     ops = list(stack)
                     fresh = [ops[i] for i in greedy_svd_independent_subset(ops)]
                     got = span(m, p)

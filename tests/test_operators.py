@@ -16,14 +16,16 @@ from locc_forge import (
 from locc_forge.operators import (
     as_hermitian,
     embed_at,
+    hermitian_vectors,
     independent_subset,
     is_psd,
+    khatri_rao,
     min_eigenvalue,
     project_factor,
     tensor,
 )
 from locc_forge.tolerances import rank_threshold
-from oracles import greedy_svd_independent_subset, hand_kron
+from oracles import complement_factors, greedy_svd_independent_subset, hand_kron
 
 
 class TestTensor:
@@ -68,6 +70,39 @@ def test_tensor_associative_on_exact_entries(ta, tb, tc):
     left = tensor([tensor([a, b]), c])
     right = tensor([a, tensor([b, c])])
     assert np.array_equal(left, right)
+
+
+class TestRealCoordinates:
+    def test_hermitian_vectors_pair_as_traces(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 5):
+            g = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+            ops = g + g.conj().transpose(0, 2, 1)
+            vecs = hermitian_vectors(ops)
+            assert vecs.shape == (4, d * d) and vecs.dtype == np.float64
+            traces = np.einsum("mij,nji->mn", ops, ops).real
+            assert np.abs(vecs @ vecs.T - traces).max() <= 1e-12 * np.abs(traces).max()
+            assert np.array_equal(vecs[:, :d], np.diagonal(ops, axis1=1, axis2=2).real)
+
+    def test_khatri_rao_is_a_kron_per_column(self):
+        rng = np.random.default_rng(6)
+        tables = [rng.standard_normal((k, 5)) for k in (2, 3, 1, 4)]
+        got = khatri_rao(tables, 5)
+        assert got.shape == (24, 5)
+        for j in range(5):
+            want = np.ones(1)
+            for t in tables:
+                want = np.kron(want, t[:, j])
+            assert np.array_equal(got[:, j], want)
+        assert np.array_equal(khatri_rao([], 3), np.ones((1, 3)))
+
+    def test_independent_subset_chooses_real_vectors_as_complex_ones(self):
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((3, 10))
+        vecs = np.vstack([base, base[:2].sum(axis=0), rng.standard_normal((2, 10))])
+        got = independent_subset(list(vecs))
+        assert got == independent_subset(list(vecs.astype(complex))) == [0, 1, 2, 4, 5]
+        assert got == greedy_svd_independent_subset(list(vecs))
 
 
 class TestIndependentSubset:
@@ -189,7 +224,7 @@ def test_smallest_singular_value_at_cutoff_takes_exact_path(seed, rows, d, facto
 def test_every_catalog_span_matches_reference(catalog_all):
     for m in catalog_all.values():
         for p in range(len(m.parties)):
-            for stack in (m.local_factors(p), m.complement_factors(p)):
+            for stack in (m.local_factors(p), complement_factors(m, p)):
                 ops = list(stack)
                 assert independent_subset(ops) == greedy_svd_independent_subset(ops)
 
