@@ -23,7 +23,6 @@ from .feasibility import (
     build_q,
     factorize,
     feasible_cone,
-    reconstruct,
     root_context,
 )
 from .io import load_measurement, load_tree, save_measurement, save_tree
@@ -33,6 +32,7 @@ from .measurement import (
     complement_span,
     infer_weights,
     local_span,
+    reconstruct,
     validate,
 )
 from .operators import (

@@ -29,11 +29,10 @@ from .feasibility import (
     FeasibleCone,
     NodeContext,
     feasible_cone,
-    reconstruct,
     root_context,
 )
 from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
-from .measurement import SeparableMeasurement
+from .measurement import SeparableMeasurement, reconstruct
 from .tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
 
 DEFAULT_MAX_ROUNDS = 8

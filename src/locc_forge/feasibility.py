@@ -1,5 +1,5 @@
 """Per-node feasibility analysis: the constraint matrix, its nullspace, and
-reconstruction/factorization of candidate node operators.
+factorization of candidate node operators.
 
 At a node of a protocol tree the joint operator is a product A (x) Abar,
 where A acts on the party about to measure and Abar is the fixed joint
@@ -255,15 +255,6 @@ def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> Feasi
         embedded[:, support] = rays
         rays = embedded
     return FeasibleCone(basis.shape[1], rays, marginal)
-
-
-def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:
-    """The joint operator sum_j c_j O_j."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (m.n_outcomes,):
-        raise ValueError(f"expected {m.n_outcomes} coefficients, got shape {c.shape}")
-    ops = m.outcome_operators
-    return (c @ ops.reshape(m.n_outcomes, -1)).reshape(ops.shape[1:])
 
 
 def factorize(op: np.ndarray, abar: np.ndarray, slot: int, dims: tuple[int, ...],

@@ -30,6 +30,7 @@ from .operators import (
     independent_subset,
     is_psd,
     min_eigenvalue,
+    product_r,
     tensor,
 )
 from .tolerances import RESIDUAL_TOL
@@ -134,9 +135,52 @@ class SeparableMeasurement:
         """(n, D, D) stack of the joint product operators O_j."""
         return np.stack([tensor(o.factors) for o in self.outcomes])
 
+    @cached_property
+    def _factor_stacks(self) -> tuple[np.ndarray, ...]:
+        stacks = tuple(np.stack([o.factors[q] for o in self.outcomes])
+                       for q in range(len(self.parties)))
+        for stack in stacks:
+            stack.flags.writeable = False
+        return stacks
+
     def local_factors(self, party: int) -> np.ndarray:
-        """(n, d_p, d_p) stack of the named party's factors."""
-        return np.stack([o.factors[party] for o in self.outcomes])
+        """(n, d_p, d_p) stack of the named party's factors, built once and
+        read-only."""
+        return self._factor_stacks[party]
+
+
+def factor_operands(m: SeparableMeasurement) -> list:
+    """:func:`numpy.einsum` operands of the factor stacks, each followed by its
+    labels: 0 is the outcome, 1 + q party q's row and 1 + k + q its column."""
+    k = len(m.dims)
+    return [x for q in range(k) for x in (m.local_factors(q), [0, 1 + q, 1 + k + q])]
+
+
+def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:
+    """The joint operator sum_j c_j O_j, one contraction of the factor stacks
+    that forms no (n, D, D) stack.  Each term multiplies c_j last, so an
+    outcome whose product overflows makes the sum NaN even where c_j = 0."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (m.n_outcomes,):
+        raise ValueError(f"expected {m.n_outcomes} coefficients, got shape {c.shape}")
+    out = np.einsum(*factor_operands(m), c, [0], list(range(1, 2 * len(m.dims) + 1)))
+    return out.reshape(m.total_dim, m.total_dim)
+
+
+def identity_r(ops: np.ndarray) -> np.ndarray:
+    """Real R of the :func:`hermitian_vectors` of an (n, d, d) stack and, as
+    column n, the identity: its columns keep their trace pairings, and
+    R[:, :n], a slice of leading columns, is an R of the stack alone."""
+    return np.linalg.qr(hermitian_vectors(np.concatenate([ops, np.eye(ops.shape[1])[None]])).T,
+                        mode="r")
+
+
+def party_rs(m: SeparableMeasurement) -> list[np.ndarray]:
+    """Each party's :func:`identity_r` of its factors.  A product's Gram is
+    the entrywise product of its parties' Grams, so :func:`product_r` of
+    these is an R of the outcome operators and the identity, and of the
+    other parties' an R of their side of a cut."""
+    return [identity_r(m.local_factors(q)) for q in range(len(m.dims))]
 
 
 # -- validation ----------------------------------------------------------
@@ -163,7 +207,8 @@ class ValidationReport:
 
 
 def validate(m: SeparableMeasurement, residual_tol: float = RESIDUAL_TOL) -> ValidationReport:
-    """Check positivity of every factor and completeness with the stored weights.
+    """Check positivity of every factor and completeness with the stored
+    weights, in the Frobenius norm.
 
     Violations are reported as data with their magnitudes, not raised.
     """
@@ -175,8 +220,8 @@ def validate(m: SeparableMeasurement, residual_tol: float = RESIDUAL_TOL) -> Val
                     "negative factor",
                     f"outcome {outcome.label!r}, party {p.name!r}",
                     min_eigenvalue(factor)))
-    total = np.einsum("j,jab->ab", m.weights, m.outcome_operators)
-    residual = float(np.abs(total - np.eye(m.total_dim)).max())
+    residual = float(np.linalg.norm(product_r(party_rs(m), m.n_outcomes + 1)
+                                    @ np.append(m.weights, -1.0)))
     if not residual <= residual_tol:     # a NaN residual is a violation too
         violations.append(Violation("incomplete", "weighted outcome sum", residual))
     return ValidationReport(tuple(violations), residual)
@@ -188,16 +233,14 @@ def infer_weights(outcome_operators: np.ndarray,
 
     Solved as nonnegative least squares a w = b, with a the operators' real
     :func:`hermitian_vectors` (their dot products are the trace pairings)
-    and b the identity's, after one QR a = Q R reduces the D^2 rows to n:
-    |a w - b| and |R w - Q^T b| differ by a constant, so both have the same
-    minimizers.
+    and b the identity's, after one QR of [a, b] reduces the D^2 rows to
+    n + 1: its R keeps every |a w - b|, the Frobenius norm of
+    sum_j w_j O_j - I.
     """
     ops = np.asarray(outcome_operators, dtype=complex)
-    eye = np.eye(ops.shape[1])
-    q, r = np.linalg.qr(hermitian_vectors(ops).T)
-    w, _ = cones.nnls(r, q.T @ hermitian_vectors(eye[None])[0])
-    total = np.einsum("j,jab->ab", w, ops)
-    residual = float(np.abs(total - eye).max())
+    r = identity_r(ops)
+    w, _ = cones.nnls(r[:, :len(ops)], r[:, len(ops)])
+    residual = float(np.linalg.norm(r @ np.append(w, -1.0)))
     if residual > residual_tol:
         raise IncompleteMeasurementError(
             f"no nonnegative weights complete the measurement (residual {residual:.3e})")

@@ -77,6 +77,17 @@ def khatri_rao(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
+def product_r(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """An R factor of the Khatri-Rao product of (k_q, n) tables, a matrix
+    with the same Gram, folded one table at a time as
+    ``R = qr(khatri_rao([R, t], n), mode="r")`` so that no step holds more
+    than n * k_q rows.  One table is its own R; no tables give a row of ones."""
+    r = tables[0] if len(tables) else np.ones((1, n))
+    for t in tables[1:]:
+        r = np.linalg.qr(khatri_rao([r, t], n), mode="r")
+    return r
+
+
 def independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 

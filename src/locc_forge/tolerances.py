@@ -13,8 +13,13 @@ defaults to :data:`RESIDUAL_TOL` and that certificates record.
 Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction
 (coefficient vectors are compared after L1 normalization, operators after
-scaling by their largest entry).  The two ``NNLS_`` constants set the
-nonnegative least-squares solver's roundoff floor and iteration limit.
+scaling by their largest entry).  Completeness, wherever it is measured
+(validation, weight inference and the verifier's root), and the
+verifier's other operator checks are Frobenius norms, which bound the max
+norm: all three measure completeness as the same quantity, and a tree the
+verifier passes at :data:`RESIDUAL_TOL` passes max-norm checks too.  The
+two ``NNLS_`` constants set the nonnegative least-squares solver's
+roundoff floor and iteration limit.
 """
 
 from __future__ import annotations

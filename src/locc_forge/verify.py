@@ -3,27 +3,31 @@
 The checks here deliberately avoid the search's own machinery (feasible
 cones, leaf detection, ray decomposition) so that a bug in the search
 cannot certify its own output.  Only the generic operator algebra is
-shared.  Node operators are rebuilt from raw coefficient vectors and the
-measurement's factors.  Product structure is decided by operator Schmidt
-rank, from small real per-cut cores that each party's factor Gram gives;
-positivity from a Weyl bound over the factors' spectra, with an exact
-eigenvalue check wherever the bound does not settle it; and the
-fixed-bystander property of each edge is recomputed from scratch down the
-tree, one parent's children at a time.
+shared.  Every check is read from the measurement's factors and the raw
+coefficient vectors, through small real R factors whose columns keep the
+trace pairings of the outcome operators and the identity.  Root
+completeness, node sums, descendant-leaf sums and leaf matches are
+Frobenius norms of coefficient differences taken through one joint R;
+product structure is decided by operator Schmidt rank from per-cut cores;
+each edge by the child's distance from its parent's other-parties side,
+read off the parent's core; and positivity from a Weyl bound over the
+factors' spectra, with an exact eigenvalue check of the node operator,
+the one operator formed, wherever the bound does not settle it.  The operator
+checks' norms bound the max norm and do not change under local unitaries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .engine import ProtocolNode
 from .errors import TreeStructureError
-from .measurement import SeparableMeasurement
-from .operators import as_hermitian, hermitian_vectors, is_psd, khatri_rao
+from .measurement import SeparableMeasurement, factor_operands, party_rs, reconstruct
+from .operators import as_hermitian, is_psd, khatri_rao, product_r
 from .tolerances import PSD_TOL, RESIDUAL_TOL
 
 
@@ -90,46 +94,42 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> None:
                     f"{path}: children disagree about who measured")
 
 
-def _schmidt_ratios(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
-    """Largest relative second operator-Schmidt coefficient over the cuts
-    (p | rest), for the node operator of each row of ``coeffs``.
+def _cut_cores(rs: list[np.ndarray], coeffs: np.ndarray) -> Iterator[np.ndarray]:
+    """Every node's core on each party cut (p | rest) in turn; two parties
+    have a single cut.  Across a cut the realignment of sum_j c_j O_j is
+    A diag(c) B^T, and the core R_A diag(c) R_B^T is that realignment in
+    orthonormal frames of both sides: it keeps its singular values and
+    vectors and its Frobenius distances."""
+    n = coeffs.shape[1]
+    for p in range(len(rs) if len(rs) > 2 else 1):
+        r_b = product_r(rs[:p] + rs[p + 1:], n + 1)
+        w = khatri_rao([rs[p][:, :n], r_b[:, :n]], n)
+        yield (coeffs @ w.T).reshape(len(coeffs), len(rs[p]), len(r_b))
 
-    Across a cut the realignment of sum_j c_j O_j is A diag(c) B^T, where
-    column j of A is vec(F_j^p) and column j of B the Kronecker product of
-    the other parties' vec(F_j^q).  Its singular values are those of the
-    core R_A diag(c) R_B^T for any R_A, R_B with the Gram matrices of A and
-    B.  Each party's R is real, from a QR of its factors'
-    :func:`hermitian_vectors`; B's Gram is the entrywise product of the
-    other parties' Grams, so R_B comes from a QR of the Khatri-Rao product
-    of their R's (or is the one R).  Two parties have a single cut.  A node with fewer than
-    two nonzero coefficients is c_j O_j, an exact product, and gets the
-    ratio 0 without a core.
-    """
-    n_parties = len(m.dims)
-    n = m.n_outcomes
-    ratios = np.zeros(len(coeffs))
-    multi = np.count_nonzero(coeffs, axis=1) >= 2
-    if not multi.any():
-        return ratios
-    coeffs = coeffs[multi]
-    worst = np.zeros(len(coeffs))
-    rs = [np.linalg.qr(hermitian_vectors(m.local_factors(q)).T, mode="r")
-          for q in range(n_parties)]
-    for p in range(n_parties if n_parties > 2 else 1):
-        r_a, others = rs[p], [rs[q] for q in range(n_parties) if q != p]
-        r_b = others[0] if len(others) == 1 else np.linalg.qr(khatri_rao(others, n), mode="r")
-        if min(len(r_a), len(r_b)) == 1:
-            continue                # one singular value: ratio 0
-        tall, wide = (r_a, r_b) if len(r_a) >= len(r_b) else (r_b, r_a)
-        # cores[i] = tall diag(coeffs[i]) wide^T, all from one product
-        w = (tall.T[:, :, None] * wide.T[:, None, :]).reshape(n, -1)
-        cores = (coeffs @ w).reshape(len(coeffs), len(tall), len(wide))
-        sigma = np.linalg.svd(cores, compute_uv=False)
-        top = sigma[:, 0]
-        worst = np.maximum(worst, np.divide(sigma[:, 1], top, out=np.zeros(len(coeffs)),
-                                            where=top != 0))
-    ratios[multi] = worst
-    return ratios
+
+def _schmidt_ratios(sigma: np.ndarray, multi: np.ndarray) -> np.ndarray:
+    """Relative second operator-Schmidt coefficient of each core, from its
+    singular values.  A core whose node has fewer than two nonzero
+    coefficients (``multi`` False) is that of c_j O_j, an exact product, and
+    gets the ratio 0 whatever roundoff its SVD leaves."""
+    if sigma.shape[1] == 1:         # one singular value: ratio 0
+        return np.zeros(len(sigma))
+    top = sigma[:, 0]
+    return np.where(multi, np.divide(sigma[:, 1], top, out=np.zeros(len(top)),
+                                     where=top != 0), 0.0)
+
+
+def _edge_residuals(cores: np.ndarray, tops: np.ndarray, parent: np.ndarray,
+                    kids: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each child in ``kids`` from {X (x) Abar},
+    relative to max(1, |child|_F), on the cut of its measuring party.  Child
+    i is node i + 1, and Abar is the other-parties side of its parent:
+    b = ``tops[parent[i]]``, the top right singular vector of the parent's
+    core.  The distance is |core - (core b) b^T|_F, as the cores' frames
+    are orthonormal."""
+    c, b = cores[kids + 1], tops[parent[kids]]
+    off = c - (c @ b[:, :, None]) * b[:, None, :]
+    return np.linalg.norm(off, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(c, axis=(1, 2)))
 
 
 def _eigenvalue_bound(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
@@ -156,34 +156,6 @@ def _negativity(ops: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -eigs[:, 0]) / floor
 
 
-def _edge_factors(children: np.ndarray, factors: Sequence[np.ndarray], slot: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Best factors X_i with child_i ~ X_i (x) Abar, and the max-norm
-    residuals, for a (k, D, D) stack of one parent's children measured by
-    party ``slot``; Abar is the tensor product of ``factors`` (one per
-    party) on the other parties.
-
-    The children are realigned once, with rows indexing the slot's matrix
-    entries and columns each other party's in turn, so that Abar becomes
-    the Kronecker product a of its factors' vec's.  X_i is row block i
-    times conj(a) / |a|^2, the least-squares optimum.
-    """
-    n = len(factors)
-    dims = tuple(len(f) for f in factors)
-    k = len(children)
-    others = [q for q in range(n) if q != slot]
-    legs = [slot, n + slot] + [leg for q in others for leg in (q, n + q)]
-    t = children.reshape((k,) + dims * 2).transpose([0] + [1 + leg for leg in legs])
-    t = t.reshape(k, dims[slot] ** 2, -1)
-    a = khatri_rao([factors[q].reshape(-1, 1) for q in others], 1)[:, 0]
-    norm2 = float(np.vdot(a, a).real)
-    if norm2 == 0.0:
-        raise ValueError("cannot factor against a zero operator")
-    x = (t @ a.conj()) / norm2
-    residual = np.abs(t - x[:, :, None] * a).max(axis=(1, 2))
-    return x.reshape(k, dims[slot], dims[slot]), residual
-
-
 def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
                 residual_tol: float = RESIDUAL_TOL) -> VerificationReport:
     """Run all tree checks against a measurement, with residual tolerance
@@ -191,27 +163,20 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
 
     Checks: the root reconstructs the identity, every internal node is the
     sum of its children and of its descendant leaves, every node operator is
-    a tensor product across parties, each edge changes only the acting
-    party's factor, leaves match their declared outcome and scale, the
-    leaves labelled j add up to w_j, and every node operator is positive
-    semidefinite.
+    a tensor product across parties, each child differs from its parent's
+    side on the other parties only in the acting party's factor, leaves
+    match their declared outcome and scale, the leaves labelled j add up to
+    w_j, and every node operator is positive semidefinite.
     """
     _structural_pass(tree, m)
-    ops = m.outcome_operators
+    n = m.n_outcomes
     nodes = list(tree.walk())
     paths = [path for _, path in nodes]
     index = {path: i for i, path in enumerate(paths)}
-    coeffs = np.stack([np.asarray(n.coeffs, float) for n, _ in nodes])
-    # The factor-space quantities need no node operator; taking them before
-    # the node stack exists keeps their work arrays from adding to its peak.
-    ratios = _schmidt_ratios(m, coeffs)
-    neg = np.maximum(0.0, -_eigenvalue_bound(m, coeffs))
-    # real coefficients times complex operators, as one real product
-    stacked = (coeffs @ ops.reshape(m.n_outcomes, -1).view(float)).view(complex).reshape(
-        len(nodes), *ops.shape[1:])
-    node_op = dict(zip(paths, stacked))
-    eye = np.eye(m.total_dim)
-    dims = m.dims
+    coeffs = np.stack([np.asarray(node.coeffs, float) for node, _ in nodes])
+    leaf = np.array([node.is_leaf for node, _ in nodes])
+    parent = np.array([index[path.rpartition(".")[0]] for path in paths[1:]], dtype=int)
+    rs = party_rs(m)
 
     def worst(pairs: Iterable[tuple[float, str]]) -> CheckResult:
         worst_r, worst_at = 0.0, ""
@@ -222,78 +187,66 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
                     break
         return CheckResult(worst_r <= residual_tol, worst_r, worst_at)
 
+    # Each linear check is a row d of coefficient differences with an
+    # identity term d_n, whose residual |R d| is the Frobenius norm of
+    # sum_j d_j O_j + d_n I.  Children come after their parent in walk
+    # order, so one reverse pass sums every node's descendant leaves.
+    child_sum = np.zeros_like(coeffs)
+    np.add.at(child_sum, parent, coeffs[1:])
+    below = np.where(leaf[:, None], coeffs, 0.0)
+    for i in range(len(nodes) - 1, 0, -1):
+        below[parent[i - 1]] += below[i]
+    outcome, scale = map(np.array, zip(*[node.leaf_outcome for node, _ in nodes if node.is_leaf]))
+    matched = coeffs[leaf]
+    matched[np.arange(len(outcome)), outcome] -= scale
+    inner = coeffs[~leaf]
+    rows = np.concatenate([coeffs[:1], inner - child_sum[~leaf], inner - below[~leaf], matched])
+    rows = np.pad(rows, ((0, 0), (0, 1)))
+    rows[0, n] = -1.0
+    linear = np.linalg.norm(rows @ product_r(rs, n + 1).T, axis=1).tolist()
+    inner_paths = [path for path, is_leaf in zip(paths, leaf) if not is_leaf]
+    leaf_paths = [path for path, is_leaf in zip(paths, leaf) if is_leaf]
+    k = len(inner_paths)
+
     checks: dict[str, CheckResult] = {}
-
-    checks["root-completeness"] = worst(
-        [(float(np.abs(node_op["root"] - eye).max()), "root")])
-
-    sums = []
-    for node, path in nodes:
-        if node.is_leaf:
-            continue
-        total = sum(node_op[f"{path}.{i}"] for i in range(len(node.children)))
-        sums.append((float(np.abs(node_op[path] - total).max()), path))
-    checks["node-sum"] = worst(sums) if sums else CheckResult(True, 0.0)
-
-    # Children come after their parent in walk order, so one reverse pass
-    # sums every node's descendant leaves from its children's sums; a sum
-    # is dropped once its parent has taken it.
-    below: dict[str, np.ndarray] = {}
-    leaf_sums = []
-    for node, path in reversed(nodes):
-        if node.is_leaf:
-            below[path] = node_op[path]
-            continue
-        total = sum(below.pop(f"{path}.{i}") for i in range(len(node.children)))
-        below[path] = total
-        leaf_sums.append((float(np.abs(node_op[path] - total).max()), path))
-    leaf_sums.reverse()
-    checks["descendant-leaf-sum"] = (worst(leaf_sums) if leaf_sums
-                                     else CheckResult(True, 0.0))
-
+    checks["root-completeness"] = worst([(linear[0], "root")])
+    checks["node-sum"] = worst(zip(linear[1:1 + k], inner_paths))
+    checks["descendant-leaf-sum"] = worst(zip(linear[1 + k:1 + 2 * k], inner_paths))
+    # Each cut's cores take one SVD, on the nodes with two or more nonzero
+    # coefficients (product structure) and on the parents (the edge check),
+    # and are dropped before the next cut's are built.
+    multi = np.count_nonzero(coeffs, axis=1) >= 2
+    on = multi | ~leaf
+    up = (np.cumsum(on) - 1)[parent]        # each child's parent's SVD row
+    slots = np.array([node.acting_party for node, _ in nodes[1:]], dtype=int)
+    ratios, edges = np.zeros(len(nodes)), np.zeros(len(parent))
+    for p, cut in enumerate(_cut_cores(rs, coeffs)):
+        u, sigma, vh = np.linalg.svd(cut[on], full_matrices=False)
+        ratios[on] = np.maximum(ratios[on], _schmidt_ratios(sigma, multi[on]))
+        kids = np.flatnonzero(slots == p)
+        edges[kids] = _edge_residuals(cut, vh[:, 0], up, kids)
+        if len(rs) == 2:                    # party 1's cores are the transposes
+            kids = np.flatnonzero(slots == 1)
+            edges[kids] = _edge_residuals(cut.transpose(0, 2, 1), u[:, :, 0], up, kids)
     checks["product-structure"] = worst(zip(ratios.tolist(), paths))
-
-    # Each parent's children share the acting party, so one Abar (the
-    # parent's factors on the other parties, followed down from the
-    # identity) serves all of them.
-    edges = np.zeros(len(nodes))            # by child, in walk order
-    factors_at = {"root": tuple(np.eye(d, dtype=complex) for d in dims)}
-    for node, path in nodes:
-        if node.is_leaf:
-            continue
-        slot = node.children[0].acting_party
-        factors = factors_at[path]
-        kids = [index[f"{path}.{i}"] for i in range(len(node.children))]
-        children = stacked[kids]
-        xs, residuals = _edge_factors(children, factors, slot)
-        edges[kids] = residuals / np.maximum(1.0, np.abs(children).max(axis=(1, 2)))
-        for i, x in zip(kids, xs):
-            factors_at[paths[i]] = tuple(x if q == slot else f
-                                         for q, f in enumerate(factors))
-    checks["single-party-change"] = (worst(zip(edges[1:].tolist(), paths[1:]))
-                                     if len(nodes) > 1 else CheckResult(True, 0.0))
-
-    leaf_match = []
-    per_outcome = np.zeros(m.n_outcomes)
-    for node, path in tree.leaves():
-        j, scale = node.leaf_outcome
-        residual = float(np.abs(node_op[path] - scale * ops[j]).max())
-        leaf_match.append((residual, path))
-        per_outcome[j] += scale
-    checks["leaf-match"] = worst(leaf_match)
+    checks["single-party-change"] = worst(zip(edges.tolist(), paths[1:]))
+    checks["leaf-match"] = worst(zip(linear[1 + 2 * k:], leaf_paths))
 
     # When outcome operators are linearly dependent, the operator checks
     # above hold for a tree that files one outcome's share under another's
     # label; the leaf scales summed per label must be the weights.
+    per_outcome = np.zeros(n)
+    np.add.at(per_outcome, outcome, scale)
     gaps = np.abs(per_outcome - m.weights) / max(1.0, float(m.weights.max()))
     checks["outcome-weights"] = worst(zip(gaps.tolist(), m.labels()))
 
     # A node whose Weyl bound clears PSD_TOL reports that bound, which is at
     # least the exact quantity (its floor is >= 1); only the others are
-    # diagonalised.
-    open_ = ~(neg <= PSD_TOL)
-    if open_.any():
-        neg[open_] = _negativity(stacked[open_])
+    # formed and diagonalised.
+    neg = np.maximum(0.0, -_eigenvalue_bound(m, coeffs))
+    open_ = np.flatnonzero(~(neg <= PSD_TOL))
+    if len(open_):
+        neg[open_] = _negativity(np.stack([reconstruct(m, coeffs[i]) for i in open_]))
     at = int(np.argmax(neg))
     worst_neg = max(0.0, float(neg[at]))       # not -0.0
     checks["positivity"] = CheckResult(worst_neg <= PSD_TOL, worst_neg,
@@ -348,18 +301,17 @@ def simulate(tree: ProtocolNode, m: SeparableMeasurement, state: np.ndarray,
     if not is_psd(rho):
         raise ValueError("state must be positive semidefinite")
 
-    ops = m.outcome_operators
+    # Tr(O_j rho) for every outcome j, from one contraction of rho with the
+    # factor stacks; every probability is linear in them.
+    k = len(m.dims)
+    pairings = np.einsum(*factor_operands(m), rho.reshape(m.dims * 2),
+                         [*range(1 + k, 1 + 2 * k), *range(1, 1 + k)], [0]).real
     labels = m.labels()
-    probs = []
-    leaf_records = []
+    leaf_records = [(path, node.leaf_outcome[0], float(np.dot(node.coeffs, pairings)))
+                    for node, path in tree.leaves()]
+    probs = [p for _, _, p in leaf_records]
     outcome_probs = np.zeros(m.n_outcomes)
-    for node, path in tree.leaves():
-        op = np.einsum("j,jab->ab", np.asarray(node.coeffs, float), ops)
-        p = float(np.einsum("ab,ba->", op, rho).real)
-        j = node.leaf_outcome[0]
-        probs.append(p)
-        outcome_probs[j] += p
-        leaf_records.append((path, j, p))
+    np.add.at(outcome_probs, [j for _, j, _ in leaf_records], probs)
 
     counts: list[int | None] = [None] * len(probs)
     if trials > 0:
@@ -368,9 +320,7 @@ def simulate(tree: ProtocolNode, m: SeparableMeasurement, state: np.ndarray,
         drawn = rng.multinomial(trials, clipped / clipped.sum())
         counts = [int(c) for c in drawn]
 
-    direct = np.array([
-        float(m.weights[j] * np.einsum("ab,ba->", ops[j], rho).real)
-        for j in range(m.n_outcomes)])
+    direct = m.weights * pairings
     leaves = tuple(
         LeafProbability(path, j, labels[j], p, c)
         for (path, j, p), c in zip(leaf_records, counts))

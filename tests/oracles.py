@@ -26,7 +26,7 @@ from locc_forge.errors import (
     DimensionMismatchError,
     InconsistentNodeError,
 )
-from locc_forge.feasibility import reconstruct
+from locc_forge.measurement import reconstruct
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
@@ -362,112 +362,138 @@ def per_node_product_and_positivity(tree, m) -> tuple[tuple[float, str], tuple[f
     return max(products, key=lambda t: t[0]), max(negs, key=lambda t: t[0])
 
 
+def _realignments(ops: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
+    """(nodes, d_slot^2, (D/d_slot)^2) realignments of a (nodes, D, D) stack
+    across the cut (slot | rest): rows index the slot's matrix entries,
+    columns the other parties' in declaration order."""
+    n = len(dims)
+    others = [p for p in range(n) if p != slot]
+    legs = [slot, n + slot] + others + [n + p for p in others]
+    t = ops.reshape((len(ops),) + dims * 2).transpose([0] + [1 + leg for leg in legs])
+    return t.reshape(len(ops), dims[slot] ** 2, -1)
+
+
 def _dense_schmidt_second(ops: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
     """Relative second operator-Schmidt coefficient across (slot | rest), for
     each operator of a (nodes, D, D) stack, from the full realignments."""
-    n = len(dims)
-    dp = dims[slot]
-    dc = ops.shape[1] // dp
-    t = ops.reshape((len(ops),) + dims * 2)
-    others = [p for p in range(n) if p != slot]
-    legs = [slot, n + slot] + others + [n + p for p in others]
-    t = t.transpose([0] + [1 + leg for leg in legs])
-    sigma = np.linalg.svd(t.reshape(-1, dp * dp, dc * dc), compute_uv=False)
+    sigma = np.linalg.svd(_realignments(ops, slot, dims), compute_uv=False)
     if sigma.shape[1] == 1:
         return np.zeros(len(ops))
     top = sigma[:, 0]
     return np.divide(sigma[:, 1], top, out=np.zeros(len(ops)), where=top != 0)
 
 
-def dense_verify_tree(tree, m, residual_tol: float = RESIDUAL_TOL) -> VerificationReport:
-    """The library's first verifier, on dense D x D node operators: the same
-    checks, quantities and tolerances as ``verify.verify_tree``, with
-    product structure from SVDs of each node's full realignment across every
-    party cut, the edge check from ``project_factor`` one edge at a time
-    down the tree, and positivity from the eigenvalues of every node
-    operator.  Only the structural pass and the report types are shared."""
+def frobenius(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x))
+
+
+def max_norm(x: np.ndarray) -> float:
+    return float(np.abs(x).max())
+
+
+def dense_check_values(tree, m, norm=frobenius) -> dict[str, list[tuple[float, str]]]:
+    """Every check's (residual, location) pairs, in walk order, on dense
+    D x D node operators.  Root completeness, node-sum, descendant-leaf-sum
+    and leaf-match are ``norm`` (by default the Frobenius norm, as the
+    verifier reports) of sum_j d_j O_j for each check's coefficient
+    difference d, minus the identity at the root.  Product structure comes
+    from SVDs of each node's full realignment across every party cut, the
+    edge check from each child's full realignment projected off the top
+    right singular vector of its parent's, in the Frobenius norm relative
+    to max(1, |child|_F), and positivity from the eigenvalues of every node
+    operator.  Only the structural pass is shared with the verifier."""
     _structural_pass(tree, m)
     ops = m.outcome_operators
     nodes = list(tree.walk())
+    paths = [path for _, path in nodes]
     coeffs = np.stack([np.asarray(n.coeffs, float) for n, _ in nodes])
     stacked = (coeffs @ ops.reshape(m.n_outcomes, -1)).reshape(len(nodes), *ops.shape[1:])
-    node_op = {path: op for (_, path), op in zip(nodes, stacked)}
-    eye = np.eye(m.total_dim)
+    node_op = dict(zip(paths, stacked))
     dims = m.dims
+    inner = [(node, path) for node, path in nodes if not node.is_leaf]
 
-    def worst(pairs: Iterable[tuple[float, str]]) -> CheckResult:
-        worst_r, worst_at = 0.0, ""
-        for r, at in pairs:
-            if not r <= worst_r:            # a NaN residual is the worst
-                worst_r, worst_at = r, at
-                if np.isnan(r):
-                    break
-        return CheckResult(worst_r <= residual_tol, worst_r, worst_at)
+    def residual(d: np.ndarray) -> float:
+        return norm(np.einsum("j,jab->ab", d, ops))
 
-    checks: dict[str, CheckResult] = {}
+    def edge(child, cpath: str) -> float:
+        both = np.stack([node_op[cpath.rpartition(".")[0]], node_op[cpath]])
+        up, kid = _realignments(both, child.acting_party, dims)
+        v = np.linalg.svd(up)[2][0]
+        return frobenius(kid - np.outer(kid @ v.conj(), v)) / max(1.0, frobenius(kid))
 
-    checks["root-completeness"] = worst(
-        [(float(np.abs(node_op["root"] - eye).max()), "root")])
-
-    sums = []
-    for node, path in tree.walk():
-        if node.is_leaf:
-            continue
-        total = sum(node_op[f"{path}.{i}"] for i in range(len(node.children)))
-        sums.append((float(np.abs(node_op[path] - total).max()), path))
-    checks["node-sum"] = worst(sums) if sums else CheckResult(True, 0.0)
-
-    leaf_sums = []
-    for node, path in tree.walk():
-        if node.is_leaf:
-            continue
-        total = sum(node_op[lp] for _, lp in node.leaves(path))
-        leaf_sums.append((float(np.abs(node_op[path] - total).max()), path))
-    checks["descendant-leaf-sum"] = (worst(leaf_sums) if leaf_sums
-                                     else CheckResult(True, 0.0))
-
-    paths = [path for _, path in nodes]
-    worst_slot = np.max([_dense_schmidt_second(stacked, slot, dims)
-                         for slot in range(len(dims))], axis=0)
-    checks["product-structure"] = worst(zip(worst_slot.tolist(), paths))
-
-    edges = []
-
-    def descend(node: ProtocolNode, path: str, factors: tuple[np.ndarray, ...]):
-        for i, child in enumerate(node.children):
-            cpath = f"{path}.{i}"
-            slot = child.acting_party
-            rest = [f for q, f in enumerate(factors) if q != slot]
-            abar = tensor(rest) if rest else np.eye(1, dtype=complex)
-            x, residual = project_factor(node_op[cpath], abar, slot, dims)
-            scale = max(1.0, float(np.abs(node_op[cpath]).max()))
-            edges.append((residual / scale, cpath))
-            new_factors = tuple(x if q == slot else f for q, f in enumerate(factors))
-            descend(child, cpath, new_factors)
-
-    descend(tree, "root", tuple(np.eye(d, dtype=complex) for d in dims))
-    checks["single-party-change"] = worst(edges) if edges else CheckResult(True, 0.0)
-
-    leaf_match = []
-    for node, path in tree.leaves():
+    def leaf_match(node) -> float:
         j, scale = node.leaf_outcome
-        residual = float(np.abs(node_op[path] - scale * ops[j]).max())
-        leaf_match.append((residual, path))
-    checks["leaf-match"] = worst(leaf_match)
+        d = np.array(node.coeffs, float)
+        d[j] -= scale
+        return residual(d)
 
     per_outcome = np.zeros(m.n_outcomes)
     for node, _ in tree.leaves():
         j, scale = node.leaf_outcome
         per_outcome[j] += scale
     gaps = np.abs(per_outcome - m.weights) / max(1.0, float(m.weights.max()))
-    checks["outcome-weights"] = worst(zip(gaps.tolist(), m.labels()))
-
+    product = np.max([_dense_schmidt_second(stacked, slot, dims)
+                      for slot in range(len(dims))], axis=0)
     eigs = np.linalg.eigvalsh(stacked)
-    floor = np.maximum(1.0, np.abs(eigs).max(axis=1))
-    neg = np.maximum(0.0, -eigs[:, 0]) / floor
-    at = int(np.argmax(neg))
-    worst_neg = max(0.0, float(neg[at]))       # not -0.0
-    checks["positivity"] = CheckResult(worst_neg <= PSD_TOL, worst_neg,
-                                       paths[at] if worst_neg > PSD_TOL else "")
+    neg = np.maximum(0.0, -eigs[:, 0]) / np.maximum(1.0, np.abs(eigs).max(axis=1))
+    return {
+        "root-completeness": [(norm(node_op["root"] - np.eye(m.total_dim)), "root")],
+        "node-sum": [(residual(node.coeffs - sum(c.coeffs for c in node.children)), path)
+                     for node, path in inner],
+        "descendant-leaf-sum": [
+            (residual(node.coeffs - sum(leaf.coeffs for leaf, _ in node.leaves(path))), path)
+            for node, path in inner],
+        "product-structure": list(zip(product.tolist(), paths)),
+        "single-party-change": [(edge(child, cpath), cpath) for child, cpath in nodes[1:]],
+        "leaf-match": [(leaf_match(node), path) for node, path in tree.leaves()],
+        "outcome-weights": list(zip(gaps.tolist(), m.labels())),
+        "positivity": list(zip(neg.tolist(), paths)),
+    }
 
+
+def dense_verify_tree(tree, m, residual_tol: float = RESIDUAL_TOL) -> VerificationReport:
+    """The verifier's report from :func:`dense_check_values`: each check's
+    first worst location, and positivity's only where it fails."""
+    def worst(pairs: Iterable[tuple[float, str]], tol: float) -> CheckResult:
+        worst_r, worst_at = 0.0, ""
+        for r, at in pairs:
+            if not r <= worst_r:            # a NaN residual is the worst
+                worst_r, worst_at = r, at
+                if np.isnan(r):
+                    break
+        return CheckResult(worst_r <= tol, worst_r, worst_at)
+
+    values = dense_check_values(tree, m)
+    checks = {name: worst(pairs, residual_tol) for name, pairs in values.items()}
+    neg = checks["positivity"] = worst(values["positivity"], PSD_TOL)
+    if neg.passed:
+        checks["positivity"] = CheckResult(True, neg.worst_residual)
     return VerificationReport(checks)
+
+
+def chain_edge_values(tree, m) -> list[tuple[float, str]]:
+    """The first verifier's edge check, as (residual, location) per child in
+    walk order: each child's ``project_factor`` against the tensor product of
+    the other parties' factors, followed down the tree from identities at the
+    root (every edge replaces the acting party's factor by its fit), in the
+    max norm relative to max(1, |child|_max).  It reads no singular vector,
+    so it checks the edge condition apart from the product structure that
+    the verifier's check leans on."""
+    _structural_pass(tree, m)
+    ops = m.outcome_operators
+    dims = m.dims
+    edges = []
+
+    def descend(node, path: str, factors: tuple[np.ndarray, ...]):
+        for i, child in enumerate(node.children):
+            cpath = f"{path}.{i}"
+            slot = child.acting_party
+            op = np.einsum("j,jab->ab", np.asarray(child.coeffs, float), ops)
+            rest = [f for q, f in enumerate(factors) if q != slot]
+            abar = tensor(rest) if rest else np.eye(1, dtype=complex)
+            x, residual = project_factor(op, abar, slot, dims)
+            edges.append((residual / max(1.0, float(np.abs(op).max())), cpath))
+            descend(child, cpath, tuple(x if q == slot else f for q, f in enumerate(factors)))
+
+    descend(tree, "root", tuple(np.eye(d, dtype=complex) for d in dims))
+    return edges

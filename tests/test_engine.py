@@ -7,8 +7,10 @@ from locc_forge import (
     check_root,
     conditional_basis,
     qubit_pair,
+    random_density_matrix,
     rotated_dominoes,
     seven_outcome_family,
+    simulate,
     synthesize,
     verify_tree,
 )
@@ -250,6 +252,20 @@ class TestLeafDetection:
         assert leaf_outcome(c) is None
         tree = engine._Search(m, RESIDUAL_TOL).run(m.weights, None, 3)
         assert tree is not None and tree.depth() == 3
+        assert "outcome_operators" not in m.__dict__
+
+    def test_validation_search_verification_and_simulation_form_no_operator(self):
+        # every step reads the factor stacks, so a fresh measurement taken
+        # from validation to simulation builds no outcome operator stack
+        m = conditional_basis(4, 3, 0)
+        assert validate(m).ok
+        cert = synthesize(m)                # verifies the tree it returns
+        assert cert.verdict is Verdict.PROTOCOL_FOUND
+        assert verify_tree(cert.tree, m).passed
+        rho = random_density_matrix(m.total_dim, np.random.default_rng(0))
+        result = simulate(cert.tree, m, rho)
+        assert abs(result.total_probability - 1.0) < 1e-9
+        assert np.abs(result.outcome_probabilities - result.direct_probabilities).max() < 1e-12
         assert "outcome_operators" not in m.__dict__
 
 

@@ -20,10 +20,9 @@ from locc_forge.feasibility import (
     feasible_cone,
     nullspace,
     party_tables,
-    reconstruct,
     root_context,
 )
-from locc_forge.measurement import complement_span, local_span
+from locc_forge.measurement import complement_span, local_span, reconstruct
 from locc_forge.operators import project_factor
 from oracles import (
     bystander_operator,

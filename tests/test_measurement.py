@@ -8,9 +8,11 @@ from locc_forge import (
     Verdict,
     check_root,
     conditional_basis,
+    qubit_pair,
     synthesize,
 )
-from locc_forge.tolerances import HERMITICITY_TOL
+from locc_forge.tolerances import HERMITICITY_TOL, RESIDUAL_TOL
+from locc_forge.verify import verify_tree
 from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
 from locc_forge.io import measurement_from_dict, measurement_to_dict
 from locc_forge.measurement import (
@@ -63,6 +65,27 @@ class TestValidate:
         assert not report.ok
         assert [v.kind for v in report.violations] == ["incomplete"]
 
+    def test_completeness_measured_as_the_verifier_does(self):
+        """Weights scaled by 1 + delta leave delta I, whose Frobenius norm is
+        2 delta on the qubit pair.  Validation and the verifier's root check
+        read the same residual, so a measurement that validates gets a
+        verified tree, also where the max norm (delta) would have accepted
+        it and the Frobenius norm does not."""
+        m0 = qubit_pair()
+        ok = []
+        for delta in (0.3, 0.49, 0.51, 0.6, 1.0):
+            delta *= RESIDUAL_TOL
+            m = SeparableMeasurement(m0.parties, m0.outcomes, m0.weights * (1 + delta))
+            report = validate(m)
+            assert report.completeness_residual == pytest.approx(2 * delta, rel=1e-6)
+            ok.append(report.ok)
+            if report.ok:
+                cert = synthesize(m)
+                assert cert.verdict == Verdict.PROTOCOL_FOUND
+                root = verify_tree(cert.tree, m).checks["root-completeness"].worst_residual
+                assert root == pytest.approx(report.completeness_residual, rel=1e-12)
+        assert ok == [True, True, False, False, False]
+
     def test_negative_factor_reported_with_magnitude(self):
         bad = np.array([[1.0, 0.0], [0.0, -0.5]], dtype=complex)
         m = SeparableMeasurement(
@@ -100,11 +123,27 @@ class TestInferWeights:
         with pytest.raises(IncompleteMeasurementError):
             infer_weights(ops)
 
+    def test_completeness_in_the_frobenius_norm(self):
+        """One outcome (I + eps Z) (x) I leaves eps Z (x) I at best, max norm
+        eps and Frobenius norm 2 eps: inference rejects it exactly where
+        validation of the inferred weights would."""
+        z = np.diag([1.0, -1.0])
+        for eps, ok in ((0.4 * RESIDUAL_TOL, True), (0.6 * RESIDUAL_TOL, False)):
+            factors = (EYE2 + eps * z, EYE2)
+            ops = np.kron(*factors)[None]
+            if ok:
+                w = infer_weights(ops)
+                m = SeparableMeasurement([Party("A", 2), Party("B", 2)], [("x", factors)], w)
+                assert validate(m).completeness_residual == pytest.approx(2 * eps, rel=1e-6)
+            else:
+                with pytest.raises(IncompleteMeasurementError):
+                    infer_weights(ops)
+
     def test_completeness_residual_after_inference(self, catalog_all):
         for m in catalog_all.values():
             w = infer_weights(m.outcome_operators)
             total = np.einsum("j,jab->ab", w, m.outcome_operators)
-            assert np.abs(total - np.eye(m.total_dim)).max() < 1e-8
+            assert np.linalg.norm(total - np.eye(m.total_dim)) < 1e-8
 
 
     @pytest.mark.parametrize("shape", [None, (3, 4), (4, 3)])

@@ -2,13 +2,28 @@ import numpy as np
 import pytest
 
 from locc_forge import conditional_basis, qubit_pair, seven_outcome_family, synthesize
-from locc_forge import verify
+from locc_forge import measurement, operators, verify
+from locc_forge.catalog import _haar_unitary
 from locc_forge.engine import ProtocolNode
 from locc_forge.errors import TreeStructureError
 from locc_forge.measurement import SeparableMeasurement, validate
-from locc_forge.tolerances import PSD_TOL
-from locc_forge.verify import random_density_matrix, simulate, verify_tree
-from oracles import dense_verify_tree, per_node_product_and_positivity
+from locc_forge.tolerances import PSD_TOL, RESIDUAL_TOL
+from locc_forge.verify import (
+    CheckResult,
+    VerificationReport,
+    random_density_matrix,
+    simulate,
+    verify_tree,
+)
+from oracles import (
+    chain_edge_values,
+    dense_check_values,
+    dense_verify_tree,
+    max_norm,
+    per_node_product_and_positivity,
+)
+
+LINEAR_CHECKS = ("root-completeness", "node-sum", "descendant-leaf-sum", "leaf-match")
 
 
 def node(c, party, children=(), leaf=None):
@@ -79,8 +94,11 @@ class TestVerifyTree:
         on every cut, also where an SVD of its core leaves roundoff."""
         for m in (m_seven, conditional_basis(3, 3, 7)):
             coeffs = np.diag(np.linspace(0.5, 3.0, m.n_outcomes))
-            assert np.array_equal(verify._schmidt_ratios(m, coeffs),
-                                  np.zeros(m.n_outcomes))
+            multi = np.count_nonzero(coeffs, axis=1) >= 2
+            for cut in verify._cut_cores(measurement.party_rs(m), coeffs):
+                sigma = np.linalg.svd(cut, compute_uv=False)
+                assert np.array_equal(verify._schmidt_ratios(sigma, multi),
+                                      np.zeros(m.n_outcomes))
 
     def test_two_outcome_non_product_node_caught(self, hand_tree, m_seven):
         bad = copy_tree(hand_tree)
@@ -157,13 +175,12 @@ class TestVerifyTree:
 
     def test_nan_residual_fails_its_check(self, m_pair, monkeypatch):
         tree = synthesize(m_pair).tree
-        edge_factors = verify._edge_factors
+        edge_residuals = verify._edge_residuals
 
         def nan_residual(*args):
-            x, residual = edge_factors(*args)
-            return x, np.full_like(residual, np.nan)
+            return np.full_like(edge_residuals(*args), np.nan)
 
-        monkeypatch.setattr(verify, "_edge_factors", nan_residual)
+        monkeypatch.setattr(verify, "_edge_residuals", nan_residual)
         report = verify_tree(tree, m_pair)
         check = report.checks["single-party-change"]
         assert not check.passed and np.isnan(check.worst_residual)
@@ -277,13 +294,120 @@ class TestAgainstDenseVerifier:
             assert_reports_agree(report, dense_verify_tree(tree, m))
 
     def test_tampered_trees(self, hand_tree, m_seven, indefinite):
-        expected_failures = ["product-structure", "product-structure",
-                             "single-party-change", "leaf-match", "positivity"]
-        for (tree, m), check in zip(tampered_trees(hand_tree, m_seven, indefinite),
-                                    expected_failures):
+        expected_failures = [("product-structure", "root.1"), ("product-structure", "root.0"),
+                             ("single-party-change", "root.6"), ("leaf-match", "root.0.0.1"),
+                             ("positivity", "root.0.0")]
+        for i, ((tree, m), (check, at)) in enumerate(
+                zip(tampered_trees(hand_tree, m_seven, indefinite), expected_failures)):
             report = verify_tree(tree, m)
             assert not report.checks[check].passed, check
-            assert_reports_agree(report, dense_verify_tree(tree, m))
+            assert report.checks[check].detail == at
+            want = dense_verify_tree(tree, m)
+            if i == 1:          # across_rest
+                want = with_tied_location(want, dense_check_values(tree, m), report,
+                                          "single-party-change")
+            assert_reports_agree(report, want)
+
+    def test_edge_verdicts_match_the_chain_from_the_root(self, found, hand_tree, m_seven,
+                                                         indefinite, monkeypatch):
+        """Product structure and node sums make each child's distance from
+        its parent's other-parties side the LOCC edge condition.  Per edge,
+        the verifier's check passes exactly where the first verifier's, a
+        chain of factor fits from the root in the max norm, passes; in
+        ``one_round`` that chain's worst edge is root.5, where the Frobenius
+        distance's is root.6."""
+        edge_residuals, seen = verify._edge_residuals, {}
+
+        def recording(cores, tops, parent, kids):
+            out = edge_residuals(cores, tops, parent, kids)
+            seen.update(zip(kids.tolist(), out.tolist()))
+            return out
+
+        monkeypatch.setattr(verify, "_edge_residuals", recording)
+        tampered = tampered_trees(hand_tree, m_seven, indefinite)
+        for tree, m in found + tampered:
+            seen.clear()
+            verify_tree(tree, m)
+            chain = chain_edge_values(tree, m)
+            children = [path for _, path in tree.walk()][1:]
+            assert [at for _, at in chain] == children
+            assert sorted(seen) == list(range(len(children)))
+            assert ([seen[i] <= RESIDUAL_TOL for i in range(len(children))]
+                    == [r <= RESIDUAL_TOL for r, _ in chain]), children
+        tree, m = tampered[2]
+        assert max(chain_edge_values(tree, m), key=lambda t: t[0])[1] == "root.5"
+        assert verify_tree(tree, m).checks["single-party-change"].detail == "root.6"
+
+    def test_frobenius_residuals_bound_the_max_norm(self, found, hand_tree, m_seven,
+                                                     indefinite):
+        """The linear checks report Frobenius norms, which are at least the
+        max-norm values they replaced."""
+        for tree, m in found + tampered_trees(hand_tree, m_seven, indefinite):
+            report = verify_tree(tree, m)
+            before = dense_check_values(tree, m, norm=max_norm)
+            for name in LINEAR_CHECKS:
+                old = max((r for r, _ in before[name]), default=0.0)
+                assert report.checks[name].worst_residual >= old, name
+
+
+def with_tied_location(want, values, got, name):
+    """``want`` with check ``name``'s location moved to ``got``'s, which must
+    hold a dense residual equal to the dense worst within 1e-12 relative.
+    Such a tie is exact, and roundoff breaks it either way: in
+    ``across_rest`` six children are at distance 1/sqrt(2) from their
+    parents' sides."""
+    w, g = want.checks[name], got.checks[name]
+    assert dict((at, r) for r, at in values[name])[g.detail] == pytest.approx(
+        w.worst_residual, rel=1e-12)
+    return VerificationReport({**want.checks, name: CheckResult(w.passed, w.worst_residual,
+                                                                 g.detail)})
+
+
+class TestLocalUnitaries:
+    def test_residuals_and_locations_kept(self, hand_tree, m_seven, indefinite):
+        """Conjugating every factor by a local unitary moves no check's worst
+        residual (beyond roundoff) and no failing location: every operator
+        check is a unitarily invariant norm."""
+        rng = np.random.default_rng(11)
+        us = [_haar_unitary(d, rng) for d in m_seven.dims]
+        moved = SeparableMeasurement(
+            m_seven.parties,
+            [(o.label, [u @ f @ u.conj().T for u, f in zip(us, o.factors)])
+             for o in m_seven.outcomes],
+            m_seven.weights)
+        trees = tampered_trees(hand_tree, m_seven, indefinite)
+        for tree, _ in (trees[3], trees[2]):         # wrong_scale, one_round
+            before, after = verify_tree(tree, m_seven), verify_tree(tree, moved)
+            assert not before.passed
+            for name, b in before.checks.items():
+                a = after.checks[name]
+                assert a.passed == b.passed, name
+                assert a.worst_residual == pytest.approx(b.worst_residual, rel=1e-9,
+                                                         abs=1e-12), name
+                if not b.passed:
+                    assert a.detail == b.detail, name
+
+
+class TestFactorSpace:
+    def test_no_joint_operator_formed(self, monkeypatch):
+        """On conditional basis 4x3 the Weyl bound settles every node, so
+        the verifier forms no D x D operator."""
+        m = conditional_basis(4, 3, 0)
+        tree = synthesize(m).tree
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (operators, measurement):
+            monkeypatch.setattr(module, "tensor", counting("tensor", operators.tensor))
+        monkeypatch.setattr(verify, "reconstruct", counting("reconstruct", verify.reconstruct))
+        assert verify_tree(tree, m).passed
+        assert calls == []
+        assert "outcome_operators" not in m.__dict__
 
 
 class TestPositivityBound:
@@ -368,6 +492,21 @@ class TestSimulate:
             dev = np.abs(result.outcome_probabilities
                          - result.direct_probabilities).max()
             assert dev < 1e-8
+
+    def test_probabilities_match_dense_traces(self):
+        """Leaf and direct probabilities, taken from one contraction of the
+        state with the factor stacks, equal Tr(O rho) on dense operators for
+        complex factors on three parties."""
+        m = conditional_basis(3, 2, 0)
+        tree = synthesize(m).tree
+        rho = random_density_matrix(m.total_dim, np.random.default_rng(5))
+        result = simulate(tree, m, rho)
+        ops = m.outcome_operators
+        direct = m.weights * np.einsum("jab,ba->j", ops, rho).real
+        assert np.abs(result.direct_probabilities - direct).max() < 1e-14
+        for leaf, (node, _) in zip(result.leaves, tree.leaves()):
+            want = np.einsum("j,jab,ba->", node.coeffs, ops, rho).real
+            assert abs(leaf.probability - want) < 1e-14
 
     def test_mixed_state_aggregation(self, hand_tree, m_seven):
         result = simulate(hand_tree, m_seven, np.eye(4) / 4)
