@@ -127,12 +127,18 @@ def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extreme rays of the pointed cone {y : a y >= 0}, a of full column rank,
     as the unit rows of one array, and each row's activity cut.
 
-    Standard incremental construction: start from a simplicial subcone cut
-    out by k independent rows, then add the remaining halfspaces one at a
-    time, combining adjacent rays across each new hyperplane.  Row i is
+    Standard incremental construction (Fukuda and Prodon, *Double
+    description method revisited*, 1996): start from a simplicial subcone
+    cut out by k independent rows, then add the remaining halfspaces one at
+    a time, combining adjacent rays across each new hyperplane.  Row i is
     active on a unit ray y when |a_i . y| <= cut_i = ``_ACTIVITY_TOL`` |a_i|;
     the same test decides adjacency.  Rows that vanish on the whole
     subspace get an infinite cut: they are active on every ray.
+
+    For k = 1 the subcone is the half-line of the largest live row's sign,
+    and the loop could only keep it or empty it: the ray is that sign, and
+    a live row of the opposite sign beyond its cut leaves the cone trivial.
+    That is answered directly, with no row selection, inverse or loop.
     """
     n, k = a.shape
     row_norms = np.linalg.norm(a, axis=1)
@@ -145,6 +151,12 @@ def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConeError("all constraint rows vanish")
     cuts = _ACTIVITY_TOL * row_norms
     cuts[vanishing] = np.inf
+    if k == 1:
+        col = a[:, 0]
+        sign = float(np.sign(col[np.argmax(np.abs(col))]))
+        if np.any(sign * col < -cuts):
+            raise ConeError("cone is trivial")
+        return np.array([[sign]]), cuts
 
     base = [live[i] for i in _independent_rows(a[live], k)]
     rays = np.linalg.inv(a[base]).T
@@ -199,12 +211,18 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     support is the set of facets it lies off, never a magnitude threshold.
     Rays are deduplicated at cosine distance :data:`DUPLICATE_TOL` and
     sorted lexicographically so repeated runs are bit-identical.
+
+    A Q with no rows constrains nothing: the cone is the whole nonnegative
+    orthant, whose rays are the unit vectors, returned in the order the
+    sort gives them (e_n first, e_1 last) without a double description.
     """
     q = np.asarray(q, dtype=float)
     basis = np.asarray(basis, dtype=float)
     n, k = basis.shape
     if k == 0:
         raise ConeError("nullspace is trivial")
+    if q.shape[0] == 0:
+        return np.eye(n)[::-1].copy()
 
     ys, cuts = _double_description(basis)
     cs = ys @ basis.T               # row r holds ray r's c = N y, and its slacks
@@ -231,10 +249,11 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _split_scales(mat: np.ndarray, parent: np.ndarray,
-                  bound: float) -> np.ndarray | None:
+                  bound: float) -> tuple[np.ndarray | None, float]:
     """Nonnegative least-squares scales of ``parent`` on the columns of
     ``mat``, or None when every nonnegative combination misses it by more
-    than ``bound`` in 2-norm.
+    than ``bound`` in 2-norm; and the smallest singular value of ``mat``
+    when its columns are independent, else 0.
 
     One SVD-based least-squares solve settles the common case.  When the
     columns are independent, with the smallest singular value above
@@ -244,14 +263,16 @@ def _split_scales(mat: np.ndarray, parent: np.ndarray,
     solution.  Anything else goes to :func:`nnls`, looked up at call time.
     """
     scales, sq_residual, _, sigma = np.linalg.lstsq(mat, parent, rcond=None)
-    if len(sigma) == mat.shape[1] and \
-            sigma[-1] > SPLIT_BOUND_MARGIN * rank_threshold(mat.shape, float(sigma[0])):
+    independent = len(sigma) == mat.shape[1] and \
+        sigma[-1] > SPLIT_BOUND_MARGIN * rank_threshold(mat.shape, float(sigma[0]))
+    sigma_min = float(sigma[-1]) if independent else 0.0
+    if independent:
         # lstsq leaves the residual out for a square matrix, where it is 0
         if sq_residual.size and sqrt(float(sq_residual[0])) > bound:
-            return None
+            return None, sigma_min
         if np.all(scales >= 0):
-            return scales
-    return nnls(mat, parent)[0]
+            return scales, sigma_min
+    return nnls(mat, parent)[0], sigma_min
 
 
 @dataclass(frozen=True)
@@ -279,6 +300,15 @@ def decompose(parent: np.ndarray, rays: np.ndarray,
     is reached, and each support is linearly independent, so no split uses
     more rays than the cone has dimensions.  Results are ordered by (size,
     rays used).  An empty result means the party cannot split this node.
+
+    An independent ray set has at most one split, so it queues nothing once
+    its own split is found.  Let A's columns pass the margin test of
+    :func:`_split_scales`, with smallest singular value sigma, and let s be
+    an exact split of A (zero off S).  An exact split s' of a set below
+    A minus ray i has s'_i = 0, and both have 2-norm residual at most
+    ``bound``, so sigma s_i <= sigma |s - s'| <= |R_A (s - s')| <= 2 bound.
+    So when every s_i, i in S, exceeds 2 bound / sigma, no set below A
+    holds an exact split, and A's subsets are not queued.
     """
     parent = np.asarray(parent, dtype=float)
     p_norm = float(np.linalg.norm(parent))
@@ -298,7 +328,7 @@ def decompose(parent: np.ndarray, rays: np.ndarray,
     while queue:
         subset = queue.pop()
         mat = rays[list(subset)].T
-        scales = _split_scales(mat, parent, bound)
+        scales, sigma_min = _split_scales(mat, parent, bound)
         if scales is None:
             continue
         keep = scales > SCALE_TOL
@@ -308,7 +338,7 @@ def decompose(parent: np.ndarray, rays: np.ndarray,
             continue
         if len(support) >= 2 and support not in found:
             found[support] = RayDecomposition(support, scales)
-        if len(subset) > 2:
+        if len(subset) > 2 and not sigma_min * scales.min(initial=np.inf) > 2.0 * bound:
             for i in support:
                 smaller = tuple(j for j in subset if j != i)
                 if smaller not in seen:

@@ -5,7 +5,11 @@ has minimal depth.  At each node every party except the one that just
 measured gets a feasibility analysis; each splitting of the node vector
 into extreme rays of the party's cone becomes a candidate measurement, and
 a branch dies when no party can split a node that is not yet a final
-outcome.  Impossibility is only ever certified at the root: if the root is
+outcome.  Each deepening pass revisits the nodes of the one before, so a
+run keeps every node's cone per party (keyed by the node's direction) and
+its splits per party (keyed by its exact coefficients, since the split
+scales grow with the node): each node is analysed and split once per run.
+Impossibility is only ever certified at the root: if the root is
 not itself a final outcome and every party's root cone is one-dimensional,
 no first measurement exists and no protocol of any length (finite or not)
 can implement the measurement.
@@ -23,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import decompose
+from .cones import RayDecomposition, decompose
 from .errors import LoccForgeError
 from .feasibility import (
     FeasibleCone,
@@ -176,6 +180,7 @@ class _Search:
         self.residual_tol = residual_tol
         self.stats = SearchStats()
         self.cones: dict[tuple, FeasibleCone] = {}
+        self.splits: dict[tuple, list[RayDecomposition]] = {}
         self.failed: set[tuple] = set()
 
     def cone_at(self, party: int, coeffs: np.ndarray) -> FeasibleCone:
@@ -185,6 +190,18 @@ class _Search:
             cone = feasible_cone(NodeContext(self.m, party, coeffs), self.residual_tol)
             self.cones[key] = cone
         return cone
+
+    def splits_at(self, party: int, coeffs: np.ndarray,
+                  rays: np.ndarray) -> list[RayDecomposition]:
+        """The node's splits into the party's rays, kept for later passes.
+        Keyed by the exact coefficients: the cone is the same along the
+        node's direction, but the scales grow with the node."""
+        key = (party, coeffs.tobytes())
+        splits = self.splits.get(key)
+        if splits is None:
+            # decompose is looked up per call: the benchmark tracer wraps it
+            splits = self.splits[key] = decompose(coeffs, rays, self.residual_tol)
+        return splits
 
     def run(self, coeffs: np.ndarray, produced_by: int | None,
             remaining: int) -> ProtocolNode | None:
@@ -207,7 +224,7 @@ class _Search:
             if cone.nullspace_dim == 1:
                 continue
             rays = cone.extreme_rays
-            for dec in decompose(coeffs, rays, self.residual_tol):
+            for dec in self.splits_at(party, coeffs, rays):
                 children = []
                 for i, s in zip(dec.rays_used, dec.scales):
                     child = self.run(s * rays[i], party, remaining - 1)

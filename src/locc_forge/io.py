@@ -37,7 +37,7 @@ import numpy as np
 from .engine import ProtocolNode
 from .errors import MeasurementFormatError
 from .measurement import Party, SeparableMeasurement, infer_weights
-from .operators import as_hermitian, tensor
+from .operators import as_hermitian
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> list:
@@ -146,8 +146,8 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
     if all(have):
         weight_vec = np.array(weights, dtype=float)
     elif not any(have):
-        ops = np.stack([tensor(fs) for _, fs in outcomes])
-        weight_vec = infer_weights(ops)
+        weight_vec = infer_weights([np.stack([fs[q] for _, fs in outcomes])
+                                    for q in range(len(parties))])
     else:
         raise MeasurementFormatError(
             "either all outcomes carry a weight or none do", "outcomes")

@@ -156,15 +156,30 @@ def factor_operands(m: SeparableMeasurement) -> list:
     return [x for q in range(k) for x in (m.local_factors(q), [0, 1 + q, 1 + k + q])]
 
 
+def _kron_stack(stacks: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """(n, a, a) stack of the outcomes' Kronecker products of (n, d_q, d_q)
+    factor stacks, in order; (n, 1, 1) ones when there are none."""
+    out = stacks[0] if len(stacks) else np.ones((n, 1, 1))
+    for s in stacks[1:]:
+        a, d = out.shape[1], s.shape[1]
+        out = (out[:, :, None, :, None] * s[:, None, :, None, :]).reshape(n, a * d, a * d)
+    return out
+
+
 def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:
-    """The joint operator sum_j c_j O_j, one contraction of the factor stacks
-    that forms no (n, D, D) stack.  Each term multiplies c_j last, so an
-    outcome whose product overflows makes the sum NaN even where c_j = 0."""
+    """The joint operator sum_j c_j O_j, formed with no (n, D, D) stack: the
+    outcomes' products over the first half of the parties and over the
+    rest are joined by one matrix product, c scaling the second half.  A
+    half whose product overflows makes the sum NaN even where c_j = 0."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (m.n_outcomes,):
         raise ValueError(f"expected {m.n_outcomes} coefficients, got shape {c.shape}")
-    out = np.einsum(*factor_operands(m), c, [0], list(range(1, 2 * len(m.dims) + 1)))
-    return out.reshape(m.total_dim, m.total_dim)
+    stacks = [m.local_factors(q) for q in range(len(m.parties))]
+    n, half = len(c), len(stacks) // 2
+    left, right = _kron_stack(stacks[:half], n), _kron_stack(stacks[half:], n)
+    a, b = left.shape[1], right.shape[1]
+    out = left.reshape(n, a * a).T @ (c[:, None] * right.reshape(n, b * b))
+    return out.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
 def identity_r(ops: np.ndarray) -> np.ndarray:
@@ -227,19 +242,21 @@ def validate(m: SeparableMeasurement, residual_tol: float = RESIDUAL_TOL) -> Val
     return ValidationReport(tuple(violations), residual)
 
 
-def infer_weights(outcome_operators: np.ndarray,
+def infer_weights(factor_stacks: Sequence[np.ndarray],
                   residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """Nonnegative weights solving sum_j w_j O_j = I, or raise.
+    """Nonnegative weights solving sum_j w_j O_j = I, or raise, given the
+    outcomes' factors as one (n, d_q, d_q) stack per party.
 
     Solved as nonnegative least squares a w = b, with a the operators' real
     :func:`hermitian_vectors` (their dot products are the trace pairings)
-    and b the identity's, after one QR of [a, b] reduces the D^2 rows to
-    n + 1: its R keeps every |a w - b|, the Frobenius norm of
-    sum_j w_j O_j - I.
+    and b the identity's, on the joint R that :func:`validate` reads: the
+    :func:`product_r` of each party's :func:`identity_r`, an R of [a, b]
+    with n + 1 rows at most, built with no joint operator.  It keeps every
+    |a w - b|, the Frobenius norm of sum_j w_j O_j - I.
     """
-    ops = np.asarray(outcome_operators, dtype=complex)
-    r = identity_r(ops)
-    w, _ = cones.nnls(r[:, :len(ops)], r[:, len(ops)])
+    n = len(factor_stacks[0])
+    r = product_r([identity_r(np.asarray(s, dtype=complex)) for s in factor_stacks], n + 1)
+    w, _ = cones.nnls(r[:, :n], r[:, n])
     residual = float(np.linalg.norm(r @ np.append(w, -1.0)))
     if residual > residual_tol:
         raise IncompleteMeasurementError(

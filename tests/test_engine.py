@@ -170,6 +170,22 @@ class TestWideOneWay:
         assert cert.tree.depth() == 2
         assert verify_tree(cert.tree, m).passed
 
+    def test_each_node_split_once_per_party(self, monkeypatch):
+        # the depth-2 tree takes two deepening passes, and the second one
+        # reuses the root's splits from the first; a node's rays name the
+        # party whose cone they span
+        calls = []
+        decompose = engine.decompose
+
+        def counted(coeffs, rays, *args):
+            calls.append((coeffs.tobytes(), np.asarray(rays).tobytes()))
+            return decompose(coeffs, rays, *args)
+
+        monkeypatch.setattr(engine, "decompose", counted)
+        cert = synthesize(conditional_basis(2, 5, 0))
+        assert cert.tree.depth() == 2
+        assert len(calls) == len(set(calls)) == 6     # the root, then its 5 children
+
 
 def _nearly_parallel(delta: float, n_parties: int) -> SeparableMeasurement:
     """B measures P0/P1; on 0, A measures (I +- delta Z)/2; on 1, with three

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P0, P1
-from locc_forge import Party, SeparableMeasurement, synthesize
+from locc_forge import Party, SeparableMeasurement, conditional_basis, synthesize
 from locc_forge.errors import MeasurementFormatError
 from locc_forge.io import (
     load_measurement,
@@ -16,6 +16,7 @@ from locc_forge.io import (
     tree_from_dict,
     tree_to_dict,
 )
+from oracles import nnls_completeness_weights
 
 
 class TestMeasurementRoundTrip:
@@ -37,6 +38,28 @@ class TestMeasurementRoundTrip:
             del o["weight"]
         back = measurement_from_dict(doc)
         assert np.abs(back.weights - 1.0).max() < 1e-8
+
+    def test_weights_inferred_without_joint_operators(self, monkeypatch):
+        # infer_weights reads the joint R of the parties' factors, so no
+        # Kronecker product of operators is formed
+        import locc_forge.measurement as measurement
+        import locc_forge.operators as operators
+
+        m = conditional_basis(4, 3, 0)
+        doc = measurement_to_dict(m)
+        for o in doc["outcomes"]:
+            del o["weight"]
+
+        def refused(*args):
+            raise AssertionError("a joint operator was formed")
+
+        with monkeypatch.context() as patch:
+            for module in (operators, measurement):
+                patch.setattr(module, "tensor", refused)
+            patch.setattr(np, "kron", refused)
+            back = measurement_from_dict(doc)
+        expected = nnls_completeness_weights(m.outcome_operators)
+        assert np.abs(back.weights - expected).max() <= 1e-10
 
     def test_partial_weights_rejected(self, m_pair):
         doc = measurement_to_dict(m_pair)

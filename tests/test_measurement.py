@@ -31,6 +31,10 @@ from oracles import (
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
 
+def factor_stacks(m):
+    return [m.local_factors(q) for q in range(len(m.parties))]
+
+
 class TestValidate:
     def test_catalog_measurements_valid(self, catalog_all):
         for name, m in catalog_all.items():
@@ -102,26 +106,25 @@ class TestValidate:
 
 class TestInferWeights:
     def test_qubit_pair(self, m_pair):
-        w = infer_weights(m_pair.outcome_operators)
+        w = infer_weights(factor_stacks(m_pair))
         assert np.abs(w - 1.0).max() < 1e-10
 
     def test_phase_five_uniform(self, m_phase):
         # cross-check with an unconstrained least-squares oracle
         oracle = lstsq_completeness_weights(m_phase.outcome_operators)
         assert np.abs(oracle - 0.8).max() < 1e-10
-        w = infer_weights(m_phase.outcome_operators)
+        w = infer_weights(factor_stacks(m_phase))
         assert np.abs(w - 0.8).max() < 1e-8
 
     def test_seven_outcome_family(self, m_seven):
         oracle = lstsq_completeness_weights(m_seven.outcome_operators)
         assert np.abs(oracle - SEVEN_WEIGHTS).max() < 1e-8
-        w = infer_weights(m_seven.outcome_operators)
+        w = infer_weights(factor_stacks(m_seven))
         assert np.abs(w - SEVEN_WEIGHTS).max() < 1e-8
 
     def test_incomplete_rejected(self):
-        ops = np.stack([np.kron(P0, P0), np.kron(P0, P1)])
         with pytest.raises(IncompleteMeasurementError):
-            infer_weights(ops)
+            infer_weights([np.stack([P0, P0]), np.stack([P0, P1])])
 
     def test_completeness_in_the_frobenius_norm(self):
         """One outcome (I + eps Z) (x) I leaves eps Z (x) I at best, max norm
@@ -130,29 +133,30 @@ class TestInferWeights:
         z = np.diag([1.0, -1.0])
         for eps, ok in ((0.4 * RESIDUAL_TOL, True), (0.6 * RESIDUAL_TOL, False)):
             factors = (EYE2 + eps * z, EYE2)
-            ops = np.kron(*factors)[None]
+            stacks = [f[None] for f in factors]
             if ok:
-                w = infer_weights(ops)
+                w = infer_weights(stacks)
                 m = SeparableMeasurement([Party("A", 2), Party("B", 2)], [("x", factors)], w)
                 assert validate(m).completeness_residual == pytest.approx(2 * eps, rel=1e-6)
             else:
                 with pytest.raises(IncompleteMeasurementError):
-                    infer_weights(ops)
+                    infer_weights(stacks)
 
     def test_completeness_residual_after_inference(self, catalog_all):
         for m in catalog_all.values():
-            w = infer_weights(m.outcome_operators)
+            w = infer_weights(factor_stacks(m))
             total = np.einsum("j,jab->ab", w, m.outcome_operators)
             assert np.linalg.norm(total - np.eye(m.total_dim)) < 1e-8
 
 
     @pytest.mark.parametrize("shape", [None, (3, 4), (4, 3)])
     def test_equals_scipy_nnls_on_the_whole_system(self, shape, catalog_all):
-        # infer_weights reduces the system to its triangular factor first
+        # infer_weights solves on the joint R of the parties' factors
         ms = catalog_all.values() if shape is None else [conditional_basis(*shape, 0)]
         for m in ms:
             ops = m.outcome_operators
-            assert np.abs(infer_weights(ops) - nnls_completeness_weights(ops)).max() <= 1e-10
+            assert np.abs(infer_weights(factor_stacks(m))
+                          - nnls_completeness_weights(ops)).max() <= 1e-10
 
 
 class TestSpans:
