@@ -67,9 +67,14 @@ class ProtocolNode:
         return not self.children
 
     def walk(self, path: str = "root"):
-        yield self, path
-        for i, child in enumerate(self.children):
-            yield from child.walk(f"{path}.{i}")
+        """(node, path) pairs in preorder, children in order; child i of the
+        node at ``path`` is at ``path.i``."""
+        stack = [(self, path)]
+        while stack:
+            node, path = stack.pop()
+            yield node, path
+            for i in range(len(node.children) - 1, -1, -1):
+                stack.append((node.children[i], f"{path}.{i}"))
 
     def leaves(self, path: str = "root"):
         return [(node, p) for node, p in self.walk(path) if node.is_leaf]

@@ -183,11 +183,22 @@ def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:
 
 
 def identity_r(ops: np.ndarray) -> np.ndarray:
-    """Real R of the :func:`hermitian_vectors` of an (n, d, d) stack and, as
-    column n, the identity: its columns keep their trace pairings, and
-    R[:, :n], a slice of leading columns, is an R of the stack alone."""
-    return np.linalg.qr(hermitian_vectors(np.concatenate([ops, np.eye(ops.shape[1])[None]])).T,
-                        mode="r")
+    """Real (k, n + 1) frame of the :func:`hermitian_vectors` of an
+    (n, d, d) stack and, as column n, the identity: its columns keep their
+    trace pairings, and R[:, :n], a slice of leading columns, is a frame of
+    the stack alone.
+
+    With H = U S V^T the thin SVD of the (d^2, n + 1) matrix of those
+    vectors, R is the rows S_k V_k^T whose singular values exceed
+    max(H.shape) * eps * sigma_1, so k is the span's dimension and not
+    min(d^2, n + 1).  The dropped rows move any |R x| by at most
+    sigma_(k+1) |x|, the order of the backward error of a Householder R of
+    H, so residuals read through R are as rigorous as through that R.
+    """
+    h = hermitian_vectors(np.concatenate([ops, np.eye(ops.shape[1])[None]])).T
+    _, sigma, vt = np.linalg.svd(h, full_matrices=False)
+    k = int(np.count_nonzero(sigma > max(h.shape) * np.finfo(float).eps * sigma[0]))
+    return sigma[:k, None] * vt[:k]
 
 
 def party_rs(m: SeparableMeasurement) -> list[np.ndarray]:

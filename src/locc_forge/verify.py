@@ -3,9 +3,14 @@
 The checks here deliberately avoid the search's own machinery (feasible
 cones, leaf detection, ray decomposition) so that a bug in the search
 cannot certify its own output.  Only the generic operator algebra is
-shared.  Every check is read from the measurement's factors and the raw
-coefficient vectors, through small real R factors whose columns keep the
-trace pairings of the outcome operators and the identity.  Root
+shared.  The tree is read once, in walk order, by an explicit-stack pass
+that checks its structure with array operations.  Every check is read
+from the measurement's factors and the raw coefficient vectors, through
+small real frames whose columns keep the trace pairings of the outcome
+operators and the identity.  Each party's frame is trimmed by a thin SVD
+to its span's dimension; the rows it drops move any residual by at most
+the backward error of a Householder R of the same vectors, so the checks
+are as rigorous as through that R (see ``measurement.identity_r``).  Root
 completeness, node sums, descendant-leaf sums and leaf matches are
 Frobenius norms of coefficient differences taken through one joint R;
 product structure is decided by operator Schmidt rank from per-cut cores;
@@ -18,9 +23,8 @@ checks' norms bound the max norm and do not change under local unitaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,41 +61,85 @@ class VerificationReport:
         return out
 
 
-def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> None:
-    for node, path in tree.walk():
-        coeffs = np.asarray(node.coeffs, dtype=float)
-        if coeffs.shape != (m.n_outcomes,):
-            raise TreeStructureError(
-                f"{path}: coefficient vector has shape {coeffs.shape}, "
-                f"expected ({m.n_outcomes},)")
-        if not np.isfinite(coeffs).all():
-            raise TreeStructureError(f"{path}: non-finite coefficient")
-        if np.any(coeffs < -1e-12):
-            raise TreeStructureError(f"{path}: negative coefficient")
-        if path == "root":
-            if node.acting_party is not None:
-                raise TreeStructureError("root: must not record an acting party")
-        elif node.acting_party is None or not (
-                0 <= node.acting_party < len(m.parties)):
-            raise TreeStructureError(f"{path}: missing or invalid acting party")
-        if node.is_leaf:
-            if node.leaf_outcome is None:
-                raise TreeStructureError(f"{path}: childless node lacks a leaf outcome")
-            j, scale = node.leaf_outcome
-            if not (0 <= j < m.n_outcomes):
-                raise TreeStructureError(f"{path}: leaf outcome index {j} out of range")
-            if not (math.isfinite(scale) and scale > 0):
-                raise TreeStructureError(f"{path}: leaf scale must be finite and positive")
-        else:
-            if node.leaf_outcome is not None:
-                raise TreeStructureError(f"{path}: internal node marked as leaf")
-            if len(node.children) < 2:
-                raise TreeStructureError(
-                    f"{path}: a measurement needs at least two outcomes")
-            actors = {c.acting_party for c in node.children}
-            if len(actors) != 1:
-                raise TreeStructureError(
-                    f"{path}: children disagree about who measured")
+class _Flat(NamedTuple):
+    """A tree's nodes in walk order (preorder, children in order)."""
+
+    paths: list[str]
+    parent: np.ndarray      # each node's parent's index, -1 at the root
+    depth: np.ndarray       # 0 at the root
+    coeffs: np.ndarray      # (nodes, n) coefficient vectors
+    leaf: np.ndarray        # childless nodes
+    slots: np.ndarray       # acting party of each node but the root
+    outcome: np.ndarray     # leaf outcome index of each leaf, in walk order
+    scale: np.ndarray       # and its scale
+
+
+def _indices(x: np.ndarray, size: int) -> np.ndarray:
+    """Which entries are integers in range(size)."""
+    return (0 <= x) & (x < size) & (x % 1 == 0)
+
+
+def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> _Flat:
+    """Gather the tree in walk order with one explicit-stack pass and check
+    its structure, raising :class:`TreeStructureError` for the first
+    offending node in walk order, and for its first failed check."""
+    n = m.n_outcomes
+    nodes, paths, parent, depth = [], [], [], []
+    stack = [(tree, "root", -1, 0)]
+    while stack:
+        node, path, up, level = stack.pop()
+        i = len(nodes)
+        nodes.append(node)
+        paths.append(path)
+        parent.append(up)
+        depth.append(level)
+        for j in range(len(node.children) - 1, -1, -1):
+            stack.append((node.children[j], f"{path}.{j}", i, level + 1))
+
+    count, parent = len(nodes), np.array(parent)
+    coeffs = [node.coeffs for node in nodes]
+    actors = [node.acting_party for node in nodes]
+    marks = [node.leaf_outcome for node in nodes]
+    kids = np.array([len(node.children) for node in nodes])
+    leaf, marked = kids == 0, np.array([mark is not None for mark in marks])
+    has_actor = np.array([a is not None for a in actors])
+    actor = np.array([-1 if a is None else a for a in actors], dtype=float)
+    outcome, scale = np.array([mark if ok else (0, 1.0) for mark, ok in zip(marks, leaf & marked)],
+                              dtype=float).T
+    shaped = next((i for i, c in enumerate(coeffs) if np.shape(c) != (n,)), count)
+    c = np.array(coeffs[:shaped], dtype=float).reshape(shaped, n)
+    sibling = parent[1:] + 1                # each node's parent's first child
+
+    bad = np.zeros((count, 11), dtype=bool)  # each node's checks, in order
+    bad[shaped:shaped + 1, 0] = True
+    bad[:shaped, 1] = ~np.isfinite(c).all(axis=1)
+    bad[:shaped, 2] = (c < -1e-12).any(axis=1)
+    bad[0, 3] = has_actor[0]
+    bad[1:, 4] = ~(has_actor[1:] & _indices(actor[1:], len(m.parties)))
+    bad[:, 5] = leaf & ~marked
+    bad[:, 6] = ~_indices(outcome, n)
+    bad[:, 7] = ~(np.isfinite(scale) & (scale > 0))
+    bad[:, 8] = ~leaf & marked
+    bad[:, 9] = kids == 1
+    bad[parent[1:][(has_actor[1:] != has_actor[sibling]) | (actor[1:] != actor[sibling])], 10] = True
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        path = paths[i]
+        raise TreeStructureError([
+            f"{path}: coefficient vector has shape {np.shape(coeffs[i])}, expected ({n},)",
+            f"{path}: non-finite coefficient",
+            f"{path}: negative coefficient",
+            "root: must not record an acting party",
+            f"{path}: missing or invalid acting party",
+            f"{path}: childless node lacks a leaf outcome",
+            f"{path}: leaf outcome index {marks[i][0] if marks[i] else None} out of range",
+            f"{path}: leaf scale must be finite and positive",
+            f"{path}: internal node marked as leaf",
+            f"{path}: a measurement needs at least two outcomes",
+            f"{path}: children disagree about who measured",
+        ][int(np.argmax(bad[i]))])
+    return _Flat(paths, parent, np.array(depth), c, leaf, actor[1:].astype(int),
+                 outcome[leaf].astype(int), scale[leaf])
 
 
 def _cut_cores(rs: list[np.ndarray], coeffs: np.ndarray) -> Iterator[np.ndarray]:
@@ -168,14 +216,9 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     match their declared outcome and scale, the leaves labelled j add up to
     w_j, and every node operator is positive semidefinite.
     """
-    _structural_pass(tree, m)
+    t = _structural_pass(tree, m)
     n = m.n_outcomes
-    nodes = list(tree.walk())
-    paths = [path for _, path in nodes]
-    index = {path: i for i, path in enumerate(paths)}
-    coeffs = np.stack([np.asarray(node.coeffs, float) for node, _ in nodes])
-    leaf = np.array([node.is_leaf for node, _ in nodes])
-    parent = np.array([index[path.rpartition(".")[0]] for path in paths[1:]], dtype=int)
+    paths, coeffs, leaf, parent = t.paths, t.coeffs, t.leaf, t.parent[1:]
     rs = party_rs(m)
 
     def worst(pairs: Iterable[tuple[float, str]]) -> CheckResult:
@@ -189,21 +232,22 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
 
     # Each linear check is a row d of coefficient differences with an
     # identity term d_n, whose residual |R d| is the Frobenius norm of
-    # sum_j d_j O_j + d_n I.  Children come after their parent in walk
-    # order, so one reverse pass sums every node's descendant leaves.
+    # sum_j d_j O_j + d_n I.  Every node's descendant leaves are summed one
+    # depth at a time, deepest first.
     child_sum = np.zeros_like(coeffs)
     np.add.at(child_sum, parent, coeffs[1:])
     below = np.where(leaf[:, None], coeffs, 0.0)
-    for i in range(len(nodes) - 1, 0, -1):
-        below[parent[i - 1]] += below[i]
-    outcome, scale = map(np.array, zip(*[node.leaf_outcome for node, _ in nodes if node.is_leaf]))
+    for level in range(int(t.depth.max()), 0, -1):
+        at = np.flatnonzero(t.depth == level)
+        np.add.at(below, t.parent[at], below[at])
     matched = coeffs[leaf]
-    matched[np.arange(len(outcome)), outcome] -= scale
+    matched[np.arange(len(t.outcome)), t.outcome] -= t.scale
     inner = coeffs[~leaf]
     rows = np.concatenate([coeffs[:1], inner - child_sum[~leaf], inner - below[~leaf], matched])
-    rows = np.pad(rows, ((0, 0), (0, 1)))
-    rows[0, n] = -1.0
-    linear = np.linalg.norm(rows @ product_r(rs, n + 1).T, axis=1).tolist()
+    joint = product_r(rs, n + 1)
+    images = rows @ joint[:, :n].T
+    images[0] -= joint[:, n]                # the root's identity term, d_n = -1
+    linear = np.linalg.norm(images, axis=1).tolist()
     inner_paths = [path for path, is_leaf in zip(paths, leaf) if not is_leaf]
     leaf_paths = [path for path, is_leaf in zip(paths, leaf) if is_leaf]
     k = len(inner_paths)
@@ -218,15 +262,14 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     multi = np.count_nonzero(coeffs, axis=1) >= 2
     on = multi | ~leaf
     up = (np.cumsum(on) - 1)[parent]        # each child's parent's SVD row
-    slots = np.array([node.acting_party for node, _ in nodes[1:]], dtype=int)
-    ratios, edges = np.zeros(len(nodes)), np.zeros(len(parent))
+    ratios, edges = np.zeros(len(paths)), np.zeros(len(parent))
     for p, cut in enumerate(_cut_cores(rs, coeffs)):
         u, sigma, vh = np.linalg.svd(cut[on], full_matrices=False)
         ratios[on] = np.maximum(ratios[on], _schmidt_ratios(sigma, multi[on]))
-        kids = np.flatnonzero(slots == p)
+        kids = np.flatnonzero(t.slots == p)
         edges[kids] = _edge_residuals(cut, vh[:, 0], up, kids)
         if len(rs) == 2:                    # party 1's cores are the transposes
-            kids = np.flatnonzero(slots == 1)
+            kids = np.flatnonzero(t.slots == 1)
             edges[kids] = _edge_residuals(cut.transpose(0, 2, 1), u[:, :, 0], up, kids)
     checks["product-structure"] = worst(zip(ratios.tolist(), paths))
     checks["single-party-change"] = worst(zip(edges.tolist(), paths[1:]))
@@ -236,7 +279,7 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     # above hold for a tree that files one outcome's share under another's
     # label; the leaf scales summed per label must be the weights.
     per_outcome = np.zeros(n)
-    np.add.at(per_outcome, outcome, scale)
+    np.add.at(per_outcome, t.outcome, t.scale)
     gaps = np.abs(per_outcome - m.weights) / max(1.0, float(m.weights.max()))
     checks["outcome-weights"] = worst(zip(gaps.tolist(), m.labels()))
 

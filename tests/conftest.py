@@ -9,6 +9,7 @@ from locc_forge import (
     rotated_dominoes,
     seven_outcome_family,
 )
+from locc_forge.engine import ProtocolNode
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -67,3 +68,36 @@ def m_indefinite():
          ("g", (np.diag([-0.5, 1.5]), p0)),
          ("h", (np.eye(2), p1))],
         [1.0, 1.0, 1.0])
+
+
+def node(c, party, children=(), leaf=None):
+    return ProtocolNode(np.asarray(c, dtype=float), party, tuple(children), leaf)
+
+
+@pytest.fixture(scope="module")
+def hand_tree():
+    """Known four-round protocol for the seven-outcome family, written out
+    node by node rather than produced by the search."""
+    A, B = 0, 1
+    return node((2, 2, 3, 2, 6, 1, 1), None, [
+        node((1, 0, 3, 0, 6, 0, 1), B, [
+            node((1, 0, 3, 0, 6, 0, 0), A, [
+                node((1, 0, 3, 0, 0, 0, 0), B, [
+                    node((1, 0, 0, 0, 0, 0, 0), A, leaf=(0, 1.0)),
+                    node((0, 0, 3, 0, 0, 0, 0), A, leaf=(2, 3.0)),
+                ]),
+                node((0, 0, 0, 0, 6, 0, 0), B, leaf=(4, 6.0)),
+            ]),
+            node((0, 0, 0, 0, 0, 0, 1), A, leaf=(6, 1.0)),
+        ]),
+        node((1, 2, 0, 2, 0, 1, 0), B, [
+            node((1, 2, 0, 2, 0, 0, 0), A, [
+                node((1, 2, 0, 0, 0, 0, 0), B, [
+                    node((1, 0, 0, 0, 0, 0, 0), A, leaf=(0, 1.0)),
+                    node((0, 2, 0, 0, 0, 0, 0), A, leaf=(1, 2.0)),
+                ]),
+                node((0, 0, 0, 2, 0, 0, 0), B, leaf=(3, 2.0)),
+            ]),
+            node((0, 0, 0, 0, 0, 1, 0), A, leaf=(5, 1.0)),
+        ]),
+    ])

@@ -8,9 +8,10 @@ nonnegative one on the whole realified system, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
 the constraint matrix is built from dense dual operators and a bystander
 operator taken as a partial trace of the node operator, ray splits
-are found by trying every combination of rays, leaves are found by
-comparing the node operator densely with every outcome, and protocol
-trees are verified on dense D x D node operators.
+are found by trying every combination of rays, trees are walked by
+recursion, leaves are found by comparing the node operator densely with
+every outcome, and protocol trees are verified on dense D x D node
+operators.
 """
 
 from __future__ import annotations
@@ -330,6 +331,14 @@ def mixed_basis_q(ctx, rng: np.random.Generator) -> np.ndarray:
     t_act = _mixing_matrix(len(tables.acting), rng) @ tables.acting[:, support]
     t_bys = _mixing_matrix(len(perp), rng) @ perp @ tables.coords[:, support]
     return (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
+
+
+def recursive_walk(node, path: str = "root"):
+    """(node, path) pairs of a protocol tree in preorder, children in order,
+    by recursion."""
+    yield node, path
+    for i, child in enumerate(node.children):
+        yield from recursive_walk(child, f"{path}.{i}")
 
 
 def per_node_product_and_positivity(tree, m) -> tuple[tuple[float, str], tuple[float, str]]:

@@ -21,6 +21,7 @@ from locc_forge.feasibility import feasible_cone, root_context
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement, validate
 from locc_forge.tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
+from oracles import recursive_walk
 
 
 class TestCheckRoot:
@@ -410,3 +411,32 @@ class TestThreeParties:
         assert abs(result.total_probability - 1.0) < 1e-12
         assert np.abs(result.outcome_probabilities
                       - result.direct_probabilities).max() < 1e-10
+
+
+class TestWalk:
+    """``walk`` keeps its stack itself, with the preorder and paths of the
+    recursive walk; ``leaves`` reads it."""
+
+    @staticmethod
+    def assert_walks_agree(tree, path="root"):
+        got, want = list(tree.walk(path)), list(recursive_walk(tree, path))
+        assert [p for _, p in got] == [p for _, p in want]
+        assert all(a is b for (a, _), (b, _) in zip(got, want))
+        leaves = tree.leaves(path)
+        assert [p for _, p in leaves] == [p for n, p in want if n.is_leaf]
+        assert all(a is b for (a, _), (b, _) in zip(leaves, [(n, p) for n, p in want
+                                                               if n.is_leaf]))
+
+    def test_hand_tree(self, hand_tree):
+        self.assert_walks_agree(hand_tree)
+        self.assert_walks_agree(hand_tree.children[1], "root.1")
+        assert [p for _, p in hand_tree.walk()][:6] == [
+            "root", "root.0", "root.0.0", "root.0.0.0", "root.0.0.0.0", "root.0.0.0.1"]
+
+    def test_synthesized_five_party_tree(self):
+        tree = synthesize(conditional_basis(5, 2, 0)).tree
+        assert tree.depth() == 5
+        self.assert_walks_agree(tree)
+
+    def test_leaf_root(self):
+        self.assert_walks_agree(engine.ProtocolNode(np.ones(1), None, (), (0, 1.0)))

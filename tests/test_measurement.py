@@ -17,8 +17,10 @@ from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
 from locc_forge.io import measurement_from_dict, measurement_to_dict
 from locc_forge.measurement import (
     complement_span,
+    identity_r,
     infer_weights,
     local_span,
+    party_rs,
     validate,
 )
 from oracles import (
@@ -157,6 +159,42 @@ class TestInferWeights:
             ops = m.outcome_operators
             assert np.abs(infer_weights(factor_stacks(m))
                           - nnls_completeness_weights(ops)).max() <= 1e-10
+
+
+class TestFrames:
+    """Each party's frame has one row per dimension of the span of its
+    factors and the identity, and keeps their trace pairings."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 8])
+    def test_two_party_rows_are_span_dimensions(self, d):
+        # party 0 measures one basis, which sums to I; party 1 one basis per
+        # outcome of party 0, each summing to I
+        rs = party_rs(conditional_basis(2, d, 0))
+        assert [len(r) for r in rs] == [d, d * d - d + 1]
+
+    def test_four_party_rows_are_span_dimensions(self):
+        assert [len(r) for r in party_rs(conditional_basis(4, 3, 0))] == [3, 7, 9, 9]
+
+    def test_gram_is_the_trace_pairing(self, catalog_all):
+        ms = list(catalog_all.values()) + [conditional_basis(2, 6, 1),
+                                           conditional_basis(3, 3, 2)]
+        for m in ms:
+            for q, r in enumerate(party_rs(m)):
+                ops = np.concatenate([m.local_factors(q), np.eye(m.dims[q])[None]])
+                gram = np.einsum("iab,jba->ij", ops, ops).real
+                assert r.shape[1] == m.n_outcomes + 1
+                assert np.abs(r.T @ r - gram).max() <= 1e-13 * np.abs(gram).max()
+
+    def test_nearly_parallel_factors_keep_their_difference(self):
+        """(I +- 1e-7 Z)/2 differ by 1e-7 Z, of Frobenius norm sqrt(2) 1e-7,
+        far above roundoff: the frame keeps that direction."""
+        z, delta = np.diag([1.0, -1.0]), 1e-7
+        stack = np.stack([(np.eye(2) + delta * z) / 2, (np.eye(2) - delta * z) / 2, np.eye(2)])
+        r = identity_r(stack.astype(complex))
+        assert len(r) == 2
+        assert np.linalg.norm(r @ [1.0, -1.0, 0.0, 0.0]) == pytest.approx(
+            np.sqrt(2) * delta, rel=1e-8)
+        assert np.linalg.norm(r @ [1.0, 1.0, 0.0, -1.0]) <= 1e-15
 
 
 class TestSpans:

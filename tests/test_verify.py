@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import node
 from locc_forge import conditional_basis, qubit_pair, seven_outcome_family, synthesize
 from locc_forge import measurement, operators, verify
 from locc_forge.catalog import _haar_unitary
@@ -24,39 +25,6 @@ from oracles import (
 )
 
 LINEAR_CHECKS = ("root-completeness", "node-sum", "descendant-leaf-sum", "leaf-match")
-
-
-def node(c, party, children=(), leaf=None):
-    return ProtocolNode(np.asarray(c, dtype=float), party, tuple(children), leaf)
-
-
-@pytest.fixture(scope="module")
-def hand_tree():
-    """Known four-round protocol for the seven-outcome family, written out
-    node by node rather than produced by the search."""
-    A, B = 0, 1
-    return node((2, 2, 3, 2, 6, 1, 1), None, [
-        node((1, 0, 3, 0, 6, 0, 1), B, [
-            node((1, 0, 3, 0, 6, 0, 0), A, [
-                node((1, 0, 3, 0, 0, 0, 0), B, [
-                    node((1, 0, 0, 0, 0, 0, 0), A, leaf=(0, 1.0)),
-                    node((0, 0, 3, 0, 0, 0, 0), A, leaf=(2, 3.0)),
-                ]),
-                node((0, 0, 0, 0, 6, 0, 0), B, leaf=(4, 6.0)),
-            ]),
-            node((0, 0, 0, 0, 0, 0, 1), A, leaf=(6, 1.0)),
-        ]),
-        node((1, 2, 0, 2, 0, 1, 0), B, [
-            node((1, 2, 0, 2, 0, 0, 0), A, [
-                node((1, 2, 0, 0, 0, 0, 0), B, [
-                    node((1, 0, 0, 0, 0, 0, 0), A, leaf=(0, 1.0)),
-                    node((0, 2, 0, 0, 0, 0, 0), A, leaf=(1, 2.0)),
-                ]),
-                node((0, 0, 0, 2, 0, 0, 0), B, leaf=(3, 2.0)),
-            ]),
-            node((0, 0, 0, 0, 0, 1, 0), A, leaf=(5, 1.0)),
-        ]),
-    ])
 
 
 class TestVerifyTree:
@@ -152,6 +120,53 @@ class TestVerifyTree:
                               None)
         with pytest.raises(TreeStructureError, match="root.1"):
             verify_tree(broken, m_seven)
+
+    def test_structural_error_names_the_first_bad_node_in_walk_order(self, hand_tree,
+                                                                      m_seven):
+        """With two bad nodes, the error names the one first in walk order,
+        also where the later node fails a check that comes earlier at each
+        node; one node failing two checks names the earlier check."""
+        def broken(*edits):
+            tree = copy_tree(hand_tree)
+            for path, name, value in edits:
+                target = tree
+                for i in path:
+                    target = target.children[i]
+                setattr(target, name, value)
+            return tree
+
+        cases = [
+            (broken(((0, 0, 0, 1), "leaf_outcome", (9, 3.0)),
+                    ((1,), "coeffs", np.ones(3))),
+             "root.0.0.0.1: leaf outcome index 9 out of range"),
+            (broken(((0, 1), "acting_party", 1),
+                    ((0, 0, 0, 0), "coeffs", -np.eye(7)[0])),
+             "root.0: children disagree about who measured"),
+            (broken(((0, 0, 0, 1), "leaf_outcome", None),
+                    ((1, 0), "acting_party", 7), ((1, 1), "acting_party", 7)),
+             "root.0.0.0.1: childless node lacks a leaf outcome"),
+            (broken(((1,), "leaf_outcome", (1, 1.0)),
+                    ((1,), "coeffs", np.full(7, np.inf))),
+             "root.1: non-finite coefficient"),
+        ]
+        for tree, message in cases:
+            with pytest.raises(TreeStructureError) as raised:
+                verify_tree(tree, m_seven)
+            assert str(raised.value) == message
+
+    def test_non_integral_indices_rejected(self, hand_tree, m_seven):
+        """A leaf outcome index or acting party that is not an integer in
+        range names its node, rather than being truncated to one."""
+        leaf = copy_tree(hand_tree)
+        leaf.children[0].children[1].leaf_outcome = (5.5, 1.0)
+        with pytest.raises(TreeStructureError, match=r"^root\.0\.1: leaf outcome index 5\.5"):
+            verify_tree(leaf, m_seven)
+        party = copy_tree(hand_tree)
+        for child in party.children:
+            child.acting_party = 0.5
+        with pytest.raises(TreeStructureError,
+                           match=r"^root\.0: missing or invalid acting party$"):
+            verify_tree(party, m_seven)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, hand_tree, m_seven, value):
@@ -294,18 +309,19 @@ class TestAgainstDenseVerifier:
             assert_reports_agree(report, dense_verify_tree(tree, m))
 
     def test_tampered_trees(self, hand_tree, m_seven, indefinite):
-        expected_failures = [("product-structure", "root.1"), ("product-structure", "root.0"),
-                             ("single-party-change", "root.6"), ("leaf-match", "root.0.0.1"),
-                             ("positivity", "root.0.0")]
+        expected_failures = [("product-structure", {"root.1"}),
+                             ("product-structure", {"root.0", "root.1"}),
+                             ("single-party-change", {"root.6"}),
+                             ("leaf-match", {"root.0.0.1"}), ("positivity", {"root.0.0"})]
         for i, ((tree, m), (check, at)) in enumerate(
                 zip(tampered_trees(hand_tree, m_seven, indefinite), expected_failures)):
             report = verify_tree(tree, m)
             assert not report.checks[check].passed, check
-            assert report.checks[check].detail == at
+            assert report.checks[check].detail in at
             want = dense_verify_tree(tree, m)
             if i == 1:          # across_rest
-                want = with_tied_location(want, dense_check_values(tree, m), report,
-                                          "single-party-change")
+                for name in ("product-structure", "single-party-change"):
+                    want = with_tied_location(want, dense_check_values(tree, m), report, name)
             assert_reports_agree(report, want)
 
     def test_edge_verdicts_match_the_chain_from_the_root(self, found, hand_tree, m_seven,
@@ -350,12 +366,67 @@ class TestAgainstDenseVerifier:
                 assert report.checks[name].worst_residual >= old, name
 
 
+class TestTrimmedFrames:
+    """Where a party's frame has fewer rows than min(d^2, n + 1), every
+    check's residual is the dense verifier's within 1e-12, and a failing
+    check's location is the dense one or ties with it (see
+    :func:`with_tied_location`), on found trees and tampered ones."""
+
+    @staticmethod
+    def variants(tree, n_parties):
+        """The tree, then: a leaf scale 1% high, every acting party moved to
+        the next party, the root's first two children trading their second
+        children (each a sum of two products) and the root's first child
+        0.1% high."""
+        scaled = copy_tree(tree)
+        leaf = scaled.leaves()[0][0]
+        leaf.leaf_outcome = (leaf.leaf_outcome[0], leaf.leaf_outcome[1] * 1.01)
+
+        def moved(n):
+            party = None if n.acting_party is None else (n.acting_party + 1) % n_parties
+            return ProtocolNode(n.coeffs, party, tuple(moved(c) for c in n.children),
+                                n.leaf_outcome)
+
+        def regroup(n, kids):
+            return ProtocolNode(sum(k.coeffs for k in kids), n.acting_party, kids)
+
+        a, b, *rest = tree.children
+        traded = ProtocolNode(tree.coeffs, None, (
+            regroup(a, (a.children[0], b.children[1]) + a.children[2:]),
+            regroup(b, (b.children[0], a.children[1]) + b.children[2:]), *rest))
+        high = copy_tree(tree)
+        high.children[0].coeffs = high.children[0].coeffs * 1.001
+        return [tree, scaled, moved(tree), traded, high]
+
+    @pytest.mark.parametrize("shape, rows", [((2, 5, 1), [5, 21]),
+                                             ((5, 2, 0), [2, 3, 4, 4, 4])])
+    def test_against_dense_verifier(self, shape, rows):
+        m = conditional_basis(*shape)
+        assert [len(r) for r in measurement.party_rs(m)] == rows
+        assert any(k < min(d * d, m.n_outcomes + 1) for k, d in zip(rows, m.dims))
+        failing = []
+        for tree in self.variants(synthesize(m).tree, len(m.dims)):
+            got, want = verify_tree(tree, m), dense_verify_tree(tree, m)
+            values = dense_check_values(tree, m)
+            assert got.checks.keys() == want.checks.keys()
+            for name, g in got.checks.items():
+                w = want.checks[name]
+                assert g.passed == w.passed, name
+                assert abs(g.worst_residual - w.worst_residual) <= 1e-12, name
+                if not w.passed:            # the same location, or a tie
+                    with_tied_location(want, values, got, name)
+            failing.append(sorted(name for name, g in got.checks.items() if not g.passed))
+        assert failing == [[], ["leaf-match", "outcome-weights"], ["single-party-change"],
+                           ["product-structure", "single-party-change"],
+                           ["descendant-leaf-sum", "node-sum"]]
+
+
 def with_tied_location(want, values, got, name):
     """``want`` with check ``name``'s location moved to ``got``'s, which must
     hold a dense residual equal to the dense worst within 1e-12 relative.
     Such a tie is exact, and roundoff breaks it either way: in
     ``across_rest`` six children are at distance 1/sqrt(2) from their
-    parents' sides."""
+    parents' sides, and root.0 and root.1 have the same Schmidt ratio."""
     w, g = want.checks[name], got.checks[name]
     assert dict((at, r) for r, at in values[name])[g.detail] == pytest.approx(
         w.worst_residual, rel=1e-12)
