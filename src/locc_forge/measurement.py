@@ -188,17 +188,23 @@ def identity_r(ops: np.ndarray) -> np.ndarray:
     trace pairings, and R[:, :n], a slice of leading columns, is a frame of
     the stack alone.
 
-    With H = U S V^T the thin SVD of the (d^2, n + 1) matrix of those
-    vectors, R is the rows S_k V_k^T whose singular values exceed
-    max(H.shape) * eps * sigma_1, so k is the span's dimension and not
-    min(d^2, n + 1).  The dropped rows move any |R x| by at most
-    sigma_(k+1) |x|, the order of the backward error of a Householder R of
-    H, so residuals read through R are as rigorous as through that R.
+    The (d^2, n + 1) matrix H of those vectors is split as H~ D, D the
+    diagonal of its column norms (1 for a zero column).  With U_k the left
+    singular vectors of H~ whose singular values exceed
+    max(H.shape) * eps * sigma_1, R = U_k^T H, so k is the span's dimension
+    and not min(d^2, n + 1).  |R x| = |U_k U_k^T H x| differs from |H x| by
+    at most sigma_(k+1) |D x| <= sigma_(k+1) sum_j |x_j| |h_j|, with
+    sigma_1 <= sqrt(n + 1), and the product U_k^T H errs by eps times each
+    column's norm: both are of the form of the backward error of a
+    Householder R of H, so residuals read through R are as rigorous as
+    through that R however the columns are scaled.
     """
     h = hermitian_vectors(np.concatenate([ops, np.eye(ops.shape[1])[None]])).T
-    _, sigma, vt = np.linalg.svd(h, full_matrices=False)
+    norms = np.linalg.norm(h, axis=0)
+    norms[norms == 0] = 1.0
+    u, sigma, _ = np.linalg.svd(h / norms, full_matrices=False)
     k = int(np.count_nonzero(sigma > max(h.shape) * np.finfo(float).eps * sigma[0]))
-    return sigma[:k, None] * vt[:k]
+    return u[:, :k].T @ h
 
 
 def party_rs(m: SeparableMeasurement) -> list[np.ndarray]:

@@ -4,25 +4,29 @@ The checks here deliberately avoid the search's own machinery (feasible
 cones, leaf detection, ray decomposition) so that a bug in the search
 cannot certify its own output.  Only the generic operator algebra is
 shared.  The tree is read once, in walk order, by an explicit-stack pass
-that checks its structure with array operations.  Every check is read
+that checks each node's parties, leaf mark and children as it goes, and
+then all coefficient vectors with array operations.  Every check is read
 from the measurement's factors and the raw coefficient vectors, through
 small real frames whose columns keep the trace pairings of the outcome
-operators and the identity.  Each party's frame is trimmed by a thin SVD
-to its span's dimension; the rows it drops move any residual by at most
-the backward error of a Householder R of the same vectors, so the checks
-are as rigorous as through that R (see ``measurement.identity_r``).  Root
-completeness, node sums, descendant-leaf sums and leaf matches are
-Frobenius norms of coefficient differences taken through one joint R;
-product structure is decided by operator Schmidt rank from per-cut cores;
-each edge by the child's distance from its parent's other-parties side,
-read off the parent's core; and positivity from a Weyl bound over the
-factors' spectra, with an exact eigenvalue check of the node operator,
-the one operator formed, wherever the bound does not settle it.  The operator
-checks' norms bound the max norm and do not change under local unitaries.
+operators and the identity.  Each party's frame is trimmed to its
+span's dimension by a thin SVD taken with unit-norm columns; the rows it
+drops move any residual by at most eps times the norms of the columns it
+combines, the form of the backward error of a Householder R of the same
+vectors, so the checks are as rigorous as through that R (see
+``measurement.identity_r``).  Root completeness, node sums,
+descendant-leaf sums and leaf matches are Frobenius norms of coefficient
+differences taken through one joint R; product structure is decided by
+operator Schmidt rank from per-cut cores; each edge by the child's
+distance from its parent's other-parties side, read off the parent's
+core; and positivity from a Weyl bound over the factors' spectra, with an
+exact eigenvalue check of the node operator, the one operator formed,
+wherever the bound does not settle it.  The operator checks' norms bound
+the max norm and do not change under local unitaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -74,72 +78,77 @@ class _Flat(NamedTuple):
     scale: np.ndarray       # and its scale
 
 
-def _indices(x: np.ndarray, size: int) -> np.ndarray:
-    """Which entries are integers in range(size)."""
-    return (0 <= x) & (x < size) & (x % 1 == 0)
+def _is_index(x, size: int) -> bool:
+    """Whether ``x`` is an integer in range(size)."""
+    return 0 <= x < size and x % 1 == 0
+
+
+def _node_error(node: ProtocolNode, path: str, m: SeparableMeasurement) -> str | None:
+    """The message of the first check of a node's parties, leaf mark and
+    children that it fails, or None."""
+    if path == "root":
+        if node.acting_party is not None:
+            return "root: must not record an acting party"
+    elif node.acting_party is None or not _is_index(node.acting_party, len(m.parties)):
+        return f"{path}: missing or invalid acting party"
+    if node.is_leaf:
+        if node.leaf_outcome is None:
+            return f"{path}: childless node lacks a leaf outcome"
+        j, scale = node.leaf_outcome
+        if not _is_index(j, m.n_outcomes):
+            return f"{path}: leaf outcome index {j} out of range"
+        if not (math.isfinite(scale) and scale > 0):
+            return f"{path}: leaf scale must be finite and positive"
+    elif node.leaf_outcome is not None:
+        return f"{path}: internal node marked as leaf"
+    elif len(node.children) < 2:
+        return f"{path}: a measurement needs at least two outcomes"
+    elif len({c.acting_party for c in node.children}) != 1:
+        return f"{path}: children disagree about who measured"
+    return None
 
 
 def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> _Flat:
     """Gather the tree in walk order with one explicit-stack pass and check
     its structure, raising :class:`TreeStructureError` for the first
-    offending node in walk order, and for its first failed check."""
+    offending node in walk order, and for its first failed check: the
+    coefficient vector's shape, finiteness and sign, then
+    :func:`_node_error`'s checks."""
     n = m.n_outcomes
     nodes, paths, parent, depth = [], [], [], []
-    stack = [(tree, "root", -1, 0)]
-    while stack:
+    stack, error = [(tree, "root", -1, 0)], None
+    while stack and error is None:          # stop at the first node in error
         node, path, up, level = stack.pop()
-        i = len(nodes)
+        error = _node_error(node, path, m)
         nodes.append(node)
         paths.append(path)
         parent.append(up)
         depth.append(level)
         for j in range(len(node.children) - 1, -1, -1):
-            stack.append((node.children[j], f"{path}.{j}", i, level + 1))
+            stack.append((node.children[j], f"{path}.{j}", len(nodes) - 1, level + 1))
 
-    count, parent = len(nodes), np.array(parent)
+    # The coefficient checks come first at each node, so they are run on
+    # every node gathered, the one in error included.
     coeffs = [node.coeffs for node in nodes]
-    actors = [node.acting_party for node in nodes]
-    marks = [node.leaf_outcome for node in nodes]
-    kids = np.array([len(node.children) for node in nodes])
-    leaf, marked = kids == 0, np.array([mark is not None for mark in marks])
-    has_actor = np.array([a is not None for a in actors])
-    actor = np.array([-1 if a is None else a for a in actors], dtype=float)
-    outcome, scale = np.array([mark if ok else (0, 1.0) for mark, ok in zip(marks, leaf & marked)],
-                              dtype=float).T
-    shaped = next((i for i, c in enumerate(coeffs) if np.shape(c) != (n,)), count)
+    shaped = next((i for i, c in enumerate(coeffs) if np.shape(c) != (n,)), len(nodes))
     c = np.array(coeffs[:shaped], dtype=float).reshape(shaped, n)
-    sibling = parent[1:] + 1                # each node's parent's first child
-
-    bad = np.zeros((count, 11), dtype=bool)  # each node's checks, in order
-    bad[shaped:shaped + 1, 0] = True
-    bad[:shaped, 1] = ~np.isfinite(c).all(axis=1)
-    bad[:shaped, 2] = (c < -1e-12).any(axis=1)
-    bad[0, 3] = has_actor[0]
-    bad[1:, 4] = ~(has_actor[1:] & _indices(actor[1:], len(m.parties)))
-    bad[:, 5] = leaf & ~marked
-    bad[:, 6] = ~_indices(outcome, n)
-    bad[:, 7] = ~(np.isfinite(scale) & (scale > 0))
-    bad[:, 8] = ~leaf & marked
-    bad[:, 9] = kids == 1
-    bad[parent[1:][(has_actor[1:] != has_actor[sibling]) | (actor[1:] != actor[sibling])], 10] = True
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        path = paths[i]
-        raise TreeStructureError([
-            f"{path}: coefficient vector has shape {np.shape(coeffs[i])}, expected ({n},)",
-            f"{path}: non-finite coefficient",
-            f"{path}: negative coefficient",
-            "root: must not record an acting party",
-            f"{path}: missing or invalid acting party",
-            f"{path}: childless node lacks a leaf outcome",
-            f"{path}: leaf outcome index {marks[i][0] if marks[i] else None} out of range",
-            f"{path}: leaf scale must be finite and positive",
-            f"{path}: internal node marked as leaf",
-            f"{path}: a measurement needs at least two outcomes",
-            f"{path}: children disagree about who measured",
-        ][int(np.argmax(bad[i]))])
-    return _Flat(paths, parent, np.array(depth), c, leaf, actor[1:].astype(int),
-                 outcome[leaf].astype(int), scale[leaf])
+    finite = np.isfinite(c).all(axis=1)
+    bad = np.flatnonzero(~finite | (c < -1e-12).any(axis=1))
+    if len(bad):
+        i = bad[0]
+        raise TreeStructureError(f"{paths[i]}: "
+                                 + ("negative" if finite[i] else "non-finite") + " coefficient")
+    if shaped < len(nodes):
+        raise TreeStructureError(f"{paths[shaped]}: coefficient vector has shape "
+                                 f"{np.shape(coeffs[shaped])}, expected ({n},)")
+    if error is not None:
+        raise TreeStructureError(error)
+    leaf = np.array([not node.children for node in nodes])
+    outcome, scale = np.array([node.leaf_outcome for node in nodes if not node.children],
+                              dtype=float).T
+    return _Flat(paths, np.array(parent), np.array(depth), c, leaf,
+                 np.array([node.acting_party for node in nodes[1:]], dtype=int),
+                 outcome.astype(int), scale)
 
 
 def _cut_cores(rs: list[np.ndarray], coeffs: np.ndarray) -> Iterator[np.ndarray]:

@@ -148,6 +148,10 @@ class TestVerifyTree:
             (broken(((1,), "leaf_outcome", (1, 1.0)),
                     ((1,), "coeffs", np.full(7, np.inf))),
              "root.1: non-finite coefficient"),
+            (broken(((0, 0), "coeffs", -np.eye(7)[0]), ((1, 1), "leaf_outcome", (9, 1.0))),
+             "root.0.0: negative coefficient"),
+            (broken(((0,), "coeffs", np.ones(3)), ((0, 1), "leaf_outcome", None)),
+             "root.0: coefficient vector has shape (3,), expected (7,)"),
         ]
         for tree, message in cases:
             with pytest.raises(TreeStructureError) as raised:
@@ -156,17 +160,19 @@ class TestVerifyTree:
 
     def test_non_integral_indices_rejected(self, hand_tree, m_seven):
         """A leaf outcome index or acting party that is not an integer in
-        range names its node, rather than being truncated to one."""
+        range names its node, rather than being truncated to one; a NaN
+        acting party shared by all the root's children names the first."""
         leaf = copy_tree(hand_tree)
         leaf.children[0].children[1].leaf_outcome = (5.5, 1.0)
         with pytest.raises(TreeStructureError, match=r"^root\.0\.1: leaf outcome index 5\.5"):
             verify_tree(leaf, m_seven)
-        party = copy_tree(hand_tree)
-        for child in party.children:
-            child.acting_party = 0.5
-        with pytest.raises(TreeStructureError,
-                           match=r"^root\.0: missing or invalid acting party$"):
-            verify_tree(party, m_seven)
+        for value in (0.5, np.nan):
+            party = copy_tree(hand_tree)
+            for child in party.children:
+                child.acting_party = value
+            with pytest.raises(TreeStructureError,
+                               match=r"^root\.0: missing or invalid acting party$"):
+                verify_tree(party, m_seven)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, hand_tree, m_seven, value):
@@ -309,19 +315,18 @@ class TestAgainstDenseVerifier:
             assert_reports_agree(report, dense_verify_tree(tree, m))
 
     def test_tampered_trees(self, hand_tree, m_seven, indefinite):
-        expected_failures = [("product-structure", {"root.1"}),
-                             ("product-structure", {"root.0", "root.1"}),
-                             ("single-party-change", {"root.6"}),
-                             ("leaf-match", {"root.0.0.1"}), ("positivity", {"root.0.0"})]
+        expected_failures = [("product-structure", "root.1"), ("product-structure", "root.0"),
+                             ("single-party-change", "root.6"), ("leaf-match", "root.0.0.1"),
+                             ("positivity", "root.0.0")]
         for i, ((tree, m), (check, at)) in enumerate(
                 zip(tampered_trees(hand_tree, m_seven, indefinite), expected_failures)):
             report = verify_tree(tree, m)
             assert not report.checks[check].passed, check
-            assert report.checks[check].detail in at
+            assert report.checks[check].detail == at
             want = dense_verify_tree(tree, m)
             if i == 1:          # across_rest
-                for name in ("product-structure", "single-party-change"):
-                    want = with_tied_location(want, dense_check_values(tree, m), report, name)
+                want = with_tied_location(want, dense_check_values(tree, m), report,
+                                          "single-party-change")
             assert_reports_agree(report, want)
 
     def test_edge_verdicts_match_the_chain_from_the_root(self, found, hand_tree, m_seven,
@@ -420,13 +425,52 @@ class TestTrimmedFrames:
                            ["product-structure", "single-party-change"],
                            ["descendant-leaf-sum", "node-sum"]]
 
+    @pytest.mark.parametrize("excess", [0.0, 0.01])
+    def test_one_outcome_scaled_up(self, excess):
+        """One outcome's factor 1e10 times larger and its weight 1e10 times
+        smaller leave the measurement and, with that outcome's coefficients
+        and leaf scales scaled down to match, the tree as they were: the
+        completeness residual and every check read as the dense ones do,
+        and the weights are inferred back.  With the scaled outcome's weight
+        ``excess`` too high, ``validate`` reports the incompleteness, while
+        the tree, whose root carries the complete weights, still passes."""
+        m, j, big = conditional_basis(2, 5, 1), 3, 1e10
+        tree = synthesize(m).tree
+        weights = m.weights.copy()
+        weights[j] *= (1 + excess) / big
+        scaled = SeparableMeasurement(m.parties, [
+            (o.label, (o.factors[0] * (big if i == j else 1.0),) + o.factors[1:])
+            for i, o in enumerate(m.outcomes)], weights)
+        down = np.where(np.arange(m.n_outcomes) == j, 1 / big, 1.0)
+
+        def scaled_down(n):
+            leaf = n.leaf_outcome and (n.leaf_outcome[0],
+                                       n.leaf_outcome[1] * down[n.leaf_outcome[0]])
+            return ProtocolNode(n.coeffs * down, n.acting_party,
+                                tuple(scaled_down(c) for c in n.children), leaf)
+
+        ops = scaled.outcome_operators
+        dense = np.linalg.norm(np.einsum("j,jab->ab", weights, ops) - np.eye(len(ops[0])))
+        report = validate(scaled)
+        assert abs(report.completeness_residual - dense) <= 1e-12
+        assert report.ok == (excess == 0)
+        if not excess:
+            stacks = [scaled.local_factors(q) for q in range(len(m.dims))]
+            assert np.abs(measurement.infer_weights(stacks) / down - m.weights).max() <= 1e-10
+        tree = scaled_down(tree)
+        got, want = verify_tree(tree, scaled), dense_verify_tree(tree, scaled)
+        for name, g in got.checks.items():
+            assert g.passed == want.checks[name].passed, name
+            assert abs(g.worst_residual - want.checks[name].worst_residual) <= 1e-12, name
+        assert got.passed, got.lines()
+
 
 def with_tied_location(want, values, got, name):
     """``want`` with check ``name``'s location moved to ``got``'s, which must
     hold a dense residual equal to the dense worst within 1e-12 relative.
     Such a tie is exact, and roundoff breaks it either way: in
     ``across_rest`` six children are at distance 1/sqrt(2) from their
-    parents' sides, and root.0 and root.1 have the same Schmidt ratio."""
+    parents' sides."""
     w, g = want.checks[name], got.checks[name]
     assert dict((at, r) for r, at in values[name])[g.detail] == pytest.approx(
         w.worst_residual, rel=1e-12)
