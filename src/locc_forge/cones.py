@@ -315,10 +315,13 @@ def decompose(parent: np.ndarray, rays: np.ndarray,
     if p_norm == 0:
         return []
     rays = np.asarray(rays, dtype=float).reshape(-1, len(parent))
-    cos = rays @ parent / (p_norm * np.linalg.norm(rays, axis=1))
-    usable = np.flatnonzero(cos < 1.0 - 1e-9).tolist()
-
     scale_floor = max(1.0, float(parent.max()))
+    # a ray is proportional to the parent when its least-squares multiple
+    # passes the exactness test every split passes below
+    t = rays @ parent / np.einsum("ij,ij->i", rays, rays)
+    usable = np.flatnonzero(np.abs(t[:, None] * rays - parent).max(axis=1)
+                            > residual_tol * scale_floor).tolist()
+
     # max-norm >= 2-norm / sqrt(n): a 2-norm residual above this fails the
     # exactness test below
     bound = sqrt(len(parent)) * residual_tol * scale_floor

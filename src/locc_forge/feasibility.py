@@ -6,17 +6,17 @@ where A acts on the party about to measure and Abar is the fixed joint
 operator of the bystanders.  The party's admissible next outcomes are the
 coefficient vectors c >= 0 for which sum_j c_j O_j again has the form
 A' (x) Abar: every component along "anything (x) (not Abar)" vanishes.
-Those components are taken in coordinates.  Each party's factors get real
-coordinates in an orthonormal frame of their span (one QR); every outcome
-is a product, so the other parties' side has the Khatri-Rao product of
-their coordinates, which one more frame reduces.  Abar's coordinates are
-read off the node's coefficients (at the root, where Abar is the identity,
-they are the basis operators' traces), one Householder reflection gives an
-orthonormal basis of Abar's orthogonal complement, and the products of the
-two sides' coordinates are the rows of a real matrix Q.  The admissible c
-are exactly the nonnegative nullspace vectors of Q, a basis-independent
-set, and |Q c| is the Frobenius norm of the part of sum_j c_j O_j off
-span_A (x) Abar.
+Those components are taken in coordinates, read from the frames the
+measurement caches: the party's own frame and its cut's other-parties
+side, whose columns keep the outcomes' trace pairings and whose last
+column holds the identity's coordinates (see ``measurement``).  Abar's
+coordinates are read off the node's coefficients (at the root, where Abar
+is the identity, they are that last column), one Householder reflection
+gives an orthonormal basis of Abar's orthogonal complement, and the
+products of the two sides' coordinates are the rows of a real matrix Q.
+The admissible c are exactly the nonnegative nullspace vectors of Q, a
+basis-independent set, and |Q c| is the Frobenius norm of the part of
+sum_j c_j O_j off span_A (x) Abar.
 
 Below the root only the node's support S = {j : c_j != 0} is searched.
 Every child is a multiple of a ray from an exact nonnegative split of its
@@ -39,7 +39,8 @@ from . import cones
 from .errors import InconsistentNodeError, NotProductError
 from .measurement import SeparableMeasurement
 from .measurement import complement_span, local_span  # noqa: F401  (wrapped by name by the benchmark tracer)
-from .operators import hermitian_vectors, independent_subset, khatri_rao, project_factor
+from .operators import independent_subset  # noqa: F401  (wrapped by name by the benchmark tracer)
+from .operators import project_factor
 from .tolerances import MARGINAL_RANK_BAND, RESIDUAL_TOL, rank_threshold
 
 
@@ -98,68 +99,25 @@ class FeasibleCone:
     marginal_rank: bool
 
 
-@dataclass(frozen=True)
-class PartyTables:
-    """What :func:`build_q` needs about one measuring party, in orthonormal
-    coordinates of its two spans.
-
-    With L_n the party's outcome factors and C_n the outcomes' complement
-    factors:
-
-    * ``acting`` holds, in column n, the coordinates of L_n in an
-      orthonormal basis of the local span, so acting^T acting = [Tr(L_m L_n)];
-    * ``coords`` holds, in column n, the coordinates of C_n in an
-      orthonormal basis E_i of the complement span, so
-      coords^T coords = [Tr(C_m C_n)];
-    * ``identity`` holds y_i = Tr(E_i): the coordinates of the root's Abar,
-      the identity on the other parties, projected onto that span.
-    """
-
-    acting: np.ndarray
-    coords: np.ndarray
-    identity: np.ndarray
+def _refuse_zero_spans(m: SeparableMeasurement, party: int) -> None:
+    """A span with no nonzero factor has no frame: every party's is needed,
+    then the party's cut's.  Such a frame keeps the identity's row alone.
+    Only the root needs this test, as below it such a span makes the node
+    operator zero."""
+    n, side = m.n_outcomes, m.cut_rs[party]
+    for q, r in enumerate(m.party_rs):
+        if len(r) == 1 and not r[0, :n].any():
+            raise InconsistentNodeError(f"every factor of party {m.parties[q].name!r} is zero")
+    if len(side) == 1 and not side[0, :n].any():
+        raise InconsistentNodeError(f"every factor of the parties other than "
+                                    f"{m.parties[party].name!r} is zero")
 
 
-def _orthonormal_frame(vecs: np.ndarray, owner: str) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the rows of ``vecs``, one column per row, in an
-    orthonormal basis of their span (the Q of a Householder QR of the rows
-    :func:`independent_subset` chooses, greedy in order), and that basis,
-    one row per vector; ``owner`` names the rows in a zero span's error."""
-    chosen = independent_subset(list(vecs))
-    if not chosen:
-        raise InconsistentNodeError(f"every factor of {owner} is zero")
-    q = np.linalg.qr(vecs[chosen].T)[0]
-    return np.ascontiguousarray((vecs @ q).T), q.T
-
-
-def party_tables(m: SeparableMeasurement, party: int) -> PartyTables:
-    """The party's tables, cached on the measurement with every party's
-    local frame (of its factors' :func:`hermitian_vectors`).  C_n has the
-    coordinates kron_q acting_q[:, n] in the product of the other parties'
-    frames, and a product basis operator's trace is the product of the
-    local ones' (each the sum of a basis row's first d_q entries)."""
-    cached = m._pairing_cache.get(party)
-    if cached is None:
-        frames = m._pairing_cache.get("frames")
-        if frames is None:
-            frames = m._pairing_cache["frames"] = [
-                _orthonormal_frame(hermitian_vectors(m.local_factors(q)), f"party {p.name!r}")
-                for q, p in enumerate(m.parties)]
-        others = [q for q in range(len(m.parties)) if q != party]
-        coords, basis = _orthonormal_frame(
-            khatri_rao([frames[q][0] for q in others], m.n_outcomes).T,
-            f"the parties other than {m.parties[party].name!r}")
-        traces = khatri_rao([frames[q][1][:, :m.dims[q], None].sum(axis=1) for q in others], 1)
-        cached = m._pairing_cache[party] = PartyTables(frames[party][0], coords,
-                                                       basis @ traces[:, 0])
-    return cached
-
-
-def _bystander_coords(tables: PartyTables, coeffs) -> np.ndarray:
+def _bystander_coords(acting: np.ndarray, coords: np.ndarray, coeffs) -> np.ndarray:
     """Abar's coordinates y, up to scale: a product node X (x) Abar has the
     realignment core acting diag(c) coords^T = x y^T, whose largest-norm row
     is taken."""
-    core = (tables.acting * np.asarray(coeffs, dtype=float)) @ tables.coords.T
+    core = (acting * np.asarray(coeffs, dtype=float)) @ coords.T
     return core[np.argmax(np.einsum("ij,ij->i", core, core))]
 
 
@@ -173,23 +131,25 @@ def build_q(ctx: NodeContext) -> np.ndarray:
     coordinates of the part of sum_n c_n O_n off span_A (x) Abar, and Q^T Q
     is the Gram matrix of those parts.  Identically zero rows are dropped.
     Only the columns of the context's support are built (every outcome at
-    the root), with the party tables sliced to them before the product.
-    No operator is formed: in the party's cached :class:`PartyTables`, Abar
-    has coordinates y (the cached identity's at the root, else see
-    :func:`_bystander_coords`), and rows 1.. of the Householder reflector
-    that maps y onto the first axis are such a basis.
+    the root), with the frames sliced to them before the product.  No
+    operator is formed: ``acting = R_p[:, :n]`` and ``coords = R_c[:, :n]``
+    are read from the measurement's frame R_p of the party and side R_c of
+    its cut, Abar has coordinates y (the identity's, R_c[:, n], at the root,
+    else see :func:`_bystander_coords`), and rows 1.. of the Householder
+    reflector that maps y onto the first axis are such a basis.
     """
-    tables = party_tables(ctx.measurement, ctx.acting_party)
+    m, n, p = ctx.measurement, ctx.measurement.n_outcomes, ctx.acting_party
+    acting, coords = m.party_rs[p][:, :n], m.cut_rs[p][:, :n]
     support = ctx.support
     if ctx.root:
-        y = tables.identity
+        _refuse_zero_spans(m, p)
+        y = m.cut_rs[p][:, n]
     else:
         coeffs = ctx.coeffs
         if len(support) < len(coeffs):
-            tables = PartyTables(tables.acting[:, support], tables.coords[:, support],
-                                 tables.identity)
+            acting, coords = acting[:, support], coords[:, support]
             coeffs = np.asarray(coeffs, dtype=float)[support]
-        y = _bystander_coords(tables, coeffs)
+        y = _bystander_coords(acting, coords, coeffs)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise InconsistentNodeError("node operator is zero")
@@ -198,8 +158,8 @@ def build_q(ctx: NodeContext) -> np.ndarray:
     u = y.copy()
     u[0] += norm if y[0] >= 0 else -norm                    # same sign: no cancellation
     u /= np.linalg.norm(u)
-    t_bys = (tables.coords - 2.0 * np.outer(u, u @ tables.coords))[1:]
-    q = (tables.acting[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
+    t_bys = (coords - 2.0 * np.outer(u, u @ coords))[1:]
+    q = (acting[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
     scale = max(1.0, float(np.abs(q).max()))
     keep = np.abs(q).max(axis=1) > 1e-13 * scale
     return q[keep]

@@ -11,6 +11,11 @@ up to rescaling of each outcome; this module never rescales either.  Each
 factor, once validated as Hermitian within tolerance, is stored as its
 Hermitian part, which is the supplied matrix itself when that is exactly
 Hermitian.
+
+The measurement owns the real frames that the search, :func:`validate` and
+the verifier read: each party's (:func:`identity_r`), each cut's
+other-parties side and the joint R, each built once, on first use, and
+stored read-only.
 """
 
 from __future__ import annotations
@@ -109,7 +114,6 @@ class SeparableMeasurement:
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be nonnegative with at least one positive")
         self.weights: np.ndarray = w
-        self._pairing_cache: dict = {}     # feasibility's local frames and PartyTables
 
     # -- basic geometry -------------------------------------------------
 
@@ -137,16 +141,59 @@ class SeparableMeasurement:
 
     @cached_property
     def _factor_stacks(self) -> tuple[np.ndarray, ...]:
-        stacks = tuple(np.stack([o.factors[q] for o in self.outcomes])
-                       for q in range(len(self.parties)))
-        for stack in stacks:
-            stack.flags.writeable = False
-        return stacks
+        return tuple(_frozen(np.stack([o.factors[q] for o in self.outcomes]))
+                     for q in range(len(self.parties)))
 
     def local_factors(self, party: int) -> np.ndarray:
         """(n, d_p, d_p) stack of the named party's factors, built once and
         read-only."""
         return self._factor_stacks[party]
+
+    # -- cached frames: built once, read-only -------------------------------
+
+    @cached_property
+    def party_rs(self) -> tuple[np.ndarray, ...]:
+        """Each party's :func:`identity_r` of its factors.  A product's Gram
+        is the entrywise product of its parties' Grams, so :func:`product_r`
+        of these is an R of the outcome operators and the identity, and of
+        the other parties' an R of their side of a cut."""
+        return tuple(_frozen(identity_r(stack)) for stack in self._factor_stacks)
+
+    @cached_property
+    def cut_rs(self) -> tuple[np.ndarray, ...]:
+        """Each cut (p | rest)'s other-parties side: a frame, with the
+        identity on the other parties as column n, of the joint factors
+        C_j = (x)_{q != p} F_j^q.  It is the other party's frame when there
+        is one, else the :func:`product_r` of theirs trimmed by
+        :func:`trimmed_r`'s rule, so it has the side's span dimension."""
+        n, rs = self.n_outcomes, self.party_rs
+        others = [rs[:p] + rs[p + 1:] for p in range(len(rs))]
+        return tuple(o[0] if len(o) == 1 else _frozen(trimmed_r(product_r(o, n + 1)))
+                     for o in others)
+
+    @cached_property
+    def joint_r(self) -> np.ndarray:
+        """The :func:`product_r` of every party's frame: an R of the outcome
+        operators and, as column n, the identity."""
+        return _frozen(product_r(self.party_rs, self.n_outcomes + 1))
+
+    @cached_property
+    def extreme_eigenvalues(self) -> np.ndarray:
+        """(2, n): the smallest and the largest eigenvalue of each O_j.  Those
+        of O_j = (x)_q F_j^q are extreme products of its factors' extreme
+        eigenvalues, so one eigvalsh per party's factor stack gives them."""
+        low = high = np.ones(self.n_outcomes)
+        for stack in self._factor_stacks:
+            eigs = np.linalg.eigvalsh(stack)
+            ends = np.stack([low * eigs[:, 0], low * eigs[:, -1],
+                             high * eigs[:, 0], high * eigs[:, -1]])
+            low, high = ends.min(axis=0), ends.max(axis=0)
+        return _frozen(np.stack([low, high]))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def factor_operands(m: SeparableMeasurement) -> list:
@@ -182,24 +229,21 @@ def reconstruct(m: SeparableMeasurement, coeffs) -> np.ndarray:
     return out.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
-def identity_r(ops: np.ndarray) -> np.ndarray:
-    """Real (k, n + 1) frame of the :func:`hermitian_vectors` of an
-    (n, d, d) stack and, as column n, the identity: its columns keep their
-    trace pairings, and R[:, :n], a slice of leading columns, is a frame of
-    the stack alone.
+def trimmed_r(h: np.ndarray) -> np.ndarray:
+    """A frame of the columns of a real matrix H with its span's dimension:
+    its columns keep their dot products, and a slice of leading columns is
+    a frame of those columns alone.
 
-    The (d^2, n + 1) matrix H of those vectors is split as H~ D, D the
-    diagonal of its column norms (1 for a zero column).  With U_k the left
-    singular vectors of H~ whose singular values exceed
-    max(H.shape) * eps * sigma_1, R = U_k^T H, so k is the span's dimension
-    and not min(d^2, n + 1).  |R x| = |U_k U_k^T H x| differs from |H x| by
-    at most sigma_(k+1) |D x| <= sigma_(k+1) sum_j |x_j| |h_j|, with
-    sigma_1 <= sqrt(n + 1), and the product U_k^T H errs by eps times each
-    column's norm: both are of the form of the backward error of a
-    Householder R of H, so residuals read through R are as rigorous as
-    through that R however the columns are scaled.
+    H is split as H~ D, D the diagonal of its column norms (1 for a zero
+    column).  With U_k the left singular vectors of H~ whose singular
+    values exceed max(H.shape) * eps * sigma_1, the frame is U_k^T H, so k
+    is the span's dimension and not min(H.shape).  |R x| = |U_k U_k^T H x|
+    differs from |H x| by at most sigma_(k+1) |D x| <= sigma_(k+1) sum_j
+    |x_j| |h_j|, with sigma_1 <= sqrt(columns), and the product U_k^T H
+    errs by eps times each column's norm: both are of the form of the
+    backward error of a Householder R of H, so residuals read through the
+    frame are as rigorous as through that R however the columns are scaled.
     """
-    h = hermitian_vectors(np.concatenate([ops, np.eye(ops.shape[1])[None]])).T
     norms = np.linalg.norm(h, axis=0)
     norms[norms == 0] = 1.0
     u, sigma, _ = np.linalg.svd(h / norms, full_matrices=False)
@@ -207,12 +251,12 @@ def identity_r(ops: np.ndarray) -> np.ndarray:
     return u[:, :k].T @ h
 
 
-def party_rs(m: SeparableMeasurement) -> list[np.ndarray]:
-    """Each party's :func:`identity_r` of its factors.  A product's Gram is
-    the entrywise product of its parties' Grams, so :func:`product_r` of
-    these is an R of the outcome operators and the identity, and of the
-    other parties' an R of their side of a cut."""
-    return [identity_r(m.local_factors(q)) for q in range(len(m.dims))]
+def identity_r(ops: np.ndarray) -> np.ndarray:
+    """Real (k, n + 1) :func:`trimmed_r` frame of the
+    :func:`hermitian_vectors` of an (n, d, d) stack and, as column n, the
+    identity: R[:, :n] is a frame of the stack alone, and k the dimension
+    of the span of the stack and the identity."""
+    return trimmed_r(hermitian_vectors(np.concatenate([ops, np.eye(ops.shape[1])[None]])).T)
 
 
 # -- validation ----------------------------------------------------------
@@ -252,8 +296,7 @@ def validate(m: SeparableMeasurement, residual_tol: float = RESIDUAL_TOL) -> Val
                     "negative factor",
                     f"outcome {outcome.label!r}, party {p.name!r}",
                     min_eigenvalue(factor)))
-    residual = float(np.linalg.norm(product_r(party_rs(m), m.n_outcomes + 1)
-                                    @ np.append(m.weights, -1.0)))
+    residual = float(np.linalg.norm(m.joint_r @ np.append(m.weights, -1.0)))
     if not residual <= residual_tol:     # a NaN residual is a violation too
         violations.append(Violation("incomplete", "weighted outcome sum", residual))
     return ValidationReport(tuple(violations), residual)

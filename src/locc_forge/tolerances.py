@@ -1,14 +1,15 @@
 """Centralized numerical tolerance policy.
 
-Every rank decision in the library (operator independence, nullspace
-dimension, cone dimension, independence of ray sets and of nonnegative
-least-squares columns) uses the one cutoff of :func:`rank_threshold`, with
-the fixed factor :data:`RANK_FACTOR`, because impossibility verdicts hinge
-on whether a nullspace is exactly one-dimensional.  The cutoff is part of
-the method, not a setting: no caller can change it.  No conditioning limit
-refuses a span that it accepts, as spans get their frames from QR.  The one
-tolerance a caller may set is the residual tolerance, a plain float that
-defaults to :data:`RESIDUAL_TOL` and that certificates record.
+Every rank decision of the search (nullspace dimension, cone dimension,
+independence of ray sets and of nonnegative least-squares columns) uses the
+one cutoff of :func:`rank_threshold`, with the fixed factor
+:data:`RANK_FACTOR`, because impossibility verdicts hinge on whether a
+nullspace is exactly one-dimensional.  The cutoff is part of the method,
+not a setting: no caller can change it.  The spans' frames are cut at
+roundoff instead, eps times their size (``measurement.trimmed_r``), and no
+conditioning limit refuses a span.  The one tolerance a caller may set is
+the residual tolerance, a plain float that defaults to
+:data:`RESIDUAL_TOL` and that certificates record.
 
 Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction

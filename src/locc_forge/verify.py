@@ -7,13 +7,13 @@ shared.  The tree is read once, in walk order, by an explicit-stack pass
 that checks each node's parties, leaf mark and children as it goes, and
 then all coefficient vectors with array operations.  Every check is read
 from the measurement's factors and the raw coefficient vectors, through
-small real frames whose columns keep the trace pairings of the outcome
-operators and the identity.  Each party's frame is trimmed to its
-span's dimension by a thin SVD taken with unit-norm columns; the rows it
-drops move any residual by at most eps times the norms of the columns it
-combines, the form of the backward error of a Householder R of the same
+the small real frames the measurement caches (the search reads the same),
+whose columns keep the trace pairings of the outcome operators and the
+identity.  Each frame is trimmed to its span's dimension by a thin SVD
+taken with unit-norm columns; the rows it drops move any residual by at
+most eps times the norms of the columns it combines, the form of the backward error of a Householder R of the same
 vectors, so the checks are as rigorous as through that R (see
-``measurement.identity_r``).  Root completeness, node sums,
+``measurement.trimmed_r``).  Root completeness, node sums,
 descendant-leaf sums and leaf matches are Frobenius norms of coefficient
 differences taken through one joint R; product structure is decided by
 operator Schmidt rank from per-cut cores; each edge by the child's
@@ -34,8 +34,8 @@ import numpy as np
 
 from .engine import ProtocolNode
 from .errors import TreeStructureError
-from .measurement import SeparableMeasurement, factor_operands, party_rs, reconstruct
-from .operators import as_hermitian, is_psd, khatri_rao, product_r
+from .measurement import SeparableMeasurement, factor_operands, reconstruct
+from .operators import as_hermitian, is_psd, khatri_rao
 from .tolerances import PSD_TOL, RESIDUAL_TOL
 
 
@@ -151,15 +151,16 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> _Flat:
                  outcome.astype(int), scale)
 
 
-def _cut_cores(rs: list[np.ndarray], coeffs: np.ndarray) -> Iterator[np.ndarray]:
+def _cut_cores(m: SeparableMeasurement, coeffs: np.ndarray) -> Iterator[np.ndarray]:
     """Every node's core on each party cut (p | rest) in turn; two parties
     have a single cut.  Across a cut the realignment of sum_j c_j O_j is
-    A diag(c) B^T, and the core R_A diag(c) R_B^T is that realignment in
+    A diag(c) B^T, and the core R_A diag(c) R_B^T, read from the party's
+    frame and the cut's other-parties side, is that realignment in
     orthonormal frames of both sides: it keeps its singular values and
     vectors and its Frobenius distances."""
-    n = coeffs.shape[1]
+    n, rs = coeffs.shape[1], m.party_rs
     for p in range(len(rs) if len(rs) > 2 else 1):
-        r_b = product_r(rs[:p] + rs[p + 1:], n + 1)
+        r_b = m.cut_rs[p]
         w = khatri_rao([rs[p][:, :n], r_b[:, :n]], n)
         yield (coeffs @ w.T).reshape(len(coeffs), len(rs[p]), len(r_b))
 
@@ -189,23 +190,6 @@ def _edge_residuals(cores: np.ndarray, tops: np.ndarray, parent: np.ndarray,
     return np.linalg.norm(off, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(c, axis=(1, 2)))
 
 
-def _eigenvalue_bound(m: SeparableMeasurement, coeffs: np.ndarray) -> np.ndarray:
-    """Weyl lower bound on the smallest eigenvalue of each node operator:
-    sum_j c_j * (lambda_min(O_j) if c_j >= 0 else lambda_max(O_j)).
-
-    The extreme eigenvalues of O_j = (x)_q F_j^q are extreme products of its
-    factors' extreme eigenvalues, so one eigvalsh per party's factor stack
-    gives them all.
-    """
-    low = high = np.ones(m.n_outcomes)
-    for q in range(len(m.dims)):
-        eigs = np.linalg.eigvalsh(m.local_factors(q))
-        ends = np.stack([low * eigs[:, 0], low * eigs[:, -1],
-                         high * eigs[:, 0], high * eigs[:, -1]])
-        low, high = ends.min(axis=0), ends.max(axis=0)
-    return np.where(coeffs >= 0, coeffs * low, coeffs * high).sum(axis=1)
-
-
 def _negativity(ops: np.ndarray) -> np.ndarray:
     """max(0, -lambda_min) / max(1, |lambda|_max) for each operator of a stack."""
     eigs = np.linalg.eigvalsh(ops)
@@ -228,7 +212,6 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     t = _structural_pass(tree, m)
     n = m.n_outcomes
     paths, coeffs, leaf, parent = t.paths, t.coeffs, t.leaf, t.parent[1:]
-    rs = party_rs(m)
 
     def worst(pairs: Iterable[tuple[float, str]]) -> CheckResult:
         worst_r, worst_at = 0.0, ""
@@ -253,7 +236,7 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     matched[np.arange(len(t.outcome)), t.outcome] -= t.scale
     inner = coeffs[~leaf]
     rows = np.concatenate([coeffs[:1], inner - child_sum[~leaf], inner - below[~leaf], matched])
-    joint = product_r(rs, n + 1)
+    joint = m.joint_r
     images = rows @ joint[:, :n].T
     images[0] -= joint[:, n]                # the root's identity term, d_n = -1
     linear = np.linalg.norm(images, axis=1).tolist()
@@ -272,12 +255,12 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     on = multi | ~leaf
     up = (np.cumsum(on) - 1)[parent]        # each child's parent's SVD row
     ratios, edges = np.zeros(len(paths)), np.zeros(len(parent))
-    for p, cut in enumerate(_cut_cores(rs, coeffs)):
+    for p, cut in enumerate(_cut_cores(m, coeffs)):
         u, sigma, vh = np.linalg.svd(cut[on], full_matrices=False)
         ratios[on] = np.maximum(ratios[on], _schmidt_ratios(sigma, multi[on]))
         kids = np.flatnonzero(t.slots == p)
         edges[kids] = _edge_residuals(cut, vh[:, 0], up, kids)
-        if len(rs) == 2:                    # party 1's cores are the transposes
+        if len(m.parties) == 2:             # party 1's cores are the transposes
             kids = np.flatnonzero(t.slots == 1)
             edges[kids] = _edge_residuals(cut.transpose(0, 2, 1), u[:, :, 0], up, kids)
     checks["product-structure"] = worst(zip(ratios.tolist(), paths))
@@ -292,10 +275,13 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
     gaps = np.abs(per_outcome - m.weights) / max(1.0, float(m.weights.max()))
     checks["outcome-weights"] = worst(zip(gaps.tolist(), m.labels()))
 
-    # A node whose Weyl bound clears PSD_TOL reports that bound, which is at
+    # The Weyl bound lambda_min(sum_j c_j O_j) >= sum_j c_j (lambda_min(O_j)
+    # if c_j >= 0 else lambda_max(O_j)) reads the cached extremes of each
+    # O_j.  A node whose bound clears PSD_TOL reports that bound, which is at
     # least the exact quantity (its floor is >= 1); only the others are
     # formed and diagonalised.
-    neg = np.maximum(0.0, -_eigenvalue_bound(m, coeffs))
+    low, high = m.extreme_eigenvalues
+    neg = np.maximum(0.0, -np.where(coeffs >= 0, coeffs * low, coeffs * high).sum(axis=1))
     open_ = np.flatnonzero(~(neg <= PSD_TOL))
     if len(open_):
         neg[open_] = _negativity(np.stack([reconstruct(m, coeffs[i]) for i in open_]))

@@ -274,20 +274,28 @@ def dense_build_q(ctx, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     return q[np.abs(q).max(axis=1) > 1e-13 * scale]
 
 
+def search_frames(m, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables ``build_q`` reads for party p from the measurement's
+    frames: acting = R_p[:, :n], coords = R_c[:, :n] and the identity's
+    coordinates R_c[:, n], R_c the side of p's cut."""
+    n, side = m.n_outcomes, m.cut_rs[p]
+    return m.party_rs[p][:, :n], side[:, :n], side[:, n]
+
+
 def whole_cone_rays(ctx) -> list[np.ndarray]:
     """Extreme rays of the context's whole cone, on every outcome column
-    whatever the node's support: Q on all n columns from the library's
-    party tables (with the complement of Abar's coordinates taken from an
-    SVD, not the library's Householder step), its nullspace under the
-    library's rank policy, then the library's double description."""
+    whatever the node's support: Q on all n columns from the measurement's
+    frames (with the complement of Abar's coordinates taken from an SVD,
+    not the library's Householder step), its nullspace under the library's
+    rank policy, then the library's double description."""
     from locc_forge.cones import extreme_rays
-    from locc_forge.feasibility import _bystander_coords, party_tables
+    from locc_forge.feasibility import _bystander_coords
 
     n = ctx.measurement.n_outcomes
-    tables = party_tables(ctx.measurement, ctx.acting_party)
-    y = _bystander_coords(tables, ctx.coeffs)
+    acting, coords, _ = search_frames(ctx.measurement, ctx.acting_party)
+    y = _bystander_coords(acting, coords, ctx.coeffs)
     perp = np.linalg.svd(y[None, :])[2][1:]
-    q = (tables.acting[:, None, :] * (perp @ tables.coords)[None, :, :]).reshape(-1, n)
+    q = (acting[:, None, :] * (perp @ coords)[None, :, :]).reshape(-1, n)
     q = q[np.abs(q).max(axis=1) > 1e-13 * max(1.0, float(np.abs(q).max()))]
     return extreme_rays(q, rank_cutoff_nullspace(q, n))
 
@@ -315,21 +323,21 @@ def _mixing_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def mixed_basis_q(ctx, rng: np.random.Generator) -> np.ndarray:
     """The constraint matrix on the context's support in randomly mixed span
-    bases: the library's party tables and Abar coordinates y (the cached
-    identity's at the root), the complement of y taken from an SVD as in
-    :func:`whole_cone_rays`, and both sides' rows recombined by random
+    bases: the measurement's frames and Abar coordinates y (the cut's
+    identity column at the root), the complement of y taken from an SVD as
+    in :func:`whole_cone_rays`, and both sides' rows recombined by random
     invertible matrices.  Its rows differ from ``build_q``'s; its nullspace
     must not."""
-    from locc_forge.feasibility import _bystander_coords, party_tables
+    from locc_forge.feasibility import _bystander_coords
 
-    tables = party_tables(ctx.measurement, ctx.acting_party)
+    acting, coords, identity = search_frames(ctx.measurement, ctx.acting_party)
     support = ctx.support
-    y = tables.identity if ctx.root else _bystander_coords(tables, ctx.coeffs)
+    y = identity if ctx.root else _bystander_coords(acting, coords, ctx.coeffs)
     perp = np.linalg.svd(y[None, :])[2][1:]
     if len(perp) == 0:
         return np.zeros((0, len(support)))
-    t_act = _mixing_matrix(len(tables.acting), rng) @ tables.acting[:, support]
-    t_bys = _mixing_matrix(len(perp), rng) @ perp @ tables.coords[:, support]
+    t_act = _mixing_matrix(len(acting), rng) @ acting[:, support]
+    t_bys = _mixing_matrix(len(perp), rng) @ perp @ coords[:, support]
     return (t_act[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
 
 

@@ -191,6 +191,14 @@ class TestDecompose:
         assert len(decs) == 1
         assert decs[0].rays_used == (1, 2)
 
+    @pytest.mark.parametrize("small", [1e-5, 1e-6])
+    def test_ray_near_the_parent_in_angle_is_used(self, small):
+        # e_2's cosine with the parent (small, 1) is within 1e-9 of 1, but
+        # no multiple of it passes the split's exactness test
+        decs = decompose(np.array([small, 1.0]), np.eye(2))
+        assert [d.rays_used for d in decs] == [(0, 1)]
+        assert decs[0].scales == pytest.approx([small, 1.0], rel=1e-12)
+
     def test_exactness_and_positivity(self, m_pair):
         cone = feasible_cone(root_context(m_pair, 0))
         for dec in decompose(m_pair.weights, list(cone.extreme_rays)):

@@ -338,7 +338,7 @@ class TestNoMeasurementNeeded:
 class TestCoefficientSearch:
     def test_warm_search_forms_no_product_operator(self, monkeypatch):
         # a node's bystander operator comes from its coefficients, so once the
-        # party tables and outcome operators are cached the search and its
+        # frames and outcome operators are cached the search and its
         # verification build no Kronecker product and factorize no node
         import locc_forge.engine as engine
         import locc_forge.feasibility as feasibility

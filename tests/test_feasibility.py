@@ -18,8 +18,8 @@ from locc_forge.feasibility import (
     build_q,
     factorize,
     feasible_cone,
+    _bystander_coords,
     nullspace,
-    party_tables,
     root_context,
 )
 from locc_forge.measurement import complement_span, local_span, reconstruct
@@ -32,6 +32,7 @@ from oracles import (
     mixed_basis_q,
     nullspace_projector,
     projector_of,
+    search_frames,
     whole_cone_rays,
 )
 
@@ -108,10 +109,24 @@ class TestBuildQ:
 
 
 class TestPartyTables:
-    def test_built_once_per_party(self, catalog_all):
-        for m in catalog_all.values():
-            for p in range(len(m.parties)):
-                assert party_tables(m, p) is party_tables(m, p)
+    """The search reads the measurement's frames: acting = R_p[:, :n],
+    coords = R_c[:, :n] and identity = R_c[:, n]."""
+
+    def test_built_once_per_party(self, monkeypatch, catalog_all):
+        # once the measurement holds its frames, the search builds none
+        import locc_forge.measurement as measurement
+
+        contexts = [root_context(m, p) for m in catalog_all.values()
+                    for p in range(len(m.parties))]
+        first = [build_q(ctx) for ctx in contexts]
+
+        def refused(*args):
+            raise AssertionError("a frame was built again")
+
+        for name in ("identity_r", "trimmed_r", "product_r"):
+            monkeypatch.setattr(measurement, name, refused)
+        for ctx, q in zip(contexts, first):
+            assert np.array_equal(build_q(ctx), q)
 
     def test_tables_built_without_joint_operators(self, monkeypatch):
         # the other parties' side comes from the per-party frames, so no
@@ -128,26 +143,27 @@ class TestPartyTables:
             monkeypatch.setattr(module, "tensor", refused)
         monkeypatch.setattr(np, "kron", refused)
         for p in range(len(m.parties)):
-            assert len(party_tables(m, p).coords) >= 1
+            assert len(search_frames(m, p)[1]) >= 1
 
     def test_tables_match_their_definitions(self, catalog_all):
         # the conditional bases give Khatri-Rao complements of 2 to 4 parties
         for m in [*catalog_all.values(), conditional_basis(3, 3, 0),
                   conditional_basis(4, 2, 0), conditional_basis(5, 2, 0)]:
             for p in range(len(m.parties)):
-                t = party_tables(m, p)
+                acting, coords, identity = search_frames(m, p)
                 local = m.local_factors(p)
                 want = np.einsum("mij,nij->mn", local.conj(), local).real
-                assert np.abs(t.acting.T @ t.acting - want).max() < 1e-10
+                assert np.abs(acting.T @ acting - want).max() < 1e-10
                 comp = complement_factors(m, p)
                 want = np.einsum("mij,nij->mn", comp.conj(), comp).real
-                assert np.abs(t.coords.T @ t.coords - want).max() < 1e-10
-                assert len(t.coords) == len(complement_span(m, p))
-                assert len(t.acting) == len(local_span(m, p))
-                # the identity's projection solves coords^T y = Tr C exactly
+                assert np.abs(coords.T @ coords - want).max() < 1e-10
+                # the eps trim keeps the dimensions of the greedy spans
+                assert len(coords) == len(complement_span(m, p))
+                assert len(acting) == len(local_span(m, p))
+                # the identity's coordinates solve coords^T y = Tr C exactly
                 traces = np.trace(comp, axis1=1, axis2=2).real
-                want, *_ = np.linalg.lstsq(t.coords.T, traces, rcond=None)
-                assert np.abs(t.identity - want).max() < 1e-10
+                want, *_ = np.linalg.lstsq(coords.T, traces, rcond=None)
+                assert np.abs(identity - want).max() < 1e-10
 
     def test_near_parallel_span_kept_and_zero_span_refused(self):
         # both pairs of factors pass the rank cutoff of independent_subset,
@@ -156,11 +172,11 @@ class TestPartyTables:
         m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
                                  [("0", (EYE2, P0)), ("1", (near, P1))], [1.0, 1.0])
         for p in range(2):
-            t = party_tables(m, p)
-            assert len(t.acting) == len(local_span(m, p)) == 2
+            acting = search_frames(m, p)[0]
+            assert len(acting) == len(local_span(m, p)) == 2
             local = m.local_factors(p)
             want = np.einsum("mij,nij->mn", local.conj(), local).real
-            assert np.abs(t.acting.T @ t.acting - want).max() < 1e-10
+            assert np.abs(acting.T @ acting - want).max() < 1e-10
         # a party whose factors are all zero has an empty span, and no frame
         zero = SeparableMeasurement([Party("A", 2), Party("B", 2)],
                                     [("0", (0 * EYE2, P0)), ("1", (0 * EYE2, P1))],
@@ -168,16 +184,16 @@ class TestPartyTables:
         assert len(local_span(zero, 0)) == 0
         for p in range(2):      # B's tables need A's frame too
             with pytest.raises(InconsistentNodeError, match="party 'A'"):
-                party_tables(zero, p)
+                build_q(root_context(zero, p))
         # every party's span is nonzero, but each outcome has a zero factor
         # on B or C, so A's complement is zero
         three = SeparableMeasurement([Party("A", 2), Party("B", 2), Party("C", 2)],
                                      [("0", (P0, 0 * EYE2, P0)), ("1", (P1, P0, 0 * EYE2))],
                                      [1.0, 1.0])
         with pytest.raises(InconsistentNodeError, match="other than 'A'"):
-            party_tables(three, 0)
+            build_q(root_context(three, 0))
         for p in (1, 2):
-            assert len(party_tables(three, p).acting) >= 1
+            assert len(search_frames(three, p)[0]) >= 1
 
 
 def _below_root(ctx) -> bool:
@@ -225,21 +241,19 @@ class TestBystanderCoords:
     """y, read from the node's coefficients, against the dense partial trace."""
 
     def test_parallel_to_dense_abar_at_every_node(self, monkeypatch, catalog_all):
-        from locc_forge.feasibility import _bystander_coords
-
         measurements = [*catalog_all.values(), conditional_basis(3, 4, 0),
                         conditional_basis(5, 2, 0), conditional_basis(3, 3, 17)]
         contexts = _search_contexts(monkeypatch, measurements)
         assert any(map(_below_root, contexts))
         for ctx in contexts:
             m, p = ctx.measurement, ctx.acting_party
-            tables = party_tables(m, p)
-            y = _bystander_coords(tables, ctx.coeffs)
+            acting, coords, _ = search_frames(m, p)
+            y = _bystander_coords(acting, coords, ctx.coeffs)
             # the oracle's Abar in the same coordinates, from its pairings
             # Tr(Abar C_n) with the complement factors: coords^T y = pairings
             abar = bystander_operator(ctx)
             pairings = np.einsum("ij,nij->n", abar.conj(), complement_factors(m, p)).real
-            want, *_ = np.linalg.lstsq(tables.coords.T, pairings, rcond=None)
+            want, *_ = np.linalg.lstsq(coords.T, pairings, rcond=None)
             y, want = y / np.linalg.norm(y), want / np.linalg.norm(want)
             assert np.abs(y - np.sign(y @ want) * want).max() <= 1e-10
 

@@ -20,7 +20,6 @@ from locc_forge.measurement import (
     identity_r,
     infer_weights,
     local_span,
-    party_rs,
     validate,
 )
 from oracles import (
@@ -169,21 +168,62 @@ class TestFrames:
     def test_two_party_rows_are_span_dimensions(self, d):
         # party 0 measures one basis, which sums to I; party 1 one basis per
         # outcome of party 0, each summing to I
-        rs = party_rs(conditional_basis(2, d, 0))
+        rs = conditional_basis(2, d, 0).party_rs
         assert [len(r) for r in rs] == [d, d * d - d + 1]
 
     def test_four_party_rows_are_span_dimensions(self):
-        assert [len(r) for r in party_rs(conditional_basis(4, 3, 0))] == [3, 7, 9, 9]
+        assert [len(r) for r in conditional_basis(4, 3, 0).party_rs] == [3, 7, 9, 9]
+
+    def test_cut_rows_are_span_dimensions(self):
+        # product_r alone keeps padded rows: the trim leaves the side's span
+        for m in (conditional_basis(4, 3, 0), conditional_basis(3, 4, 1)):
+            assert [len(r) for r in m.cut_rs] == [len(complement_span(m, p))
+                                                  for p in range(len(m.parties))]
+        two = conditional_basis(2, 4, 0)
+        assert two.cut_rs[0] is two.party_rs[1] and two.cut_rs[1] is two.party_rs[0]
 
     def test_gram_is_the_trace_pairing(self, catalog_all):
         ms = list(catalog_all.values()) + [conditional_basis(2, 6, 1),
                                            conditional_basis(3, 3, 2)]
         for m in ms:
-            for q, r in enumerate(party_rs(m)):
-                ops = np.concatenate([m.local_factors(q), np.eye(m.dims[q])[None]])
+            sides = [complement_factors(m, p) for p in range(len(m.parties))]
+            for r, factors in (*zip(m.party_rs, factor_stacks(m)), *zip(m.cut_rs, sides)):
+                ops = np.concatenate([factors, np.eye(len(factors[0]))[None]])
                 gram = np.einsum("iab,jba->ij", ops, ops).real
                 assert r.shape[1] == m.n_outcomes + 1
                 assert np.abs(r.T @ r - gram).max() <= 1e-13 * np.abs(gram).max()
+
+    def test_each_frame_built_once_and_read_only(self, monkeypatch):
+        """Validation, the root check, the search and the verifier of a fresh
+        three-party measurement build each party's frame and each cut's side
+        once, and none of the cached arrays can be written."""
+        import locc_forge.measurement as measurement
+
+        built = []
+
+        def counted(name, build):
+            def wrapper(*args):
+                built.append(name)
+                return build(*args)
+            return wrapper
+
+        for name in ("identity_r", "trimmed_r", "product_r"):
+            monkeypatch.setattr(measurement, name, counted(name, getattr(measurement, name)))
+        m = conditional_basis(3, 3, 0)
+        fresh = SeparableMeasurement(m.parties, m.outcomes, m.weights)
+        built.clear()           # conditional_basis validates its output
+        assert validate(fresh).ok
+        check_root(fresh)
+        cert = synthesize(fresh)
+        assert verify_tree(cert.tree, fresh).passed
+        # one frame per party; per cut a product of the other two, trimmed;
+        # and one joint product
+        assert sorted(built) == ["identity_r"] * 3 + ["product_r"] * 4 + ["trimmed_r"] * 6
+        cached = [*fresh.party_rs, *fresh.cut_rs, fresh.joint_r, fresh.extreme_eigenvalues]
+        for a in cached:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
     def test_nearly_parallel_factors_keep_their_difference(self):
         """(I +- 1e-7 Z)/2 differ by 1e-7 Z, of Frobenius norm sqrt(2) 1e-7,
@@ -297,7 +337,7 @@ class TestHermitianPart:
     def test_nearly_hermitian_factors_search_like_exact_ones(self):
         # an anti-Hermitian error inside the load tolerance is dropped at
         # load, so the search sees Hermitian factors: the trace pairings of
-        # the party tables are real and the verdict is the exact input's
+        # the frames are real and the verdict is the exact input's
         m = conditional_basis(2, 4, 0)
         rng = np.random.default_rng(1)
         outcomes = []

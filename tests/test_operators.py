@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EYE2, P0, PPLUS, SIGMA_X, SIGMA_Z
-from locc_forge import (
-    phase_five,
-    qubit_pair,
-    rotated_dominoes,
-    seven_outcome_family,
-    synthesize,
-)
+from locc_forge import seven_outcome_family
 from locc_forge.operators import (
     as_hermitian,
     embed_at,
@@ -227,29 +221,6 @@ def test_every_catalog_span_matches_reference(catalog_all):
             for stack in (m.local_factors(p), complement_factors(m, p)):
                 ops = list(stack)
                 assert independent_subset(ops) == greedy_svd_independent_subset(ops)
-
-
-def test_every_call_during_synthesis_matches_reference(monkeypatch):
-    """Every span built while synthesizing catalog measurements: two calls,
-    the local and the complement span, per party of each measurement."""
-    import locc_forge.feasibility as feasibility
-    import locc_forge.measurement as measurement
-
-    calls = []
-
-    def checked(ops):
-        got = independent_subset(ops)
-        assert got == greedy_svd_independent_subset(ops)
-        calls.append(len(ops))
-        return got
-
-    monkeypatch.setattr(measurement, "independent_subset", checked)
-    monkeypatch.setattr(feasibility, "independent_subset", checked)
-    fresh = [qubit_pair(), phase_five(), rotated_dominoes(0.3, 0.5, 0.7, 0.2)] + \
-        [seven_outcome_family(s) for s in range(3)]
-    for m in fresh:
-        synthesize(m)
-    assert len(calls) == sum(2 * len(m.parties) for m in fresh)
 
 
 class TestIsPsd:

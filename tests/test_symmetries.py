@@ -9,10 +9,13 @@ every node."""
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EYE2, P0, P1
 from locc_forge import (
+    Party,
     SeparableMeasurement,
     Verdict,
     conditional_basis,
@@ -109,6 +112,27 @@ def test_local_unitaries_keep_the_verdict(case, seed):
 def test_rescaling_outcomes_against_their_weights_keeps_the_verdict(case, seed):
     m, original = _original(*case)
     scales = np.random.default_rng(seed).uniform(0.2, 5.0, size=m.n_outcomes)
+    parties = list(range(len(m.parties)))
+    _assert_equivalent(original, parties,
+                       _transformed(m, range(m.n_outcomes), parties, scales=scales))
+
+
+@pytest.mark.parametrize("s", [1e5, 1e6])
+def test_an_outcome_scaled_far_up_still_splits(s):
+    """A measures {s P0 (x) I, P1 (x) I} with weights (1/s, 1): the root
+    splits into the two outcomes though their weights lie five and six
+    decades apart, where the ray e_2 is within 1e-9 of the parent in
+    cosine."""
+    m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                             [("0", (s * P0, EYE2)), ("1", (P1, EYE2))], [1 / s, 1.0])
+    cert = synthesize(m)
+    assert cert.verdict == Verdict.PROTOCOL_FOUND and cert.root_dims == (2, 1)
+    assert verify_tree(cert.tree, m).passed
+
+
+def test_six_decades_of_rescaling_keep_the_verdict():
+    m, original = _original("conditional-3x2", 1)
+    scales = 10 ** np.random.default_rng(1).uniform(-3, 3, m.n_outcomes)
     parties = list(range(len(m.parties)))
     _assert_equivalent(original, parties,
                        _transformed(m, range(m.n_outcomes), parties, scales=scales))

@@ -63,7 +63,7 @@ class TestVerifyTree:
         for m in (m_seven, conditional_basis(3, 3, 7)):
             coeffs = np.diag(np.linspace(0.5, 3.0, m.n_outcomes))
             multi = np.count_nonzero(coeffs, axis=1) >= 2
-            for cut in verify._cut_cores(measurement.party_rs(m), coeffs):
+            for cut in verify._cut_cores(m, coeffs):
                 sigma = np.linalg.svd(cut, compute_uv=False)
                 assert np.array_equal(verify._schmidt_ratios(sigma, multi),
                                       np.zeros(m.n_outcomes))
@@ -407,7 +407,7 @@ class TestTrimmedFrames:
                                              ((5, 2, 0), [2, 3, 4, 4, 4])])
     def test_against_dense_verifier(self, shape, rows):
         m = conditional_basis(*shape)
-        assert [len(r) for r in measurement.party_rs(m)] == rows
+        assert [len(r) for r in m.party_rs] == rows
         assert any(k < min(d * d, m.n_outcomes + 1) for k, d in zip(rows, m.dims))
         failing = []
         for tree in self.variants(synthesize(m).tree, len(m.dims)):
