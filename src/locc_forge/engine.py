@@ -152,7 +152,7 @@ def _coeff_key(coeffs: np.ndarray) -> tuple:
     l1 = float(np.abs(coeffs).sum())
     if l1 == 0:
         return (0,)
-    return tuple(np.round(coeffs / l1, 9))
+    return tuple(np.round(coeffs / l1, 9).tolist())   # Python floats hash faster
 
 
 def leaf_outcome(coeffs: np.ndarray) -> tuple[int, float] | None:

@@ -26,6 +26,12 @@ So Q is built on the columns of S, the nullspace and the double
 description run on |S| columns, and the rays are embedded back into
 n-outcome space.  The root keeps every outcome, so root dimensions are
 those of the whole cone.
+
+The nullspace's rank is decided on Q's singular values.  A root Q is tall
+(up to ten rows per column), and when it is tall and not small the SVD
+runs on the n × n triangular factor of Q's QR, which has the same singular
+values and right singular vectors; the rank cutoff still reads Q's shape
+(see :func:`nullspace`).  The residual tests read Q itself.
 """
 
 from __future__ import annotations
@@ -166,11 +172,37 @@ def build_q(ctx: NodeContext) -> np.ndarray:
 
 
 def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
-    """Orthonormal nullspace basis of ``q`` and a marginal-rank flag."""
+    """Orthonormal nullspace basis of ``q`` and a marginal-rank flag.
+
+    A Q with more rows than columns and at least 32 columns is first
+    reduced to the n × n triangular factor R of one QR (T. F. Chan, ACM
+    TOMS 8(1), 1982).  RᵀR = QᵀQ, so R has Q's singular values and right
+    singular vectors, and the SVD of R forms no U of Q's height, which the
+    nullspace never reads.  The rank is still decided for Q: the cutoff and
+    the marginal band read Q's shape, not R's.  The path depends on Q's
+    shape alone.  The extra QR call costs about 6–15 µs, so it pays only on
+    larger Q; on root Q of the benchmark workloads (shared 2-core x86 host,
+    one BLAS thread, best of 7, direct SVD of Q against the R path):
+
+    ========  ========  ========
+    Q shape    direct    R path
+    ========  ========  ========
+    663×64    2,244 µs  1,302 µs
+    240×64    1,097 µs    719 µs
+    180×36      309 µs    215 µs
+    108×32      126 µs    114 µs
+    60×32       105 µs    101 µs
+    48×16        43 µs     49 µs
+    20×9         22 µs     36 µs
+    192×4        18 µs     26 µs
+    ========  ========  ========
+    """
     if q.shape[0] == 0:
         return np.eye(n_cols), False
-    # V is needed whole; U is only computed, small, when rows < cols
-    _, sigma, vh = np.linalg.svd(q, full_matrices=q.shape[0] < q.shape[1])
+    rows, cols = q.shape
+    a = np.linalg.qr(q, mode="r") if rows > cols >= 32 else q
+    # V is needed whole, so a wide Q takes full_matrices
+    _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
     cutoff = rank_threshold(q.shape, float(sigma[0]))
     marginal = bool(np.any((sigma > cutoff / MARGINAL_RANK_BAND)
                            & (sigma < cutoff * MARGINAL_RANK_BAND)))

@@ -69,5 +69,10 @@ MARGINAL_RANK_BAND = 10.0
 
 
 def rank_threshold(shape: tuple[int, int], sigma_max: float) -> float:
-    """Singular-value cutoff for deciding the rank of a ``shape`` matrix."""
+    """Singular-value cutoff for deciding the rank of a ``shape`` matrix.
+
+    ``shape`` is the shape of the matrix whose rank is decided, not of a
+    factor whose SVD is taken in its place: ``feasibility.nullspace``
+    passes Q's shape when it takes the singular values from Q's R.
+    """
     return max(shape) * sigma_max * RANK_FACTOR

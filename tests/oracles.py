@@ -31,6 +31,7 @@ from locc_forge.measurement import reconstruct
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
+    MARGINAL_RANK_BAND,
     PSD_TOL,
     RANK_FACTOR,
     RESIDUAL_TOL,
@@ -94,6 +95,15 @@ def rank_cutoff_nullspace(q: np.ndarray, n_cols: int) -> np.ndarray:
     cutoff = max(q.shape) * float(sigma[0]) * RANK_FACTOR
     rank = int(np.sum(sigma > cutoff))
     return vh[rank:].T
+
+
+def rank_cutoff_marginal(q: np.ndarray) -> bool:
+    """Whether a singular value of ``q``, from its direct SVD, lies within
+    the marginal band around the library-wide rank cutoff."""
+    _, sigma, _ = np.linalg.svd(q)
+    cutoff = max(q.shape) * float(sigma[0]) * RANK_FACTOR
+    return bool(np.any((sigma > cutoff / MARGINAL_RANK_BAND)
+                       & (sigma < cutoff * MARGINAL_RANK_BAND)))
 
 
 def brute_force_rays(q: np.ndarray, feas_tol: float = 1e-9) -> list[np.ndarray]:

@@ -187,6 +187,33 @@ class TestWideOneWay:
         assert cert.tree.depth() == 2
         assert len(calls) == len(set(calls)) == 6     # the root, then its 5 children
 
+    def test_memo_keys_are_python_floats_and_hit_as_before(self, monkeypatch):
+        # a key of Python floats equals and hashes like the numpy-scalar
+        # key it replaces, so the cone cache finds the same entries
+        m = conditional_basis(3, 4, [0, 3, 4])
+        key = engine._coeff_key(np.asarray(m.weights, dtype=float))
+        assert all(type(x) is float for x in key)
+
+        def run(coeff_key):
+            monkeypatch.setattr(engine, "_coeff_key", coeff_key)
+            lookups, analysed = [], []
+            cone_at, cone = engine._Search.cone_at, engine.feasible_cone
+            monkeypatch.setattr(engine._Search, "cone_at",
+                                lambda self, *a: lookups.append(1) or cone_at(self, *a))
+            monkeypatch.setattr(engine, "feasible_cone",
+                                lambda *a: analysed.append(1) or cone(*a))
+            cert = synthesize(m)
+            monkeypatch.undo()
+            return cert.verdict, len(lookups), len(analysed), cert.search_stats.nodes_expanded
+
+        def numpy_scalar_key(coeffs):
+            l1 = float(np.abs(coeffs).sum())
+            return (0,) if l1 == 0 else tuple(np.round(coeffs / l1, 9))
+
+        new, old = run(engine._coeff_key), run(numpy_scalar_key)
+        assert new == old
+        assert new[0] is Verdict.PROTOCOL_FOUND and new[1] > new[2]   # the cache is hit
+
 
 def _nearly_parallel(delta: float, n_parties: int) -> SeparableMeasurement:
     """B measures P0/P1; on 0, A measures (I +- delta Z)/2; on 1, with three

@@ -24,6 +24,7 @@ from locc_forge.feasibility import (
 )
 from locc_forge.measurement import complement_span, local_span, reconstruct
 from locc_forge.operators import project_factor
+from locc_forge.tolerances import rank_threshold
 from oracles import (
     bystander_operator,
     complement_factors,
@@ -32,6 +33,8 @@ from oracles import (
     mixed_basis_q,
     nullspace_projector,
     projector_of,
+    rank_cutoff_marginal,
+    rank_cutoff_nullspace,
     search_frames,
     whole_cone_rays,
 )
@@ -460,6 +463,84 @@ class TestFeasibleCone:
         ctx = NodeContext(m_pair, 1, np.array([1.0, 0.5, 0.25, 0.1]))
         with pytest.raises(InconsistentNodeError):
             feasible_cone(ctx)
+
+
+def _catalog_instances():
+    """The benchmark's catalog: 21 domino angle sets, ten seven-outcome seeds."""
+    rng = np.random.default_rng(314)
+    angles = [np.full(4, np.pi / 4)] + [rng.uniform(1e-9, np.pi / 4, size=4) for _ in range(20)]
+    return ([qubit_pair(), phase_five()] + [rotated_dominoes(*a) for a in angles]
+            + [seven_outcome_family(s) for s in range(10)])
+
+
+def _root_q_instances():
+    """The benchmark's measurements at seed 0: the catalog, cond-deep and
+    one-way-wide."""
+    out = _catalog_instances()
+    out += [conditional_basis(n, d, [0, n, d]) for n, d in ((3, 4), (5, 2))]
+    out += [conditional_basis(2, d, [0, 2, d, k]) for d in (4, 5, 6) for k in range(3)]
+    return out
+
+
+def _counting_qr(monkeypatch) -> list:
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+class TestNullspaceOnR:
+    """A tall Q's SVD runs on the R of its QR; the rank is decided for Q."""
+
+    def test_root_q_matches_direct_svd(self):
+        shapes = set()
+        for m in _root_q_instances():
+            n = m.n_outcomes
+            for party in range(len(m.parties)):
+                q = build_q(root_context(m, party))
+                basis, marginal = nullspace(q, n)
+                direct = rank_cutoff_nullspace(q, n)
+                assert basis.shape[1] == direct.shape[1]
+                assert marginal == (q.shape[0] > 0 and rank_cutoff_marginal(q))
+                assert np.abs(basis @ basis.T - direct @ direct.T).max() < 1e-12
+                shapes.add(q.shape)
+        # both paths are exercised
+        assert (663, 64) in shapes and any(r > c >= 32 for r, c in shapes)
+        assert any(0 < c < 32 for _, c in shapes)
+
+    def test_cutoff_reads_q_shape_not_r_shape(self, monkeypatch):
+        # sigma = 1e-9 sigma_1 lies below Q's cutoff, 200 * 1e-11 = 2e-9,
+        # and above R's, 40 * 1e-11 = 4e-10
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((200, 40)))
+        v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        sigma = np.append(np.logspace(0, -1, 39), 1e-9)
+        q = (u * sigma) @ v.T
+        assert rank_threshold((40, 40), 1.0) < 1e-9 < rank_threshold((200, 40), 1.0)
+        calls = _counting_qr(monkeypatch)
+        basis, marginal = nullspace(q, 40)
+        assert calls == [(200, 40)]
+        assert basis.shape == (40, 1) and marginal
+        assert abs(abs(float(basis[:, 0] @ v[:, -1])) - 1.0) < 1e-9
+
+    def test_path_chosen_by_shape(self, monkeypatch):
+        qs = [build_q(root_context(m, p))
+              for m in _catalog_instances() for p in range(len(m.parties))]
+        assert len(qs) == 66
+        deep = conditional_basis(3, 4, [0, 3, 4])
+        tall = build_q(root_context(deep, 1))
+        assert tall.shape == (663, 64)
+        calls = _counting_qr(monkeypatch)
+        for q in qs:
+            nullspace(q, q.shape[1])
+        assert calls == []
+        nullspace(tall, 64)
+        assert calls == [(663, 64)]
 
 
 class TestReconstruct:
