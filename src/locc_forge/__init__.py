@@ -21,7 +21,6 @@ from .feasibility import (
     FeasibleCone,
     NodeContext,
     build_q,
-    factorize,
     feasible_cone,
     root_context,
 )
@@ -29,17 +28,11 @@ from .io import load_measurement, load_tree, save_measurement, save_tree
 from .measurement import (
     Party,
     SeparableMeasurement,
-    complement_span,
     infer_weights,
-    local_span,
     reconstruct,
     validate,
 )
-from .operators import (
-    independent_subset,
-    is_psd,
-    tensor,
-)
+from .operators import is_psd, tensor
 from .verify import random_density_matrix, simulate, verify_tree
 
 __version__ = "0.1.0"
@@ -56,18 +49,14 @@ __all__ = [
     "Verdict",
     "build_q",
     "check_root",
-    "complement_span",
     "conditional_basis",
     "decompose",
     "extreme_rays",
-    "factorize",
     "feasible_cone",
-    "independent_subset",
     "infer_weights",
     "is_psd",
     "load_measurement",
     "load_tree",
-    "local_span",
     "phase_five",
     "qubit_pair",
     "random_density_matrix",

@@ -110,10 +110,10 @@ def rotated_dominoes(theta2: float = np.pi / 4, theta4: float = np.pi / 4,
 #   B6 = B1 + B4              A6 = I - A1 - A2
 #   B7 = I - B1 - B4          A7 = I - A1 - A3
 _SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
+_SEVEN_MAX_ATTEMPTS = 10_000
 
 
-def seven_outcome_family(seed: int = 0,
-                         max_attempts: int = 10_000) -> SeparableMeasurement:
+def seven_outcome_family(seed: int = 0) -> SeparableMeasurement:
     """A random member of a seven-outcome two-qubit class needing four rounds.
 
     The local factors obey fixed linear relations (see module source) that
@@ -133,7 +133,7 @@ def seven_outcome_family(seed: int = 0,
         return scale * p / np.linalg.norm(p, 2)
 
     scale = 0.3
-    for attempt in range(max_attempts):
+    for _ in range(_SEVEN_MAX_ATTEMPTS):
         a1 = random_psd(scale * rng.uniform(0.5, 1.0))
         a2 = random_psd(scale * rng.uniform(0.5, 1.0))
         a3 = random_psd(scale * rng.uniform(0.5, 1.0))
@@ -170,7 +170,7 @@ def seven_outcome_family(seed: int = 0,
         parties = [Party("A", 2), Party("B", 2)]
         return SeparableMeasurement(parties, outcomes, _SEVEN_WEIGHTS.copy())
     raise LoccForgeError(
-        f"could not sample a valid member in {max_attempts} attempts")
+        f"could not sample a valid member in {_SEVEN_MAX_ATTEMPTS} attempts")
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,6 +37,9 @@ EXIT_USAGE = 64
 # the one option each parametrized catalog entry takes
 _CATALOG_OPTIONS = {"rotated-dominoes": "--theta", "seven-outcome-family": "--seed"}
 
+# the method's fixed tolerances, recorded by check --json and synth --json
+_TOLERANCES = {"rank_factor": RANK_FACTOR, "residual": RESIDUAL_TOL}
+
 _VERDICT_CODES = {
     Verdict.PROTOCOL_FOUND: EXIT_OK,
     Verdict.IMPOSSIBLE_AT_ROOT: EXIT_IMPOSSIBLE,
@@ -67,27 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
                                  "separable multipartite measurements.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_residual_tol(p):
-        p.add_argument("--tol-residual", type=float, default=RESIDUAL_TOL, metavar="F",
-                       help="residual tolerance (default %(default)g)")
-
     p_check = sub.add_parser("check", help="per-party first-measurement analysis")
     p_check.add_argument("measurement")
     p_check.add_argument("--json", action="store_true", dest="as_json")
-    add_residual_tol(p_check)
 
     p_synth = sub.add_parser("synth", help="search for an LOCC protocol tree")
     p_synth.add_argument("measurement")
     p_synth.add_argument("--max-rounds", type=_int_at_least(1), default=DEFAULT_MAX_ROUNDS)
     p_synth.add_argument("--out", default=None, help="write the tree as JSON")
     p_synth.add_argument("--json", action="store_true", dest="as_json")
-    add_residual_tol(p_synth)
 
     p_verify = sub.add_parser("verify", help="validate a protocol tree")
     p_verify.add_argument("tree")
     p_verify.add_argument("--measurement", default=None)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
-    add_residual_tol(p_verify)
 
     p_sim = sub.add_parser("simulate", help="leaf statistics on a state")
     p_sim.add_argument("tree")
@@ -117,8 +113,8 @@ class _CliError(Exception):
     pass
 
 
-def _require_valid(m, residual_tol: float) -> None:
-    report = validate(m, residual_tol)
+def _require_valid(m) -> None:
+    report = validate(m)
     if not report.ok:
         lines = "\n  ".join(str(v) for v in report.violations)
         raise _CliError(f"measurement failed validation:\n  {lines}")
@@ -126,9 +122,9 @@ def _require_valid(m, residual_tol: float) -> None:
 
 def _cmd_check(args) -> int:
     m = io.load_measurement(args.measurement)
-    _require_valid(m, args.tol_residual)
-    roots = check_root(m, args.tol_residual)
-    impossible = impossible_at_root(m, roots, args.tol_residual)
+    _require_valid(m)
+    roots = check_root(m)
+    impossible = impossible_at_root(m, roots)
     single = leaf_outcome(m.weights) is not None     # needs no measurement
     if args.as_json:
         doc = {
@@ -144,7 +140,7 @@ def _cmd_check(args) -> int:
             ],
             "impossible_at_root": impossible,
             "single_outcome_root": single,
-            "tolerances": {"rank_factor": RANK_FACTOR, "residual": args.tol_residual},
+            "tolerances": _TOLERANCES,
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -190,8 +186,8 @@ def _tree_summary(cert: Certificate, m) -> list[str]:
 
 def _cmd_synth(args) -> int:
     m = io.load_measurement(args.measurement)
-    _require_valid(m, args.tol_residual)
-    cert = synthesize(m, max_rounds=args.max_rounds, residual_tol=args.tol_residual)
+    _require_valid(m)
+    cert = synthesize(m, max_rounds=args.max_rounds)
     if args.as_json:
         doc = {
             "verdict": cert.verdict.value,
@@ -201,7 +197,7 @@ def _cmd_synth(args) -> int:
                 "dead_ends": cert.search_stats.dead_ends,
                 "wall_time": cert.search_stats.wall_time,
             },
-            "tolerances": {"rank_factor": RANK_FACTOR, "residual": cert.residual_tol},
+            "tolerances": _TOLERANCES,
         }
         if cert.tree is not None:
             doc["tree"] = io.tree_to_dict(cert.tree, m,
@@ -229,7 +225,7 @@ def _cmd_verify(args) -> int:
     m = io.load_measurement(args.measurement) if args.measurement else None
     try:
         tree, m = io.load_tree(args.tree, m)
-        report = verify_tree(tree, m, args.tol_residual)
+        report = verify_tree(tree, m)
     except TreeStructureError as exc:
         return _fail(f"malformed tree: {exc}")
     if args.as_json:

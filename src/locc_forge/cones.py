@@ -283,8 +283,7 @@ class RayDecomposition:
     scales: np.ndarray
 
 
-def decompose(parent: np.ndarray, rays: np.ndarray,
-              residual_tol: float = RESIDUAL_TOL) -> list[RayDecomposition]:
+def decompose(parent: np.ndarray, rays: np.ndarray) -> list[RayDecomposition]:
     """Every exact splitting of ``parent`` into two or more extreme rays,
     given one per row of ``rays``.
 
@@ -320,11 +319,11 @@ def decompose(parent: np.ndarray, rays: np.ndarray,
     # passes the exactness test every split passes below
     t = rays @ parent / np.einsum("ij,ij->i", rays, rays)
     usable = np.flatnonzero(np.abs(t[:, None] * rays - parent).max(axis=1)
-                            > residual_tol * scale_floor).tolist()
+                            > RESIDUAL_TOL * scale_floor).tolist()
 
     # max-norm >= 2-norm / sqrt(n): a 2-norm residual above this fails the
     # exactness test below
-    bound = sqrt(len(parent)) * residual_tol * scale_floor
+    bound = sqrt(len(parent)) * RESIDUAL_TOL * scale_floor
     found: dict[tuple[int, ...], RayDecomposition] = {}
     queue = [tuple(usable)] if len(usable) >= 2 else []
     seen = set(queue)
@@ -337,7 +336,7 @@ def decompose(parent: np.ndarray, rays: np.ndarray,
         keep = scales > SCALE_TOL
         support = tuple(i for i, k in zip(subset, keep) if k)
         scales = scales[keep]
-        if float(np.abs(mat[:, keep] @ scales - parent).max()) > residual_tol * scale_floor:
+        if float(np.abs(mat[:, keep] @ scales - parent).max()) > RESIDUAL_TOL * scale_floor:
             continue
         if len(support) >= 2 and support not in found:
             found[support] = RayDecomposition(support, scales)

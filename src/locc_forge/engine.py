@@ -36,7 +36,7 @@ from .feasibility import (
     root_context,
 )
 from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
-from .measurement import SeparableMeasurement, reconstruct
+from .measurement import SeparableMeasurement
 from .tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
 
 DEFAULT_MAX_ROUNDS = 8
@@ -99,12 +99,10 @@ class Certificate:
     verdict: Verdict
     root_dims: tuple[int, ...]
     search_stats: SearchStats
-    residual_tol: float
     tree: ProtocolNode | None = None
 
 
-def check_root(m: SeparableMeasurement,
-               residual_tol: float = RESIDUAL_TOL) -> list[FeasibleCone]:
+def check_root(m: SeparableMeasurement) -> list[FeasibleCone]:
     """Each party's root cone, the feasibility of its first measurement, in
     the order of ``m.parties``.
 
@@ -112,36 +110,38 @@ def check_root(m: SeparableMeasurement,
     protocol for the measurement exists, once :func:`impossible_at_root`
     has checked the cones.
     """
-    return [feasible_cone(root_context(m, p), residual_tol) for p in range(len(m.parties))]
+    return [feasible_cone(root_context(m, p)) for p in range(len(m.parties))]
 
 
 def impossible_at_root(m: SeparableMeasurement,
-                       roots: Sequence[FeasibleCone],
-                       residual_tol: float = RESIDUAL_TOL) -> bool:
+                       roots: Sequence[FeasibleCone]) -> bool:
     """Whether the root cones certify that no LOCC protocol exists: every
     party's cone is one-dimensional, and the root is not already a single
     outcome (which needs no measurement at all).
 
     Before it says so, a soundness check: each party's only root ray must
-    be the completeness vector, whose operator is the identity.  A failure
-    raises :class:`LoccForgeError` rather than certify a false verdict.
+    be the completeness vector, whose operator is the identity.  The
+    identity is tested as completeness is everywhere else, by the
+    Frobenius norm of sum_j c_j O_j - I read through ``m.joint_r``.  A
+    failure raises :class:`LoccForgeError` rather than certify a false
+    verdict.
     """
     if leaf_outcome(m.weights) is not None or any(
             root.nullspace_dim != 1 for root in roots):
         return False
     w = np.asarray(m.weights, dtype=float)
     w_dir = w / w.sum()
-    eye = np.eye(m.total_dim)
     for root in roots:
         if len(root.extreme_rays) != 1:
             raise LoccForgeError("impossibility self-check failed: stray ray")
         ray = root.extreme_rays[0]
-        if float(np.abs(ray - w_dir).max()) > residual_tol:
+        if float(np.abs(ray - w_dir).max()) > RESIDUAL_TOL:
             raise LoccForgeError(
                 "impossibility self-check failed: root ray is not the "
                 "completeness vector")
-        op = reconstruct(m, ray / ray.sum() * w.sum())
-        if float(np.abs(op - eye).max()) > 10 * residual_tol:
+        c = ray / ray.sum() * w.sum()
+        gap = float(np.linalg.norm(m.joint_r @ np.append(c, -1.0)))
+        if not gap <= 10 * RESIDUAL_TOL:     # a NaN gap fails too
             raise LoccForgeError(
                 "impossibility self-check failed: root ray does not "
                 "reconstruct the identity")
@@ -180,9 +180,8 @@ def leaf_outcome(coeffs: np.ndarray) -> tuple[int, float] | None:
 class _Search:
     """Shared state for one synthesis run."""
 
-    def __init__(self, m: SeparableMeasurement, residual_tol: float):
+    def __init__(self, m: SeparableMeasurement):
         self.m = m
-        self.residual_tol = residual_tol
         self.stats = SearchStats()
         self.cones: dict[tuple, FeasibleCone] = {}
         self.splits: dict[tuple, list[RayDecomposition]] = {}
@@ -192,7 +191,7 @@ class _Search:
         key = (party, _coeff_key(coeffs))
         cone = self.cones.get(key)
         if cone is None:
-            cone = feasible_cone(NodeContext(self.m, party, coeffs), self.residual_tol)
+            cone = feasible_cone(NodeContext(self.m, party, coeffs))
             self.cones[key] = cone
         return cone
 
@@ -205,7 +204,7 @@ class _Search:
         splits = self.splits.get(key)
         if splits is None:
             # decompose is looked up per call: the benchmark tracer wraps it
-            splits = self.splits[key] = decompose(coeffs, rays, self.residual_tol)
+            splits = self.splits[key] = decompose(coeffs, rays)
         return splits
 
     def run(self, coeffs: np.ndarray, produced_by: int | None,
@@ -243,8 +242,7 @@ class _Search:
         return None
 
 
-def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
-               residual_tol: float = RESIDUAL_TOL) -> Certificate:
+def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS) -> Certificate:
     """Search for an LOCC tree implementing the measurement.
 
     Returns PROTOCOL_FOUND with a verified tree, IMPOSSIBLE_AT_ROOT when no
@@ -254,14 +252,14 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     started = time.perf_counter()
-    root_cones = check_root(m, residual_tol)
+    root_cones = check_root(m)
     dims = tuple(c.nullspace_dim for c in root_cones)
-    search = _Search(m, residual_tol)
+    search = _Search(m)
     stats = search.stats
 
-    if impossible_at_root(m, root_cones, residual_tol):
+    if impossible_at_root(m, root_cones):
         stats.wall_time = time.perf_counter() - started
-        return Certificate(Verdict.IMPOSSIBLE_AT_ROOT, dims, stats, residual_tol)
+        return Certificate(Verdict.IMPOSSIBLE_AT_ROOT, dims, stats)
 
     weights = np.asarray(m.weights, dtype=float)
     for party, cone in enumerate(root_cones):
@@ -276,13 +274,13 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS,
     stats.wall_time = time.perf_counter() - started
 
     if tree is None:
-        return Certificate(Verdict.INCONCLUSIVE, dims, stats, residual_tol)
+        return Certificate(Verdict.INCONCLUSIVE, dims, stats)
 
     from .verify import verify_tree  # independent checker, import kept one-way
-    report = verify_tree(tree, m, residual_tol)
+    report = verify_tree(tree, m)
     if not report.passed:
         raise LoccForgeError(
             "internal error: synthesized tree failed independent verification: "
             + ", ".join(k for k, c in report.checks.items() if not c.passed))
-    return Certificate(Verdict.PROTOCOL_FOUND, dims, stats, residual_tol, tree)
+    return Certificate(Verdict.PROTOCOL_FOUND, dims, stats, tree)
 

@@ -211,7 +211,7 @@ def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(basis.real), marginal
 
 
-def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> FeasibleCone:
+def feasible_cone(ctx: NodeContext) -> FeasibleCone:
     """Nullspace dimension plus extreme rays of {c >= 0 : Q c = 0} on the
     context's support (see :attr:`NodeContext.support`), the rays embedded
     in n-outcome space.
@@ -231,7 +231,7 @@ def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> Feasi
     l1 = float(np.abs(c).sum())
     if l1 > 0 and q.shape[0] > 0:
         parent_residual = float(np.abs(q @ (c / l1)).max())
-        if parent_residual > residual_tol:
+        if parent_residual > RESIDUAL_TOL:
             raise InconsistentNodeError(
                 f"parent coefficients violate the node constraints "
                 f"(residual {parent_residual:.3e})")
@@ -249,15 +249,15 @@ def feasible_cone(ctx: NodeContext, residual_tol: float = RESIDUAL_TOL) -> Feasi
     return FeasibleCone(basis.shape[1], rays, marginal)
 
 
-def factorize(op: np.ndarray, abar: np.ndarray, slot: int, dims: tuple[int, ...],
-              residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def factorize(op: np.ndarray, abar: np.ndarray, slot: int,
+              dims: tuple[int, ...]) -> np.ndarray:
     """Extract the measuring party's factor from a product node operator.
 
     Cone membership guarantees the product form, so a residual above
     tolerance signals an analyzer bug and raises :class:`NotProductError`.
     """
     x, residual = project_factor(op, abar, slot, dims)
-    if residual > residual_tol * max(1.0, float(np.abs(op).max())):
+    if residual > RESIDUAL_TOL * max(1.0, float(np.abs(op).max())):
         raise NotProductError(
             f"operator is not a product with the given bystander factor "
             f"(residual {residual:.3e})")

@@ -282,7 +282,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(m: SeparableMeasurement, residual_tol: float = RESIDUAL_TOL) -> ValidationReport:
+def validate(m: SeparableMeasurement) -> ValidationReport:
     """Check positivity of every factor and completeness with the stored
     weights, in the Frobenius norm.
 
@@ -297,13 +297,12 @@ def validate(m: SeparableMeasurement, residual_tol: float = RESIDUAL_TOL) -> Val
                     f"outcome {outcome.label!r}, party {p.name!r}",
                     min_eigenvalue(factor)))
     residual = float(np.linalg.norm(m.joint_r @ np.append(m.weights, -1.0)))
-    if not residual <= residual_tol:     # a NaN residual is a violation too
+    if not residual <= RESIDUAL_TOL:     # a NaN residual is a violation too
         violations.append(Violation("incomplete", "weighted outcome sum", residual))
     return ValidationReport(tuple(violations), residual)
 
 
-def infer_weights(factor_stacks: Sequence[np.ndarray],
-                  residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def infer_weights(factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Nonnegative weights solving sum_j w_j O_j = I, or raise, given the
     outcomes' factors as one (n, d_q, d_q) stack per party.
 
@@ -318,7 +317,7 @@ def infer_weights(factor_stacks: Sequence[np.ndarray],
     r = product_r([identity_r(np.asarray(s, dtype=complex)) for s in factor_stacks], n + 1)
     w, _ = cones.nnls(r[:, :n], r[:, n])
     residual = float(np.linalg.norm(r @ np.append(w, -1.0)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise IncompleteMeasurementError(
             f"no nonnegative weights complete the measurement (residual {residual:.3e})")
     w[w < 0] = 0.0

@@ -7,9 +7,9 @@ one cutoff of :func:`rank_threshold`, with the fixed factor
 nullspace is exactly one-dimensional.  The cutoff is part of the method,
 not a setting: no caller can change it.  The spans' frames are cut at
 roundoff instead, eps times their size (``measurement.trimmed_r``), and no
-conditioning limit refuses a span.  The one tolerance a caller may set is
-the residual tolerance, a plain float that defaults to
-:data:`RESIDUAL_TOL` and that certificates record.
+conditioning limit refuses a span.  The residual tolerance
+:data:`RESIDUAL_TOL` is fixed the same way: no caller sets a tolerance, so
+a verdict depends only on the measurement and the search's round limit.
 
 Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction

@@ -197,10 +197,10 @@ def _negativity(ops: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -eigs[:, 0]) / floor
 
 
-def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
-                residual_tol: float = RESIDUAL_TOL) -> VerificationReport:
-    """Run all tree checks against a measurement, with residual tolerance
-    ``residual_tol``.
+def verify_tree(tree: ProtocolNode, m: SeparableMeasurement) -> VerificationReport:
+    """Run all tree checks against a measurement.  A check passes when its
+    worst residual is at most ``RESIDUAL_TOL``, a constant of the method
+    that no caller sets.
 
     Checks: the root reconstructs the identity, every internal node is the
     sum of its children and of its descendant leaves, every node operator is
@@ -220,7 +220,7 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement,
                 worst_r, worst_at = r, at
                 if np.isnan(r):
                     break
-        return CheckResult(worst_r <= residual_tol, worst_r, worst_at)
+        return CheckResult(worst_r <= RESIDUAL_TOL, worst_r, worst_at)
 
     # Each linear check is a row d of coefficient differences with an
     # identity term d_n, whose residual |R d| is the Frobenius norm of

@@ -78,6 +78,19 @@ class TestCheckCommand:
         assert doc["single_outcome_root"] is False
         assert doc["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-8}
 
+    def test_json_records_the_fixed_tolerances(self, tmp_path, capsys):
+        # the certified verdict records the method's constants too
+        from locc_forge.tolerances import RANK_FACTOR, RESIDUAL_TOL
+
+        path = tmp_path / "phase.json"
+        run(capsys, "catalog", "phase-five", "--out", str(path))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["impossible_at_root"] is True
+        assert doc["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-8}
+        assert doc["tolerances"] == {"rank_factor": RANK_FACTOR, "residual": RESIDUAL_TOL}
+
     def test_marginal_rank_is_reported(self, pair_file, capsys, monkeypatch):
         import locc_forge.feasibility as feasibility
         from locc_forge.feasibility import MarginalRankWarning
@@ -113,7 +126,7 @@ class TestCheckCommand:
         from locc_forge.feasibility import FeasibleCone
 
         stray = np.array([[1.0, 0.0, 0.0, 0.0]])
-        monkeypatch.setattr(cli, "check_root", lambda m, residual_tol: [
+        monkeypatch.setattr(cli, "check_root", lambda m: [
             FeasibleCone(1, stray, False) for _ in m.parties])
         code, out, err = run(capsys, "check", pair_file)
         assert code == 4
@@ -191,11 +204,6 @@ class TestSynthCommand:
         assert doc["verdict"] == "PROTOCOL_FOUND"
         assert doc["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-8}
 
-    def test_json_records_the_residual_tolerance(self, pair_file, capsys):
-        code, out, _ = run(capsys, "synth", pair_file, "--tol-residual", "1e-6", "--json")
-        assert code == 0
-        assert json.loads(out)["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-6}
-
 
 class TestVerifySimulate:
     def test_verify_pass(self, pair_file, tmp_path, capsys):
@@ -238,17 +246,16 @@ class TestVerifySimulate:
         assert "--tol-residual" in err
 
     def test_verify_takes_no_rank_tolerance(self, pair_file, tmp_path, capsys):
-        # the rank cutoff is part of the method: no command sets it
+        # the rank cutoff and the residual tolerance are part of the method:
+        # no command sets either
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
-        for argv in (["verify", str(tree_path), "--measurement", pair_file],
-                     ["check", pair_file], ["synth", pair_file]):
-            code, _, err = run(capsys, *argv, "--tol-rank", "0.5")
-            assert code == 64, argv
-            assert "--tol-rank" in err
-        code, _, _ = run(capsys, "verify", str(tree_path),
-                         "--measurement", pair_file, "--tol-residual", "1e-6")
-        assert code == 0
+        for flag, value in (("--tol-rank", "0.5"), ("--tol-residual", "1e-2")):
+            for argv in (["verify", str(tree_path), "--measurement", pair_file],
+                         ["check", pair_file], ["synth", pair_file]):
+                code, _, err = run(capsys, *argv, flag, value)
+                assert code == 64, (flag, argv)
+                assert flag in err
 
     def test_simulate_uses_measurement_ref(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"

@@ -17,10 +17,11 @@ from locc_forge import (
 from locc_forge import engine
 from locc_forge.catalog import _haar_unitary
 from locc_forge.engine import impossible_at_root, leaf_outcome
-from locc_forge.feasibility import feasible_cone, root_context
+from locc_forge.errors import LoccForgeError
+from locc_forge.feasibility import FeasibleCone, feasible_cone, root_context
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement, validate
-from locc_forge.tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
+from locc_forge.tolerances import LEAF_SUPPORT_TOL
 from oracles import recursive_walk
 
 
@@ -158,6 +159,16 @@ class TestSynthesizeImpossible:
             cert = synthesize(rotated_dominoes(*thetas))
             assert cert.verdict == Verdict.IMPOSSIBLE_AT_ROOT
 
+    def test_a_tampered_weight_fails_the_self_check(self, m_phase):
+        # root rays on the completeness vector of weights 1e-6 too large:
+        # sum_j c_j O_j misses the identity, so the check refuses to certify
+        w = m_phase.weights * (1 + 1e-6)
+        m = SeparableMeasurement(m_phase.parties, m_phase.outcomes, w)
+        roots = [FeasibleCone(1, (w / w.sum())[None], False) for _ in m.parties]
+        with pytest.raises(LoccForgeError, match="does not reconstruct the identity"):
+            impossible_at_root(m, roots)
+        assert impossible_at_root(m_phase, check_root(m_phase))
+
 
 class TestWideOneWay:
     """Root cones with more rays than any fixed support cap."""
@@ -294,7 +305,7 @@ class TestLeafDetection:
         c = np.zeros(m.n_outcomes)
         c[[0, 5, 17]] = [1.0, 2.0, 0.5]
         assert leaf_outcome(c) is None
-        tree = engine._Search(m, RESIDUAL_TOL).run(m.weights, None, 3)
+        tree = engine._Search(m).run(m.weights, None, 3)
         assert tree is not None and tree.depth() == 3
         assert "outcome_operators" not in m.__dict__
 
@@ -397,8 +408,6 @@ class TestStats:
         cert = synthesize(m_seven)
         assert cert.search_stats.nodes_expanded > 0
         assert cert.search_stats.wall_time > 0
-        assert cert.residual_tol == RESIDUAL_TOL
-        assert synthesize(m_seven, residual_tol=1e-6).residual_tol == 1e-6
 
 
 @pytest.fixture(scope="module")

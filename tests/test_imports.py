@@ -48,6 +48,15 @@ class TestVerifierIndependence:
         assert _imports_from(tree, "engine") == ["*"]
 
 
+class TestImpossibilityCheck:
+    """The impossibility self-check reads completeness through the joint R,
+    as validation does, so the engine forms no joint operator."""
+
+    def test_engine_imports_only_the_measurement_type(self):
+        assert _imports_from(_tree(PACKAGE / "engine.py"), "measurement") == [
+            "SeparableMeasurement"]
+
+
 class TestConeLayer:
     """Cone geometry sits below the per-node analysis: ``feasibility``
     passes each nullspace basis in, so ``cones`` never reaches back up."""
