@@ -29,6 +29,7 @@ from .tolerances import (
 )
 
 _ACTIVITY_TOL = 1e-10  # |a.y| below this (per unit row norm) counts as active
+_VANISHING_TOL = 1e-10  # a row at most this times the largest row norm vanishes
 
 
 class ConeError(LoccForgeError):
@@ -133,31 +134,20 @@ def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a time, combining adjacent rays across each new hyperplane.  Row i is
     active on a unit ray y when |a_i . y| <= cut_i = ``_ACTIVITY_TOL`` |a_i|;
     the same test decides adjacency.  Rows that vanish on the whole
-    subspace get an infinite cut: they are active on every ray.
-
-    For k = 1 the subcone is the half-line of the largest live row's sign,
-    and the loop could only keep it or empty it: the ray is that sign, and
-    a live row of the opposite sign beyond its cut leaves the cone trivial.
-    That is answered directly, with no row selection, inverse or loop.
+    subspace get an infinite cut: they are active on every ray.  Entered
+    with k >= 2 only: :func:`extreme_rays` answers k = 1 in closed form.
     """
     n, k = a.shape
     row_norms = np.linalg.norm(a, axis=1)
     # rows that vanish on the whole subspace are vacuous constraints carrying
     # only numerical noise; with orthonormal columns the largest row norm is
     # O(1), so a relative cutoff separates them cleanly
-    vanishing = row_norms <= 1e-10 * float(row_norms.max())
+    vanishing = row_norms <= _VANISHING_TOL * float(row_norms.max())
     live = np.flatnonzero(~vanishing).tolist()
     if not live:
         raise ConeError("all constraint rows vanish")
     cuts = _ACTIVITY_TOL * row_norms
     cuts[vanishing] = np.inf
-    if k == 1:
-        col = a[:, 0]
-        sign = float(np.sign(col[np.argmax(np.abs(col))]))
-        if np.any(sign * col < -cuts):
-            raise ConeError("cone is trivial")
-        return np.array([[sign]]), cuts
-
     base = [live[i] for i in _independent_rows(a[live], k)]
     rays = np.linalg.inv(a[base]).T
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -215,6 +205,14 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     A Q with no rows constrains nothing: the cone is the whole nonnegative
     orthant, whose rays are the unit vectors, returned in the order the
     sort gives them (e_n first, e_1 last) without a double description.
+
+    A one-column N runs no double description either.  Its subcone would be
+    the half-line of the largest entry's sign, and the loop could only keep
+    it or empty it: the ray is the column times that sign, with entries at
+    most ``_VANISHING_TOL`` of the largest set to exactly 0 (the double
+    description's vanishing rule), and a live entry of the opposite sign
+    leaves the cone trivial.  Both routes end in the same L1 scaling and
+    residual test.
     """
     q = np.asarray(q, dtype=float)
     basis = np.asarray(basis, dtype=float)
@@ -224,16 +222,24 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if q.shape[0] == 0:
         return np.eye(n)[::-1].copy()
 
-    ys, cuts = _double_description(basis)
-    cs = ys @ basis.T               # row r holds ray r's c = N y, and its slacks
-    cs[np.abs(cs) <= cuts] = 0.0
-    # every ray has N y >= -cut, so none needs its sign flipped; negative
-    # roundoff above -1e-9 is cleared, and a ray with an entry below it dropped
-    cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
-    np.maximum(cs, 0.0, out=cs)
+    if k == 1:
+        col = basis[:, 0]
+        mags = np.abs(col)
+        top = int(mags.argmax())
+        cs = col[None, :] * (1.0 if col[top] > 0 else -1.0)
+        cs[:, mags <= _VANISHING_TOL * mags[top]] = 0.0
+        if cs.min() < 0:
+            raise ConeError("cone is trivial")
+    else:
+        ys, cuts = _double_description(basis)
+        cs = ys @ basis.T           # row r holds ray r's c = N y, and its slacks
+        cs[np.abs(cs) <= cuts] = 0.0
+        # every ray has N y >= -cut, so none needs its sign flipped; negative
+        # roundoff above -1e-9 is cleared, and a ray with an entry below it dropped
+        cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
+        np.maximum(cs, 0.0, out=cs)
     cs /= cs.sum(axis=1, keepdims=True)
-    if q.shape[0]:
-        cs = cs[np.abs(cs @ q.T).max(axis=1, initial=0.0) <= NULLSPACE_RESIDUAL_TOL]
+    cs = cs[np.abs(cs @ q.T).max(axis=1, initial=0.0) <= NULLSPACE_RESIDUAL_TOL]
     if not len(cs):
         raise ConeError("no nonnegative ray found; cone is {0}")
     if len(cs) > 1:

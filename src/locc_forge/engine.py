@@ -187,12 +187,12 @@ class _Search:
         self.splits: dict[tuple, list[RayDecomposition]] = {}
         self.failed: set[tuple] = set()
 
-    def cone_at(self, party: int, coeffs: np.ndarray) -> FeasibleCone:
-        key = (party, _coeff_key(coeffs))
-        cone = self.cones.get(key)
+    def cone_at(self, party: int, coeffs: np.ndarray, key: tuple) -> FeasibleCone:
+        """The party's cone at the node, cached under the node's
+        ``_coeff_key``, which the caller computes once per node."""
+        cone = self.cones.get((party, key))
         if cone is None:
-            cone = feasible_cone(NodeContext(self.m, party, coeffs))
-            self.cones[key] = cone
+            cone = self.cones[party, key] = feasible_cone(NodeContext(self.m, party, coeffs))
         return cone
 
     def splits_at(self, party: int, coeffs: np.ndarray,
@@ -216,7 +216,8 @@ class _Search:
         if remaining == 0:
             self.stats.dead_ends += 1
             return None
-        memo_key = (produced_by, remaining, _coeff_key(coeffs))
+        key = _coeff_key(coeffs)
+        memo_key = (produced_by, remaining, key)
         if memo_key in self.failed:
             return None
         self.stats.nodes_expanded += 1
@@ -224,7 +225,7 @@ class _Search:
         for party in range(len(m.parties)):
             if party == produced_by:
                 continue
-            cone = self.cone_at(party, coeffs)
+            cone = self.cone_at(party, coeffs, key)
             if cone.nullspace_dim == 1:
                 continue
             rays = cone.extreme_rays
@@ -262,8 +263,9 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS) ->
         return Certificate(Verdict.IMPOSSIBLE_AT_ROOT, dims, stats)
 
     weights = np.asarray(m.weights, dtype=float)
+    key = _coeff_key(weights)
     for party, cone in enumerate(root_cones):
-        search.cones[(party, _coeff_key(weights))] = cone
+        search.cones[party, key] = cone
 
     tree = None
     for depth in range(1, max_rounds + 1):

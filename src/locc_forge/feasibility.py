@@ -166,9 +166,8 @@ def build_q(ctx: NodeContext) -> np.ndarray:
     u /= np.linalg.norm(u)
     t_bys = (coords - 2.0 * np.outer(u, u @ coords))[1:]
     q = (acting[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
-    scale = max(1.0, float(np.abs(q).max()))
-    keep = np.abs(q).max(axis=1) > 1e-13 * scale
-    return q[keep]
+    row_max = np.abs(q).max(axis=1)
+    return q[row_max > 1e-13 * max(1.0, float(row_max.max()))]
 
 
 def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
@@ -204,11 +203,12 @@ def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
     # V is needed whole, so a wide Q takes full_matrices
     _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
     cutoff = rank_threshold(q.shape, float(sigma[0]))
-    marginal = bool(np.any((sigma > cutoff / MARGINAL_RANK_BAND)
-                           & (sigma < cutoff * MARGINAL_RANK_BAND)))
-    rank = int(np.sum(sigma > cutoff))
-    basis = vh[rank:].conj().T
-    return np.ascontiguousarray(basis.real), marginal
+    # the open band (cutoff/B, cutoff*B) holds a sigma when more lie above its
+    # lower end than at or above its upper one
+    marginal = bool(np.count_nonzero(sigma > cutoff / MARGINAL_RANK_BAND)
+                    > np.count_nonzero(sigma >= cutoff * MARGINAL_RANK_BAND))
+    rank = int(np.count_nonzero(sigma > cutoff))
+    return vh[rank:].T, marginal
 
 
 def feasible_cone(ctx: NodeContext) -> FeasibleCone:

@@ -4,6 +4,7 @@ import pytest
 from locc_forge import (
     Party,
     SeparableMeasurement,
+    conditional_basis,
     phase_five,
     qubit_pair,
     rotated_dominoes,
@@ -25,6 +26,28 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 EYE2 = np.eye(2, dtype=complex)
+
+
+def domino_angle_sets() -> list[np.ndarray]:
+    """The benchmark's 21 rotated-domino angle sets: pi/4 throughout, then
+    twenty drawn from (1e-9, pi/4) with seed 314."""
+    rng = np.random.default_rng(314)
+    return [np.full(4, np.pi / 4)] + [rng.uniform(1e-9, np.pi / 4, size=4) for _ in range(20)]
+
+
+def catalog_instances() -> list[SeparableMeasurement]:
+    """The benchmark's catalog: 21 domino angle sets, ten seven-outcome seeds."""
+    return ([qubit_pair(), phase_five()] + [rotated_dominoes(*a) for a in domino_angle_sets()]
+            + [seven_outcome_family(s) for s in range(10)])
+
+
+def benchmark_instances() -> list[SeparableMeasurement]:
+    """The benchmark's measurements at seed 0: the catalog, cond-deep and
+    one-way-wide."""
+    out = catalog_instances()
+    out += [conditional_basis(n, d, [0, n, d]) for n, d in ((3, 4), (5, 2))]
+    out += [conditional_basis(2, d, [0, 2, d, k]) for d in (4, 5, 6) for k in range(3)]
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: the Kronecker
 product is written with explicit loops, extreme rays are enumerated by
-facet sign patterns instead of double description, completeness
+facet sign patterns instead of double description (and a one-column
+nullspace through the double description's generic half-line route
+instead of the library's closed form), completeness
 weights come from an unconstrained least-squares solve or scipy's
 nonnegative one on the whole realified system, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
@@ -23,6 +25,8 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import nnls
 
+from locc_forge import cones
+from locc_forge.cones import ConeError
 from locc_forge.errors import (
     DimensionMismatchError,
     InconsistentNodeError,
@@ -32,6 +36,7 @@ from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
     MARGINAL_RANK_BAND,
+    NULLSPACE_RESIDUAL_TOL,
     PSD_TOL,
     RANK_FACTOR,
     RESIDUAL_TOL,
@@ -104,6 +109,36 @@ def rank_cutoff_marginal(q: np.ndarray) -> bool:
     cutoff = max(q.shape) * float(sigma[0]) * RANK_FACTOR
     return bool(np.any((sigma > cutoff / MARGINAL_RANK_BAND)
                        & (sigma < cutoff * MARGINAL_RANK_BAND)))
+
+
+def half_line_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The one extreme ray of {c >= 0 : Q c = 0} for a one-column nullspace
+    basis N, the generic way: the double description's subcone is the
+    half-line of the largest live row's sign, which the loop keeps or
+    empties, and its ray goes through the generic post-processing (activity
+    zeroing, sign and roundoff filters, L1 scaling, residual filter)."""
+    a = np.asarray(basis, dtype=float)
+    assert a.shape[1] == 1
+    row_norms = np.linalg.norm(a, axis=1)
+    vanishing = row_norms <= cones._VANISHING_TOL * float(row_norms.max())
+    if vanishing.all():
+        raise ConeError("all constraint rows vanish")
+    cuts = cones._ACTIVITY_TOL * row_norms
+    cuts[vanishing] = np.inf
+    col = a[:, 0]
+    sign = float(np.sign(col[np.argmax(np.abs(col))]))
+    if np.any(sign * col < -cuts):
+        raise ConeError("cone is trivial")
+    cs = np.array([[sign]]) @ a.T
+    cs[np.abs(cs) <= cuts] = 0.0
+    cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
+    np.maximum(cs, 0.0, out=cs)
+    cs /= cs.sum(axis=1, keepdims=True)
+    cs = cs[np.abs(cs @ np.asarray(q, dtype=float).T).max(axis=1, initial=0.0)
+            <= NULLSPACE_RESIDUAL_TOL]
+    if not len(cs):
+        raise ConeError("no nonnegative ray found; cone is {0}")
+    return cs
 
 
 def brute_force_rays(q: np.ndarray, feas_tol: float = 1e-9) -> list[np.ndarray]:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import qr
 from scipy.optimize import nnls as scipy_nnls
 
-from locc_forge import cones
+from conftest import benchmark_instances, domino_angle_sets
+from locc_forge import Verdict, check_root, cones
 from locc_forge.catalog import (
     conditional_basis,
     phase_five,
@@ -13,10 +14,11 @@ from locc_forge.catalog import (
     rotated_dominoes,
     seven_outcome_family,
 )
-from locc_forge.cones import decompose, extreme_rays
+from locc_forge.cones import ConeError, decompose, extreme_rays
 from locc_forge.engine import synthesize
 from locc_forge.feasibility import build_q, feasible_cone, nullspace, root_context
-from oracles import brute_force_rays, combination_decompose
+from locc_forge.tolerances import NULLSPACE_RESIDUAL_TOL
+from oracles import brute_force_rays, combination_decompose, half_line_rays
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -108,6 +110,102 @@ class TestExtremeRays:
                 expected = brute_force_rays(build_q(ctx))
                 assert rays_equal(list(cone.extreme_rays), expected), \
                     f"{party} mismatch"
+
+
+class TestOneDimensionalCones:
+    """A one-column nullspace basis is answered in closed form, with the
+    bytes and errors of the double description's generic half-line route."""
+
+    def test_impossible_roots_run_no_double_description(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("double description run on a one-dimensional cone")
+
+        monkeypatch.setattr(cones, "_double_description", refused)
+        measurements = [phase_five()] + [rotated_dominoes(*a) for a in domino_angle_sets()]
+        assert len(measurements) == 22
+        for m in measurements:
+            roots = check_root(m)
+            assert tuple(r.nullspace_dim for r in roots) == (1, 1)
+            w = np.asarray(m.weights, dtype=float)
+            for root in roots:
+                assert root.extreme_rays.shape == (1, len(w))
+                assert np.abs(root.extreme_rays[0] - w / w.sum()).max() <= 1e-12
+
+    def test_double_description_entered_with_two_columns_or_more(self, monkeypatch):
+        widths, cones_met = [], []
+        dd, rays_of_cone = cones._double_description, cones.extreme_rays
+
+        def counted_dd(a):
+            widths.append(a.shape[1])
+            return dd(a)
+
+        def counted_rays(q, basis):
+            cones_met.append((basis.shape[1], q.shape[0] > 0))
+            return rays_of_cone(q, basis)
+
+        monkeypatch.setattr(cones, "_double_description", counted_dd)
+        monkeypatch.setattr(cones, "extreme_rays", counted_rays)
+        cert = synthesize(conditional_basis(5, 2, 0))
+        assert cert.verdict is Verdict.PROTOCOL_FOUND
+        assert widths and min(widths) >= 2
+        # every constrained cone of two or more dimensions, and no other
+        assert (1, True) in cones_met
+        assert len(widths) == sum(k >= 2 and constrained for k, constrained in cones_met)
+
+    def test_bitwise_equal_to_the_generic_route_on_the_benchmark(self, monkeypatch):
+        met = []
+        rays_of_cone = cones.extreme_rays
+
+        def recorded(q, basis):
+            out = rays_of_cone(q, basis)
+            if basis.shape[1] == 1:
+                met.append((q, basis, out))
+            return out
+
+        monkeypatch.setattr(cones, "extreme_rays", recorded)
+        for m in benchmark_instances():
+            synthesize(m)
+        assert len(met) >= 100
+        for q, basis, got in met:
+            expected = half_line_rays(q, basis)
+            assert got.shape == expected.shape == (1, len(basis))
+            assert got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _q_for(basis):
+        """Rows spanning the orthogonal complement of the unit column."""
+        n = len(basis)
+        return np.linalg.svd(np.eye(n) - basis @ basis.T)[2][:n - 1]
+
+    def test_vanishing_entries_are_exact_zeros(self):
+        # entries at most 1e-10 of the largest vanish, of either sign; one
+        # just above that is live
+        col = np.array([1.0, 1e-10, -1e-10, 0.5e-10, np.nextafter(1e-10, 1.0), -0.0])
+        basis = (col / np.linalg.norm(col))[:, None]
+        q = self._q_for(basis)
+        got, expected = extreme_rays(q, basis), half_line_rays(q, basis)
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(got[0] == 0, [False, True, True, True, False, True])
+        assert not np.signbit(got).any()
+        got = extreme_rays(q, -basis)          # the sign follows the largest entry
+        assert got.tobytes() == expected.tobytes()
+
+    def test_errors_match_the_generic_route(self):
+        # a live entry of the other sign leaves the cone trivial, even one
+        # just above the vanishing cutoff
+        for col in ([0.6, -0.8, 0.0], [1.0, -np.nextafter(1e-10, 1.0), 0.0]):
+            basis = np.array(col)[:, None]
+            for route in (extreme_rays, half_line_rays):
+                with pytest.raises(ConeError, match="cone is trivial"):
+                    route(self._q_for(basis), basis)
+        # a ray whose residual on Q exceeds the tolerance is dropped
+        basis = np.array([[0.6], [0.8], [0.0]])
+        drift = 3 * NULLSPACE_RESIDUAL_TOL * np.array([[1.0, 0.0, 0.0]])
+        q = self._q_for(basis)
+        for route in (extreme_rays, half_line_rays):
+            assert route(q, basis).shape == (1, 3)
+            with pytest.raises(ConeError, match="no nonnegative ray found"):
+                route(q + drift, basis)
 
 
 @st.composite

@@ -198,6 +198,23 @@ class TestWideOneWay:
         assert cert.tree.depth() == 2
         assert len(calls) == len(set(calls)) == 6     # the root, then its 5 children
 
+    def test_one_memo_key_per_node(self, monkeypatch):
+        # a node's key serves its memo entry and every party's cone lookup;
+        # synthesize keys the root cones once more
+        keys, memo_runs = [], []
+        coeff_key, run = engine._coeff_key, engine._Search.run
+
+        def counted_run(self, coeffs, produced_by, remaining):
+            if remaining > 0 and engine.leaf_outcome(coeffs) is None:
+                memo_runs.append(1)
+            return run(self, coeffs, produced_by, remaining)
+
+        monkeypatch.setattr(engine, "_coeff_key", lambda c: keys.append(1) or coeff_key(c))
+        monkeypatch.setattr(engine._Search, "run", counted_run)
+        cert = synthesize(conditional_basis(3, 4, [0, 3, 4]))
+        assert cert.verdict is Verdict.PROTOCOL_FOUND
+        assert memo_runs and len(keys) <= len(memo_runs) + 1
+
     def test_memo_keys_are_python_floats_and_hit_as_before(self, monkeypatch):
         # a key of Python floats equals and hashes like the numpy-scalar
         # key it replaces, so the cone cache finds the same entries

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1
+from conftest import EYE2, P0, P1, benchmark_instances, catalog_instances
 from locc_forge import (
     Party,
     SeparableMeasurement,
@@ -24,7 +24,7 @@ from locc_forge.feasibility import (
 )
 from locc_forge.measurement import complement_span, local_span, reconstruct
 from locc_forge.operators import project_factor
-from locc_forge.tolerances import rank_threshold
+from locc_forge.tolerances import MARGINAL_RANK_BAND, rank_threshold
 from oracles import (
     bystander_operator,
     complement_factors,
@@ -465,23 +465,6 @@ class TestFeasibleCone:
             feasible_cone(ctx)
 
 
-def _catalog_instances():
-    """The benchmark's catalog: 21 domino angle sets, ten seven-outcome seeds."""
-    rng = np.random.default_rng(314)
-    angles = [np.full(4, np.pi / 4)] + [rng.uniform(1e-9, np.pi / 4, size=4) for _ in range(20)]
-    return ([qubit_pair(), phase_five()] + [rotated_dominoes(*a) for a in angles]
-            + [seven_outcome_family(s) for s in range(10)])
-
-
-def _root_q_instances():
-    """The benchmark's measurements at seed 0: the catalog, cond-deep and
-    one-way-wide."""
-    out = _catalog_instances()
-    out += [conditional_basis(n, d, [0, n, d]) for n, d in ((3, 4), (5, 2))]
-    out += [conditional_basis(2, d, [0, 2, d, k]) for d in (4, 5, 6) for k in range(3)]
-    return out
-
-
 def _counting_qr(monkeypatch) -> list:
     calls = []
     qr = np.linalg.qr
@@ -499,7 +482,7 @@ class TestNullspaceOnR:
 
     def test_root_q_matches_direct_svd(self):
         shapes = set()
-        for m in _root_q_instances():
+        for m in benchmark_instances():
             n = m.n_outcomes
             for party in range(len(m.parties)):
                 q = build_q(root_context(m, party))
@@ -528,9 +511,22 @@ class TestNullspaceOnR:
         assert basis.shape == (40, 1) and marginal
         assert abs(abs(float(basis[:, 0] @ v[:, -1])) - 1.0) < 1e-9
 
+    def test_marginal_band_is_open_at_both_ends(self):
+        # sigma exactly at either end of the band is not marginal; one ulp
+        # inside either end is
+        cutoff = rank_threshold((2, 2), 1.0)
+        top, bottom = cutoff * MARGINAL_RANK_BAND, cutoff / MARGINAL_RANK_BAND
+        cases = [(top, False), (bottom, False),
+                 (np.nextafter(top, 0.0), True), (np.nextafter(bottom, 1.0), True)]
+        for s, marginal in cases:
+            q = np.diag([1.0, s])
+            assert np.array_equal(np.linalg.svd(q, compute_uv=False), [1.0, s])
+            assert nullspace(q, 2)[1] is marginal
+            assert rank_cutoff_marginal(q) is marginal
+
     def test_path_chosen_by_shape(self, monkeypatch):
         qs = [build_q(root_context(m, p))
-              for m in _catalog_instances() for p in range(len(m.parties))]
+              for m in catalog_instances() for p in range(len(m.parties))]
         assert len(qs) == 66
         deep = conditional_basis(3, 4, [0, 3, 4])
         tall = build_q(root_context(deep, 1))
