@@ -28,7 +28,6 @@ from .io import load_measurement, load_tree, save_measurement, save_tree
 from .measurement import (
     Party,
     SeparableMeasurement,
-    infer_weights,
     reconstruct,
     validate,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "decompose",
     "extreme_rays",
     "feasible_cone",
-    "infer_weights",
     "is_psd",
     "load_measurement",
     "load_tree",

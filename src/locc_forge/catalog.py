@@ -213,10 +213,11 @@ def conditional_basis(n_parties: int, dim: int, seed=0) -> SeparableMeasurement:
     return m
 
 
+# name: (factory, the one command-line option it takes or None, the option's help)
 CATALOG = {
-    "qubit-pair": (qubit_pair, ""),
-    "phase-five": (phase_five, ""),
-    "rotated-dominoes": (rotated_dominoes,
-                         "--theta T2 T4 T6 T8 (each in (0, pi/4], default pi/4)"),
-    "seven-outcome-family": (seven_outcome_family, "--seed N (default 0)"),
+    "qubit-pair": (qubit_pair, None, ""),
+    "phase-five": (phase_five, None, ""),
+    "rotated-dominoes": (rotated_dominoes, "--theta",
+                         "T2 T4 T6 T8 (each in (0, pi/4], default pi/4)"),
+    "seven-outcome-family": (seven_outcome_family, "--seed", "N (default 0)"),
 }

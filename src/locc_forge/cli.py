@@ -34,9 +34,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INVALID = 4
 EXIT_USAGE = 64
 
-# the one option each parametrized catalog entry takes
-_CATALOG_OPTIONS = {"rotated-dominoes": "--theta", "seven-outcome-family": "--seed"}
-
 # the method's fixed tolerances, recorded by check --json and synth --json
 _TOLERANCES = {"rank_factor": RANK_FACTOR, "residual": RESIDUAL_TOL}
 
@@ -255,6 +252,7 @@ def _load_state(choice: str, dim: int) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     m = io.load_measurement(args.measurement) if args.measurement else None
     tree, m = io.load_tree(args.tree, m)
+    _require_valid(m)
     state = _load_state(args.state, m.total_dim)
     rng = np.random.default_rng(args.seed)
     try:
@@ -291,14 +289,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.list_entries or args.name is None:
-        for name, (_, params) in CATALOG.items():
-            print(f"{name:24s} {params}")
+        for name, (_, option, params) in CATALOG.items():
+            print(f"{name:24s} {option or ''} {params}".rstrip())
         return EXIT_OK if args.list_entries else EXIT_USAGE
     if args.name not in CATALOG:
         raise _CliError(f"unknown catalog entry {args.name!r}; "
                         f"try 'locc-forge catalog --list'")
-    factory, _ = CATALOG[args.name]
-    takes = _CATALOG_OPTIONS.get(args.name)
+    factory, takes, _ = CATALOG[args.name]
     for option, value in (("--theta", args.theta), ("--seed", args.seed)):
         if value is not None and option != takes:
             print(f"locc-forge catalog: error: {args.name} takes no {option} option",

@@ -27,7 +27,10 @@ class TreeStructureError(LoccForgeError, ValueError):
 
 
 class MeasurementFormatError(LoccForgeError, ValueError):
-    """A JSON document does not describe a valid measurement or protocol tree."""
+    """A JSON document, or the arguments of ``SeparableMeasurement``, do not
+    describe a valid measurement or protocol tree.  ``location`` is the path
+    of the offending field in the JSON format, such as
+    ``outcomes[3].label``, whichever of the two carried it."""
 
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location}: {message}" if location else message)

@@ -36,8 +36,7 @@ import numpy as np
 
 from .engine import ProtocolNode
 from .errors import MeasurementFormatError
-from .measurement import Party, SeparableMeasurement, infer_weights
-from .operators import as_hermitian
+from .measurement import Party, SeparableMeasurement
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> list:
@@ -82,6 +81,10 @@ def measurement_to_dict(m: SeparableMeasurement) -> dict:
 
 
 def measurement_from_dict(data: Any) -> SeparableMeasurement:
+    """Decode a measurement document.  Only the JSON is checked here: the
+    measurement's own structure is checked, and weights absent from every
+    outcome are inferred, by :class:`SeparableMeasurement`, whose errors
+    name the same paths."""
     if not isinstance(data, dict):
         raise MeasurementFormatError("top level must be an object", "$")
     try:
@@ -89,10 +92,9 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
         raw_outcomes = data["outcomes"]
     except KeyError as exc:
         raise MeasurementFormatError(f"missing field {exc}", "$")
-    if not isinstance(raw_parties, list) or not raw_parties:
-        raise MeasurementFormatError("must be a nonempty list", "parties")
-    if not isinstance(raw_outcomes, list) or not raw_outcomes:
-        raise MeasurementFormatError("must be a nonempty list", "outcomes")
+    for field, value in (("parties", raw_parties), ("outcomes", raw_outcomes)):
+        if not isinstance(value, list):
+            raise MeasurementFormatError("must be a list", field)
 
     parties = []
     for i, p in enumerate(raw_parties):
@@ -101,61 +103,28 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
             raise MeasurementFormatError("needs 'name' and 'dim'", where)
         if isinstance(p["dim"], bool) or not isinstance(p["dim"], int) or p["dim"] < 1:
             raise MeasurementFormatError("dim must be a positive integer", where)
-        name = str(p["name"])
-        if any(q.name == name for q in parties):
-            raise MeasurementFormatError(f"party name {name!r} is taken", f"{where}.name")
-        parties.append(Party(name, p["dim"]))
+        parties.append(Party(str(p["name"]), p["dim"]))
 
     outcomes = []
     weights = []
-    first_with: dict[str, int] = {}
     for j, o in enumerate(raw_outcomes):
         where = f"outcomes[{j}]"
-        if not isinstance(o, dict) or "factors" not in o:
+        if not isinstance(o, dict) or not isinstance(o.get("factors"), list):
             raise MeasurementFormatError("needs a 'factors' list", where)
-        factors = o["factors"]
-        if not isinstance(factors, list) or len(factors) != len(parties):
-            raise MeasurementFormatError(
-                f"needs exactly {len(parties)} factors", f"{where}.factors")
-        mats = [
+        outcomes.append((str(o.get("label", str(j + 1))), tuple(
             complex_matrix_from_json(f, f"{where}.factors[{k}]")
-            for k, f in enumerate(factors)
-        ]
-        for k, (mat, party) in enumerate(zip(mats, parties)):
-            if mat.shape[0] != party.dim:
-                raise MeasurementFormatError(
-                    f"dimension {mat.shape[0]} does not match party "
-                    f"{party.name!r} (dim {party.dim})", f"{where}.factors[{k}]")
-            try:
-                as_hermitian(mat)
-            except ValueError as exc:
-                raise MeasurementFormatError(str(exc), f"{where}.factors[{k}]")
-        label = str(o.get("label", str(j + 1)))
-        if label in first_with:
-            raise MeasurementFormatError(f"outcomes {first_with[label]} and {j} share the "
-                                         f"label {label!r}", f"{where}.label")
-        first_with[label] = j
-        outcomes.append((label, tuple(mats)))
+            for k, f in enumerate(o["factors"]))))
         w = o.get("weight")
-        if w is not None and (not _is_finite_number(w) or w < 0):
-            raise MeasurementFormatError("weight must be a finite nonnegative number",
-                                         f"{where}.weight")
-        weights.append(None if w is None else float(w))
+        if w is not None and not _is_finite_number(w):
+            raise MeasurementFormatError("weight must be a finite number", f"{where}.weight")
+        weights.append(w)
 
-    have = [w is not None for w in weights]
-    if all(have):
-        weight_vec = np.array(weights, dtype=float)
-    elif not any(have):
-        weight_vec = infer_weights([np.stack([fs[q] for _, fs in outcomes])
-                                    for q in range(len(parties))])
-    else:
+    if all(w is None for w in weights):
+        weights = None
+    elif None in weights:
         raise MeasurementFormatError(
             "either all outcomes carry a weight or none do", "outcomes")
-
-    try:
-        return SeparableMeasurement(parties, outcomes, weight_vec)
-    except ValueError as exc:
-        raise MeasurementFormatError(str(exc), "$")
+    return SeparableMeasurement(parties, outcomes, weights)
 
 
 def tree_to_dict(tree: ProtocolNode, m: SeparableMeasurement,

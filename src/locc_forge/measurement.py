@@ -28,17 +28,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import cones
-from .errors import DimensionMismatchError, IncompleteMeasurementError
-from .operators import (
-    as_hermitian,
-    hermitian_vectors,
-    independent_subset,
-    is_psd,
-    min_eigenvalue,
-    product_r,
-    tensor,
-)
-from .tolerances import RESIDUAL_TOL
+from .errors import IncompleteMeasurementError, MeasurementFormatError
+from .operators import as_hermitian, hermitian_vectors, independent_subset, product_r, tensor
+from .tolerances import PSD_TOL, RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -66,54 +58,81 @@ class SeparableMeasurement:
     parties : sequence of Party
     outcomes : sequence of (label, factors) pairs
         ``factors`` holds one Hermitian matrix per party, in party order.
-    weights : array_like
-        Nonnegative completeness weights, one per outcome.
+    weights : array_like, optional
+        Nonnegative completeness weights, one per outcome.  When omitted
+        they are inferred: nonnegative least squares on :attr:`joint_r`,
+        whose columns keep the trace pairings, so the residual is the
+        Frobenius norm of sum_j w_j O_j - I, and
+        :class:`IncompleteMeasurementError` when it exceeds RESIDUAL_TOL.
+
+    Every structural error is a :class:`MeasurementFormatError` whose
+    location is the path of the offending field in the JSON format of
+    :mod:`locc_forge.io`, such as ``outcomes[2].factors[1]``.
     """
 
-    def __init__(self, parties: Sequence[Party], outcomes: Sequence, weights):
+    def __init__(self, parties: Sequence[Party], outcomes: Sequence, weights=None):
         self.parties = tuple(parties)
         if not self.parties:
-            raise ValueError("at least one party required")
-        names = [p.name for p in self.parties]
-        if len(set(names)) != len(names):
-            raise ValueError("party names must be unique")
+            raise MeasurementFormatError("at least one party required", "parties")
+        for i, p in enumerate(self.parties):
+            if p.name in (q.name for q in self.parties[:i]):
+                raise MeasurementFormatError(f"party name {p.name!r} is taken",
+                                             f"parties[{i}].name")
         if not any(p.dim >= 2 for p in self.parties):
-            raise ValueError("at least one party must have dimension >= 2")
+            raise MeasurementFormatError("at least one party must have dimension >= 2",
+                                         "parties")
 
         packed = []
         first_with: dict[str, int] = {}
-        for j, outcome in enumerate(outcomes):
-            label, factors = outcome
+        for j, (label, factors) in enumerate(outcomes):
+            where = f"outcomes[{j}]"
+            if len(factors) != len(self.parties):
+                raise MeasurementFormatError(
+                    f"{len(factors)} factors for {len(self.parties)} parties",
+                    f"{where}.factors")
+            checked = []
+            for k, (party, f) in enumerate(zip(self.parties, factors)):
+                try:
+                    f = as_hermitian(f)
+                except ValueError as exc:
+                    raise MeasurementFormatError(str(exc), f"{where}.factors[{k}]") from None
+                if f.shape[0] != party.dim:
+                    raise MeasurementFormatError(
+                        f"dimension {f.shape[0]} does not match party {party.name!r} "
+                        f"(dim {party.dim})", f"{where}.factors[{k}]")
+                checked.append(f)
             label = str(label)
             if label in first_with:
-                raise ValueError(f"outcomes {first_with[label]} and {j} share the "
-                                 f"label {label!r}; labels must be unique")
+                raise MeasurementFormatError(f"outcomes {first_with[label]} and {j} share "
+                                             f"the label {label!r}", f"{where}.label")
             first_with[label] = j
-            if len(factors) != len(self.parties):
-                raise DimensionMismatchError(
-                    f"outcome {j} has {len(factors)} factors for {len(self.parties)} parties")
-            checked = []
-            for party, f in zip(self.parties, factors):
-                f = as_hermitian(f)
-                if f.shape[0] != party.dim:
-                    raise DimensionMismatchError(
-                        f"outcome {j}: factor for party {party.name!r} has dimension "
-                        f"{f.shape[0]}, expected {party.dim}")
-                checked.append(f)
             packed.append(Outcome(label, tuple(checked)))
         if not packed:
-            raise ValueError("at least one outcome required")
+            raise MeasurementFormatError("at least one outcome required", "outcomes")
         self.outcomes: tuple[Outcome, ...] = tuple(packed)
 
-        w = np.asarray(weights, dtype=float)
+        w = self._inferred_weights() if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (len(self.outcomes),):
-            raise DimensionMismatchError(
-                f"{len(self.outcomes)} outcomes but weight vector of shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("weights must be nonnegative with at least one positive")
+            raise MeasurementFormatError(
+                f"{len(self.outcomes)} outcomes but weight vector of shape {w.shape}",
+                "outcomes")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0)))
+        if bad.size:
+            raise MeasurementFormatError("weight must be a finite nonnegative number",
+                                         f"outcomes[{bad[0]}].weight")
+        if not np.any(w > 0):
+            raise MeasurementFormatError("at least one weight must be positive", "outcomes")
         self.weights: np.ndarray = w
+
+    def _inferred_weights(self) -> np.ndarray:
+        n = self.n_outcomes
+        w, _ = cones.nnls(self.joint_r[:, :n], self.joint_r[:, n])
+        residual = float(np.linalg.norm(self.joint_r @ np.append(w, -1.0)))
+        if residual > RESIDUAL_TOL:
+            raise IncompleteMeasurementError(
+                f"no nonnegative weights complete the measurement (residual {residual:.3e})")
+        w[w < 0] = 0.0
+        return w
 
     # -- basic geometry -------------------------------------------------
 
@@ -178,13 +197,18 @@ class SeparableMeasurement:
         return _frozen(product_r(self.party_rs, self.n_outcomes + 1))
 
     @cached_property
+    def _factor_spectra(self) -> tuple[np.ndarray, ...]:
+        """Each party's (n, d_p) ascending factor eigenvalues, one eigvalsh
+        per party's factor stack."""
+        return tuple(_frozen(np.linalg.eigvalsh(stack)) for stack in self._factor_stacks)
+
+    @cached_property
     def extreme_eigenvalues(self) -> np.ndarray:
         """(2, n): the smallest and the largest eigenvalue of each O_j.  Those
         of O_j = (x)_q F_j^q are extreme products of its factors' extreme
-        eigenvalues, so one eigvalsh per party's factor stack gives them."""
+        eigenvalues."""
         low = high = np.ones(self.n_outcomes)
-        for stack in self._factor_stacks:
-            eigs = np.linalg.eigvalsh(stack)
+        for eigs in self._factor_spectra:
             ends = np.stack([low * eigs[:, 0], low * eigs[:, -1],
                              high * eigs[:, 0], high * eigs[:, -1]])
             low, high = ends.min(axis=0), ends.max(axis=0)
@@ -286,42 +310,21 @@ def validate(m: SeparableMeasurement) -> ValidationReport:
     """Check positivity of every factor and completeness with the stored
     weights, in the Frobenius norm.
 
-    Violations are reported as data with their magnitudes, not raised.
+    A factor is negative by :func:`operators.is_psd`'s rule, read from the
+    cached spectra; a NaN eigenvalue is a violation too.  Violations are
+    reported as data with their magnitudes, in (outcome, party) order, not
+    raised.
     """
-    violations: list[Violation] = []
-    for j, outcome in enumerate(m.outcomes):
-        for p, factor in zip(m.parties, outcome.factors):
-            if not is_psd(factor):
-                violations.append(Violation(
-                    "negative factor",
-                    f"outcome {outcome.label!r}, party {p.name!r}",
-                    min_eigenvalue(factor)))
+    negative = [~(e[:, 0] >= -PSD_TOL * np.maximum(1.0, np.abs(e).max(axis=1)))
+                for e in m._factor_spectra]
+    violations = [Violation("negative factor", f"outcome {o.label!r}, party {p.name!r}",
+                            float(m._factor_spectra[q][j, 0]))
+                  for j, o in enumerate(m.outcomes) for q, p in enumerate(m.parties)
+                  if negative[q][j]]
     residual = float(np.linalg.norm(m.joint_r @ np.append(m.weights, -1.0)))
     if not residual <= RESIDUAL_TOL:     # a NaN residual is a violation too
         violations.append(Violation("incomplete", "weighted outcome sum", residual))
     return ValidationReport(tuple(violations), residual)
-
-
-def infer_weights(factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Nonnegative weights solving sum_j w_j O_j = I, or raise, given the
-    outcomes' factors as one (n, d_q, d_q) stack per party.
-
-    Solved as nonnegative least squares a w = b, with a the operators' real
-    :func:`hermitian_vectors` (their dot products are the trace pairings)
-    and b the identity's, on the joint R that :func:`validate` reads: the
-    :func:`product_r` of each party's :func:`identity_r`, an R of [a, b]
-    with n + 1 rows at most, built with no joint operator.  It keeps every
-    |a w - b|, the Frobenius norm of sum_j w_j O_j - I.
-    """
-    n = len(factor_stacks[0])
-    r = product_r([identity_r(np.asarray(s, dtype=complex)) for s in factor_stacks], n + 1)
-    w, _ = cones.nnls(r[:, :n], r[:, n])
-    residual = float(np.linalg.norm(r @ np.append(w, -1.0)))
-    if residual > RESIDUAL_TOL:
-        raise IncompleteMeasurementError(
-            f"no nonnegative weights complete the measurement (residual {residual:.3e})")
-    w[w < 0] = 0.0
-    return w
 
 
 # -- operator spans ------------------------------------------------------

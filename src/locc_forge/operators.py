@@ -178,10 +178,6 @@ def is_psd(x: np.ndarray) -> bool:
     return bool(eigs[0] >= -floor)
 
 
-def min_eigenvalue(x: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(x)[0])
-
-
 def embed_at(x: np.ndarray, y: np.ndarray, slot: int,
              dims: tuple[int, ...]) -> np.ndarray:
     """Joint operator acting as ``x`` on party ``slot`` and ``y`` on the rest.

@@ -15,10 +15,12 @@ Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction
 (coefficient vectors are compared after L1 normalization, operators after
 scaling by their largest entry).  Completeness, wherever it is measured
-(validation, weight inference and the verifier's root), and the
+(validation, the weights ``SeparableMeasurement`` infers when none are
+given, the impossibility self-check and the verifier's root), and the
 verifier's other operator checks are Frobenius norms, which bound the max
-norm: all three measure completeness as the same quantity, and a tree the
-verifier passes at :data:`RESIDUAL_TOL` passes max-norm checks too.  The
+norm: all four read completeness through the measurement's joint R, as
+the same quantity, and a tree the verifier passes at
+:data:`RESIDUAL_TOL` passes max-norm checks too.  The
 two ``NNLS_`` constants set the nonnegative least-squares solver's
 roundoff floor and iteration limit.
 """

@@ -6,7 +6,8 @@ facet sign patterns instead of double description (and a one-column
 nullspace through the double description's generic half-line route
 instead of the library's closed form), completeness
 weights come from an unconstrained least-squares solve or scipy's
-nonnegative one on the whole realified system, independent
+nonnegative one on the whole realified system, factor positivity from one
+eigvalsh per factor, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
 the constraint matrix is built from dense dual operators and a bystander
 operator taken as a partial trace of the node operator, ray splits
@@ -226,6 +227,29 @@ def nnls_completeness_weights(ops: np.ndarray) -> np.ndarray:
     """Weights solving sum_j w_j O_j = I by scipy's nonnegative least squares
     on the whole realified system."""
     return nnls(*_completeness_system(ops))[0]
+
+
+def per_factor_validation(m) -> tuple[list[tuple[str, str, float]], float]:
+    """What ``validate`` reports, as (kind, location, magnitude) violations
+    in (outcome, party) order and the completeness residual, from one
+    eigvalsh per factor under ``is_psd``'s rule and the Frobenius norm of
+    the dense sum_j w_j O_j - I."""
+    violations = []
+    total = -np.eye(m.total_dim, dtype=complex)
+    for o, w in zip(m.outcomes, m.weights):
+        for p, f in zip(m.parties, o.factors):
+            eigs = np.linalg.eigvalsh(f)
+            if not eigs[0] >= -PSD_TOL * max(1.0, float(np.abs(eigs).max())):
+                violations.append(("negative factor",
+                                   f"outcome {o.label!r}, party {p.name!r}", float(eigs[0])))
+        op = o.factors[0]
+        for f in o.factors[1:]:
+            op = hand_kron(op, f)
+        total += w * op
+    residual = float(np.linalg.norm(total))
+    if not residual <= RESIDUAL_TOL:
+        violations.append(("incomplete", "weighted outcome sum", residual))
+    return violations, residual
 
 
 def greedy_svd_independent_subset(ops: Sequence[np.ndarray]) -> list[int]:

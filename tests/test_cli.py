@@ -257,6 +257,21 @@ class TestVerifySimulate:
                 assert code == 64, (flag, argv)
                 assert flag in err
 
+    def test_simulate_rejects_an_incomplete_measurement(self, pair_file, tmp_path,
+                                                        capsys):
+        # simulate validates its measurement as check and synth do
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        doc = json.loads(open(pair_file).read())
+        doc["outcomes"][0]["weight"] = 1.5
+        bad = tmp_path / "incomplete.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["check", str(bad)],
+                     ["simulate", str(tree_path), "--measurement", str(bad)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 4, argv
+            assert "incomplete" in err and out == ""
+
     def test_simulate_uses_measurement_ref(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))

@@ -19,6 +19,22 @@ from locc_forge.io import (
 from oracles import nnls_completeness_weights
 
 
+def location_of(doc, direct=True):
+    """The location of the :class:`MeasurementFormatError` that loading
+    ``doc`` raises; with ``direct``, asserted equal to the location that the
+    constructor raises on the same parties, outcomes and weights."""
+    with pytest.raises(MeasurementFormatError) as loaded:
+        measurement_from_dict(doc)
+    if direct:
+        outcomes = [(o["label"], tuple(np.array(f) @ [1, 1j] for f in o["factors"]))
+                    for o in doc["outcomes"]]
+        with pytest.raises(MeasurementFormatError) as constructed:
+            SeparableMeasurement([Party(p["name"], p["dim"]) for p in doc["parties"]],
+                                 outcomes, [o["weight"] for o in doc["outcomes"]])
+        assert constructed.value.location == loaded.value.location
+    return loaded.value.location
+
+
 class TestMeasurementRoundTrip:
     def test_exact_round_trip(self, catalog_all, tmp_path):
         for name, m in catalog_all.items():
@@ -40,8 +56,8 @@ class TestMeasurementRoundTrip:
         assert np.abs(back.weights - 1.0).max() < 1e-8
 
     def test_weights_inferred_without_joint_operators(self, monkeypatch):
-        # infer_weights reads the joint R of the parties' factors, so no
-        # Kronecker product of operators is formed
+        # the constructor infers weights on the joint R of the parties'
+        # factors, so no Kronecker product of operators is formed
         import locc_forge.measurement as measurement
         import locc_forge.operators as operators
 
@@ -79,9 +95,11 @@ class TestMeasurementDiagnostics:
     def test_wrong_dimension_location(self, m_pair):
         doc = measurement_to_dict(m_pair)
         doc["parties"][1]["dim"] = 3
-        with pytest.raises(MeasurementFormatError) as err:
-            measurement_from_dict(doc)
-        assert "factors[1]" in str(err.value)
+        assert location_of(doc) == "outcomes[0].factors[1]"
+        # a factor too few
+        doc = measurement_to_dict(m_pair)
+        del doc["outcomes"][2]["factors"][0]
+        assert location_of(doc) == "outcomes[2].factors"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
     def test_non_finite_entry_location(self, m_pair, value):
@@ -92,34 +110,32 @@ class TestMeasurementDiagnostics:
             measurement_from_dict(json.loads(text))
         assert err.value.location == "outcomes[2].factors[1]"
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400, -1.0])
     def test_non_finite_weight_location(self, m_pair, value):
+        # a negative weight is decoded and then refused by the constructor
         doc = measurement_to_dict(m_pair)
         doc["outcomes"][3]["weight"] = value
-        with pytest.raises(MeasurementFormatError) as err:
-            measurement_from_dict(json.loads(json.dumps(doc)))
-        assert err.value.location == "outcomes[3].weight"
+        doc = json.loads(json.dumps(doc))
+        assert location_of(doc, direct=isinstance(value, float)) == "outcomes[3].weight"
 
     def test_non_hermitian_factor_location(self, m_pair):
         doc = measurement_to_dict(m_pair)
         doc["outcomes"][2]["factors"][1][0][1] = [0.3, 0.0]
-        with pytest.raises(MeasurementFormatError, match="Hermitian") as err:
+        with pytest.raises(MeasurementFormatError, match="Hermitian"):
             measurement_from_dict(doc)
-        assert err.value.location == "outcomes[2].factors[1]"
+        assert location_of(doc) == "outcomes[2].factors[1]"
 
     def test_duplicate_outcome_label_location(self, m_pair):
         doc = measurement_to_dict(m_pair)
         doc["outcomes"][3]["label"] = doc["outcomes"][1]["label"]
-        with pytest.raises(MeasurementFormatError, match="outcomes 1 and 3") as err:
+        with pytest.raises(MeasurementFormatError, match="outcomes 1 and 3"):
             measurement_from_dict(doc)
-        assert err.value.location == "outcomes[3].label"
+        assert location_of(doc) == "outcomes[3].label"
 
     def test_duplicate_party_name_location(self, m_pair):
         doc = measurement_to_dict(m_pair)
         doc["parties"][1]["name"] = doc["parties"][0]["name"]
-        with pytest.raises(MeasurementFormatError) as err:
-            measurement_from_dict(doc)
-        assert err.value.location == "parties[1].name"
+        assert location_of(doc) == "parties[1].name"
 
     def test_boolean_party_dim_location(self):
         # with 1 x 1 factors, dim true would otherwise load as a party of dim 1

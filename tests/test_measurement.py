@@ -15,18 +15,13 @@ from locc_forge.tolerances import HERMITICITY_TOL, RESIDUAL_TOL
 from locc_forge.verify import verify_tree
 from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
 from locc_forge.io import measurement_from_dict, measurement_to_dict
-from locc_forge.measurement import (
-    complement_span,
-    identity_r,
-    infer_weights,
-    local_span,
-    validate,
-)
+from locc_forge.measurement import complement_span, identity_r, local_span, validate
 from oracles import (
     complement_factors,
     greedy_svd_independent_subset,
     lstsq_completeness_weights,
     nnls_completeness_weights,
+    per_factor_validation,
 )
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
@@ -104,60 +99,89 @@ class TestValidate:
                     if v.kind == "negative factor")
         assert worst == pytest.approx(-0.5, abs=1e-12)
 
+    def test_reports_equal_the_per_factor_oracle(self, catalog_all, m_indefinite):
+        """``validate`` reads one eigvalsh per party's factor stack, and the
+        oracle one per factor.  The two spectra agree bitwise, so the
+        negative factors' magnitudes are compared exactly, in (outcome,
+        party) order, which the three-party case does not share with party
+        order."""
+        bad = np.array([[1.0, 0.0], [0.0, -0.5]], dtype=complex)
+        negative = [
+            SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("x", (bad, EYE2)), ("y", (EYE2 - bad, EYE2))], [1.0, 1.0]),
+            m_indefinite,
+            SeparableMeasurement([Party("A", 2), Party("B", 2), Party("C", 2)],
+                                 [("x", (EYE2, bad, EYE2)), ("y", (bad, P0, 2 * bad)),
+                                  ("z", (P1, EYE2, -bad))], np.ones(3)),
+        ]
+        for m in [*catalog_all.values(), *negative]:
+            report = validate(m)
+            want, residual = per_factor_validation(m)
+            got = [(v.kind, v.where, v.magnitude) for v in report.violations]
+            assert [g[:2] for g in got] == [w[:2] for w in want]
+            for (kind, _, g), (_, _, w) in zip(got, want):
+                assert g == w if kind == "negative factor" else abs(g - w) <= 1e-13
+            assert abs(report.completeness_residual - residual) <= 1e-13
+        assert [v.where for v in validate(negative[2]).violations] == [
+            "outcome 'x', party 'B'", "outcome 'y', party 'A'", "outcome 'y', party 'C'",
+            "outcome 'z', party 'C'", "weighted outcome sum"]
+
+
+def inferred(m):
+    """The weights the constructor infers for ``m``'s parties and outcomes."""
+    return SeparableMeasurement(m.parties, m.outcomes).weights
+
 
 class TestInferWeights:
+    """Weights omitted from the constructor are inferred by nonnegative least
+    squares on the measurement's joint R."""
+
     def test_qubit_pair(self, m_pair):
-        w = infer_weights(factor_stacks(m_pair))
-        assert np.abs(w - 1.0).max() < 1e-10
+        assert np.abs(inferred(m_pair) - 1.0).max() < 1e-10
 
     def test_phase_five_uniform(self, m_phase):
         # cross-check with an unconstrained least-squares oracle
         oracle = lstsq_completeness_weights(m_phase.outcome_operators)
         assert np.abs(oracle - 0.8).max() < 1e-10
-        w = infer_weights(factor_stacks(m_phase))
-        assert np.abs(w - 0.8).max() < 1e-8
+        assert np.abs(inferred(m_phase) - 0.8).max() < 1e-8
 
     def test_seven_outcome_family(self, m_seven):
         oracle = lstsq_completeness_weights(m_seven.outcome_operators)
         assert np.abs(oracle - SEVEN_WEIGHTS).max() < 1e-8
-        w = infer_weights(factor_stacks(m_seven))
-        assert np.abs(w - SEVEN_WEIGHTS).max() < 1e-8
+        assert np.abs(inferred(m_seven) - SEVEN_WEIGHTS).max() < 1e-8
 
     def test_incomplete_rejected(self):
         with pytest.raises(IncompleteMeasurementError):
-            infer_weights([np.stack([P0, P0]), np.stack([P0, P1])])
+            SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("x", (P0, P0)), ("y", (P0, P1))])
 
     def test_completeness_in_the_frobenius_norm(self):
         """One outcome (I + eps Z) (x) I leaves eps Z (x) I at best, max norm
         eps and Frobenius norm 2 eps: inference rejects it exactly where
         validation of the inferred weights would."""
         z = np.diag([1.0, -1.0])
+        parties = [Party("A", 2), Party("B", 2)]
         for eps, ok in ((0.4 * RESIDUAL_TOL, True), (0.6 * RESIDUAL_TOL, False)):
-            factors = (EYE2 + eps * z, EYE2)
-            stacks = [f[None] for f in factors]
+            outcomes = [("x", (EYE2 + eps * z, EYE2))]
             if ok:
-                w = infer_weights(stacks)
-                m = SeparableMeasurement([Party("A", 2), Party("B", 2)], [("x", factors)], w)
+                m = SeparableMeasurement(parties, outcomes)
                 assert validate(m).completeness_residual == pytest.approx(2 * eps, rel=1e-6)
             else:
                 with pytest.raises(IncompleteMeasurementError):
-                    infer_weights(stacks)
+                    SeparableMeasurement(parties, outcomes)
 
     def test_completeness_residual_after_inference(self, catalog_all):
         for m in catalog_all.values():
-            w = infer_weights(factor_stacks(m))
-            total = np.einsum("j,jab->ab", w, m.outcome_operators)
+            total = np.einsum("j,jab->ab", inferred(m), m.outcome_operators)
             assert np.linalg.norm(total - np.eye(m.total_dim)) < 1e-8
-
 
     @pytest.mark.parametrize("shape", [None, (3, 4), (4, 3)])
     def test_equals_scipy_nnls_on_the_whole_system(self, shape, catalog_all):
-        # infer_weights solves on the joint R of the parties' factors
+        # the constructor solves on the joint R of the parties' factors
         ms = catalog_all.values() if shape is None else [conditional_basis(*shape, 0)]
         for m in ms:
             ops = m.outcome_operators
-            assert np.abs(infer_weights(factor_stacks(m))
-                          - nnls_completeness_weights(ops)).max() <= 1e-10
+            assert np.abs(inferred(m) - nnls_completeness_weights(ops)).max() <= 1e-10
 
 
 class TestFrames:
@@ -224,6 +248,26 @@ class TestFrames:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
+
+    def test_weightless_load_builds_each_frame_once(self, monkeypatch):
+        """Weights inferred at load are solved on the measurement's own joint
+        R, so loading and validating a weightless three-party document
+        builds each party's frame once and the joint product once."""
+        import locc_forge.measurement as measurement
+
+        built = []
+        for name in ("identity_r", "product_r"):
+            def wrapper(*args, name=name, build=getattr(measurement, name)):
+                built.append(name)
+                return build(*args)
+            monkeypatch.setattr(measurement, name, wrapper)
+        doc = measurement_to_dict(conditional_basis(3, 3, 0))
+        for o in doc["outcomes"]:
+            del o["weight"]
+        built.clear()           # conditional_basis validates its output
+        m = measurement_from_dict(doc)
+        assert validate(m).ok
+        assert sorted(built) == ["identity_r"] * 3 + ["product_r"]
 
     def test_nearly_parallel_factors_keep_their_difference(self):
         """(I +- 1e-7 Z)/2 differ by 1e-7 Z, of Frobenius norm sqrt(2) 1e-7,
