@@ -15,7 +15,6 @@ import numpy as np
 from . import io
 from .catalog import CATALOG
 from .engine import (
-    DEFAULT_MAX_ROUNDS,
     Certificate,
     Verdict,
     check_root,
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="search for an LOCC protocol tree")
     p_synth.add_argument("measurement")
-    p_synth.add_argument("--max-rounds", type=_int_at_least(1), default=DEFAULT_MAX_ROUNDS)
     p_synth.add_argument("--out", default=None, help="write the tree as JSON")
     p_synth.add_argument("--json", action="store_true", dest="as_json")
 
@@ -184,7 +182,7 @@ def _tree_summary(cert: Certificate, m) -> list[str]:
 def _cmd_synth(args) -> int:
     m = io.load_measurement(args.measurement)
     _require_valid(m)
-    cert = synthesize(m, max_rounds=args.max_rounds)
+    cert = synthesize(m)
     if args.as_json:
         doc = {
             "verdict": cert.verdict.value,

@@ -16,6 +16,17 @@ can implement the measurement.
 Dead ends below the root merely terminate the search, because children are
 drawn from extreme rays only and a non-extremal split that was not tried
 could in principle exist; exhaustion therefore reports INCONCLUSIVE.
+
+The search is finite, so deepening needs no round cap.  A split uses two or
+more extreme rays of a cone of dimension k >= 2 (one-dimensional cones are
+skipped).  Each extreme ray is active on at least k - 1 of the cone's
+facets c_j = 0 with j in the node's support, none of which vanishes on the
+whole cone (the node lies in it with c_j > 0), and ``extreme_rays`` sets the
+active entries to exactly 0.  So every child's support is a strict subset
+of its parent's, and no tree is deeper than n_outcomes - 1.  A deepening
+pass that fails without cutting any branch at its depth has explored every
+extreme-ray splitting, and every deeper pass would fail the same way: that
+is what INCONCLUSIVE means.
 """
 
 from __future__ import annotations
@@ -38,8 +49,6 @@ from .feasibility import (
 from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .measurement import SeparableMeasurement
 from .tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
-
-DEFAULT_MAX_ROUNDS = 8
 
 
 class Verdict(str, Enum):
@@ -186,6 +195,7 @@ class _Search:
         self.cones: dict[tuple, FeasibleCone] = {}
         self.splits: dict[tuple, list[RayDecomposition]] = {}
         self.failed: set[tuple] = set()
+        self.cut = False        # whether this pass cut a branch at its depth
 
     def cone_at(self, party: int, coeffs: np.ndarray, key: tuple) -> FeasibleCone:
         """The party's cone at the node, cached under the node's
@@ -214,6 +224,7 @@ class _Search:
         if leaf is not None:
             return ProtocolNode(coeffs, produced_by, (), leaf)
         if remaining == 0:
+            self.cut = True
             self.stats.dead_ends += 1
             return None
         key = _coeff_key(coeffs)
@@ -243,15 +254,17 @@ class _Search:
         return None
 
 
-def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS) -> Certificate:
+def synthesize(m: SeparableMeasurement) -> Certificate:
     """Search for an LOCC tree implementing the measurement.
 
     Returns PROTOCOL_FOUND with a verified tree, IMPOSSIBLE_AT_ROOT when no
     party can make any first measurement, or INCONCLUSIVE when the
-    extreme-ray search is exhausted within ``max_rounds``.
+    extreme-ray search is exhausted.  Passes deepen one round at a time, so
+    the tree found has minimal depth, and stop at the first pass that finds
+    a tree or cuts no branch at its depth.  Every child's support is a
+    strict subset of its parent's (see the module docstring), so the pass
+    at depth n_outcomes - 1 cuts nothing and the loop ends by then.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
     started = time.perf_counter()
     root_cones = check_root(m)
     dims = tuple(c.nullspace_dim for c in root_cones)
@@ -268,11 +281,16 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS) ->
         search.cones[party, key] = cone
 
     tree = None
-    for depth in range(1, max_rounds + 1):
+    for depth in range(1, max(m.n_outcomes, 2)):   # one pass at least: a root leaf
         search.failed.clear()
+        search.cut = False
         tree = search.run(weights, None, depth)
-        if tree is not None:
+        if tree is not None or not search.cut:
             break
+    else:
+        raise LoccForgeError(
+            f"internal error: the search pass at depth {depth} cut a branch, "
+            f"deeper than {m.n_outcomes} outcomes allow")
     stats.wall_time = time.perf_counter() - started
 
     if tree is None:
@@ -285,4 +303,3 @@ def synthesize(m: SeparableMeasurement, max_rounds: int = DEFAULT_MAX_ROUNDS) ->
             "internal error: synthesized tree failed independent verification: "
             + ", ".join(k for k, c in report.checks.items() if not c.passed))
     return Certificate(Verdict.PROTOCOL_FOUND, dims, stats, tree)
-

@@ -30,6 +30,8 @@ def as_hermitian(entries) -> np.ndarray:
 
     Asymmetry is measured in max norm after scaling by the largest entry
     magnitude, so the check is insensitive to overall operator scale.
+    Entries so large that their magnitude or the Hermitian part overflows
+    (finite entries above about 9e307) are refused.
     """
     a = np.ascontiguousarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -38,10 +40,14 @@ def as_hermitian(entries) -> np.ndarray:
         raise ValueError("operator dimension must be at least 1")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.abs(a).max())
-    if scale > 0.0 and float(np.abs(a - a.conj().T).max()) > HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return (a + a.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):    # overflow is refused below
+        scale = float(np.abs(a).max())
+        if scale > 0.0 and float(np.abs(a - a.conj().T).max()) > HERMITICITY_TOL * scale:
+            raise ValueError("matrix is not Hermitian within tolerance")
+        h = (a + a.conj().T) / 2
+    if not (np.isfinite(scale) and np.isfinite(h).all()):
+        raise ValueError("matrix entries are too large for floating point")
+    return h
 
 
 def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:

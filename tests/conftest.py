@@ -50,6 +50,21 @@ def benchmark_instances() -> list[SeparableMeasurement]:
     return out
 
 
+def flag_dominoes() -> SeparableMeasurement:
+    """A = C^2 (x) C^3 holds a flag qubit, B = C^3.  Under |0><0| on the
+    flag sit the nine rotated dominoes, each with its weight; under |1><1|
+    one outcome, identity on the rest, of weight 1.  A's first measurement
+    reads the flag, after which no party can split the dominoes: the
+    extreme-ray search is exhausted after two rounds."""
+    dominoes = rotated_dominoes()
+    eye3 = np.eye(3, dtype=complex)
+    outcomes = [(o.label, (np.kron(P0, o.factors[0]), o.factors[1]))
+                for o in dominoes.outcomes]
+    outcomes.append(("flag", (np.kron(P1, eye3), eye3)))
+    return SeparableMeasurement([Party("A", 6), Party("B", 3)], outcomes,
+                                np.append(dominoes.weights, 1.0))
+
+
 @pytest.fixture(scope="session")
 def m_pair():
     return qubit_pair()

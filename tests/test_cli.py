@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import flag_dominoes
 import locc_forge
 from locc_forge.cli import main
+from locc_forge.io import save_measurement
 
 
 def run(capsys, *argv):
@@ -190,10 +192,10 @@ class TestSynthCommand:
         assert "IMPOSSIBLE_AT_ROOT" in out
 
     def test_inconclusive(self, tmp_path, capsys):
-        path = tmp_path / "seven.json"
-        run(capsys, "catalog", "seven-outcome-family", "--seed", "1",
-            "--out", str(path))
-        code, out, _ = run(capsys, "synth", str(path), "--max-rounds", "2")
+        # the extreme-ray search is exhausted after two rounds
+        path = tmp_path / "flag.json"
+        save_measurement(flag_dominoes(), str(path))
+        code, out, _ = run(capsys, "synth", str(path))
         assert code == 3
         assert "INCONCLUSIVE" in out
 
@@ -376,11 +378,12 @@ class TestErrorPaths:
         assert "outcomes 0 and 2" in err
         assert not (tmp_path / "tree.json").exists()
 
-    def test_max_rounds_below_one_is_a_usage_error(self, pair_file, capsys):
-        for value in ("0", "-2"):
-            code, _, err = run(capsys, "synth", pair_file, "--max-rounds", value)
-            assert code == 64
-            assert "--max-rounds" in err and "at least 1" in err
+    def test_max_rounds_is_a_usage_error(self, pair_file, capsys):
+        # the search deepens until it finds a tree or is exhausted: no
+        # option caps the rounds
+        code, _, err = run(capsys, "synth", pair_file, "--max-rounds", "3")
+        assert code == 64
+        assert "--max-rounds" in err
 
     def test_negative_trials_is_a_usage_error(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1, PMINUS, PPLUS, SIGMA_Z
+from conftest import EYE2, P0, P1, PMINUS, PPLUS, SIGMA_Z, benchmark_instances, flag_dominoes
 from locc_forge import (
     Verdict,
     check_root,
@@ -276,16 +276,34 @@ class TestNearlyParallelFactors:
         assert verify_tree(cert.tree, m).passed
 
 
-class TestInconclusive:
-    def test_round_budget_exhausted(self, m_seven):
-        cert = synthesize(m_seven, max_rounds=3)
-        assert cert.verdict == Verdict.INCONCLUSIVE
-        assert cert.tree is None
-        assert cert.search_stats.dead_ends > 0
+class TestExhaustion:
+    """INCONCLUSIVE means the extreme-ray search ran out.  Every child's
+    support is a strict subset of its parent's, so no tree is deeper than
+    n_outcomes - 1 and deepening stops at the first pass that cuts nothing."""
 
-    def test_round_budget_validation(self, m_pair):
-        with pytest.raises(ValueError):
-            synthesize(m_pair, max_rounds=0)
+    def test_flag_dominoes_exhaust_after_two_passes(self):
+        cert = synthesize(flag_dominoes())
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert cert.tree is None
+        # pass 1 expands the root and cuts its children at depth 1; pass 2
+        # expands the root and the dominoes under the flag, which no party
+        # can split, and cuts nothing
+        assert cert.search_stats.nodes_expanded == 3
+
+    def test_children_shrink_the_support(self):
+        found = 0
+        for m in benchmark_instances():
+            cert = synthesize(m)
+            if cert.tree is None:
+                continue
+            found += 1
+            assert cert.tree.depth() <= m.n_outcomes - 1
+            for node, _ in cert.tree.walk():
+                support = node.coeffs > 0
+                for child in node.children:
+                    inner = child.coeffs > 0
+                    assert (inner <= support).all() and inner.sum() < support.sum()
+        assert found == 22
 
 
 class TestLeafDetection:

@@ -355,6 +355,15 @@ class TestStructure:
                                  [("x", (P0, EYE2)), ("y", (P1, EYE2))],
                                  np.array([1.0, value]))
 
+    def test_overflowing_hermitian_part_located(self):
+        # (a + a^H) / 2 overflows although every entry is finite; refused
+        # before any frame reaches LAPACK, and with no RuntimeWarning
+        bad = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        with pytest.raises(MeasurementFormatError, match="too large") as err:
+            SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("x", (EYE2, bad))], np.array([1.0]))
+        assert err.value.location == "outcomes[0].factors[1]"
+
     def test_duplicate_outcome_labels_name_both_outcomes(self):
         with pytest.raises(ValueError, match="outcomes 0 and 2 share the label 'x'"):
             SeparableMeasurement([Party("A", 2), Party("B", 2)],

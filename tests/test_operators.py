@@ -253,6 +253,17 @@ class TestHermitianValidation:
         with pytest.raises(ValueError, match="non-finite"):
             as_hermitian(bad)
 
+    def test_overflowing_magnitude_rejected(self):
+        # an overflowing Hermitian part is refused at the constructor (see
+        # test_measurement); here |a_01| overflows while the anti-Hermitian
+        # part, which also overflows, leaves a finite Hermitian part
+        with pytest.raises(ValueError, match="too large"):
+            as_hermitian(np.array([[0, 1.3e308 + 1.3e308j], [-1.3e308 + 1.3e308j, 0]]))
+
+    def test_largest_finite_sums_stored_unchanged(self):
+        big = np.array([[8.9e307, 8.9e307j], [complex(0, -8.9e307), -8.9e307]])
+        assert as_hermitian(big).tobytes() == big.tobytes()
+
     def test_scale_invariance(self):
         big = 1e8 * P0.astype(complex)
         big[0, 1] += 1e-4j   # tiny relative to the 1e8 entry scale
