@@ -3,7 +3,8 @@
 The feasible set at a node is {c >= 0 : Q c = 0}.  Substituting c = N y,
 with N an orthonormal nullspace basis of Q, turns it into a pointed cone
 {y : N y >= 0} in few dimensions.  Extreme rays are enumerated there with
-the double description method and mapped back; they are the indivisible
+the double description method, or read off in closed form when the cone is
+a half-line or an arc, and mapped back; they are the indivisible
 candidate outcomes of the next measurement.  Splitting a parent vector into
 positive multiples of extreme rays enumerates the candidate measurements
 themselves.
@@ -11,8 +12,9 @@ themselves.
 
 from __future__ import annotations
 
+from cmath import phase
 from dataclasses import dataclass
-from math import sqrt
+from math import hypot, sqrt
 
 import numpy as np
 
@@ -124,20 +126,11 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
             z = solve(passive, *np.linalg.qr(a[:, passive]))
 
 
-def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme rays of the pointed cone {y : a y >= 0}, a of full column rank,
-    as the unit rows of one array, and each row's activity cut.
-
-    Standard incremental construction (Fukuda and Prodon, *Double
-    description method revisited*, 1996): start from a simplicial subcone
-    cut out by k independent rows, then add the remaining halfspaces one at
-    a time, combining adjacent rays across each new hyperplane.  Row i is
-    active on a unit ray y when |a_i . y| <= cut_i = ``_ACTIVITY_TOL`` |a_i|;
-    the same test decides adjacency.  Rows that vanish on the whole
-    subspace get an infinite cut: they are active on every ray.  Entered
-    with k >= 2 only: :func:`extreme_rays` answers k = 1 in closed form.
-    """
-    n, k = a.shape
+def _constraint_rows(a: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The live rows of ``a``, and each row's activity cut: row i is active
+    on a unit ray y when |a_i . y| <= cut_i = ``_ACTIVITY_TOL`` |a_i|.  Rows
+    that vanish on the whole subspace get an infinite cut: they are active
+    on every ray."""
     row_norms = np.linalg.norm(a, axis=1)
     # rows that vanish on the whole subspace are vacuous constraints carrying
     # only numerical noise; with orthonormal columns the largest row norm is
@@ -148,6 +141,49 @@ def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConeError("all constraint rows vanish")
     cuts = _ACTIVITY_TOL * row_norms
     cuts[vanishing] = np.inf
+    return live, cuts
+
+
+def _arc_ends(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme rays of the pointed cone {y : a y >= 0} in the plane, a of
+    rank 2, as the unit rows of one array, and each row's activity cut.
+
+    The cone is an arc, and its rays are the arc's two ends.  Each end is
+    perpendicular to one of the two angularly extreme live rows, turned
+    toward the others.  Angles are read from the sum of the unit live rows,
+    which lies strictly inside the cone the rows span whenever they fit in
+    a half-plane, so every angle is below pi in magnitude; an end with a
+    live slack below -cut (rows spanning more than a half-plane) leaves the
+    cone trivial.  Rows exactly opposite give one end twice: a half-line.
+    """
+    live, cuts = _constraint_rows(a)
+    # rows as unit complex numbers x + iy: over a handful of rows, one pass
+    # in Python costs less than numpy's per-call overhead
+    units = [complex(x, y) / hypot(x, y) for x, y in a[live].tolist()]
+    mid = sum(units).conjugate()
+    angles = [phase(u * mid) for u in units]        # counterclockwise from the sum
+    hi = units[angles.index(max(angles))] * -1j      # a quarter turn clockwise
+    lo = units[angles.index(min(angles))] * 1j       # a quarter turn counterclockwise
+    ends = np.array([[hi.real, hi.imag], [lo.real, lo.imag]])
+    if (ends @ a.T < -cuts).any():      # a vanishing row's cut is infinite
+        raise ConeError("cone is trivial")
+    return ends, cuts
+
+
+def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme rays of the pointed cone {y : a y >= 0}, a of full column rank,
+    as the unit rows of one array, and each row's activity cut.
+
+    Standard incremental construction (Fukuda and Prodon, *Double
+    description method revisited*, 1996): start from a simplicial subcone
+    cut out by k independent rows, then add the remaining halfspaces one at
+    a time, combining adjacent rays across each new hyperplane.  Activity
+    follows :func:`_constraint_rows`; the same test decides adjacency.
+    Entered with k >= 3 only: :func:`extreme_rays` answers k = 1 and k = 2
+    in closed form.
+    """
+    k = a.shape[1]
+    live, cuts = _constraint_rows(a)
     base = [live[i] for i in _independent_rows(a[live], k)]
     rays = np.linalg.inv(a[base]).T
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -195,10 +231,11 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     row, given ``basis``, an orthonormal nullspace basis N of Q.
 
     The rays come from the double description of {y : N y >= 0}, whose
-    rows are the constraints c_j >= 0.  A ray's entry c_j is set to exactly
-    0 wherever that run's activity test finds the ray active on c_j >= 0
-    (every j whose row vanishes on the nullspace included), so a ray's
-    support is the set of facets it lies off, never a magnitude threshold.
+    rows are the constraints c_j >= 0, when N has three or more columns.
+    A ray's entry c_j is set to exactly 0 wherever that run's activity test
+    finds the ray active on c_j >= 0 (every j whose row vanishes on the
+    nullspace included), so a ray's support is the set of facets it lies
+    off, never a magnitude threshold.
     Rays are deduplicated at cosine distance :data:`DUPLICATE_TOL` and
     sorted lexicographically so repeated runs are bit-identical.
 
@@ -213,6 +250,13 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     description's vanishing rule), and a live entry of the opposite sign
     leaves the cone trivial.  Both routes end in the same L1 scaling and
     residual test.
+
+    A two-column N runs no double description either: its cone is an arc,
+    whose two rays :func:`_arc_ends` reads off the angularly extreme live
+    rows in one pass, with the double description's vanishing rule,
+    activity cuts and errors.  The ends go through the same activity
+    zeroing, filters, scaling, deduplication and sort, so only cones of
+    three or more dimensions are enumerated.
     """
     q = np.asarray(q, dtype=float)
     basis = np.asarray(basis, dtype=float)
@@ -231,7 +275,7 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
         if cs.min() < 0:
             raise ConeError("cone is trivial")
     else:
-        ys, cuts = _double_description(basis)
+        ys, cuts = (_arc_ends if k == 2 else _double_description)(basis)
         cs = ys @ basis.T           # row r holds ray r's c = N y, and its slacks
         cs[np.abs(cs) <= cuts] = 0.0
         # every ray has N y >= -cut, so none needs its sign flipped; negative

@@ -24,9 +24,9 @@ cutoff in :func:`independent_subset` before it decides without an SVD."""
 
 
 def as_hermitian(entries) -> np.ndarray:
-    """Validate a finite square matrix as Hermitian and return its Hermitian
-    part (a + a^H) / 2 as complex128, which equals a entry for entry when a
-    is exactly Hermitian.
+    """Validate a finite square matrix as Hermitian and return it as a new
+    complex128 array: a copy of a's bytes when a is exactly Hermitian, else
+    its Hermitian part (a + a^H) / 2.
 
     Asymmetry is measured in max norm after scaling by the largest entry
     magnitude, so the check is insensitive to overall operator scale.
@@ -42,12 +42,14 @@ def as_hermitian(entries) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):    # overflow is refused below
         scale = float(np.abs(a).max())
-        if scale > 0.0 and float(np.abs(a - a.conj().T).max()) > HERMITICITY_TOL * scale:
+        asymmetry = float(np.abs(a - a.conj().T).max())
+        if scale > 0.0 and asymmetry > HERMITICITY_TOL * scale:
             raise ValueError("matrix is not Hermitian within tolerance")
         h = (a + a.conj().T) / 2
     if not (np.isfinite(scale) and np.isfinite(h).all()):
         raise ValueError("matrix entries are too large for floating point")
-    return h
+    # (a + a^H) / 2 would turn a -0.0 real part into +0.0
+    return a.copy() if asymmetry == 0.0 else h
 
 
 def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: the Kronecker
 product is written with explicit loops, extreme rays are enumerated by
 facet sign patterns instead of double description (and a one-column
-nullspace through the double description's generic half-line route
-instead of the library's closed form), completeness
+nullspace through the double description's generic half-line route, a
+two-column one through the double description itself, instead of the
+library's closed forms), completeness
 weights come from an unconstrained least-squares solve or scipy's
 nonnegative one on the whole realified system, factor positivity from one
 eigvalsh per factor, independent
@@ -36,6 +37,7 @@ from locc_forge.measurement import reconstruct
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import project_factor, tensor
 from locc_forge.tolerances import (
+    DUPLICATE_TOL,
     MARGINAL_RANK_BAND,
     NULLSPACE_RESIDUAL_TOL,
     PSD_TOL,
@@ -140,6 +142,32 @@ def half_line_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if not len(cs):
         raise ConeError("no nonnegative ray found; cone is {0}")
     return cs
+
+
+def planar_double_description_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The extreme rays of {c >= 0 : Q c = 0} for a two-column nullspace
+    basis N, the generic way: the double description of {y : N y >= 0} and
+    the generic post-processing (activity zeroing, sign and roundoff
+    filters, L1 scaling, residual filter, deduplication, lexicographic
+    sort)."""
+    a = np.asarray(basis, dtype=float)
+    assert a.shape[1] == 2
+    ys, cuts = cones._double_description(a)
+    cs = ys @ a.T
+    cs[np.abs(cs) <= cuts] = 0.0
+    cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
+    np.maximum(cs, 0.0, out=cs)
+    cs /= cs.sum(axis=1, keepdims=True)
+    cs = cs[np.abs(cs @ np.asarray(q, dtype=float).T).max(axis=1, initial=0.0)
+            <= NULLSPACE_RESIDUAL_TOL]
+    if not len(cs):
+        raise ConeError("no nonnegative ray found; cone is {0}")
+    unique: list[np.ndarray] = []
+    for c in cs:
+        if all(1.0 - c @ u / (np.linalg.norm(c) * np.linalg.norm(u)) >= DUPLICATE_TOL
+               for u in unique):
+            unique.append(c)
+    return np.array(sorted(unique, key=lambda c: tuple(np.round(c, 12))))
 
 
 def brute_force_rays(q: np.ndarray, feas_tol: float = 1e-9) -> list[np.ndarray]:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import qr
+from scipy.linalg import null_space, qr
 from scipy.optimize import nnls as scipy_nnls
 
-from conftest import benchmark_instances, domino_angle_sets
+from conftest import benchmark_instances, catalog_instances, domino_angle_sets
 from locc_forge import Verdict, check_root, cones
 from locc_forge.catalog import (
     conditional_basis,
@@ -18,7 +18,12 @@ from locc_forge.cones import ConeError, decompose, extreme_rays
 from locc_forge.engine import synthesize
 from locc_forge.feasibility import build_q, feasible_cone, nullspace, root_context
 from locc_forge.tolerances import NULLSPACE_RESIDUAL_TOL
-from oracles import brute_force_rays, combination_decompose, half_line_rays
+from oracles import (
+    brute_force_rays,
+    combination_decompose,
+    half_line_rays,
+    planar_double_description_rays,
+)
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -131,7 +136,7 @@ class TestOneDimensionalCones:
                 assert root.extreme_rays.shape == (1, len(w))
                 assert np.abs(root.extreme_rays[0] - w / w.sum()).max() <= 1e-12
 
-    def test_double_description_entered_with_two_columns_or_more(self, monkeypatch):
+    def test_double_description_entered_with_three_columns_or_more(self, monkeypatch):
         widths, cones_met = [], []
         dd, rays_of_cone = cones._double_description, cones.extreme_rays
 
@@ -145,12 +150,13 @@ class TestOneDimensionalCones:
 
         monkeypatch.setattr(cones, "_double_description", counted_dd)
         monkeypatch.setattr(cones, "extreme_rays", counted_rays)
-        cert = synthesize(conditional_basis(5, 2, 0))
-        assert cert.verdict is Verdict.PROTOCOL_FOUND
-        assert widths and min(widths) >= 2
-        # every constrained cone of two or more dimensions, and no other
-        assert (1, True) in cones_met
-        assert len(widths) == sum(k >= 2 and constrained for k, constrained in cones_met)
+        # 5x2 meets cones of one and two dimensions only, 4x3 also of three
+        for m in (conditional_basis(5, 2, 0), conditional_basis(4, 3, 0)):
+            assert synthesize(m).verdict is Verdict.PROTOCOL_FOUND
+        assert widths and min(widths) >= 3
+        # every constrained cone of three or more dimensions, and no other
+        assert (1, True) in cones_met and (2, True) in cones_met
+        assert len(widths) == sum(k >= 3 and constrained for k, constrained in cones_met)
 
     def test_bitwise_equal_to_the_generic_route_on_the_benchmark(self, monkeypatch):
         met = []
@@ -206,6 +212,135 @@ class TestOneDimensionalCones:
             assert route(q, basis).shape == (1, 3)
             with pytest.raises(ConeError, match="no nonnegative ray found"):
                 route(q + drift, basis)
+
+
+def _outcome(route, q, basis):
+    """A route's rays, or its ConeError message."""
+    try:
+        return route(q, basis)
+    except ConeError as err:
+        return str(err)
+
+
+def _assert_same_rays(got, expected):
+    """Exact supports, the same row count, rays within 1e-14."""
+    assert got.shape == expected.shape
+    assert np.array_equal(got > 0, expected > 0)
+    assert np.abs(got - expected).max() <= 1e-14
+
+
+def _whitened(rows):
+    """Rows under the symmetric map that makes the columns orthonormal; it
+    keeps each row's side of every line through the origin."""
+    vals, vecs = np.linalg.eigh(rows.T @ rows)
+    return rows @ (vecs / np.sqrt(vals)) @ vecs.T
+
+
+def _turned(row, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([c * row[0] - s * row[1], s * row[0] + c * row[1]])
+
+
+@st.composite
+def planar_bases(draw):
+    """An n x 2 orthonormal basis whose rows sit in an arc narrower or wider
+    than a half-plane, with one row split into two that are parallel, nearly
+    parallel (a few activity tolerances apart) or exactly opposite, and
+    rows at and just above the vanishing cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 7))
+    width = draw(st.sampled_from([0.5, 0.95, 1.05, 1.9])) * np.pi
+    angles = rng.uniform(0.0, width, n)
+    angles[:2] = (0.0, width)
+    angles += rng.uniform(0.0, 2 * np.pi)
+    basis = _whitened(rng.uniform(0.2, 1.0, n)[:, None]
+                      * np.column_stack([np.cos(angles), np.sin(angles)]))
+    i = draw(st.integers(0, n - 1))
+    split = draw(st.sampled_from(["none", "parallel", "near", "opposite"]))
+    if split != "none":
+        t = rng.uniform(0.1, 0.9)
+        gap = {"parallel": 0.0, "opposite": 0.0,
+               "near": draw(st.floats(2.0, 10.0)) * cones._ACTIVITY_TOL}[split]
+        sign = -1.0 if split == "opposite" else 1.0
+        pair = [np.sqrt(t) * _turned(basis[i], gap / 2),
+                sign * np.sqrt(1 - t) * _turned(basis[i], -gap / 2)]
+        basis = np.vstack([basis[:i], pair, basis[i + 1:]])
+    cutoff = cones._VANISHING_TOL * float(np.linalg.norm(basis, axis=1).max())
+    tiny = []
+    for _ in range(draw(st.integers(0, 2))):
+        axis = np.eye(2)[int(rng.integers(2))] * rng.choice([-1.0, 1.0])
+        tiny.append(draw(st.sampled_from([
+            cutoff * axis,                                  # vanishes
+            np.nextafter(cutoff, 1.0) * axis,               # live
+            (1 + 1e-12) * cutoff * _turned(basis[i], 0.5) / np.linalg.norm(basis[i]),
+        ])))
+    rows = np.vstack([basis, *tiny]) if tiny else basis
+    return rows[rng.permutation(len(rows))]
+
+
+class TestTwoDimensionalCones:
+    """A two-column nullspace basis is answered in closed form, with the
+    supports, rays and errors of the double description."""
+
+    def test_matches_the_double_description_on_the_benchmark(self, monkeypatch):
+        # benchmark_instances() holds the seven-outcome family at seeds 0-9
+        met = []
+        rays_of_cone = cones.extreme_rays
+
+        def recorded(q, basis):
+            out = rays_of_cone(q, basis)
+            if basis.shape[1] == 2 and q.shape[0] > 0:
+                met.append((q, basis, out))
+            return out
+
+        monkeypatch.setattr(cones, "extreme_rays", recorded)
+        for m in benchmark_instances():
+            synthesize(m)
+        assert len(met) >= 60
+        for q, basis, got in met:
+            _assert_same_rays(got, planar_double_description_rays(q, basis))
+
+    def test_catalog_synthesis_runs_no_planar_double_description(self, monkeypatch):
+        dd = cones._double_description
+
+        def refused_on_planes(a):
+            if a.shape[1] == 2:
+                raise AssertionError("double description run on a planar cone")
+            return dd(a)
+
+        monkeypatch.setattr(cones, "_double_description", refused_on_planes)
+        for m in catalog_instances():
+            assert synthesize(m).verdict in (Verdict.PROTOCOL_FOUND, Verdict.IMPOSSIBLE_AT_ROOT)
+
+    @given(planar_bases())
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([[0.6, 0.0], [-0.3, 0.0], [0.0, 1.0], [0.0, 0.0]]) / [[np.sqrt(0.45), 1]])
+    def test_degenerate_planes_match_the_double_description(self, basis):
+        q = null_space(basis.T).T
+        got = _outcome(extreme_rays, q, basis)
+        expected = _outcome(planar_double_description_rays, q, basis)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            _assert_same_rays(got, expected)
+
+    def test_exactly_opposite_rows_leave_a_half_line(self):
+        basis = np.array([[0.6, 0.0], [-0.3, 0.0], [0.0, 1.0]]) / [[np.sqrt(0.45), 1]]
+        q = null_space(basis.T).T
+        got = extreme_rays(q, basis)
+        assert np.array_equal(got, [[0.0, 0.0, 1.0]])
+        _assert_same_rays(got, planar_double_description_rays(q, basis))
+        flipped = np.vstack([basis, [[0.0, -1e-3]]])     # a live row on the other side
+        for route in (extreme_rays, planar_double_description_rays):
+            with pytest.raises(ConeError, match="cone is trivial"):
+                route(null_space(flipped.T).T, flipped)
+
+    def test_all_rows_vanishing(self):
+        basis, q = np.zeros((4, 2)), np.eye(4)
+        for route in (extreme_rays, planar_double_description_rays):
+            with pytest.raises(ConeError, match="all constraint rows vanish"):
+                route(q, basis)
 
 
 @st.composite

@@ -48,6 +48,20 @@ class TestMeasurementRoundTrip:
                 for fa, fb in zip(a.factors, b.factors):
                     assert np.array_equal(fa, fb)   # bit-exact floats
 
+    def test_signed_zero_round_trip(self, tmp_path):
+        # an exactly Hermitian factor is stored and reloaded byte for byte,
+        # -0.0 real parts included
+        f = np.array([[1, 1j], [-1j, 1]])
+        g = np.array([[1, -1j], [1j, 1]])
+        eye = np.eye(2, dtype=complex)
+        m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("f", (f, eye)), ("g", (g, eye))], [0.5, 0.5])
+        assert m.outcomes[0].factors[0].tobytes() == f.tobytes()
+        save_measurement(m, str(tmp_path / "m.json"))
+        back = load_measurement(str(tmp_path / "m.json"))
+        for a, b in zip(back.outcomes, (f, g)):
+            assert a.factors[0].tobytes() == b.tobytes()
+
     def test_weights_inferred_when_absent(self, m_pair):
         doc = measurement_to_dict(m_pair)
         for o in doc["outcomes"]:

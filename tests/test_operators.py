@@ -264,6 +264,15 @@ class TestHermitianValidation:
         big = np.array([[8.9e307, 8.9e307j], [complex(0, -8.9e307), -8.9e307]])
         assert as_hermitian(big).tobytes() == big.tobytes()
 
+    def test_exactly_hermitian_stored_byte_for_byte(self):
+        # the literal -1j is complex(-0.0, -1.0); (a + a^H) / 2 would store
+        # +0.0 in its place
+        a = np.array([[1, 1j], [-1j, 1]])
+        assert np.signbit(a[1, 0].real)
+        h = as_hermitian(a)
+        assert h.tobytes() == a.tobytes()
+        assert not np.shares_memory(h, a)
+
     def test_scale_invariance(self):
         big = 1e8 * P0.astype(complex)
         big[0, 1] += 1e-4j   # tiny relative to the 1e8 entry scale
