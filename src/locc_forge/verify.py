@@ -16,19 +16,24 @@ vectors, so the checks are as rigorous as through that R (see
 ``measurement.trimmed_r``).  Root completeness, node sums,
 descendant-leaf sums and leaf matches are Frobenius norms of coefficient
 differences taken through one joint R; product structure is decided by
-operator Schmidt rank from per-cut cores; each edge by the child's
-distance from its parent's other-parties side, read off the parent's
-core; and positivity from a Weyl bound over the factors' spectra, with an
-exact eigenvalue check of the node operator, the one operator formed,
-wherever the bound does not settle it.  The operator checks' norms bound
-the max norm and do not change under local unitaries.
+operator Schmidt rank from per-cut cores, each certified rank one by an
+Eckart-Young bound on its distance from the product through its largest
+row, with an exact SVD of only the cores the bound does not settle; each
+edge by the child's distance from its parent's other-parties side, read
+off the parent's core by one power step or that SVD; and positivity from
+a Weyl bound over the factors' spectra, with an exact eigenvalue check of
+the node operator, the one operator formed, wherever the bound does not
+settle it.  So a bound decides only what it proves, and every failing
+check reads an exact value.  A passing check names no location.  The
+operator checks' norms bound the max norm and do not change under local
+unitaries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +64,7 @@ class VerificationReport:
         for name, check in self.checks.items():
             status = "PASS" if check.passed else "FAIL"
             line = f"{name}: {status} (worst residual {check.worst_residual:.3e})"
-            if check.detail and not check.passed:
+            if check.detail:
                 line += f" at {check.detail}"
             out.append(line)
         return out
@@ -151,18 +156,16 @@ def _structural_pass(tree: ProtocolNode, m: SeparableMeasurement) -> _Flat:
                  outcome.astype(int), scale)
 
 
-def _cut_cores(m: SeparableMeasurement, coeffs: np.ndarray) -> Iterator[np.ndarray]:
-    """Every node's core on each party cut (p | rest) in turn; two parties
-    have a single cut.  Across a cut the realignment of sum_j c_j O_j is
+def _cut_cores(m: SeparableMeasurement, p: int, coeffs: np.ndarray) -> np.ndarray:
+    """The cores on the party cut (p | rest) of the nodes with coefficient
+    rows ``coeffs``.  Across the cut the realignment of sum_j c_j O_j is
     A diag(c) B^T, and the core R_A diag(c) R_B^T, read from the party's
     frame and the cut's other-parties side, is that realignment in
     orthonormal frames of both sides: it keeps its singular values and
     vectors and its Frobenius distances."""
-    n, rs = coeffs.shape[1], m.party_rs
-    for p in range(len(rs) if len(rs) > 2 else 1):
-        r_b = m.cut_rs[p]
-        w = khatri_rao([rs[p][:, :n], r_b[:, :n]], n)
-        yield (coeffs @ w.T).reshape(len(coeffs), len(rs[p]), len(r_b))
+    n, r_a, r_b = coeffs.shape[1], m.party_rs[p], m.cut_rs[p]
+    w = khatri_rao([r_a[:, :n], r_b[:, :n]], n)
+    return (coeffs @ w.T).reshape(len(coeffs), len(r_a), len(r_b))
 
 
 def _schmidt_ratios(sigma: np.ndarray, multi: np.ndarray) -> np.ndarray:
@@ -177,17 +180,60 @@ def _schmidt_ratios(sigma: np.ndarray, multi: np.ndarray) -> np.ndarray:
                                      where=top != 0), 0.0)
 
 
-def _edge_residuals(cores: np.ndarray, tops: np.ndarray, parent: np.ndarray,
-                    kids: np.ndarray) -> np.ndarray:
-    """Frobenius distance of each child in ``kids`` from {X (x) Abar},
-    relative to max(1, |child|_F), on the cut of its measuring party.  Child
-    i is node i + 1, and Abar is the other-parties side of its parent:
-    b = ``tops[parent[i]]``, the top right singular vector of the parent's
-    core.  The distance is |core - (core b) b^T|_F, as the cores' frames
-    are orthonormal."""
-    c, b = cores[kids + 1], tops[parent[kids]]
-    off = c - (c @ b[:, :, None]) * b[:, None, :]
-    return np.linalg.norm(off, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(c, axis=(1, 2)))
+def _rank_one(cores: np.ndarray, multi: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each core's relative second operator-Schmidt coefficient, as
+    :func:`_schmidt_ratios` reads it, and its top left and right singular
+    vectors, with an SVD only of the cores a bound does not settle.
+
+    Let b0 be the core C's largest row scaled to unit norm.  The rank-one
+    residual rho = |C - (C b0) b0^T|_F is at least C's distance from its
+    best rank-one approximation, sqrt(sum_{i>=2} sigma_i^2) >= sigma_2, and
+    as |C|_F^2 = sum_i sigma_i^2, sigma_1^2 >= |C|_F^2 - rho^2 (both by
+    Eckart-Young).  So sigma_2 / sigma_1 <= rho / sqrt(|C|_F^2 - rho^2).  A
+    core whose bound is at most ``RESIDUAL_TOL`` reports the bound, which is
+    at least the exact ratio up to roundoff of about eps, as positivity
+    reports its Weyl bound.  Its vectors come from one power step,
+    b = C^T C b0 and u = C b, normalised: b0, the largest of m rows, is at
+    an angle from the top right singular vector whose tangent is at most
+    about sqrt(m), and the step multiplies that tangent by
+    (sigma_2 / sigma_1)^2 <= 1e-16, so b and u are the SVD's vectors within
+    roundoff.  Every other core, a zero one included, takes the exact SVD,
+    its ratio and its vectors, so every decision on the tolerance is the
+    SVD's."""
+    with np.errstate(divide="ignore", invalid="ignore"):     # zero cores go on
+        rows = np.linalg.norm(cores, axis=2)
+        b0 = cores[np.arange(len(cores)), rows.argmax(axis=1)] / rows.max(axis=1)[:, None]
+        cb = cores @ b0[:, :, None]
+        rho = np.linalg.norm(cores - cb * b0[:, None, :], axis=(1, 2))
+        size = np.linalg.norm(rows, axis=1)
+        bound = rho / np.sqrt((size - rho) * (size + rho))
+        right = (cb.transpose(0, 2, 1) @ cores)[:, 0]
+        right /= np.linalg.norm(right, axis=1)[:, None]
+        left = (cores @ right[:, :, None])[:, :, 0]
+        left /= np.linalg.norm(left, axis=1)[:, None]
+    ratios = np.where(multi, bound, 0.0)
+    open_ = np.flatnonzero(~(bound <= RESIDUAL_TOL))
+    if len(open_):
+        u, sigma, vh = np.linalg.svd(cores[open_], full_matrices=False)
+        ratios[open_] = _schmidt_ratios(sigma, multi[open_])
+        left[open_], right[open_] = u[:, :, 0], vh[:, 0]
+    return ratios, left, right
+
+
+def _edge_residuals(cores: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each child from {X (x) Abar}, relative to
+    max(1, |child|_F), from its core on the cut of its measuring party and
+    b, the top right singular vector of its parent's core there, which
+    spans Abar, the parent's other-parties side.  The distance is
+    |core - (core b) b^T|_F, as the cores' frames are orthonormal.  b comes
+    from :func:`_rank_one`: one power step where the Eckart-Young bound
+    certifies the parent's core rank one within ``RESIDUAL_TOL``, which
+    leaves it within roundoff of the SVD's, and the SVD's vector
+    elsewhere."""
+    off = cores - (cores @ tops[:, :, None]) * tops[:, None, :]
+    return (np.linalg.norm(off, axis=(1, 2))
+            / np.maximum(1.0, np.linalg.norm(cores, axis=(1, 2))))
 
 
 def _negativity(ops: np.ndarray) -> np.ndarray:
@@ -195,6 +241,50 @@ def _negativity(ops: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvalsh(ops)
     floor = np.maximum(1.0, np.abs(eigs).max(axis=1))
     return np.maximum(0.0, -eigs[:, 0]) / floor
+
+
+def _cut_checks(t: _Flat, m: SeparableMeasurement) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's product-structure ratio, its largest over the party cuts,
+    and each child's edge residual on the cut of its measuring party, in
+    walk order.  Each cut's cores are certified rank one by
+    :func:`_rank_one` on the nodes with two or more nonzero coefficients
+    (product structure) and on the parents (the edge check).  Two parties
+    have one cut, which reads every node, and party 1's cores there are the
+    transposes; otherwise cut p builds the cores of those nodes and of the
+    children measuring at p only."""
+    coeffs, parent = t.coeffs, t.parent[1:]
+    multi = np.count_nonzero(coeffs, axis=1) >= 2
+    on = np.flatnonzero(multi | ~t.leaf)
+    up = np.searchsorted(on, parent)        # each child's parent's row in on
+    ratios, edges = np.zeros(len(coeffs)), np.zeros(len(parent))
+    if len(m.parties) == 2:
+        cut = _cut_cores(m, 0, coeffs)
+        ratios[on], left, right = _rank_one(cut[on], multi[on])
+        for q, cores, tops in ((0, cut, right), (1, cut.transpose(0, 2, 1), left)):
+            kids = np.flatnonzero(t.slots == q)
+            edges[kids] = _edge_residuals(cores[kids + 1], tops[up[kids]])
+        return ratios, edges
+    for p in range(len(m.parties)):
+        kids = np.flatnonzero(t.slots == p)
+        cut = _cut_cores(m, p, coeffs[np.concatenate([on, kids + 1])])
+        ratio, _, right = _rank_one(cut[:len(on)], multi[on])
+        ratios[on] = np.maximum(ratios[on], ratio)
+        edges[kids] = _edge_residuals(cut[len(on):], right[up[kids]])
+    return ratios, edges
+
+
+def _worst(pairs: Iterable[tuple[float, str]], tol: float = RESIDUAL_TOL) -> CheckResult:
+    """The check over (residual, location) pairs: it passes when the worst
+    residual, the first largest, is at most ``tol``, and names that
+    residual's location only when it fails.  A NaN residual is the worst."""
+    worst_r, worst_at = 0.0, ""
+    for r, at in pairs:
+        if not r <= worst_r:
+            worst_r, worst_at = r, at
+            if np.isnan(r):
+                break
+    passed = worst_r <= tol
+    return CheckResult(passed, worst_r, "" if passed else worst_at)
 
 
 def verify_tree(tree: ProtocolNode, m: SeparableMeasurement) -> VerificationReport:
@@ -212,15 +302,6 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement) -> VerificationRepo
     t = _structural_pass(tree, m)
     n = m.n_outcomes
     paths, coeffs, leaf, parent = t.paths, t.coeffs, t.leaf, t.parent[1:]
-
-    def worst(pairs: Iterable[tuple[float, str]]) -> CheckResult:
-        worst_r, worst_at = 0.0, ""
-        for r, at in pairs:
-            if not r <= worst_r:            # a NaN residual is the worst
-                worst_r, worst_at = r, at
-                if np.isnan(r):
-                    break
-        return CheckResult(worst_r <= RESIDUAL_TOL, worst_r, worst_at)
 
     # Each linear check is a row d of coefficient differences with an
     # identity term d_n, whose residual |R d| is the Frobenius norm of
@@ -245,27 +326,13 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement) -> VerificationRepo
     k = len(inner_paths)
 
     checks: dict[str, CheckResult] = {}
-    checks["root-completeness"] = worst([(linear[0], "root")])
-    checks["node-sum"] = worst(zip(linear[1:1 + k], inner_paths))
-    checks["descendant-leaf-sum"] = worst(zip(linear[1 + k:1 + 2 * k], inner_paths))
-    # Each cut's cores take one SVD, on the nodes with two or more nonzero
-    # coefficients (product structure) and on the parents (the edge check),
-    # and are dropped before the next cut's are built.
-    multi = np.count_nonzero(coeffs, axis=1) >= 2
-    on = multi | ~leaf
-    up = (np.cumsum(on) - 1)[parent]        # each child's parent's SVD row
-    ratios, edges = np.zeros(len(paths)), np.zeros(len(parent))
-    for p, cut in enumerate(_cut_cores(m, coeffs)):
-        u, sigma, vh = np.linalg.svd(cut[on], full_matrices=False)
-        ratios[on] = np.maximum(ratios[on], _schmidt_ratios(sigma, multi[on]))
-        kids = np.flatnonzero(t.slots == p)
-        edges[kids] = _edge_residuals(cut, vh[:, 0], up, kids)
-        if len(m.parties) == 2:             # party 1's cores are the transposes
-            kids = np.flatnonzero(t.slots == 1)
-            edges[kids] = _edge_residuals(cut.transpose(0, 2, 1), u[:, :, 0], up, kids)
-    checks["product-structure"] = worst(zip(ratios.tolist(), paths))
-    checks["single-party-change"] = worst(zip(edges.tolist(), paths[1:]))
-    checks["leaf-match"] = worst(zip(linear[1 + 2 * k:], leaf_paths))
+    checks["root-completeness"] = _worst([(linear[0], "root")])
+    checks["node-sum"] = _worst(zip(linear[1:1 + k], inner_paths))
+    checks["descendant-leaf-sum"] = _worst(zip(linear[1 + k:1 + 2 * k], inner_paths))
+    ratios, edges = _cut_checks(t, m)
+    checks["product-structure"] = _worst(zip(ratios.tolist(), paths))
+    checks["single-party-change"] = _worst(zip(edges.tolist(), paths[1:]))
+    checks["leaf-match"] = _worst(zip(linear[1 + 2 * k:], leaf_paths))
 
     # When outcome operators are linearly dependent, the operator checks
     # above hold for a tree that files one outcome's share under another's
@@ -273,7 +340,7 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement) -> VerificationRepo
     per_outcome = np.zeros(n)
     np.add.at(per_outcome, t.outcome, t.scale)
     gaps = np.abs(per_outcome - m.weights) / max(1.0, float(m.weights.max()))
-    checks["outcome-weights"] = worst(zip(gaps.tolist(), m.labels()))
+    checks["outcome-weights"] = _worst(zip(gaps.tolist(), m.labels()))
 
     # The Weyl bound lambda_min(sum_j c_j O_j) >= sum_j c_j (lambda_min(O_j)
     # if c_j >= 0 else lambda_max(O_j)) reads the cached extremes of each
@@ -285,10 +352,7 @@ def verify_tree(tree: ProtocolNode, m: SeparableMeasurement) -> VerificationRepo
     open_ = np.flatnonzero(~(neg <= PSD_TOL))
     if len(open_):
         neg[open_] = _negativity(np.stack([reconstruct(m, coeffs[i]) for i in open_]))
-    at = int(np.argmax(neg))
-    worst_neg = max(0.0, float(neg[at]))       # not -0.0
-    checks["positivity"] = CheckResult(worst_neg <= PSD_TOL, worst_neg,
-                                       paths[at] if worst_neg > PSD_TOL else "")
+    checks["positivity"] = _worst(zip(neg.tolist(), paths), PSD_TOL)
 
     return VerificationReport(checks)
 

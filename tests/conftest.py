@@ -41,13 +41,23 @@ def catalog_instances() -> list[SeparableMeasurement]:
             + [seven_outcome_family(s) for s in range(10)])
 
 
-def benchmark_instances() -> list[SeparableMeasurement]:
-    """The benchmark's measurements at seed 0: the catalog, cond-deep and
+def benchmark_instances(seed: int = 0) -> list[SeparableMeasurement]:
+    """The benchmark's measurements at a seed: the catalog, cond-deep and
     one-way-wide."""
     out = catalog_instances()
-    out += [conditional_basis(n, d, [0, n, d]) for n, d in ((3, 4), (5, 2))]
-    out += [conditional_basis(2, d, [0, 2, d, k]) for d in (4, 5, 6) for k in range(3)]
+    out += [conditional_basis(n, d, [seed, n, d]) for n, d in ((3, 4), (5, 2))]
+    out += [conditional_basis(2, d, [seed, 2, d, k]) for d in (4, 5, 6) for k in range(3)]
     return out
+
+
+def audit_instances() -> list[SeparableMeasurement]:
+    """163 measurements: the benchmark's at seeds 0-2, conditional bases
+    4x3, 3x3, 4x2, 2x7, 2x8, 3x5 and 2x10 at seeds 0-2, and the
+    seven-outcome family at seeds 0-9.  97 have a protocol."""
+    out = [m for seed in range(3) for m in benchmark_instances(seed)]
+    out += [conditional_basis(n, d, seed) for seed in range(3)
+            for n, d in ((4, 3), (3, 3), (4, 2), (2, 7), (2, 8), (3, 5), (2, 10))]
+    return out + [seven_outcome_family(s) for s in range(10)]
 
 
 def flag_dominoes() -> SeparableMeasurement:

@@ -227,6 +227,27 @@ class TestVerifySimulate:
         assert code == 4
         assert "FAIL" in out
 
+    def test_verify_json_names_failing_locations_only(self, pair_file, tmp_path, capsys):
+        """A passing check's "detail" is empty, also when its worst residual
+        is roundoff at some node; a failing check names its node."""
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        code, out, _ = run(capsys, "verify", str(tree_path), "--measurement", pair_file,
+                           "--json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert all(c["passed"] and c["detail"] == "" for c in checks.values())
+        doc = json.loads(open(tree_path).read())
+        doc["root"]["children"][0]["children"][0]["leaf"]["scale"] = 1.001
+        open(tree_path, "w").write(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(tree_path), "--measurement", pair_file,
+                           "--json")
+        assert code == 4
+        checks = json.loads(out)["checks"]
+        assert checks["leaf-match"] == {"passed": False, "detail": "root.0.0",
+                                        "worst_residual": checks["leaf-match"]["worst_residual"]}
+        assert all(c["detail"] == "" for c in checks.values() if c["passed"])
+
     def test_simulate_reproducible(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))

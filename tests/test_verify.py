@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import node
+from conftest import audit_instances, node
 from locc_forge import conditional_basis, qubit_pair, seven_outcome_family, synthesize
 from locc_forge import measurement, operators, verify
 from locc_forge.catalog import _haar_unitary
@@ -22,6 +24,7 @@ from oracles import (
     dense_verify_tree,
     max_norm,
     per_node_product_and_positivity,
+    svd_cut_values,
 )
 
 LINEAR_CHECKS = ("root-completeness", "node-sum", "descendant-leaf-sum", "leaf-match")
@@ -59,14 +62,19 @@ class TestVerifyTree:
 
     def test_single_outcome_nodes_are_exact_products(self, m_seven):
         """A node on one outcome is c_j O_j, whose Schmidt ratio is exactly 0
-        on every cut, also where an SVD of its core leaves roundoff."""
+        on every cut, from the bound and from the SVD fallback alike, also
+        where both leave roundoff."""
         for m in (m_seven, conditional_basis(3, 3, 7)):
             coeffs = np.diag(np.linspace(0.5, 3.0, m.n_outcomes))
             multi = np.count_nonzero(coeffs, axis=1) >= 2
-            for cut in verify._cut_cores(m, coeffs):
+            for p in range(len(m.parties) if len(m.parties) > 2 else 1):
+                cut = verify._cut_cores(m, p, coeffs)
                 sigma = np.linalg.svd(cut, compute_uv=False)
                 assert np.array_equal(verify._schmidt_ratios(sigma, multi),
                                       np.zeros(m.n_outcomes))
+                assert np.array_equal(verify._rank_one(cut, multi)[0], np.zeros(m.n_outcomes))
+                assert (sigma[:, 1] > 0).any()
+                assert (verify._rank_one(cut, ~multi)[0] > 0).any()
 
     def test_two_outcome_non_product_node_caught(self, hand_tree, m_seven):
         bad = copy_tree(hand_tree)
@@ -330,30 +338,21 @@ class TestAgainstDenseVerifier:
             assert_reports_agree(report, want)
 
     def test_edge_verdicts_match_the_chain_from_the_root(self, found, hand_tree, m_seven,
-                                                         indefinite, monkeypatch):
+                                                         indefinite):
         """Product structure and node sums make each child's distance from
         its parent's other-parties side the LOCC edge condition.  Per edge,
         the verifier's check passes exactly where the first verifier's, a
         chain of factor fits from the root in the max norm, passes; in
         ``one_round`` that chain's worst edge is root.5, where the Frobenius
         distance's is root.6."""
-        edge_residuals, seen = verify._edge_residuals, {}
-
-        def recording(cores, tops, parent, kids):
-            out = edge_residuals(cores, tops, parent, kids)
-            seen.update(zip(kids.tolist(), out.tolist()))
-            return out
-
-        monkeypatch.setattr(verify, "_edge_residuals", recording)
         tampered = tampered_trees(hand_tree, m_seven, indefinite)
         for tree, m in found + tampered:
-            seen.clear()
-            verify_tree(tree, m)
+            edges = verify._cut_checks(verify._structural_pass(tree, m), m)[1]
             chain = chain_edge_values(tree, m)
             children = [path for _, path in tree.walk()][1:]
             assert [at for _, at in chain] == children
-            assert sorted(seen) == list(range(len(children)))
-            assert ([seen[i] <= RESIDUAL_TOL for i in range(len(children))]
+            assert len(edges) == len(children)
+            assert ([e <= RESIDUAL_TOL for e in edges.tolist()]
                     == [r <= RESIDUAL_TOL for r, _ in chain]), children
         tree, m = tampered[2]
         assert max(chain_edge_values(tree, m), key=lambda t: t[0])[1] == "root.5"
@@ -369,6 +368,159 @@ class TestAgainstDenseVerifier:
             for name in LINEAR_CHECKS:
                 old = max((r for r, _ in before[name]), default=0.0)
                 assert report.checks[name].worst_residual >= old, name
+
+
+def svd_cores_sent(monkeypatch, fn, *args):
+    """``fn(*args)``, and the matrices given to each ``np.linalg.svd`` call it
+    made, as one stack per call."""
+    sent, svd = [], np.linalg.svd
+
+    def recording(a, *rest, **kwargs):
+        sent.append(np.array(a))
+        return svd(a, *rest, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", recording)
+        return fn(*args), sent
+
+
+def perturbed_node(tree, rng):
+    """A copy of ``tree`` whose first depth-1 internal node has each
+    coefficient scaled by its own factor in [1, 1.1), and that node's path."""
+    bad = copy_tree(tree)
+    i = next(i for i, child in enumerate(bad.children) if child.children)
+    target = bad.children[i]
+    target.coeffs = target.coeffs * (1 + 0.1 * rng.uniform(size=len(target.coeffs)))
+    return bad, f"root.{i}"
+
+
+class TestRankOneCertificate:
+    """Product structure and the edge check read each core's rank-one bound,
+    and take an SVD only of the cores whose bound exceeds RESIDUAL_TOL.
+    Their values are those of one full SVD per core and cut
+    (:func:`oracles.svd_cut_values`) within 1e-12, and every pass or fail
+    is the SVD's."""
+
+    @pytest.fixture(scope="class")
+    def audited(self):
+        out = []
+        for m in audit_instances():
+            tree = synthesize(m).tree
+            if tree is not None:
+                m.joint_r, m.cut_rs, m.extreme_eigenvalues    # frames built, not counted
+                out.append((tree, m))
+        return out
+
+    @staticmethod
+    def tampered(audited):
+        """Five tampered copies of every audited tree: four from
+        :meth:`TestTrimmedFrames.variants` and one with a node perturbed."""
+        rng = np.random.default_rng(28)
+        for tree, m in audited:
+            for bad in TestTrimmedFrames.variants(tree, len(m.dims))[1:]:
+                yield bad, m
+            yield perturbed_node(tree, rng)[0], m
+
+    def test_honest_trees_take_no_svd(self, audited, monkeypatch):
+        assert len(audited) == 97
+        for tree, m in audited:
+            report, sent = svd_cores_sent(monkeypatch, verify_tree, tree, m)
+            assert report.passed, report.lines()
+            assert sent == []
+            ratios, edges = verify._cut_checks(verify._structural_pass(tree, m), m)
+            want_ratios, want_edges = svd_cut_values(tree, m)
+            assert np.abs(ratios - want_ratios.max(axis=0)).max() <= 1e-12
+            assert np.abs(edges - want_edges).max(initial=0.0) <= 1e-12
+
+    def test_tampered_trees_take_svds_where_they_fail(self, audited, hand_tree, m_seven,
+                                                      indefinite, monkeypatch):
+        """Every node's and edge's pass/fail is the SVD's, a failing one
+        reads the SVD's value, the report names the SVD's failing location
+        or one tied with it (moving every acting party leaves children at
+        exactly equal distances, such as sqrt(1 - 1/d)), and only cores
+        failing on their cut are sent to an SVD."""
+        trees = list(self.tampered(audited)) + tampered_trees(hand_tree, m_seven, indefinite)
+        failed = {"product-structure": 0, "single-party-change": 0}
+        for tree, m in trees:
+            t, _ = verify._structural_pass(tree, m), m.cut_rs     # frames built, not counted
+            (ratios, edges), sent = svd_cores_sent(monkeypatch, verify._cut_checks, t, m)
+            per_cut, want_edges = svd_cut_values(tree, m)
+            assert sum(map(len, sent)) == np.count_nonzero(per_cut > RESIDUAL_TOL)
+            report = verify_tree(tree, m)
+            for name, got, want, paths in (
+                    ("product-structure", ratios, per_cut.max(axis=0), t.paths),
+                    ("single-party-change", edges, want_edges, t.paths[1:])):
+                bad = want > RESIDUAL_TOL
+                assert np.array_equal(got > RESIDUAL_TOL, bad), name
+                assert np.abs(got - want)[bad].max(initial=0.0) <= 1e-12, name
+                assert np.abs(got - want)[~bad].max(initial=0.0) <= 1e-12, name
+                check, oracle = report.checks[name], verify._worst(zip(want.tolist(), paths))
+                assert check.passed == oracle.passed, name
+                assert abs(check.worst_residual - oracle.worst_residual) <= 1e-12, name
+                if check.detail != oracle.detail:     # an exact tie, broken by roundoff
+                    assert want[paths.index(check.detail)] == pytest.approx(
+                        oracle.worst_residual, rel=1e-12), name
+                failed[name] += not check.passed
+        assert len(trees) == 97 * 5 + 5
+        assert failed == {"product-structure": 157, "single-party-change": 294}
+
+    def test_perturbed_node_fails_product_structure_at_its_path(self, audited):
+        """With three or more parties, a depth-1 node whose coefficients are
+        perturbed is no product across some cut, and is named; the bound
+        leaves that node to the SVD."""
+        rng = np.random.default_rng(28)
+        wide = [(tree, m) for tree, m in audited if len(m.parties) > 2]
+        assert len(wide) == 18
+        for tree, m in wide:
+            bad, path = perturbed_node(tree, rng)
+            check = verify_tree(bad, m).checks["product-structure"]
+            assert not check.passed and check.detail == path
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(["dense", "rank-one", "along"]))
+    @settings(max_examples=300, deadline=None)
+    @example(8, 8, 2, 2, "dense")       # a core the bound leaves to the SVD, which passes it
+    def test_bound_on_perturbed_products(self, a, b, k, seed, kind):
+        """Cores x y^T + E with |E|_F / |x y^T|_F = 10^U(-16, -5), E dense,
+        rank one, or along x and y: the reported ratio is at least the SVD's
+        sigma_2 / sigma_1, less the roundoff of about eps both carry; the
+        verdict on RESIDUAL_TOL is the SVD's; every core the SVD fails is
+        sent to it and reads its ratio; a core the bound settles has the
+        SVD's top vectors within 1e-13."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((k, a, 1)) * 10 ** rng.uniform(-3, 3, (k, 1, 1))
+        y = rng.standard_normal((k, 1, b))
+        e = {"dense": lambda: rng.standard_normal((k, a, b)),
+             "rank-one": lambda: rng.standard_normal((k, a, 1)) * rng.standard_normal((k, 1, b)),
+             "along": lambda: (x * rng.standard_normal((k, 1, b))
+                               + rng.standard_normal((k, a, 1)) * y)}[kind]()
+        c = x * y
+        size = 10 ** rng.uniform(-16, -5, (k, 1, 1))
+        cores = c + e * size * np.linalg.norm(c, axis=(1, 2), keepdims=True) / np.linalg.norm(
+            e, axis=(1, 2), keepdims=True)
+        multi = np.ones(k, dtype=bool)
+        with pytest.MonkeyPatch.context() as patch:
+            (ratios, left, right), sent = svd_cores_sent(patch, verify._rank_one, cores, multi)
+        u, sigma, vh = np.linalg.svd(cores)
+        exact = verify._schmidt_ratios(sigma, multi)
+        assert (ratios >= exact - 4 * np.finfo(float).eps).all()
+        assert np.array_equal(ratios <= RESIDUAL_TOL, exact <= RESIDUAL_TOL)
+        svd = np.array([any(np.array_equal(core, c) for stack in sent for c in stack)
+                        for core in cores])
+        assert svd[exact > RESIDUAL_TOL].all()
+        assert np.array_equal(ratios[svd], exact[svd])
+        for got, want in ((right, vh[:, 0]), (left, u[:, :, 0])):
+            sign = np.sign(np.sum(got * want, axis=1))[:, None]
+            assert np.abs(got - sign * want)[~svd].max(initial=0.0) <= 1e-13
+
+    def test_zero_core_goes_to_the_svd(self, monkeypatch):
+        cores = np.zeros((2, 3, 4))
+        cores[1, 0, 0] = 2.0
+        (ratios, left, right), sent = svd_cores_sent(
+            monkeypatch, verify._rank_one, cores, np.array([True, True]))
+        assert len(sent) == 1 and np.array_equal(sent[0], cores[:1])
+        assert np.array_equal(ratios, [0.0, 0.0])
+        assert np.abs(right[1]).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestTrimmedFrames:
