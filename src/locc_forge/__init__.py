@@ -29,7 +29,6 @@ from .measurement import (
     Party,
     SeparableMeasurement,
     reconstruct,
-    validate,
 )
 from .operators import is_psd, tensor
 from .verify import random_density_matrix, simulate, verify_tree
@@ -67,6 +66,5 @@ __all__ = [
     "simulate",
     "synthesize",
     "tensor",
-    "validate",
     "verify_tree",
 ]

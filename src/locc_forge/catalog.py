@@ -1,11 +1,12 @@
 """Built-in measurement families, usable as fixtures and demo inputs.
 
-Each generator returns a validated :class:`SeparableMeasurement`.  The
-families cover the interesting behaviors of the analyzer: a two-qubit
-measurement with a two-round protocol, two families with no LOCC protocol
-at all, a seeded class of seven-outcome measurements that needs four
-rounds, and a seeded family of any number of parties and local dimension
-whose protocol takes one round per party.
+Each generator returns a :class:`SeparableMeasurement`, whose constructor
+checks that it is positive and complete.  The families cover the
+interesting behaviors of the analyzer: a two-qubit measurement with a
+two-round protocol, two families with no LOCC protocol at all, a seeded
+class of seven-outcome measurements that needs four rounds, and a seeded
+family of any number of parties and local dimension whose protocol takes
+one round per party.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import LoccForgeError
-from .measurement import Party, SeparableMeasurement, validate
+from .measurement import Party, SeparableMeasurement
 from .operators import is_psd
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -205,12 +206,7 @@ def conditional_basis(n_parties: int, dim: int, seed=0) -> SeparableMeasurement:
             factors.append(_proj(bases[idx[:k]][:, i]))
         outcomes.append(("-".join(map(str, idx)), tuple(factors)))
     parties = [Party(f"P{k}", dim) for k in range(n_parties)]
-    m = SeparableMeasurement(parties, outcomes, np.ones(len(outcomes)))
-    report = validate(m)
-    if not report.ok:
-        raise LoccForgeError(f"conditional basis {n_parties}x{dim}: "
-                             + "; ".join(map(str, report.violations)))
-    return m
+    return SeparableMeasurement(parties, outcomes, np.ones(len(outcomes)))
 
 
 # name: (factory, the one command-line option it takes or None, the option's help)

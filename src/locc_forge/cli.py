@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 protocol found / checks pass, 2 impossibility certified,
-3 inconclusive search, 4 validation failure, 64 usage error.
+3 inconclusive search, 4 input refused or a tree that fails verification,
+64 usage error.  Every command that reads a measurement, from a file or a
+tree's ``measurement_ref``, refuses one that is not positive and complete
+at load, with the location the constructor names (exit 4), before any
+analysis runs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .engine import (
     synthesize,
 )
 from .errors import LoccForgeError, TreeStructureError
-from .measurement import validate
 from .tolerances import RANK_FACTOR, RESIDUAL_TOL
 from .verify import simulate, verify_tree
 
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", default=None, help="write the tree as JSON")
     p_synth.add_argument("--json", action="store_true", dest="as_json")
 
-    p_verify = sub.add_parser("verify", help="validate a protocol tree")
+    p_verify = sub.add_parser("verify", help="verify a protocol tree")
     p_verify.add_argument("tree")
     p_verify.add_argument("--measurement", default=None)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
@@ -108,16 +111,8 @@ class _CliError(Exception):
     pass
 
 
-def _require_valid(m) -> None:
-    report = validate(m)
-    if not report.ok:
-        lines = "\n  ".join(str(v) for v in report.violations)
-        raise _CliError(f"measurement failed validation:\n  {lines}")
-
-
 def _cmd_check(args) -> int:
     m = io.load_measurement(args.measurement)
-    _require_valid(m)
     roots = check_root(m)
     impossible = impossible_at_root(m, roots)
     single = leaf_outcome(m.weights) is not None     # needs no measurement
@@ -181,7 +176,6 @@ def _tree_summary(cert: Certificate, m) -> list[str]:
 
 def _cmd_synth(args) -> int:
     m = io.load_measurement(args.measurement)
-    _require_valid(m)
     cert = synthesize(m)
     if args.as_json:
         doc = {
@@ -250,7 +244,6 @@ def _load_state(choice: str, dim: int) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     m = io.load_measurement(args.measurement) if args.measurement else None
     tree, m = io.load_tree(args.tree, m)
-    _require_valid(m)
     state = _load_state(args.state, m.total_dim)
     rng = np.random.default_rng(args.seed)
     try:

@@ -131,8 +131,11 @@ def impossible_at_root(m: SeparableMeasurement,
     Before it says so, a soundness check: each party's only root ray must
     be the completeness vector, whose operator is the identity.  The
     identity is tested as completeness is everywhere else, by the
-    Frobenius norm of sum_j c_j O_j - I read through ``m.joint_r``.  A
-    failure raises :class:`LoccForgeError` rather than certify a false
+    Frobenius norm of sum_j c_j O_j - I read through ``m.joint_r``.  The
+    measurement is complete by construction, so the check guards against
+    roots that are not its own: a ray within RESIDUAL_TOL of the weights'
+    direction still misses the identity where it errs on a large outcome.
+    A failure raises :class:`LoccForgeError` rather than certify a false
     verdict.
     """
     if leaf_outcome(m.weights) is not None or any(

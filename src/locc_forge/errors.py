@@ -9,10 +9,6 @@ class DimensionMismatchError(LoccForgeError, ValueError):
     """Operands act on Hilbert spaces of different dimension."""
 
 
-class IncompleteMeasurementError(LoccForgeError, ValueError):
-    """No nonnegative weights make the outcome operators sum to the identity."""
-
-
 class InconsistentNodeError(LoccForgeError, ValueError):
     """A node context violates its own invariants (bad bystander operator or
     parent coefficients outside the feasible cone)."""
@@ -35,3 +31,12 @@ class MeasurementFormatError(LoccForgeError, ValueError):
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location}: {message}" if location else message)
         self.location = location
+
+
+class IncompleteMeasurementError(MeasurementFormatError):
+    """The weighted outcome operators miss the identity: with the given
+    weights, or with the best nonnegative ones when none are given.  Located
+    at ``outcomes``, the list whose weighted sum it is."""
+
+    def __init__(self, message: str):
+        super().__init__(message, "outcomes")

@@ -62,8 +62,8 @@ class NodeContext:
     ``coeffs`` are the node's coefficients against the unweighted outcome
     operators.  They fix the node operator, and with it the joint operator
     Abar of every party except ``acting_party``.  At the ``root`` Abar is
-    the identity whatever the coefficients, so a weight error that
-    validation accepts moves no rank decision there.
+    the identity whatever the coefficients, so a weight error that the
+    measurement's constructor accepts moves no rank decision there.
 
     ``support`` holds the outcomes the node's cone is built on: every
     outcome at the root, so root dimensions are those of the whole cone,
@@ -105,20 +105,6 @@ class FeasibleCone:
     marginal_rank: bool
 
 
-def _refuse_zero_spans(m: SeparableMeasurement, party: int) -> None:
-    """A span with no nonzero factor has no frame: every party's is needed,
-    then the party's cut's.  Such a frame keeps the identity's row alone.
-    Only the root needs this test, as below it such a span makes the node
-    operator zero."""
-    n, side = m.n_outcomes, m.cut_rs[party]
-    for q, r in enumerate(m.party_rs):
-        if len(r) == 1 and not r[0, :n].any():
-            raise InconsistentNodeError(f"every factor of party {m.parties[q].name!r} is zero")
-    if len(side) == 1 and not side[0, :n].any():
-        raise InconsistentNodeError(f"every factor of the parties other than "
-                                    f"{m.parties[party].name!r} is zero")
-
-
 def _bystander_coords(acting: np.ndarray, coords: np.ndarray, coeffs) -> np.ndarray:
     """Abar's coordinates y, up to scale: a product node X (x) Abar has the
     realignment core acting diag(c) coords^T = x y^T, whose largest-norm row
@@ -148,7 +134,6 @@ def build_q(ctx: NodeContext) -> np.ndarray:
     acting, coords = m.party_rs[p][:, :n], m.cut_rs[p][:, :n]
     support = ctx.support
     if ctx.root:
-        _refuse_zero_spans(m, p)
         y = m.cut_rs[p][:, n]
     else:
         coeffs = ctx.coeffs

@@ -82,9 +82,9 @@ def measurement_to_dict(m: SeparableMeasurement) -> dict:
 
 def measurement_from_dict(data: Any) -> SeparableMeasurement:
     """Decode a measurement document.  Only the JSON is checked here: the
-    measurement's own structure is checked, and weights absent from every
-    outcome are inferred, by :class:`SeparableMeasurement`, whose errors
-    name the same paths."""
+    measurement itself (structure, positivity, completeness) is checked,
+    and weights absent from every outcome are inferred, by
+    :class:`SeparableMeasurement`, whose errors name the same paths."""
     if not isinstance(data, dict):
         raise MeasurementFormatError("top level must be an object", "$")
     try:
@@ -169,7 +169,7 @@ def tree_from_dict(data: Any, m: SeparableMeasurement) -> ProtocolNode:
         party_name = record.get("party")
         if party_name is None:
             party = None
-        elif party_name in name_index:
+        elif isinstance(party_name, str) and party_name in name_index:
             party = name_index[party_name]
         else:
             raise MeasurementFormatError(f"unknown party {party_name!r}",
@@ -180,7 +180,7 @@ def tree_from_dict(data: Any, m: SeparableMeasurement) -> ProtocolNode:
             if not isinstance(leaf, dict) or "outcome" not in leaf or "scale" not in leaf:
                 raise MeasurementFormatError("leaf needs 'outcome' and 'scale'",
                                              f"{where}.leaf")
-            if leaf["outcome"] not in label_index:
+            if not isinstance(leaf["outcome"], str) or leaf["outcome"] not in label_index:
                 raise MeasurementFormatError(
                     f"unknown outcome label {leaf['outcome']!r}",
                     f"{where}.leaf.outcome")
@@ -243,8 +243,11 @@ def load_tree(path: str, m: SeparableMeasurement | None = None
             ref_path = ref if os.path.isabs(ref) else os.path.join(
                 os.path.dirname(os.path.abspath(path)), ref)
             m = load_measurement(ref_path)
-        else:
+        elif isinstance(ref, dict):
             m = measurement_from_dict(ref)
+        else:
+            raise MeasurementFormatError("must be a file path or a measurement object",
+                                         "measurement_ref")
     return tree_from_dict(data, m), m
 
 

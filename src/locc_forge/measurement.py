@@ -1,21 +1,26 @@
-"""Separable measurements: validation, completeness weights, local operator spans.
+"""Separable measurements: the checks that make one, completeness weights,
+local operator spans.
 
 A separable measurement is an ordered list of product outcomes, one positive
 local factor per party, together with nonnegative completeness weights w
-satisfying sum_j w_j * O_j = I on the joint space.  Coefficient vectors used
-by the protocol analysis are always expressed against the *unweighted*
-outcome operators O_j; the weights are data of the measurement itself.
+satisfying sum_j w_j * O_j = I on the joint space.  The constructor of
+:class:`SeparableMeasurement` is the one place where this is checked, so
+every measurement that exists is one: the search, its verdicts and the
+verifier never see input that is not.  Coefficient vectors used by the
+protocol analysis are always expressed against the *unweighted* outcome
+operators O_j; the weights are data of the measurement itself.
 
 Outcome operators and weighted outcome operators are equivalent descriptions
 up to rescaling of each outcome; this module never rescales either.  Each
-factor, once validated as Hermitian within tolerance, is stored as its
+factor, once checked as Hermitian within tolerance, is stored as its
 Hermitian part, which is the supplied matrix itself when that is exactly
 Hermitian.
 
-The measurement owns the real frames that the search, :func:`validate` and
-the verifier read: each party's (:func:`identity_r`), each cut's
+The measurement owns the real frames that its completeness check, the
+search and the verifier read: each party's (:func:`identity_r`), each cut's
 other-parties side and the joint R, each built once, on first use, and
-stored read-only.
+stored read-only.  The constructor's completeness check builds the
+parties' frames and the joint R; the cuts' sides wait for the search.
 """
 
 from __future__ import annotations
@@ -57,17 +62,23 @@ class SeparableMeasurement:
     ----------
     parties : sequence of Party
     outcomes : sequence of (label, factors) pairs
-        ``factors`` holds one Hermitian matrix per party, in party order.
+        ``factors`` holds one positive semidefinite Hermitian matrix per
+        party, in party order.
     weights : array_like, optional
         Nonnegative completeness weights, one per outcome.  When omitted
-        they are inferred: nonnegative least squares on :attr:`joint_r`,
-        whose columns keep the trace pairings, so the residual is the
-        Frobenius norm of sum_j w_j O_j - I, and
-        :class:`IncompleteMeasurementError` when it exceeds RESIDUAL_TOL.
+        they are inferred by nonnegative least squares on :attr:`joint_r`.
 
-    Every structural error is a :class:`MeasurementFormatError` whose
-    location is the path of the offending field in the JSON format of
-    :mod:`locc_forge.io`, such as ``outcomes[2].factors[1]``.
+    The constructor checks, in this order, the structure, that every factor
+    is positive semidefinite (:func:`operators.is_psd`'s rule, read from the
+    cached spectra; a NaN eigenvalue fails), the weights' format, and
+    completeness: the Frobenius norm of sum_j w_j O_j - I, read through
+    :attr:`joint_r`, whose columns keep the trace pairings, must be at most
+    RESIDUAL_TOL, and a NaN residual fails.  Every refusal is a
+    :class:`MeasurementFormatError` whose location is the path of the
+    offending field in the JSON format of :mod:`locc_forge.io`, such as
+    ``outcomes[2].factors[1]`` for the first negative factor in (outcome,
+    party) order; an incomplete sum is an
+    :class:`IncompleteMeasurementError`, located at ``outcomes``.
     """
 
     def __init__(self, parties: Sequence[Party], outcomes: Sequence, weights=None):
@@ -111,28 +122,38 @@ class SeparableMeasurement:
             raise MeasurementFormatError("at least one outcome required", "outcomes")
         self.outcomes: tuple[Outcome, ...] = tuple(packed)
 
-        w = self._inferred_weights() if weights is None else np.asarray(weights, dtype=float)
-        if w.shape != (len(self.outcomes),):
-            raise MeasurementFormatError(
-                f"{len(self.outcomes)} outcomes but weight vector of shape {w.shape}",
-                "outcomes")
-        bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0)))
-        if bad.size:
-            raise MeasurementFormatError("weight must be a finite nonnegative number",
-                                         f"outcomes[{bad[0]}].weight")
-        if not np.any(w > 0):
-            raise MeasurementFormatError("at least one weight must be positive", "outcomes")
-        self.weights: np.ndarray = w
+        spectra = self._factor_spectra
+        negative = np.stack([~(e[:, 0] >= -PSD_TOL * np.maximum(1.0, np.abs(e).max(axis=1)))
+                             for e in spectra], axis=1)
+        if negative.any():
+            j, k = np.argwhere(negative)[0]
+            raise MeasurementFormatError(f"factor is not positive semidefinite (smallest "
+                                         f"eigenvalue {spectra[k][j, 0]:.3e})",
+                                         f"outcomes[{j}].factors[{k}]")
 
-    def _inferred_weights(self) -> np.ndarray:
-        n = self.n_outcomes
-        w, _ = cones.nnls(self.joint_r[:, :n], self.joint_r[:, n])
+        n = len(self.outcomes)
+        if weights is None:         # nonnegative least squares on the joint R
+            w, _ = cones.nnls(self.joint_r[:, :n], self.joint_r[:, n])
+            w[w < 0] = 0.0
+        else:
+            w = np.asarray(weights, dtype=float)
+            if w.shape != (n,):
+                raise MeasurementFormatError(
+                    f"{n} outcomes but weight vector of shape {w.shape}", "outcomes")
+            bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0)))
+            if bad.size:
+                raise MeasurementFormatError("weight must be a finite nonnegative number",
+                                             f"outcomes[{bad[0]}].weight")
+            if not np.any(w > 0):
+                raise MeasurementFormatError("at least one weight must be positive",
+                                             "outcomes")
         residual = float(np.linalg.norm(self.joint_r @ np.append(w, -1.0)))
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:     # a NaN residual fails too
+            which = "no nonnegative weights" if weights is None else "the weights do not"
             raise IncompleteMeasurementError(
-                f"no nonnegative weights complete the measurement (residual {residual:.3e})")
-        w[w < 0] = 0.0
-        return w
+                f"incomplete: {which} bring the weighted outcome sum to the identity "
+                f"(residual {residual:.3e} in the Frobenius norm)")
+        self.weights: np.ndarray = w
 
     # -- basic geometry -------------------------------------------------
 
@@ -281,50 +302,6 @@ def identity_r(ops: np.ndarray) -> np.ndarray:
     identity: R[:, :n] is a frame of the stack alone, and k the dimension
     of the span of the stack and the identity."""
     return trimmed_r(hermitian_vectors(np.concatenate([ops, np.eye(ops.shape[1])[None]])).T)
-
-
-# -- validation ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    where: str
-    magnitude: float
-
-    def __str__(self) -> str:
-        return f"{self.kind} at {self.where}: {self.magnitude:.3e}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-    completeness_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(m: SeparableMeasurement) -> ValidationReport:
-    """Check positivity of every factor and completeness with the stored
-    weights, in the Frobenius norm.
-
-    A factor is negative by :func:`operators.is_psd`'s rule, read from the
-    cached spectra; a NaN eigenvalue is a violation too.  Violations are
-    reported as data with their magnitudes, in (outcome, party) order, not
-    raised.
-    """
-    negative = [~(e[:, 0] >= -PSD_TOL * np.maximum(1.0, np.abs(e).max(axis=1)))
-                for e in m._factor_spectra]
-    violations = [Violation("negative factor", f"outcome {o.label!r}, party {p.name!r}",
-                            float(m._factor_spectra[q][j, 0]))
-                  for j, o in enumerate(m.outcomes) for q, p in enumerate(m.parties)
-                  if negative[q][j]]
-    residual = float(np.linalg.norm(m.joint_r @ np.append(m.weights, -1.0)))
-    if not residual <= RESIDUAL_TOL:     # a NaN residual is a violation too
-        violations.append(Violation("incomplete", "weighted outcome sum", residual))
-    return ValidationReport(tuple(violations), residual)
 
 
 # -- operator spans ------------------------------------------------------

@@ -8,18 +8,18 @@ nullspace is exactly one-dimensional.  The cutoff is part of the method,
 not a setting: no caller can change it.  The spans' frames are cut at
 roundoff instead, eps times their size (``measurement.trimmed_r``), and no
 conditioning limit refuses a span.  The residual tolerance
-:data:`RESIDUAL_TOL` is fixed the same way: no caller sets a tolerance, so
-a verdict depends only on the measurement and the search's round limit.
+:data:`RESIDUAL_TOL` is fixed the same way: no caller sets a tolerance, and
+the search has no round limit, so a verdict depends only on the measurement.
 
 Most remaining constants are residual-style tolerances.  They are absolute
 bounds on max-norm residuals of quantities that are O(1) by construction
 (coefficient vectors are compared after L1 normalization, operators after
 scaling by their largest entry).  Completeness, wherever it is measured
-(validation, the weights ``SeparableMeasurement`` infers when none are
-given, the impossibility self-check and the verifier's root), and the
-verifier's other operator checks are Frobenius norms, which bound the max
-norm: all four read completeness through the measurement's joint R, as
-the same quantity, and a tree the verifier passes at
+(the ``SeparableMeasurement`` constructor, with the given weights or the
+ones it infers, the impossibility self-check and the verifier's root), and
+the verifier's other operator checks are Frobenius norms, which bound the
+max norm: all three read completeness through the measurement's joint R,
+as the same quantity, and a tree the verifier passes at
 :data:`RESIDUAL_TOL` passes max-norm checks too.  The
 two ``NNLS_`` constants set the nonnegative least-squares solver's
 roundoff floor and iteration limit.

@@ -26,7 +26,10 @@ the node operator, the one operator formed, wherever the bound does not
 settle it.  So a bound decides only what it proves, and every failing
 check reads an exact value.  A passing check names no location.  The
 operator checks' norms bound the max norm and do not change under local
-unitaries.
+unitaries.  The measurement itself is positive and complete by
+construction; positivity and root completeness are still checked here,
+because they are properties of the tree's nodes and root, which a
+tampered tree breaks.
 """
 
 from __future__ import annotations

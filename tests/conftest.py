@@ -11,6 +11,8 @@ from locc_forge import (
     seven_outcome_family,
 )
 from locc_forge.engine import ProtocolNode
+from locc_forge.measurement import Outcome
+from locc_forge.operators import as_hermitian
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -60,6 +62,20 @@ def audit_instances() -> list[SeparableMeasurement]:
     return out + [seven_outcome_family(s) for s in range(10)]
 
 
+def unchecked(parties, outcomes, weights) -> SeparableMeasurement:
+    """A measurement that skips the constructor: its factors are stored as
+    their Hermitian parts, as the constructor stores them, and nothing is
+    checked.  For tests of the checks downstream of the constructor (the
+    verifier's positivity) and of the oracles, on input that the
+    constructor refuses."""
+    m = object.__new__(SeparableMeasurement)
+    m.parties = tuple(parties)
+    m.outcomes = tuple(Outcome(str(label), tuple(map(as_hermitian, factors)))
+                       for label, factors in outcomes)
+    m.weights = np.asarray(weights, dtype=float)
+    return m
+
+
 def flag_dominoes() -> SeparableMeasurement:
     """A = C^2 (x) C^3 holds a flag qubit, B = C^3.  Under |0><0| on the
     flag sit the nine rotated dominoes, each with its weight; under |1><1|
@@ -107,10 +123,11 @@ def catalog_all(m_pair, m_phase, m_dominoes, m_seven):
 
 @pytest.fixture(scope="session")
 def m_indefinite():
-    """Two qubits, with an indefinite factor on A in two outcomes."""
+    """Two qubits, with an indefinite factor on A in two outcomes: complete,
+    but refused by the constructor, so built by :func:`unchecked`."""
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    return SeparableMeasurement(
+    return unchecked(
         [Party("A", 2), Party("B", 2)],
         [("f", (np.diag([1.5, -0.5]), p0)),
          ("g", (np.diag([-0.5, 1.5]), p0)),

@@ -260,25 +260,27 @@ def nnls_completeness_weights(ops: np.ndarray) -> np.ndarray:
 
 
 def per_factor_validation(m) -> tuple[list[tuple[str, str, float]], float]:
-    """What ``validate`` reports, as (kind, location, magnitude) violations
-    in (outcome, party) order and the completeness residual, from one
-    eigvalsh per factor under ``is_psd``'s rule and the Frobenius norm of
-    the dense sum_j w_j O_j - I."""
+    """What the ``SeparableMeasurement`` constructor checks, as (kind,
+    location, magnitude) violations in (outcome, party) order and the
+    completeness residual, from one eigvalsh per factor under ``is_psd``'s
+    rule and the Frobenius norm of the dense sum_j w_j O_j - I.  The
+    constructor refuses the first violation; run on a measurement built
+    without it (``conftest.unchecked``) this lists them all."""
     violations = []
     total = -np.eye(m.total_dim, dtype=complex)
-    for o, w in zip(m.outcomes, m.weights):
-        for p, f in zip(m.parties, o.factors):
+    for j, (o, w) in enumerate(zip(m.outcomes, m.weights)):
+        for k, f in enumerate(o.factors):
             eigs = np.linalg.eigvalsh(f)
             if not eigs[0] >= -PSD_TOL * max(1.0, float(np.abs(eigs).max())):
-                violations.append(("negative factor",
-                                   f"outcome {o.label!r}, party {p.name!r}", float(eigs[0])))
+                violations.append(("negative factor", f"outcomes[{j}].factors[{k}]",
+                                   float(eigs[0])))
         op = o.factors[0]
         for f in o.factors[1:]:
             op = hand_kron(op, f)
         total += w * op
     residual = float(np.linalg.norm(total))
     if not residual <= RESIDUAL_TOL:
-        violations.append(("incomplete", "weighted outcome sum", residual))
+        violations.append(("incomplete", "outcomes", residual))
     return violations, residual
 
 

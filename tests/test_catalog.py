@@ -6,9 +6,11 @@ from locc_forge import (
     conditional_basis,
     rotated_dominoes,
     seven_outcome_family,
-    validate,
 )
+from locc_forge import catalog
+from locc_forge.errors import IncompleteMeasurementError
 from locc_forge.measurement import local_span
+from oracles import per_factor_validation
 
 SEVEN_WEIGHTS = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 1.0, 1.0])
 
@@ -23,6 +25,14 @@ class TestConditionalBasis:
                       - np.eye(dim ** n_parties)).max() < 1e-12
         dims = [r.nullspace_dim for r in check_root(m)]
         assert dims == [dim] + [1] * (n_parties - 1)
+
+    def test_an_incomplete_member_is_refused_at_construction(self, monkeypatch):
+        # the generator's projectors on bases that are not unitary miss the
+        # identity: the constructor refuses them as it refuses a file
+        monkeypatch.setattr(catalog, "_haar_unitary", lambda dim, rng: 1.01 * np.eye(dim))
+        with pytest.raises(IncompleteMeasurementError, match="incomplete") as err:
+            conditional_basis(2, 2, 0)
+        assert err.value.location == "outcomes"
 
     def test_reproducible_per_seed(self):
         a, b = conditional_basis(2, 3, 11), conditional_basis(2, 3, 11)
@@ -104,7 +114,7 @@ class TestSevenOutcomeFamily:
     @pytest.mark.parametrize("seed", range(5))
     def test_class_facts_across_seeds(self, seed):
         m = seven_outcome_family(seed)
-        assert validate(m).ok
+        assert per_factor_validation(m)[0] == []
         assert np.array_equal(m.weights, SEVEN_WEIGHTS)
         roots = check_root(m)
         assert roots[0].nullspace_dim == 1
@@ -148,14 +158,14 @@ class TestSevenOutcomeFamily:
 class TestCatalogValidity:
     def test_every_entry_validates(self, catalog_all):
         for m in catalog_all.values():
-            assert validate(m).ok
+            assert per_factor_validation(m)[0] == []
 
     def test_twenty_random_domino_angle_sets(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             thetas = rng.uniform(1e-2, np.pi / 4, size=4)
             m = rotated_dominoes(*thetas)
-            assert validate(m).ok
+            assert per_factor_validation(m)[0] == []
             assert [r.nullspace_dim for r in check_root(m)] == [1, 1]
 
     def test_twenty_seeds_reproduce_root_dims(self):

@@ -111,7 +111,7 @@ class TestCheckCommand:
     def test_weight_error_within_validation_keeps_the_verdict(self, pair_file,
                                                                 tmp_path, capsys):
         # the root's bystander operator is the identity, not read from the
-        # weights, so an error that validation accepts moves no root rank
+        # weights, so an error that the constructor accepts moves no root rank
         doc = json.loads(open(pair_file).read())
         doc["outcomes"][0]["weight"] = 1.0000000001
         path = tmp_path / "off.json"
@@ -282,7 +282,7 @@ class TestVerifySimulate:
 
     def test_simulate_rejects_an_incomplete_measurement(self, pair_file, tmp_path,
                                                         capsys):
-        # simulate validates its measurement as check and synth do
+        # simulate refuses its measurement at load as check and synth do
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
         doc = json.loads(open(pair_file).read())
@@ -294,6 +294,36 @@ class TestVerifySimulate:
             code, out, err = run(capsys, *argv)
             assert code == 4, argv
             assert "incomplete" in err and out == ""
+
+    @pytest.mark.parametrize("fault, where", [("incomplete", "outcomes: incomplete"),
+                                              ("indefinite", "outcomes[2].factors[1]")])
+    def test_every_command_refuses_an_invalid_measurement_at_load(
+            self, pair_file, tmp_path, capsys, fault, where):
+        """check, synth, verify and simulate refuse the measurement before any
+        analysis, whether it comes from the command line, a measurement_ref
+        path or an inline measurement_ref: exit 4, the location on stderr
+        and nothing on stdout."""
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        doc = json.loads(open(pair_file).read())
+        if fault == "incomplete":
+            doc["outcomes"][0]["weight"] = 1.5
+        else:
+            doc["outcomes"][2]["factors"][1] = [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        tree = json.loads(tree_path.read_text())
+        by_path, inline = tmp_path / "by-path.json", tmp_path / "inline.json"
+        by_path.write_text(json.dumps({**tree, "measurement_ref": str(bad)}))
+        inline.write_text(json.dumps({**tree, "measurement_ref": doc}))
+        argvs = [["check", str(bad)], ["synth", str(bad)]]
+        for command in ("verify", "simulate"):
+            argvs += [[command, str(tree_path), "--measurement", str(bad)],
+                      [command, str(by_path)], [command, str(inline)]]
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert code == 4, argv
+            assert where in err and out == "", argv
 
     def test_simulate_uses_measurement_ref(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
@@ -362,29 +392,38 @@ class TestErrorPaths:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "check", str(path))
         assert code == 4
-        assert "validation" in err
+        assert "outcomes: incomplete" in err
 
     def test_max_support_option_is_gone(self, pair_file, capsys):
         assert run(capsys, "synth", pair_file, "--max-support", "7")[0] == 64
 
     @pytest.mark.parametrize("where", ["root.children[0].coeffs",
                                        "root.children[0].children",
-                                       "root.children[0].children[0].leaf.scale"])
+                                       "root.children[0].children[0].leaf.scale",
+                                       "root.children[0].party",
+                                       "root.children[0].children[0].leaf.outcome",
+                                       "measurement_ref"])
     def test_verify_rejects_malformed_tree_at_load(self, pair_file, tmp_path,
                                                   capsys, where):
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
         doc = json.loads(tree_path.read_text())
         node = doc["root"]["children"][0]
+        given = ["--measurement", pair_file]
         if where.endswith("coeffs"):
             node["coeffs"][0] = float("nan")
         elif where.endswith("children"):
             node["children"] = 5
-        else:
+        elif where.endswith("scale"):
             node["children"][0]["leaf"]["scale"] = float("nan")
+        elif where.endswith("party"):
+            node["party"] = ["A"]                   # not a name, and unhashable
+        elif where.endswith("outcome"):
+            node["children"][0]["leaf"]["outcome"] = {"x": 1}
+        else:
+            doc["measurement_ref"], given = [1], []
         tree_path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "verify", str(tree_path),
-                             "--measurement", pair_file)
+        code, out, err = run(capsys, "verify", str(tree_path), *given)
         assert code == 4
         assert where in err and "PASS" not in out
 

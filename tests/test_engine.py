@@ -20,7 +20,7 @@ from locc_forge.engine import impossible_at_root, leaf_outcome
 from locc_forge.errors import LoccForgeError
 from locc_forge.feasibility import FeasibleCone, feasible_cone, root_context
 from locc_forge.io import tree_to_dict
-from locc_forge.measurement import Party, SeparableMeasurement, validate
+from locc_forge.measurement import Party, SeparableMeasurement
 from locc_forge.tolerances import LEAF_SUPPORT_TOL
 from oracles import recursive_walk
 
@@ -58,7 +58,8 @@ class TestCheckRoot:
 
 class TestWeightError:
     """The root's bystander operator is the identity, whatever the weights,
-    so a weight error that validation accepts moves no root rank decision."""
+    so a weight error that the constructor accepts moves no root rank
+    decision."""
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-9])
     @pytest.mark.parametrize("build", [
@@ -69,8 +70,7 @@ class TestWeightError:
         exact = build()
         weights = exact.weights.copy()
         weights[0] *= 1 + eps
-        m = SeparableMeasurement(exact.parties, exact.outcomes, weights)
-        assert validate(m).ok
+        m = SeparableMeasurement(exact.parties, exact.outcomes, weights)   # accepted
         want = synthesize(exact)
         cert = synthesize(m)
         assert cert.verdict == want.verdict == Verdict.PROTOCOL_FOUND
@@ -160,11 +160,20 @@ class TestSynthesizeImpossible:
             assert cert.verdict == Verdict.IMPOSSIBLE_AT_ROOT
 
     def test_a_tampered_weight_fails_the_self_check(self, m_phase):
-        # root rays on the completeness vector of weights 1e-6 too large:
-        # sum_j c_j O_j misses the identity, so the check refuses to certify
-        w = m_phase.weights * (1 + 1e-6)
-        m = SeparableMeasurement(m_phase.parties, m_phase.outcomes, w)
-        roots = [FeasibleCone(1, (w / w.sum())[None], False) for _ in m.parties]
+        # phase-five with outcome 0 a million times larger and its weight a
+        # million times smaller is the same complete measurement.  Root rays
+        # whose weight on outcome 0 is 5e-9 too large pass the ray test, yet
+        # sum_j c_j O_j misses the identity by about 1.6e-2, so the check
+        # refuses to certify
+        big = 1e6
+        w = m_phase.weights.copy()
+        w[0] /= big
+        m = SeparableMeasurement(m_phase.parties, [
+            (o.label, (o.factors[0] * (big if j == 0 else 1.0), o.factors[1]))
+            for j, o in enumerate(m_phase.outcomes)], w)
+        ray = w / w.sum()
+        ray[0] += 5e-9
+        roots = [FeasibleCone(1, ray[None], False) for _ in m.parties]
         with pytest.raises(LoccForgeError, match="does not reconstruct the identity"):
             impossible_at_root(m, roots)
         assert impossible_at_root(m_phase, check_root(m_phase))
@@ -346,9 +355,9 @@ class TestLeafDetection:
 
     def test_validation_search_verification_and_simulation_form_no_operator(self):
         # every step reads the factor stacks, so a fresh measurement taken
-        # from validation to simulation builds no outcome operator stack
+        # from its constructor's checks to simulation builds no outcome
+        # operator stack
         m = conditional_basis(4, 3, 0)
-        assert validate(m).ok
         cert = synthesize(m)                # verifies the tree it returns
         assert cert.verdict is Verdict.PROTOCOL_FOUND
         assert verify_tree(cert.tree, m).passed

@@ -12,7 +12,7 @@ from locc_forge import (
     seven_outcome_family,
     synthesize,
 )
-from locc_forge.errors import InconsistentNodeError, NotProductError
+from locc_forge.errors import IncompleteMeasurementError, InconsistentNodeError, NotProductError
 from locc_forge.feasibility import (
     NodeContext,
     build_q,
@@ -169,34 +169,31 @@ class TestPartyTables:
                 assert np.abs(identity - want).max() < 1e-10
 
     def test_near_parallel_span_kept_and_zero_span_refused(self):
-        # both pairs of factors pass the rank cutoff of independent_subset,
-        # though their Gram matrices have condition number about 1e15
-        near = EYE2 + 1e-7 * np.diag([1.0, -1.0])
+        # A's factors I and I + 1e-7 Z pass the rank cutoff of
+        # independent_subset, though their Gram matrix has condition number
+        # about 1e15 (I - 1e-7 Z completes the measurement)
+        z = 1e-7 * np.diag([1.0, -1.0])
         m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
-                                 [("0", (EYE2, P0)), ("1", (near, P1))], [1.0, 1.0])
+                                 [("0", (EYE2, P0)), ("1", (EYE2 + z, P1)),
+                                  ("2", (EYE2 - z, P1))], [1.0, 0.5, 0.5])
         for p in range(2):
             acting = search_frames(m, p)[0]
             assert len(acting) == len(local_span(m, p)) == 2
             local = m.local_factors(p)
             want = np.einsum("mij,nij->mn", local.conj(), local).real
             assert np.abs(acting.T @ acting - want).max() < 1e-10
-        # a party whose factors are all zero has an empty span, and no frame
-        zero = SeparableMeasurement([Party("A", 2), Party("B", 2)],
-                                    [("0", (0 * EYE2, P0)), ("1", (0 * EYE2, P1))],
-                                    [1.0, 1.0])
-        assert len(local_span(zero, 0)) == 0
-        for p in range(2):      # B's tables need A's frame too
-            with pytest.raises(InconsistentNodeError, match="party 'A'"):
-                build_q(root_context(zero, p))
-        # every party's span is nonzero, but each outcome has a zero factor
-        # on B or C, so A's complement is zero
-        three = SeparableMeasurement([Party("A", 2), Party("B", 2), Party("C", 2)],
-                                     [("0", (P0, 0 * EYE2, P0)), ("1", (P1, P0, 0 * EYE2))],
-                                     [1.0, 1.0])
-        with pytest.raises(InconsistentNodeError, match="other than 'A'"):
-            build_q(root_context(three, 0))
-        for p in (1, 2):
-            assert len(search_frames(three, p)[0]) >= 1
+        # a party whose factors are all zero has an empty span and no frame,
+        # and so does a cut whose other parties' factors are (each outcome
+        # here has a zero factor on B or C); either makes every outcome
+        # zero, so the constructor refuses the measurement as incomplete
+        # and no such span reaches build_q
+        with pytest.raises(IncompleteMeasurementError, match="residual 2.000e"):
+            SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("0", (0 * EYE2, P0)), ("1", (0 * EYE2, P1))], [1.0, 1.0])
+        with pytest.raises(IncompleteMeasurementError, match="residual 2.828e"):
+            SeparableMeasurement([Party("A", 2), Party("B", 2), Party("C", 2)],
+                                 [("0", (P0, 0 * EYE2, P0)), ("1", (P1, P0, 0 * EYE2))],
+                                 [1.0, 1.0])
 
 
 def _below_root(ctx) -> bool:

@@ -50,7 +50,8 @@ class TestVerifierIndependence:
 
 class TestImpossibilityCheck:
     """The impossibility self-check reads completeness through the joint R,
-    as validation does, so the engine forms no joint operator."""
+    as the measurement's constructor does, so the engine forms no joint
+    operator."""
 
     def test_engine_imports_only_the_measurement_type(self):
         assert _imports_from(_tree(PACKAGE / "engine.py"), "measurement") == [

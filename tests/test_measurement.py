@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1
+from conftest import EYE2, P0, P1, unchecked
 from locc_forge import (
     Party,
     SeparableMeasurement,
@@ -15,7 +17,7 @@ from locc_forge.tolerances import HERMITICITY_TOL, RESIDUAL_TOL
 from locc_forge.verify import verify_tree
 from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
 from locc_forge.io import measurement_from_dict, measurement_to_dict
-from locc_forge.measurement import complement_span, identity_r, local_span, validate
+from locc_forge.measurement import complement_span, identity_r, local_span
 from oracles import (
     complement_factors,
     greedy_svd_independent_subset,
@@ -31,100 +33,139 @@ def factor_stacks(m):
     return [m.local_factors(q) for q in range(len(m.parties))]
 
 
+def residual_of(m):
+    """|sum_j w_j O_j - I| in the Frobenius norm, read through the joint R as
+    the constructor reads it."""
+    return float(np.linalg.norm(m.joint_r @ np.append(m.weights, -1.0)))
+
+
 class TestValidate:
+    """The constructor refuses a factor that is not positive semidefinite and
+    a weighted outcome sum that misses the identity, and names where."""
+
     def test_catalog_measurements_valid(self, catalog_all):
         for name, m in catalog_all.items():
-            report = validate(m)
-            assert report.ok, f"{name}: {[str(v) for v in report.violations]}"
-            assert report.completeness_residual < 1e-8
+            violations, residual = per_factor_validation(m)
+            assert violations == [], name
+            assert residual < 1e-8 and residual_of(m) < 1e-8
 
     def test_seven_outcome_weights(self, m_seven):
         assert np.array_equal(m_seven.weights, SEVEN_WEIGHTS)
-        assert validate(m_seven).ok
+        assert per_factor_validation(m_seven)[0] == []
 
-    def test_violations_are_data(self):
-        # broken weights: completeness violated but nothing raises
-        m = SeparableMeasurement(
-            [Party("A", 2), Party("B", 2)],
-            [("x", (P0, P0)), ("y", (P1, EYE2))],
-            np.array([1.0, 1.0]))
-        report = validate(m)
-        assert not report.ok
-        assert any(v.kind == "incomplete" for v in report.violations)
+    def test_incomplete_weights_are_refused(self):
+        # the given weights miss completeness, and with none given no
+        # nonnegative weights reach it: both refused, located at outcomes
+        parties, outcomes = [Party("A", 2), Party("B", 2)], [("x", (P0, P0)), ("y", (P1, EYE2))]
+        for weights in ([1.0, 1.0], None):
+            with pytest.raises(IncompleteMeasurementError, match="incomplete") as err:
+                SeparableMeasurement(parties, outcomes, weights)
+            assert isinstance(err.value, MeasurementFormatError)
+            assert err.value.location == "outcomes"
+            assert "residual 1.000e+00" in str(err.value)     # |P0 (x) P1|
 
     def test_nan_residual_is_a_violation(self):
         # finite entries whose product overflows: 0 * inf puts NaN in the sum
         huge = 1e200 * EYE2
-        m = SeparableMeasurement(
-            [Party("A", 2), Party("B", 2)],
-            [("x", (P0, EYE2)), ("y", (P1, EYE2)), ("z", (huge, huge))],
-            np.array([1.0, 1.0, 0.0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            report = validate(m)
-        assert np.isnan(report.completeness_residual)
-        assert not report.ok
-        assert [v.kind for v in report.violations] == ["incomplete"]
+            with pytest.raises(IncompleteMeasurementError, match="residual nan") as err:
+                SeparableMeasurement(
+                    [Party("A", 2), Party("B", 2)],
+                    [("x", (P0, EYE2)), ("y", (P1, EYE2)), ("z", (huge, huge))],
+                    np.array([1.0, 1.0, 0.0]))
+        assert err.value.location == "outcomes"
 
     def test_completeness_measured_as_the_verifier_does(self):
         """Weights scaled by 1 + delta leave delta I, whose Frobenius norm is
-        2 delta on the qubit pair.  Validation and the verifier's root check
-        read the same residual, so a measurement that validates gets a
-        verified tree, also where the max norm (delta) would have accepted
+        2 delta on the qubit pair.  The constructor and the verifier's root
+        check read the same residual, so a measurement that is accepted gets
+        a verified tree, also where the max norm (delta) would have accepted
         it and the Frobenius norm does not."""
         m0 = qubit_pair()
         ok = []
         for delta in (0.3, 0.49, 0.51, 0.6, 1.0):
             delta *= RESIDUAL_TOL
-            m = SeparableMeasurement(m0.parties, m0.outcomes, m0.weights * (1 + delta))
-            report = validate(m)
-            assert report.completeness_residual == pytest.approx(2 * delta, rel=1e-6)
-            ok.append(report.ok)
-            if report.ok:
-                cert = synthesize(m)
-                assert cert.verdict == Verdict.PROTOCOL_FOUND
-                root = verify_tree(cert.tree, m).checks["root-completeness"].worst_residual
-                assert root == pytest.approx(report.completeness_residual, rel=1e-12)
+            try:
+                m = SeparableMeasurement(m0.parties, m0.outcomes, m0.weights * (1 + delta))
+            except IncompleteMeasurementError as exc:
+                assert f"residual {2 * delta:.3e}" in str(exc)
+                ok.append(False)
+                continue
+            ok.append(True)
+            assert residual_of(m) == pytest.approx(2 * delta, rel=1e-6)
+            cert = synthesize(m)
+            assert cert.verdict == Verdict.PROTOCOL_FOUND
+            root = verify_tree(cert.tree, m).checks["root-completeness"].worst_residual
+            assert root == pytest.approx(residual_of(m), rel=1e-12)
         assert ok == [True, True, False, False, False]
 
     def test_negative_factor_reported_with_magnitude(self):
         bad = np.array([[1.0, 0.0], [0.0, -0.5]], dtype=complex)
-        m = SeparableMeasurement(
-            [Party("A", 2), Party("B", 2)],
-            [("x", (bad, EYE2)), ("y", (EYE2 - bad, EYE2))],
-            np.array([1.0, 1.0]))
-        report = validate(m)
-        kinds = {v.kind for v in report.violations}
-        assert "negative factor" in kinds
-        worst = min(v.magnitude for v in report.violations
-                    if v.kind == "negative factor")
-        assert worst == pytest.approx(-0.5, abs=1e-12)
+        for weights in ([1.0, 1.0], None):
+            with pytest.raises(MeasurementFormatError,
+                               match=r"smallest eigenvalue -5\.000e-01") as err:
+                SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                     [("x", (bad, EYE2)), ("y", (EYE2 - bad, EYE2))], weights)
+            assert err.value.location == "outcomes[0].factors[0]"
 
-    def test_reports_equal_the_per_factor_oracle(self, catalog_all, m_indefinite):
-        """``validate`` reads one eigvalsh per party's factor stack, and the
-        oracle one per factor.  The two spectra agree bitwise, so the
-        negative factors' magnitudes are compared exactly, in (outcome,
-        party) order, which the three-party case does not share with party
-        order."""
+    def test_reports_equal_the_per_factor_oracle(self, m_indefinite):
+        """The constructor reads one eigvalsh per party's factor stack, and
+        the oracle one per factor.  The two spectra agree bitwise, so the
+        negative factors' magnitudes are compared exactly.  The constructor
+        names the first negative factor in (outcome, party) order, which the
+        three-party case does not share with party order: refusing and
+        replacing each named factor in turn walks the oracle's list."""
         bad = np.array([[1.0, 0.0], [0.0, -0.5]], dtype=complex)
-        negative = [
-            SeparableMeasurement([Party("A", 2), Party("B", 2)],
-                                 [("x", (bad, EYE2)), ("y", (EYE2 - bad, EYE2))], [1.0, 1.0]),
-            m_indefinite,
-            SeparableMeasurement([Party("A", 2), Party("B", 2), Party("C", 2)],
-                                 [("x", (EYE2, bad, EYE2)), ("y", (bad, P0, 2 * bad)),
-                                  ("z", (P1, EYE2, -bad))], np.ones(3)),
+        two = [Party("A", 2), Party("B", 2)]
+        cases = [
+            (two, [("x", (bad, EYE2)), ("y", (EYE2 - bad, EYE2))], [1.0, 1.0]),
+            (m_indefinite.parties, m_indefinite.outcomes, m_indefinite.weights),
+            ([*two, Party("C", 2)], [("x", (EYE2, bad, EYE2)), ("y", (bad, P0, 2 * bad)),
+                                     ("z", (P1, EYE2, -bad))], np.ones(3)),
         ]
-        for m in [*catalog_all.values(), *negative]:
-            report = validate(m)
+        walked = []
+        for parties, outcomes, weights in cases:
+            m = unchecked(parties, outcomes, weights)
             want, residual = per_factor_validation(m)
-            got = [(v.kind, v.where, v.magnitude) for v in report.violations]
-            assert [g[:2] for g in got] == [w[:2] for w in want]
-            for (kind, _, g), (_, _, w) in zip(got, want):
-                assert g == w if kind == "negative factor" else abs(g - w) <= 1e-13
-            assert abs(report.completeness_residual - residual) <= 1e-13
-        assert [v.where for v in validate(negative[2]).violations] == [
-            "outcome 'x', party 'B'", "outcome 'y', party 'A'", "outcome 'y', party 'C'",
-            "outcome 'z', party 'C'", "weighted outcome sum"]
+            assert abs(residual_of(m) - residual) <= 1e-13
+            factors = [list(f) for _, f in outcomes]
+            got = []
+            while True:
+                try:
+                    SeparableMeasurement(parties, [(o[0], f) for o, f in zip(outcomes, factors)],
+                                         weights)
+                except IncompleteMeasurementError:
+                    break
+                except MeasurementFormatError as exc:
+                    j, k = map(int, re.fullmatch(r"outcomes\[(\d+)\]\.factors\[(\d+)\]",
+                                                 exc.location).groups())
+                    eig = m._factor_spectra[k][j, 0]
+                    assert f"smallest eigenvalue {eig:.3e}" in str(exc)
+                    got.append(("negative factor", exc.location, float(eig)))
+                    factors[j][k] = EYE2
+                else:
+                    break
+            assert got == [v for v in want if v[0] == "negative factor"]
+            walked.append([v[1] for v in want])
+        assert walked[2] == ["outcomes[0].factors[1]", "outcomes[1].factors[0]",
+                             "outcomes[1].factors[2]", "outcomes[2].factors[2]", "outcomes"]
+
+    def test_zero_spans_are_refused_as_incomplete(self):
+        """A party whose factors are all zero, or a cut whose other parties'
+        factors are, makes every outcome operator zero: the weighted sum
+        misses the identity by its Frobenius norm sqrt(D), whatever the
+        weights, so no span without a frame reaches the search."""
+        two, three = [Party("A", 2), Party("B", 2)], [Party(c, 2) for c in "ABC"]
+        cases = [  # A's factors are zero; every outcome has a zero factor on B or C
+            (two, [("0", (0 * EYE2, P0)), ("1", (0 * EYE2, P1))], "2.000e+00"),
+            (three, [("0", (P0, 0 * EYE2, P0)), ("1", (P1, P0, 0 * EYE2))], "2.828e+00"),
+        ]
+        for parties, outcomes, sqrt_d in cases:
+            for weights in ([1.0, 1.0], None):
+                with pytest.raises(IncompleteMeasurementError,
+                                   match=re.escape(f"residual {sqrt_d}")) as err:
+                    SeparableMeasurement(parties, outcomes, weights)
+                assert err.value.location == "outcomes"
 
 
 def inferred(m):
@@ -157,15 +198,15 @@ class TestInferWeights:
 
     def test_completeness_in_the_frobenius_norm(self):
         """One outcome (I + eps Z) (x) I leaves eps Z (x) I at best, max norm
-        eps and Frobenius norm 2 eps: inference rejects it exactly where
-        validation of the inferred weights would."""
+        eps and Frobenius norm 2 eps: the inferred weights are refused
+        exactly where the Frobenius norm exceeds the tolerance."""
         z = np.diag([1.0, -1.0])
         parties = [Party("A", 2), Party("B", 2)]
         for eps, ok in ((0.4 * RESIDUAL_TOL, True), (0.6 * RESIDUAL_TOL, False)):
             outcomes = [("x", (EYE2 + eps * z, EYE2))]
             if ok:
                 m = SeparableMeasurement(parties, outcomes)
-                assert validate(m).completeness_residual == pytest.approx(2 * eps, rel=1e-6)
+                assert residual_of(m) == pytest.approx(2 * eps, rel=1e-6)
             else:
                 with pytest.raises(IncompleteMeasurementError):
                     SeparableMeasurement(parties, outcomes)
@@ -218,9 +259,11 @@ class TestFrames:
                 assert np.abs(r.T @ r - gram).max() <= 1e-13 * np.abs(gram).max()
 
     def test_each_frame_built_once_and_read_only(self, monkeypatch):
-        """Validation, the root check, the search and the verifier of a fresh
-        three-party measurement build each party's frame and each cut's side
-        once, and none of the cached arrays can be written."""
+        """The construction, the root check, the search and the verifier of a
+        fresh three-party measurement build each party's frame and each cut's
+        side once, and none of the cached arrays can be written.  The
+        constructor's completeness check builds the parties' frames and the
+        joint product; the search builds the cuts' sides."""
         import locc_forge.measurement as measurement
 
         built = []
@@ -234,9 +277,9 @@ class TestFrames:
         for name in ("identity_r", "trimmed_r", "product_r"):
             monkeypatch.setattr(measurement, name, counted(name, getattr(measurement, name)))
         m = conditional_basis(3, 3, 0)
+        built.clear()           # conditional_basis's constructor built m's frames
         fresh = SeparableMeasurement(m.parties, m.outcomes, m.weights)
-        built.clear()           # conditional_basis validates its output
-        assert validate(fresh).ok
+        assert sorted(built) == ["identity_r"] * 3 + ["product_r"] + ["trimmed_r"] * 3
         check_root(fresh)
         cert = synthesize(fresh)
         assert verify_tree(cert.tree, fresh).passed
@@ -251,8 +294,9 @@ class TestFrames:
 
     def test_weightless_load_builds_each_frame_once(self, monkeypatch):
         """Weights inferred at load are solved on the measurement's own joint
-        R, so loading and validating a weightless three-party document
-        builds each party's frame once and the joint product once."""
+        R, and completeness is checked on it, so loading a weightless
+        three-party document builds each party's frame once and the joint
+        product once."""
         import locc_forge.measurement as measurement
 
         built = []
@@ -264,9 +308,9 @@ class TestFrames:
         doc = measurement_to_dict(conditional_basis(3, 3, 0))
         for o in doc["outcomes"]:
             del o["weight"]
-        built.clear()           # conditional_basis validates its output
+        built.clear()           # conditional_basis's constructor built its frames
         m = measurement_from_dict(doc)
-        assert validate(m).ok
+        assert residual_of(m) <= RESIDUAL_TOL
         assert sorted(built) == ["identity_r"] * 3 + ["product_r"]
 
     def test_nearly_parallel_factors_keep_their_difference(self):
@@ -403,7 +447,7 @@ class TestHermitianPart:
             outcomes.append((o.label, tuple(factors)))
         near = SeparableMeasurement(m.parties, outcomes, m.weights)
         assert 0.45e-10 * 2 < HERMITICITY_TOL
-        assert validate(near).ok
+        assert per_factor_validation(near)[0] == []
         for o in near.outcomes:
             for f in o.factors:
                 assert np.array_equal(f, f.conj().T)
@@ -414,10 +458,15 @@ class TestHermitianPart:
         assert cert.root_dims == dims
 
     def test_exactly_hermitian_factors_stored_unchanged(self):
+        # h and top I - h are exactly Hermitian and positive, and complete
+        # with I (x) P1
         rng = np.random.default_rng(5)
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = b + b.conj().T
+        h += (0.1 - np.linalg.eigvalsh(h)[0]) * np.eye(4)
+        top, eye4 = float(np.linalg.eigvalsh(h)[-1]), np.eye(4, dtype=complex)
         m = SeparableMeasurement([Party("A", 4), Party("B", 2)],
-                                 [("x", (h, P0))], np.array([1.0]))
+                                 [("x", (h, P0)), ("y", (top * eye4 - h, P0)),
+                                  ("z", (eye4, P1))], [1 / top, 1 / top, 1.0])
         assert [f.tobytes() for f in m.outcomes[0].factors] == \
             [h.tobytes(), P0.astype(complex).tobytes()]

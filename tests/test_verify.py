@@ -3,13 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import audit_instances, node
+from conftest import audit_instances, node, unchecked
 from locc_forge import conditional_basis, qubit_pair, seven_outcome_family, synthesize
 from locc_forge import measurement, operators, verify
 from locc_forge.catalog import _haar_unitary
 from locc_forge.engine import ProtocolNode
-from locc_forge.errors import TreeStructureError
-from locc_forge.measurement import SeparableMeasurement, validate
+from locc_forge.errors import (
+    IncompleteMeasurementError,
+    MeasurementFormatError,
+    TreeStructureError,
+)
+from locc_forge.measurement import SeparableMeasurement
 from locc_forge.tolerances import PSD_TOL, RESIDUAL_TOL
 from locc_forge.verify import (
     CheckResult,
@@ -266,8 +270,9 @@ def assert_reports_agree(got, want):
 
 @pytest.fixture(scope="module")
 def indefinite(m_indefinite):
-    """The measurement with an indefinite factor on A in two outcomes, and
-    the tree B-then-A that follows them.  Every check but positivity holds."""
+    """The measurement with an indefinite factor on A in two outcomes, which
+    the constructor refuses, and the tree B-then-A that follows them.  Every
+    check but positivity holds."""
     tree = node((1, 1, 1), None, [
         node((1, 1, 0), 1, [node((1, 0, 0), 0, leaf=(0, 1.0)),
                             node((0, 1, 0), 0, leaf=(1, 1.0))]),
@@ -584,15 +589,16 @@ class TestTrimmedFrames:
         and leaf scales scaled down to match, the tree as they were: the
         completeness residual and every check read as the dense ones do,
         and the weights are inferred back.  With the scaled outcome's weight
-        ``excess`` too high, ``validate`` reports the incompleteness, while
-        the tree, whose root carries the complete weights, still passes."""
+        ``excess`` too high, the constructor refuses the measurement as
+        incomplete, while the tree, whose root carries the complete weights,
+        still passes against it (built without the constructor)."""
         m, j, big = conditional_basis(2, 5, 1), 3, 1e10
         tree = synthesize(m).tree
         weights = m.weights.copy()
         weights[j] *= (1 + excess) / big
-        scaled = SeparableMeasurement(m.parties, [
-            (o.label, (o.factors[0] * (big if i == j else 1.0),) + o.factors[1:])
-            for i, o in enumerate(m.outcomes)], weights)
+        outcomes = [(o.label, (o.factors[0] * (big if i == j else 1.0),) + o.factors[1:])
+                    for i, o in enumerate(m.outcomes)]
+        scaled = unchecked(m.parties, outcomes, weights)
         down = np.where(np.arange(m.n_outcomes) == j, 1 / big, 1.0)
 
         def scaled_down(n):
@@ -603,10 +609,13 @@ class TestTrimmedFrames:
 
         ops = scaled.outcome_operators
         dense = np.linalg.norm(np.einsum("j,jab->ab", weights, ops) - np.eye(len(ops[0])))
-        report = validate(scaled)
-        assert abs(report.completeness_residual - dense) <= 1e-12
-        assert report.ok == (excess == 0)
-        if not excess:
+        residual = float(np.linalg.norm(scaled.joint_r @ np.append(weights, -1.0)))
+        assert abs(residual - dense) <= 1e-12
+        if excess:
+            with pytest.raises(IncompleteMeasurementError, match=f"residual {residual:.3e}"):
+                SeparableMeasurement(m.parties, outcomes, weights)
+        else:
+            scaled = SeparableMeasurement(m.parties, outcomes, weights)
             inferred = SeparableMeasurement(scaled.parties, scaled.outcomes).weights
             assert np.abs(inferred / down - m.weights).max() <= 1e-10
         tree = scaled_down(tree)
@@ -706,7 +715,8 @@ class TestPositivityBound:
 
     def test_indefinite_factor_falls_back(self, indefinite, monkeypatch):
         m, tree = indefinite
-        assert not validate(m).ok
+        with pytest.raises(MeasurementFormatError, match="not positive semidefinite"):
+            SeparableMeasurement(m.parties, m.outcomes, m.weights)
         report, sent = self.run(tree, m, monkeypatch)
         assert self.open_nodes(tree, m) == ["root", "root.0", "root.0.0", "root.0.1"]
         assert sent == 4
@@ -716,6 +726,30 @@ class TestPositivityBound:
         assert (got.worst_residual, got.detail) == (want.worst_residual, want.detail)
         assert got.detail == "root.0.0"
         assert got.worst_residual == pytest.approx(0.5 / 1.5, rel=1e-12)
+
+    def test_large_outcome_reaches_the_exact_fallback(self, m_pair, monkeypatch):
+        """On a measurement the constructor accepts, a coefficient of -1e-12
+        on an outcome a million times larger leaves the Weyl bound open by
+        1e-6, and the exact eigenvalues find the node negative: the fallback
+        does not depend on input the constructor refuses."""
+        big, j = 1e6, 1
+        w = m_pair.weights.copy()
+        w[j] /= big
+        m = SeparableMeasurement(m_pair.parties, [
+            (o.label, (o.factors[0] * (big if i == j else 1.0), o.factors[1]))
+            for i, o in enumerate(m_pair.outcomes)], w)
+        tree = synthesize(m).tree
+        leaf, path = next((n, at) for n, at in tree.leaves() if n.leaf_outcome[0] == 0)
+        leaf.coeffs[j] = -1e-12
+        report, sent = self.run(tree, m, monkeypatch)
+        assert self.open_nodes(tree, m) == [path]
+        assert sent == 1
+        got = report.checks["positivity"]
+        want = dense_verify_tree(tree, m).checks["positivity"]
+        assert not got.passed
+        assert got.detail == want.detail == path
+        assert got.worst_residual == pytest.approx(want.worst_residual, rel=1e-9)
+        assert got.worst_residual == pytest.approx(1e-6, rel=1e-9)
 
     def test_slightly_negative_coefficient_closed_by_bound(self, m_pair, monkeypatch):
         tree = synthesize(m_pair).tree
