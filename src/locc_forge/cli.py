@@ -11,6 +11,7 @@ analysis runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -181,11 +182,7 @@ def _cmd_synth(args) -> int:
         doc = {
             "verdict": cert.verdict.value,
             "root_dims": list(cert.root_dims),
-            "stats": {
-                "nodes_expanded": cert.search_stats.nodes_expanded,
-                "dead_ends": cert.search_stats.dead_ends,
-                "wall_time": cert.search_stats.wall_time,
-            },
+            "stats": dataclasses.asdict(cert.search_stats),
             "tolerances": _TOLERANCES,
         }
         if cert.tree is not None:
@@ -196,9 +193,10 @@ def _cmd_synth(args) -> int:
         print(f"verdict: {cert.verdict.value}")
         print("root nullspace dims:",
               ", ".join(f"{p.name}={d}" for p, d in zip(m.parties, cert.root_dims)))
-        print(f"search: {cert.search_stats.nodes_expanded} nodes expanded, "
-              f"{cert.search_stats.dead_ends} dead ends, "
-              f"{cert.search_stats.wall_time:.3f}s")
+        stats = cert.search_stats
+        print(f"search: {stats.nodes_expanded} nodes expanded, {stats.dead_ends} dead ends, "
+              f"{stats.cones_built} cones built, {stats.parties_skipped} parties skipped, "
+              f"{stats.final_splits} final splits, {stats.wall_time:.3f}s")
         if cert.tree is not None:
             print(f"protocol tree ({cert.tree.depth()} rounds):")
             for line in _tree_summary(cert, m):

@@ -27,6 +27,43 @@ of its parent's, and no tree is deeper than n_outcomes - 1.  A deepening
 pass that fails without cutting any branch at its depth has explored every
 extreme-ray splitting, and every deeper pass would fail the same way: that
 is what INCONCLUSIVE means.
+
+Below the root, two kinds of party are settled on a cone-cache miss before
+their Q is built (``check_root`` builds every root cone in full).
+
+A party that cannot move has the same factor F on every outcome of the
+node's support S.  Then sum_j c'_j O_j = F (x) sum_j c'_j C_j, with C_j the
+other parties' factors, lies in span_A (x) Abar exactly when sum_j c'_j C_j
+is parallel to Abar, itself parallel to sum_j c_j C_j: the party's cone
+lies in span{c} + ker(O_S), since sum_j c'_j C_j = 0 exactly when sum_j
+c'_j O_j = 0.  When the outcome operators are linearly independent,
+ker(O_S) = {0}, the cone is the half-line of c, and the party is skipped.
+Q's rank decision agrees, given the margin the measurement's certificate
+``SeparableMeasurement.outcomes_independent`` demands.  Q's columns are
+a (x) t_j, a the coordinates of F and t_j those of C_j projected off Abar,
+so Q's singular values are |F| times those of P C_S, P the projection.
+Removing one direction interlaces, sigma_(|S|-1)(P C_S) >= sigma_min(C_S),
+and |F| sigma(C_S) = sigma(O_S), whose ratio sigma_min / sigma_max is at
+least that of all n outcomes.  So Q's |S| - 1 nonzero singular values are
+at least 4 B RANK_FACTOR rows times the largest, B the marginal band and
+rows at least Q's larger side.  The rows ``build_q`` drops as zero lower
+them by at most a factor sqrt(2) (the certificate's floor on sigma_min),
+which leaves them above twice B times the rank cutoff: counted, and not
+marginal, with room for the SVD's roundoff.  The last singular value, along
+c, is zero up to roundoff, as at every node whose product structure is
+exact, and falls below the cutoff over B.  So the full route would return
+dimension 1 with no marginal flag, and with no error: c lies in the cone.
+
+A party that resolves every outcome has a Q with no rows
+(``feasibility.resolves_every_outcome`` tests this without forming Q): its
+cone is the whole orthant on S, whose rays are the unit vectors e_j, in the
+order :func:`feasible_cone` gives them, and every child of every split is a
+leaf.  The node's one split is c = sum_j c_j e_j when every c_j clears
+:func:`decompose`'s subset bound (see :func:`final_split`); it is read off
+in closed form, and the node ends with those leaves, with no nullspace, ray
+enumeration, decompose call or recursion.  A node with a smaller
+coefficient is split by decompose on the same rays, and its first split's
+children are its leaves.
 """
 
 from __future__ import annotations
@@ -34,6 +71,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +81,9 @@ from .errors import LoccForgeError
 from .feasibility import (
     FeasibleCone,
     NodeContext,
+    bystander_frame,
     feasible_cone,
+    resolves_every_outcome,
     root_context,
 )
 from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
@@ -96,9 +136,18 @@ class ProtocolNode:
 
 @dataclass
 class SearchStats:
+    """Counts of one synthesis run.  Below the root, a (party, node
+    direction) pair's cone is analysed once: ``cones_built`` counts those
+    that took Q's nullspace and extreme rays, ``parties_skipped`` those of a
+    party that cannot move, and ``final_splits`` counts the nodes a party
+    split into their outcomes in closed form (see the module docstring)."""
+
     nodes_expanded: int = 0
     dead_ends: int = 0
     wall_time: float = 0.0
+    cones_built: int = 0
+    parties_skipped: int = 0
+    final_splits: int = 0
 
 
 @dataclass(eq=False)
@@ -189,6 +238,13 @@ def leaf_outcome(coeffs: np.ndarray) -> tuple[int, float] | None:
     return None
 
 
+class _Orthant(FeasibleCone):
+    """A party's cone that is the whole nonnegative orthant on the node's
+    support, its rays the unit vectors e_j, last outcome first, as
+    :func:`feasible_cone` returns them for a Q with no rows: every child of
+    every split is a leaf."""
+
+
 class _Search:
     """Shared state for one synthesis run."""
 
@@ -205,19 +261,46 @@ class _Search:
         ``_coeff_key``, which the caller computes once per node."""
         cone = self.cones.get((party, key))
         if cone is None:
-            cone = self.cones[party, key] = feasible_cone(NodeContext(self.m, party, coeffs))
+            cone = self.cones[party, key] = self.analyse(party, coeffs)
         return cone
 
+    def analyse(self, party: int, coeffs: np.ndarray) -> FeasibleCone:
+        """The party's cone at a node below the root.  A party that cannot
+        move gets its one-dimensional cone, and a party that resolves every
+        outcome the whole orthant, both without Q (see the module
+        docstring); any other party's cone is built."""
+        m = self.m
+        ctx = NodeContext(m, party, coeffs)
+        support = ctx.support
+        factors = m.local_factors(party)[support]
+        if (factors == factors[0]).all() and m.outcomes_independent:
+            self.stats.parties_skipped += 1
+            return FeasibleCone(1, (coeffs / coeffs.sum())[None], False)
+        frame = bystander_frame(ctx)
+        if resolves_every_outcome(frame):
+            k = len(support)
+            rays = np.zeros((k, len(coeffs)))
+            rays[np.arange(k), support[::-1]] = 1.0
+            return _Orthant(k, rays, False)
+        self.stats.cones_built += 1
+        return feasible_cone(ctx, frame)
+
     def splits_at(self, party: int, coeffs: np.ndarray,
-                  rays: np.ndarray) -> list[RayDecomposition]:
+                  cone: FeasibleCone) -> list[RayDecomposition]:
         """The node's splits into the party's rays, kept for later passes.
         Keyed by the exact coefficients: the cone is the same along the
         node's direction, but the scales grow with the node."""
         key = (party, coeffs.tobytes())
         splits = self.splits.get(key)
         if splits is None:
-            # decompose is looked up per call: the benchmark tracer wraps it
-            splits = self.splits[key] = decompose(coeffs, rays)
+            split = final_split(coeffs) if isinstance(cone, _Orthant) else None
+            if split is not None:
+                self.stats.final_splits += 1
+                splits = [split]
+            else:
+                # decompose is looked up per call: the benchmark tracer wraps it
+                splits = decompose(coeffs, cone.extreme_rays)
+            self.splits[key] = splits
         return splits
 
     def run(self, coeffs: np.ndarray, produced_by: int | None,
@@ -243,7 +326,14 @@ class _Search:
             if cone.nullspace_dim == 1:
                 continue
             rays = cone.extreme_rays
-            for dec in self.splits_at(party, coeffs, rays):
+            splits = self.splits_at(party, coeffs, cone)
+            if isinstance(cone, _Orthant) and splits:
+                # the first split's children are its leaves: no recursion
+                dec = splits[0]
+                return ProtocolNode(coeffs, produced_by, tuple(
+                    ProtocolNode(s * rays[i], party, (), (int(rays[i].argmax()), float(s)))
+                    for i, s in zip(dec.rays_used, dec.scales)))
+            for dec in splits:
                 children = []
                 for i, s in zip(dec.rays_used, dec.scales):
                     child = self.run(s * rays[i], party, remaining - 1)
@@ -255,6 +345,27 @@ class _Search:
         self.failed.add(memo_key)
         self.stats.dead_ends += 1
         return None
+
+
+def final_split(coeffs: np.ndarray) -> RayDecomposition | None:
+    """The split of a node into its outcomes, c = sum_j c_j e_j over its
+    support, as :func:`decompose` gives it on the orthant's rays (ray i is
+    e_j for the i-th outcome of the support from the last), or None when a
+    coefficient is too small for that to be decompose's only split.
+
+    decompose's least-squares scales on orthonormal rays are the c_j, every
+    ray is usable (none is parallel to a node on two or more outcomes), and
+    it queues no subset of the rays once sigma_min * min_j c_j exceeds its
+    subset bound 2 sqrt(n) ``RESIDUAL_TOL`` max(1, max_j c_j), sigma_min = 1
+    here; no coefficient then falls below ``SCALE_TOL`` either.  The closed
+    form requires twice that bound, room for the ulps by which decompose's
+    scales and sigma_min miss the exact ones.
+    """
+    c = coeffs[coeffs != 0][::-1]
+    bound = 2.0 * sqrt(len(coeffs)) * RESIDUAL_TOL * max(1.0, float(c.max()))
+    if not float(c.min()) > 2.0 * bound:
+        return None
+    return RayDecomposition(tuple(range(len(c))), c)
 
 
 def synthesize(m: SeparableMeasurement) -> Certificate:

@@ -31,6 +31,13 @@ class MeasurementFormatError(LoccForgeError, ValueError):
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location}: {message}" if location else message)
         self.location = location
+        self.detail = message
+
+    def relocated(self, location: str) -> "MeasurementFormatError":
+        """The same error, of the same type, located at ``location``."""
+        moved = MeasurementFormatError.__new__(type(self))
+        MeasurementFormatError.__init__(moved, self.detail, location)
+        return moved
 
 
 class IncompleteMeasurementError(MeasurementFormatError):

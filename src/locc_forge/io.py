@@ -231,7 +231,9 @@ def load_tree(path: str, m: SeparableMeasurement | None = None
     """Load a protocol tree, resolving its measurement if not supplied.
 
     A string ``measurement_ref`` is resolved relative to the tree file's
-    directory; an object is parsed inline.
+    directory; an object is parsed inline.  An error in an inline
+    measurement is located at ``measurement_ref.<path>``, and one in a
+    referenced file names that file: ``<file>: <path>``.
     """
     data = _read_json(path)
     if m is None:
@@ -242,12 +244,17 @@ def load_tree(path: str, m: SeparableMeasurement | None = None
         if isinstance(ref, str):
             ref_path = ref if os.path.isabs(ref) else os.path.join(
                 os.path.dirname(os.path.abspath(path)), ref)
-            m = load_measurement(ref_path)
+            doc, outer, sep = _read_json(ref_path), ref_path, ": "
         elif isinstance(ref, dict):
-            m = measurement_from_dict(ref)
+            doc, outer, sep = ref, "measurement_ref", "."
         else:
             raise MeasurementFormatError("must be a file path or a measurement object",
                                          "measurement_ref")
+        try:
+            m = measurement_from_dict(doc)
+        except MeasurementFormatError as exc:
+            inner = "" if exc.location == "$" else sep + exc.location
+            raise exc.relocated(outer + inner) from None
     return tree_from_dict(data, m), m
 
 

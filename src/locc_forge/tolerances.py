@@ -69,6 +69,11 @@ NNLS_ITERATIONS_PER_COLUMN = 3
 MARGINAL_RANK_BAND = 10.0
 """Singular values within this factor of the rank cutoff trigger a warning."""
 
+Q_ROW_FLOOR = 1e-13
+"""``feasibility.build_q`` drops a row of Q whose largest entry is at most
+this times max(1, Q's largest entry): an identically zero row, up to
+roundoff."""
+
 
 def rank_threshold(shape: tuple[int, int], sigma_max: float) -> float:
     """Singular-value cutoff for deciding the rank of a ``shape`` matrix.

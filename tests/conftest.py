@@ -76,6 +76,19 @@ def unchecked(parties, outcomes, weights) -> SeparableMeasurement:
     return m
 
 
+def split_outcome(m: SeparableMeasurement, j: int) -> SeparableMeasurement:
+    """``m`` with outcome j split into two equal halves: the same operator
+    twice, each with half its weight, so the outcomes are linearly
+    dependent."""
+    outcomes, weights = [], []
+    for k, (o, w) in enumerate(zip(m.outcomes, m.weights)):
+        halves = [("a", w / 2), ("b", w / 2)] if k == j else [("", w)]
+        for suffix, weight in halves:
+            outcomes.append((o.label + suffix, o.factors))
+            weights.append(weight)
+    return SeparableMeasurement(m.parties, outcomes, weights)
+
+
 def flag_dominoes() -> SeparableMeasurement:
     """A = C^2 (x) C^3 holds a flag qubit, B = C^3.  Under |0><0| on the
     flag sit the nine rotated dominoes, each with its weight; under |1><1|

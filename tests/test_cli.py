@@ -8,6 +8,7 @@ import pytest
 
 from conftest import flag_dominoes
 import locc_forge
+from locc_forge import conditional_basis, synthesize
 from locc_forge.cli import main
 from locc_forge.io import save_measurement
 
@@ -206,6 +207,22 @@ class TestSynthCommand:
         assert doc["verdict"] == "PROTOCOL_FOUND"
         assert doc["tolerances"] == {"rank_factor": 1e-11, "residual": 1e-8}
 
+    def test_search_stats_are_printed(self, tmp_path, capsys):
+        path = tmp_path / "cond.json"
+        save_measurement(conditional_basis(5, 2, 0), str(path))
+        stats = synthesize(conditional_basis(5, 2, 0)).search_stats
+        counts = {k: getattr(stats, k) for k in ("nodes_expanded", "dead_ends", "cones_built",
+                                                 "parties_skipped", "final_splits")}
+        assert all(counts.values())
+        code, out, _ = run(capsys, "synth", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)["stats"]
+        assert {k: doc[k] for k in counts} == counts and doc["wall_time"] > 0
+        code, out, _ = run(capsys, "synth", str(path))
+        line = next(x for x in out.splitlines() if x.startswith("search:"))
+        assert (f"{counts['cones_built']} cones built, {counts['parties_skipped']} parties "
+                f"skipped, {counts['final_splits']} final splits") in line
+
 
 class TestVerifySimulate:
     def test_verify_pass(self, pair_file, tmp_path, capsys):
@@ -324,6 +341,11 @@ class TestVerifySimulate:
             code, out, err = run(capsys, *argv)
             assert code == 4, argv
             assert where in err and out == "", argv
+            # a measurement_ref error names the inline field or the file
+            if argv[1:] == [str(inline)]:
+                assert f"error: measurement_ref.{where}" in err, err
+            elif argv[1:] == [str(by_path)]:
+                assert f"error: {bad}: {where}" in err, err
 
     def test_simulate_uses_measurement_ref(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"

@@ -6,7 +6,7 @@ from scipy.linalg import null_space, qr
 from scipy.optimize import nnls as scipy_nnls
 
 from conftest import benchmark_instances, catalog_instances, domino_angle_sets
-from locc_forge import Verdict, check_root, cones
+from locc_forge import Verdict, check_root, cones, engine
 from locc_forge.catalog import (
     conditional_basis,
     phase_five,
@@ -16,7 +16,7 @@ from locc_forge.catalog import (
 )
 from locc_forge.cones import ConeError, decompose, extreme_rays
 from locc_forge.engine import synthesize
-from locc_forge.feasibility import build_q, feasible_cone, nullspace, root_context
+from locc_forge.feasibility import NodeContext, build_q, feasible_cone, nullspace, root_context
 from locc_forge.tolerances import NULLSPACE_RESIDUAL_TOL
 from oracles import (
     brute_force_rays,
@@ -168,7 +168,18 @@ class TestOneDimensionalCones:
                 met.append((q, basis, out))
             return out
 
+        def also_built(self, party, coeffs):
+            # a party that cannot move gets its cone without Q: build it
+            # the full way too, so that its half-line is compared here
+            skipped = self.stats.parties_skipped
+            cone = analyse(self, party, coeffs)
+            if self.stats.parties_skipped > skipped:
+                feasible_cone(NodeContext(self.m, party, coeffs))
+            return cone
+
+        analyse = engine._Search.analyse
         monkeypatch.setattr(cones, "extreme_rays", recorded)
+        monkeypatch.setattr(engine._Search, "analyse", also_built)
         for m in benchmark_instances():
             synthesize(m)
         assert len(met) >= 100

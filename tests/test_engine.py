@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1, PMINUS, PPLUS, SIGMA_Z, benchmark_instances, flag_dominoes
+from conftest import (
+    EYE2,
+    P0,
+    P1,
+    PMINUS,
+    PPLUS,
+    SIGMA_Z,
+    benchmark_instances,
+    flag_dominoes,
+    split_outcome,
+)
 from locc_forge import (
     Verdict,
     check_root,
@@ -18,7 +30,7 @@ from locc_forge import engine
 from locc_forge.catalog import _haar_unitary
 from locc_forge.engine import impossible_at_root, leaf_outcome
 from locc_forge.errors import LoccForgeError
-from locc_forge.feasibility import FeasibleCone, feasible_cone, root_context
+from locc_forge.feasibility import FeasibleCone, NodeContext, feasible_cone, root_context
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement
 from locc_forge.tolerances import LEAF_SUPPORT_TOL
@@ -194,18 +206,27 @@ class TestWideOneWay:
     def test_each_node_split_once_per_party(self, monkeypatch):
         # the depth-2 tree takes two deepening passes, and the second one
         # reuses the root's splits from the first; a node's rays name the
-        # party whose cone they span
+        # party whose cone they span.  The root is split by decompose, its
+        # children, whose outcomes B resolves, in closed form
         calls = []
-        decompose = engine.decompose
+        decompose, final_split = engine.decompose, engine.final_split
 
         def counted(coeffs, rays, *args):
             calls.append((coeffs.tobytes(), np.asarray(rays).tobytes()))
             return decompose(coeffs, rays, *args)
 
+        def closed_form(coeffs):
+            split = final_split(coeffs)
+            if split is not None:
+                calls.append((coeffs.tobytes(), "final"))
+            return split
+
         monkeypatch.setattr(engine, "decompose", counted)
+        monkeypatch.setattr(engine, "final_split", closed_form)
         cert = synthesize(conditional_basis(2, 5, 0))
         assert cert.tree.depth() == 2
         assert len(calls) == len(set(calls)) == 6     # the root, then its 5 children
+        assert cert.search_stats.final_splits == 5
 
     def test_one_memo_key_per_node(self, monkeypatch):
         # a node's key serves its memo entry and every party's cone lookup;
@@ -520,3 +541,138 @@ class TestWalk:
 
     def test_leaf_root(self):
         self.assert_walks_agree(engine.ProtocolNode(np.ones(1), None, (), (0, 1.0)))
+
+
+def _trivial_move_measurements():
+    """The benchmark's measurements at seeds 0-2 and the library's
+    conditional bases."""
+    out = [m for seed in range(3) for m in benchmark_instances(seed)]
+    return out + [conditional_basis(n, d, 0)
+                  for n, d in ((2, 5), (3, 3), (4, 2), (4, 3), (5, 2), (3, 5))]
+
+
+def _full_route(self, party, coeffs):
+    """A pair's cone the full way: Q, its nullspace and its rays."""
+    return feasible_cone(NodeContext(self.m, party, coeffs))
+
+
+def _same_tree(got, want):
+    """Equal acting parties, child counts and leaf outcomes; coefficients
+    and leaf scales within 1e-15 relative."""
+    pairs = list(zip(got.walk(), want.walk()))
+    assert len(pairs) == len(list(want.walk()))
+    for (g, _), (w, _) in pairs:
+        assert (g.acting_party, len(g.children)) == (w.acting_party, len(w.children))
+        assert (g.leaf_outcome is None) == (w.leaf_outcome is None)
+        assert np.array_equal(g.coeffs != 0, w.coeffs != 0)
+        assert np.abs(g.coeffs - w.coeffs).max() <= 1e-15 * np.abs(w.coeffs).max()
+        if w.leaf_outcome is not None:
+            assert g.leaf_outcome[0] == w.leaf_outcome[0]
+            assert abs(g.leaf_outcome[1] - w.leaf_outcome[1]) <= 1e-15 * w.leaf_outcome[1]
+
+
+class TestTrivialMoves:
+    """Below the root, a party that cannot move is skipped and a party that
+    resolves every outcome splits the node into leaves, both without Q."""
+
+    def test_every_skipped_party_has_a_one_dimensional_cone(self, monkeypatch):
+        skipped = []
+        analyse = engine._Search.analyse
+
+        def checked(self, party, coeffs):
+            before = self.stats.parties_skipped
+            cone = analyse(self, party, coeffs)
+            if self.stats.parties_skipped > before:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    full = _full_route(self, party, coeffs)
+                assert full.nullspace_dim == cone.nullspace_dim == 1
+                assert not full.marginal_rank and not cone.marginal_rank
+                skipped.append(1)
+            return cone
+
+        monkeypatch.setattr(engine._Search, "analyse", checked)
+        for m in _trivial_move_measurements():
+            synthesize(m)
+        assert len(skipped) > 100
+
+    def test_closed_form_splits_are_decompose_splits(self, monkeypatch):
+        met = []
+        splits_at = engine._Search.splits_at
+
+        def checked(self, party, coeffs, cone):
+            before = self.stats.final_splits
+            splits = splits_at(self, party, coeffs, cone)
+            if self.stats.final_splits > before:
+                # the orthant's rays are the ones the full route gives, and
+                # the closed form is decompose's one split on them
+                rays = _full_route(self, party, coeffs).extreme_rays
+                assert rays.tobytes() == cone.extreme_rays.tobytes()
+                want = engine.decompose(coeffs, rays)
+                assert len(splits) == len(want) == 1
+                got, want = splits[0], want[0]
+                assert got.rays_used == want.rays_used
+                # the closed form's scales are the coefficients themselves;
+                # decompose's least-squares ones miss them by up to 2 ulps
+                assert got.scales.tobytes() == coeffs[coeffs != 0][::-1].tobytes()
+                gap = np.abs(got.scales - want.scales)
+                assert np.all(gap <= 2 * np.spacing(np.minimum(got.scales, want.scales)))
+                met.append(1)
+            return splits
+
+        monkeypatch.setattr(engine._Search, "splits_at", checked)
+        for m in _trivial_move_measurements():
+            synthesize(m)
+        assert len(met) > 100
+
+    def test_trees_equal_the_full_route(self, monkeypatch):
+        ms = [conditional_basis(5, 2, 0), conditional_basis(3, 4, 1), seven_outcome_family(0)]
+        fast = [synthesize(m) for m in ms]
+        monkeypatch.setattr(engine._Search, "analyse", _full_route)
+        for m, cert in zip(ms, fast):
+            ref = synthesize(m)
+            assert (cert.search_stats.nodes_expanded, cert.search_stats.dead_ends) == \
+                (ref.search_stats.nodes_expanded, ref.search_stats.dead_ends)
+            _same_tree(cert.tree, ref.tree)
+
+    def test_dependent_outcomes_refuse_the_skip(self, monkeypatch):
+        # outcome 0 of 3x2 in two equal halves: A's factor is the same on
+        # both, and the certificate refuses, so no party is skipped; forced
+        # to accept, it would skip parties whose cones are not half-lines
+        m = split_outcome(conditional_basis(3, 2, 0), 0)
+        assert not m.outcomes_independent
+        cert = synthesize(m)
+        assert cert.verdict is Verdict.PROTOCOL_FOUND
+        assert cert.search_stats.parties_skipped == 0 and cert.search_stats.final_splits > 0
+        with monkeypatch.context() as patched:
+            patched.setattr(engine._Search, "analyse", _full_route)
+            _same_tree(cert.tree, synthesize(m).tree)
+        forced = split_outcome(conditional_basis(3, 2, 0), 0)
+        forced.__dict__["outcomes_independent"] = True
+        assert synthesize(forced).search_stats.parties_skipped > 0
+
+    def test_a_coefficient_below_the_subset_bound_goes_through_decompose(self, monkeypatch):
+        # A measured outcome 0; B resolves outcomes 0-2, the orthant, but
+        # 3e-8 is below twice decompose's subset bound 2 sqrt(9) 1e-8
+        m = conditional_basis(2, 3, 0)
+        calls = []
+        decompose = engine.decompose
+        monkeypatch.setattr(engine, "decompose",
+                            lambda *a: calls.append(1) or decompose(*a))
+        coeffs = np.array([1.0, 0.5, 3e-8, 0, 0, 0, 0, 0, 0])
+        assert engine.final_split(coeffs) is None
+        search = engine._Search(m)
+        node = search.run(coeffs, 0, 1)
+        assert len(calls) == 1 and search.stats.final_splits == 0
+        (split,) = decompose(coeffs, np.eye(9)[[2, 1, 0]])
+        assert [c.leaf_outcome for c in node.children] == [
+            (j, float(s)) for j, s in zip((2, 1, 0), split.scales)]
+        # at twice the bound and above, the closed form answers
+        coeffs[2] = 1.3e-7
+        assert engine.final_split(coeffs).rays_used == (0, 1, 2)
+
+    def test_stats_count_the_trivial_moves(self, m_dominoes):
+        stats = synthesize(conditional_basis(5, 2, 0)).search_stats
+        assert stats.cones_built > 0 and stats.parties_skipped > 0 and stats.final_splits > 0
+        stats = synthesize(m_dominoes).search_stats
+        assert stats.cones_built == stats.parties_skipped == stats.final_splits == 0

@@ -258,3 +258,34 @@ class TestTreeDiagnostics:
         path.write_text(json.dumps(doc))        # writes the bare NaN token
         with pytest.raises(MeasurementFormatError, match=r"root\.children\[1\]\.coeffs"):
             load_tree(str(path), m_pair)
+
+    @pytest.mark.parametrize("fault, inner", [("indefinite", "outcomes[2].factors[1]"),
+                                              ("incomplete", "outcomes"),
+                                              ("not-an-object", "")])
+    def test_measurement_ref_errors_name_their_place(self, doc, m_pair, tmp_path,
+                                                     fault, inner):
+        # an inline measurement's error is located under measurement_ref,
+        # a referenced file's names the file; the error keeps its type
+        bad = measurement_to_dict(m_pair)
+        if fault == "indefinite":
+            bad["outcomes"][2]["factors"][1] = [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
+        elif fault == "incomplete":
+            bad["outcomes"][0]["weight"] = 1.5
+        else:
+            bad = [bad]
+        ref_path = tmp_path / "bad.json"
+        ref_path.write_text(json.dumps(bad))
+        routes = [(str(ref_path), str(ref_path) + (inner and ": " + inner))]
+        if isinstance(bad, dict):       # an inline list is refused as no object
+            routes.append((bad, "measurement_ref" + (inner and "." + inner)))
+        for ref, where in routes:
+            path = tmp_path / "tree.json"
+            path.write_text(json.dumps({**doc, "measurement_ref": ref}))
+            with pytest.raises(MeasurementFormatError) as info:
+                load_tree(str(path))
+            assert info.value.location == where
+            assert str(info.value).startswith(where + ": ")
+            with pytest.raises(MeasurementFormatError) as direct:
+                measurement_from_dict(bad)
+            assert type(info.value) is type(direct.value)
+            assert info.value.detail == direct.value.detail

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1, unchecked
+from conftest import EYE2, P0, P1, split_outcome, unchecked
 from locc_forge import (
     Party,
     SeparableMeasurement,
@@ -11,9 +11,10 @@ from locc_forge import (
     check_root,
     conditional_basis,
     qubit_pair,
+    seven_outcome_family,
     synthesize,
 )
-from locc_forge.tolerances import HERMITICITY_TOL, RESIDUAL_TOL
+from locc_forge.tolerances import HERMITICITY_TOL, MARGINAL_RANK_BAND, RANK_FACTOR, RESIDUAL_TOL
 from locc_forge.verify import verify_tree
 from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
 from locc_forge.io import measurement_from_dict, measurement_to_dict
@@ -63,6 +64,15 @@ class TestValidate:
             assert isinstance(err.value, MeasurementFormatError)
             assert err.value.location == "outcomes"
             assert "residual 1.000e+00" in str(err.value)     # |P0 (x) P1|
+
+    def test_all_zero_weights_are_incomplete(self, m_pair):
+        # no separate "a weight must be positive" rule: completeness refuses
+        # all-zero weights, whose sum misses I by |I| = sqrt(D)
+        outcomes = [(o.label, o.factors) for o in m_pair.outcomes]
+        with pytest.raises(IncompleteMeasurementError) as err:
+            SeparableMeasurement(m_pair.parties, outcomes, np.zeros(m_pair.n_outcomes))
+        assert err.value.location == "outcomes"
+        assert f"residual {np.sqrt(m_pair.total_dim):.3e}" in str(err.value)
 
     def test_nan_residual_is_a_violation(self):
         # finite entries whose product overflows: 0 * inf puts NaN in the sum
@@ -323,6 +333,67 @@ class TestFrames:
         assert np.linalg.norm(r @ [1.0, -1.0, 0.0, 0.0]) == pytest.approx(
             np.sqrt(2) * delta, rel=1e-8)
         assert np.linalg.norm(r @ [1.0, 1.0, 0.0, -1.0]) <= 1e-15
+
+
+def _singular_ratio(m) -> tuple[float, float]:
+    """sigma_min / sigma_max and sigma_min of the outcome operators'
+    vectorizations, from one SVD of the dense stack."""
+    flat = m.outcome_operators.reshape(m.n_outcomes, -1)
+    sigma = np.linalg.svd(flat, compute_uv=False)
+    return float(sigma[-1] / sigma[0]), float(sigma[-1])
+
+
+class TestIndependenceCertificate:
+    """``outcomes_independent`` certifies linear independence with room for
+    the search's rank decisions, lazily and from the Gram bound where it
+    suffices."""
+
+    @staticmethod
+    def _need(m) -> tuple[float, float]:
+        n = m.n_outcomes
+        rows = max([n] + [len(a) * (len(c) - 1) for a, c in zip(m.party_rs, m.cut_rs)])
+        return 4.0 * MARGINAL_RANK_BAND * RANK_FACTOR * rows, 1e-13 * np.sqrt(2.0 * rows * n)
+
+    def test_certified_only_with_room(self, catalog_all):
+        ms = [*catalog_all.values(), conditional_basis(3, 3, 0), conditional_basis(2, 5, 1),
+              split_outcome(conditional_basis(3, 2, 0), 0), split_outcome(qubit_pair(), 2)]
+        verdicts = []
+        for m in ms:
+            ratio, sigma_min = _singular_ratio(m)
+            need, floor = self._need(m)
+            verdicts.append(m.outcomes_independent)
+            assert m.outcomes_independent == (ratio >= need and sigma_min >= floor)
+        assert verdicts == [True] * (len(ms) - 2) + [False, False]
+
+    def test_orthogonal_outcomes_take_no_svd(self, monkeypatch):
+        # orthonormal rank-one outcomes have Gram I: the Gershgorin bound
+        # settles them; the seven-outcome family's, far from diagonal, not
+        m = conditional_basis(4, 2, 0)
+        m.cut_rs, m.joint_r                          # frames built first
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert m.outcomes_independent and calls == []
+        m = seven_outcome_family(0)
+        m.cut_rs, m.joint_r
+        calls.clear()
+        assert m.outcomes_independent and calls == [1]
+
+    def test_built_lazily(self):
+        m = conditional_basis(3, 2, 0)
+        assert "outcomes_independent" not in m.__dict__
+        check_root(m)
+        assert "outcomes_independent" not in m.__dict__
+        synthesize(m)
+        assert m.__dict__["outcomes_independent"] is True
+
+    def test_a_tiny_measurement_is_refused_by_the_row_floor(self):
+        # scaled by 1e-14 against its weights, the 2x2 outcomes are still
+        # orthogonal, but Q's row filter could drop rows that matter
+        m = conditional_basis(2, 2, 0)
+        tiny = SeparableMeasurement(m.parties, [(o.label, (o.factors[0] * 1e-14, o.factors[1]))
+                                                for o in m.outcomes], m.weights * 1e14)
+        assert _singular_ratio(tiny)[0] > 0.99 and not tiny.outcomes_independent
 
 
 class TestSpans:
