@@ -28,8 +28,9 @@ pass that fails without cutting any branch at its depth has explored every
 extreme-ray splitting, and every deeper pass would fail the same way: that
 is what INCONCLUSIVE means.
 
-Below the root, two kinds of party are settled on a cone-cache miss before
-their Q is built (``check_root`` builds every root cone in full).
+Below the root, a party that cannot move is settled on a cone-cache miss
+before its Q is built (``check_root`` builds every root cone in full); at
+any node, a party whose cone is the whole orthant splits it in closed form.
 
 A party that cannot move has the same factor F on every outcome of the
 node's support S.  Then sum_j c'_j O_j = F (x) sum_j c'_j C_j, with C_j the
@@ -54,16 +55,13 @@ c, is zero up to roundoff, as at every node whose product structure is
 exact, and falls below the cutoff over B.  So the full route would return
 dimension 1 with no marginal flag, and with no error: c lies in the cone.
 
-A party that resolves every outcome has a Q with no rows
-(``feasibility.resolves_every_outcome`` tests this without forming Q): its
-cone is the whole orthant on S, whose rays are the unit vectors e_j, in the
-order :func:`feasible_cone` gives them, and every child of every split is a
-leaf.  The node's one split is c = sum_j c_j e_j when every c_j clears
-:func:`decompose`'s subset bound (see :func:`final_split`); it is read off
-in closed form, and the node ends with those leaves, with no nullspace, ray
-enumeration, decompose call or recursion.  A node with a smaller
-coefficient is split by decompose on the same rays, and its first split's
-children are its leaves.
+A party that resolves every outcome of S has a Q with no rows: its cone is
+the whole orthant on S, whose rays are the unit vectors e_j, and every
+child of every split is a leaf.  The node's one split is c = sum_j c_j e_j
+when every c_j clears :func:`decompose`'s subset bound (see
+:func:`final_split`); it is read off in closed form, with no decompose
+call.  A node with a smaller coefficient is split by decompose on the same
+rays.
 """
 
 from __future__ import annotations
@@ -81,9 +79,7 @@ from .errors import LoccForgeError
 from .feasibility import (
     FeasibleCone,
     NodeContext,
-    bystander_frame,
     feasible_cone,
-    resolves_every_outcome,
     root_context,
 )
 from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
@@ -138,9 +134,9 @@ class ProtocolNode:
 class SearchStats:
     """Counts of one synthesis run.  Below the root, a (party, node
     direction) pair's cone is analysed once: ``cones_built`` counts those
-    that took Q's nullspace and extreme rays, ``parties_skipped`` those of a
-    party that cannot move, and ``final_splits`` counts the nodes a party
-    split into their outcomes in closed form (see the module docstring)."""
+    built from Q and ``parties_skipped`` those of a party that cannot move;
+    ``final_splits`` counts the nodes a party split into their outcomes in
+    closed form (see the module docstring)."""
 
     nodes_expanded: int = 0
     dead_ends: int = 0
@@ -238,13 +234,6 @@ def leaf_outcome(coeffs: np.ndarray) -> tuple[int, float] | None:
     return None
 
 
-class _Orthant(FeasibleCone):
-    """A party's cone that is the whole nonnegative orthant on the node's
-    support, its rays the unit vectors e_j, last outcome first, as
-    :func:`feasible_cone` returns them for a Q with no rows: every child of
-    every split is a leaf."""
-
-
 class _Search:
     """Shared state for one synthesis run."""
 
@@ -266,40 +255,32 @@ class _Search:
 
     def analyse(self, party: int, coeffs: np.ndarray) -> FeasibleCone:
         """The party's cone at a node below the root.  A party that cannot
-        move gets its one-dimensional cone, and a party that resolves every
-        outcome the whole orthant, both without Q (see the module
+        move gets its one-dimensional cone without Q (see the module
         docstring); any other party's cone is built."""
         m = self.m
-        ctx = NodeContext(m, party, coeffs)
-        support = ctx.support
-        factors = m.local_factors(party)[support]
+        factors = m.local_factors(party)[coeffs != 0]
         if (factors == factors[0]).all() and m.outcomes_independent:
             self.stats.parties_skipped += 1
             return FeasibleCone(1, (coeffs / coeffs.sum())[None], False)
-        frame = bystander_frame(ctx)
-        if resolves_every_outcome(frame):
-            k = len(support)
-            rays = np.zeros((k, len(coeffs)))
-            rays[np.arange(k), support[::-1]] = 1.0
-            return _Orthant(k, rays, False)
         self.stats.cones_built += 1
-        return feasible_cone(ctx, frame)
+        return feasible_cone(NodeContext(m, party, coeffs))
 
     def splits_at(self, party: int, coeffs: np.ndarray,
-                  cone: FeasibleCone) -> list[RayDecomposition]:
+                  rays: np.ndarray) -> list[RayDecomposition]:
         """The node's splits into the party's rays, kept for later passes.
         Keyed by the exact coefficients: the cone is the same along the
-        node's direction, but the scales grow with the node."""
+        node's direction, but the scales grow with the node.  An orthant's
+        one split is read off by :func:`final_split`."""
         key = (party, coeffs.tobytes())
         splits = self.splits.get(key)
         if splits is None:
-            split = final_split(coeffs) if isinstance(cone, _Orthant) else None
+            split = final_split(coeffs, rays)
             if split is not None:
                 self.stats.final_splits += 1
                 splits = [split]
             else:
                 # decompose is looked up per call: the benchmark tracer wraps it
-                splits = decompose(coeffs, cone.extreme_rays)
+                splits = decompose(coeffs, rays)
             self.splits[key] = splits
         return splits
 
@@ -326,14 +307,7 @@ class _Search:
             if cone.nullspace_dim == 1:
                 continue
             rays = cone.extreme_rays
-            splits = self.splits_at(party, coeffs, cone)
-            if isinstance(cone, _Orthant) and splits:
-                # the first split's children are its leaves: no recursion
-                dec = splits[0]
-                return ProtocolNode(coeffs, produced_by, tuple(
-                    ProtocolNode(s * rays[i], party, (), (int(rays[i].argmax()), float(s)))
-                    for i, s in zip(dec.rays_used, dec.scales)))
-            for dec in splits:
+            for dec in self.splits_at(party, coeffs, rays):
                 children = []
                 for i, s in zip(dec.rays_used, dec.scales):
                     child = self.run(s * rays[i], party, remaining - 1)
@@ -347,11 +321,13 @@ class _Search:
         return None
 
 
-def final_split(coeffs: np.ndarray) -> RayDecomposition | None:
-    """The split of a node into its outcomes, c = sum_j c_j e_j over its
-    support, as :func:`decompose` gives it on the orthant's rays (ray i is
-    e_j for the i-th outcome of the support from the last), or None when a
-    coefficient is too small for that to be decompose's only split.
+def final_split(coeffs: np.ndarray, rays: np.ndarray) -> RayDecomposition | None:
+    """The split of a node into its outcomes, c = sum_j c_j e_j, when the
+    party's cone is an orthant: every ray, in order, ray i scaled by the
+    coefficient of its outcome, as :func:`decompose` gives it.  None unless
+    the rays are the unit vectors e_j of the node's support (distinct
+    extreme rays on one axis each are those) and every coefficient clears
+    twice decompose's subset bound.
 
     decompose's least-squares scales on orthonormal rays are the c_j, every
     ray is usable (none is parallel to a node on two or more outcomes), and
@@ -361,7 +337,11 @@ def final_split(coeffs: np.ndarray) -> RayDecomposition | None:
     form requires twice that bound, room for the ulps by which decompose's
     scales and sigma_min miss the exact ones.
     """
-    c = coeffs[coeffs != 0][::-1]
+    # one nonzero entry per ray, and those entries sum to 1 on each outcome
+    # of the node's support and to 0 off it: the rays are its e_j
+    if np.count_nonzero(rays) != len(rays) or not np.array_equal(rays.sum(axis=0), coeffs != 0):
+        return None
+    c = coeffs[rays.argmax(axis=1)]
     bound = 2.0 * sqrt(len(coeffs)) * RESIDUAL_TOL * max(1.0, float(c.max()))
     if not float(c.min()) > 2.0 * bound:
         return None

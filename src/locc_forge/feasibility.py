@@ -113,48 +113,7 @@ def _bystander_coords(acting: np.ndarray, coords: np.ndarray, coeffs) -> np.ndar
     return core[np.argmax(np.einsum("ij,ij->i", core, core))]
 
 
-def bystander_frame(ctx: NodeContext) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides of Q on the context's support: the party's coordinates
-    ``acting = R_p[:, support]`` and the bystanders' ``T``, the coordinates
-    of C_n - P C_n in the basis of the bystander span's directions
-    trace-orthogonal to Abar (see :func:`build_q`).  ``T`` has no rows when
-    the bystander span is one-dimensional."""
-    m, n, p = ctx.measurement, ctx.measurement.n_outcomes, ctx.acting_party
-    acting, coords = m.party_rs[p][:, :n], m.cut_rs[p][:, :n]
-    support = ctx.support
-    if ctx.root:
-        y = m.cut_rs[p][:, n]
-    else:
-        coeffs = ctx.coeffs
-        if len(support) < len(coeffs):
-            acting, coords = acting[:, support], coords[:, support]
-            coeffs = np.asarray(coeffs, dtype=float)[support]
-        y = _bystander_coords(acting, coords, coeffs)
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0:
-        raise InconsistentNodeError("node operator is zero")
-    u = y.copy()
-    u[0] += norm if y[0] >= 0 else -norm                    # same sign: no cancellation
-    u /= np.linalg.norm(u)
-    return acting, (coords - 2.0 * np.outer(u, u @ coords))[1:]
-
-
-def resolves_every_outcome(frame: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether :func:`build_q` on this :func:`bystander_frame` keeps no row.
-
-    Q's entries are the products A_in T_ln, so its largest entry is
-    max_n |A_:n|_inf |T_:n|_inf, read without forming Q: rounding a product
-    is monotone in its factors' magnitudes, so this is the largest computed
-    entry exactly.  The row filter keeps no row exactly when that entry is
-    at most ``Q_ROW_FLOOR`` (above 1 the filter's own bound, the largest
-    entry times ``Q_ROW_FLOOR``, keeps that entry's row)."""
-    acting, t_bys = frame
-    peak = np.abs(acting).max(axis=0) * np.abs(t_bys).max(axis=0, initial=0.0)
-    return float(peak.max()) <= Q_ROW_FLOOR
-
-
-def build_q(ctx: NodeContext,
-            frame: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def build_q(ctx: NodeContext) -> np.ndarray:
     """Constraint matrix whose nullspace parametrizes the party's next outcomes.
 
     Column n of the matrix holds the coordinates of L_n (x) (C_n - P C_n),
@@ -171,13 +130,28 @@ def build_q(ctx: NodeContext,
     side R_c of its cut, Abar has coordinates y (the identity's, R_c[:, n],
     at the root, else see :func:`_bystander_coords`), and rows 1.. of the
     Householder reflector that maps y onto the first axis are such a basis.
-    ``frame`` is the context's :func:`bystander_frame`, when the caller has
-    it already.
     """
-    acting, t_bys = bystander_frame(ctx) if frame is None else frame
-    if not len(t_bys):
-        return np.zeros((0, acting.shape[1]))
-    q = (acting[:, None, :] * t_bys[None, :, :]).reshape(-1, acting.shape[1])
+    m, n, p = ctx.measurement, ctx.measurement.n_outcomes, ctx.acting_party
+    acting, coords = m.party_rs[p][:, :n], m.cut_rs[p][:, :n]
+    support = ctx.support
+    if ctx.root:
+        y = m.cut_rs[p][:, n]
+    else:
+        coeffs = ctx.coeffs
+        if len(support) < len(coeffs):
+            acting, coords = acting[:, support], coords[:, support]
+            coeffs = np.asarray(coeffs, dtype=float)[support]
+        y = _bystander_coords(acting, coords, coeffs)
+    norm = float(np.linalg.norm(y))
+    if norm == 0.0:
+        raise InconsistentNodeError("node operator is zero")
+    if len(y) == 1:
+        return np.zeros((0, len(support)))
+    u = y.copy()
+    u[0] += norm if y[0] >= 0 else -norm                    # same sign: no cancellation
+    u /= np.linalg.norm(u)
+    t_bys = (coords - 2.0 * np.outer(u, u @ coords))[1:]
+    q = (acting[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
     row_max = np.abs(q).max(axis=1)
     return q[row_max > Q_ROW_FLOOR * max(1.0, float(row_max.max()))]
 
@@ -223,11 +197,10 @@ def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
     return vh[rank:].T, marginal
 
 
-def feasible_cone(ctx: NodeContext,
-                  frame: tuple[np.ndarray, np.ndarray] | None = None) -> FeasibleCone:
+def feasible_cone(ctx: NodeContext) -> FeasibleCone:
     """Nullspace dimension plus extreme rays of {c >= 0 : Q c = 0} on the
     context's support (see :attr:`NodeContext.support`), the rays embedded
-    in n-outcome space.  ``frame`` is passed on to :func:`build_q`.
+    in n-outcome space.
 
     The parent coefficient vector must itself lie in the cone; a node that
     fails this, such as one that is not a product across the party's cut, is
@@ -237,7 +210,7 @@ def feasible_cone(ctx: NodeContext,
     """
     n = ctx.measurement.n_outcomes
     support = ctx.support
-    q = build_q(ctx, frame)
+    q = build_q(ctx)
     c = np.asarray(ctx.coeffs, dtype=float)
     if len(support) < n:
         c = c[support]

@@ -24,9 +24,7 @@ parties' frames and the joint R; the cuts' sides wait for the search.  So
 does :attr:`SeparableMeasurement.outcomes_independent`, the certificate that
 the outcome operators are linearly independent with room to spare, which
 lets the search skip a party that cannot move without building its Q.  It
-is built on first use, from the parties' Grams, at n^2 times the frames'
-total row count in flops, and takes one SVD of the joint R only where
-their Gershgorin bound falls short.
+is built on first use, from one SVD of the joint R's outcome columns.
 """
 
 from __future__ import annotations
@@ -234,18 +232,10 @@ class SeparableMeasurement:
         ``feasibility.build_q`` drops as zero move no singular value by more
         than a factor sqrt(2) (see ``engine``, which reads the certificate).
 
-        The bound comes first from the Gram matrix G = J^T J, formed as the
-        entrywise product of the parties' Grams R_q[:, :n]^T R_q[:, :n] in
-        about n^2 sum_q r_q multiply-adds.  Its entries err by at most
-        (k + sum_q r_q) eps |O_i| |O_j| for k parties, so Gershgorin discs
-        widened by that error bound G's eigenvalues, the squared singular
-        values, on either side.  A measurement whose Gram is not diagonally dominant enough,
-        such as outcomes that are not orthogonal, takes one SVD of J
-        instead.  Built on first use, by the first party the search finds
-        unable to move.  On conditional_basis(9, 2, 0), n = 512, with its
-        frames built, the Gram bound takes 11 ms and the SVD 29 ms; at 6x3,
-        n = 729, 12 ms and 102 ms (shared 2-core x86 host, one BLAS
-        thread).
+        Built on first use, by the first party the search finds unable to
+        move, from one SVD of J: on conditional_basis(9, 2, 0), n = 512,
+        with its frames built, 29 ms; at 6x3, n = 729, 102 ms (shared 2-core
+        x86 host, one BLAS thread).
         """
         n, rs = self.n_outcomes, self.party_rs
         rows = max([n] + [len(a) * (len(c) - 1) for a, c in zip(rs, self.cut_rs)])
@@ -253,19 +243,6 @@ class SeparableMeasurement:
         floor = Q_ROW_FLOOR * sqrt(2.0 * rows * n)
         if need >= 1.0 or len(self.joint_r) < n:
             return False
-        gram = np.ones((n, n))
-        for r in rs:
-            gram *= r[:, :n].T @ r[:, :n]
-        eps = np.finfo(float).eps
-        err = (len(rs) + sum(len(r) for r in rs)) * eps
-        diag = gram.diagonal().copy()
-        norms = np.sqrt(diag / (1.0 - err))          # |O_j|, rounded up
-        np.fill_diagonal(gram, 0.0)
-        radius = ((np.abs(gram).sum(axis=1) + err * norms * norms.sum())
-                  * (1.0 + 2.0 * n * eps))           # the row sums' own roundoff
-        low, high = float((diag - radius).min()), float((diag + radius).max())
-        if low > 0 and low >= (need ** 2) * high and low >= floor ** 2:
-            return True
         sigma = np.linalg.svd(self.joint_r[:, :n], compute_uv=False)
         return bool(sigma[-1] >= need * sigma[0] and sigma[-1] >= floor)
 

@@ -215,8 +215,8 @@ class TestWideOneWay:
             calls.append((coeffs.tobytes(), np.asarray(rays).tobytes()))
             return decompose(coeffs, rays, *args)
 
-        def closed_form(coeffs):
-            split = final_split(coeffs)
+        def closed_form(coeffs, rays):
+            split = final_split(coeffs, rays)
             if split is not None:
                 calls.append((coeffs.tobytes(), "final"))
             return split
@@ -556,6 +556,11 @@ def _full_route(self, party, coeffs):
     return feasible_cone(NodeContext(self.m, party, coeffs))
 
 
+def _no_final_split(coeffs, rays):
+    """Every split through decompose."""
+    return None
+
+
 def _same_tree(got, want):
     """Equal acting parties, child counts and leaf outcomes; coefficients
     and leaf scales within 1e-15 relative."""
@@ -600,14 +605,15 @@ class TestTrivialMoves:
         met = []
         splits_at = engine._Search.splits_at
 
-        def checked(self, party, coeffs, cone):
+        def checked(self, party, coeffs, rays):
             before = self.stats.final_splits
-            splits = splits_at(self, party, coeffs, cone)
+            splits = splits_at(self, party, coeffs, rays)
             if self.stats.final_splits > before:
-                # the orthant's rays are the ones the full route gives, and
-                # the closed form is decompose's one split on them
-                rays = _full_route(self, party, coeffs).extreme_rays
-                assert rays.tobytes() == cone.extreme_rays.tobytes()
+                # the orthant's rays are the unit vectors of the node's
+                # support, last first, and the closed form is decompose's
+                # one split on them
+                support = np.flatnonzero(coeffs)
+                assert rays.tobytes() == np.eye(len(coeffs))[support[::-1]].tobytes()
                 want = engine.decompose(coeffs, rays)
                 assert len(splits) == len(want) == 1
                 got, want = splits[0], want[0]
@@ -629,6 +635,7 @@ class TestTrivialMoves:
         ms = [conditional_basis(5, 2, 0), conditional_basis(3, 4, 1), seven_outcome_family(0)]
         fast = [synthesize(m) for m in ms]
         monkeypatch.setattr(engine._Search, "analyse", _full_route)
+        monkeypatch.setattr(engine, "final_split", _no_final_split)
         for m, cert in zip(ms, fast):
             ref = synthesize(m)
             assert (cert.search_stats.nodes_expanded, cert.search_stats.dead_ends) == \
@@ -646,6 +653,7 @@ class TestTrivialMoves:
         assert cert.search_stats.parties_skipped == 0 and cert.search_stats.final_splits > 0
         with monkeypatch.context() as patched:
             patched.setattr(engine._Search, "analyse", _full_route)
+            patched.setattr(engine, "final_split", _no_final_split)
             _same_tree(cert.tree, synthesize(m).tree)
         forced = split_outcome(conditional_basis(3, 2, 0), 0)
         forced.__dict__["outcomes_independent"] = True
@@ -660,7 +668,8 @@ class TestTrivialMoves:
         monkeypatch.setattr(engine, "decompose",
                             lambda *a: calls.append(1) or decompose(*a))
         coeffs = np.array([1.0, 0.5, 3e-8, 0, 0, 0, 0, 0, 0])
-        assert engine.final_split(coeffs) is None
+        rays = np.eye(9)[[2, 1, 0]]
+        assert engine.final_split(coeffs, rays) is None
         search = engine._Search(m)
         node = search.run(coeffs, 0, 1)
         assert len(calls) == 1 and search.stats.final_splits == 0
@@ -669,7 +678,17 @@ class TestTrivialMoves:
             (j, float(s)) for j, s in zip((2, 1, 0), split.scales)]
         # at twice the bound and above, the closed form answers
         coeffs[2] = 1.3e-7
-        assert engine.final_split(coeffs).rays_used == (0, 1, 2)
+        assert engine.final_split(coeffs, rays).rays_used == (0, 1, 2)
+
+    def test_final_split_needs_the_unit_vectors_of_the_support(self):
+        coeffs = np.array([0.5, 0.25, 0.25, 0.0])
+        eye = np.eye(4)
+        assert engine.final_split(coeffs, eye[[2, 1, 0]]).scales.tolist() == [0.25, 0.25, 0.5]
+        # a simplicial cone that is no orthant, rays missing an outcome of
+        # the support, a ray off it, and a unit ray not scaled to 1
+        for rays in (np.array([[0.5, 0.5, 0, 0], [0, 0, 1, 0]]), eye[[1, 0]],
+                     eye[[3, 2, 1, 0]], np.diag([0.5, 1.0, 1.0, 0.0])[:3]):
+            assert engine.final_split(coeffs, rays) is None
 
     def test_stats_count_the_trivial_moves(self, m_dominoes):
         stats = synthesize(conditional_basis(5, 2, 0)).search_stats

@@ -16,17 +16,15 @@ from locc_forge.errors import IncompleteMeasurementError, InconsistentNodeError,
 from locc_forge.feasibility import (
     NodeContext,
     build_q,
-    bystander_frame,
     factorize,
     feasible_cone,
     _bystander_coords,
     nullspace,
-    resolves_every_outcome,
     root_context,
 )
 from locc_forge.measurement import complement_span, local_span, reconstruct
 from locc_forge.operators import project_factor
-from locc_forge.tolerances import MARGINAL_RANK_BAND, Q_ROW_FLOOR, rank_threshold
+from locc_forge.tolerances import MARGINAL_RANK_BAND, rank_threshold
 from oracles import (
     bystander_operator,
     complement_factors,
@@ -224,8 +222,7 @@ def _non_product_contexts(catalog_all) -> list:
 
 def _build_every_pair(monkeypatch) -> None:
     """Have the search also call build_q on the (party, node) pairs below the
-    root that it answers without Q: a party that cannot move and one that
-    resolves every outcome."""
+    root that it answers without Q: those of a party that cannot move."""
     import locc_forge.engine as engine
     import locc_forge.feasibility as feasibility
 
@@ -250,9 +247,9 @@ def _search_contexts(monkeypatch, measurements) -> list:
     original = feasibility.build_q
     contexts = []
 
-    def recorded(ctx, *frame):
+    def recorded(ctx):
         contexts.append(ctx)
-        return original(ctx, *frame)
+        return original(ctx)
 
     monkeypatch.setattr(feasibility, "build_q", recorded)
     for m in measurements:
@@ -279,35 +276,6 @@ class TestBystanderCoords:
             want, *_ = np.linalg.lstsq(coords.T, pairings, rcond=None)
             y, want = y / np.linalg.norm(y), want / np.linalg.norm(want)
             assert np.abs(y - np.sign(y @ want) * want).max() <= 1e-10
-
-
-class TestResolvesEveryOutcome:
-    """The orthant test reads build_q's row filter without forming Q."""
-
-    def test_agrees_with_build_q_at_every_node(self, monkeypatch, catalog_all):
-        measurements = [*catalog_all.values(), conditional_basis(3, 4, 0),
-                        conditional_basis(5, 2, 0), conditional_basis(2, 5, 3)]
-        empty = 0
-        for ctx in _search_contexts(monkeypatch, measurements):
-            frame = bystander_frame(ctx)
-            q = build_q(ctx)
-            assert np.array_equal(build_q(ctx, frame), q)
-            assert resolves_every_outcome(frame) == (q.shape[0] == 0)
-            empty += q.shape[0] == 0
-        assert empty > 10
-
-    def test_the_floor_is_the_filter_bound(self):
-        # Q's largest entry at the floor keeps no row, one ulp above it
-        # keeps that entry's row; above 1 the filter's bound is relative
-        acting = np.array([[1.0, 0.5]])
-        for top, kept in ((Q_ROW_FLOOR, False), (np.nextafter(Q_ROW_FLOOR, 1.0), True),
-                          (2.0, True)):
-            t_bys = np.array([[top, 0.0], [0.0, top / 4]])
-            q = (acting[:, None, :] * t_bys[None, :, :]).reshape(-1, 2)
-            row_max = np.abs(q).max(axis=1)
-            assert bool((row_max > Q_ROW_FLOOR * max(1.0, row_max.max())).any()) == kept
-            assert resolves_every_outcome((acting, t_bys)) == (not kept)
-        assert resolves_every_outcome((acting, np.zeros((0, 2))))
 
 
 def _dense_off_span_gram(ctx) -> np.ndarray:
@@ -353,8 +321,8 @@ class TestAgainstDenseOracle:
         original = feasibility.build_q
         contexts = []
 
-        def compared(ctx, *frame):
-            q = original(ctx, *frame)
+        def compared(ctx):
+            q = original(ctx)
             n = len(ctx.support)
             want = my_nullspace_projector(dense_build_q(ctx), n)
             assert np.abs(my_nullspace_projector(q, n) - want).max() < 1e-8
@@ -382,6 +350,7 @@ class TestAgainstDenseOracle:
             dense_build_q(ctx)
 
     def test_trees_match_search_on_oracle(self, monkeypatch):
+        import locc_forge.engine as engine
         import locc_forge.feasibility as feasibility
 
         def flatten(node):
@@ -390,7 +359,11 @@ class TestAgainstDenseOracle:
                      np.asarray(n.coeffs, float)) for n, _ in node.walk()]
 
         found = [synthesize(m) for m in _oracle_measurements()]
-        monkeypatch.setattr(feasibility, "build_q", lambda ctx, frame=None: dense_build_q(ctx))
+        # every (party, node) pair of the reference search goes through the
+        # dense Q, those of a party that cannot move included
+        monkeypatch.setattr(feasibility, "build_q", dense_build_q)
+        monkeypatch.setattr(engine._Search, "analyse",
+                            lambda self, p, c: feasible_cone(NodeContext(self.m, p, c)))
         for cert, m in zip(found, _oracle_measurements()):
             ref = synthesize(m)
             assert cert.verdict == ref.verdict

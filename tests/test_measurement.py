@@ -11,7 +11,6 @@ from locc_forge import (
     check_root,
     conditional_basis,
     qubit_pair,
-    seven_outcome_family,
     synthesize,
 )
 from locc_forge.tolerances import HERMITICITY_TOL, MARGINAL_RANK_BAND, RANK_FACTOR, RESIDUAL_TOL
@@ -345,8 +344,7 @@ def _singular_ratio(m) -> tuple[float, float]:
 
 class TestIndependenceCertificate:
     """``outcomes_independent`` certifies linear independence with room for
-    the search's rank decisions, lazily and from the Gram bound where it
-    suffices."""
+    the search's rank decisions, lazily."""
 
     @staticmethod
     def _need(m) -> tuple[float, float]:
@@ -364,20 +362,6 @@ class TestIndependenceCertificate:
             verdicts.append(m.outcomes_independent)
             assert m.outcomes_independent == (ratio >= need and sigma_min >= floor)
         assert verdicts == [True] * (len(ms) - 2) + [False, False]
-
-    def test_orthogonal_outcomes_take_no_svd(self, monkeypatch):
-        # orthonormal rank-one outcomes have Gram I: the Gershgorin bound
-        # settles them; the seven-outcome family's, far from diagonal, not
-        m = conditional_basis(4, 2, 0)
-        m.cut_rs, m.joint_r                          # frames built first
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        assert m.outcomes_independent and calls == []
-        m = seven_outcome_family(0)
-        m.cut_rs, m.joint_r
-        calls.clear()
-        assert m.outcomes_independent and calls == [1]
 
     def test_built_lazily(self):
         m = conditional_basis(3, 2, 0)
