@@ -28,9 +28,10 @@ pass that fails without cutting any branch at its depth has explored every
 extreme-ray splitting, and every deeper pass would fail the same way: that
 is what INCONCLUSIVE means.
 
-Below the root, a party that cannot move is settled on a cone-cache miss
-before its Q is built (``check_root`` builds every root cone in full); at
-any node, a party whose cone is the whole orthant splits it in closed form.
+Below the root, on a cone-cache miss, two parties are settled before Q is
+built (``check_root`` builds every root cone in full): a party that cannot
+move, and a final mover, after whom no party can move.  At any node, a
+party whose cone is the whole orthant splits it in closed form.
 
 A party that cannot move has the same factor F on every outcome of the
 node's support S.  Then sum_j c'_j O_j = F (x) sum_j c'_j C_j, with C_j the
@@ -55,9 +56,27 @@ c, is zero up to roundoff, as at every node whose product structure is
 exact, and falls below the cutoff over B.  So the full route would return
 dimension 1 with no marginal flag, and with no error: c lies in the cone.
 
-A party that resolves every outcome of S has a Q with no rows: its cone is
-the whole orthant on S, whose rays are the unit vectors e_j, and every
-child of every split is a leaf.  The node's one split is c = sum_j c_j e_j
+A final mover p is a party such that every other party q has one factor
+C^q on every outcome of S.  Then sum_j c'_j O_j = (sum_j c'_j A_j) (x) C,
+A_j the mover's factors and C the product of the C^q, for every c' >= 0 on
+S.  The node's bystander operator Abar is parallel to C, so every such c'
+is admissible: the cone is exactly the orthant on S, of dimension |S|, with
+the unit vectors e_j as rays.  The argument is exact and needs no
+independence of the outcomes.  It is read off the factors' equality,
+entry for entry, the test that settles a party that cannot move (run on
+the mover's own factor first, then on the others until one varies).  The
+cone is returned as the full route returns an orthant (rays e_j, last
+outcome of S first, no marginal flag), so :func:`final_split` recognises
+it.  Q is not formed, because its rows cannot be trusted here: all
+r_p (r_c - 1) of them are roundoff, left by projecting C off Abar, and
+they grow with the factors.  With no true row to measure them against, ``build_q`` drops them
+only below its absolute floor ``Q_ROW_FLOOR``; scaled up (every factor of
+conditional_basis(2, 3, 0) times 30, the weights over 900), they clear it,
+pass for constraints, and the nullspace comes out empty.
+
+A party whose cone is the whole orthant on S, a final mover or one whose Q
+has no rows, resolves every outcome of S: every child of every split into
+the rays e_j is a leaf.  The node's one split is c = sum_j c_j e_j
 when every c_j clears :func:`decompose`'s subset bound (see
 :func:`final_split`); it is read off in closed form, with no decompose
 call.  A node with a smaller coefficient is split by decompose on the same
@@ -133,8 +152,9 @@ class ProtocolNode:
 @dataclass
 class SearchStats:
     """Counts of one synthesis run.  Below the root, a (party, node
-    direction) pair's cone is analysed once: ``cones_built`` counts those
-    built from Q and ``parties_skipped`` those of a party that cannot move;
+    direction) pair's cone is analysed once and counted once: in
+    ``cones_built`` if it was built from Q, in ``parties_skipped`` if the
+    party cannot move, or in ``orthants`` if the party is a final mover;
     ``final_splits`` counts the nodes a party split into their outcomes in
     closed form (see the module docstring)."""
 
@@ -143,6 +163,7 @@ class SearchStats:
     wall_time: float = 0.0
     cones_built: int = 0
     parties_skipped: int = 0
+    orthants: int = 0
     final_splits: int = 0
 
 
@@ -255,13 +276,22 @@ class _Search:
 
     def analyse(self, party: int, coeffs: np.ndarray) -> FeasibleCone:
         """The party's cone at a node below the root.  A party that cannot
-        move gets its one-dimensional cone without Q (see the module
-        docstring); any other party's cone is built."""
+        move gets its one-dimensional cone, and a final mover (no other
+        party can move) its orthant, without Q (see the module docstring);
+        any other party's cone is built."""
         m = self.m
-        factors = m.local_factors(party)[coeffs != 0]
-        if (factors == factors[0]).all() and m.outcomes_independent:
+        support = np.flatnonzero(coeffs)
+
+        def one_factor(q: int) -> bool:
+            factors = m.local_factors(q)[support]
+            return bool((factors == factors[0]).all())
+
+        if one_factor(party) and m.outcomes_independent:
             self.stats.parties_skipped += 1
             return FeasibleCone(1, (coeffs / coeffs.sum())[None], False)
+        if all(one_factor(q) for q in range(len(m.parties)) if q != party):
+            self.stats.orthants += 1
+            return FeasibleCone(len(support), np.eye(len(coeffs))[support[::-1]], False)
         self.stats.cones_built += 1
         return feasible_cone(NodeContext(m, party, coeffs))
 

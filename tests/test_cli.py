@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestCatalogCommand:
                          "--theta", "0.3", "0.4", "0.5", "0.6",
                          "--out", str(path))
         assert code == 0
-        assert json.loads(open(path).read())["parties"][0]["dim"] == 3
+        assert json.loads(path.read_text())["parties"][0]["dim"] == 3
 
 
 class TestCheckCommand:
@@ -113,7 +114,7 @@ class TestCheckCommand:
                                                                 tmp_path, capsys):
         # the root's bystander operator is the identity, not read from the
         # weights, so an error that the constructor accepts moves no root rank
-        doc = json.loads(open(pair_file).read())
+        doc = json.loads(Path(pair_file).read_text())
         doc["outcomes"][0]["weight"] = 1.0000000001
         path = tmp_path / "off.json"
         path.write_text(json.dumps(doc))
@@ -183,7 +184,7 @@ class TestSynthCommand:
         code, out, _ = run(capsys, "synth", pair_file, "--out", str(tree_path))
         assert code == 0
         assert "PROTOCOL_FOUND" in out
-        assert json.loads(open(tree_path).read())["root"]["children"]
+        assert json.loads(tree_path.read_text())["root"]["children"]
 
     def test_impossible(self, tmp_path, capsys):
         path = tmp_path / "dom.json"
@@ -212,7 +213,7 @@ class TestSynthCommand:
         save_measurement(conditional_basis(5, 2, 0), str(path))
         stats = synthesize(conditional_basis(5, 2, 0)).search_stats
         counts = {k: getattr(stats, k) for k in ("nodes_expanded", "dead_ends", "cones_built",
-                                                 "parties_skipped", "final_splits")}
+                                                 "parties_skipped", "orthants", "final_splits")}
         assert all(counts.values())
         code, out, _ = run(capsys, "synth", str(path), "--json")
         assert code == 0
@@ -221,7 +222,8 @@ class TestSynthCommand:
         code, out, _ = run(capsys, "synth", str(path))
         line = next(x for x in out.splitlines() if x.startswith("search:"))
         assert (f"{counts['cones_built']} cones built, {counts['parties_skipped']} parties "
-                f"skipped, {counts['final_splits']} final splits") in line
+                f"skipped, {counts['orthants']} orthants, {counts['final_splits']} final "
+                f"splits") in line
 
 
 class TestVerifySimulate:
@@ -236,9 +238,9 @@ class TestVerifySimulate:
     def test_verify_detects_tampering(self, pair_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
-        doc = json.loads(open(tree_path).read())
+        doc = json.loads(tree_path.read_text())
         doc["root"]["children"][0]["children"][0]["leaf"]["scale"] = 1.001
-        open(tree_path, "w").write(json.dumps(doc))
+        tree_path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(tree_path),
                            "--measurement", pair_file)
         assert code == 4
@@ -254,9 +256,9 @@ class TestVerifySimulate:
         assert code == 0
         checks = json.loads(out)["checks"]
         assert all(c["passed"] and c["detail"] == "" for c in checks.values())
-        doc = json.loads(open(tree_path).read())
+        doc = json.loads(tree_path.read_text())
         doc["root"]["children"][0]["children"][0]["leaf"]["scale"] = 1.001
-        open(tree_path, "w").write(json.dumps(doc))
+        tree_path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(tree_path), "--measurement", pair_file,
                            "--json")
         assert code == 4
@@ -302,7 +304,7 @@ class TestVerifySimulate:
         # simulate refuses its measurement at load as check and synth do
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
-        doc = json.loads(open(pair_file).read())
+        doc = json.loads(Path(pair_file).read_text())
         doc["outcomes"][0]["weight"] = 1.5
         bad = tmp_path / "incomplete.json"
         bad.write_text(json.dumps(doc))
@@ -322,7 +324,7 @@ class TestVerifySimulate:
         and nothing on stdout."""
         tree_path = tmp_path / "tree.json"
         run(capsys, "synth", pair_file, "--out", str(tree_path))
-        doc = json.loads(open(pair_file).read())
+        doc = json.loads(Path(pair_file).read_text())
         if fault == "incomplete":
             doc["outcomes"][0]["weight"] = 1.5
         else:
@@ -450,7 +452,7 @@ class TestErrorPaths:
         assert where in err and "PASS" not in out
 
     def test_duplicate_outcome_label_rejected(self, pair_file, tmp_path, capsys):
-        doc = json.loads(open(pair_file).read())
+        doc = json.loads(Path(pair_file).read_text())
         doc["outcomes"][2]["label"] = doc["outcomes"][0]["label"]
         path = tmp_path / "relabelled.json"
         path.write_text(json.dumps(doc))

@@ -577,8 +577,9 @@ def _same_tree(got, want):
 
 
 class TestTrivialMoves:
-    """Below the root, a party that cannot move is skipped and a party that
-    resolves every outcome splits the node into leaves, both without Q."""
+    """Below the root, a party that cannot move is skipped, a final mover
+    gets its orthant, and a party that resolves every outcome splits the
+    node into leaves, all without Q."""
 
     def test_every_skipped_party_has_a_one_dimensional_cone(self, monkeypatch):
         skipped = []
@@ -600,6 +601,59 @@ class TestTrivialMoves:
         for m in _trivial_move_measurements():
             synthesize(m)
         assert len(skipped) > 100
+
+    def test_every_orthant_equals_the_full_route(self, monkeypatch):
+        met = []
+        analyse = engine._Search.analyse
+
+        def checked(self, party, coeffs):
+            before = self.stats.orthants
+            cone = analyse(self, party, coeffs)
+            if self.stats.orthants > before:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    full = _full_route(self, party, coeffs)
+                assert cone.nullspace_dim == full.nullspace_dim == np.count_nonzero(coeffs)
+                assert cone.extreme_rays.tobytes() == full.extreme_rays.tobytes()
+                assert cone.extreme_rays.shape == full.extreme_rays.shape
+                assert not cone.marginal_rank and not full.marginal_rank
+                met.append(1)
+            return cone
+
+        monkeypatch.setattr(engine._Search, "analyse", checked)
+        for m in _trivial_move_measurements():
+            synthesize(m)
+        assert len(met) > 100
+
+    def test_a_factor_one_ulp_off_takes_the_full_route(self):
+        # after A's outcome 0 of 2x3, B is the final mover on outcomes 0-2;
+        # A's factor on outcome 1 moved by one ulp is no longer the same,
+        # so B's cone is built from Q
+        m = conditional_basis(2, 3, 0)
+        coeffs = np.array([1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0])
+        search = engine._Search(m)
+        closed = search.analyse(1, coeffs)
+        assert (search.stats.orthants, search.stats.cones_built) == (1, 0)
+        outcomes = [(o.label, list(o.factors)) for o in m.outcomes]
+        f = outcomes[1][1][0].copy()
+        f[0, 0] = np.nextafter(f[0, 0].real, 2.0)
+        outcomes[1][1][0] = f
+        moved = SeparableMeasurement(m.parties, outcomes, m.weights)
+        search = engine._Search(moved)
+        full = search.analyse(1, coeffs)
+        assert (search.stats.orthants, search.stats.cones_built) == (0, 1)
+        assert full.nullspace_dim == closed.nullspace_dim == 3
+        assert full.extreme_rays.tobytes() == closed.extreme_rays.tobytes()
+
+    def test_each_miss_below_the_root_is_counted_once(self, monkeypatch):
+        analyse = engine._Search.analyse
+        misses = []
+        monkeypatch.setattr(engine._Search, "analyse",
+                            lambda self, *a: misses.append(1) or analyse(self, *a))
+        for m in _trivial_move_measurements():
+            misses.clear()
+            s = synthesize(m).search_stats
+            assert len(misses) == s.cones_built + s.parties_skipped + s.orthants
 
     def test_closed_form_splits_are_decompose_splits(self, monkeypatch):
         met = []
@@ -645,16 +699,27 @@ class TestTrivialMoves:
     def test_dependent_outcomes_refuse_the_skip(self, monkeypatch):
         # outcome 0 of 3x2 in two equal halves: A's factor is the same on
         # both, and the certificate refuses, so no party is skipped; forced
-        # to accept, it would skip parties whose cones are not half-lines
+        # to accept, it would skip parties whose cones are not half-lines.
+        # A final mover's orthant needs no certificate, and its tree is the
+        # full route's, byte for byte
         m = split_outcome(conditional_basis(3, 2, 0), 0)
         assert not m.outcomes_independent
         cert = synthesize(m)
         assert cert.verdict is Verdict.PROTOCOL_FOUND
-        assert cert.search_stats.parties_skipped == 0 and cert.search_stats.final_splits > 0
+        stats = cert.search_stats
+        assert stats.parties_skipped == 0 and stats.orthants > 0 and stats.final_splits > 0
         with monkeypatch.context() as patched:
             patched.setattr(engine._Search, "analyse", _full_route)
+            ref = synthesize(m)
             patched.setattr(engine, "final_split", _no_final_split)
             _same_tree(cert.tree, synthesize(m).tree)
+        assert (stats.nodes_expanded, stats.dead_ends) == \
+            (ref.search_stats.nodes_expanded, ref.search_stats.dead_ends)
+        got, want = list(cert.tree.walk()), list(ref.tree.walk())
+        assert [p for _, p in got] == [p for _, p in want]
+        for (g, _), (w, _) in zip(got, want):
+            assert (g.acting_party, g.leaf_outcome) == (w.acting_party, w.leaf_outcome)
+            assert g.coeffs.tobytes() == w.coeffs.tobytes()
         forced = split_outcome(conditional_basis(3, 2, 0), 0)
         forced.__dict__["outcomes_independent"] = True
         assert synthesize(forced).search_stats.parties_skipped > 0
@@ -693,5 +758,7 @@ class TestTrivialMoves:
     def test_stats_count_the_trivial_moves(self, m_dominoes):
         stats = synthesize(conditional_basis(5, 2, 0)).search_stats
         assert stats.cones_built > 0 and stats.parties_skipped > 0 and stats.final_splits > 0
+        assert stats.orthants > 0
         stats = synthesize(m_dominoes).search_stats
-        assert stats.cones_built == stats.parties_skipped == stats.final_splits == 0
+        assert stats.cones_built == stats.parties_skipped == stats.orthants == 0
+        assert stats.final_splits == 0

@@ -136,3 +136,28 @@ def test_six_decades_of_rescaling_keep_the_verdict():
     parties = list(range(len(m.parties)))
     _assert_equivalent(original, parties,
                        _transformed(m, range(m.n_outcomes), parties, scales=scales))
+
+
+def _uniformly_scaled(m: SeparableMeasurement, s: float) -> SeparableMeasurement:
+    """Every factor multiplied by s and every weight divided by s to the
+    number of parties: the same outcome operators' weighted sums."""
+    outcomes = [(o.label, [s * f for f in o.factors]) for o in m.outcomes]
+    return SeparableMeasurement(m.parties, outcomes,
+                                np.asarray(m.weights) / s ** len(m.parties))
+
+
+@pytest.mark.parametrize("n, d, s", [(2, 3, 30), (2, 3, 100), (2, 3, 1000),
+                                     (2, 5, 100), (2, 5, 1000),
+                                     (3, 3, 10), (3, 3, 30), (3, 3, 100)])
+def test_every_factor_scaled_up_keeps_the_protocol(n, d, s):
+    """A final mover's cone is read from the factors' equality, not from
+    Q's rows of roundoff, which grow with the scale and can clear
+    ``build_q``'s absolute row floor (an empty nullspace)."""
+    m = conditional_basis(n, d, 0)
+    original = synthesize(m)
+    moved = _uniformly_scaled(m, s)
+    cert = synthesize(moved)
+    assert cert.verdict == Verdict.PROTOCOL_FOUND
+    assert cert.root_dims == original.root_dims
+    assert cert.tree.depth() == original.tree.depth()
+    assert verify_tree(cert.tree, moved).passed
