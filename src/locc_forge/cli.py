@@ -124,6 +124,7 @@ def _cmd_check(args) -> int:
                     "name": p.name,
                     "nullspace_dim": r.nullspace_dim,
                     "marginal_rank": r.marginal_rank,
+                    "certified": r.certified,
                     "extreme_rays": [[float(x) for x in ray]
                                      for ray in r.extreme_rays],
                 }

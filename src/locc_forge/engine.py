@@ -29,7 +29,7 @@ extreme-ray splitting, and every deeper pass would fail the same way: that
 is what INCONCLUSIVE means.
 
 Below the root, on a cone-cache miss, two parties are settled before Q is
-built (``check_root`` builds every root cone in full): a party that cannot
+built (``check_root`` builds every root cone's Q): a party that cannot
 move, and a final mover, after whom no party can move.  At any node, a
 party whose cone is the whole orthant splits it in closed form.
 
@@ -202,7 +202,11 @@ def impossible_at_root(m: SeparableMeasurement,
     roots that are not its own: a ray within RESIDUAL_TOL of the weights'
     direction still misses the identity where it errs on a large outcome.
     A failure raises :class:`LoccForgeError` rather than certify a false
-    verdict.
+    verdict.  A root cone certified from Q's Gram (``FeasibleCone.certified``)
+    has the weights' direction as its ray by construction, so the ray test
+    cannot fail there; the identity reconstruction still runs on it.  An
+    audit of the verdict independent of the search must therefore not read
+    these cones, nor ``feasibility``.
     """
     if leaf_outcome(m.weights) is not None or any(
             root.nullspace_dim != 1 for root in roots):

@@ -32,12 +32,82 @@ The nullspace's rank is decided on Q's singular values.  A root Q is tall
 runs on the n × n triangular factor of Q's QR, which has the same singular
 values and right singular vectors; the rank cutoff still reads Q's shape
 (see :func:`nullspace`).  The residual tests read Q itself.
+
+A one-dimensional root cone is certified from Q's Gram instead, with no
+QR, SVD or ray enumeration (:func:`_certified_half_line`).  At the root
+the weights c lie in every party's cone, so the cone is their half-line
+whenever Q has one singular value below the rank cutoff and none in the
+marginal band.  Let Q be m x n, s = |Q|_F^2 = trace(Q^T Q), K = max(m, n)
+``RANK_FACTOR`` and B = ``MARGINAL_RANK_BAND``.  The cutoff is K sigma_1,
+and s/n <= sigma_1^2 <= s brackets it between lo = K sqrt(s/n) and
+hi = K sqrt(s).  The certificate proves
+
+    sigma_n <= lo / (2B)    and    sigma_(n-1) >= 2B hi,
+
+which puts sigma_n below the band's lower end, cutoff / B, and
+sigma_(n-1) above its upper end, B cutoff, each with a factor 2 to spare.
+
+* sigma_n <= |Q y| / |y| for y = c / |c|_1 (Courant-Fischer), read off
+  the residual Q y that the parent-residual test computes anyway.
+* sigma_(n-1)^2 = lambda_2(Q^T Q) >= lambda_1(Q^T Q + t c' c'^T) for any
+  vector c' and t >= 0 (Cauchy interlacing for a rank-one positive
+  semidefinite update).  With c' = y / |y|_2 and t = s~ (below), one
+  Cholesky of Q^T Q + t c' c'^T - tau I that runs to completion shows
+  lambda_1 >= (2B hi)^2, the part of tau left once rounding is bounded.
+
+Rounding.  With u = eps / 2 and k = m + n + 4, omega = gamma_k = k u /
+(1 - k u) is at least every gamma_j met below (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., sec. 3.1).  The computed
+trace s~ of the computed Gram G sums m n nonnegative products, so
+|s~ - s| <= omega s: S = s~ / (1 - omega) >= s, and lo and hi are read at
+s~ / (1 + omega) and at S.  The computed Q y is off by at most
+gamma_n |Q| |y|, of 2-norm at most omega sqrt(S) |y|, and the computed
+norms and quotient are within a factor 1 + omega of exact ones, so
+sigma_n <= (1 + omega) |fl(Q y)| / |y| + omega sqrt(S).  Three errors
+separate the matrix A that the Cholesky sees, fl(G + t c' c'^T - tau I),
+from Q^T Q + t c' c'^T - tau I, each bounded in the 2-norm by that of its
+entrywise bound:
+
+* the Gram's, |G - Q^T Q| <= gamma_m |Q|^T |Q|, at most omega s;
+* forming A, at most gamma_4 entrywise of |G| + t |c'| |c'|^T + tau I,
+  at most omega ((1 + omega) (s + t) + tau);
+* the Cholesky's backward error: when it runs to completion, R^T R =
+  A + dA with |dA| <= gamma_(n+1) |R^T| |R| (Higham, Thm 10.3), so
+  |dA|_2 <= gamma_(n+1) |R|_F^2 <= gamma_(n+1) trace(A) / (1 -
+  gamma_(n+1)), at most omega (1 + omega)^2 (s + t) / (1 - omega).
+
+A + dA is positive semidefinite, so lambda_1(Q^T Q + t c' c'^T) >= tau -
+omega (3 (1 + omega)^2 (S + t) / (1 - omega) + tau), which is (2B hi)^2
+for tau = ((2B hi)^2 + 3 omega (1 + omega)^2 (S + t) / (1 - omega)) /
+(1 - omega).  The few roundings in evaluating these bounds move them by a
+few u, well inside the factors 2.
+
+The full route then returns dimension 1 and no marginal flag whenever its
+computed singular values are within e of the exact ones: sigma_n + e
+stays at most K (sigma_1 - e) / B for e <= K sigma_1 / (2 (B + K)), and
+sigma_(n-1) - e at least B K (sigma_1 + e) for e <= B K sigma_1 / (1 +
+B K).  So e may be about 4,500 max(m, n) u sigma_1, far above the error
+of a backward-stable SVD, a modest multiple of u sigma_1 (LAPACK Users'
+Guide, sec. 4.9).  Its null vector v makes an
+angle with c' whose sine is at most |Q c'| / sigma_(n-1): roundoff for
+weights complete to roundoff, and on the audit measurements the two rays
+agree within 1e-15.  The returned ray is c' through ``extreme_rays``'
+one-column route (vanishing rule, L1 scale, residual test), so a
+certified cone is what the full route gives, and says so in
+:attr:`FeasibleCone.certified`.  Every other cone takes the full route:
+one of dimension two or more (its lambda_2 is zero), a gap the Gram's
+squaring leaves within roundoff (a domino angle of 1e-7, whose
+sigma_(n-1) / sigma_1 is 8e-8), and weights off by more than roundoff
+(sigma_n of Q is still zero, but |Q c'| is not).  Below the root it is
+not tried: most cones built from Q there are a mover's, of dimension two
+or more, where the Gram and the failing Cholesky are extra work.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
@@ -48,6 +118,9 @@ from .measurement import complement_span, local_span  # noqa: F401  (wrapped by 
 from .operators import independent_subset  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .operators import project_factor
 from .tolerances import MARGINAL_RANK_BAND, Q_ROW_FLOOR, RESIDUAL_TOL, rank_threshold
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class MarginalRankWarning(UserWarning):
@@ -97,12 +170,15 @@ class FeasibleCone:
     ``extreme_rays`` holds one ray per row in n-outcome coordinates,
     L1-normalized, entrywise >= 0 and exactly zero off the support.
     ``marginal_rank`` flags a singular value of Q within a decade of the
-    rank cutoff (see :class:`MarginalRankWarning`).
+    rank cutoff (see :class:`MarginalRankWarning`).  ``certified`` marks a
+    root cone proved one-dimensional, unflagged, from Q's Gram, without
+    an SVD (see the module docstring).
     """
 
     nullspace_dim: int
     extreme_rays: np.ndarray
     marginal_rank: bool
+    certified: bool = False
 
 
 def _bystander_coords(acting: np.ndarray, coords: np.ndarray, coeffs) -> np.ndarray:
@@ -197,6 +273,37 @@ def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
     return vh[rank:].T, marginal
 
 
+def _certified_half_line(q: np.ndarray, y: np.ndarray,
+                         qy: np.ndarray) -> np.ndarray | None:
+    """y / |y|_2 when Q provably has one singular value below the rank
+    cutoff, along y, and none in the marginal band; else None.  ``qy`` is
+    the computed Q y.  The bounds are derived in the module docstring."""
+    rows, n = q.shape
+    if n < 2:
+        return None
+    k = rows + n + 4
+    omega = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+    gram = q.T @ q
+    trace = float(gram.trace())
+    s_hi = trace / (1 - omega)
+    y_norm = sqrt(float(y @ y))
+    sigma_last = (1 + omega) * sqrt(float(qy @ qy)) / y_norm + omega * sqrt(s_hi)
+    lo = rank_threshold(q.shape, sqrt(trace / ((1 + omega) * n)))
+    if not sigma_last <= lo / (2 * MARGINAL_RANK_BAND):
+        return None
+    c_hat = y / y_norm
+    hi = rank_threshold(q.shape, sqrt(s_hi))
+    tau = ((2 * MARGINAL_RANK_BAND * hi) ** 2
+           + 3 * omega * (1 + omega) ** 2 * (s_hi + trace) / (1 - omega)) / (1 - omega)
+    a = gram + (trace * c_hat)[:, None] * c_hat
+    a.flat[::n + 1] -= tau
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return c_hat
+
+
 def feasible_cone(ctx: NodeContext) -> FeasibleCone:
     """Nullspace dimension plus extreme rays of {c >= 0 : Q c = 0} on the
     context's support (see :attr:`NodeContext.support`), the rays embedded
@@ -206,7 +313,11 @@ def feasible_cone(ctx: NodeContext) -> FeasibleCone:
     fails this, such as one that is not a product across the party's cut, is
     inconsistent with the measurement.  At the root, whose Abar is the
     identity, this tests completeness.  It is tested first, so an empty
-    nullspace is blamed on the measurement only at a consistent node.
+    nullspace is blamed on the measurement only at a consistent node.  A
+    root cone that the Gram certificate proves one-dimensional is then
+    returned as the weights' half-line, with no SVD (see the module
+    docstring); every other cone takes :func:`nullspace` and
+    :func:`cones.extreme_rays`.
     """
     n = ctx.measurement.n_outcomes
     support = ctx.support
@@ -216,11 +327,18 @@ def feasible_cone(ctx: NodeContext) -> FeasibleCone:
         c = c[support]
     l1 = float(np.abs(c).sum())
     if l1 > 0 and q.shape[0] > 0:
-        parent_residual = float(np.abs(q @ (c / l1)).max())
+        y = c / l1
+        residual = q @ y
+        parent_residual = float(np.abs(residual).max())
         if parent_residual > RESIDUAL_TOL:
             raise InconsistentNodeError(
                 f"parent coefficients violate the node constraints "
                 f"(residual {parent_residual:.3e})")
+        if ctx.root:
+            c_hat = _certified_half_line(q, y, residual)
+            if c_hat is not None:
+                rays = cones.extreme_rays(q, c_hat[:, None])
+                return FeasibleCone(1, rays, False, certified=True)
     basis, marginal = nullspace(q, len(support))
     if basis.shape[1] == 0:
         raise InconsistentNodeError("empty nullspace contradicts completeness")

@@ -99,9 +99,12 @@ class TestCheckCommand:
         import locc_forge.feasibility as feasibility
         from locc_forge.feasibility import MarginalRankWarning
 
+        # the flag is forced through nullspace, so party B's one-dimensional
+        # root cone must not be certified past it
         original = feasibility.nullspace
         monkeypatch.setattr(feasibility, "nullspace",
                             lambda q, n: (original(q, n)[0], True))
+        monkeypatch.setattr(feasibility, "_certified_half_line", lambda *args: None)
         with pytest.warns(MarginalRankWarning):
             code, out, _ = run(capsys, "check", pair_file, "--json")
         assert code == 0
@@ -109,6 +112,18 @@ class TestCheckCommand:
         with pytest.warns(MarginalRankWarning):
             code, out, _ = run(capsys, "check", pair_file)
         assert out.count("(rank decided near the cutoff)") == 2
+
+    def test_certified_root_cones_are_reported(self, pair_file, tmp_path, capsys):
+        # phase-five's two root cones are certified from Q's Gram; the qubit
+        # pair's party A has a two-dimensional cone, which takes the SVD
+        code, out, _ = run(capsys, "check", pair_file, "--json")
+        assert code == 0
+        assert [p["certified"] for p in json.loads(out)["parties"]] == [False, True]
+        path = tmp_path / "phase.json"
+        run(capsys, "catalog", "phase-five", "--out", str(path))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 2
+        assert [p["certified"] for p in json.loads(out)["parties"]] == [True, True]
 
     def test_weight_error_within_validation_keeps_the_verdict(self, pair_file,
                                                                 tmp_path, capsys):

@@ -159,34 +159,40 @@ class TestOneDimensionalCones:
         assert len(widths) == sum(k >= 3 and constrained for k, constrained in cones_met)
 
     def test_bitwise_equal_to_the_generic_route_on_the_benchmark(self, monkeypatch):
-        met = []
-        rays_of_cone = cones.extreme_rays
+        # every context the search meets, the root's included, and every
+        # skipped party's, gets its Q and nullspace basis built directly: a
+        # certified root cone takes no nullspace, so recording the search's
+        # own extreme_rays calls would miss the roots' half-lines
+        contexts = []
 
-        def recorded(q, basis):
-            out = rays_of_cone(q, basis)
-            if basis.shape[1] == 1:
-                met.append((q, basis, out))
-            return out
+        def recorded(ctx):
+            contexts.append(ctx)
+            return feasible_cone(ctx)
 
-        def also_built(self, party, coeffs):
-            # a party that cannot move gets its cone without Q: build it
-            # the full way too, so that its half-line is compared here
+        def also_skipped(self, party, coeffs):
             skipped = self.stats.parties_skipped
             cone = analyse(self, party, coeffs)
             if self.stats.parties_skipped > skipped:
-                feasible_cone(NodeContext(self.m, party, coeffs))
+                contexts.append(NodeContext(self.m, party, coeffs))
             return cone
 
         analyse = engine._Search.analyse
-        monkeypatch.setattr(cones, "extreme_rays", recorded)
-        monkeypatch.setattr(engine._Search, "analyse", also_built)
+        monkeypatch.setattr(engine, "feasible_cone", recorded)
+        monkeypatch.setattr(engine._Search, "analyse", also_skipped)
         for m in benchmark_instances():
             synthesize(m)
-        assert len(met) >= 100
-        for q, basis, got in met:
+        met = 0
+        for ctx in contexts:
+            q = build_q(ctx)
+            basis, _ = nullspace(q, len(ctx.support))
+            if basis.shape[1] != 1:
+                continue
+            met += 1
+            got = extreme_rays(q, basis)
             expected = half_line_rays(q, basis)
             assert got.shape == expected.shape == (1, len(basis))
             assert got.tobytes() == expected.tobytes()
+        assert met >= 100
 
     @staticmethod
     def _q_for(basis):

@@ -1,7 +1,9 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1, benchmark_instances, catalog_instances
+from conftest import EYE2, P0, P1, audit_instances, benchmark_instances, catalog_instances
 from locc_forge import (
     Party,
     SeparableMeasurement,
@@ -14,6 +16,7 @@ from locc_forge import (
 )
 from locc_forge.errors import IncompleteMeasurementError, InconsistentNodeError, NotProductError
 from locc_forge.feasibility import (
+    MarginalRankWarning,
     NodeContext,
     build_q,
     factorize,
@@ -560,6 +563,115 @@ class TestNullspaceOnR:
         assert calls == []
         nullspace(tall, 64)
         assert calls == [(663, 64)]
+
+
+def _full_route(ctx):
+    """The context's cone with the root certificate turned off: the
+    nullspace SVD and extreme_rays, the route of every uncertified cone."""
+    import locc_forge.feasibility as feasibility
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "_certified_half_line", lambda *args: None)
+        return feasible_cone(ctx)
+
+
+def _counting_nullspace(monkeypatch) -> list:
+    import locc_forge.feasibility as feasibility
+
+    calls = []
+    original = feasibility.nullspace
+
+    def counted(q, n):
+        calls.append(q.shape)
+        return original(q, n)
+
+    monkeypatch.setattr(feasibility, "nullspace", counted)
+    return calls
+
+
+class TestRootCertificate:
+    """A one-dimensional root cone is certified from Q's Gram, with no SVD,
+    and is the cone the full route returns; every other root cone takes the
+    full route."""
+
+    def test_audit_root_cones_equal_the_full_route(self):
+        certified = fallbacks = 0
+        for m in audit_instances():
+            for party in range(len(m.parties)):
+                ctx = root_context(m, party)
+                got = feasible_cone(ctx)
+                full = _full_route(ctx)
+                assert got.nullspace_dim == full.nullspace_dim
+                assert got.marginal_rank == full.marginal_rank
+                assert got.extreme_rays.shape == full.extreme_rays.shape
+                assert np.array_equal(got.extreme_rays == 0, full.extreme_rays == 0)
+                assert np.abs(got.extreme_rays - full.extreme_rays).max() <= 1e-15
+                # every one-dimensional root cone is certified, so a bound
+                # that drifts loose fails here, not only runs slower
+                assert got.certified == (full.nullspace_dim == 1)
+                certified += got.certified
+                fallbacks += not got.certified
+        assert (certified, fallbacks) == (259, 97)
+
+    def test_two_dimensional_cone_falls_back(self, monkeypatch, m_pair):
+        calls = _counting_nullspace(monkeypatch)
+        first = feasible_cone(root_context(m_pair, 0))
+        assert len(calls) == 1 and first.nullspace_dim == 2 and not first.certified
+        second = feasible_cone(root_context(m_pair, 1))
+        assert len(calls) == 1 and second.certified
+        full = _full_route(root_context(m_pair, 0))
+        assert first.extreme_rays.tobytes() == full.extreme_rays.tobytes()
+
+    def test_weight_error_falls_back(self, monkeypatch, m_pair):
+        # a weight off by 1e-10, which the constructor accepts: Q is the
+        # same, but |Q c| is not roundoff, so B's cone takes the SVD, whose
+        # null vector is still the exact weights' direction
+        w = np.array(m_pair.weights, dtype=float)
+        w[0] = 1.0000000001
+        m = SeparableMeasurement(m_pair.parties,
+                                 [(o.label, o.factors) for o in m_pair.outcomes], w)
+        calls = _counting_nullspace(monkeypatch)
+        cone = feasible_cone(root_context(m, 1))
+        assert len(calls) == 1 and not cone.certified
+        assert cone.nullspace_dim == 1 and not cone.marginal_rank
+        full = _full_route(root_context(m, 1))
+        assert cone.extreme_rays.tobytes() == full.extreme_rays.tobytes()
+        assert np.abs(cone.extreme_rays[0] - 0.25).max() <= 1e-15
+
+    @pytest.mark.parametrize("theta, marginal", [(1e-9, True), (1e-7, False)])
+    def test_near_degenerate_gap_falls_back(self, monkeypatch, theta, marginal):
+        # one domino angle near 0 leaves party B's sigma_(n-1) / sigma_1 at
+        # 0.82 theta: inside the marginal band at 1e-9, and above it but
+        # within the Gram's roundoff at 1e-7, so neither is certified
+        m = rotated_dominoes(theta, np.pi / 4, np.pi / 4, np.pi / 4)
+        calls = _counting_nullspace(monkeypatch)
+        assert feasible_cone(root_context(m, 0)).certified and calls == []
+        with pytest.warns(MarginalRankWarning) if marginal else nullcontext():
+            cone = feasible_cone(root_context(m, 1))
+            assert len(calls) == 1 and not cone.certified
+            full = _full_route(root_context(m, 1))
+        assert cone.nullspace_dim == 1 and cone.marginal_rank is marginal
+        assert cone.extreme_rays.tobytes() == full.extreme_rays.tobytes()
+
+    def test_below_the_root_is_not_certified(self, monkeypatch):
+        import locc_forge.engine as engine
+
+        met = []
+
+        def recorded(ctx):
+            cone = feasible_cone(ctx)
+            met.append((ctx.root, cone))
+            return cone
+
+        monkeypatch.setattr(engine, "feasible_cone", recorded)
+        calls = _counting_nullspace(monkeypatch)
+        for m in benchmark_instances():
+            synthesize(m)
+        below = [cone for root, cone in met if not root]
+        assert any(cone.nullspace_dim == 1 for cone in below)
+        assert not any(cone.certified for cone in below)
+        # every cone the certificate leaves takes one nullspace call
+        assert len(calls) == sum(not cone.certified for _, cone in met)
 
 
 class TestReconstruct:
