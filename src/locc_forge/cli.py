@@ -198,7 +198,7 @@ def _cmd_synth(args) -> int:
         print(f"search: {stats.nodes_expanded} nodes expanded, {stats.dead_ends} dead ends, "
               f"{stats.cones_built} cones built, {stats.parties_skipped} parties skipped, "
               f"{stats.orthants} orthants, {stats.final_splits} final splits, "
-              f"{stats.wall_time:.3f}s")
+              f"{stats.planar_splits} planar splits, {stats.wall_time:.3f}s")
         if cert.tree is not None:
             print(f"protocol tree ({cert.tree.depth()} rounds):")
             for line in _tree_summary(cert, m):

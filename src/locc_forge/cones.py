@@ -170,6 +170,44 @@ def _arc_ends(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ends, cuts
 
 
+def _arc_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """:func:`extreme_rays` of a two-column basis: the ends of
+    :func:`_arc_ends` as c = N y, through the double description's tail
+    written for two rows, with the same output bytes.
+
+    Entries active on their row (at most the row's cut in magnitude) are
+    set to exactly 0.  ``_arc_ends`` has raised on any slack below -cut, so
+    every other entry is above its cut: the sign filters and the clipping
+    have nothing to do, and an end is dropped only when every entry is 0.
+    The ends are L1-scaled and residual-tested, and the two-row decisions
+    read Python floats: an end within cosine distance ``DUPLICATE_TOL`` of
+    the first (a half-line's second end) is dropped, and the ends are
+    ordered by their entries rounded to 12 digits, first entry first, as
+    ``numpy.lexsort`` orders them, ties kept in place.
+    """
+    ys, cuts = _arc_ends(basis)
+    cs = ys @ basis.T
+    cs[np.abs(cs) <= cuts] = 0.0
+    sums = cs.sum(axis=1, keepdims=True)
+    live = [i for i, s in enumerate(sums[:, 0].tolist()) if s > 0]
+    if len(live) == 2:
+        cs /= sums
+    else:
+        cs = cs[live] / sums[live]
+    fits = (np.abs(cs @ q.T).max(axis=1) <= NULLSPACE_RESIDUAL_TOL).tolist()
+    if not all(fits):
+        cs = cs[fits]
+    if not len(cs):
+        raise ConeError("no nonnegative ray found; cone is {0}")
+    if len(cs) == 1:
+        return cs
+    (g00, _), (g10, g11) = (cs @ cs.T).tolist()
+    if 1.0 - g10 / (sqrt(g00) * sqrt(g11)) < DUPLICATE_TOL:
+        return cs[:1]
+    first, second = np.round(cs, 12).tolist()
+    return cs[[1, 0]] if second < first else cs
+
+
 def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extreme rays of the pointed cone {y : a y >= 0}, a of full column rank,
     as the unit rows of one array, and each row's activity cut.
@@ -248,14 +286,13 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     it or empty it: the ray is the column times that sign, with entries at
     most ``_VANISHING_TOL`` of the largest set to exactly 0 (the double
     description's vanishing rule), and a live entry of the opposite sign
-    leaves the cone trivial.  Both routes end in the same L1 scaling and
-    residual test.
+    leaves the cone trivial.  It is L1-scaled and passes the residual test,
+    or the cone is {0}.
 
     A two-column N runs no double description either: its cone is an arc,
     whose two rays :func:`_arc_ends` reads off the angularly extreme live
     rows in one pass, with the double description's vanishing rule,
-    activity cuts and errors.  The ends go through the same activity
-    zeroing, filters, scaling, deduplication and sort, so only cones of
+    activity cuts and errors (see :func:`_arc_rays`).  So only cones of
     three or more dimensions are enumerated.
     """
     q = np.asarray(q, dtype=float)
@@ -270,18 +307,24 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
         col = basis[:, 0]
         mags = np.abs(col)
         top = int(mags.argmax())
-        cs = col[None, :] * (1.0 if col[top] > 0 else -1.0)
-        cs[:, mags <= _VANISHING_TOL * mags[top]] = 0.0
-        if cs.min() < 0:
+        c = col * (1.0 if col[top] > 0 else -1.0)
+        c[mags <= _VANISHING_TOL * mags[top]] = 0.0
+        if c.min() < 0:
             raise ConeError("cone is trivial")
-    else:
-        ys, cuts = (_arc_ends if k == 2 else _double_description)(basis)
-        cs = ys @ basis.T           # row r holds ray r's c = N y, and its slacks
-        cs[np.abs(cs) <= cuts] = 0.0
-        # every ray has N y >= -cut, so none needs its sign flipped; negative
-        # roundoff above -1e-9 is cleared, and a ray with an entry below it dropped
-        cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
-        np.maximum(cs, 0.0, out=cs)
+        c /= c.sum()
+        if not float(np.abs(q @ c).max()) <= NULLSPACE_RESIDUAL_TOL:
+            raise ConeError("no nonnegative ray found; cone is {0}")
+        return c[None]
+    if k == 2:
+        return _arc_rays(q, basis)
+
+    ys, cuts = _double_description(basis)
+    cs = ys @ basis.T           # row r holds ray r's c = N y, and its slacks
+    cs[np.abs(cs) <= cuts] = 0.0
+    # every ray has N y >= -cut, so none needs its sign flipped; negative
+    # roundoff above -1e-9 is cleared, and a ray with an entry below it dropped
+    cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
+    np.maximum(cs, 0.0, out=cs)
     cs /= cs.sum(axis=1, keepdims=True)
     cs = cs[np.abs(cs @ q.T).max(axis=1, initial=0.0) <= NULLSPACE_RESIDUAL_TOL]
     if not len(cs):

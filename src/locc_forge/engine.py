@@ -81,6 +81,29 @@ when every c_j clears :func:`decompose`'s subset bound (see
 :func:`final_split`); it is read off in closed form, with no decompose
 call.  A node with a smaller coefficient is split by decompose on the same
 rays.
+
+A cone with exactly two rays r_0, r_1 splits a node c in closed form too
+(:func:`planar_split`, tried after :func:`final_split`).  Independent rays
+give at most one split, since c = s_0 r_0 + s_1 r_1 has one solution, and
+decompose on two rays solves that one least-squares problem and queues no
+subset.  When the rays pass its independence test (sigma_min above
+``SPLIT_BOUND_MARGIN`` times the rank cutoff), it takes nonnegative
+least-squares scales as they are, with no NNLS, and its split is
+((0, 1), s) exactly when both rays are usable (neither parallel to c), the 2-norm residual is
+within bound = sqrt(n) ``RESIDUAL_TOL`` max(1, max c), both scales are
+above ``SCALE_TOL``, and the max-norm residual is within ``RESIDUAL_TOL``
+max(1, max c).  The closed form answers only where its own numbers, which
+differ from decompose's by roundoff, pass these tests: sigma_min above the
+margin, the max-norm residual within its bound (which puts the 2-norm one
+within ``bound``), and both scales above twice the subset bound,
+2 bound / sigma_min.  The scale test also settles usability and
+``SCALE_TOL``, with room.  The rays are L1-normalized, so sigma_min <= sqrt(2) and
+4 bound / sigma_min >= 4e-8 > ``SCALE_TOL``.  And c lies at distance at
+least s_1 sigma_min > 4 bound from the line of r_0 (and likewise for r_1),
+so its max-norm distance exceeds 4 ``RESIDUAL_TOL`` max(1, max c): each
+ray is usable.  Anywhere else decompose splits the node as before, so the
+closed form changes a split only by the rounding difference between two
+least-squares solvers.
 """
 
 from __future__ import annotations
@@ -88,7 +111,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import hypot, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -103,7 +126,7 @@ from .feasibility import (
 )
 from .feasibility import factorize  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .measurement import SeparableMeasurement
-from .tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL
+from .tolerances import LEAF_SUPPORT_TOL, RESIDUAL_TOL, SPLIT_BOUND_MARGIN, rank_threshold
 
 
 class Verdict(str, Enum):
@@ -156,7 +179,8 @@ class SearchStats:
     ``cones_built`` if it was built from Q, in ``parties_skipped`` if the
     party cannot move, or in ``orthants`` if the party is a final mover;
     ``final_splits`` counts the nodes a party split into their outcomes in
-    closed form (see the module docstring)."""
+    closed form, and ``planar_splits`` the nodes split into a two-ray
+    cone's rays in closed form (see the module docstring)."""
 
     nodes_expanded: int = 0
     dead_ends: int = 0
@@ -165,6 +189,7 @@ class SearchStats:
     parties_skipped: int = 0
     orthants: int = 0
     final_splits: int = 0
+    planar_splits: int = 0
 
 
 @dataclass(eq=False)
@@ -304,17 +329,18 @@ class _Search:
         """The node's splits into the party's rays, kept for later passes.
         Keyed by the exact coefficients: the cone is the same along the
         node's direction, but the scales grow with the node.  An orthant's
-        one split is read off by :func:`final_split`."""
+        one split is read off by :func:`final_split`, and a two-ray cone's
+        by :func:`planar_split`."""
         key = (party, coeffs.tobytes())
         splits = self.splits.get(key)
         if splits is None:
             split = final_split(coeffs, rays)
             if split is not None:
                 self.stats.final_splits += 1
-                splits = [split]
-            else:
-                # decompose is looked up per call: the benchmark tracer wraps it
-                splits = decompose(coeffs, rays)
+            elif len(rays) == 2 and (split := planar_split(coeffs, rays)) is not None:
+                self.stats.planar_splits += 1
+            # decompose is looked up per call: the benchmark tracer wraps it
+            splits = [split] if split is not None else decompose(coeffs, rays)
             self.splits[key] = splits
         return splits
 
@@ -380,6 +406,43 @@ def final_split(coeffs: np.ndarray, rays: np.ndarray) -> RayDecomposition | None
     if not float(c.min()) > 2.0 * bound:
         return None
     return RayDecomposition(tuple(range(len(c))), c)
+
+
+def planar_split(coeffs: np.ndarray, rays: np.ndarray) -> RayDecomposition | None:
+    """The split of a node into a two-ray cone's rays, c = s_0 r_0 + s_1 r_1,
+    as :func:`decompose` gives it, or None where decompose must decide (see
+    the module docstring).  The rays are L1-normalized, as the cones give
+    them.
+
+    The dot products are numpy's; the rest runs on Python floats.  With
+    v = r_1 - g r_0 the part of r_1 off r_0, the rays' R factor is
+    [[f, g f], [0, |v|]], f = |r_0|, and its singular values are those of
+    LAPACK's ``dlas2``.  Back-substitution gives s_1 = v . c' / |v|^2, c' =
+    c - t r_0 the part of c off r_0, and s_0 = t - g s_1.  v . c' is read
+    as v . c - t (v . r_0): the computed v is orthogonal to r_0 only up to
+    roundoff, which v . c alone would carry into s_1 times s_0 / |v|^2.
+    """
+    r0, r1 = rays
+    f2 = float(r0 @ r0)
+    g = float(r0 @ r1) / f2
+    v = r1 - g * r0
+    h2 = float(v @ v)
+    f, h = sqrt(f2), sqrt(h2)
+    sigma_max = (hypot(f + h, g * f) + hypot(f - h, g * f)) / 2
+    sigma_min = f * h / sigma_max
+    n = len(coeffs)
+    if not sigma_min > SPLIT_BOUND_MARGIN * rank_threshold((n, 2), sigma_max):
+        return None
+    t = float(r0 @ coeffs) / f2
+    s1 = (float(v @ coeffs) - t * float(v @ r0)) / h2
+    s0 = t - g * s1
+    scale_floor = max(1.0, float(coeffs.max()))
+    bound = sqrt(n) * RESIDUAL_TOL * scale_floor
+    if not min(s0, s1) > 4.0 * bound / sigma_min:
+        return None
+    if not float(np.abs(s0 * r0 + s1 * r1 - coeffs).max()) <= RESIDUAL_TOL * scale_floor:
+        return None
+    return RayDecomposition((0, 1), np.array([s0, s1]))
 
 
 def synthesize(m: SeparableMeasurement) -> Certificate:

@@ -218,15 +218,15 @@ def build_q(ctx: NodeContext) -> np.ndarray:
             acting, coords = acting[:, support], coords[:, support]
             coeffs = np.asarray(coeffs, dtype=float)[support]
         y = _bystander_coords(acting, coords, coeffs)
-    norm = float(np.linalg.norm(y))
+    u = y.copy()
+    norm = sqrt(float(u @ u))
     if norm == 0.0:
         raise InconsistentNodeError("node operator is zero")
-    if len(y) == 1:
+    if len(u) == 1:
         return np.zeros((0, len(support)))
-    u = y.copy()
-    u[0] += norm if y[0] >= 0 else -norm                    # same sign: no cancellation
-    u /= np.linalg.norm(u)
-    t_bys = (coords - 2.0 * np.outer(u, u @ coords))[1:]
+    u[0] += norm if u[0] >= 0 else -norm                    # same sign: no cancellation
+    u /= sqrt(float(u @ u))
+    t_bys = coords[1:] - 2.0 * (u[1:, None] * (u @ coords))
     q = (acting[:, None, :] * t_bys[None, :, :]).reshape(-1, len(support))
     row_max = np.abs(q).max(axis=1)
     return q[row_max > Q_ROW_FLOOR * max(1.0, float(row_max.max()))]

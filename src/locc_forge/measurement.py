@@ -13,8 +13,8 @@ operators O_j; the weights are data of the measurement itself.
 Outcome operators and weighted outcome operators are equivalent descriptions
 up to rescaling of each outcome; this module never rescales either.  Each
 factor, once checked as Hermitian within tolerance, is stored as its
-Hermitian part, which is the supplied matrix itself when that is exactly
-Hermitian.
+Hermitian part, which is a copy of the supplied matrix when that is
+exactly Hermitian, and read-only.
 
 The measurement owns the real frames that its completeness check, the
 search and the verifier read: each party's (:func:`identity_r`), each cut's
@@ -83,6 +83,11 @@ class SeparableMeasurement:
     ``outcomes[2].factors[1]`` for the first negative factor in (outcome,
     party) order; an incomplete sum is an
     :class:`IncompleteMeasurementError`, located at ``outcomes``.
+
+    What was checked cannot change afterwards: the weights are copied, and
+    they and every factor are stored read-only.  A write to the caller's
+    arrays leaves the measurement as it was, and a write to the
+    measurement's raises at once.
     """
 
     def __init__(self, parties: Sequence[Party], outcomes: Sequence, weights=None):
@@ -115,7 +120,7 @@ class SeparableMeasurement:
                     raise MeasurementFormatError(
                         f"dimension {f.shape[0]} does not match party {party.name!r} "
                         f"(dim {party.dim})", f"{where}.factors[{k}]")
-                checked.append(f)
+                checked.append(_frozen(f))
             label = str(label)
             if label in first_with:
                 raise MeasurementFormatError(f"outcomes {first_with[label]} and {j} share "
@@ -140,7 +145,7 @@ class SeparableMeasurement:
             w, _ = cones.nnls(self.joint_r[:, :n], self.joint_r[:, n])
             w[w < 0] = 0.0
         else:
-            w = np.asarray(weights, dtype=float)
+            w = np.array(weights, dtype=float)
             if w.shape != (n,):
                 raise MeasurementFormatError(
                     f"{n} outcomes but weight vector of shape {w.shape}", "outcomes")
@@ -154,7 +159,7 @@ class SeparableMeasurement:
             raise IncompleteMeasurementError(
                 f"incomplete: {which} bring the weighted outcome sum to the identity "
                 f"(residual {residual:.3e} in the Frobenius norm)")
-        self.weights: np.ndarray = w
+        self.weights: np.ndarray = _frozen(w)
 
     # -- basic geometry -------------------------------------------------
 

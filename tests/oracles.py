@@ -172,6 +172,48 @@ def planar_double_description_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarr
     return np.array(sorted(unique, key=lambda c: tuple(np.round(c, 12))))
 
 
+def generic_tail_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``cones.extreme_rays`` for a one- or two-column nullspace basis N,
+    with every ray through the tail that the double description's rays
+    take: the one-column half-line, or the ends of ``cones._arc_ends`` with
+    activity zeroing and sign and roundoff filters, then L1 scaling, the
+    residual filter on (rows, n) arrays, deduplication by the full cosine
+    matrix and ``numpy.lexsort`` of the rows rounded to 12 digits.  The
+    library's own two short tails must return the same bytes."""
+    q = np.asarray(q, dtype=float)
+    basis = np.asarray(basis, dtype=float)
+    k = basis.shape[1]
+    assert k in (1, 2) and q.shape[0] > 0
+    if k == 1:
+        col = basis[:, 0]
+        mags = np.abs(col)
+        top = int(mags.argmax())
+        cs = col[None, :] * (1.0 if col[top] > 0 else -1.0)
+        cs[:, mags <= cones._VANISHING_TOL * mags[top]] = 0.0
+        if cs.min() < 0:
+            raise ConeError("cone is trivial")
+    else:
+        ys, cuts = cones._arc_ends(basis)
+        cs = ys @ basis.T
+        cs[np.abs(cs) <= cuts] = 0.0
+        cs = cs[(cs.min(axis=1) > -1e-9) & (cs.max(axis=1) > 0)]
+        np.maximum(cs, 0.0, out=cs)
+    cs /= cs.sum(axis=1, keepdims=True)
+    cs = cs[np.abs(cs @ q.T).max(axis=1, initial=0.0) <= NULLSPACE_RESIDUAL_TOL]
+    if not len(cs):
+        raise ConeError("no nonnegative ray found; cone is {0}")
+    if len(cs) > 1:
+        norms = np.linalg.norm(cs, axis=1)
+        close = ((1.0 - (cs @ cs.T) / np.outer(norms, norms)) < DUPLICATE_TOL).tolist()
+        unique: list[int] = []
+        for i in range(len(cs)):
+            if not any(close[i][j] for j in unique):
+                unique.append(i)
+        cs = cs[unique]
+        cs = cs[np.lexsort(np.round(cs, 12).T[::-1])]
+    return cs
+
+
 def brute_force_rays(q: np.ndarray, feas_tol: float = 1e-9) -> list[np.ndarray]:
     """Extreme rays of {c >= 0 : Q c = 0} by enumerating facet sign patterns.
 

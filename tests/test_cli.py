@@ -228,7 +228,8 @@ class TestSynthCommand:
         save_measurement(conditional_basis(5, 2, 0), str(path))
         stats = synthesize(conditional_basis(5, 2, 0)).search_stats
         counts = {k: getattr(stats, k) for k in ("nodes_expanded", "dead_ends", "cones_built",
-                                                 "parties_skipped", "orthants", "final_splits")}
+                                                 "parties_skipped", "orthants", "final_splits",
+                                                 "planar_splits")}
         assert all(counts.values())
         code, out, _ = run(capsys, "synth", str(path), "--json")
         assert code == 0
@@ -238,7 +239,7 @@ class TestSynthCommand:
         line = next(x for x in out.splitlines() if x.startswith("search:"))
         assert (f"{counts['cones_built']} cones built, {counts['parties_skipped']} parties "
                 f"skipped, {counts['orthants']} orthants, {counts['final_splits']} final "
-                f"splits") in line
+                f"splits, {counts['planar_splits']} planar splits") in line
 
 
 class TestVerifySimulate:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space, qr
 from scipy.optimize import nnls as scipy_nnls
 
-from conftest import benchmark_instances, catalog_instances, domino_angle_sets
+from conftest import audit_instances, benchmark_instances, catalog_instances, domino_angle_sets
 from locc_forge import Verdict, check_root, cones, engine
 from locc_forge.catalog import (
     conditional_basis,
@@ -21,6 +21,7 @@ from locc_forge.tolerances import NULLSPACE_RESIDUAL_TOL
 from oracles import (
     brute_force_rays,
     combination_decompose,
+    generic_tail_rays,
     half_line_rays,
     planar_double_description_rays,
 )
@@ -360,6 +361,51 @@ class TestTwoDimensionalCones:
                 route(q, basis)
 
 
+def _same_outcome(got, want):
+    """The same ConeError message, or the same rays byte for byte."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestShortTails:
+    """A one- or two-column basis has its own tail in ``extreme_rays``,
+    with the output bytes and errors of the tail the double description's
+    rays take (``oracles.generic_tail_rays``)."""
+
+    def test_byte_equal_on_every_audit_cone(self, monkeypatch):
+        met = {1: 0, 2: 0}
+        rays_of_cone = cones.extreme_rays
+
+        def checked(q, basis):
+            got = _outcome(rays_of_cone, q, basis)
+            k = basis.shape[1]
+            if k in met and q.shape[0] > 0:
+                _same_outcome(got, _outcome(generic_tail_rays, q, basis))
+                met[k] += 1
+            if isinstance(got, str):
+                raise ConeError(got)
+            return got
+
+        monkeypatch.setattr(cones, "extreme_rays", checked)
+        for m in audit_instances():
+            synthesize(m)
+        assert met[1] > 250 and met[2] > 250
+
+    @given(planar_bases())
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([[0.6, 0.0], [-0.3, 0.0], [0.0, 1.0], [0.0, 0.0]]) / [[np.sqrt(0.45), 1]])
+    def test_byte_equal_on_degenerate_planes_and_their_columns(self, basis):
+        q = null_space(basis.T).T
+        assume(len(q) > 0)
+        _same_outcome(_outcome(extreme_rays, q, basis), _outcome(generic_tail_rays, q, basis))
+        col = basis[:, :1] / np.linalg.norm(basis[:, 0])
+        q = null_space(col.T).T
+        _same_outcome(_outcome(extreme_rays, q, col), _outcome(generic_tail_rays, q, col))
+
+
 @st.composite
 def random_cone_matrix(draw):
     """A small constraint matrix with a guaranteed nontrivial nonneg kernel."""
@@ -594,13 +640,18 @@ class TestLeastSquaresBound:
     def assert_simplicial(rays):
         assert np.linalg.matrix_rank(np.column_stack(rays)) == len(rays)
 
-    def test_catalog_syntheses_need_no_nnls(self, nnls_calls):
+    def test_catalog_syntheses_need_no_nnls(self, nnls_calls, monkeypatch):
         # rays with exact zeros leave no roundoff-negative least-squares
-        # scale at a parent on a face of the cone
+        # scale at a parent on a face of the cone; every split of these
+        # two-ray cones goes through decompose here, not the closed form
+        monkeypatch.setattr(engine, "planar_split", lambda coeffs, rays: None)
+        decompose_calls = []
+        monkeypatch.setattr(engine, "decompose",
+                            lambda *a: decompose_calls.append(1) or decompose(*a))
         for m in (qubit_pair(), phase_five(), rotated_dominoes(),
                   *(seven_outcome_family(s) for s in range(10))):
             synthesize(m)
-        assert nnls_calls == []
+        assert nnls_calls == [] and len(decompose_calls) > 40
 
     def test_catalog_roots_need_no_nnls(self, catalog_all, nnls_calls):
         for m in catalog_all.values():

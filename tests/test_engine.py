@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     EYE2,
@@ -10,7 +12,9 @@ from conftest import (
     PMINUS,
     PPLUS,
     SIGMA_Z,
+    audit_instances,
     benchmark_instances,
+    catalog_instances,
     flag_dominoes,
     split_outcome,
 )
@@ -33,7 +37,12 @@ from locc_forge.errors import LoccForgeError
 from locc_forge.feasibility import FeasibleCone, NodeContext, feasible_cone, root_context
 from locc_forge.io import tree_to_dict
 from locc_forge.measurement import Party, SeparableMeasurement
-from locc_forge.tolerances import LEAF_SUPPORT_TOL
+from locc_forge.tolerances import (
+    LEAF_SUPPORT_TOL,
+    RESIDUAL_TOL,
+    SPLIT_BOUND_MARGIN,
+    rank_threshold,
+)
 from oracles import recursive_walk
 
 
@@ -561,19 +570,19 @@ def _no_final_split(coeffs, rays):
     return None
 
 
-def _same_tree(got, want):
+def _same_tree(got, want, rel=1e-15):
     """Equal acting parties, child counts and leaf outcomes; coefficients
-    and leaf scales within 1e-15 relative."""
+    and leaf scales within ``rel`` relative."""
     pairs = list(zip(got.walk(), want.walk()))
     assert len(pairs) == len(list(want.walk()))
     for (g, _), (w, _) in pairs:
         assert (g.acting_party, len(g.children)) == (w.acting_party, len(w.children))
         assert (g.leaf_outcome is None) == (w.leaf_outcome is None)
         assert np.array_equal(g.coeffs != 0, w.coeffs != 0)
-        assert np.abs(g.coeffs - w.coeffs).max() <= 1e-15 * np.abs(w.coeffs).max()
+        assert np.abs(g.coeffs - w.coeffs).max() <= rel * np.abs(w.coeffs).max()
         if w.leaf_outcome is not None:
             assert g.leaf_outcome[0] == w.leaf_outcome[0]
-            assert abs(g.leaf_outcome[1] - w.leaf_outcome[1]) <= 1e-15 * w.leaf_outcome[1]
+            assert abs(g.leaf_outcome[1] - w.leaf_outcome[1]) <= rel * w.leaf_outcome[1]
 
 
 class TestTrivialMoves:
@@ -762,3 +771,132 @@ class TestTrivialMoves:
         stats = synthesize(m_dominoes).search_stats
         assert stats.cones_built == stats.parties_skipped == stats.orthants == 0
         assert stats.final_splits == 0
+
+
+@st.composite
+def two_ray_nodes(draw):
+    """(kind, node, rays): two L1-normalized nonnegative rays in R^n, with
+    zeros drawn on their supports, and a node inside the arc they span
+    (scales across twelve decades), parallel to one ray, outside the cone
+    (a negative scale) or off its plane; or rays parallel to within a
+    factor of 0.01 to 100 of the margin below which decompose no longer
+    trusts least squares, with a node between them on comparable scales."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["inside", "parallel", "outside", "off-plane", "near-margin"]))
+    rays = rng.uniform(0.0, 1.0, (2, n)) * (rng.random((2, n)) < 0.7)
+    rays[:, 0] += 0.1                   # no ray is zero
+    if kind == "near-margin":
+        sigma = draw(st.floats(-2.0, 2.0))
+        gap = 10.0 ** sigma * SPLIT_BOUND_MARGIN * rank_threshold((n, 2), 1.0)
+        rays[1] = rays[0] + gap * rng.standard_normal(n) * rays[0]
+    rays /= rays.sum(axis=1, keepdims=True)
+    s = 10.0 ** rng.uniform(-9.0, 3.0, 2)
+    if kind == "near-margin":           # comparable scales: the rays stay usable
+        s = 10.0 ** rng.uniform(-1.0, 3.0) * np.array([1.0, rng.uniform(0.5, 2.0)])
+    if kind == "parallel":
+        s[1] = 0.0
+    if kind == "outside":
+        s[1] = -s[1]
+    node = s @ rays
+    if kind == "off-plane":
+        node += 10.0 ** rng.uniform(-9.0, 0.0) * rng.uniform(0.0, 1.0, n)
+    return kind, node, rays[rng.permutation(2)]
+
+
+class TestPlanarSplits:
+    """A two-ray cone splits a node in closed form (``engine.planar_split``)
+    where every test of ``decompose`` is decided with room, and gives
+    decompose's one split there; anywhere else decompose splits it."""
+
+    def test_planar_splits_are_decompose_splits_on_the_audit(self, monkeypatch):
+        met = []
+        splits_at = engine._Search.splits_at
+
+        def checked(self, party, coeffs, rays):
+            before = self.stats.planar_splits
+            splits = splits_at(self, party, coeffs, rays)
+            if self.stats.planar_splits > before:
+                assert rays.shape == (2, len(coeffs))
+                want = engine.decompose(coeffs, rays)
+                assert len(splits) == len(want) == 1
+                got, want = splits[0], want[0]
+                assert got.rays_used == want.rays_used == (0, 1)
+                assert np.abs(got.scales - want.scales).max() <= 1e-15 * want.scales.max()
+                met.append(1)
+            return splits
+
+        monkeypatch.setattr(engine._Search, "splits_at", checked)
+        for m in audit_instances():
+            synthesize(m)
+        assert len(met) > 200
+
+    @given(two_ray_nodes())
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_answers_as_decompose(self, case):
+        kind, node, rays = case
+        got = engine.planar_split(node, rays)
+        want = engine.decompose(node, rays)
+        sigma = np.linalg.svd(rays.T, compute_uv=False)
+        n = len(node)
+        if got is None:
+            # decompose decides; the closed form leaves out only splits
+            # within a factor 2 of its margin or of its scale bound
+            if kind == "inside" and len(want) == 1:
+                bound = np.sqrt(n) * RESIDUAL_TOL * max(1.0, node.max())
+                assert (sigma[1] <= 2 * SPLIT_BOUND_MARGIN * rank_threshold((n, 2), sigma[0])
+                        or want[0].scales.min() <= 8 * bound / sigma[1])
+            return
+        assert kind in ("inside", "off-plane", "near-margin"), kind
+        assert len(want) == 1 and want[0].rays_used == got.rays_used == (0, 1)
+        tol = 4 * n * np.finfo(float).eps * sigma[0] / sigma[1]
+        assert np.abs(got.scales - want[0].scales).max() <= tol * want[0].scales.max()
+
+    def test_each_fallback_rule(self):
+        rays = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        assert engine.planar_split(np.array([1.0, 2.0, 1.0]), rays).scales.tolist() == \
+            pytest.approx([2.0, 2.0], rel=1e-15)
+        # parallel to one ray, outside the cone, off its plane: decompose
+        # finds no split
+        for node in ([1.0, 1.0, 0.0], [1.0, 0.5, -0.5], [1.0, 2.0, 1.1]):
+            assert engine.planar_split(np.array(node), rays) is None
+            assert engine.decompose(np.array(node), rays) == []
+        # a scale of 1e-7, under twice the subset bound 2 sqrt(3) 1e-8 / 0.5:
+        # decompose's split, which the closed form leaves to it
+        node = np.array([2.0, 1e-7]) @ rays
+        assert engine.planar_split(node, rays) is None
+        assert engine.decompose(node, rays)[0].scales.tolist() == pytest.approx([2.0, 1e-7])
+        assert engine.planar_split(np.array([2.0, 3e-7]) @ rays, rays) is not None
+        # rays apart by 0.8 and 1.25 times decompose's margin: below it the
+        # scale test alone would pass, and decompose finds no split
+        r0, d = np.full(9, 1 / 9), np.array([1.0, -1.0] * 4 + [0.0])
+        for gap, splits in ((1.70e-8, False), (2.65e-8, True)):
+            near = np.array([r0, r0 + gap * d])
+            sigma = np.linalg.svd(near.T, compute_uv=False)
+            ratio = sigma[1] / (SPLIT_BOUND_MARGIN * rank_threshold((9, 2), sigma[0]))
+            assert 0.75 < ratio < 1.3 and (ratio > 1) == splits
+            got, want = engine.planar_split(5 * near.sum(axis=0), near), \
+                engine.decompose(5 * near.sum(axis=0), near)
+            assert (got is not None) == splits == (len(want) == 1)
+
+    def test_catalog_calls_no_decompose(self, monkeypatch):
+        calls = []
+        decompose = engine.decompose
+        monkeypatch.setattr(engine, "decompose", lambda *a: calls.append(1) or decompose(*a))
+        planar = 0
+        for m in catalog_instances():
+            planar += synthesize(m).search_stats.planar_splits
+        assert calls == [] and planar == 51
+
+    def test_trees_equal_decompose_trees(self, monkeypatch):
+        ms = [seven_outcome_family(0), qubit_pair(), conditional_basis(5, 2, 0)]
+        fast = [synthesize(m) for m in ms]
+        assert all(c.search_stats.planar_splits > 0 for c in fast)
+        monkeypatch.setattr(engine, "planar_split", lambda coeffs, rays: None)
+        for m, cert in zip(ms, fast):
+            ref = synthesize(m)
+            assert ref.search_stats.planar_splits == 0
+            assert (cert.search_stats.nodes_expanded, cert.search_stats.dead_ends) == \
+                (ref.search_stats.nodes_expanded, ref.search_stats.dead_ends)
+            # the closed form's scales miss decompose's by a few ulps
+            _same_tree(cert.tree, ref.tree, rel=1e-14)

@@ -525,3 +525,32 @@ class TestHermitianPart:
                                   ("z", (eye4, P1))], [1 / top, 1 / top, 1.0])
         assert [f.tobytes() for f in m.outcomes[0].factors] == \
             [h.tobytes(), P0.astype(complex).tobytes()]
+
+
+class TestFrozenData:
+    """A measurement's weights and factors are what its constructor
+    checked: the weights are copied, and they and the factors are stored
+    read-only."""
+
+    def test_writes_raise_and_the_callers_array_is_untouched(self):
+        q = qubit_pair()
+        w = np.ones(4)
+        factors = [np.array(f) for f in q.outcomes[0].factors]
+        m = SeparableMeasurement(q.parties, [(q.outcomes[0].label, factors)]
+                                 + [(o.label, o.factors) for o in q.outcomes[1:]], w)
+        w[0] = 1.5                          # the caller's arrays stay writable
+        factors[0][0, 0] = 2.0
+        assert m.weights.tolist() == [1.0] * 4
+        assert m.outcomes[0].factors[0][0, 0] == q.outcomes[0].factors[0][0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(m.weights)[0] = 1.5
+        for o in m.outcomes:
+            for f in o.factors:
+                with pytest.raises(ValueError, match="read-only"):
+                    f[0, 0] = 2.0
+        assert synthesize(m).verdict is Verdict.PROTOCOL_FOUND
+
+    def test_inferred_weights_are_read_only(self):
+        q = qubit_pair()
+        m = SeparableMeasurement(q.parties, q.outcomes)
+        assert not m.weights.flags.writeable
