@@ -2,6 +2,7 @@
 multipartite quantum measurements."""
 
 from .catalog import (
+    bennett_three_qubit,
     conditional_basis,
     phase_five,
     qubit_pair,
@@ -45,6 +46,7 @@ __all__ = [
     "SearchStats",
     "SeparableMeasurement",
     "Verdict",
+    "bennett_three_qubit",
     "build_q",
     "check_root",
     "conditional_basis",

@@ -3,10 +3,10 @@
 Each generator returns a :class:`SeparableMeasurement`, whose constructor
 checks that it is positive and complete.  The families cover the
 interesting behaviors of the analyzer: a two-qubit measurement with a
-two-round protocol, two families with no LOCC protocol at all, a seeded
-class of seven-outcome measurements that needs four rounds, and a seeded
-family of any number of parties and local dimension whose protocol takes
-one round per party.
+two-round protocol, three with no LOCC protocol at all (one of them on
+three qubits), a seeded class of seven-outcome measurements that needs
+four rounds, and a seeded family of any number of parties and local
+dimension whose protocol takes one round per party.
 """
 
 from __future__ import annotations
@@ -103,6 +103,25 @@ def rotated_dominoes(theta2: float = np.pi / 4, theta4: float = np.pi / 4,
     ]
     parties = [Party("A", 3), Party("B", 3)]
     return SeparableMeasurement(parties, outcomes, np.ones(9))
+
+
+def bennett_three_qubit() -> SeparableMeasurement:
+    """Bennett et al.'s eight-state product basis of three qubits; outside
+    LOCC.
+
+    The outcomes project onto |000>, |111>, |01+>, |01->, |1+0>, |1-0>,
+    |+01> and |-01>, with unit weights (Bennett et al., Phys. Rev. A 59,
+    1070 (1999), quant-ph/9804053).  Each party meets the diagonal basis on
+    one pair of outcomes, the pattern shifted from party to party, and no
+    party can measure first: every root cone is one-dimensional.
+    """
+    plus = (_KET0 + _KET1) / np.sqrt(2)
+    minus = (_KET0 - _KET1) / np.sqrt(2)
+    kets = {"0": _KET0, "1": _KET1, "+": plus, "-": minus}
+    labels = ["000", "111", "01+", "01-", "1+0", "1-0", "+01", "-01"]
+    outcomes = [(label, tuple(_proj(kets[c]) for c in label)) for label in labels]
+    parties = [Party("A", 2), Party("B", 2), Party("C", 2)]
+    return SeparableMeasurement(parties, outcomes, np.ones(len(outcomes)))
 
 
 # relations defining the seven-outcome family, shared with its docstring:
@@ -213,6 +232,7 @@ def conditional_basis(n_parties: int, dim: int, seed=0) -> SeparableMeasurement:
 CATALOG = {
     "qubit-pair": (qubit_pair, None, ""),
     "phase-five": (phase_five, None, ""),
+    "bennett-three-qubit": (bennett_three_qubit, None, ""),
     "rotated-dominoes": (rotated_dominoes, "--theta",
                          "T2 T4 T6 T8 (each in (0, pi/4], default pi/4)"),
     "seven-outcome-family": (seven_outcome_family, "--seed", "N (default 0)"),

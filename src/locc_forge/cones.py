@@ -264,6 +264,21 @@ def _double_description(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rays, cuts
 
 
+def half_line(col: np.ndarray) -> np.ndarray:
+    """The ray of a one-column nullspace basis before :func:`extreme_rays`'
+    residual test: the column times the sign of its largest entry, with
+    entries at most ``_VANISHING_TOL`` of the largest set to exactly 0,
+    L1-scaled.  A live entry of the opposite sign leaves the cone trivial."""
+    mags = np.abs(col)
+    top = int(mags.argmax())
+    c = col * (1.0 if col[top] > 0 else -1.0)
+    c[mags <= _VANISHING_TOL * mags[top]] = 0.0
+    if c.min() < 0:
+        raise ConeError("cone is trivial")
+    c /= c.sum()
+    return c
+
+
 def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Extreme rays of {c >= 0 : Q c = 0}, L1-normalized and sorted, one per
     row, given ``basis``, an orthonormal nullspace basis N of Q.
@@ -283,11 +298,9 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     A one-column N runs no double description either.  Its subcone would be
     the half-line of the largest entry's sign, and the loop could only keep
-    it or empty it: the ray is the column times that sign, with entries at
-    most ``_VANISHING_TOL`` of the largest set to exactly 0 (the double
-    description's vanishing rule), and a live entry of the opposite sign
-    leaves the cone trivial.  It is L1-scaled and passes the residual test,
-    or the cone is {0}.
+    it or empty it: the ray is :func:`half_line` of the column (the double
+    description's vanishing rule, then the L1 scale), and it passes the
+    residual test, or the cone is {0}.
 
     A two-column N runs no double description either: its cone is an arc,
     whose two rays :func:`_arc_ends` reads off the angularly extreme live
@@ -304,14 +317,7 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
         return np.eye(n)[::-1].copy()
 
     if k == 1:
-        col = basis[:, 0]
-        mags = np.abs(col)
-        top = int(mags.argmax())
-        c = col * (1.0 if col[top] > 0 else -1.0)
-        c[mags <= _VANISHING_TOL * mags[top]] = 0.0
-        if c.min() < 0:
-            raise ConeError("cone is trivial")
-        c /= c.sum()
+        c = half_line(basis[:, 0])
         if not float(np.abs(q @ c).max()) <= NULLSPACE_RESIDUAL_TOL:
             raise ConeError("no nonnegative ray found; cone is {0}")
         return c[None]

@@ -29,8 +29,10 @@ extreme-ray splitting, and every deeper pass would fail the same way: that
 is what INCONCLUSIVE means.
 
 Below the root, on a cone-cache miss, two parties are settled before Q is
-built (``check_root`` builds every root cone's Q): a party that cannot
-move, and a final mover, after whom no party can move.  At any node, a
+built: a party that cannot move, and a final mover, after whom no party
+can move.  (At the root, ``check_root`` settles each party's cone that
+the frame certificate proves one-dimensional with no Q, and builds Q for
+the others; see ``feasibility``.)  At any node, a
 party whose cone is the whole orthant splits it in closed form.
 
 A party that cannot move has the same factor F on every outcome of the
@@ -121,6 +123,7 @@ from .errors import LoccForgeError
 from .feasibility import (
     FeasibleCone,
     NodeContext,
+    certified_root_cones,
     feasible_cone,
     root_context,
 )
@@ -206,11 +209,15 @@ def check_root(m: SeparableMeasurement) -> list[FeasibleCone]:
     """Each party's root cone, the feasibility of its first measurement, in
     the order of ``m.parties``.
 
-    All parties' root dimensions equal to one certifies that no LOCC
-    protocol for the measurement exists, once :func:`impossible_at_root`
-    has checked the cones.
+    A cone that :func:`certified_root_cones` proves one-dimensional from
+    the parties' frames is taken as it is, with no Q; every other party's
+    cone is built from Q by :func:`feasible_cone`.  All parties' root
+    dimensions equal to one certifies that no LOCC protocol for the
+    measurement exists, once :func:`impossible_at_root` has checked the
+    cones.
     """
-    return [feasible_cone(root_context(m, p)) for p in range(len(m.parties))]
+    return [feasible_cone(root_context(m, p)) if cone is None else cone
+            for p, cone in enumerate(certified_root_cones(m))]
 
 
 def impossible_at_root(m: SeparableMeasurement,
@@ -227,11 +234,12 @@ def impossible_at_root(m: SeparableMeasurement,
     roots that are not its own: a ray within RESIDUAL_TOL of the weights'
     direction still misses the identity where it errs on a large outcome.
     A failure raises :class:`LoccForgeError` rather than certify a false
-    verdict.  A root cone certified from Q's Gram (``FeasibleCone.certified``)
-    has the weights' direction as its ray by construction, so the ray test
-    cannot fail there; the identity reconstruction still runs on it.  An
-    audit of the verdict independent of the search must therefore not read
-    these cones, nor ``feasibility``.
+    verdict.  A root cone certified from the parties' frames
+    (``FeasibleCone.certified``) has the weights' direction as its ray by
+    construction, so the ray test cannot fail there; the identity
+    reconstruction still runs on it.  An audit of the verdict independent
+    of the search must therefore not read these cones, nor
+    ``feasibility``.
     """
     if leaf_outcome(m.weights) is not None or any(
             root.nullspace_dim != 1 for root in roots):

@@ -33,81 +33,127 @@ runs on the n × n triangular factor of Q's QR, which has the same singular
 values and right singular vectors; the rank cutoff still reads Q's shape
 (see :func:`nullspace`).  The residual tests read Q itself.
 
-A one-dimensional root cone is certified from Q's Gram instead, with no
-QR, SVD or ray enumeration (:func:`_certified_half_line`).  At the root
-the weights c lie in every party's cone, so the cone is their half-line
-whenever Q has one singular value below the rank cutoff and none in the
-marginal band.  Let Q be m x n, s = |Q|_F^2 = trace(Q^T Q), K = max(m, n)
-``RANK_FACTOR`` and B = ``MARGINAL_RANK_BAND``.  The cutoff is K sigma_1,
-and s/n <= sigma_1^2 <= s brackets it between lo = K sqrt(s/n) and
-hi = K sqrt(s).  The certificate proves
+A one-dimensional root cone is certified from the parties' frames instead,
+with no Q, no cut side, and no QR, SVD or ray enumeration
+(:func:`certified_root_cones`, which ``engine.check_root`` runs for every
+party).  At the root the weights w lie in every party's cone, so the cone
+is their half-line whenever Q has one singular value below the rank cutoff
+and none in the marginal band.
+
+Q's Gram needs no Q.  Column j of a root Q is a_j (x) P t_j, with a_j =
+R_p[:, j] from party p's frame, t_j the cut side's column and P the
+projection off the other parties' identity.  Frames keep the trace
+pairings of their columns, and a product's pairings are the products of
+its factors' (see ``measurement``).  So with F_q = R_q[:, :n]^T R_q[:, :n]
+the Gram of party q's factors, H = o_{q != p} F_q (o the entrywise
+product) that of the other parties' joint factors C_j, b = o_{q != p}
+R_q[:, n]^T R_q[:, :n] their traces, and d = d_rest = prod_{q != p} d_q
+the squared norm of their identity,
+
+    G = Q^T Q = F_p o (H - b b^T / d).
+
+Q's row count m is r_p (r_c - 1), less the rows ``build_q`` drops, with
+r_q the row count of party q's frame and r_c <= min(prod_{q != p} r_q,
+n + 1) that of the cut side.  So max(m, n) lies between n and M = max(n,
+r_p (min(prod_{q != p} r_q, n + 1) - 1)).  Let B = ``MARGINAL_RANK_BAND``
+and f = ``RANK_FACTOR``.  With s1_lo <= sigma_1 <= s1_hi (below), the
+cutoff f max(m, n) sigma_1 lies between lo = f n s1_lo and hi = f M s1_hi.
+The certificate proves, for the Q the full route would build,
 
     sigma_n <= lo / (2B)    and    sigma_(n-1) >= 2B hi,
 
 which puts sigma_n below the band's lower end, cutoff / B, and
 sigma_(n-1) above its upper end, B cutoff, each with a factor 2 to spare.
 
-* sigma_n <= |Q y| / |y| for y = c / |c|_1 (Courant-Fischer), read off
-  the residual Q y that the parent-residual test computes anyway.
-* sigma_(n-1)^2 = lambda_2(Q^T Q) >= lambda_1(Q^T Q + t c' c'^T) for any
-  vector c' and t >= 0 (Cauchy interlacing for a rank-one positive
-  semidefinite update).  With c' = y / |y|_2 and t = s~ (below), one
-  Cholesky of Q^T Q + t c' c'^T - tau I that runs to completion shows
-  lambda_1 >= (2B hi)^2, the part of tau left once rounding is bounded.
+* Magnitudes.  An entry of G subtracts b_i b_j / d from H_ij, and the two
+  cancel where the other parties' factors lie near their identity (factors
+  I +- eps Z), so every rounding is bounded through the magnitudes
+  before the subtraction, Mg = |F_p| o (|H| + |b| |b|^T / d), never
+  through G or its computed trace.  Each F_q is a Gram, so |F_q,ij| <=
+  sqrt(F_q,ii F_q,jj), and |b_j| <= sqrt(d H_jj) (Cauchy-Schwarz).  So Mg
+  <= z z^T + v v^T entrywise, with z_j^2 = F_p,jj H_jj and v_j^2 = F_p,jj
+  b_j^2 / d, and |Mg|_2 <= |z|^2 + |v|^2 = trace(Mg) =: T, read off the
+  diagonals alone.  Every column of Q has norm at most sqrt(T).
+* Rounding.  With u = eps / 2, k the frames' largest row count, P the
+  number of parties and N = M + n + 4 P (k + 1), omega = gamma_N = N u /
+  (1 - N u) is at least every gamma_j met below (Higham, *Accuracy and
+  Stability of Numerical Algorithms*, 2nd ed., sec. 3.1).  A frame keeps
+  the pairings up to a backward error of the Householder form, eps times
+  its columns' norms (see ``measurement.trimmed_r``), and a computed entry
+  of F_q or b errs by at most gamma_k times the product of its columns'
+  norms, sqrt(F_q,ii F_q,jj).  The products, the quotient and the
+  difference add a few roundings each, relative to the same magnitudes:
+  the computed G~ has |G~ - G| <= omega Mg entrywise, so |G~ - G|_2 <=
+  omega T.
+* The full route's Q.  ``build_q``'s Q is this Q with its rows rotated,
+  up to the rounding of the frames, of the cut side's R, of the reflector
+  and of the products: a backward error of the Householder form, eps times
+  the columns' magnitudes, at most sh = omega sqrt(T) in the 2-norm.  The rows
+  it drops have every entry at most ``Q_ROW_FLOOR`` max(1, sqrt(T) + sh),
+  so they form a matrix D of 2-norm at most dl = ``Q_ROW_FLOOR`` max(1,
+  sqrt(T) + sh) sqrt(M n).  Deleting rows raises no singular value, and
+  lowers none by more than |D|_2 (Weyl).
+* sigma_1.  max_j G_jj <= sigma_1^2 <= trace(G) (a Rayleigh quotient at
+  e_j, and the trace), so s1_lo = sqrt(max_j G~_jj - omega T) - sh - dl
+  and s1_hi = sqrt(S) + sh, S = trace(G~) + omega T.
+* sigma_n <= |Q y| / |y| for y = w / sum(w) (Courant-Fischer).  At the
+  root Abar is the identity, whose part off span_A (x) I is zero, so Q y
+  is the part of sum_j y_j O_j - I / sum(w) off span_A (x) I: the
+  completeness error, projected, over sum(w).  Its norm, read through the
+  joint R as everywhere in the program (see ``tolerances``), is rho~ =
+  |fl(joint_r [w; -1])|, and the joint R's folds and the product with [w;
+  -1] err by at most 2 omega (sum_j w_j |O_j| + |I|), the columns' norms:
+  |O_j|^2 = prod_q F_q,jj, and |I|^2 is the dimension D.  So r = ((1 + omega) rho~ + 2 omega
+  (sum_j w_j |O_j| + |I|)) / sum(w) bounds |Q y|, and the full route's
+  sigma_n is at most (1 + omega) r / |y| + sh.  The same r bounds its
+  parent-residual test, |fl(Q y)|_inf <= r + 2 sh, which must pass
+  ``RESIDUAL_TOL``.
+* The ray is :func:`cones.half_line` of c' = y / |y|, as ``extreme_rays``'
+  one-column route gives it on c'.  Its vanishing rule zeroes entries
+  holding a share l of y's L1 mass, so |Q c| <= (r + l sqrt(T)) / (1 - l)
+  for the L1-scaled ray c, and the route's residual test passes when that
+  plus 2 sh is within ``NULLSPACE_RESIDUAL_TOL``.
+* sigma_(n-1)^2 = lambda_2(G) >= lambda_1(G + t c' c'^T) for any t >= 0
+  (Cauchy interlacing for a rank-one positive semidefinite update).  With
+  t = S and theta = 2B hi + sh + dl, one Cholesky of G~ + t c' c'^T - tau
+  I that runs to completion shows lambda_1 >= theta^2, so the full route's
+  sigma_(n-1) is at least theta - sh - dl = 2B hi.  Three errors separate
+  the matrix A that the Cholesky sees from G + t c' c'^T - tau I, each
+  bounded in the 2-norm by that of its entrywise bound: the Gram's, at
+  most omega T; forming A, gamma_4 of |G~| + t |c'| |c'|^T + tau I, at
+  most omega ((1 + omega) (T + t) + tau); and the Cholesky's backward
+  error, R^T R = A + dA with |dA| <= gamma_(n+1) |R^T| |R| (Higham, Thm
+  10.3), at most omega (1 + omega)^2 (T + t) / (1 - omega).  A + dA is
+  positive semidefinite, so lambda_1 >= tau - omega (3 (1 + omega)^2 (T +
+  t) / (1 - omega) + tau), which is theta^2 for tau = (theta^2 + 3 omega
+  (1 + omega)^2 (T + t) / (1 - omega)) / (1 - omega).
 
-Rounding.  With u = eps / 2 and k = m + n + 4, omega = gamma_k = k u /
-(1 - k u) is at least every gamma_j met below (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., sec. 3.1).  The computed
-trace s~ of the computed Gram G sums m n nonnegative products, so
-|s~ - s| <= omega s: S = s~ / (1 - omega) >= s, and lo and hi are read at
-s~ / (1 + omega) and at S.  The computed Q y is off by at most
-gamma_n |Q| |y|, of 2-norm at most omega sqrt(S) |y|, and the computed
-norms and quotient are within a factor 1 + omega of exact ones, so
-sigma_n <= (1 + omega) |fl(Q y)| / |y| + omega sqrt(S).  Three errors
-separate the matrix A that the Cholesky sees, fl(G + t c' c'^T - tau I),
-from Q^T Q + t c' c'^T - tau I, each bounded in the 2-norm by that of its
-entrywise bound:
-
-* the Gram's, |G - Q^T Q| <= gamma_m |Q|^T |Q|, at most omega s;
-* forming A, at most gamma_4 entrywise of |G| + t |c'| |c'|^T + tau I,
-  at most omega ((1 + omega) (s + t) + tau);
-* the Cholesky's backward error: when it runs to completion, R^T R =
-  A + dA with |dA| <= gamma_(n+1) |R^T| |R| (Higham, Thm 10.3), so
-  |dA|_2 <= gamma_(n+1) |R|_F^2 <= gamma_(n+1) trace(A) / (1 -
-  gamma_(n+1)), at most omega (1 + omega)^2 (s + t) / (1 - omega).
-
-A + dA is positive semidefinite, so lambda_1(Q^T Q + t c' c'^T) >= tau -
-omega (3 (1 + omega)^2 (S + t) / (1 - omega) + tau), which is (2B hi)^2
-for tau = ((2B hi)^2 + 3 omega (1 + omega)^2 (S + t) / (1 - omega)) /
-(1 - omega).  The few roundings in evaluating these bounds move them by a
-few u, well inside the factors 2.
-
-The full route then returns dimension 1 and no marginal flag whenever its
-computed singular values are within e of the exact ones: sigma_n + e
-stays at most K (sigma_1 - e) / B for e <= K sigma_1 / (2 (B + K)), and
-sigma_(n-1) - e at least B K (sigma_1 + e) for e <= B K sigma_1 / (1 +
-B K).  So e may be about 4,500 max(m, n) u sigma_1, far above the error
-of a backward-stable SVD, a modest multiple of u sigma_1 (LAPACK Users'
-Guide, sec. 4.9).  Its null vector v makes an
+The few roundings in evaluating these bounds move them by a few u, well
+inside the factors 2.  The full route then returns dimension 1 and no
+marginal flag whenever its computed singular values are within e of those
+of its Q: sigma_n + e stays at most K (sigma_1 - e) / B for e <= K sigma_1
+/ (2 (B + K)), K = f max(m, n), and sigma_(n-1) - e at least B K (sigma_1
++ e) for e <= B K sigma_1 / (1 + B K).  So e may be about 4,500 max(m, n)
+u sigma_1, far above the error of a backward-stable SVD, a modest multiple
+of u sigma_1 (LAPACK Users' Guide, sec. 4.9).  Its null vector v makes an
 angle with c' whose sine is at most |Q c'| / sigma_(n-1): roundoff for
 weights complete to roundoff, and on the audit measurements the two rays
-agree within 1e-15.  The returned ray is c' through ``extreme_rays``'
-one-column route (vanishing rule, L1 scale, residual test), so a
-certified cone is what the full route gives, and says so in
-:attr:`FeasibleCone.certified`.  Every other cone takes the full route:
-one of dimension two or more (its lambda_2 is zero), a gap the Gram's
-squaring leaves within roundoff (a domino angle of 1e-7, whose
-sigma_(n-1) / sigma_1 is 8e-8), and weights off by more than roundoff
-(sigma_n of Q is still zero, but |Q c'| is not).  Below the root it is
-not tried: most cones built from Q there are a mover's, of dimension two
-or more, where the Gram and the failing Cholesky are extra work.
+agree within 1e-15.  A certified cone is the half-line the full route
+gives, and says so in :attr:`FeasibleCone.certified`.  Every other cone
+takes the full route, with no Q-based certificate: one of dimension two or
+more (its lambda_2 is zero), a gap the Gram's squaring leaves within
+roundoff (a domino angle of 1e-7, whose sigma_(n-1) / sigma_1 is 8e-8),
+weights off by more than roundoff (sigma_n of Q is still zero, but r is
+not), and a G that cancels to within omega T (a party facing factors near
+the identity).  Below the root it is not tried: most cones built from Q
+there are a mover's, of dimension two or more.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -117,7 +163,13 @@ from .measurement import SeparableMeasurement
 from .measurement import complement_span, local_span  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .operators import independent_subset  # noqa: F401  (wrapped by name by the benchmark tracer)
 from .operators import project_factor
-from .tolerances import MARGINAL_RANK_BAND, Q_ROW_FLOOR, RESIDUAL_TOL, rank_threshold
+from .tolerances import (
+    MARGINAL_RANK_BAND,
+    NULLSPACE_RESIDUAL_TOL,
+    Q_ROW_FLOOR,
+    RESIDUAL_TOL,
+    rank_threshold,
+)
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -171,8 +223,8 @@ class FeasibleCone:
     L1-normalized, entrywise >= 0 and exactly zero off the support.
     ``marginal_rank`` flags a singular value of Q within a decade of the
     rank cutoff (see :class:`MarginalRankWarning`).  ``certified`` marks a
-    root cone proved one-dimensional, unflagged, from Q's Gram, without
-    an SVD (see the module docstring).
+    root cone proved one-dimensional, unflagged, from the parties' frames,
+    with no Q and no SVD (see :func:`certified_root_cones`).
     """
 
     nullspace_dim: int
@@ -273,35 +325,68 @@ def nullspace(q: np.ndarray, n_cols: int) -> tuple[np.ndarray, bool]:
     return vh[rank:].T, marginal
 
 
-def _certified_half_line(q: np.ndarray, y: np.ndarray,
-                         qy: np.ndarray) -> np.ndarray | None:
-    """y / |y|_2 when Q provably has one singular value below the rank
-    cutoff, along y, and none in the marginal band; else None.  ``qy`` is
-    the computed Q y.  The bounds are derived in the module docstring."""
-    rows, n = q.shape
-    if n < 2:
-        return None
-    k = rows + n + 4
-    omega = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
-    gram = q.T @ q
-    trace = float(gram.trace())
-    s_hi = trace / (1 - omega)
+def certified_root_cones(m: SeparableMeasurement) -> list[FeasibleCone | None]:
+    """Each party's root cone where the frame certificate proves it the
+    weights' half-line, else None, in the order of ``m.parties``.  The
+    frames' Grams are built once per call; no Q is formed and no cut side
+    is read.  The bounds are derived in the module docstring.  A
+    measurement of one party or one outcome gets no certificate."""
+    n, rs, dims = m.n_outcomes, m.party_rs, m.dims
+    if n < 2 or len(rs) < 2:
+        return [None] * len(rs)
+    w = np.asarray(m.weights, dtype=float)
+    total = float(w.sum())
+    y = w / total
     y_norm = sqrt(float(y @ y))
-    sigma_last = (1 + omega) * sqrt(float(qy @ qy)) / y_norm + omega * sqrt(s_hi)
-    lo = rank_threshold(q.shape, sqrt(trace / ((1 + omega) * n)))
-    if not sigma_last <= lo / (2 * MARGINAL_RANK_BAND):
-        return None
     c_hat = y / y_norm
-    hi = rank_threshold(q.shape, sqrt(s_hi))
-    tau = ((2 * MARGINAL_RANK_BAND * hi) ** 2
-           + 3 * omega * (1 + omega) ** 2 * (s_hi + trace) / (1 - omega)) / (1 - omega)
-    a = gram + (trace * c_hat)[:, None] * c_hat
-    a.flat[::n + 1] -= tau
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-    return c_hat
+    ray = cones.half_line(c_hat)
+    lost = float(y[ray == 0].sum())
+    grams = [r[:, :n].T @ r[:, :n] for r in rs]
+    diags = [g.diagonal() for g in grams]
+    traces = [r[:, n] @ r[:, :n] for r in rs]        # b's factors, <I, F_j>
+    spread = float(w @ np.sqrt(prod(diags))) + sqrt(prod(dims))   # sum w_j |O_j| + |I|
+    gap = m.joint_r @ np.append(w, -1.0)
+    residual = sqrt(float(gap @ gap))
+    k = max(len(r) for r in rs)
+    out: list[FeasibleCone | None] = []
+    for p in range(len(rs)):
+        others = [q for q in range(len(rs)) if q != p]
+        # M, the most rows Q can have
+        rows = max(n, len(rs[p]) * (min(prod(len(rs[q]) for q in others), n + 1) - 1))
+        big = rows + n + 4 * len(rs) * (k + 1)
+        omega = big * _UNIT_ROUNDOFF / (1 - big * _UNIT_ROUNDOFF)
+        h, b = grams[others[0]], traces[others[0]]
+        for q in others[1:]:
+            h, b = h * grams[q], b * traces[q]
+        d = float(prod(dims[q] for q in others))
+        gram = grams[p] * (h - np.outer(b, b / d))
+        mag = float(diags[p] @ (h.diagonal() + b * b / d))    # T = trace(Mg)
+        g_diag = gram.diagonal()
+        s_hi = max(0.0, float(g_diag.sum())) + omega * mag
+        shift = omega * sqrt(mag)                                      # sh
+        drop = Q_ROW_FLOOR * max(1.0, sqrt(mag) + shift) * sqrt(rows * n)  # dl
+        s1_lo = sqrt(max(0.0, float(g_diag.max()) - omega * mag)) - shift - drop
+        lo = rank_threshold((n, n), max(0.0, s1_lo))
+        hi = rank_threshold((rows, n), sqrt(s_hi) + shift)
+        qy = ((1 + omega) * residual + 2 * omega * spread) / total    # r >= |Q y|
+        if not ((1 + omega) * qy / y_norm + shift <= lo / (2 * MARGINAL_RANK_BAND)
+                and qy + 2 * shift <= RESIDUAL_TOL
+                and (qy + lost * sqrt(mag)) / (1 - lost) + 2 * shift
+                <= NULLSPACE_RESIDUAL_TOL):
+            out.append(None)
+            continue
+        theta = 2 * MARGINAL_RANK_BAND * hi + shift + drop
+        tau = (theta ** 2
+               + 3 * omega * (1 + omega) ** 2 * (mag + s_hi) / (1 - omega)) / (1 - omega)
+        gram += (s_hi * c_hat)[:, None] * c_hat
+        gram.flat[::n + 1] -= tau
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            out.append(None)
+            continue
+        out.append(FeasibleCone(1, ray[None].copy(), False, certified=True))
+    return out
 
 
 def feasible_cone(ctx: NodeContext) -> FeasibleCone:
@@ -313,11 +398,9 @@ def feasible_cone(ctx: NodeContext) -> FeasibleCone:
     fails this, such as one that is not a product across the party's cut, is
     inconsistent with the measurement.  At the root, whose Abar is the
     identity, this tests completeness.  It is tested first, so an empty
-    nullspace is blamed on the measurement only at a consistent node.  A
-    root cone that the Gram certificate proves one-dimensional is then
-    returned as the weights' half-line, with no SVD (see the module
-    docstring); every other cone takes :func:`nullspace` and
-    :func:`cones.extreme_rays`.
+    nullspace is blamed on the measurement only at a consistent node.  The
+    cone then takes :func:`nullspace` and :func:`cones.extreme_rays`; the
+    root cones that :func:`certified_root_cones` settles never come here.
     """
     n = ctx.measurement.n_outcomes
     support = ctx.support
@@ -327,18 +410,11 @@ def feasible_cone(ctx: NodeContext) -> FeasibleCone:
         c = c[support]
     l1 = float(np.abs(c).sum())
     if l1 > 0 and q.shape[0] > 0:
-        y = c / l1
-        residual = q @ y
-        parent_residual = float(np.abs(residual).max())
+        parent_residual = float(np.abs(q @ (c / l1)).max())
         if parent_residual > RESIDUAL_TOL:
             raise InconsistentNodeError(
                 f"parent coefficients violate the node constraints "
                 f"(residual {parent_residual:.3e})")
-        if ctx.root:
-            c_hat = _certified_half_line(q, y, residual)
-            if c_hat is not None:
-                rays = cones.extreme_rays(q, c_hat[:, None])
-                return FeasibleCone(1, rays, False, certified=True)
     basis, marginal = nullspace(q, len(support))
     if basis.shape[1] == 0:
         raise InconsistentNodeError("empty nullspace contradicts completeness")

@@ -8,11 +8,12 @@ nullspace is exactly one-dimensional.  The cutoff is part of the method,
 not a setting: no caller can change it.  The spans' frames are cut at
 roundoff instead, eps times their size (``measurement.trimmed_r``), and no
 conditioning limit refuses a span.  A one-dimensional root cone may be
-decided without the SVD, by the Gram certificate of ``feasibility``, but
-only where the rank rule provably agrees: the certificate bounds Q's two
-smallest singular values against this cutoff and the marginal band, with
-rounding bounds derived from eps and Q's shape, and falls back to the SVD
-whenever it cannot prove the rule's answer.  It adds no tolerance.  The
+decided without Q or the SVD, by the frame certificate of ``feasibility``,
+but only where the rank rule provably agrees: the certificate bounds Q's
+two smallest singular values against this cutoff and the marginal band,
+with rounding bounds derived from eps, the bracket of Q's shape and the
+magnitudes of Q's Gram, and falls back to the SVD whenever it cannot
+prove the rule's answer.  It adds no tolerance.  The
 residual tolerance
 :data:`RESIDUAL_TOL` is fixed the same way: no caller sets a tolerance, and
 the search has no round limit, so a verdict depends only on the measurement.

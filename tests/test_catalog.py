@@ -74,6 +74,22 @@ class TestPhaseFive:
         assert [r.nullspace_dim for r in check_root(m_phase)] == [1, 1]
 
 
+class TestBennettThreeQubit:
+    def test_eight_orthogonal_product_projectors(self):
+        m = catalog.bennett_three_qubit()
+        assert m.dims == (2, 2, 2) and m.n_outcomes == 8
+        assert np.array_equal(m.weights, np.ones(8))
+        ops = m.outcome_operators
+        assert np.abs(ops.sum(axis=0) - np.eye(8)).max() < 1e-12
+        overlaps = np.einsum("iab,jba->ij", ops, ops).real
+        assert np.abs(overlaps - np.eye(8)).max() < 1e-12
+
+    def test_no_party_can_measure_first(self):
+        m = catalog.bennett_three_qubit()
+        assert [r.nullspace_dim for r in check_root(m)] == [1, 1, 1]
+        assert catalog.CATALOG["bennett-three-qubit"] == (catalog.bennett_three_qubit, None, "")
+
+
 class TestRotatedDominoes:
     def test_original_angles_blocked(self, m_dominoes):
         assert [r.nullspace_dim for r in check_root(m_dominoes)] == [1, 1]

@@ -32,8 +32,8 @@ class TestCatalogCommand:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "catalog", "--list")
         assert code == 0
-        for name in ("qubit-pair", "phase-five", "rotated-dominoes",
-                     "seven-outcome-family"):
+        for name in ("qubit-pair", "phase-five", "bennett-three-qubit",
+                     "rotated-dominoes", "seven-outcome-family"):
             assert name in out
 
     def test_stdout_json(self, capsys):
@@ -96,15 +96,16 @@ class TestCheckCommand:
         assert doc["tolerances"] == {"rank_factor": RANK_FACTOR, "residual": RESIDUAL_TOL}
 
     def test_marginal_rank_is_reported(self, pair_file, capsys, monkeypatch):
+        import locc_forge.engine as engine
         import locc_forge.feasibility as feasibility
         from locc_forge.feasibility import MarginalRankWarning
 
         # the flag is forced through nullspace, so party B's one-dimensional
-        # root cone must not be certified past it
+        # root cone must not be certified from the frames past it
         original = feasibility.nullspace
         monkeypatch.setattr(feasibility, "nullspace",
                             lambda q, n: (original(q, n)[0], True))
-        monkeypatch.setattr(feasibility, "_certified_half_line", lambda *args: None)
+        monkeypatch.setattr(engine, "certified_root_cones", lambda m: [None] * len(m.parties))
         with pytest.warns(MarginalRankWarning):
             code, out, _ = run(capsys, "check", pair_file, "--json")
         assert code == 0
@@ -114,8 +115,8 @@ class TestCheckCommand:
         assert out.count("(rank decided near the cutoff)") == 2
 
     def test_certified_root_cones_are_reported(self, pair_file, tmp_path, capsys):
-        # phase-five's two root cones are certified from Q's Gram; the qubit
-        # pair's party A has a two-dimensional cone, which takes the SVD
+        # phase-five's two root cones are certified from the frames; the
+        # qubit pair's party A has a two-dimensional cone, which takes the SVD
         code, out, _ = run(capsys, "check", pair_file, "--json")
         assert code == 0
         assert [p["certified"] for p in json.loads(out)["parties"]] == [False, True]

@@ -160,10 +160,10 @@ class TestOneDimensionalCones:
         assert len(widths) == sum(k >= 3 and constrained for k, constrained in cones_met)
 
     def test_bitwise_equal_to_the_generic_route_on_the_benchmark(self, monkeypatch):
-        # every context the search meets, the root's included, and every
-        # skipped party's, gets its Q and nullspace basis built directly: a
-        # certified root cone takes no nullspace, so recording the search's
-        # own extreme_rays calls would miss the roots' half-lines
+        # every context the search meets, every root's, and every skipped
+        # party's gets its Q and nullspace basis built directly: a root cone
+        # certified from the frames builds no Q, so recording the search's
+        # own calls would miss the roots' half-lines
         contexts = []
 
         def recorded(ctx):
@@ -182,6 +182,7 @@ class TestOneDimensionalCones:
         monkeypatch.setattr(engine._Search, "analyse", also_skipped)
         for m in benchmark_instances():
             synthesize(m)
+            contexts += [root_context(m, p) for p in range(len(m.parties))]
         met = 0
         for ctx in contexts:
             q = build_q(ctx)
@@ -392,6 +393,10 @@ class TestShortTails:
         monkeypatch.setattr(cones, "extreme_rays", checked)
         for m in audit_instances():
             synthesize(m)
+            # a root cone certified from the frames calls no extreme_rays:
+            # its full route does
+            for p in range(len(m.parties)):
+                feasible_cone(root_context(m, p))
         assert met[1] > 250 and met[2] > 250
 
     @given(planar_bases())

@@ -60,9 +60,15 @@ class TestCheckRoot:
         assert [r.nullspace_dim for r in roots] == [2, 1]
         # one cone per party, in the order of m.parties, which names them
         assert [p.name for p in m_pair.parties] == ["A", "B"]
+        # party A's cone is built from Q; party B's half-line is certified
+        # from the frames and agrees with Q's to roundoff
+        assert [r.certified for r in roots] == [False, True]
         for p, root in enumerate(roots):
-            assert np.array_equal(root.extreme_rays,
-                                  feasible_cone(root_context(m_pair, p)).extreme_rays)
+            full = feasible_cone(root_context(m_pair, p))
+            assert root.extreme_rays.shape == full.extreme_rays.shape
+            assert np.abs(root.extreme_rays - full.extreme_rays).max() <= 1e-15
+        assert roots[0].extreme_rays.tobytes() == \
+            feasible_cone(root_context(m_pair, 0)).extreme_rays.tobytes()
 
     @pytest.mark.parametrize("factors, dims", [((P0, EYE2), (3, 2)), ((EYE2, PPLUS), (2, 2))])
     def test_zero_weight_outcome_counts_at_the_root(self, m_pair, factors, dims):

@@ -1,12 +1,24 @@
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1, audit_instances, benchmark_instances, catalog_instances
+from conftest import (
+    EYE2,
+    P0,
+    P1,
+    audit_instances,
+    benchmark_instances,
+    catalog_instances,
+    domino_angle_sets,
+)
 from locc_forge import (
     Party,
     SeparableMeasurement,
+    Verdict,
+    bennett_three_qubit,
+    check_root,
     conditional_basis,
     phase_five,
     qubit_pair,
@@ -19,6 +31,7 @@ from locc_forge.feasibility import (
     MarginalRankWarning,
     NodeContext,
     build_q,
+    certified_root_cones,
     factorize,
     feasible_cone,
     _bystander_coords,
@@ -26,6 +39,7 @@ from locc_forge.feasibility import (
     root_context,
 )
 from locc_forge.measurement import complement_span, local_span, reconstruct
+from locc_forge.cones import ConeError, extreme_rays
 from locc_forge.operators import project_factor
 from locc_forge.tolerances import MARGINAL_RANK_BAND, rank_threshold
 from oracles import (
@@ -565,42 +579,62 @@ class TestNullspaceOnR:
         assert calls == [(663, 64)]
 
 
-def _full_route(ctx):
-    """The context's cone with the root certificate turned off: the
-    nullspace SVD and extreme_rays, the route of every uncertified cone."""
-    import locc_forge.feasibility as feasibility
+def _full_route(m):
+    """Every party's root cone with the frame certificate turned off: Q,
+    the nullspace SVD and extreme_rays, the route of every uncertified
+    cone."""
+    import locc_forge.engine as engine
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(feasibility, "_certified_half_line", lambda *args: None)
-        return feasible_cone(ctx)
+        mp.setattr(engine, "certified_root_cones", lambda m: [None] * len(m.parties))
+        return check_root(m)
 
 
-def _counting_nullspace(monkeypatch) -> list:
+def _counting(monkeypatch, name: str) -> list:
+    """One entry per call of ``feasibility.<name>``: its first argument's shape."""
     import locc_forge.feasibility as feasibility
 
     calls = []
-    original = feasibility.nullspace
+    original = getattr(feasibility, name)
 
-    def counted(q, n):
-        calls.append(q.shape)
-        return original(q, n)
+    def counted(first, *args):
+        calls.append(np.shape(first))
+        return original(first, *args)
 
-    monkeypatch.setattr(feasibility, "nullspace", counted)
+    monkeypatch.setattr(feasibility, name, counted)
     return calls
 
 
+def _parent_half_line(m, party) -> np.ndarray:
+    """The weights' half-line as Q's one-column route gives it: the unit
+    L1-normalized weights through ``extreme_rays``."""
+    w = np.asarray(m.weights, dtype=float)
+    y = w / np.abs(w).sum()
+    return extreme_rays(build_q(root_context(m, party)), (y / np.sqrt(y @ y))[:, None])
+
+
+def _near_identity(eps: float, scales) -> SeparableMeasurement:
+    """A measures P0 or P1; after P0, B measures (I +- eps Z) / 2.  Outcome
+    j is scaled by scales[j] against its weight.  A's cone is the plane of
+    its two outcomes on P0 and the one on P1, but the Gram of B's factors
+    projected off the identity is of order eps^2 against magnitudes of
+    order 1, so G cancels for A."""
+    z = np.diag([1.0, -1.0])
+    factors = [(P0, (EYE2 + eps * z) / 2), (P0, (EYE2 - eps * z) / 2), (P1, EYE2)]
+    outcomes = [(str(j), (s * a, b)) for j, ((a, b), s) in enumerate(zip(factors, scales))]
+    return SeparableMeasurement([Party("A", 2), Party("B", 2)], outcomes,
+                                [1 / s for s in scales])
+
+
 class TestRootCertificate:
-    """A one-dimensional root cone is certified from Q's Gram, with no SVD,
-    and is the cone the full route returns; every other root cone takes the
-    full route."""
+    """A one-dimensional root cone is certified from the parties' frames,
+    with no Q, and is the cone the full route returns; every other root
+    cone takes the full route."""
 
     def test_audit_root_cones_equal_the_full_route(self):
         certified = fallbacks = 0
         for m in audit_instances():
-            for party in range(len(m.parties)):
-                ctx = root_context(m, party)
-                got = feasible_cone(ctx)
-                full = _full_route(ctx)
+            for party, (got, full) in enumerate(zip(check_root(m), _full_route(m))):
                 assert got.nullspace_dim == full.nullspace_dim
                 assert got.marginal_rank == full.marginal_rank
                 assert got.extreme_rays.shape == full.extreme_rays.shape
@@ -609,34 +643,57 @@ class TestRootCertificate:
                 # every one-dimensional root cone is certified, so a bound
                 # that drifts loose fails here, not only runs slower
                 assert got.certified == (full.nullspace_dim == 1)
+                if got.certified:
+                    expected = _parent_half_line(m, party)
+                else:
+                    expected = full.extreme_rays
+                assert got.extreme_rays.tobytes() == expected.tobytes()
                 certified += got.certified
                 fallbacks += not got.certified
         assert (certified, fallbacks) == (259, 97)
 
+    def test_certified_parties_build_no_q(self, monkeypatch):
+        builds = _counting(monkeypatch, "build_q")
+        measurements = [phase_five()] + [rotated_dominoes(*a) for a in domino_angle_sets()]
+        assert len(measurements) == 22
+        for m in measurements:
+            assert [r.certified for r in check_root(m)] == [True, True]
+            assert "cut_rs" not in m.__dict__
+        assert builds == []
+
+    def test_bennett_basis_is_impossible_without_q(self, monkeypatch):
+        builds = _counting(monkeypatch, "build_q")
+        m = bennett_three_qubit()
+        cert = synthesize(m)
+        assert cert.verdict is Verdict.IMPOSSIBLE_AT_ROOT and cert.root_dims == (1, 1, 1)
+        assert [r.certified for r in check_root(m)] == [True, True, True]
+        assert builds == []
+        assert "cut_rs" not in m.__dict__
+
     def test_two_dimensional_cone_falls_back(self, monkeypatch, m_pair):
-        calls = _counting_nullspace(monkeypatch)
-        first = feasible_cone(root_context(m_pair, 0))
+        calls = _counting(monkeypatch, "nullspace")
+        builds = _counting(monkeypatch, "build_q")
+        first, second = check_root(m_pair)
         assert len(calls) == 1 and first.nullspace_dim == 2 and not first.certified
-        second = feasible_cone(root_context(m_pair, 1))
-        assert len(calls) == 1 and second.certified
-        full = _full_route(root_context(m_pair, 0))
+        assert second.certified and len(builds) == 1
+        full = _full_route(m_pair)[0]
         assert first.extreme_rays.tobytes() == full.extreme_rays.tobytes()
 
-    def test_weight_error_falls_back(self, monkeypatch, m_pair):
+    def test_weight_error_falls_back(self, m_pair):
         # a weight off by 1e-10, which the constructor accepts: Q is the
-        # same, but |Q c| is not roundoff, so B's cone takes the SVD, whose
-        # null vector is still the exact weights' direction
+        # same, but the completeness residual is not roundoff, so B's cone
+        # takes the SVD, whose null vector is still the exact weights'
+        # direction
         w = np.array(m_pair.weights, dtype=float)
         w[0] = 1.0000000001
         m = SeparableMeasurement(m_pair.parties,
                                  [(o.label, o.factors) for o in m_pair.outcomes], w)
-        calls = _counting_nullspace(monkeypatch)
-        cone = feasible_cone(root_context(m, 1))
-        assert len(calls) == 1 and not cone.certified
-        assert cone.nullspace_dim == 1 and not cone.marginal_rank
-        full = _full_route(root_context(m, 1))
-        assert cone.extreme_rays.tobytes() == full.extreme_rays.tobytes()
+        assert certified_root_cones(m) == [None, None]
+        cone = check_root(m)[1]
+        assert cone.nullspace_dim == 1 and not cone.marginal_rank and not cone.certified
         assert np.abs(cone.extreme_rays[0] - 0.25).max() <= 1e-15
+        # the same measurement with exact weights is certified
+        assert certified_root_cones(m_pair)[1] is not None
 
     @pytest.mark.parametrize("theta, marginal", [(1e-9, True), (1e-7, False)])
     def test_near_degenerate_gap_falls_back(self, monkeypatch, theta, marginal):
@@ -644,14 +701,67 @@ class TestRootCertificate:
         # 0.82 theta: inside the marginal band at 1e-9, and above it but
         # within the Gram's roundoff at 1e-7, so neither is certified
         m = rotated_dominoes(theta, np.pi / 4, np.pi / 4, np.pi / 4)
-        calls = _counting_nullspace(monkeypatch)
-        assert feasible_cone(root_context(m, 0)).certified and calls == []
+        first, second = certified_root_cones(m)
+        assert first is not None and first.certified and second is None
+        calls = _counting(monkeypatch, "nullspace")
         with pytest.warns(MarginalRankWarning) if marginal else nullcontext():
-            cone = feasible_cone(root_context(m, 1))
+            cone = check_root(m)[1]
             assert len(calls) == 1 and not cone.certified
-            full = _full_route(root_context(m, 1))
+            full = feasible_cone(root_context(m, 1))
         assert cone.nullspace_dim == 1 and cone.marginal_rank is marginal
         assert cone.extreme_rays.tobytes() == full.extreme_rays.tobytes()
+
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(2, 13)])
+    @pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1e6, 1.0, 1.0), (1.0, 1e-6, 1.0),
+                                        (1e-6, 1e6, 1.0), (1.0, 1.0, 1e6), (1e3, 1e-3, 1e-6)])
+    def test_cancelling_gram_is_never_certified_wrongly(self, eps, scales):
+        # the certificate bounds rounding by the magnitudes before H - b b^T
+        # / d cancels: bounds read from G's computed trace would take
+        # rounding noise for a gap and report A's plane as a half-line.  The
+        # full route itself fails on some scaled members (ConeError), where
+        # nothing may be certified either
+        m = _near_identity(eps, scales)
+        got = certified_root_cones(m)
+        assert got[0] is None
+        for party, cone in enumerate(got):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MarginalRankWarning)
+                try:
+                    full = feasible_cone(root_context(m, party))
+                except ConeError:
+                    assert cone is None
+                    continue
+            if party == 0:
+                assert full.nullspace_dim == 2
+            if cone is not None:
+                assert full.nullspace_dim == 1 and not full.marginal_rank
+                assert np.array_equal(cone.extreme_rays == 0, full.extreme_rays == 0)
+                assert np.abs(cone.extreme_rays - full.extreme_rays).max() <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_near_identity_factors_leave_the_other_party_certified(self, eps):
+        # B's cone, a half-line with sigma_(n-1) of order eps, is certified
+        # while the Gram's squaring keeps that gap above roundoff
+        got = certified_root_cones(_near_identity(eps, (1.0, 1.0, 1.0)))
+        assert got[0] is None and got[1] is not None
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-3, 1e3, 1e5, 1e6, 1e7, 1e8])
+    def test_an_outcome_scaled_against_its_weight_is_never_certified_wrongly(self, s):
+        # A measures {s P0 (x) I, P1 (x) I}: H - b b^T / d is zero for A in
+        # exact arithmetic, and the computed one is a positive roundoff
+        # matrix, which G's diagonal scales by s^2
+        m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("0", (s * P0, EYE2)), ("1", (P1, EYE2))], [1 / s, 1.0])
+        got = certified_root_cones(m)
+        assert got[0] is None
+        assert [r.nullspace_dim for r in _full_route(m)] == [2, 1]
+        assert [r.nullspace_dim for r in check_root(m)] == [2, 1]
+
+    def test_one_party_takes_the_full_route(self):
+        # no other party: the cut side is a single row and Q has none
+        m = SeparableMeasurement([Party("A", 2)], [("0", (P0,)), ("1", (P1,))], [1.0, 1.0])
+        assert certified_root_cones(m) == [None]
+        assert check_root(m)[0].nullspace_dim == 2
 
     def test_below_the_root_is_not_certified(self, monkeypatch):
         import locc_forge.engine as engine
@@ -664,14 +774,14 @@ class TestRootCertificate:
             return cone
 
         monkeypatch.setattr(engine, "feasible_cone", recorded)
-        calls = _counting_nullspace(monkeypatch)
+        calls = _counting(monkeypatch, "nullspace")
         for m in benchmark_instances():
             synthesize(m)
         below = [cone for root, cone in met if not root]
         assert any(cone.nullspace_dim == 1 for cone in below)
-        assert not any(cone.certified for cone in below)
-        # every cone the certificate leaves takes one nullspace call
-        assert len(calls) == sum(not cone.certified for _, cone in met)
+        # no cone built from Q is certified, and each takes one nullspace call
+        assert not any(cone.certified for _, cone in met)
+        assert len(calls) == len(met)
 
 
 class TestReconstruct:

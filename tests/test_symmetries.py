@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EYE2, P0, P1
+from locc_forge.cones import ConeError
+from locc_forge.errors import InconsistentNodeError
 from locc_forge import (
     Party,
     SeparableMeasurement,
@@ -146,13 +148,25 @@ def _uniformly_scaled(m: SeparableMeasurement, s: float) -> SeparableMeasurement
                                 np.asarray(m.weights) / s ** len(m.parties))
 
 
+def _fails_with(error):
+    return pytest.mark.xfail(raises=error, strict=True,
+                             reason="the root's full route fails at this scale")
+
+
 @pytest.mark.parametrize("n, d, s", [(2, 3, 30), (2, 3, 100), (2, 3, 1000),
                                      (2, 5, 100), (2, 5, 1000),
-                                     (3, 3, 10), (3, 3, 30), (3, 3, 100)])
+                                     (3, 3, 10), (3, 3, 30), (3, 3, 100),
+                                     pytest.param(2, 3, 1e4, marks=_fails_with(ConeError)),
+                                     pytest.param(2, 5, 1e4, marks=_fails_with(ConeError)),
+                                     pytest.param(3, 3, 1000,
+                                                  marks=_fails_with(InconsistentNodeError))])
 def test_every_factor_scaled_up_keeps_the_protocol(n, d, s):
     """A final mover's cone is read from the factors' equality, not from
     Q's rows of roundoff, which grow with the scale and can clear
-    ``build_q``'s absolute row floor (an empty nullspace)."""
+    ``build_q``'s absolute row floor (an empty nullspace).  Three larger
+    scales still fail at the root, in the full route of cones the frame
+    certificate leaves: 2x3 and 2x5 at 1e4 find no ray in party 0's cone,
+    and 3x3 at 1000 fails the parent-residual test of every party's."""
     m = conditional_basis(n, d, 0)
     original = synthesize(m)
     moved = _uniformly_scaled(m, s)
