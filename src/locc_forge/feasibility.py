@@ -260,10 +260,11 @@ def build_q(ctx: NodeContext) -> np.ndarray:
     Householder reflector that maps y onto the first axis are such a basis.
     """
     m, n, p = ctx.measurement, ctx.measurement.n_outcomes, ctx.acting_party
-    acting, coords = m.party_rs[p][:, :n], m.cut_rs[p][:, :n]
+    side = m.cut_r(p)
+    acting, coords = m.party_rs[p][:, :n], side[:, :n]
     support = ctx.support
     if ctx.root:
-        y = m.cut_rs[p][:, n]
+        y = side[:, n]
     else:
         coeffs = ctx.coeffs
         if len(support) < len(coeffs):

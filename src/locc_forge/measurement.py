@@ -14,17 +14,26 @@ Outcome operators and weighted outcome operators are equivalent descriptions
 up to rescaling of each outcome; this module never rescales either.  Each
 factor, once checked as Hermitian within tolerance, is stored as its
 Hermitian part, which is a copy of the supplied matrix when that is
-exactly Hermitian, and read-only.
+exactly Hermitian.  The storage is one read-only (n, d_p, d_p) stack per
+party; an outcome's factors are views into the stacks, and the outcome
+operators are formed from them by broadcasting, one product per party.
+The constructor checks shapes, dimensions and labels in one pass over the
+outcomes and the factors' numbers in one pass per party's stack
+(:func:`operators.hermitian_parts`), and still names the first defect in
+(outcome, party) order.
 
 The measurement owns the real frames that its completeness check, the
 search and the verifier read: each party's (:func:`identity_r`), each cut's
 other-parties side and the joint R, each built once, on first use, and
 stored read-only.  The constructor's completeness check builds the
-parties' frames and the joint R; the cuts' sides wait for the search.  So
+parties' frames and the joint R; each cut's side waits for the first
+reader of that party's (:meth:`SeparableMeasurement.cut_r`), so a root
+check builds only the sides of the parties its certificate leaves.  So
 does :attr:`SeparableMeasurement.outcomes_independent`, the certificate that
 the outcome operators are linearly independent with room to spare, which
 lets the search skip a party that cannot move without building its Q.  It
-is built on first use, from one SVD of the joint R's outcome columns.
+is built on first use, from one SVD of the joint R's outcome columns, and
+reads every cut side's row count.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ import numpy as np
 
 from . import cones
 from .errors import IncompleteMeasurementError, MeasurementFormatError
-from .operators import as_hermitian, hermitian_vectors, independent_subset, product_r, tensor
+from .operators import (NUMERIC_DEFECTS, hermitian_parts, hermitian_vectors, independent_subset,
+                        product_r, square_matrix, tensor)
 from .tolerances import MARGINAL_RANK_BAND, PSD_TOL, Q_ROW_FLOOR, RANK_FACTOR, RESIDUAL_TOL
 
 
@@ -84,10 +94,17 @@ class SeparableMeasurement:
     party) order; an incomplete sum is an
     :class:`IncompleteMeasurementError`, located at ``outcomes``.
 
+    Shapes, dimensions and labels are checked in one pass over the
+    outcomes, and each factor's numbers (:func:`operators.as_hermitian`'s
+    rule) in one pass per party's stack; the refusal is the one the
+    per-factor order meets first: each outcome's factors in party order, a
+    factor's numbers before its party's dimension, its factors before its
+    label.
+
     What was checked cannot change afterwards: the weights are copied, and
-    they and every factor are stored read-only.  A write to the caller's
-    arrays leaves the measurement as it was, and a write to the
-    measurement's raises at once.
+    they and each party's factor stack, of which every factor is a view,
+    are stored read-only.  A write to the caller's arrays leaves the
+    measurement as it was, and a write to the measurement's raises at once.
     """
 
     def __init__(self, parties: Sequence[Party], outcomes: Sequence, weights=None):
@@ -102,34 +119,46 @@ class SeparableMeasurement:
             raise MeasurementFormatError("at least one party must have dimension >= 2",
                                          "parties")
 
-        packed = []
-        first_with: dict[str, int] = {}
-        for j, (label, factors) in enumerate(outcomes):
-            where = f"outcomes[{j}]"
-            if len(factors) != len(self.parties):
-                raise MeasurementFormatError(
-                    f"{len(factors)} factors for {len(self.parties)} parties",
-                    f"{where}.factors")
-            checked = []
-            for k, (party, f) in enumerate(zip(self.parties, factors)):
-                try:
-                    f = as_hermitian(f)
-                except ValueError as exc:
-                    raise MeasurementFormatError(str(exc), f"{where}.factors[{k}]") from None
-                if f.shape[0] != party.dim:
+        columns: list[list[np.ndarray]] = [[] for _ in self.parties]
+        labels: list[str] = []
+        structural = None
+        try:            # the cheap per-factor checks; the numeric ones follow per party
+            first_with: dict[str, int] = {}
+            for j, (label, factors) in enumerate(outcomes):
+                where = f"outcomes[{j}]"
+                if len(factors) != len(self.parties):
                     raise MeasurementFormatError(
-                        f"dimension {f.shape[0]} does not match party {party.name!r} "
-                        f"(dim {party.dim})", f"{where}.factors[{k}]")
-                checked.append(_frozen(f))
-            label = str(label)
-            if label in first_with:
-                raise MeasurementFormatError(f"outcomes {first_with[label]} and {j} share "
-                                             f"the label {label!r}", f"{where}.label")
-            first_with[label] = j
-            packed.append(Outcome(label, tuple(checked)))
-        if not packed:
-            raise MeasurementFormatError("at least one outcome required", "outcomes")
-        self.outcomes: tuple[Outcome, ...] = tuple(packed)
+                        f"{len(factors)} factors for {len(self.parties)} parties",
+                        f"{where}.factors")
+                for k, (party, column, f) in enumerate(zip(self.parties, columns, factors)):
+                    try:
+                        f = square_matrix(f)
+                    except ValueError as exc:
+                        raise MeasurementFormatError(str(exc), f"{where}.factors[{k}]") from None
+                    if f.shape[0] != party.dim:     # its numbers are named first
+                        defect = int(hermitian_parts(f[None])[1][0])
+                        message = NUMERIC_DEFECTS[defect - 1] if defect else (
+                            f"dimension {f.shape[0]} does not match party {party.name!r} "
+                            f"(dim {party.dim})")
+                        raise MeasurementFormatError(message, f"{where}.factors[{k}]")
+                    column.append(f)
+                label = str(label)
+                if label in first_with:
+                    raise MeasurementFormatError(f"outcomes {first_with[label]} and {j} share "
+                                                 f"the label {label!r}", f"{where}.label")
+                first_with[label] = j
+                labels.append(label)
+            if not labels:
+                raise MeasurementFormatError("at least one outcome required", "outcomes")
+        except Exception as exc:
+            structural = exc
+        # a numeric defect before the structural one in (outcome, party) order
+        # is the one named
+        stacks = _hermitian_stacks(columns)
+        if structural is not None:
+            raise structural
+        self._stacks = stacks
+        self.outcomes: tuple[Outcome, ...] = _outcome_views(labels, stacks)
 
         spectra = self._factor_spectra
         negative = np.stack([~(e[:, 0] >= -PSD_TOL * np.maximum(1.0, np.abs(e).max(axis=1)))
@@ -182,18 +211,15 @@ class SeparableMeasurement:
 
     @cached_property
     def outcome_operators(self) -> np.ndarray:
-        """(n, D, D) stack of the joint product operators O_j."""
-        return np.stack([tensor(o.factors) for o in self.outcomes])
-
-    @cached_property
-    def _factor_stacks(self) -> tuple[np.ndarray, ...]:
-        return tuple(_frozen(np.stack([o.factors[q] for o in self.outcomes]))
-                     for q in range(len(self.parties)))
+        """(n, D, D) stack of the joint product operators O_j, formed from the
+        factor stacks by one broadcast product per party after the first."""
+        out = _kron_stack(self._stacks, self.n_outcomes)
+        return out.copy() if len(self._stacks) == 1 else out
 
     def local_factors(self, party: int) -> np.ndarray:
-        """(n, d_p, d_p) stack of the named party's factors, built once and
-        read-only."""
-        return self._factor_stacks[party]
+        """(n, d_p, d_p) stack of the named party's factors: the
+        measurement's storage of them, read-only."""
+        return self._stacks[party]
 
     # -- cached frames: built once, read-only -------------------------------
 
@@ -203,19 +229,28 @@ class SeparableMeasurement:
         is the entrywise product of its parties' Grams, so :func:`product_r`
         of these is an R of the outcome operators and the identity, and of
         the other parties' an R of their side of a cut."""
-        return tuple(_frozen(identity_r(stack)) for stack in self._factor_stacks)
+        return tuple(_frozen(identity_r(stack)) for stack in self._stacks)
+
+    def cut_r(self, party: int) -> np.ndarray:
+        """The other-parties side of the cut (party | rest): a frame, with
+        the identity on the other parties as column n, of the joint factors
+        C_j = (x)_{q != party} F_j^q.  It is the other party's frame when
+        there is one, else the :func:`product_r` of theirs trimmed by
+        :func:`trimmed_r`'s rule, so it has the side's span dimension.  Each
+        side is built on first use, so a root check whose certificate
+        settles a party never folds that party's side."""
+        side = self._cut_sides.get(party)
+        if side is None:
+            others = self.party_rs[:party] + self.party_rs[party + 1:]
+            side = others[0] if len(others) == 1 else \
+                _frozen(trimmed_r(product_r(others, self.n_outcomes + 1)))
+            self._cut_sides[party] = side
+        return side
 
     @cached_property
-    def cut_rs(self) -> tuple[np.ndarray, ...]:
-        """Each cut (p | rest)'s other-parties side: a frame, with the
-        identity on the other parties as column n, of the joint factors
-        C_j = (x)_{q != p} F_j^q.  It is the other party's frame when there
-        is one, else the :func:`product_r` of theirs trimmed by
-        :func:`trimmed_r`'s rule, so it has the side's span dimension."""
-        n, rs = self.n_outcomes, self.party_rs
-        others = [rs[:p] + rs[p + 1:] for p in range(len(rs))]
-        return tuple(o[0] if len(o) == 1 else _frozen(trimmed_r(product_r(o, n + 1)))
-                     for o in others)
+    def _cut_sides(self) -> dict[int, np.ndarray]:
+        """The cut sides built so far, by party."""
+        return {}
 
     @cached_property
     def joint_r(self) -> np.ndarray:
@@ -243,7 +278,7 @@ class SeparableMeasurement:
         x86 host, one BLAS thread).
         """
         n, rs = self.n_outcomes, self.party_rs
-        rows = max([n] + [len(a) * (len(c) - 1) for a, c in zip(rs, self.cut_rs)])
+        rows = max([n] + [len(a) * (len(self.cut_r(p)) - 1) for p, a in enumerate(rs)])
         need = 4.0 * MARGINAL_RANK_BAND * RANK_FACTOR * rows
         floor = Q_ROW_FLOOR * sqrt(2.0 * rows * n)
         if need >= 1.0 or len(self.joint_r) < n:
@@ -255,7 +290,7 @@ class SeparableMeasurement:
     def _factor_spectra(self) -> tuple[np.ndarray, ...]:
         """Each party's (n, d_p) ascending factor eigenvalues, one eigvalsh
         per party's factor stack."""
-        return tuple(_frozen(np.linalg.eigvalsh(stack)) for stack in self._factor_stacks)
+        return tuple(_frozen(np.linalg.eigvalsh(stack)) for stack in self._stacks)
 
     @cached_property
     def extreme_eigenvalues(self) -> np.ndarray:
@@ -273,6 +308,31 @@ class SeparableMeasurement:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _hermitian_stacks(columns: list[list[np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """Each party's factors stacked as their :func:`hermitian_parts`, read-only,
+    refusing the first factor in (outcome, party) order that has a numeric
+    defect.  Columns may differ in length, as when a structural defect
+    stopped the outcomes early; empty ones are left out."""
+    stacks, first = [], None
+    for k, column in enumerate(columns):
+        if column:
+            h, defect = hermitian_parts(np.stack(column))
+            stacks.append(_frozen(h))
+            bad = np.flatnonzero(defect)
+            if bad.size and (first is None or bad[0] < first[0]):   # ties go to the lower k
+                first = (int(bad[0]), k, NUMERIC_DEFECTS[defect[bad[0]] - 1])
+    if first is not None:
+        j, k, message = first
+        raise MeasurementFormatError(message, f"outcomes[{j}].factors[{k}]")
+    return tuple(stacks)
+
+
+def _outcome_views(labels: Sequence[str], stacks: Sequence[np.ndarray]) -> tuple[Outcome, ...]:
+    """The labelled outcomes, each factor a view into its party's stack."""
+    return tuple(Outcome(label, factors)
+                 for label, factors in zip(labels, zip(*map(list, stacks))))
 
 
 def factor_operands(m: SeparableMeasurement) -> list:

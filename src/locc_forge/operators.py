@@ -23,6 +23,23 @@ _DECISION_MARGIN = 1e-3
 cutoff in :func:`independent_subset` before it decides without an SVD."""
 
 
+NUMERIC_DEFECTS = ("matrix has non-finite entries", "matrix is not Hermitian within tolerance",
+                   "matrix entries are too large for floating point")
+"""What :func:`as_hermitian` refuses in a square matrix, in the order it
+checks; :func:`hermitian_parts` reports defect k + 1 for entry k."""
+
+
+def square_matrix(entries) -> np.ndarray:
+    """``entries`` as a complex128 array, refused unless a square matrix of
+    dimension at least 1."""
+    a = np.ascontiguousarray(entries, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("operator dimension must be at least 1")
+    return a
+
+
 def as_hermitian(entries) -> np.ndarray:
     """Validate a finite square matrix as Hermitian and return it as a new
     complex128 array: a copy of a's bytes when a is exactly Hermitian, else
@@ -33,23 +50,39 @@ def as_hermitian(entries) -> np.ndarray:
     Entries so large that their magnitude or the Hermitian part overflows
     (finite entries above about 9e307) are refused.
     """
-    a = np.ascontiguousarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("operator dimension must be at least 1")
+    a = square_matrix(entries)
     if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(NUMERIC_DEFECTS[0])
     with np.errstate(over="ignore", invalid="ignore"):    # overflow is refused below
         scale = float(np.abs(a).max())
         asymmetry = float(np.abs(a - a.conj().T).max())
         if scale > 0.0 and asymmetry > HERMITICITY_TOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
+            raise ValueError(NUMERIC_DEFECTS[1])
         h = (a + a.conj().T) / 2
     if not (np.isfinite(scale) and np.isfinite(h).all()):
-        raise ValueError("matrix entries are too large for floating point")
+        raise ValueError(NUMERIC_DEFECTS[2])
     # (a + a^H) / 2 would turn a -0.0 real part into +0.0
     return a.copy() if asymmetry == 0.0 else h
+
+
+def hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`as_hermitian` of each matrix of a complex128 (n, d, d) stack,
+    in one pass over the stack: the (n, d, d) stack of what it returns, the
+    same bytes, and each matrix's defect, 0 where it returns and k + 1 where
+    it refuses with ``NUMERIC_DEFECTS[k]``.  A refused matrix's slot holds
+    whatever the arithmetic left."""
+    ah = a.conj().transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(a).max(axis=(1, 2))
+        asymmetry = np.abs(a - ah).max(axis=(1, 2))
+        skew = asymmetry > HERMITICITY_TOL * scale     # a zero scale has zero asymmetry
+        h = (a + ah) / 2
+    in_range = np.isfinite(scale)       # a finite |a_ij| has finite parts
+    finite = in_range if in_range.all() else np.isfinite(a).all(axis=(1, 2))
+    large = ~(in_range & np.isfinite(h).all(axis=(1, 2)))
+    # as_hermitian keeps an exact a's bytes, -0.0 included
+    np.copyto(h, a, where=(asymmetry == 0.0)[:, None, None])
+    return h, np.where(finite, np.where(skew, 2, 3 * large), 1)
 
 
 def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -166,7 +166,7 @@ def _cut_cores(m: SeparableMeasurement, p: int, coeffs: np.ndarray) -> np.ndarra
     frame and the cut's other-parties side, is that realignment in
     orthonormal frames of both sides: it keeps its singular values and
     vectors and its Frobenius distances."""
-    n, r_a, r_b = coeffs.shape[1], m.party_rs[p], m.cut_rs[p]
+    n, r_a, r_b = coeffs.shape[1], m.party_rs[p], m.cut_r(p)
     w = khatri_rao([r_a[:, :n], r_b[:, :n]], n)
     return (coeffs @ w.T).reshape(len(coeffs), len(r_a), len(r_b))
 

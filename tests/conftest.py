@@ -11,7 +11,7 @@ from locc_forge import (
     seven_outcome_family,
 )
 from locc_forge.engine import ProtocolNode
-from locc_forge.measurement import Outcome
+from locc_forge.measurement import _outcome_views
 from locc_forge.operators import as_hermitian
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -64,14 +64,18 @@ def audit_instances() -> list[SeparableMeasurement]:
 
 def unchecked(parties, outcomes, weights) -> SeparableMeasurement:
     """A measurement that skips the constructor: its factors are stored as
-    their Hermitian parts, as the constructor stores them, and nothing is
-    checked.  For tests of the checks downstream of the constructor (the
+    the constructor stores them, each party's Hermitian parts in one
+    read-only stack with the outcomes' factors views into it, and nothing
+    is checked.  For tests of the checks downstream of the constructor (the
     verifier's positivity) and of the oracles, on input that the
     constructor refuses."""
     m = object.__new__(SeparableMeasurement)
     m.parties = tuple(parties)
-    m.outcomes = tuple(Outcome(str(label), tuple(map(as_hermitian, factors)))
-                       for label, factors in outcomes)
+    labels, columns = zip(*[(str(label), factors) for label, factors in outcomes])
+    m._stacks = tuple(np.stack([as_hermitian(f) for f in column]) for column in zip(*columns))
+    for stack in m._stacks:
+        stack.flags.writeable = False
+    m.outcomes = _outcome_views(labels, m._stacks)
     m.weights = np.asarray(weights, dtype=float)
     return m
 

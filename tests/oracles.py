@@ -8,7 +8,8 @@ two-column one through the double description itself, instead of the
 library's closed forms), completeness
 weights come from an unconstrained least-squares solve or scipy's
 nonnegative one on the whole realified system, factor positivity from one
-eigvalsh per factor, independent
+eigvalsh per factor, a measurement's refusals from one ``as_hermitian``
+call per factor in (outcome, party) order, independent
 subsets are chosen with one SVD of the whole candidate stack per candidate,
 the constraint matrix is built from dense dual operators and a bystander
 operator taken as a partial trace of the node operator, ray splits
@@ -37,7 +38,7 @@ from locc_forge.errors import (
 )
 from locc_forge.measurement import reconstruct
 from locc_forge.measurement import complement_span, local_span
-from locc_forge.operators import khatri_rao, project_factor, tensor
+from locc_forge.operators import as_hermitian, khatri_rao, project_factor, tensor
 from locc_forge.tolerances import (
     DUPLICATE_TOL,
     MARGINAL_RANK_BAND,
@@ -326,6 +327,46 @@ def per_factor_validation(m) -> tuple[list[tuple[str, str, float]], float]:
     return violations, residual
 
 
+def per_factor_refusal(parties, outcomes) -> tuple[str, str] | None:
+    """The first refusal of the measurement constructor's checks of its
+    outcomes, as (location, message), from one ``as_hermitian`` call per
+    factor: for each outcome in order its factor count, then each factor's
+    ``as_hermitian`` and its party's dimension, then its label; after all
+    outcomes, positivity in (outcome, party) order, one eigvalsh per factor.
+    None when every one passes."""
+    first_with: dict[str, int] = {}
+    checked = []
+    for j, (label, factors) in enumerate(outcomes):
+        where = f"outcomes[{j}]"
+        if len(factors) != len(parties):
+            return f"{where}.factors", f"{len(factors)} factors for {len(parties)} parties"
+        row = []
+        for k, (party, f) in enumerate(zip(parties, factors)):
+            try:
+                f = as_hermitian(f)
+            except ValueError as exc:
+                return f"{where}.factors[{k}]", str(exc)
+            if f.shape[0] != party.dim:
+                return (f"{where}.factors[{k}]", f"dimension {f.shape[0]} does not match party "
+                        f"{party.name!r} (dim {party.dim})")
+            row.append(f)
+        label = str(label)
+        if label in first_with:
+            return (f"{where}.label",
+                    f"outcomes {first_with[label]} and {j} share the label {label!r}")
+        first_with[label] = j
+        checked.append(row)
+    if not checked:
+        return "outcomes", "at least one outcome required"
+    for j, row in enumerate(checked):
+        for k, f in enumerate(row):
+            eigs = np.linalg.eigvalsh(f)
+            if not eigs[0] >= -PSD_TOL * max(1.0, float(np.abs(eigs).max())):
+                return (f"outcomes[{j}].factors[{k}]", f"factor is not positive semidefinite "
+                        f"(smallest eigenvalue {eigs[0]:.3e})")
+    return None
+
+
 def greedy_svd_independent_subset(ops: Sequence[np.ndarray]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
@@ -421,7 +462,7 @@ def search_frames(m, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables ``build_q`` reads for party p from the measurement's
     frames: acting = R_p[:, :n], coords = R_c[:, :n] and the identity's
     coordinates R_c[:, n], R_c the side of p's cut."""
-    n, side = m.n_outcomes, m.cut_rs[p]
+    n, side = m.n_outcomes, m.cut_r(p)
     return m.party_rs[p][:, :n], side[:, :n], side[:, n]
 
 
@@ -543,7 +584,7 @@ def svd_cut_values(tree, m) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.norm(off, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(c, axis=(1, 2)))
 
     for p in range(cuts):
-        r_b = m.cut_rs[p]
+        r_b = m.cut_r(p)
         w = khatri_rao([rs[p][:, :n], r_b[:, :n]], n)
         cut = (coeffs @ w.T).reshape(len(coeffs), len(rs[p]), len(r_b))
         u, sigma, vh = np.linalg.svd(cut, full_matrices=False)

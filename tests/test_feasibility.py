@@ -658,8 +658,15 @@ class TestRootCertificate:
         assert len(measurements) == 22
         for m in measurements:
             assert [r.certified for r in check_root(m)] == [True, True]
-            assert "cut_rs" not in m.__dict__
+            assert m._cut_sides == {}
         assert builds == []
+
+    def test_a_cold_root_check_builds_only_uncertified_sides(self):
+        """Each cut side is built on first use: at 9x2 the certificate
+        settles parties 1-8, so only party 0's side is folded."""
+        m = conditional_basis(9, 2, 0)
+        assert [r.certified for r in check_root(m)] == [False] + [True] * 8
+        assert list(m._cut_sides) == [0]
 
     def test_bennett_basis_is_impossible_without_q(self, monkeypatch):
         builds = _counting(monkeypatch, "build_q")
@@ -668,7 +675,7 @@ class TestRootCertificate:
         assert cert.verdict is Verdict.IMPOSSIBLE_AT_ROOT and cert.root_dims == (1, 1, 1)
         assert [r.certified for r in check_root(m)] == [True, True, True]
         assert builds == []
-        assert "cut_rs" not in m.__dict__
+        assert m._cut_sides == {}
 
     def test_two_dimensional_cone_falls_back(self, monkeypatch, m_pair):
         calls = _counting(monkeypatch, "nullspace")

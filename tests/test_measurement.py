@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import EYE2, P0, P1, split_outcome, unchecked
+from conftest import EYE2, P0, P1, audit_instances, split_outcome, unchecked
 from locc_forge import (
     Party,
     SeparableMeasurement,
@@ -18,11 +18,13 @@ from locc_forge.verify import verify_tree
 from locc_forge.errors import IncompleteMeasurementError, MeasurementFormatError
 from locc_forge.io import measurement_from_dict, measurement_to_dict
 from locc_forge.measurement import complement_span, identity_r, local_span
+from locc_forge.operators import as_hermitian, tensor
 from oracles import (
     complement_factors,
     greedy_svd_independent_subset,
     lstsq_completeness_weights,
     nnls_completeness_weights,
+    per_factor_refusal,
     per_factor_validation,
 )
 
@@ -159,6 +161,62 @@ class TestValidate:
         assert walked[2] == ["outcomes[0].factors[1]", "outcomes[1].factors[0]",
                              "outcomes[1].factors[2]", "outcomes[2].factors[2]", "outcomes"]
 
+    def test_refusals_equal_the_per_factor_oracle(self):
+        """Defects of every kind, mixed across outcomes and parties, are
+        refused one at a time as the per-factor oracle refuses them: each
+        outcome's factors in party order, a factor's numbers before its
+        party's dimension, an outcome's factors before its label, and
+        positivity after every outcome.  The constructor checks shapes in a
+        pass over the outcomes and numbers in one pass per party's stack, so
+        a structural defect must not be named before a numeric one that
+        comes first.  Each cell lists the values its factor or label takes
+        in turn, and a refusal advances the cell it names.  In the
+        three-party case, party order would name outcomes[3].factors[0]
+        before outcomes[2].factors[2]."""
+        shape, eye3 = np.zeros((2, 3)), np.eye(3)
+        skew, skew3 = np.triu(np.ones((2, 2))), np.triu(np.ones((3, 3)))
+        nan, neg = np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, -0.5])
+        huge = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])   # (a + a^H) / 2 overflows
+        cases = [
+            ([Party("A", 2), Party("B", 2)],
+             [(["x"], [[EYE2], [skew, P0]]),
+              (["y"], [[shape, P1], [EYE2]]),
+              (["z"], [[neg, P0], [P1]]),
+              (["x", "w"], [[P0], [nan, P1]]),
+              (["v"], [[huge, P1], [skew3, eye3, P0]])],
+             ["outcomes[0].factors[1]", "outcomes[1].factors[0]", "outcomes[3].factors[1]",
+              "outcomes[3].label", "outcomes[4].factors[0]", "outcomes[4].factors[1]",
+              "outcomes[4].factors[1]", "outcomes[2].factors[0]"]),
+            ([Party(c, 2) for c in "ABC"],
+             [(["x"], [[EYE2], [EYE2], [nan, EYE2]]),
+              (["x", "y"], [[shape, EYE2], [EYE2], [huge, EYE2]]),
+              (["u"], [[neg, EYE2], [skew3, eye3, P0], [nan, EYE2]]),
+              (["t"], [[skew, EYE2], [EYE2], [EYE2]])],
+             ["outcomes[0].factors[2]", "outcomes[1].factors[0]", "outcomes[1].factors[2]",
+              "outcomes[1].label", "outcomes[2].factors[1]", "outcomes[2].factors[1]",
+              "outcomes[2].factors[2]", "outcomes[3].factors[0]", "outcomes[2].factors[0]"]),
+        ]
+        for parties, cells, want in cases:
+            walked = []
+            while True:
+                outcomes = [(label[0], [f[0] for f in factors]) for label, factors in cells]
+                refusal = per_factor_refusal(parties, outcomes)
+                if refusal is None:
+                    break
+                with pytest.raises(MeasurementFormatError) as err:
+                    SeparableMeasurement(parties, outcomes, np.ones(len(outcomes)))
+                assert (err.value.location, err.value.detail) == refusal
+                j, k = re.fullmatch(r"outcomes\[(\d+)\]\.(?:label|factors\[(\d+)\])",
+                                    refusal[0]).groups()
+                label, factors = cells[int(j)]
+                (label if k is None else factors[int(k)]).pop(0)
+                walked.append(refusal[0])
+            assert walked == want
+            try:        # no defect left: accepted or, at most, incomplete
+                SeparableMeasurement(parties, outcomes, np.ones(len(outcomes)))
+            except IncompleteMeasurementError:
+                pass
+
     def test_zero_spans_are_refused_as_incomplete(self):
         """A party whose factors are all zero, or a cut whose other parties'
         factors are, makes every outcome operator zero: the weighted sum
@@ -251,17 +309,18 @@ class TestFrames:
     def test_cut_rows_are_span_dimensions(self):
         # product_r alone keeps padded rows: the trim leaves the side's span
         for m in (conditional_basis(4, 3, 0), conditional_basis(3, 4, 1)):
-            assert [len(r) for r in m.cut_rs] == [len(complement_span(m, p))
-                                                  for p in range(len(m.parties))]
+            assert [len(m.cut_r(p)) for p in range(len(m.parties))] == \
+                [len(complement_span(m, p)) for p in range(len(m.parties))]
         two = conditional_basis(2, 4, 0)
-        assert two.cut_rs[0] is two.party_rs[1] and two.cut_rs[1] is two.party_rs[0]
+        assert two.cut_r(0) is two.party_rs[1] and two.cut_r(1) is two.party_rs[0]
 
     def test_gram_is_the_trace_pairing(self, catalog_all):
         ms = list(catalog_all.values()) + [conditional_basis(2, 6, 1),
                                            conditional_basis(3, 3, 2)]
         for m in ms:
             sides = [complement_factors(m, p) for p in range(len(m.parties))]
-            for r, factors in (*zip(m.party_rs, factor_stacks(m)), *zip(m.cut_rs, sides)):
+            cuts = [m.cut_r(p) for p in range(len(m.parties))]
+            for r, factors in (*zip(m.party_rs, factor_stacks(m)), *zip(cuts, sides)):
                 ops = np.concatenate([factors, np.eye(len(factors[0]))[None]])
                 gram = np.einsum("iab,jba->ij", ops, ops).real
                 assert r.shape[1] == m.n_outcomes + 1
@@ -295,7 +354,8 @@ class TestFrames:
         # one frame per party; per cut a product of the other two, trimmed;
         # and one joint product
         assert sorted(built) == ["identity_r"] * 3 + ["product_r"] * 4 + ["trimmed_r"] * 6
-        cached = [*fresh.party_rs, *fresh.cut_rs, fresh.joint_r, fresh.extreme_eigenvalues]
+        cached = [*fresh.party_rs, *map(fresh.cut_r, range(3)), fresh.joint_r,
+                  fresh.extreme_eigenvalues]
         for a in cached:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -349,7 +409,7 @@ class TestIndependenceCertificate:
     @staticmethod
     def _need(m) -> tuple[float, float]:
         n = m.n_outcomes
-        rows = max([n] + [len(a) * (len(c) - 1) for a, c in zip(m.party_rs, m.cut_rs)])
+        rows = max([n] + [len(a) * (len(m.cut_r(p)) - 1) for p, a in enumerate(m.party_rs)])
         return 4.0 * MARGINAL_RANK_BAND * RANK_FACTOR * rows, 1e-13 * np.sqrt(2.0 * rows * n)
 
     def test_certified_only_with_room(self, catalog_all):
@@ -554,3 +614,65 @@ class TestFrozenData:
         q = qubit_pair()
         m = SeparableMeasurement(q.parties, q.outcomes)
         assert not m.weights.flags.writeable
+
+
+class TestStackedStorage:
+    """Each party's (n, d_p, d_p) factor stack is the measurement's only
+    storage of its factors, checked in one pass per stack: the same bytes
+    as ``as_hermitian`` of each factor, and the outcome operators the same
+    bytes as each outcome's ``tensor``."""
+
+    @staticmethod
+    def _inputs():
+        """The audit instances' inputs, and two more: a factor Hermitian
+        only within tolerance, stored as its Hermitian part, and an exactly
+        Hermitian one with a -0.0 real part across from a +0.0, stored as
+        given, where its Hermitian part would hold +0.0."""
+        out = [(m.parties, [(o.label, o.factors) for o in m.outcomes], m.weights)
+               for m in audit_instances()]
+        q = qubit_pair()
+        near = np.array(q.outcomes[0].factors[0])
+        near[0, 1] += 1e-12
+        signed = np.array(q.outcomes[1].factors[1])
+        signed[0, 1] = complex(-0.0, 0.0)
+        assert not np.array_equal(near, near.conj().T)
+        assert np.signbit(signed[0, 1].real) and not np.signbit(signed[1, 0].real)
+        for j, k, f in ((0, 0, near), (1, 1, signed)):
+            outcomes = [(o.label, list(o.factors)) for o in q.outcomes]
+            outcomes[j][1][k] = f
+            out.append((q.parties, outcomes, q.weights))
+        return out
+
+    def test_bitwise_equal_to_the_per_factor_oracle(self):
+        inputs = self._inputs()
+        assert len(inputs) == 165
+        for parties, outcomes, weights in inputs:
+            m = SeparableMeasurement(parties, outcomes, weights)
+            stacks = factor_stacks(m)
+            for j, (o, (_, given)) in enumerate(zip(m.outcomes, outcomes)):
+                for k, (f, g) in enumerate(zip(o.factors, given)):
+                    assert f.tobytes() == as_hermitian(g).tobytes()
+                    assert np.shares_memory(f, stacks[k]) and f.tobytes() == stacks[k][j].tobytes()
+            ops = np.stack([tensor(o.factors) for o in m.outcomes])
+            assert m.outcome_operators.tobytes() == ops.tobytes()
+
+    def test_writes_raise_and_the_callers_array_is_untouched(self):
+        q = qubit_pair()
+        factors = [(o.label, [np.array(f) for f in o.factors]) for o in q.outcomes]
+        m = SeparableMeasurement(q.parties, factors, q.weights)
+        before = [s.copy() for s in factor_stacks(m)]
+        for _, fs in factors:
+            for f in fs:
+                f[0, 0] = 7.0
+        assert all(np.array_equal(s, b) for s, b in zip(factor_stacks(m), before))
+        for s in factor_stacks(m):
+            with pytest.raises(ValueError, match="read-only"):
+                s[0, 0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.outcomes[1].factors[0][0, 0] = 7.0
+
+    def test_one_party_operators_do_not_alias_the_stack(self):
+        m = SeparableMeasurement([Party("A", 2)], [("0", (P0,)), ("1", (P1,))], [1.0, 1.0])
+        ops = m.outcome_operators
+        assert not np.shares_memory(ops, m.local_factors(0))
+        assert ops.tobytes() == m.local_factors(0).tobytes()

@@ -412,7 +412,9 @@ class TestRankOneCertificate:
         for m in audit_instances():
             tree = synthesize(m).tree
             if tree is not None:
-                m.joint_r, m.cut_rs, m.extreme_eigenvalues    # frames built, not counted
+                m.joint_r, m.extreme_eigenvalues        # frames built, not counted
+                for p in range(len(m.parties)):
+                    m.cut_r(p)
                 out.append((tree, m))
         return out
 
@@ -447,7 +449,9 @@ class TestRankOneCertificate:
         trees = list(self.tampered(audited)) + tampered_trees(hand_tree, m_seven, indefinite)
         failed = {"product-structure": 0, "single-party-change": 0}
         for tree, m in trees:
-            t, _ = verify._structural_pass(tree, m), m.cut_rs     # frames built, not counted
+            t = verify._structural_pass(tree, m)
+            for p in range(len(m.parties)):     # frames built, not counted
+                m.cut_r(p)
             (ratios, edges), sent = svd_cores_sent(monkeypatch, verify._cut_checks, t, m)
             per_cut, want_edges = svd_cut_values(tree, m)
             assert sum(map(len, sent)) == np.count_nonzero(per_cut > RESIDUAL_TOL)
