@@ -237,8 +237,7 @@ def _cmd_verify(args) -> int:
 def _load_state(choice: str, dim: int) -> np.ndarray:
     if choice == "maximally-mixed":
         return np.eye(dim, dtype=complex) / dim
-    data = io._read_json(choice)
-    return io.complex_matrix_from_json(data, choice)
+    return io.complex_matrix_from_json(io._read_json(choice), choice)
 
 
 def _cmd_simulate(args) -> int:

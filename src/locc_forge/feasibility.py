@@ -55,9 +55,10 @@ the squared norm of their identity,
 Q's row count m is r_p (r_c - 1), less the rows ``build_q`` drops, with
 r_q the row count of party q's frame and r_c <= min(prod_{q != p} r_q,
 n + 1) that of the cut side.  So max(m, n) lies between n and M = max(n,
-r_p (min(prod_{q != p} r_q, n + 1) - 1)).  Let B = ``MARGINAL_RANK_BAND``
-and f = ``RANK_FACTOR``.  With s1_lo <= sigma_1 <= s1_hi (below), the
-cutoff f max(m, n) sigma_1 lies between lo = f n s1_lo and hi = f M s1_hi.
+r_p (min(prod_{q != p} r_q, n + 1) - 1)) (``m._q_row_bracket(p)``).  Let
+B = ``MARGINAL_RANK_BAND`` and f = ``RANK_FACTOR``.  With s1_lo <= sigma_1
+<= s1_hi (below), the cutoff f max(m, n) sigma_1 lies between lo = f n
+s1_lo and hi = f M s1_hi.
 The certificate proves, for the Q the full route would build,
 
     sigma_n <= lo / (2B)    and    sigma_(n-1) >= 2B hi,
@@ -352,8 +353,7 @@ def certified_root_cones(m: SeparableMeasurement) -> list[FeasibleCone | None]:
     out: list[FeasibleCone | None] = []
     for p in range(len(rs)):
         others = [q for q in range(len(rs)) if q != p]
-        # M, the most rows Q can have
-        rows = max(n, len(rs[p]) * (min(prod(len(rs[q]) for q in others), n + 1) - 1))
+        rows = m._q_row_bracket(p)
         big = rows + n + 4 * len(rs) * (k + 1)
         omega = big * _UNIT_ROUNDOFF / (1 - big * _UNIT_ROUNDOFF)
         h, b = grams[others[0]], traces[others[0]]

@@ -45,23 +45,18 @@ def complex_matrix_to_json(mat: np.ndarray) -> list:
 
 def complex_matrix_from_json(data: Any, where: str) -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.ascontiguousarray(data, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise MeasurementFormatError(f"not a numeric matrix ({exc})", where)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise MeasurementFormatError(
-            "expected a square matrix of [re, im] pairs", where)
-    if not np.isfinite(arr).all():
-        raise MeasurementFormatError("entries must be finite", where)
-    return np.ascontiguousarray(arr[..., 0] + 1j * arr[..., 1])
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise MeasurementFormatError("expected a matrix of [re, im] pairs", where)
+    return arr.view(complex)[..., 0]
 
 
 def _is_finite_number(x: Any) -> bool:
     """True for a JSON number that converts to a finite float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
     try:
-        return math.isfinite(x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:       # an integer beyond the float range
         return False
 
@@ -81,10 +76,9 @@ def measurement_to_dict(m: SeparableMeasurement) -> dict:
 
 
 def measurement_from_dict(data: Any) -> SeparableMeasurement:
-    """Decode a measurement document.  Only the JSON is checked here: the
-    measurement itself (structure, positivity, completeness) is checked,
-    and weights absent from every outcome are inferred, by
-    :class:`SeparableMeasurement`, whose errors name the same paths."""
+    """Decode a measurement document, refusing only what does not decode;
+    :class:`SeparableMeasurement` refuses every decoded value, in its own
+    order, and infers weights absent from every outcome."""
     if not isinstance(data, dict):
         raise MeasurementFormatError("top level must be an object", "$")
     try:
@@ -114,9 +108,9 @@ def measurement_from_dict(data: Any) -> SeparableMeasurement:
         outcomes.append((str(o.get("label", str(j + 1))), tuple(
             complex_matrix_from_json(f, f"{where}.factors[{k}]")
             for k, f in enumerate(o["factors"]))))
-        w = o.get("weight")
-        if w is not None and not _is_finite_number(w):
-            raise MeasurementFormatError("weight must be a finite number", f"{where}.weight")
+        w = o.get("weight")     # NaN, inf and negatives are the constructor's to refuse
+        if w is not None and not (isinstance(w, float) or _is_finite_number(w)):
+            raise MeasurementFormatError("weight must be a float", f"{where}.weight")
         weights.append(w)
 
     if all(w is None for w in weights):

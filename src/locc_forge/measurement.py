@@ -1,5 +1,5 @@
 """Separable measurements: the checks that make one, completeness weights,
-local operator spans.
+the real frames the search and the verifier read.
 
 A separable measurement is an ordered list of product outcomes, one positive
 local factor per party, together with nonnegative completeness weights w
@@ -28,12 +28,12 @@ other-parties side and the joint R, each built once, on first use, and
 stored read-only.  The constructor's completeness check builds the
 parties' frames and the joint R; each cut's side waits for the first
 reader of that party's (:meth:`SeparableMeasurement.cut_r`), so a root
-check builds only the sides of the parties its certificate leaves.  So
-does :attr:`SeparableMeasurement.outcomes_independent`, the certificate that
+check builds only the sides of the parties its certificate leaves.
+:attr:`SeparableMeasurement.outcomes_independent`, the certificate that
 the outcome operators are linearly independent with room to spare, which
-lets the search skip a party that cannot move without building its Q.  It
-is built on first use, from one SVD of the joint R's outcome columns, and
-reads every cut side's row count.
+lets the search skip a party that cannot move without building its Q,
+builds none: it takes one SVD of the joint R's outcome columns and bounds
+Q's rows from the parties' frames.
 """
 
 from __future__ import annotations
@@ -266,9 +266,9 @@ class SeparableMeasurement:
         The certificate bounds sigma_min / sigma_max of the outcome
         operators' vectorizations, which are J = ``joint_r[:, :n]``'s, and
         accepts when it exceeds 4 ``MARGINAL_RANK_BAND`` ``RANK_FACTOR``
-        rows, rows being the largest shape any node's Q can have: r_p (r_c -
-        1) for party p's frame and cut side, or n.  It also asks
-        sigma_min >= ``Q_ROW_FLOOR`` sqrt(2 rows n), so that rows
+        rows, rows bounding the shape of any node's Q: the largest party's
+        bracket (:meth:`_q_row_bracket`), so no cut side is folded.  It also
+        asks sigma_min >= ``Q_ROW_FLOOR`` sqrt(2 rows n), so that rows
         ``feasibility.build_q`` drops as zero move no singular value by more
         than a factor sqrt(2) (see ``engine``, which reads the certificate).
 
@@ -277,14 +277,21 @@ class SeparableMeasurement:
         with its frames built, 29 ms; at 6x3, n = 729, 102 ms (shared 2-core
         x86 host, one BLAS thread).
         """
-        n, rs = self.n_outcomes, self.party_rs
-        rows = max([n] + [len(a) * (len(self.cut_r(p)) - 1) for p, a in enumerate(rs)])
+        n = self.n_outcomes
+        rows = max(self._q_row_bracket(p) for p in range(len(self.parties)))
         need = 4.0 * MARGINAL_RANK_BAND * RANK_FACTOR * rows
         floor = Q_ROW_FLOOR * sqrt(2.0 * rows * n)
         if need >= 1.0 or len(self.joint_r) < n:
             return False
         sigma = np.linalg.svd(self.joint_r[:, :n], compute_uv=False)
         return bool(sigma[-1] >= need * sigma[0] and sigma[-1] >= floor)
+
+    def _q_row_bracket(self, party: int) -> int:
+        """M_p = max(n, r_p (min(prod_{q != p} r_q, n + 1) - 1)), a bound on max(n,
+        rows of party p's Q) that needs no cut side (see ``feasibility``)."""
+        rs, n = self.party_rs, self.n_outcomes
+        others = prod(len(r) for q, r in enumerate(rs) if q != party)
+        return max(n, len(rs[party]) * (min(others, n + 1) - 1))
 
     @cached_property
     def _factor_spectra(self) -> tuple[np.ndarray, ...]:

@@ -405,6 +405,22 @@ class TestVerifySimulate:
         assert code == 4
         assert "trace" in err
 
+    @pytest.mark.parametrize("entries, defect", [
+        ([[[0.5, 0.0]] * 3] * 2, "expected a square matrix, got shape (2, 3)"),
+        ([[[float("inf") if i == j == 0 else 0.25 * (i == j), 0.0] for j in range(4)]
+          for i in range(4)], "matrix has non-finite entries")])
+    def test_simulate_refuses_a_state_by_its_shape_and_numbers(self, pair_file, tmp_path,
+                                                               capsys, entries, defect):
+        # the state file is only decoded; simulate refuses what it holds
+        tree_path = tmp_path / "tree.json"
+        run(capsys, "synth", pair_file, "--out", str(tree_path))
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "simulate", str(tree_path),
+                             "--measurement", pair_file, "--state", str(state_path))
+        assert code == 4 and out == ""
+        assert defect in err
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

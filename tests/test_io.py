@@ -21,17 +21,20 @@ from oracles import nnls_completeness_weights
 
 def location_of(doc, direct=True):
     """The location of the :class:`MeasurementFormatError` that loading
-    ``doc`` raises; with ``direct``, asserted equal to the location that the
-    constructor raises on the same parties, outcomes and weights."""
+    ``doc`` raises; with ``direct``, asserted equal to the location, and its
+    message to the message, that the constructor raises on the same
+    parties, outcomes and weights."""
     with pytest.raises(MeasurementFormatError) as loaded:
         measurement_from_dict(doc)
     if direct:
-        outcomes = [(o["label"], tuple(np.array(f) @ [1, 1j] for f in o["factors"]))
+        outcomes = [(o["label"], tuple(np.array(f, dtype=float).view(complex)[..., 0]
+                                       for f in o["factors"]))
                     for o in doc["outcomes"]]
         with pytest.raises(MeasurementFormatError) as constructed:
             SeparableMeasurement([Party(p["name"], p["dim"]) for p in doc["parties"]],
                                  outcomes, [o["weight"] for o in doc["outcomes"]])
         assert constructed.value.location == loaded.value.location
+        assert constructed.value.detail == loaded.value.detail
     return loaded.value.location
 
 
@@ -138,6 +141,29 @@ class TestMeasurementDiagnostics:
         with pytest.raises(MeasurementFormatError, match="Hermitian"):
             measurement_from_dict(doc)
         assert location_of(doc) == "outcomes[2].factors[1]"
+
+    @pytest.mark.parametrize("case", ["shape-after-skew", "nan-weight-before-skew",
+                                      "inf-beside-skew"])
+    def test_first_defect_in_the_constructors_order(self, m_pair, case):
+        # the loader decodes a factor's shape and numbers and a weight's value
+        # and leaves them to the constructor, so a later factor's shape or
+        # numbers, or an earlier outcome's weight, is not named first
+        doc = measurement_to_dict(m_pair)
+        skew = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        first = "outcomes[1].factors[0]"
+        doc["outcomes"][1]["factors"][0] = skew
+        if case == "shape-after-skew":
+            doc["outcomes"][3]["factors"][1] = [[[1.0, 0.0]] * 3] * 2
+        elif case == "nan-weight-before-skew":
+            doc["outcomes"][0]["weight"] = float("nan")
+        else:
+            first = "outcomes[0].factors[0]"
+            doc["outcomes"][0]["factors"][0] = skew
+            doc["outcomes"][0]["factors"][1][0][0][0] = float("inf")
+        doc = json.loads(json.dumps(doc))
+        assert location_of(doc) == first
+        with pytest.raises(MeasurementFormatError, match="not Hermitian"):
+            measurement_from_dict(doc)
 
     def test_duplicate_outcome_label_location(self, m_pair):
         doc = measurement_to_dict(m_pair)

@@ -408,8 +408,12 @@ class TestIndependenceCertificate:
 
     @staticmethod
     def _need(m) -> tuple[float, float]:
-        n = m.n_outcomes
-        rows = max([n] + [len(a) * (len(m.cut_r(p)) - 1) for p, a in enumerate(m.party_rs)])
+        # rows is the largest bracket M_p = max(n, r_p (min(prod_{q != p} r_q,
+        # n + 1) - 1)), which bounds the exact r_p (r_c - 1) of every cut side
+        n, rs = m.n_outcomes, [len(r) for r in m.party_rs]
+        rows = max(max(n, r * (min(int(np.prod(rs[:p] + rs[p + 1:])), n + 1) - 1))
+                   for p, r in enumerate(rs))
+        assert all(r * (len(m.cut_r(p)) - 1) <= rows for p, r in enumerate(rs))
         return 4.0 * MARGINAL_RANK_BAND * RANK_FACTOR * rows, 1e-13 * np.sqrt(2.0 * rows * n)
 
     def test_certified_only_with_room(self, catalog_all):
@@ -430,6 +434,11 @@ class TestIndependenceCertificate:
         assert "outcomes_independent" not in m.__dict__
         synthesize(m)
         assert m.__dict__["outcomes_independent"] is True
+
+    def test_folds_no_cut_side(self):
+        m = conditional_basis(3, 3, 0)
+        assert m.outcomes_independent is True
+        assert m._cut_sides == {}
 
     def test_a_tiny_measurement_is_refused_by_the_row_floor(self):
         # scaled by 1e-14 against its weights, the 2x2 outcomes are still
