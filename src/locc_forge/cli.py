@@ -125,6 +125,7 @@ def _cmd_check(args) -> int:
                     "nullspace_dim": r.nullspace_dim,
                     "marginal_rank": r.marginal_rank,
                     "certified": r.certified,
+                    "blocks": r.blocks,
                     "extreme_rays": [[float(x) for x in ray]
                                      for ray in r.extreme_rays],
                 }
@@ -198,7 +199,8 @@ def _cmd_synth(args) -> int:
         print(f"search: {stats.nodes_expanded} nodes expanded, {stats.dead_ends} dead ends, "
               f"{stats.cones_built} cones built, {stats.parties_skipped} parties skipped, "
               f"{stats.orthants} orthants, {stats.final_splits} final splits, "
-              f"{stats.planar_splits} planar splits, {stats.wall_time:.3f}s")
+              f"{stats.planar_splits} planar splits, "
+              f"{stats.class_cones} cones read by factor classes, {stats.wall_time:.3f}s")
         if cert.tree is not None:
             print(f"protocol tree ({cert.tree.depth()} rounds):")
             for line in _tree_summary(cert, m):
@@ -247,8 +249,8 @@ def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         result = simulate(tree, m, state, trials=args.trials, rng=rng)
-    except ValueError as exc:
-        return _fail(str(exc))
+    except ValueError as exc:       # simulate refuses what the state holds
+        return _fail(f"{args.state}: {exc}")
     if args.as_json:
         doc = {
             "leaves": [

@@ -279,6 +279,20 @@ def half_line(col: np.ndarray) -> np.ndarray:
     return c
 
 
+def _half_lines(cols: np.ndarray) -> np.ndarray:
+    """:func:`half_line` of each row of ``cols``, at once, with the same
+    bytes."""
+    mags = np.abs(cols)
+    top = mags.argmax(axis=1)
+    rows = np.arange(len(cols))
+    c = cols * np.where(cols[rows, top] > 0, 1.0, -1.0)[:, None]
+    c[mags <= _VANISHING_TOL * mags[rows, top][:, None]] = 0.0
+    if c.min() < 0:
+        raise ConeError("cone is trivial")
+    c /= c.sum(axis=1, keepdims=True)
+    return c
+
+
 def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Extreme rays of {c >= 0 : Q c = 0}, L1-normalized and sorted, one per
     row, given ``basis``, an orthonormal nullspace basis N of Q.
@@ -307,9 +321,20 @@ def extreme_rays(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     rows in one pass, with the double description's vanishing rule,
     activity cuts and errors (see :func:`_arc_rays`).  So only cones of
     three or more dimensions are enumerated.
+
+    A stack of one-dimensional cones, Q of shape (G, rows, width) and N of
+    (G, width, 1), is answered at once: row g of the result is cone g's
+    ray, :func:`half_line` of its column, and every ray must pass the
+    residual test, or the stack raises.
     """
     q = np.asarray(q, dtype=float)
     basis = np.asarray(basis, dtype=float)
+    if basis.ndim == 3:
+        cs = _half_lines(basis[:, :, 0])
+        if not np.all(np.abs(np.einsum("gkj,gj->gk", q, cs)).max(axis=1, initial=0.0)
+                      <= NULLSPACE_RESIDUAL_TOL):
+            raise ConeError("no nonnegative ray found; cone is {0}")
+        return cs
     n, k = basis.shape
     if k == 0:
         raise ConeError("nullspace is trivial")

@@ -65,8 +65,9 @@ S.  The node's bystander operator Abar is parallel to C, so every such c'
 is admissible: the cone is exactly the orthant on S, of dimension |S|, with
 the unit vectors e_j as rays.  The argument is exact and needs no
 independence of the outcomes.  It is read off the factors' equality,
-entry for entry, the test that settles a party that cannot move (run on
-the mover's own factor first, then on the others until one varies).  The
+entry for entry, the test that settles a party that cannot move: both
+compare the measurement's class ids (``factor_classes``, equal exactly
+where the factors are) on the support, for every party at once.  The
 cone is returned as the full route returns an orthant (rays e_j, last
 outcome of S first, no marginal flag), so :func:`final_split` recognises
 it.  Q is not formed, because its rows cannot be trusted here: all
@@ -183,7 +184,9 @@ class SearchStats:
     party cannot move, or in ``orthants`` if the party is a final mover;
     ``final_splits`` counts the nodes a party split into their outcomes in
     closed form, and ``planar_splits`` the nodes split into a two-ray
-    cone's rays in closed form (see the module docstring)."""
+    cone's rays in closed form (see the module docstring).
+    ``class_cones`` counts the cones of ``cones_built`` that were read
+    class by class (``FeasibleCone.blocks`` above 1; see ``feasibility``)."""
 
     nodes_expanded: int = 0
     dead_ends: int = 0
@@ -193,6 +196,7 @@ class SearchStats:
     orthants: int = 0
     final_splits: int = 0
     planar_splits: int = 0
+    class_cones: int = 0
 
 
 @dataclass(eq=False)
@@ -211,7 +215,9 @@ def check_root(m: SeparableMeasurement) -> list[FeasibleCone]:
 
     A cone that :func:`certified_root_cones` proves one-dimensional from
     the parties' frames is taken as it is, with no Q; every other party's
-    cone is built from Q by :func:`feasible_cone`.  All parties' root
+    cone is built by :func:`feasible_cone`, class by class where the
+    party's factor classes stand for Q's column blocks (see
+    ``feasibility``), else from Q.  All parties' root
     dimensions equal to one certifies that no LOCC protocol for the
     measurement exists, once :func:`impossible_at_root` has checked the
     cones.
@@ -318,19 +324,19 @@ class _Search:
         any other party's cone is built."""
         m = self.m
         support = np.flatnonzero(coeffs)
-
-        def one_factor(q: int) -> bool:
-            factors = m.local_factors(q)[support]
-            return bool((factors == factors[0]).all())
-
-        if one_factor(party) and m.outcomes_independent:
+        ids = m.factor_classes[:, support]
+        one_factor = (ids == ids[:, :1]).all(axis=1)       # per party, on the support
+        if one_factor[party] and m.outcomes_independent:
             self.stats.parties_skipped += 1
             return FeasibleCone(1, (coeffs / coeffs.sum())[None], False)
-        if all(one_factor(q) for q in range(len(m.parties)) if q != party):
+        one_factor[party] = True
+        if one_factor.all():
             self.stats.orthants += 1
             return FeasibleCone(len(support), np.eye(len(coeffs))[support[::-1]], False)
         self.stats.cones_built += 1
-        return feasible_cone(NodeContext(m, party, coeffs))
+        cone = feasible_cone(NodeContext(m, party, coeffs))
+        self.stats.class_cones += cone.blocks > 1
+        return cone
 
     def splits_at(self, party: int, coeffs: np.ndarray,
                   rays: np.ndarray) -> list[RayDecomposition]:

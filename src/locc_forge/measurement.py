@@ -34,6 +34,14 @@ the outcome operators are linearly independent with room to spare, which
 lets the search skip a party that cannot move without building its Q,
 builds none: it takes one SVD of the joint R's outcome columns and bounds
 Q's rows from the parties' frames.
+
+The measurement also owns, on first use, its factor classes
+(:attr:`SeparableMeasurement.factor_classes`, one id per party and
+outcome, equal where the party's factors are equal) and, per party, the
+leaks between its classes' frame columns
+(:meth:`SeparableMeasurement.class_leaks`), which the search reads to
+settle parties that cannot move and final movers, and ``feasibility``'s
+class route to read a cone class by class.
 """
 
 from __future__ import annotations
@@ -286,6 +294,60 @@ class SeparableMeasurement:
         sigma = np.linalg.svd(self.joint_r[:, :n], compute_uv=False)
         return bool(sigma[-1] >= need * sigma[0] and sigma[-1] >= floor)
 
+    @cached_property
+    def factor_classes(self) -> np.ndarray:
+        """(P, n) read-only class ids: row p gives outcomes j and k one id
+        exactly when party p's factors on them are equal, entry for entry, as
+        ``==`` compares them (so -0.0 equals 0.0).  Built on first use, one
+        :func:`numpy.unique` over each party's stack read as bytes, with -0.0
+        turned into 0.0 first; the ids are the ranks of those bytes."""
+        rows = []
+        for stack in self._stacks:
+            flat = np.ascontiguousarray(stack.reshape(len(stack), -1) + 0.0)   # -0.0 + 0.0 is 0.0
+            keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0]
+            rows.append(np.unique(keys, return_inverse=True)[1].reshape(-1))
+        return _frozen(np.stack(rows))
+
+    def class_leaks(self, party: int) -> tuple[np.ndarray, float] | None:
+        """Party p's table of leaks between its G factor classes, for the
+        class route of ``feasibility``: the (G, G) read-only squared entries
+        of N - I, N the Gram of the classes' frame columns scaled to unit
+        norm, in class-id order, and the :func:`class_leakage` of all G.
+        None where the class route cannot apply: a zero column, two outcomes
+        of one class whose frame columns differ, or no three classes that
+        leak less than 1 together (a test of the pairs alone past 64
+        classes).  Built on first use, so a party with no such classes
+        costs a lookup afterwards."""
+        if party not in self._leak_tables:
+            ids = self.factor_classes[party]
+            first = np.unique(ids, return_index=True)[1]
+            frame = self.party_rs[party][:, :self.n_outcomes]
+            cols = frame[:, first]
+            norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+            table, g = None, len(first)
+            if g >= 3 and norms.all() and np.array_equal(frame, cols[:, ids]):
+                unit = cols / norms
+                gram = unit.T @ unit
+                gram.flat[::g + 1] -= 1.0
+                gram *= gram
+                if g <= 64:     # three classes leak sqrt(2 (N_gh^2 + N_gk^2 + N_hk^2)) or more
+                    least = np.inf
+                    for k in range(g):
+                        sums = gram + gram[k][:, None] + gram[k]
+                        sums[k] = sums[:, k] = sums.flat[::g + 1] = np.inf
+                        least = min(least, float(sums.min()))
+                else:           # G^3 sums would not pay: a pair leaks sqrt(2) |N_gh|
+                    least = float((gram + np.eye(g)).min())
+                if 2.0 * least < 1.0:
+                    table = (_frozen(gram), class_leakage(gram, len(frame)))
+            self._leak_tables[party] = table
+        return self._leak_tables[party]
+
+    @cached_property
+    def _leak_tables(self) -> dict[int, tuple[np.ndarray, float] | None]:
+        """The parties' leakage tables built so far, by party."""
+        return {}
+
     def _q_row_bracket(self, party: int) -> int:
         """M_p = max(n, r_p (min(prod_{q != p} r_q, n + 1) - 1)), a bound on max(n,
         rows of party p's Q) that needs no cut side (see ``feasibility``)."""
@@ -315,6 +377,26 @@ class SeparableMeasurement:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sec. 3.1)."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1 - ku)
+
+
+def class_leakage(squares: np.ndarray, rows: int) -> float:
+    """The leakage delta of G factor classes, a bound on |N - I|_2 read
+    from the (G, G) squared entries of the computed N - I, the Gram of the
+    classes' unit frame columns of ``rows`` entries, with its rounding (see
+    ``feasibility``)."""
+    g = len(squares)
+    omega = gamma(g * g + rows + 4)
+    return sqrt(float(squares.sum())) * (1 + omega) + 5 * g * omega
 
 
 def _hermitian_stacks(columns: list[list[np.ndarray]]) -> tuple[np.ndarray, ...]:

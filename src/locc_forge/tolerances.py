@@ -13,7 +13,10 @@ but only where the rank rule provably agrees: the certificate bounds Q's
 two smallest singular values against this cutoff and the marginal band,
 with rounding bounds derived from eps, the bracket of Q's shape and the
 magnitudes of Q's Gram, and falls back to the SVD whenever it cannot
-prove the rule's answer.  It adds no tolerance.  The
+prove the rule's answer.  It adds no tolerance.  Nor does the class
+route of ``feasibility``, which reads a cone from the column blocks of a
+party's factor classes where bounds on their leakage, Q's shape and the
+residuals settle every decision the rule would make on Q.  The
 residual tolerance
 :data:`RESIDUAL_TOL` is fixed the same way: no caller sets a tolerance, and
 the search has no round limit, so a verdict depends only on the measurement.

@@ -18,7 +18,9 @@ recursion, leaves are found by comparing the node operator densely with
 every outcome, and protocol trees are verified on dense D x D node
 operators.  The verifier's product-structure and edge values are also
 checked against one full SVD of every node's core on every cut, the route
-the verifier's rank-one certificate replaced.
+the verifier's rank-one certificate replaced.  A cone is also built the
+full way, from the whole Q, its nullspace and ``extreme_rays``, for the
+cones the library reads class by class.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from locc_forge.errors import (
     DimensionMismatchError,
     InconsistentNodeError,
 )
+from locc_forge.feasibility import FeasibleCone, build_q, nullspace
 from locc_forge.measurement import reconstruct
 from locc_forge.measurement import complement_span, local_span
 from locc_forge.operators import as_hermitian, khatri_rao, project_factor, tensor
@@ -734,3 +737,22 @@ def chain_edge_values(tree, m) -> list[tuple[float, str]]:
 
     descend(tree, "root", tuple(np.eye(d, dtype=complex) for d in dims))
     return edges
+
+
+def full_route_cone(ctx) -> FeasibleCone:
+    """The context's cone the full way, with no factor classes: Q, the
+    nullspace of the whole Q and ``extreme_rays``, the rays embedded in
+    n-outcome space.  Raises where ``feasibility.feasible_cone``'s full
+    route would, on a parent outside the cone or an empty nullspace."""
+    n, support = ctx.measurement.n_outcomes, ctx.support
+    q = build_q(ctx)
+    c = np.asarray(ctx.coeffs, dtype=float)[support]
+    if q.shape[0] and float(np.abs(q @ (c / np.abs(c).sum())).max()) > RESIDUAL_TOL:
+        raise InconsistentNodeError("parent coefficients violate the node constraints")
+    basis, marginal = nullspace(q, len(support))
+    if not basis.shape[1]:
+        raise InconsistentNodeError("empty nullspace contradicts completeness")
+    found = cones.extreme_rays(q, basis)
+    rays = np.zeros((len(found), n))
+    rays[:, support] = found
+    return FeasibleCone(basis.shape[1], rays, marginal)

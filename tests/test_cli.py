@@ -126,6 +126,18 @@ class TestCheckCommand:
         assert code == 2
         assert [p["certified"] for p in json.loads(out)["parties"]] == [True, True]
 
+    def test_json_reports_the_factor_classes_read(self, tmp_path, capsys):
+        # party 0 of 3x4 measures one basis: its root cone is read from its
+        # four orthogonal factor classes; parties 1 and 2 are certified
+        path = tmp_path / "cond.json"
+        save_measurement(conditional_basis(3, 4, 0), str(path))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        parties = json.loads(out)["parties"]
+        assert [p["blocks"] for p in parties] == [4, 1, 1]
+        assert [p["certified"] for p in parties] == [False, True, True]
+        assert [p["nullspace_dim"] for p in parties] == [4, 1, 1]
+
     def test_weight_error_within_validation_keeps_the_verdict(self, pair_file,
                                                                 tmp_path, capsys):
         # the root's bystander operator is the identity, not read from the
@@ -240,7 +252,21 @@ class TestSynthCommand:
         line = next(x for x in out.splitlines() if x.startswith("search:"))
         assert (f"{counts['cones_built']} cones built, {counts['parties_skipped']} parties "
                 f"skipped, {counts['orthants']} orthants, {counts['final_splits']} final "
-                f"splits, {counts['planar_splits']} planar splits") in line
+                f"splits, {counts['planar_splits']} planar splits, 0 cones read by factor "
+                f"classes") in line
+
+    def test_cones_read_by_factor_classes_are_counted(self, tmp_path, capsys):
+        # below the root of 3x4, party 1 meets four orthogonal classes of
+        # party 2's bases on every node that party 0 leaves
+        path = tmp_path / "cond.json"
+        save_measurement(conditional_basis(3, 4, 0), str(path))
+        stats = synthesize(conditional_basis(3, 4, 0)).search_stats
+        assert 0 < stats.class_cones <= stats.cones_built
+        code, out, _ = run(capsys, "synth", str(path), "--json")
+        assert code == 0 and json.loads(out)["stats"]["class_cones"] == stats.class_cones
+        code, out, _ = run(capsys, "synth", str(path))
+        line = next(x for x in out.splitlines() if x.startswith("search:"))
+        assert f", {stats.class_cones} cones read by factor classes, " in line
 
 
 class TestVerifySimulate:
@@ -419,7 +445,7 @@ class TestVerifySimulate:
         code, out, err = run(capsys, "simulate", str(tree_path),
                              "--measurement", pair_file, "--state", str(state_path))
         assert code == 4 and out == ""
-        assert defect in err
+        assert f"error: {state_path}: {defect}" in err
 
 
 class TestErrorPaths:

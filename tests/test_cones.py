@@ -6,7 +6,7 @@ from scipy.linalg import null_space, qr
 from scipy.optimize import nnls as scipy_nnls
 
 from conftest import audit_instances, benchmark_instances, catalog_instances, domino_angle_sets
-from locc_forge import Verdict, check_root, cones, engine
+from locc_forge import Verdict, check_root, cones, engine, feasibility
 from locc_forge.catalog import (
     conditional_basis,
     phase_five,
@@ -137,6 +137,26 @@ class TestOneDimensionalCones:
                 assert root.extreme_rays.shape == (1, len(w))
                 assert np.abs(root.extreme_rays[0] - w / w.sum()).max() <= 1e-12
 
+    def test_a_stack_of_one_dimensional_cones_is_read_at_once(self):
+        # each row of the stacked answer is that cone's own ray, byte for
+        # byte, and one cone whose ray fails the residual test fails the stack
+        rng = np.random.default_rng(5)
+        qs, bases = [], []
+        for _ in range(4):
+            ray = rng.uniform(0.1, 1.0, size=5)
+            q = rng.standard_normal((7, 5))
+            q -= np.outer(q @ ray, ray) / (ray @ ray)
+            qs.append(q)
+            bases.append(nullspace(q, 5)[0] * rng.choice([-1.0, 1.0]))
+        assert all(b.shape == (5, 1) for b in bases)
+        stacked = extreme_rays(np.stack(qs), np.stack(bases))
+        assert stacked.shape == (4, 5)
+        for row, q, basis in zip(stacked, qs, bases):
+            assert row.tobytes() == extreme_rays(q, basis)[0].tobytes()
+        qs[2] = qs[2] + 1e-6
+        with pytest.raises(ConeError):
+            extreme_rays(np.stack(qs), np.stack(bases))
+
     def test_double_description_entered_with_three_columns_or_more(self, monkeypatch):
         widths, cones_met = [], []
         dd, rays_of_cone = cones._double_description, cones.extreme_rays
@@ -151,6 +171,9 @@ class TestOneDimensionalCones:
 
         monkeypatch.setattr(cones, "_double_description", counted_dd)
         monkeypatch.setattr(cones, "extreme_rays", counted_rays)
+        # the parties' factor classes would read every cone of these bases
+        # class by class, as half-lines; the full route takes them here
+        monkeypatch.setattr(feasibility, "_class_cone", lambda ctx: None)
         # 5x2 meets cones of one and two dimensions only, 4x3 also of three
         for m in (conditional_basis(5, 2, 0), conditional_basis(4, 3, 0)):
             assert synthesize(m).verdict is Verdict.PROTOCOL_FOUND
@@ -302,18 +325,20 @@ class TestTwoDimensionalCones:
     supports, rays and errors of the double description."""
 
     def test_matches_the_double_description_on_the_benchmark(self, monkeypatch):
-        # benchmark_instances() holds the seven-outcome family at seeds 0-9
+        # benchmark_instances() holds the seven-outcome family at seeds 0-9;
+        # seeds 10 and 11 stand in for the conditional bases' planar cones,
+        # which their parties' factor classes now read as half-lines
         met = []
         rays_of_cone = cones.extreme_rays
 
         def recorded(q, basis):
             out = rays_of_cone(q, basis)
-            if basis.shape[1] == 2 and q.shape[0] > 0:
+            if basis.ndim == 2 and basis.shape[1] == 2 and q.shape[0] > 0:
                 met.append((q, basis, out))
             return out
 
         monkeypatch.setattr(cones, "extreme_rays", recorded)
-        for m in benchmark_instances():
+        for m in benchmark_instances() + [seven_outcome_family(s) for s in (10, 11)]:
             synthesize(m)
         assert len(met) >= 60
         for q, basis, got in met:

@@ -28,6 +28,7 @@ from locc_forge import (
 )
 from locc_forge.errors import IncompleteMeasurementError, InconsistentNodeError, NotProductError
 from locc_forge.feasibility import (
+    ClassBlocks,
     MarginalRankWarning,
     NodeContext,
     build_q,
@@ -41,12 +42,13 @@ from locc_forge.feasibility import (
 from locc_forge.measurement import complement_span, local_span, reconstruct
 from locc_forge.cones import ConeError, extreme_rays
 from locc_forge.operators import project_factor
-from locc_forge.tolerances import MARGINAL_RANK_BAND, rank_threshold
+from locc_forge.tolerances import MARGINAL_RANK_BAND, NULLSPACE_RESIDUAL_TOL, rank_threshold
 from oracles import (
     bystander_operator,
     complement_factors,
     dense_build_q,
     face_qmatrix,
+    full_route_cone,
     mixed_basis_q,
     nullspace_projector,
     projector_of,
@@ -264,9 +266,9 @@ def _search_contexts(monkeypatch, measurements) -> list:
     original = feasibility.build_q
     contexts = []
 
-    def recorded(ctx):
+    def recorded(ctx, *classes):
         contexts.append(ctx)
-        return original(ctx)
+        return original(ctx, *classes)
 
     monkeypatch.setattr(feasibility, "build_q", recorded)
     for m in measurements:
@@ -338,13 +340,14 @@ class TestAgainstDenseOracle:
         original = feasibility.build_q
         contexts = []
 
-        def compared(ctx):
+        def compared(ctx, *classes):
+            # the class route's Q in class form is compared as the Q it stands for
             q = original(ctx)
             n = len(ctx.support)
             want = my_nullspace_projector(dense_build_q(ctx), n)
             assert np.abs(my_nullspace_projector(q, n) - want).max() < 1e-8
             contexts.append(ctx)
-            return q
+            return original(ctx, *classes) if classes else q
 
         monkeypatch.setattr(feasibility, "build_q", compared)
         _build_every_pair(monkeypatch)
@@ -377,8 +380,10 @@ class TestAgainstDenseOracle:
 
         found = [synthesize(m) for m in _oracle_measurements()]
         # every (party, node) pair of the reference search goes through the
-        # dense Q, those of a party that cannot move included
+        # dense Q, those of a party that cannot move and those whose factor
+        # classes would stand for Q included
         monkeypatch.setattr(feasibility, "build_q", dense_build_q)
+        monkeypatch.setattr(feasibility, "_class_cone", lambda ctx: None)
         monkeypatch.setattr(engine._Search, "analyse",
                             lambda self, p, c: feasible_cone(NodeContext(self.m, p, c)))
         for cert, m in zip(found, _oracle_measurements()):
@@ -789,6 +794,232 @@ class TestRootCertificate:
         # no cone built from Q is certified, and each takes one nullspace call
         assert not any(cone.certified for _, cone in met)
         assert len(calls) == len(met)
+
+
+def _ket_projector(*entries) -> np.ndarray:
+    v = np.asarray(entries, dtype=complex)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def _search_cones(m) -> tuple[list, object]:
+    """Each (context, cone) pair that synthesizing ``m`` builds below the
+    root, and the certificate."""
+    import locc_forge.engine as engine
+
+    met = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "feasible_cone",
+                   lambda ctx: met.append((ctx, feasible_cone(ctx))) or met[-1][1])
+        cert = synthesize(m)
+    return [(ctx, cone) for ctx, cone in met if not ctx.root], cert
+
+
+def _reference_roots(m) -> list:
+    """Every party's root cone without factor classes: the frame
+    certificate tried on every party, and the full route from Q where it
+    does not certify."""
+    import locc_forge.feasibility as feasibility
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "_weights_split", lambda m, party: False)
+        certified = certified_root_cones(m)
+    return [full_route_cone(root_context(m, p)) if cone is None else cone
+            for p, cone in enumerate(certified)]
+
+
+def _assert_same_cone(got, want, tol=1e-14):
+    assert got.nullspace_dim == want.nullspace_dim
+    assert got.marginal_rank == want.marginal_rank
+    assert got.certified == want.certified
+    assert got.extreme_rays.shape == want.extreme_rays.shape
+    assert np.array_equal(got.extreme_rays == 0, want.extreme_rays == 0)
+    assert np.abs(got.extreme_rays - want.extreme_rays).max() <= tol
+
+
+class TestClassRoute:
+    """A party whose factors on a node's support fall in three or more
+    classes with nearly orthogonal frame columns has its cone read class by
+    class, with no Q, no QR of Q and no double description, and the cone is
+    the one the full route builds from Q."""
+
+    def test_audit_cones_equal_the_full_route(self):
+        # every root cone and every cone the search builds, under warnings
+        # as errors: the class route never answers near the rank cutoff
+        roots = below = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MarginalRankWarning)
+            for m in audit_instances():
+                for got, want in zip(check_root(m), _reference_roots(m)):
+                    _assert_same_cone(got, want)
+                    roots += got.blocks > 1
+                met, cert = _search_cones(m)
+                for ctx, cone in met:
+                    _assert_same_cone(cone, full_route_cone(ctx))
+                    below += cone.blocks > 1
+                assert cert.search_stats.class_cones == sum(c.blocks > 1 for _, c in met)
+        assert (roots, below) == (48, 72)
+
+    def test_trees_equal_the_full_route(self, monkeypatch):
+        import locc_forge.feasibility as feasibility
+
+        found = [synthesize(m) for m in audit_instances()]
+        monkeypatch.setattr(feasibility, "_class_cone", lambda ctx: None)
+        for cert, m in zip(found, audit_instances()):
+            ref = synthesize(m)
+            assert (cert.verdict, cert.root_dims) == (ref.verdict, ref.root_dims)
+            stats, ref_stats = vars(cert.search_stats).copy(), vars(ref.search_stats).copy()
+            for k in ("wall_time", "class_cones"):
+                del stats[k], ref_stats[k]
+            assert stats == ref_stats
+            if ref.tree is None:
+                continue
+            got, want = list(cert.tree.walk()), list(ref.tree.walk())
+            assert [p for _, p in got] == [p for _, p in want]
+            for (g, _), (w, _) in zip(got, want):
+                assert (g.acting_party, g.leaf_outcome is None) == \
+                    (w.acting_party, w.leaf_outcome is None)
+                assert np.array_equal(g.coeffs != 0, w.coeffs != 0)
+                assert np.abs(g.coeffs - w.coeffs).max() <= 1e-14 * np.abs(w.coeffs).max()
+                if w.leaf_outcome is not None:
+                    assert g.leaf_outcome[0] == w.leaf_outcome[0]
+
+    def test_builds_no_q_and_runs_no_double_description(self, monkeypatch):
+        import locc_forge.cones as cones
+
+        def refused(*args):
+            raise AssertionError("double description run on factor classes")
+
+        monkeypatch.setattr(cones, "_double_description", refused)
+        m = conditional_basis(3, 4, 0)
+        root = check_root(m)[0]
+        assert (root.nullspace_dim, root.blocks) == (4, 4)
+        assert list(m._cut_sides) == [0]
+        _, cert = _search_cones(m)
+        assert cert.verdict is Verdict.PROTOCOL_FOUND and cert.search_stats.class_cones > 0
+
+    @pytest.mark.parametrize("angle", [1e-9, 1e-12])
+    def test_nearly_orthogonal_classes_give_the_full_route_answer(self, monkeypatch, angle):
+        # party 0's first basis vector of 2x3 turned toward its second: the
+        # two classes overlap, and the outcomes sum to the identity only
+        # within the angle.  At 1e-9 party 1's own full route finds them
+        # incomplete, with or without the class route; party 0's cone is
+        # read class by class either way
+        import locc_forge.feasibility as feasibility
+
+        m = conditional_basis(2, 3, 0)
+        v0, v1 = (np.linalg.eigh(m.local_factors(0)[j])[1][:, -1] for j in (0, 3))
+        turned = np.cos(angle) * v0 + np.sin(angle) * v1
+        assert abs(np.vdot(turned, v1)) > 0.5 * angle
+        outcomes = [(o.label, (np.outer(turned, turned.conj()) if j < 3 else o.factors[0],
+                               o.factors[1])) for j, o in enumerate(m.outcomes)]
+        near = SeparableMeasurement(m.parties, outcomes, m.weights)
+        assert near.class_leaks(0)[1] < 1e-12
+        cone = feasible_cone(root_context(near, 0))
+        assert cone.blocks == 3
+        _assert_same_cone(cone, full_route_cone(root_context(near, 0)))
+        if angle == 1e-9:
+            for route in (feasibility._class_cone, lambda ctx: None):
+                monkeypatch.setattr(feasibility, "_class_cone", route)
+                with pytest.raises(InconsistentNodeError, match="empty nullspace"):
+                    check_root(near)
+            return
+        for got, want in zip(check_root(near), _reference_roots(near)):
+            _assert_same_cone(got, want)
+        met, cert = _search_cones(near)
+        assert cert.verdict is Verdict.PROTOCOL_FOUND
+        for ctx, cone in met:
+            _assert_same_cone(cone, full_route_cone(ctx))
+
+    def test_ray_residuals_read_with_the_max_norm(self):
+        # A measures one qutrit basis; B's first basis after A's outcome 0
+        # is off by 2.2e-9, which leaves that class's ray a residual of
+        # 9.0e-10 on Q, within NULLSPACE_RESIDUAL_TOL; read through the
+        # class's frame column, it is |a_0|_max times |T_0 c|_max, and
+        # |a_0|_2 = 1.22 |a_0|_max would reject it.  A's third outcome is
+        # scaled by 1000 against its weight, so that the cutoff leaves the
+        # class's singular value of 2e-9 in the nullspace
+        psi = (np.cos(2.2e-9), np.sin(2.2e-9))
+        outcomes = [("00", (_ket_projector(1, 0, 0), _ket_projector(*psi))),
+                    ("01", (_ket_projector(1, 0, 0), _ket_projector(0, 1))),
+                    ("10", (_ket_projector(0, 1, 0), _ket_projector(1, 1))),
+                    ("11", (_ket_projector(0, 1, 0), _ket_projector(1, -1))),
+                    ("20", (1e3 * _ket_projector(0, 0, 1), _ket_projector(1, 1j))),
+                    ("21", (1e3 * _ket_projector(0, 0, 1), _ket_projector(1, -1j)))]
+        m = SeparableMeasurement([Party("A", 3), Party("B", 2)], outcomes,
+                                 [1, 1, 1, 1, 1e-3, 1e-3])
+        cone = check_root(m)[0]
+        want = full_route_cone(root_context(m, 0))
+        assert cone.blocks == 3
+        _assert_same_cone(cone, want)
+        q = build_q(root_context(m, 0))
+        residuals = np.abs(want.extreme_rays @ q.T).max(axis=1)
+        a = m.party_rs[0][:, 0]
+        ratio = np.linalg.norm(a) / np.abs(a).max()
+        assert ratio > 1.2
+        assert NULLSPACE_RESIDUAL_TOL / ratio < residuals.max() < NULLSPACE_RESIDUAL_TOL
+
+    def test_one_weighted_class_keeps_its_certificate(self):
+        # A's factor is the identity on both weighted outcomes: its classes,
+        # the identity and two projectors of weight 0, leak 0.71, and the
+        # weights lie in one of them, so the certificate is tried, and
+        # certifies
+        e = np.eye(8)
+        m = SeparableMeasurement([Party("A", 8), Party("B", 2)],
+                                 [("0", (e, P0)), ("1", (e, P1)),
+                                  ("2", (_ket_projector(*e[0]), _ket_projector(1, 1))),
+                                  ("3", (_ket_projector(*e[1]), _ket_projector(1, 1j)))],
+                                 [1.0, 1.0, 0.0, 0.0])
+        assert m.class_leaks(0)[1] < 1
+        assert [(r.nullspace_dim, r.certified) for r in check_root(m)] == [(1, True), (2, False)]
+
+    def test_split_weights_skip_the_certificate(self, monkeypatch):
+        # the weights of one-way-wide's party 0 split over its d classes:
+        # its cone has dimension d, and the certificate is not tried
+        import locc_forge.feasibility as feasibility
+
+        tried = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: tried.append(len(a)) or cholesky(a))
+        m = conditional_basis(2, 5, 0)
+        assert feasibility._weights_split(m, 0) and not feasibility._weights_split(m, 1)
+        roots = check_root(m)
+        assert [(r.nullspace_dim, r.certified, r.blocks) for r in roots] == \
+            [(5, False, 5), (1, True, 1)]
+        assert tried == [25]
+
+    def test_class_ids_are_the_factors_equality(self):
+        # ids agree with ==, so a factor holding -0.0 where another holds
+        # 0.0 shares its class
+        for m in [conditional_basis(3, 3, 0), seven_outcome_family(0), rotated_dominoes()]:
+            for p in range(len(m.parties)):
+                f = m.local_factors(p)
+                same = (f[:, None] == f[None, :]).all(axis=(2, 3))
+                ids = m.factor_classes[p]
+                assert np.array_equal(ids[:, None] == ids[None, :], same)
+        negative = np.array([[1.0, -0.0], [-0.0, 0.0]])
+        m = SeparableMeasurement([Party("A", 2), Party("B", 2)],
+                                 [("0", (P0, P0)), ("1", (negative, P1)), ("2", (P1, EYE2))],
+                                 [1.0, 1.0, 1.0])
+        assert np.signbit(m.local_factors(0)[1].real).any()
+        assert m.factor_classes[0].tolist()[:2] == [m.factor_classes[0][0]] * 2
+        assert m.factor_classes[0][2] != m.factor_classes[0][0]
+
+    def test_blocks_pool_their_singular_values_under_q_rule(self):
+        # the cutoff reads Q's shape and the pooled largest value, and a
+        # value in the widened band leaves the blocks unsettled
+        blocks = np.stack([np.diag([1.0, 0.0]), np.diag([1e-3, 0.0])])
+        [(vh, ranks)], unsettled = nullspace(ClassBlocks([blocks], (4, 4), 2.0), 4)
+        assert ranks.tolist() == [1, 1] and not unsettled
+        assert np.array_equal(np.abs(vh[:, 1:]), np.array([[[0.0, 1.0]]] * 2))
+        # 1e-8 lies above the cutoff of a 4 x 4 Q but below that of a Q of
+        # 400,000 rows
+        blocks = np.stack([np.diag([1.0, 0.0]), np.diag([1e-8, 0.0])])
+        assert nullspace(ClassBlocks([blocks], (4, 4), 2.0), 4)[0][0][1].tolist() == [1, 1]
+        assert nullspace(ClassBlocks([blocks], (400_000, 4), 1.0), 4)[0][0][1].tolist() == [1, 0]
+        cutoff = rank_threshold((400, 4), 1.0)
+        inside = np.stack([np.diag([1.0, 1.5 * MARGINAL_RANK_BAND * cutoff])] * 2)
+        assert nullspace(ClassBlocks([inside], (400, 4), 2.0), 4)[1]
+        assert not nullspace(ClassBlocks([inside], (400, 4), 1.0), 4)[1]
 
 
 class TestReconstruct:
