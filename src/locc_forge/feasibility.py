@@ -179,7 +179,7 @@ with its columns grouped by class and A^ the unit class columns a_g /
 * Q's shape.  ``build_q``'s floor reads each row's largest entry.  Row
   (i, k) of Q has max_g |a_g[i]| max_(j in g) |T[k, j]|, and a rounded
   product is monotone and blind to signs, so the class form
-  (``build_q(ctx, classes)``) counts the m rows ``build_q`` keeps and
+  (:func:`_class_q`) counts the m rows ``build_q`` keeps and
   reads its largest entry exactly, with no Q.  The cutoff's shape is
   (m, |S|), M = max(m, |S|).  The dropped rows hold entries at most
   ``Q_ROW_FLOOR`` top (top = max(1, Q's largest entry)), so they form a D
@@ -222,11 +222,21 @@ with its columns grouped by class and A^ the unit class columns a_g /
 * The rays.  Rays of different classes have disjoint supports, so
   ``extreme_rays``' lexicographic order (entries rounded to 12 digits) is
   decided by the first entry that rounds to nonzero, and the rays of one
-  class come from ``extreme_rays`` in that order already.  Each class's
-  vanishing and activity rules read the class's own basis rows, not those
-  of Q's whole nullspace basis; on the 163 audit measurements the rays
-  agree with the full route's within 1e-15, 48 root cones and 72 below
-  the root taking the route.
+  class come from ``extreme_rays`` in that order already.  The basis of
+  Q's nullspace is the classes' bases up to a rotation, which keeps each
+  row's norm, so the activity rule (a cut relative to the entry's own
+  row) reads the same rows.  The vanishing rule does not: with two or
+  more dimensions in all, the full route zeroes an entry whose row is at
+  most ``_VANISHING_TOL`` of the largest row of the whole basis, a class
+  cone at most that of its own largest row.  Where a row lies between the
+  two, the full route decides.  Left to rounding is which side of a
+  threshold a computed row falls on, which the two routes' SVDs may read
+  differently and the rank rule's gap does not bound, and the entries a
+  ray leaves on other classes' rows: exact zeros here, the full route's
+  rounding there, which its activity cut clears unless the row is within
+  some 1e-6 of vanishing.  On the 163 audit measurements the rays agree
+  with the full route's within 1e-15 and zero for zero, 48 root cones
+  and 72 below the root taking the route.
 
 The route forms no Q, takes no QR of Q and runs no double description.
 It applies when the support holds three or more classes, delta < 1 and
@@ -379,20 +389,7 @@ def _projection(ctx: NodeContext) -> tuple[np.ndarray, np.ndarray]:
     return acting, coords[1:] - 2.0 * (u[1:, None] * (u @ coords))
 
 
-class ClassQ(NamedTuple):
-    """Q in class form, its columns never formed: with the support's
-    positions in the order that groups them by factor class, column i is
-    acting[:, i] (x) t[:, i].  ``shape`` and ``top`` are those of the Q that
-    :func:`build_q` forms, after its row floor, and max(1, its largest
-    entry)."""
-
-    acting: np.ndarray
-    t: np.ndarray
-    shape: tuple[int, int]
-    top: float
-
-
-def build_q(ctx: NodeContext, classes=None):
+def build_q(ctx: NodeContext) -> np.ndarray:
     """Constraint matrix whose nullspace parametrizes the party's next outcomes.
 
     Column n of the matrix holds the coordinates of L_n (x) (C_n - P C_n),
@@ -410,29 +407,43 @@ def build_q(ctx: NodeContext, classes=None):
     at the root, else see :func:`_bystander_coords`), and rows 1.. of the
     Householder reflector that maps y onto the first axis are such a basis
     (:func:`_projection`).
-
-    With ``classes``, an (order, starts) pair that groups the support's
-    positions by the party's factor class, Q is returned in class form
-    (:class:`ClassQ`) after the same projection.  Its row count is exact:
-    row (i, k) of Q has largest entry max_g |a_g[i]| max_(j in g) |T[k, j]|,
-    a_g the class's frame column, because rounding a product is monotone
-    and blind to signs.
     """
     acting, t_bys = _projection(ctx)
-    if classes is not None:
-        order, starts = classes
-        cols = np.abs(acting[:, order[starts]])
-        t_bys = t_bys[:, order]
-        row_max = (cols[:, None, :] * np.maximum.reduceat(np.abs(t_bys), starts, axis=1)
-                   [None, :, :]).max(axis=2) if len(t_bys) else cols[:, :0]
-        top = max(1.0, float(row_max.max(initial=0.0)))
-        kept = int(np.count_nonzero(row_max > Q_ROW_FLOOR * top))
-        return ClassQ(acting[:, order], t_bys, (kept, len(order)), top)
     q = (acting[:, None, :] * t_bys[None, :, :]).reshape(-1, acting.shape[1])
     if not len(q):
         return q
     row_max = np.abs(q).max(axis=1)
     return q[row_max > Q_ROW_FLOOR * max(1.0, float(row_max.max()))]
+
+
+class ClassQ(NamedTuple):
+    """Q in class form, its columns never formed: with the support's
+    positions in the order that groups them by factor class, column i is
+    acting[:, i] (x) t[:, i].  ``shape`` and ``top`` are those of the Q that
+    :func:`build_q` forms, after its row floor, and max(1, its largest
+    entry)."""
+
+    acting: np.ndarray
+    t: np.ndarray
+    shape: tuple[int, int]
+    top: float
+
+
+def _class_q(ctx: NodeContext, order: np.ndarray, starts: np.ndarray) -> ClassQ:
+    """:func:`build_q`'s Q in class form, after the same projection, the
+    support's positions taken in ``order``, which groups them by the
+    party's factor class, class g starting at ``starts[g]``.  The row count
+    is exact: row (i, k) of Q has largest entry max_g |a_g[i]| max_(j in g)
+    |T[k, j]|, a_g the class's frame column, because rounding a product is
+    monotone and blind to signs."""
+    acting, t_bys = _projection(ctx)
+    cols = np.abs(acting[:, order[starts]])
+    t_bys = t_bys[:, order]
+    row_max = (cols[:, None, :] * np.maximum.reduceat(np.abs(t_bys), starts, axis=1)
+               [None, :, :]).max(axis=2) if len(t_bys) else cols[:, :0]
+    top = max(1.0, float(row_max.max(initial=0.0)))
+    kept = int(np.count_nonzero(row_max > Q_ROW_FLOOR * top))
+    return ClassQ(acting[:, order], t_bys, (kept, len(order)), top)
 
 
 class ClassBlocks(NamedTuple):
@@ -642,7 +653,8 @@ def _class_cone(ctx: NodeContext) -> FeasibleCone | None:
     not apply or does not settle every decision of the full route on Q (see
     the module docstring): fewer than three classes on the support,
     classes that leak too much, a residual or a singular value within its rounding
-    of a threshold, an empty nullspace or a class cone that the rays cannot
+    of a threshold, a basis row that the full route's vanishing rule would
+    read otherwise, an empty nullspace or a class cone that the rays cannot
     read."""
     m, p = ctx.measurement, ctx.acting_party
     leaks = m.class_leaks(p)
@@ -658,7 +670,7 @@ def _class_cone(ctx: NodeContext) -> FeasibleCone | None:
         return None
     order = np.argsort(ids, kind="stable")
     starts = np.searchsorted(ids[order], classes)
-    q = build_q(ctx, (order, starts))
+    q = _class_q(ctx, order, starts)
     acting, t, (kept, width) = q.acting, q.t, q.shape
     if kept == 0 or not Q_ROW_FLOOR * q.top <= NULLSPACE_RESIDUAL_TOL / 2:
         return None
@@ -675,7 +687,7 @@ def _class_cone(ctx: NodeContext) -> FeasibleCone | None:
     tops = np.abs(cols).max(axis=0)                     # |a_g|_max
     sizes = np.diff(starts, append=width)
     # T's columns of each class, stacked by class width
-    if width == len(starts) * sizes[0]:                 # equal widths
+    if (sizes == sizes[0]).all():                       # equal widths
         groups = [np.arange(len(starts))]
         raw = [t.reshape(len(t), len(starts), -1).transpose(1, 0, 2)]
     else:
@@ -695,6 +707,16 @@ def _class_cone(ctx: NodeContext) -> FeasibleCone | None:
     spread = 2 * sqrt((1 + leak) / (1 - leak))
     svds, unsettled = nullspace(ClassBlocks(stacks, q.shape, spread), width)
     if unsettled:
+        return None
+    # the vanishing rule: the full route zeroes an entry whose basis row is
+    # at most _VANISHING_TOL of the largest row of Q's whole nullspace basis,
+    # each class its own cone's; an entry between the two goes to Q
+    rows = [np.sqrt(np.einsum("gij,gij->gj", vh, vh * (np.arange(vh.shape[1])[:, None]
+                                                     >= ranks[:, None, None])))
+            for vh, ranks in svds]
+    whole = cones._VANISHING_TOL * max(float(r.max()) for r in rows)
+    if any(((r > cones._VANISHING_TOL * r.max(axis=1, keepdims=True)) & (r <= whole)).any()
+           for r in rows):
         return None
 
     # each class's rays, residual-tested as Q tests them: Q's residual on a

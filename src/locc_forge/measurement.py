@@ -315,9 +315,9 @@ class SeparableMeasurement:
         norm, in class-id order, and the :func:`class_leakage` of all G.
         None where the class route cannot apply: a zero column, two outcomes
         of one class whose frame columns differ, or no three classes that
-        leak less than 1 together (a test of the pairs alone past 64
-        classes).  Built on first use, so a party with no such classes
-        costs a lookup afterwards."""
+        leak less than 1 together, read from every triple's sum of squared
+        entries, one class at a time.  Built on first use, so a party with
+        no such classes costs a lookup afterwards."""
         if party not in self._leak_tables:
             ids = self.factor_classes[party]
             first = np.unique(ids, return_index=True)[1]
@@ -330,14 +330,12 @@ class SeparableMeasurement:
                 gram = unit.T @ unit
                 gram.flat[::g + 1] -= 1.0
                 gram *= gram
-                if g <= 64:     # three classes leak sqrt(2 (N_gh^2 + N_gk^2 + N_hk^2)) or more
-                    least = np.inf
-                    for k in range(g):
-                        sums = gram + gram[k][:, None] + gram[k]
-                        sums[k] = sums[:, k] = sums.flat[::g + 1] = np.inf
-                        least = min(least, float(sums.min()))
-                else:           # G^3 sums would not pay: a pair leaks sqrt(2) |N_gh|
-                    least = float((gram + np.eye(g)).min())
+                # three classes leak sqrt(2 (N_gh^2 + N_gk^2 + N_hk^2)) or more
+                least = np.inf
+                for k in range(g):
+                    sums = gram + gram[k][:, None] + gram[k]
+                    sums[k] = sums[:, k] = sums.flat[::g + 1] = np.inf
+                    least = min(least, float(sums.min()))
                 if 2.0 * least < 1.0:
                     table = (_frozen(gram), class_leakage(gram, len(frame)))
             self._leak_tables[party] = table
